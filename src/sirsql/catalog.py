@@ -8,6 +8,9 @@ kernel database (reserved prefix ``sir_``):
     sir_ies(rel, ordinal, name, source_text, canonical_text)
     sir_deps(src, dst)
 
+`plan` is a JSON list of [name, kind, sql] per kernel object; the view
+stages of a relation with IEs carry a fourth field, their `StageFacts`.
+
 Meta rows are written inside the same kernel transaction as the DDL they
 describe; the in-memory mirror is updated only after the commit, so any
 failure leaves both the kernel and the catalog unchanged.
@@ -20,7 +23,7 @@ from __future__ import annotations
 import datetime
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import nodes as n
 from .errors import (CircularReferenceError, CorruptCatalog, DuplicateName,
@@ -109,10 +112,73 @@ class ColumnInfo:
 
 
 @dataclass
+class StageFacts:
+    """What the compiler knows about one view stage of a relation's chain.
+
+    kind is the canonical form of the IEs the stage realizes ('join',
+    'subquery', 'value') or 'reorder' for the view that only restores the
+    declared column order.  For join stages, `joins` lists each joined
+    source as [relation, [[source column, enclosing column], ...]], the
+    recursive-join pairs matched against that source.
+    """
+
+    kind: str
+    ies: list                   # IE names realized, in evaluation order
+    adds: list                  # columns the stage adds to its input
+    joins: list = field(default_factory=list)
+
+
+@dataclass
 class PlanItem:
     name: str
     kind: str       # 'table' | 'view'
     sql: str
+    stage: StageFacts | None = None   # view stages of a relation with IEs
+
+
+def _plan_json(plan: list) -> str:
+    return json.dumps([[i.name, i.kind, i.sql] + ([asdict(i.stage)] if i.stage else [])
+                       for i in plan])
+
+
+def _plan_item(raw) -> PlanItem:
+    """A persisted plan row; rows written before stage facts existed have
+    three fields and load without them."""
+    name, kind, sql, *rest = raw
+    if len(rest) > 1:
+        raise ValueError(f"plan row for {name!r} has {len(raw)} fields")
+    return PlanItem(name, kind, sql, StageFacts(**rest[0]) if rest else None)
+
+
+@dataclass
+class PrefixChain:
+    """How a query may read a relation through a prefix of its view chain.
+
+    `objects[k]` is the kernel object holding the stored attributes plus
+    the outputs of stages 1..k (0 is the base, the last one the full view);
+    `ies[k]` names the IEs stage k realizes.  Every stage after `floor`
+    provably keeps card(R_B), so any prefix ending at or after `floor`
+    has the full view's rows.
+    """
+
+    objects: list
+    ies: list
+    stage_of: dict              # casefold column -> index of the stage producing it
+    floor: int
+
+
+def _type_affinity(sql_type: str | None) -> str:
+    """SQLite's column affinity for a declared type name (datatype3 §3.1)."""
+    name = (sql_type or "").upper()
+    if "INT" in name:
+        return "INTEGER"
+    if "CHAR" in name or "CLOB" in name or "TEXT" in name:
+        return "TEXT"
+    if not name or "BLOB" in name:
+        return "BLOB"
+    if "REAL" in name or "FLOA" in name or "DOUB" in name:
+        return "REAL"
+    return "NUMERIC"
 
 
 @dataclass
@@ -130,6 +196,23 @@ class CatalogEntry:
     @property
     def kernel_objects(self) -> list[str]:
         return [item.name for item in self.plan]
+
+    @property
+    def views(self) -> list[PlanItem]:
+        return [item for item in self.plan if item.kind == "view"]
+
+    def stages_recorded(self) -> bool:
+        """Whether every view stage carries compiler facts (plans persisted
+        before the facts existed do not, and are never pruned)."""
+        return self.kind == SIR and all(item.stage is not None for item in self.views)
+
+    def ie_stage(self, ie_name: str) -> tuple[int, StageFacts] | None:
+        """1-based position and facts of the view stage realizing an IE."""
+        key = ie_name.casefold()
+        for pos, item in enumerate(self.views, start=1):
+            if item.stage is not None and key in {i.casefold() for i in item.stage.ies}:
+                return pos, item.stage
+        return None
 
     @property
     def column_names(self) -> list[str]:
@@ -179,6 +262,9 @@ class Catalog:
         self._entries: dict[str, CatalogEntry] = {}   # casefold name -> entry
         self._order: list[str] = []                   # registration order (casefold)
         self._edges: list[tuple[str, str]] = []       # (src, dst) casefold, insert order
+        # route-time proofs against the current entries; cleared on attach/detach
+        self._keeps_card: dict[str, bool] = {}
+        self._chains: dict[str, PrefixChain | None] = {}
 
     # --- lookups ---
 
@@ -213,16 +299,102 @@ class Catalog:
             return None
         if _BASE_SUFFIX.search(name):
             return owner.scheme.stored_names
+        if owner.stages_recorded():
+            # a stage view carries the stored attrs plus what each stage up
+            # to and including it adds
+            columns = list(owner.scheme.stored_names)
+            for item in owner.views:
+                columns.extend(item.stage.adds)
+                if item.name.casefold() == key:
+                    return columns
+            return None
         stage = _STAGE_PATTERN.match(name)
         if stage:
-            # stage views carry stored attrs plus the outputs of the first
-            # `upto` IEs in evaluation order
+            # plans persisted without stage facts: stage k carries the outputs
+            # of the first k IEs in evaluation order
             upto = int(stage.group(2))
             produced = []
             for ie_name in owner.ie_order[:upto]:
                 produced.extend(c.name for c in owner.columns if c.ie_name == ie_name)
             return owner.scheme.stored_names + produced
         return None
+
+    # --- cardinality proofs ---
+
+    def keeps_card(self, name: str) -> bool:
+        """Whether relation `name` provably has exactly one row per row of its
+        stored base.  A stored relation or a generated base always does, a
+        user view never does, a relation with IEs does when every stage of
+        its chain does.  Memoised until the next attach or detach."""
+        key = name.casefold()
+        if key in self._keeps_card:
+            return self._keeps_card[key]
+        self._keeps_card[key] = False        # a self reference proves nothing
+        entry = self._entries.get(key)
+        if entry is None:
+            owner = self.owner_of_object(name)
+            result = owner is not None and owner.plan[0].name.casefold() == key
+        elif entry.kind == STORED:
+            result = True
+        elif entry.kind == SIR:
+            result = entry.stages_recorded() and all(
+                self.stage_keeps_card(entry, item.stage) for item in entry.views)
+        else:
+            result = False
+        self._keeps_card[key] = result
+        return result
+
+    def stage_keeps_card(self, entry: CatalogEntry, stage: StageFacts) -> bool:
+        """Whether a view stage of `entry` provably keeps its input's row count.
+
+        Value, subquery and reorder stages always do.  A join stage does when
+        each joined source keeps its own card and the stage's recursive-join
+        pairs cover a declared key of that source, counting only pairs that
+        join two stored attributes of the same type affinity (an Int column
+        compared with a Char key holding '01' and '1' matches both).
+        """
+        if stage.kind != "join":
+            return True
+        for source, pairs in stage.joins:
+            if source.casefold() == entry.name.casefold() or not self.keeps_card(source):
+                return False
+            scheme = self._scheme_of(source)
+            matched = set()
+            for src_col, encl_col in pairs:
+                src_attr = scheme.find_attr(src_col)
+                encl_attr = entry.scheme.find_attr(encl_col)
+                if src_attr is not None and encl_attr is not None \
+                        and _type_affinity(src_attr.sql_type) == _type_affinity(encl_attr.sql_type):
+                    matched.add(src_col.casefold())
+            if not any(all(c.casefold() in matched for c in key) for key in scheme.keys):
+                return False
+        return True
+
+    def _scheme_of(self, name: str) -> SirScheme:
+        """Scheme declaring the stored attributes of a card-keeping relation."""
+        entry = self._entries.get(name.casefold()) or self.owner_of_object(name)
+        return entry.scheme
+
+    def prefix_chain(self, name: str) -> PrefixChain | None:
+        """The view chain of a relation with IEs, for prefix routing; None for
+        any other relation and for plans persisted without stage facts."""
+        key = name.casefold()
+        if key in self._chains:
+            return self._chains[key]
+        entry = self._entries.get(key)
+        chain = None
+        if entry is not None and entry.stages_recorded():
+            stage_of = {c.casefold(): 0 for c in entry.scheme.stored_names}
+            objects, ies, floor = [entry.plan[0].name], [[]], 0
+            for pos, item in enumerate(entry.views, start=1):
+                stage_of.update((c.casefold(), pos) for c in item.stage.adds)
+                objects.append(item.name)
+                ies.append(item.stage.ies)
+                if not self.stage_keeps_card(entry, item.stage):
+                    floor = pos
+            chain = PrefixChain(objects=objects, ies=ies, stage_of=stage_of, floor=floor)
+        self._chains[key] = chain
+        return chain
 
     def dependents_of(self, name: str) -> list[str]:
         key = name.casefold()
@@ -358,7 +530,7 @@ class Catalog:
     def persist(self, entry: CatalogEntry, conn):
         """Write an entry's meta rows; call inside the DDL's transaction."""
         now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        plan_json = json.dumps([[i.name, i.kind, i.sql] for i in entry.plan])
+        plan_json = _plan_json(entry.plan)
         conn.execute(
             "INSERT INTO sir_relations (name, kind, created_at, source_text, plan)"
             " VALUES (?, ?, ?, ?, ?)",
@@ -385,7 +557,7 @@ class Catalog:
 
     def persist_replace(self, entry: CatalogEntry, conn):
         """Rewrite an entry's meta rows after an alteration."""
-        plan_json = json.dumps([[i.name, i.kind, i.sql] for i in entry.plan])
+        plan_json = _plan_json(entry.plan)
         conn.execute(
             "UPDATE sir_relations SET kind = ?, source_text = ?, plan = ? WHERE lower(name) = lower(?)",
             (entry.kind, entry.source_text, plan_json, entry.name))
@@ -408,6 +580,10 @@ class Catalog:
         clone._edges = list(self._edges)
         return clone
 
+    def _forget_proofs(self):
+        self._keeps_card.clear()
+        self._chains.clear()
+
     # --- in-memory mutation (after the kernel commit) ---
 
     def attach(self, entry: CatalogEntry):
@@ -419,6 +595,7 @@ class Catalog:
         self._entries[key] = entry
         for ref in entry.references:
             self._edges.append((key, ref.casefold()))
+        self._forget_proofs()
 
     def detach(self, name: str):
         key = name.casefold()
@@ -426,6 +603,7 @@ class Catalog:
         if key in self._order:
             self._order.remove(key)
         self._edges = [(s, d) for s, d in self._edges if s != key]
+        self._forget_proofs()
 
     # --- loading ---
 
@@ -443,7 +621,7 @@ class Catalog:
             dep_map.setdefault(src.casefold(), []).append(dst)
         for name, kind, source_text, plan_json in relations.rows:
             try:
-                plan = [PlanItem(*item) for item in json.loads(plan_json)]
+                plan = [_plan_item(item) for item in json.loads(plan_json)]
             except (TypeError, ValueError) as exc:
                 raise CorruptCatalog(f"{name}: unreadable plan: {exc}") from exc
             for item in plan:
@@ -491,7 +669,7 @@ class Catalog:
             key: (entry.name, entry.kind, entry.source_text,
                   [(c.name, c.sql_type, c.is_key, c.is_inherited, c.ie_name)
                    for c in entry.columns],
-                  [(i.name, i.kind, i.sql) for i in entry.plan],
+                  [(i.name, i.kind, i.sql, i.stage) for i in entry.plan],
                   [r.casefold() for r in entry.references],
                   list(entry.ie_order))
             for key, entry in self._entries.items()

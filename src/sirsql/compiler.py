@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from . import nodes as n
 from .catalog import (Catalog, CatalogEntry, ColumnInfo, PlanItem, SirScheme,
-                      ie_references, scheme_to_ast)
+                      StageFacts, ie_references, scheme_to_ast)
 from .errors import (CapabilityMissing, IeCycle, IndexOnInheritedAttribute,
                      InvariantViolation, MissingRecursiveJoin, NotRewritable,
                      RecursiveJoinAttributeDrop, UnknownExcludedColumn, UnknownIE,
@@ -63,6 +63,7 @@ class CanonicalIE:
     select: object = None
     # value form
     items: list = field(default_factory=list)          # (name, expr)
+    members: list = field(default_factory=list)        # IEs merged into this one
 
 
 @dataclass
@@ -446,7 +447,8 @@ def _collapse_value_ies(ordered: list[CanonicalIE]) -> list[CanonicalIE]:
                     produced.append(name)
             out.append(CanonicalIE(
                 name=run[0].name, kind="value", produced_attrs=produced,
-                items=items, declared_index=run[0].declared_index))
+                items=items, declared_index=run[0].declared_index,
+                members=[cie.name for cie in run]))
         run.clear()
 
     for cie in ordered:
@@ -521,6 +523,18 @@ def _stage_select(cie: CanonicalIE, prev: str, scheme_name: str,
         expr = substitute_relation(expr, scheme_name, prev)
         items.append(n.SelectItem(expr=expr, alias=name))
     return n.Select(items=items, from_=[n.TableName(name=prev)])
+
+
+def _stage_facts(cie: CanonicalIE) -> StageFacts:
+    joins = []
+    if cie.kind == "join":
+        for table in cie.sources:
+            label = _source_label(table).casefold()
+            joins.append([table.name, [[src_col, encl_col]
+                                       for pair_label, src_col, encl_col in cie.join_pairs
+                                       if pair_label.casefold() == label]])
+    return StageFacts(kind=cie.kind, ies=cie.members or [cie.name],
+                      adds=list(cie.produced_attrs), joins=joins)
 
 
 def _base_table_ast(scheme: SirScheme, base_name: str) -> n.CreateSirTable:
@@ -617,9 +631,9 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
     items = [PlanItem(base_name, "table", render(_base_table_ast(scheme, base_name), target))]
     canonical_texts: dict[str, str] = {}
 
-    def add_view(name: str, select: n.Select):
+    def add_view(name: str, select: n.Select, stage: StageFacts):
         items.append(PlanItem(name, "view",
-                              render(n.CreateView(name=name, select=select), target)))
+                              render(n.CreateView(name=name, select=select), target), stage))
 
     prev = base_name
     fused_last = (options.skip_redundant_full_view and not in_declared_order)
@@ -628,7 +642,7 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
         last_direct = (pos == len(stages)) and in_declared_order
         stage_name = scheme.name if last_direct else f"{scheme.name}_{pos}"
         select = _stage_select(cie, prev, scheme.name, target)
-        add_view(stage_name, select)
+        add_view(stage_name, select, _stage_facts(cie))
         for member in (cie.name,):
             canonical_texts.setdefault(member, render(select, target))
         prev = stage_name
@@ -660,15 +674,15 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
             body = _stage_select(last, prev, scheme.name, target, items_override=[])
             body.items = [substitute_relation(i, scheme.name, prev) for i in final_items]
             canonical_texts[last.name] = render(body, target)
-            add_view(scheme.name, body)
+            add_view(scheme.name, body, _stage_facts(last))
         else:
             body = n.Select(items=final_items, from_=[n.TableName(name=prev)])
             canonical_texts[last.name] = render(body, target)
-            add_view(scheme.name, body)
+            add_view(scheme.name, body, _stage_facts(last))
     elif not in_declared_order:
         reorder = n.Select(items=[n.SelectItem(expr=n.ColumnRef(name=c)) for c in declared],
                            from_=[n.TableName(name=prev)])
-        add_view(scheme.name, reorder)
+        add_view(scheme.name, reorder, StageFacts(kind="reorder", ies=[], adds=[]))
 
     plan = KernelPlan(items=items, final_name=scheme.name)
     references = []

@@ -87,7 +87,7 @@ class KernelConnection:
             raise KernelError(f"{type(exc).__name__}: {exc}", origin or sql) from exc
         if cursor.description is not None:
             columns = [d[0] for d in cursor.description]
-            return RowSet(columns=columns, rows=[tuple(r) for r in cursor.fetchall()])
+            return RowSet(columns=columns, rows=cursor.fetchall())
         return self._db.total_changes - before
 
     def query(self, sql: str, origin: str | None = None) -> RowSet:

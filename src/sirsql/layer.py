@@ -197,7 +197,7 @@ class SirLayer:
                     raise UnknownRelation(f"view {stmt.name} references unknown relation {ref!r}")
                 refs.append(ref)
             self.catalog.check_acyclic(stmt.name, refs)
-            routed = route(n.Query(select=stmt.select), self.catalog)
+            routed = route(n.Query(select=stmt.select), self.catalog, prune=False)
             kernel_stmt = n.CreateView(name=stmt.name, select=routed.kernel_stmt.select)
             sql = render(kernel_stmt, self.target)
             self._check_kernel_name_free([stmt.name])

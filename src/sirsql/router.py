@@ -1,11 +1,22 @@
 """Route DML and queries against the catalog.
 
-Queries pass through: a relation with IEs is addressed by its full view,
-which carries the relation's own name in the kernel.  Writes against such
-a relation are rewritten to its stored base when they touch stored
-attributes only, and rejected otherwise: inherited attributes are never
-writable under the default policy, and they are never materialized, so a
-rewritten write followed by a query always shows freshly computed values.
+A relation with IEs is addressed by its full view, which carries the
+relation's own name in the kernel.  A query executed now reads each such
+relation R through the shortest prefix of R's view chain that supplies
+every column the statement can name from R: the base R_B when it names
+no inherited attribute (``COUNT(*)``, stored columns only), otherwise the
+stage that first produces the last inherited attribute it needs.  A prefix
+is taken only when every stage it skips provably keeps card(R_B) (see
+`Catalog.stage_keeps_card`), so it has the full view's rows.  Any ``*`` over
+R keeps R whole, a column name counts for R whatever its qualifier, and R's
+name stays as the alias so qualified references still resolve.  View
+bodies are routed without pruning: stage names shift on ALTER.
+
+Writes against such a relation are rewritten to its stored base when they
+touch stored attributes only, and rejected otherwise: inherited attributes
+are never writable under the default policy, and they are never
+materialized, so a rewritten write followed by a query always shows
+freshly computed values.
 
 WHERE clauses over inherited attributes are evaluated by selecting the
 matching base keys through the full view first (one statement, pre-write
@@ -14,7 +25,10 @@ state).
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass
+from operator import is_not
 
 from . import nodes as n
 from .catalog import Catalog
@@ -30,17 +44,19 @@ class RoutedStatement:
     original: object
     kind: str                       # pass_through | base_rewrite | rejected
     kernel_stmt: object = None      # AST to render for the kernel
-    target: str | None = None       # base table name for rewrites
-    reason: str | None = None       # rejection reason
+    target: str | None = None       # base table (or, for queries, chain prefix) read
+    reason: str | None = None       # why a write was rejected or a query pruned
     inserted_columns: list | None = None   # stored columns an insert binds
 
 
-def route(stmt, catalog: Catalog) -> RoutedStatement:
-    """Classify a parsed statement and rewrite it for the kernel."""
+def route(stmt, catalog: Catalog, prune: bool = True) -> RoutedStatement:
+    """Classify a parsed statement and rewrite it for the kernel.
+
+    `prune=False` keeps every relation of a query on its full view, for
+    selects that are persisted rather than executed now.
+    """
     if isinstance(stmt, n.Query):
-        expanded = _expand_query_stars(stmt.select, catalog)
-        return RoutedStatement(original=stmt, kind=PASS_THROUGH,
-                               kernel_stmt=n.Query(select=expanded))
+        return _route_query(stmt, catalog, prune)
     if isinstance(stmt, n.Insert):
         return _route_insert(stmt, catalog)
     if isinstance(stmt, n.Update):
@@ -59,47 +75,124 @@ def _lookup(catalog: Catalog, name: str):
     raise UnknownRelation(f"no relation named {name!r}")
 
 
-def _expand_query_stars(select: n.Select, catalog: Catalog) -> n.Select:
-    """Expand star-minus items in a user query against the catalog."""
-    has_star_minus = any(isinstance(sub, n.StarMinus) for sub in n.walk(select))
-    if not has_star_minus:
-        return select
+def _from_tables(sel: n.Select):
+    """The relation references of a select's FROM clause, joins included."""
+    for entry in sel.from_:
+        stack = [entry]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, n.Join):
+                stack.extend([item.left, item.right])
+            elif isinstance(item, n.TableName):
+                yield item
 
-    import copy
-    select = copy.deepcopy(select)
 
-    def sources_of(sel: n.Select):
-        out = {}
-        for entry in sel.from_:
-            stack = [entry]
-            while stack:
-                item = stack.pop()
-                if isinstance(item, n.Join):
-                    stack.extend([item.left, item.right])
-                elif isinstance(item, n.TableName):
-                    cols = catalog.resolve_columns(item.name)
-                    if cols is None:
-                        raise UnknownRelation(
-                            f"cannot expand star-minus: unknown relation {item.name!r}")
-                    out[item.alias or item.name] = cols
-        return out
+_STARS = {n.Star, n.StarMinus}
 
-    for sub in n.walk(select):
-        if not isinstance(sub, n.Select):
-            continue
-        if not any(isinstance(i.expr, n.StarMinus) for i in sub.items):
-            continue
-        from .compiler import expand_star_minus
-        col_map = sources_of(sub)
-        new_items = []
-        for item in sub.items:
-            if isinstance(item.expr, n.StarMinus):
-                for col in expand_star_minus(item.expr, col_map):
-                    new_items.append(n.SelectItem(expr=n.ColumnRef(name=col)))
-            else:
-                new_items.append(item)
-        sub.items = new_items
-    return select
+
+def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatement:
+    """Expand star-minus items and point each relation at its chain prefix.
+
+    One walk over the statement collects the column names and the selects.
+    A select with a star keeps the relations of its FROM clause whole; the
+    relations of the other selects are the candidates for a prefix.
+    """
+    names, selects = set(), []
+    column_ref, select_node = n.ColumnRef, n.Select
+    for sub in n.walk(stmt.select):
+        cls = type(sub)
+        if cls is column_ref:
+            names.add(sub.name)
+        elif cls is select_node:
+            selects.append(sub)
+
+    tables, star_selects, star_minus = [], [], []
+    for sel in selects:
+        kinds = {type(i.expr) for i in sel.items}
+        if kinds & _STARS:
+            star_selects.append(sel)
+            if n.StarMinus in kinds:
+                star_minus.append(sel)
+        else:
+            tables.extend(_from_tables(sel))
+
+    targets, reasons = {}, []
+    if prune and tables:
+        whole = {t.name.casefold() for sel in star_selects for t in _from_tables(sel)}
+        columns = {name.casefold() for name in names}
+        for table in tables:
+            key = table.name.casefold()
+            if key in whole or key in targets:
+                continue
+            chain = catalog.prefix_chain(table.name)
+            if chain is None:
+                continue
+            need = max((chain.stage_of[c] for c in columns if c in chain.stage_of), default=0)
+            last = max(need, chain.floor)
+            skipped = [ie for ies in chain.ies[last + 1:] for ie in ies]
+            if not skipped:         # only the full view or a column reordering is left
+                continue
+            targets[key] = chain.objects[last]
+            reasons.append(f"{table.name} reads {chain.objects[last]},"
+                           f" skipping {', '.join(skipped)}")
+
+    if not targets and not star_minus:
+        return RoutedStatement(original=stmt, kind=PASS_THROUGH,
+                               kernel_stmt=n.Query(select=stmt.select))
+    swap = {id(t): n.TableName(name=targets[t.name.casefold()], alias=t.alias or t.name)
+            for t in tables if t.name.casefold() in targets}
+    for sel in star_minus:
+        swap[id(sel)] = dataclasses.replace(sel, items=_expand_star_minus_items(sel, catalog))
+    return RoutedStatement(original=stmt, kind=BASE_REWRITE if targets else PASS_THROUGH,
+                           kernel_stmt=n.Query(select=_swapped(stmt.select, swap)),
+                           target=next(iter(targets.values()), None),
+                           reason="; ".join(reasons) or None)
+
+
+_NODE_TYPES = frozenset(cls for cls in vars(n).values()
+                        if isinstance(cls, type) and dataclasses.is_dataclass(cls))
+
+
+def _swapped(node, swap: dict):
+    """`node` with the nodes keyed by id in `swap` replaced.  Only the nodes
+    on a path to a replacement are copied; the rest is shared."""
+    node = swap.get(id(node), node)
+    changes = {}
+    for name in node.__dataclass_fields__:
+        child = getattr(node, name)
+        if type(child) is list:             # lists in a select hold nodes only
+            new = [_swapped(item, swap) for item in child]
+            if any(map(is_not, new, child)):
+                changes[name] = new
+        elif type(child) in _NODE_TYPES:
+            new = _swapped(child, swap)
+            if new is not child:
+                changes[name] = new
+    if not changes:
+        return node
+    node = copy.copy(node)
+    node.__dict__.update(changes)
+    return node
+
+
+def _expand_star_minus_items(sel: n.Select, catalog: Catalog) -> list:
+    """A select's items with star-minus replaced by the columns it denotes."""
+    from .compiler import expand_star_minus
+    col_map = {}
+    for table in _from_tables(sel):
+        cols = catalog.resolve_columns(table.name)
+        if cols is None:
+            raise UnknownRelation(
+                f"cannot expand star-minus: unknown relation {table.name!r}")
+        col_map[table.alias or table.name] = cols
+    new_items = []
+    for item in sel.items:
+        if isinstance(item.expr, n.StarMinus):
+            for col in expand_star_minus(item.expr, col_map):
+                new_items.append(n.SelectItem(expr=n.ColumnRef(name=col)))
+        else:
+            new_items.append(item)
+    return new_items
 
 
 def _route_insert(stmt: n.Insert, catalog: Catalog) -> RoutedStatement:
@@ -201,7 +294,9 @@ def check_ie_integrity(entry, catalog: Catalog, conn: KernelConnection) -> list[
 
     For each join-form IE the check counts matches per base key against the
     stage the IE reads (everything produced before it), returning
-    (ie_name, key_values, match_count) for every count above one.
+    (ie_name, key_values, match_count) for every count above one.  IEs whose
+    stage provably keeps the card (`Catalog.stage_keeps_card`) cannot match
+    twice and are not audited.
     """
     from .compiler import canonicalize, substitute_relation
     from .render import render
@@ -210,10 +305,8 @@ def check_ie_integrity(entry, catalog: Catalog, conn: KernelConnection) -> list[
         raise InvariantViolation(f"{entry.name} is not a relation with IEs")
     violations = []
     key_cols = entry.scheme.primary_key() or entry.scheme.stored_names
+    views = entry.views
     produced: list[str] = []
-    stage_of = {}
-    for pos, ie_name in enumerate(entry.ie_order):
-        stage_of[ie_name.casefold()] = pos      # stage index the IE reads (0 = base)
     for ie in entry.scheme.ies:
         index = next(i for i, e in enumerate(entry.scheme.elements)
                      if e.name.casefold() == ie.name.casefold())
@@ -222,8 +315,15 @@ def check_ie_integrity(entry, catalog: Catalog, conn: KernelConnection) -> list[
         produced.extend(canon.produced_attrs)
         if canon.kind != "join":
             continue
-        pos = stage_of[ie.name.casefold()]
-        prev = entry.plan[0].name if pos == 0 else f"{entry.name}_{pos}"
+        located = entry.ie_stage(ie.name)
+        if located is None:
+            # plans persisted without stage facts: one stage per IE in order
+            pos = [i.casefold() for i in entry.ie_order].index(ie.name.casefold()) + 1
+        else:
+            pos, stage = located
+            if catalog.stage_keeps_card(entry, stage):
+                continue
+        prev = entry.plan[0].name if pos == 1 else views[pos - 2].name
         key_items = [n.SelectItem(expr=n.ColumnRef(name=c, table=prev)) for c in key_cols]
         count_item = n.SelectItem(expr=n.Call(func="COUNT", args=[], star=True), alias="n")
         sources = [substitute_relation(t, entry.name, prev) for t in canon.sources]
@@ -252,13 +352,18 @@ def enforce_insert_computability(entry, inserted_keys: list[tuple],
     insert's transaction; raising rolls the insert back.
 
     Value-form attributes are exempt: arithmetic over NULL inputs is
-    legitimateNULL propagation, not a failed inheritance.
+    legitimate NULL propagation, not a failed inheritance.  The form is the
+    kind the compiler recorded for the IE's stage; an IE without recorded
+    facts is checked.
     """
     from .errors import IaNotComputable
     from .render import quote_ident
 
-    checked = [c for c in entry.columns
-               if c.is_inherited and _ie_kind(entry, c.ie_name) in ("join", "subquery")]
+    def value_form(ie_name):
+        located = entry.ie_stage(ie_name)
+        return located is not None and located[1].kind == "value"
+
+    checked = [c for c in entry.columns if c.is_inherited and not value_form(c.ie_name)]
     if not checked or not inserted_keys:
         return
     key_cols = entry.scheme.primary_key() or entry.scheme.stored_names
@@ -281,17 +386,3 @@ def enforce_insert_computability(entry, inserted_keys: list[tuple],
                 failures.append((col.ie_name, key))
     if failures:
         raise IaNotComputable(sorted(set(failures)))
-
-
-def _ie_kind(entry, ie_name: str) -> str:
-    ie = entry.scheme.find_ie(ie_name)
-    if ie is None:
-        return "join"
-    if isinstance(ie.form, n.ValueForm):
-        return "value"
-    select = ie.form.select
-    from .compiler import contains_aggregate
-    if len(select.items) == 1 and not isinstance(select.items[0].expr, (n.Star, n.StarMinus)) \
-            and contains_aggregate(select.items[0].expr):
-        return "subquery"
-    return "join"

@@ -251,6 +251,31 @@ def test_options_never_change_full_view_columns():
         assert layer.conn.introspect("P") == baseline.conn.introspect("P")
 
 
+@pytest.mark.parametrize("options", [
+    CompileOptions(collapse_value_ies=True),
+    CompileOptions(skip_redundant_full_view=True, collapse_value_ies=True)])
+def test_stage_columns_match_kernel_under_collapsed_value_ies(options):
+    layer = make_layer(options=options)
+    layer.apply_source(
+        "Create Table X (K Int, V Char, Primary Key (K));"
+        " Create Table R (A Int, Primary Key (A), D As (A*2), T As (A*3),"
+        " I_X (Select V From X Where R.A = K));")
+    assert layer.catalog.resolve_columns("R_1") == ["A", "D", "T"]
+    assert layer.conn.introspect("R_1") == ["A", "D", "T"]
+    stage = layer.catalog.get("R").views[0].stage
+    assert (stage.kind, stage.ies, stage.adds) == ("value", ["D", "T"], ["D", "T"])
+
+
+def test_stage_facts_record_join_pairs_per_source(sp3):
+    stages = [item.stage for item in sp3.catalog.get("SP").views]
+    assert [(s.kind, s.ies, s.adds) for s in stages] == [
+        ("join", ["I_S"], ["SNAME", "STATUS", "SCITY"]),
+        ("join", ["I_P"], ["PNAME", "COLOR", "WEIGHT", "PCITY"])]
+    assert [s.joins for s in stages] == [[["S", [["S#", "S#"]]]], [["P", [["P#", "P#"]]]]]
+    assert [(i.name, i.stage.kind) for i in sp3.catalog.get("P").views] == [
+        ("P_1", "value"), ("P_2", "value"), ("P", "reorder")]
+
+
 # --- alter -------------------------------------------------------------------------
 
 

@@ -130,6 +130,21 @@ def test_integrity_flags_duplicate_source_row():
     assert violations == [("I_S", ("S1", "P1"), 2)]
 
 
+def test_integrity_audits_only_unproven_join_ies(sp2, monkeypatch):
+    sp2.apply_source("""
+    Create Table T (S# Char, N Char);
+    Alter Table SP Add I_T (Select N From T Where SP.S# = S#);
+    Insert Into T Values ('S1', 'x'), ('S1', 'y');
+    """)
+    audits = []
+    query = sp2.conn.query
+    monkeypatch.setattr(sp2.conn, "query",
+                        lambda sql, *a, **k: audits.append(sql) or query(sql, *a, **k))
+    violations = sp2.check("SP")
+    assert len(audits) == 1 and "FROM SP_2, T WHERE" in audits[0]   # I_S, I_P key-proven
+    assert {v[0] for v in violations} == {"I_T"} and len(violations) == 6
+
+
 def test_integrity_vacuous_for_value_form_only():
     layer = make_layer()
     layer.apply_source(
@@ -161,6 +176,18 @@ def test_insert_key_conflict_surfaces_kernel_error(sp2):
         sp2.apply_source("Insert SP (select 'S4' as S#, 'P4' as P#, 100 as QTY);")
 
 
+@pytest.mark.parametrize("collapse", [False, True])
+def test_strict_mode_exempts_value_form_attributes(collapse):
+    from sirsql.compiler import CompileOptions
+    layer = make_layer(strict_integrity=True,
+                       options=CompileOptions(collapse_value_ies=collapse))
+    layer.apply_source(
+        "Create Table P (P# Char, WEIGHT Char, WEIGHT_T As (WEIGHT_KG / 1000),"
+        " WEIGHT_KG As (Round(WEIGHT / 2.1, 1)), Primary Key (P#));"
+        " Insert Into P Values ('P9', NULL);")
+    assert layer.query("Select WEIGHT_T, WEIGHT_KG From P;").rows == [(None, None)]
+
+
 def test_strict_mode_accepts_computable_insert():
     layer = load_sp2(make_layer(strict_integrity=True))
     result = layer.apply_source("Insert Into SP Values ('S3','P1',50);")
@@ -181,3 +208,172 @@ def test_full_view_column_order_matches_declaration(sp2):
     assert sp2.query("Select * From SP;").columns == [
         "S#", "P#", "QTY", "SNAME", "STATUS", "SCITY",
         "PNAME", "COLOR", "WEIGHT", "PCITY"]
+
+
+# --- key-aware prefix pruning -----------------------------------------------------
+
+
+def routed_sql(layer, text):
+    routed = route(parse_one(text), layer.catalog)
+    return routed, render(routed.kernel_stmt, layer.target)
+
+
+def full_view_rows(layer, text):
+    """The statement run as written, every relation on its full view."""
+    return sorted(layer.conn.query(render(parse_one(text), layer.target)).rows)
+
+
+def test_count_reads_base_and_reports_skipped_ies(sp2):
+    routed, sql = routed_sql(sp2, "Select Count(*) From SP;")
+    assert routed.kind == BASE_REWRITE
+    assert routed.target == "SP_B"
+    assert "I_S" in routed.reason and "I_P" in routed.reason
+    assert sql == "SELECT Count(*) FROM SP_B SP;"
+    assert sp2.query("Select Count(*) From SP;").rows == [(12,)]
+
+
+def test_inherited_column_reads_shortest_stage(sp2):
+    text = "Select SCITY, Count(*), Sum(QTY) From SP Group By SCITY;"
+    routed, sql = routed_sql(sp2, text)
+    assert routed.target == "SP_1"
+    assert routed.reason == "SP reads SP_1, skipping I_P"
+    assert sql.startswith("SELECT SCITY, Count(*), Sum(QTY) FROM SP_1 SP")
+    assert sorted(sp2.query(text).rows) == full_view_rows(sp2, text)
+
+
+def test_last_stage_column_keeps_full_view(sp2):
+    routed, sql = routed_sql(sp2, "Select PCITY From SP;")
+    assert routed.kind == PASS_THROUGH
+    assert sql == "SELECT PCITY FROM SP;"
+
+
+def test_star_over_relation_keeps_it_whole(sp2):
+    text = "Select * From SP Where QTY > (Select Count(*) From SP);"
+    routed, _ = routed_sql(sp2, text)
+    assert routed.kind == PASS_THROUGH
+    routed, _ = routed_sql(sp2, "Select SP.*, QTY From SP;")
+    assert routed.kind == PASS_THROUGH
+
+
+def test_qualifier_matching_any_column_counts(sp2):
+    # SNAME is qualified by S, but SP has a column of that name too
+    routed, _ = routed_sql(sp2, "Select S.SNAME From S, SP Where S.S# = SP.S#;")
+    assert routed.target == "SP_1"
+
+
+def test_pruned_reference_keeps_alias_for_correlated_subquery(sp2):
+    text = ("Select S#, (Select Sum(X.QTY) From SP X Where X.S# = S.S#) As TOTAL"
+            " From S Order By S#;")
+    routed, sql = routed_sql(sp2, text)
+    assert "FROM SP_B X WHERE X.\"S#\" = S.\"S#\"" in sql
+    assert sp2.query(text).rows == sp2.conn.query(render(parse_one(text), sp2.target)).rows
+    text = "Select SP.QTY From SP Where SP.S# = 'S1' Order By SP.QTY;"
+    assert sp2.query(text).rows == [(100,), (100,), (200,), (200,), (300,), (400,)]
+
+
+def test_view_bodies_stay_on_full_view(sp2):
+    sp2.apply_source("Create View V As Select Count(*) As N From SP;")
+    assert sp2.explain("V") == ["CREATE VIEW V AS SELECT Count(*) AS N FROM SP;"]
+    routed, _ = routed_sql(sp2, "Select N From V;")
+    assert routed.kind == PASS_THROUGH
+
+
+def test_dml_key_filter_stays_on_full_view(sp2):
+    _, sql = routed_sql(sp2, "Delete SP Where SNAME = 'Smith';")
+    assert "FROM SP WHERE SNAME = 'Smith'" in sql
+
+
+NOT_PRUNED = {
+    "non-key source column": """
+        Create Table X (K Int, C Int, V Char, Primary Key (K));
+        Create Table R (A Int, Primary Key (A), I_X (Select V From X Where R.A = C));
+        Insert Into X Values (1, 1, 'a'), (2, 1, 'b');
+        Insert Into R Values (1);
+    """,
+    "mixed affinity": """
+        Create Table X (K Char, V Char, Primary Key (K));
+        Create Table R (A Int, Primary Key (A), I_X (Select V From X Where R.A = K));
+        Insert Into X Values ('01', 'a'), ('1', 'b');
+        Insert Into R Values (1);
+    """,
+    "source that does not keep its card": """
+        Create Table Y (K Int, C Int, W Char, Primary Key (K));
+        Create Table X (K Int, C Int, Primary Key (K), I_Y (Select W From Y Where X.C = C));
+        Create Table R (A Int, Primary Key (A), I_X (Select W From X Where R.A = K));
+        Insert Into Y Values (1, 7, 'a'), (2, 7, 'b');
+        Insert Into X Values (1, 7);
+        Insert Into R Values (1);
+    """,
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_PRUNED))
+def test_unprovable_join_is_never_pruned(case):
+    layer = make_layer()
+    layer.apply_source(NOT_PRUNED[case])
+    routed, _ = routed_sql(layer, "Select Count(*) From R;")
+    assert routed.kind == PASS_THROUGH
+    assert layer.query("Select Count(*) From R;").rows == [(2,)]
+    assert layer.conn.query("SELECT COUNT(*) FROM R").rows == [(2,)]
+    assert layer.conn.query("SELECT COUNT(*) FROM R_B").rows == [(1,)]
+
+
+def test_source_alter_turns_pruning_off_for_dependents(tmp_path):
+    from sirsql.kernel import KernelConnection
+    from sirsql.layer import SirLayer
+    location = str(tmp_path / "db.sqlite")
+    layer = SirLayer(KernelConnection(location))
+    layer.apply_source("""
+        Create Table X (N Int, K Int, V Char, Primary Key (N), Unique (K));
+        Create Table R (A Int, Primary Key (A), I_X (Select V From X Where R.A = K));
+        Insert Into X Values (1, 1, 'a'), (2, 2, 'b'), (3, 3, 'c');
+        Insert Into R Values (1), (2), (3);
+    """)
+    assert routed_sql(layer, "Select Count(*) From R;")[0].kind == BASE_REWRITE
+    # the key column goes; an inherited, non-unique K takes its place
+    layer.apply_source("Alter Table X Drop K; Alter Table X Add K As (N / 2);")
+    for session in (layer, SirLayer(KernelConnection(location))):
+        assert routed_sql(session, "Select Count(*) From R;")[0].kind == PASS_THROUGH
+        assert session.query("Select Count(*) From R;").rows == [(4,)]
+        assert session.conn.query("SELECT COUNT(*) FROM R_B").rows == [(3,)]
+        session.conn.close()
+
+
+def test_source_gaining_non_key_join_turns_pruning_off():
+    layer = make_layer()
+    layer.apply_source("""
+        Create Table Y (K Int, C Int, W Char, Primary Key (K));
+        Create Table X (K Int, C Int, Primary Key (K), I_Y (Select W From Y Where X.K = K));
+        Create Table R (A Int, Primary Key (A), I_X (Select W From X Where R.A = K));
+        Insert Into Y Values (1, 7, 'a'), (2, 7, 'b');
+        Insert Into X Values (1, 7);
+        Insert Into R Values (1);
+    """)
+    assert routed_sql(layer, "Select Count(*) From R;")[0].target == "R_B"
+    layer.apply_source("Alter Table X Add I_C (Select K As YK From Y Where X.C = C);")
+    assert routed_sql(layer, "Select Count(*) From R;")[0].kind == PASS_THROUGH
+    assert layer.query("Select Count(*) From R;").rows == [(2,)]
+
+
+def test_seed_format_plans_load_and_are_never_pruned(tmp_path):
+    import json
+    from sirsql.kernel import KernelConnection
+    from sirsql.layer import SirLayer
+    location = str(tmp_path / "db.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)))
+    expected = full_view_rows(layer, "Select SCITY, Count(*) From SP Group By SCITY;")
+    for name, plan in layer.conn.query("SELECT name, plan FROM sir_relations").rows:
+        legacy = json.dumps([item[:3] for item in json.loads(plan)])
+        layer.conn.execute("UPDATE sir_relations SET plan = ? WHERE name = ?", (legacy, name))
+    layer.conn.close()
+
+    reopened = SirLayer(KernelConnection(location))
+    entry = reopened.catalog.get("SP")
+    assert not entry.stages_recorded()
+    assert reopened.catalog.resolve_columns("SP_1")[-1] == "SCITY"
+    routed, _ = routed_sql(reopened, "Select Count(*) From SP;")
+    assert routed.kind == PASS_THROUGH
+    assert reopened.query("Select Count(*) From SP;").rows == [(12,)]
+    assert sorted(reopened.query(
+        "Select SCITY, Count(*) From SP Group By SCITY;").rows) == expected
+    assert reopened.check("SP") == []
