@@ -15,7 +15,9 @@ Meta rows are written inside the same kernel transaction as the DDL they
 describe; the in-memory mirror is updated only after the commit, so any
 failure leaves both the kernel and the catalog unchanged.
 
-Concurrency: one writer at a time for mutations, any number of readers.
+Concurrency: a catalog belongs to one session and is used only by the
+thread that opened the session's KernelConnection.  A thread that needs
+the catalog opens its own session over its own connection.
 """
 
 from __future__ import annotations
@@ -150,6 +152,14 @@ def _plan_item(raw) -> PlanItem:
     return PlanItem(name, kind, sql, StageFacts(**rest[0]) if rest else None)
 
 
+def _rows_by_rel(rowset) -> dict[str, list[tuple]]:
+    """Meta rows grouped by their leading `rel` value, order kept."""
+    grouped: dict[str, list[tuple]] = {}
+    for row in rowset.rows:
+        grouped.setdefault(row[0], []).append(row)
+    return grouped
+
+
 @dataclass
 class PrefixChain:
     """How a query may read a relation through a prefix of its view chain.
@@ -262,6 +272,7 @@ class Catalog:
         self._entries: dict[str, CatalogEntry] = {}   # casefold name -> entry
         self._order: list[str] = []                   # registration order (casefold)
         self._edges: list[tuple[str, str]] = []       # (src, dst) casefold, insert order
+        self._owners: dict[str, CatalogEntry] = {}    # casefold generated object -> entry
         # route-time proofs against the current entries; cleared on attach/detach
         self._keeps_card: dict[str, bool] = {}
         self._chains: dict[str, PrefixChain | None] = {}
@@ -281,13 +292,9 @@ class Catalog:
         return [self._entries[key] for key in self._order]
 
     def owner_of_object(self, name: str) -> CatalogEntry | None:
-        """Entry whose kernel plan produced the named object, if any."""
-        key = name.casefold()
-        for entry in self._entries.values():
-            for item in entry.plan:
-                if item.name.casefold() == key and item.name.casefold() != entry.name.casefold():
-                    return entry
-        return None
+        """Entry whose kernel plan produced the named object, if any; a
+        relation's own name maps to nothing."""
+        return self._owners.get(name.casefold())
 
     def resolve_columns(self, name: str) -> list[str] | None:
         """Columns of a registered relation or of a generated kernel object."""
@@ -472,11 +479,30 @@ class Catalog:
             raise InvariantViolation(
                 f"{scheme.name}: a relation with IEs needs a primary key (its base must be duplicate-free)")
 
-    def check_acyclic(self, name: str, references: list[str]):
-        """Raise CircularReferenceError if adding name->references closes a cycle."""
+    def _adjacency(self) -> dict[str, list[str]]:
         adjacency: dict[str, list[str]] = {}
         for src, dst in self._edges:
             adjacency.setdefault(src, []).append(dst)
+        return adjacency
+
+    def reaches(self, start: str, goal: str) -> bool:
+        """Whether `goal` is `start` or a relation `start` reads, directly or
+        through other relations."""
+        adjacency = self._adjacency()
+        goal = goal.casefold()
+        frontier, seen = [start.casefold()], set()
+        while frontier:
+            node = frontier.pop()
+            if node == goal:
+                return True
+            if node not in seen:
+                seen.add(node)
+                frontier.extend(adjacency.get(node, ()))
+        return False
+
+    def check_acyclic(self, name: str, references: list[str]):
+        """Raise CircularReferenceError if adding name->references closes a cycle."""
+        adjacency = self._adjacency()
         key = name.casefold()
         adjacency[key] = [r.casefold() for r in references if r.casefold() != key]
 
@@ -578,6 +604,7 @@ class Catalog:
         clone._entries = dict(self._entries)
         clone._order = list(self._order)
         clone._edges = list(self._edges)
+        clone._owners = dict(self._owners)
         return clone
 
     def _forget_proofs(self):
@@ -591,27 +618,40 @@ class Catalog:
         if key not in self._entries:
             self._order.append(key)
         else:
-            self._edges = [(s, d) for s, d in self._edges if s != key]
+            self._forget_entry(key)
         self._entries[key] = entry
         for ref in entry.references:
             self._edges.append((key, ref.casefold()))
+        for item in entry.plan:
+            if item.name.casefold() != key:
+                self._owners[item.name.casefold()] = entry
         self._forget_proofs()
 
     def detach(self, name: str):
         key = name.casefold()
+        self._forget_entry(key)
         self._entries.pop(key, None)
         if key in self._order:
             self._order.remove(key)
-        self._edges = [(s, d) for s, d in self._edges if s != key]
         self._forget_proofs()
+
+    def _forget_entry(self, key: str):
+        """Drop the edges and generated objects of the entry named `key`."""
+        self._edges = [(s, d) for s, d in self._edges if s != key]
+        if key in self._entries:
+            for item in self._entries[key].plan:
+                self._owners.pop(item.name.casefold(), None)
 
     # --- loading ---
 
     @classmethod
     def load(cls, conn) -> "Catalog":
-        """Rebuild the catalog from meta-tables; raises CorruptCatalog on bad rows."""
+        """Rebuild the catalog from meta-tables; raises CorruptCatalog on bad rows.
+
+        Reads each meta-table once, whatever the number of relations."""
         catalog = cls()
-        if conn.object_kind("sir_relations") is None:
+        objects = {row[0].casefold() for row in conn.query("SELECT name FROM sqlite_master").rows}
+        if "sir_relations" not in objects:
             return catalog
         relations = conn.query(
             "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid")
@@ -619,19 +659,25 @@ class Catalog:
         dep_map: dict[str, list[str]] = {}
         for src, dst in deps.rows:
             dep_map.setdefault(src.casefold(), []).append(dst)
+        # keyed by the exact rel value, as a `WHERE rel = ?` lookup matches;
+        # each relation's rows are released once its entry is built
+        attrs_of = _rows_by_rel(conn.query(
+            "SELECT rel, name, sql_type, is_key, is_inherited, ie_name FROM sir_attrs"
+            " ORDER BY rel, ordinal"))
+        ies_of = _rows_by_rel(conn.query(
+            "SELECT rel, name, canonical_text FROM sir_ies ORDER BY rel, ordinal"))
         for name, kind, source_text, plan_json in relations.rows:
             try:
                 plan = [_plan_item(item) for item in json.loads(plan_json)]
             except (TypeError, ValueError) as exc:
                 raise CorruptCatalog(f"{name}: unreadable plan: {exc}") from exc
             for item in plan:
-                if conn.object_kind(item.name) is None:
+                if item.name.casefold() not in objects:
                     raise CorruptCatalog(
                         f"{name}: kernel object {item.name!r} recorded in the catalog is missing")
-            attrs = conn.execute(
-                "SELECT name, sql_type, is_key, is_inherited, ie_name FROM sir_attrs"
-                " WHERE rel = ? ORDER BY ordinal", (name,))
-            columns = [ColumnInfo(a[0], a[1], bool(a[2]), bool(a[3]), a[4]) for a in attrs.rows]
+            columns = [ColumnInfo(col, sql_type, bool(is_key), bool(is_inherited), ie_name)
+                       for _, col, sql_type, is_key, is_inherited, ie_name
+                       in attrs_of.pop(name, ())]
             scheme = None
             canonical = {}
             ie_order = []
@@ -643,15 +689,13 @@ class Catalog:
                 if not isinstance(stmt, n.CreateSirTable):
                     raise CorruptCatalog(f"{name}: source text is not a table definition")
                 scheme = scheme_from_ast(stmt)
-                ies = conn.execute(
-                    "SELECT name, canonical_text FROM sir_ies WHERE rel = ? ORDER BY ordinal",
-                    (name,))
-                recorded = {row[0].casefold() for row in ies.rows}
+                ies = ies_of.pop(name, ())
+                recorded = {ie_name.casefold() for _, ie_name, _ in ies}
                 declared = {ie.name.casefold() for ie in scheme.ies}
                 if recorded != declared:
                     raise CorruptCatalog(f"{name}: sir_ies rows do not match the declared IEs")
-                canonical = {row[0]: row[1] for row in ies.rows}
-                ie_order = [row[0] for row in ies.rows]
+                canonical = {ie_name: text for _, ie_name, text in ies}
+                ie_order = [ie_name for _, ie_name, _ in ies]
                 declared_cols = {a.name.casefold() for a in scheme.stored_attrs}
                 stored_cols = {c.name.casefold() for c in columns if not c.is_inherited}
                 if declared_cols != stored_cols:

@@ -129,10 +129,14 @@ class RejectedWrite(SirSqlError):
 
 
 class IaNotComputable(SirSqlError):
+    SHOWN = 10      # failures named in the message; `failures` keeps them all
+
     def __init__(self, failures):
         # failures: list of (ie_name, key_values)
         self.failures = list(failures)
-        detail = "; ".join(f"{ie} for key {key}" for ie, key in self.failures)
+        detail = "; ".join(f"{ie} for key {key}" for ie, key in self.failures[:self.SHOWN])
+        if len(self.failures) > self.SHOWN:
+            detail += f"; … and {len(self.failures) - self.SHOWN} more"
         super().__init__(f"inherited attributes not computable: {detail}")
 
 

@@ -10,8 +10,9 @@ is immutable for the connection's lifetime.
 
 Decimal note: the engine's Round(x, d) is round-half-away-from-zero.
 
-Concurrency: a connection is used by one thread at a time; writers
-serialize through one connection.
+Concurrency: a connection is used only by the thread that opened it; a
+call from any other thread fails with KernelError (sqlite3's
+ProgrammingError).
 """
 
 from __future__ import annotations

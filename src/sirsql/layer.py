@@ -4,8 +4,11 @@ Every DDL statement is one atomic unit: the generated kernel DDL and the
 catalog meta-rows commit together or not at all, and the in-memory catalog
 is only updated after the commit.  Queries and DML go through the router.
 
-DDL mutations are serialized by a lock (single writer); reads can come
-from any number of threads as long as each uses its own connection.
+A session is used only by the thread that opened its KernelConnection
+(sqlite3 refuses calls from any other thread).  Threads that share one
+database file each open their own session over their own connection; the
+kernel's file locks serialize their writes.  A session loads the catalog
+once, at open, and does not see DDL that another session commits later.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ class SirLayer:
                 continue
             offenders = []
             for ref in ie_references(element, scheme.name):
-                if ref in self.catalog and self._reaches(ref, scheme.name):
+                if ref in self.catalog and self.catalog.reaches(ref, scheme.name):
                     offenders.append(ref)
             if offenders:
                 scheme.elements[index] = rewrite_to_base(
@@ -140,21 +143,6 @@ class SirLayer:
         refs = self._resolve_references(scheme)
         self.catalog.check_acyclic(scheme.name, refs)
         return scheme
-
-    def _reaches(self, start: str, goal: str) -> bool:
-        frontier, seen = [start.casefold()], set()
-        goal = goal.casefold()
-        while frontier:
-            node = frontier.pop()
-            if node == goal:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            for src, dst in self.catalog._edges:
-                if src == node:
-                    frontier.append(dst)
-        return False
 
     def _entry_from_compiled(self, compiled, kind: str) -> CatalogEntry:
         return CatalogEntry(

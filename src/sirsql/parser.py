@@ -24,6 +24,12 @@ _CLAUSE_WORDS = {
 
 _COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 
+# Nesting levels an expression may have: each parenthesis, subquery, function
+# call, IN list and prefix operator opens one.  A level costs up to a dozen
+# Python frames here and more in the later passes, so the limit keeps every
+# pass well inside the interpreter's default recursion limit of 1000.
+MAX_EXPRESSION_DEPTH = 64
+
 
 def parse(source: str) -> list:
     """Parse UTF-8 source into a list of statements, preserving order."""
@@ -49,6 +55,7 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.warnings: list[str] = []
 
     # --- cursor helpers ---
@@ -497,6 +504,15 @@ class Parser:
 
     # --- expressions (precedence climbing) ---
 
+    def descend(self, tok: Token):
+        """Open one expression nesting level at `tok`; the caller closes it
+        with `self.depth -= 1`.  A ParseError ends the parse, so a level left
+        open by one is never read."""
+        if self.depth == MAX_EXPRESSION_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_EXPRESSION_DEPTH} levels deep",
+                             tok.line, tok.col)
+        self.depth += 1
+
     def match_expression(self):
         return self.match_or()
 
@@ -516,8 +532,10 @@ class Parser:
 
     def match_not(self):
         if self.at_word("NOT"):
-            self.advance()
-            return n.Unary(op="NOT", operand=self.match_not())
+            self.descend(self.advance())
+            operand = self.match_not()
+            self.depth -= 1
+            return n.Unary(op="NOT", operand=operand)
         return self.match_comparison()
 
     def match_comparison(self):
@@ -540,7 +558,7 @@ class Parser:
                 self.advance()
                 if negated:
                     self.expect_word("IN")
-                self.expect_op("(")
+                self.descend(self.expect_op("("))
                 if self.at_word("SELECT"):
                     items = [n.Subquery(select=self.match_select())]
                 else:
@@ -548,6 +566,7 @@ class Parser:
                     while self.accept_op(","):
                         items.append(self.match_expression())
                 self.expect_op(")")
+                self.depth -= 1
                 left = n.InList(operand=left, items=items, negated=negated)
             else:
                 return left
@@ -575,8 +594,10 @@ class Parser:
     def match_unary(self):
         tok = self.peek()
         if tok.kind == OP and tok.value in ("-", "+"):
-            self.advance()
-            return n.Unary(op=tok.value, operand=self.match_unary())
+            self.descend(self.advance())
+            operand = self.match_unary()
+            self.depth -= 1
+            return n.Unary(op=tok.value, operand=operand)
         return self.match_primary()
 
     def match_primary(self):
@@ -591,14 +612,14 @@ class Parser:
             self.advance()
             return n.Literal(text="NULL", kind="null")
         if tok.kind == OP and tok.value == "(":
-            self.advance()
+            self.descend(self.advance())
             if self.at_word("SELECT"):
-                select = self.match_select()
-                self.expect_op(")")
-                return n.Subquery(select=select)
-            inner = self.match_expression()
+                node = n.Subquery(select=self.match_select())
+            else:
+                node = n.Paren(inner=self.match_expression())
             self.expect_op(")")
-            return n.Paren(inner=inner)
+            self.depth -= 1
+            return node
         if tok.kind == IDENT:
             # function call: IDENT (
             if self.peek(1).kind == OP and self.peek(1).value == "(" and not tok.quoted:
@@ -607,6 +628,7 @@ class Parser:
                 if self.accept_op("*"):
                     self.expect_op(")")
                     return n.Call(func=func, args=[], star=True)
+                self.descend(tok)
                 distinct = bool(self.accept_word("DISTINCT"))
                 args = []
                 if not self.accept_op(")"):
@@ -617,6 +639,7 @@ class Parser:
                     while self.accept_op(","):
                         args.append(self.match_expression())
                     self.expect_op(")")
+                self.depth -= 1
                 return n.Call(func=func, args=args, distinct=distinct)
             self.advance()
             if self.accept_op("."):

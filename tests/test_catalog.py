@@ -139,3 +139,109 @@ def test_kernel_object_count_invariant(sp2):
         if entry.kind == "sir":
             views = [i for i in entry.plan if i.kind == "view"]
             assert len(entry.kernel_objects) == 1 + len(views)
+
+
+def _catalog_source(size: int) -> str:
+    """`size` relations: a dimension D, then in turn a relation with an IE
+    over D, a stored table and a view over the relation two before it."""
+    lines = ["Create Table D (K Int, NAME Char, Primary Key (K));"]
+    for i in range(1, size):
+        if i % 3 == 1:
+            lines.append(f"Create Table R{i} (A Int, Primary Key (A),"
+                         f" I (Select NAME From D Where R{i}.A = K));")
+        elif i % 3 == 2:
+            lines.append(f"Create Table T{i} (A Int, B Char, Primary Key (A));")
+        else:
+            lines.append(f"Create View V{i} As Select * From R{i - 2};")
+    return "\n".join(lines)
+
+
+def test_load_sends_a_fixed_number_of_statements(tmp_path):
+    counts = []
+    for size in (3, 60):
+        location = str(tmp_path / f"db{size}.sqlite")
+        layer = SirLayer(KernelConnection(location))
+        layer.apply_source(_catalog_source(size))
+        before = layer.catalog.snapshot()
+        layer.conn.close()
+
+        conn = KernelConnection(location)
+        sent = []
+        conn._db.set_trace_callback(sent.append)
+        loaded = Catalog.load(conn)
+        conn._db.set_trace_callback(None)
+        conn.close()
+        assert len(loaded.entries()) == size
+        assert loaded.snapshot() == before
+        counts.append(len(sent))
+    assert counts[0] == counts[1] <= 6
+
+
+@pytest.mark.parametrize("sabotage, message", [
+    ("DROP TABLE P", "^P: kernel object 'P'"),
+    ("DROP TABLE SP_B", "^SP: kernel object 'SP_B'"),
+    ("UPDATE sir_relations SET plan = 'not json' WHERE name = 'SP'", "^SP: unreadable plan"),
+    ("UPDATE sir_relations SET plan = '[[\"SP_B\", \"table\", \"\", {}, 1]]'"
+     " WHERE name = 'SP'", "^SP: unreadable plan"),
+    ("UPDATE sir_relations SET source_text = 'Create Tabel P' WHERE name = 'P'",
+     "^P: unparseable source text"),
+    ("UPDATE sir_relations SET source_text = 'Select * From S;' WHERE name = 'P'",
+     "^P: source text is not a table"),
+    ("DELETE FROM sir_ies WHERE rel = 'SP'", "^SP: sir_ies rows"),
+    ("DELETE FROM sir_attrs WHERE rel = 'P'", "^P: sir_attrs rows"),
+    ("DELETE FROM sir_attrs WHERE rel = 'SP' AND NOT is_inherited", "^SP: sir_attrs rows"),
+    # meta rows belong to the relation whose name they repeat exactly
+    ("UPDATE sir_attrs SET rel = 'sp' WHERE rel = 'SP'", "^SP: sir_attrs rows"),
+    ("UPDATE sir_ies SET rel = 'sp' WHERE rel = 'SP'", "^SP: sir_ies rows"),
+])
+def test_load_rejects_each_kind_of_corruption(tmp_path, sabotage, message):
+    location = str(tmp_path / "db.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)), with_data=False)
+    layer.conn.execute(sabotage)  # behind the catalog's back
+    layer.conn.close()
+    with pytest.raises(CorruptCatalog, match=message):
+        SirLayer(KernelConnection(location))
+
+
+def test_alter_through_other_case_round_trips(tmp_path):
+    location = str(tmp_path / "db.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)))
+    layer.apply_source("Alter Table sp Add NOTE Char; Alter Table p Add Before WEIGHT GRADE Int;")
+    before = layer.catalog.snapshot()
+    layer.conn.close()
+
+    reopened = SirLayer(KernelConnection(location))
+    assert reopened.catalog.snapshot() == before
+    assert reopened.catalog.get("SP").column_names[-1] == "NOTE"
+    assert reopened.catalog.get("P").column_names[3:5] == ["GRADE", "WEIGHT"]
+    assert len(reopened.query("Select * From SP;").rows) == 12
+
+
+def test_owner_of_object_follows_attach_detach_and_copy(sp2):
+    catalog = sp2.catalog
+    sp = catalog.get("SP")
+    assert catalog.owner_of_object("sp_b") is sp
+    assert catalog.owner_of_object("SP_1") is sp
+    assert catalog.owner_of_object("SP") is None      # a relation's own name
+    assert catalog.owner_of_object("S") is None
+
+    scratch = catalog.copy()
+    scratch.detach("SP")
+    assert scratch.owner_of_object("SP_B") is None
+    assert catalog.owner_of_object("SP_B") is sp
+
+    sp2.apply_source("Alter Table SP Add NOTE Char;")
+    assert catalog.get("SP") is not sp
+    assert catalog.owner_of_object("SP_B") is catalog.get("SP")
+    sp2.apply_source("Drop Table SP;")
+    assert catalog.owner_of_object("SP_B") is None
+    assert catalog.owner_of_object("SP_1") is None
+
+
+def test_reaches_follows_references(sp2):
+    sp2.apply_source("Create View V As Select * From SP;")
+    assert sp2.catalog.reaches("V", "s")
+    assert sp2.catalog.reaches("SP", "P")
+    assert sp2.catalog.reaches("S", "S")
+    assert not sp2.catalog.reaches("S", "SP")
+    assert not sp2.catalog.reaches("SP", "V")

@@ -105,6 +105,14 @@ def test_query_unknown_relation_exits_1(db, capsys):
     assert code == 1
 
 
+def test_query_nested_too_deep_exits_3(db, capsys):
+    apply_sp2(db, capsys, with_data=False)
+    code, out, err = run(
+        ["-k", db, "query", "Select " + "(" * 500 + "1" + ")" * 500 + " From S;"], capsys)
+    assert code == 3
+    assert "nested more than" in err
+
+
 def test_explain_prints_stored_plan(db, capsys):
     apply_sp2(db, capsys, with_data=False)
     code, out, err = run(["-k", db, "explain", "SP"], capsys)

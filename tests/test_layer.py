@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from sirsql.compiler import CompileOptions
-from sirsql.errors import CapabilityMissing, KernelError
+from sirsql.errors import CapabilityMissing, KernelError, ParseError
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 from sirsql.render import RenderTarget
@@ -168,3 +168,10 @@ def test_persistent_database_full_cycle(tmp_path):
     reopened.apply_source("Insert Into SP Values ('S5','P6',10);")
     row = [r for r in reopened.query("Select * From SP;").rows if r[0] == "S5"][0]
     assert row[3] == "Adams"
+
+
+def test_deep_nesting_raises_parse_error_and_moderate_nesting_runs(sp2):
+    with pytest.raises(ParseError, match="nested more than"):
+        sp2.query("Select " + "(" * 500 + "1" + ")" * 500 + " From S;")
+    rows = sp2.query("Select " + "(" * 50 + "S#" + ")" * 50 + " From S Order By 1;").rows
+    assert rows[0] == ("S1",)

@@ -7,7 +7,7 @@ import pytest
 from sirsql import nodes as n
 from sirsql.errors import ParseError, UnrenderableNode
 from sirsql.lexer import tokenize
-from sirsql.parser import parse, parse_one
+from sirsql.parser import MAX_EXPRESSION_DEPTH, parse, parse_one
 from sirsql.render import RenderTarget, render, render_source
 
 from conftest import fixture_text
@@ -103,6 +103,29 @@ def test_syntax_error_carries_position_and_expectations():
     assert err.value.line == 1
     assert err.value.col is not None
     assert err.value.expected
+
+
+@pytest.mark.parametrize("nested", [
+    "(" * 500 + "1" + ")" * 500,
+    "(Select " * 500 + "1" + ")" * 500,
+    "abs(" * 500 + "1" + ")" * 500,
+    "- " * 500 + "1",
+    "1 From S Where " + "Not " * 500 + "1 = 1",
+    "1 From S Where 1" + " In (1" * 500 + ")" * 500,
+], ids=["parens", "subqueries", "calls", "unary", "not", "in_lists"])
+def test_deep_nesting_is_a_parse_error_with_position(nested):
+    with pytest.raises(ParseError, match="nested more than") as err:
+        parse(f"Select\n  {nested} From S;")
+    assert err.value.line == 2
+    assert err.value.col > MAX_EXPRESSION_DEPTH
+
+
+def test_nesting_up_to_the_limit_parses():
+    inner = "(" * MAX_EXPRESSION_DEPTH + "1" + ")" * MAX_EXPRESSION_DEPTH
+    stmt = parse_one(f"Select {inner} From S;")
+    assert parse_one(render_source(stmt)) == stmt
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_one(f"Select ({inner}) From S;")
 
 
 def test_unterminated_statement():

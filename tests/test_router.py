@@ -170,6 +170,17 @@ def test_strict_mode_rolls_back_uncomputable_insert():
     assert all(r[0] != "S7" for r in layer.query("Select * From SP;").rows)
 
 
+def test_strict_mode_message_names_the_first_ten_failures():
+    layer = load_sp2(make_layer(strict_integrity=True))
+    rows = ", ".join(f"('S{i}','P{i}',1)" for i in range(10, 22))
+    with pytest.raises(IaNotComputable) as err:
+        layer.apply_source(f"Insert Into SP Values {rows};")
+    assert len(err.value.failures) == 24           # I_S and I_P for 12 rows
+    message = str(err.value)
+    assert message.count(" for key ") == 10
+    assert message.endswith("; … and 14 more")
+
+
 def test_insert_key_conflict_surfaces_kernel_error(sp2):
     # (S4, P4) already exists; the base's primary key rejects the re-insert
     with pytest.raises(KernelError, match="UNIQUE|constraint"):
