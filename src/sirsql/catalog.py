@@ -273,6 +273,8 @@ class Catalog:
         self._order: list[str] = []                   # registration order (casefold)
         self._edges: list[tuple[str, str]] = []       # (src, dst) casefold, insert order
         self._owners: dict[str, CatalogEntry] = {}    # casefold generated object -> entry
+        # bumped by attach/detach; a session's statement cache is keyed on it
+        self.generation = 0
         # route-time proofs against the current entries; cleared on attach/detach
         self._keeps_card: dict[str, bool] = {}
         self._chains: dict[str, PrefixChain | None] = {}
@@ -607,7 +609,9 @@ class Catalog:
         clone._owners = dict(self._owners)
         return clone
 
-    def _forget_proofs(self):
+    def _changed(self):
+        """The entries changed: a new generation, and no proof still holds."""
+        self.generation += 1
         self._keeps_card.clear()
         self._chains.clear()
 
@@ -625,7 +629,7 @@ class Catalog:
         for item in entry.plan:
             if item.name.casefold() != key:
                 self._owners[item.name.casefold()] = entry
-        self._forget_proofs()
+        self._changed()
 
     def detach(self, name: str):
         key = name.casefold()
@@ -633,7 +637,7 @@ class Catalog:
         self._entries.pop(key, None)
         if key in self._order:
             self._order.remove(key)
-        self._forget_proofs()
+        self._changed()
 
     def _forget_entry(self, key: str):
         """Drop the edges and generated objects of the entry named `key`."""

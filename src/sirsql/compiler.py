@@ -45,7 +45,6 @@ class CompileOptions:
 @dataclass
 class KernelPlan:
     items: list                 # PlanItem
-    final_name: str
 
 
 @dataclass
@@ -596,7 +595,7 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
     if not scheme.ies:
         ast = scheme_to_ast(scheme)
         sql = render(ast, target)
-        plan = KernelPlan(items=[PlanItem(scheme.name, "table", sql)], final_name=scheme.name)
+        plan = KernelPlan(items=[PlanItem(scheme.name, "table", sql)])
         columns = build_columns(scheme, [])
         return CompiledSir(scheme=scheme, plan=plan, columns=columns,
                            canonical_texts={}, ie_order=[], references=[])
@@ -684,7 +683,7 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
                            from_=[n.TableName(name=prev)])
         add_view(scheme.name, reorder, StageFacts(kind="reorder", ies=[], adds=[]))
 
-    plan = KernelPlan(items=items, final_name=scheme.name)
+    plan = KernelPlan(items=items)
     references = []
     for ie in scheme.ies:
         for ref in ie_references(ie, scheme.name):
@@ -696,12 +695,6 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
 
 
 # --- alter ---------------------------------------------------------------------
-
-
-@dataclass
-class AlterResult:
-    compiled: CompiledSir
-    steps: list                 # PlanItem: maintenance DDL to execute, in order
 
 
 def _attr_signature(scheme: SirScheme):
@@ -784,16 +777,6 @@ def _check_attr_droppable(scheme: SirScheme, attr: str):
                     and ref.name.casefold() == attr.casefold():
                 raise RecursiveJoinAttributeDrop(
                     f"{scheme.name}.{attr} serves a recursive join in IE {ie.name}")
-
-
-def plan_alter(entry: CatalogEntry, action, catalog: Catalog,
-               options: CompileOptions | None = None,
-               target: RenderTarget | None = None) -> AlterResult:
-    target = target or RenderTarget()
-    new_scheme = apply_alter(entry.scheme, action, catalog)
-    compiled = compile_sir(new_scheme, catalog, options, target)
-    steps = alter_steps(entry, compiled, target)
-    return AlterResult(compiled=compiled, steps=steps)
 
 
 def alter_steps(entry: CatalogEntry, compiled: CompiledSir,
@@ -940,8 +923,7 @@ def compile_index(stmt: n.CreateIndex, catalog: Catalog,
                 raise IndexOnInheritedAttribute(
                     f"{entry.name}.{col} is inherited; indexes apply to stored attributes only")
     ast = n.CreateIndex(name=stmt.name, table=table, columns=stmt.columns, unique=stmt.unique)
-    return KernelPlan(items=[PlanItem(stmt.name, "index", render(ast, target))],
-                      final_name=stmt.name)
+    return KernelPlan(items=[PlanItem(stmt.name, "index", render(ast, target))])
 
 
 # --- rewrite to base -----------------------------------------------------------------

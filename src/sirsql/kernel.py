@@ -4,9 +4,8 @@ The reference binding is sqlite3 (single file or in-memory).  The adapter
 adds no semantics of its own: SQL handed to `execute` runs verbatim, with
 engine errors wrapped in KernelError carrying the originating statement.
 
-Capabilities are probed once at open with pure SELECT statements (no
-objects are ever created), so probing is side-effect-free.  The probed set
-is immutable for the connection's lifetime.
+Opening checks the SQLite version once: 3.32 and later have every feature
+the renderer relies on (left joins, scalar subqueries, group_concat, iif).
 
 Decimal note: the engine's Round(x, d) is round-half-away-from-zero.
 
@@ -20,7 +19,7 @@ from __future__ import annotations
 import sqlite3
 from dataclasses import dataclass
 
-from .errors import KernelError, UnknownObject
+from .errors import CapabilityMissing, KernelError, UnknownObject
 from .render import RenderTarget
 
 
@@ -37,54 +36,44 @@ class RowSet:
         return [row[idx] for row in self.rows]
 
 
-_PROBES = {
-    "left_join": "SELECT b.x FROM (SELECT 1 AS x) a LEFT JOIN (SELECT 2 AS x) b ON a.x = b.x",
-    "scalar_subquery": "SELECT (SELECT 1)",
-    "string_aggregation": "SELECT group_concat(x, '; ') FROM (SELECT 'a' AS x)",
-    "conditional": "SELECT iif(1, 1, 0)",
-}
+CAPABILITIES = frozenset({"left_join", "scalar_subquery", "string_aggregation", "conditional"})
 
 
 class KernelConnection:
-    """One open kernel database plus its probed capability set."""
+    """One open kernel database."""
 
     def __init__(self, location: str = ":memory:"):
+        if sqlite3.sqlite_version_info < (3, 32):
+            raise CapabilityMissing(f"SQLite {sqlite3.sqlite_version} is older than 3.32")
         self.location = location
         self._db = sqlite3.connect(location)
         self._db.isolation_level = None  # explicit BEGIN/COMMIT
         self._db.execute("PRAGMA legacy_alter_table=ON")  # renames must not rewrite view bodies
         self._in_transaction = False
-        self.capabilities = frozenset(
-            name for name, sql in _PROBES.items() if self._probe(sql))
-        self.render_target = RenderTarget(
-            quoting="double",
-            limit_style="limit",
-            string_agg_func="group_concat" if "string_aggregation" in self.capabilities else None,
-            conditional_func="iif" if "conditional" in self.capabilities else None,
-        )
-
-    def _probe(self, sql: str) -> bool:
-        try:
-            self._db.execute(sql).fetchall()
-            return True
-        except sqlite3.Error:
-            return False
+        self.capabilities = CAPABILITIES
+        self.render_target = RenderTarget(string_agg_func="group_concat", conditional_func="iif")
+        # the most parameters one statement may bind (Connection.getlimit is 3.11+)
+        self.max_params = (self._db.getlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER)
+                           if hasattr(self._db, "getlimit") else 32766)
 
     def close(self):
         self._db.close()
 
     # --- execution ---
 
-    def execute(self, sql: str, params=(), origin: str | None = None):
+    def execute(self, sql: str, params=(), origin=None):
         """Run kernel-dialect SQL.
 
         Queries return a RowSet; DDL/DML return the affected-row count.
-        `origin` is the sirsql-layer statement attached to error reports.
+        `origin` is the sirsql-layer statement attached to error reports, or
+        a callable producing it, called only when there is an error.
         """
         before = self._db.total_changes
         try:
             cursor = self._db.execute(sql, params)
         except sqlite3.Error as exc:
+            if callable(origin):
+                origin = origin()
             raise KernelError(f"{type(exc).__name__}: {exc}", origin or sql) from exc
         if cursor.description is not None:
             columns = [d[0] for d in cursor.description]

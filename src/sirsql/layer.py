@@ -9,12 +9,18 @@ A session is used only by the thread that opened its KernelConnection
 database file each open their own session over their own connection; the
 kernel's file locks serialize their writes.  A session loads the catalog
 once, at open, and does not see DDL that another session commits later.
+
+Query and DML text is cached by shape (`lexer.shape`: literals replaced by
+``?``) for one catalog generation: a repeated shape skips parse, route and
+render and binds its literals as sqlite3 parameters.  A shape is cached only
+when the renderer bound exactly the shape's values, in order and type.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import nodes as n
 from .catalog import (SIR, STORED, VIEW, Catalog, CatalogEntry, ColumnInfo,
@@ -25,14 +31,22 @@ from .compiler import (CompileOptions, alter_steps, apply_alter, compile_index,
 from .errors import (CircularReferenceError, InvariantViolation, NameCollision,
                      RejectedWrite, UnknownRelation)
 from .kernel import KernelConnection, RowSet
+from .lexer import shape
 from .parser import parse
 from .render import render, render_source
 from .router import (BASE_REWRITE, REJECTED, check_ie_integrity,
                      enforce_insert_computability, route)
 
 
+CACHE_SIZE = 512       # shapes per session; the cache is cleared when full
+_CACHEABLE = (n.Query, n.Insert, n.Update, n.Delete)
+
+
 @dataclass
 class StatementResult:
+    """What one statement did.  `statement` is the parsed statement; it is
+    None for a DROP and for a statement served from the statement cache."""
+
     statement: object
     action: str
     objects: list = field(default_factory=list)     # kernel objects created/dropped
@@ -50,6 +64,9 @@ class SirLayer:
         self.strict_integrity = strict_integrity
         self.catalog = Catalog.load(conn)
         self._ddl_lock = threading.Lock()
+        # shape -> (catalog generation, value count, kernel SQL or None, action);
+        # a text whose count differs holds a raw "?", which must fail to parse
+        self._statements: dict[str, tuple] = {}
 
     @property
     def target(self):
@@ -58,10 +75,12 @@ class SirLayer:
     # --- entry points ---
 
     def apply_source(self, text: str) -> list[StatementResult]:
-        """Parse and execute statements in order, each in its own atomic unit."""
-        return [self.apply_statement(stmt) for stmt in parse(text)]
+        """Parse and execute statements in order, each in its own atomic unit.
+        A text holding one query or DML statement goes through the cache."""
+        return self._run_text(text, query_only=False)
 
     def apply_statement(self, stmt) -> StatementResult:
+        """Execute a parsed statement, without the statement cache."""
         if isinstance(stmt, n.CreateSirTable):
             return self._create_table(stmt)
         if isinstance(stmt, n.CreateView):
@@ -74,20 +93,42 @@ class SirLayer:
             return self._drop(stmt.name, "restrict", expect_view=True)
         if isinstance(stmt, n.CreateIndex):
             return self._create_index(stmt)
-        if isinstance(stmt, n.Query):
-            routed = route(stmt, self.catalog)
-            rows = self.conn.query(render(routed.kernel_stmt, self.target),
-                                   origin=render_source(stmt))
-            return StatementResult(stmt, "query", rows=rows, warnings=stmt.warnings)
-        if isinstance(stmt, (n.Insert, n.Update, n.Delete)):
-            return self._dml(stmt)
+        if isinstance(stmt, _CACHEABLE):
+            return self._execute(stmt)[0]
         raise InvariantViolation(f"unsupported statement {type(stmt).__name__}")
 
     def query(self, sql: str) -> RowSet:
-        stmts = parse(sql)
-        if len(stmts) != 1 or not isinstance(stmts[0], n.Query):
-            raise InvariantViolation("expected exactly one SELECT statement")
-        return self.apply_statement(stmts[0]).rows
+        return self._run_text(sql, query_only=True)[0].rows
+
+    def _run_text(self, text: str, query_only: bool) -> list[StatementResult]:
+        """Execute dialect text, through the statement cache when it holds one
+        query or DML statement."""
+        key, values = shape(text)
+        hit = self._statements.get(key)
+        if hit is not None and hit[:2] == (self.catalog.generation, len(values)):
+            sql, action = hit[2:]
+            if query_only and action != "query":
+                raise InvariantViolation("expected exactly one SELECT statement")
+            if sql is not None:
+                result = self.conn.execute(sql, values, origin=text)
+                if action == "query":
+                    return [StatementResult(None, action, rows=result)]
+                return [StatementResult(None, action, rowcount=result)]
+        stmts = parse(text)
+        if len(stmts) != 1 or not isinstance(stmts[0], n.Query if query_only else _CACHEABLE):
+            if query_only:
+                raise InvariantViolation("expected exactly one SELECT statement")
+            return [self.apply_statement(stmt) for stmt in stmts]
+        if len(values) > self.conn.max_params:
+            return [self.apply_statement(stmts[0])]
+        params = []
+        result, sql = self._execute(stmts[0], params)
+        if list(map(type, params)) != list(map(type, values)) or params != values:
+            sql = None
+        if len(self._statements) >= CACHE_SIZE:
+            self._statements.clear()
+        self._statements[key] = (self.catalog.generation, len(values), sql, result.action)
+        return [result]
 
     def explain(self, name: str) -> list[str]:
         """The stored kernel plan of a relation, one DDL statement per entry."""
@@ -103,7 +144,7 @@ class SirLayer:
             if self.conn.object_kind(name) is not None:
                 raise NameCollision(f"kernel object {name!r} already exists")
 
-    def _probe_view(self, conn, name: str, origin: str):
+    def _probe_view(self, conn, name: str, origin):
         # the engine only resolves a view body on first use; force that now so
         # a bad definition fails inside this transaction, not at query time
         from .render import quote_ident
@@ -162,12 +203,14 @@ class SirLayer:
             self._check_kernel_name_free([i.name for i in compiled.plan.items])
             entry = self._entry_from_compiled(compiled, SIR if scheme.ies else STORED)
 
+            origin = partial(render_source, stmt)
+
             def work(conn):
                 self.catalog.ensure_meta(conn)
                 for item in compiled.plan.items:
-                    conn.execute(item.sql, origin=render_source(stmt))
+                    conn.execute(item.sql, origin=origin)
                     if item.kind == "view":
-                        self._probe_view(conn, item.name, render_source(stmt))
+                        self._probe_view(conn, item.name, origin)
                 self.catalog.persist(entry, conn)
 
             self.conn.within_transaction(work)
@@ -192,8 +235,8 @@ class SirLayer:
 
             def work(conn):
                 self.catalog.ensure_meta(conn)
-                conn.execute(sql, origin=render_source(stmt))
-                self._probe_view(conn, stmt.name, render_source(stmt))
+                conn.execute(sql, origin=partial(render_source, stmt))
+                self._probe_view(conn, stmt.name, partial(render_source, stmt))
                 columns = [ColumnInfo(c, None, False, True, None)
                            for c in conn.introspect(stmt.name)]
                 entry = CatalogEntry(
@@ -228,13 +271,15 @@ class SirLayer:
             updates = [(entry, new_entry, steps)]
             updates.extend(self._dependent_recompiles(entry.name, new_entry, scratch))
 
+            origin = partial(render_source, stmt)
+
             def work(conn):
                 self.catalog.ensure_meta(conn)
                 for old, new, maintenance in updates:
                     for item in maintenance:
-                        conn.execute(item.sql, origin=render_source(stmt))
+                        conn.execute(item.sql, origin=origin)
                         if item.sql.upper().startswith("CREATE VIEW"):
-                            self._probe_view(conn, item.name, render_source(stmt))
+                            self._probe_view(conn, item.name, origin)
                     self.catalog.persist_replace(new, conn)
 
             self.conn.within_transaction(work)
@@ -303,18 +348,26 @@ class SirLayer:
         with self._ddl_lock:
             plan = compile_index(stmt, self.catalog, self.target)
             for item in plan.items:
-                self.conn.execute(item.sql, origin=render_source(stmt))
+                self.conn.execute(item.sql, origin=partial(render_source, stmt))
             return StatementResult(stmt, "create index",
                                    objects=[i.name for i in plan.items])
 
-    # --- DML ---
+    # --- queries and DML ---
 
-    def _dml(self, stmt) -> StatementResult:
+    def _execute(self, stmt, params: list | None = None) -> tuple[StatementResult, str | None]:
+        """Route, render and run a query or DML statement.  With `params`, its
+        literals are bound (see `render`).  Also returns the kernel SQL that a
+        statement of the same shape may run again, or None."""
         routed = route(stmt, self.catalog)
-        origin = render_source(stmt)
         if routed.kind == REJECTED:
             raise RejectedWrite(routed.reason)
-        sql = render(routed.kernel_stmt, self.target)
+        sql = render(routed.kernel_stmt, self.target, params)
+        bound = params or ()
+        origin = partial(render_source, stmt)     # rendered only for an error report
+
+        if isinstance(stmt, n.Query):
+            rows = self.conn.execute(sql, bound, origin=origin)
+            return StatementResult(stmt, "query", rows=rows, warnings=stmt.warnings), sql
         if (routed.kind == BASE_REWRITE and isinstance(stmt, n.Insert)
                 and self.strict_integrity):
             entry = self.catalog.get(stmt.table)
@@ -324,13 +377,13 @@ class SirLayer:
             returning_sql = sql.rstrip(";") + f" RETURNING {returning}"
 
             def work(conn):
-                result = conn.execute(returning_sql, origin=origin)
+                result = conn.execute(returning_sql, bound, origin=origin)
                 keys = [tuple(row) for row in result.rows] if isinstance(result, RowSet) else []
                 enforce_insert_computability(entry, keys, conn)
                 return len(keys)
 
             count = self.conn.within_transaction(work)
-            return StatementResult(stmt, "insert", rowcount=count, warnings=stmt.warnings)
-        count = self.conn.execute(sql, origin=origin)
+            return StatementResult(stmt, "insert", rowcount=count, warnings=stmt.warnings), None
+        count = self.conn.execute(sql, bound, origin=origin)
         action = type(stmt).__name__.lower()
-        return StatementResult(stmt, action, rowcount=count, warnings=stmt.warnings)
+        return StatementResult(stmt, action, rowcount=count, warnings=stmt.warnings), sql

@@ -8,6 +8,7 @@ case-insensitively, so names like STATUS stay plain identifiers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -139,3 +140,55 @@ def tokenize(source: str) -> list[Token]:
 
     tokens.append(Token(EOF, "", line, col))
     return tokens
+
+
+# --- statement shapes --------------------------------------------------------
+
+INT64_MAX = 2**63 - 1
+_BOUND_FLOAT_DIGITS = 15        # a float with more digits may parse differently in SQLite
+
+# One pass over dialect text that finds its literals the way `tokenize` does.
+# Group 1 is a string literal's body, group 2 a number; the third alternative
+# consumes runs of everything else, so that digits inside identifiers (R001_K,
+# S#) and literals inside comments or quoted identifiers are never taken.
+_SHAPE = re.compile(r"""
+    '([^']*(?:''[^']*)*)'
+  | ([0-9]+(?:\.[0-9]+)?|\.[0-9]+)
+  | (?: [^\W\d][\w#$]* | "[^"]*" | \[[^\]]*\] | --[^\n]* | /\*.*?\*/
+      | [^'"\[\w./-] | \.(?![0-9]) | -(?!-) | /(?!\*) )+
+""", re.VERBOSE | re.DOTALL)
+
+
+def literal_value(text: str):
+    """The sqlite3 parameter for a NUMBER token, or None when it must stay
+    inline: integers beyond int64, floats with more than 15 digits and
+    anything but ASCII digits."""
+    if not text.isascii():
+        return None
+    if "." in text:
+        return float(text) if len(text) <= _BOUND_FLOAT_DIGITS + 1 else None
+    value = int(text)
+    return value if value <= INT64_MAX else None
+
+
+def shape(source: str) -> tuple[str, list]:
+    """`source` with each bindable literal replaced by ``?``, and the values.
+
+    Strings become str, numbers int or float (see `literal_value`); a number
+    that cannot be bound stays in the text, so it is part of the shape.
+    """
+    values = []
+
+    def literal(match):
+        string, number = match.group(1, 2)
+        if string is not None:
+            values.append(string.replace("''", "'"))
+            return "?"
+        if number is not None:
+            value = literal_value(number)
+            if value is not None:
+                values.append(value)
+                return "?"
+        return match.group()
+
+    return _SHAPE.sub(literal, source), values

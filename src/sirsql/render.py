@@ -12,15 +12,21 @@ Two modes share one walker:
   round-trip checks.
 
 Output is deterministic: the same AST always yields byte-identical text.
+
+Given a `params` list, kernel mode binds literals: it writes ``?`` and
+appends the value, except for numbers `literal_value` keeps inline and where
+the engine reads the literal's text (ORDER BY and GROUP BY take an integer as
+a column number; an unaliased select item is named after its text).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import nodes as n
 from .errors import UnrenderableNode
+from .lexer import literal_value
 
 _PLAIN_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _PLAIN_IDENT_SOURCE = re.compile(r"^[A-Za-z_][A-Za-z0-9_#$]*$")
@@ -45,13 +51,10 @@ class RenderTarget:
     limit_style: str = "limit"         # 'limit' -> trailing LIMIT n
     string_agg_func: str | None = None  # e.g. 'group_concat'; None = unsupported
     conditional_func: str | None = None  # e.g. 'iif'; None = unsupported
-    cast_int_funcs: tuple = ("INT",)   # dialect names lowered to CAST(x AS INTEGER)
-    functions: dict = field(default_factory=dict)  # extra name translations
 
 
 SOURCE = RenderTarget(quoting="source", limit_style="top",
-                      string_agg_func="LIST", conditional_func="IIF",
-                      cast_int_funcs=())
+                      string_agg_func="LIST", conditional_func="IIF")
 
 
 def quote_ident(name: str, target: RenderTarget) -> str:
@@ -66,9 +69,10 @@ def quote_ident(name: str, target: RenderTarget) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def render(node, target: RenderTarget) -> str:
-    """Kernel-dialect text for a statement or fragment."""
-    return _Renderer(target, source=target.quoting == "source").render(node)
+def render(node, target: RenderTarget, params: list | None = None) -> str:
+    """Kernel-dialect text for a statement or fragment; with `params`, the
+    bindable literals are written as ``?`` and their values appended to it."""
+    return _Renderer(target, source=target.quoting == "source", params=params).render(node)
 
 
 def render_source(node) -> str:
@@ -77,9 +81,10 @@ def render_source(node) -> str:
 
 
 class _Renderer:
-    def __init__(self, target: RenderTarget, source: bool):
+    def __init__(self, target: RenderTarget, source: bool, params: list | None = None):
         self.target = target
         self.source = source
+        self.params = params
 
     def render(self, node) -> str:
         method = getattr(self, "_" + type(node).__name__, None)
@@ -90,9 +95,21 @@ class _Renderer:
     def ident(self, name: str) -> str:
         return quote_ident(name, self.target)
 
+    def inline(self, node) -> str:
+        """`node` with every literal in it written out, not bound."""
+        params, self.params = self.params, None
+        text = self.render(node)
+        self.params = params
+        return text
+
     # --- expressions ---
 
     def _Literal(self, node):
+        if self.params is not None and node.kind != "null":
+            value = node.text if node.kind == "string" else literal_value(node.text)
+            if value is not None:
+                self.params.append(value)
+                return "?"
         if node.kind == "string":
             return "'" + node.text.replace("'", "''") + "'"
         if node.kind == "null":
@@ -108,7 +125,7 @@ class _Renderer:
         func = node.func
         upper = func.upper()
         if not self.source:
-            if upper in self.target.cast_int_funcs:
+            if upper == "INT":
                 if len(node.args) != 1:
                     raise UnrenderableNode("integer cast takes one argument")
                 return f"CAST({self.render(node.args[0])} AS INTEGER)"
@@ -120,8 +137,6 @@ class _Renderer:
                 if self.target.string_agg_func is None:
                     raise UnrenderableNode("kernel has no string-aggregation function")
                 func = self.target.string_agg_func
-            else:
-                func = self.target.functions.get(upper, func)
         if node.star:
             return f"{func}(*)"
         inner = ", ".join(self.render(a) for a in node.args)
@@ -132,7 +147,10 @@ class _Renderer:
     def _Unary(self, node):
         if node.op == "NOT":
             return f"NOT {self.render(node.operand)}"
-        return f"{node.op}{self.render(node.operand)}"
+        operand = self.render(node.operand)
+        if node.op == "-" and operand.startswith("-"):
+            return f"- {operand}"       # "--" would open a comment
+        return f"{node.op}{operand}"
 
     def _Binary(self, node):
         return f"{self.render(node.left)} {node.op} {self.render(node.right)}"
@@ -175,10 +193,9 @@ class _Renderer:
         return "*/(" + ", ".join(self.render(e) for e in node.excluded) + ")"
 
     def _SelectItem(self, node):
-        text = self.render(node.expr)
-        if node.alias:
-            text += f" AS {self.ident(node.alias)}"
-        return text
+        if not node.alias:
+            return self.inline(node.expr)
+        return f"{self.render(node.expr)} AS {self.ident(node.alias)}"
 
     def _TableName(self, node):
         text = self.ident(node.name)
@@ -208,11 +225,11 @@ class _Renderer:
         if sel.where is not None:
             parts.append("WHERE " + self.render(sel.where))
         if sel.group_by:
-            parts.append("GROUP BY " + ", ".join(self.render(e) for e in sel.group_by))
+            parts.append("GROUP BY " + ", ".join(self.inline(e) for e in sel.group_by))
         if sel.order_by:
             rendered = []
             for item in sel.order_by:
-                rendered.append(self.render(item.expr) + (" DESC" if item.descending else ""))
+                rendered.append(self.inline(item.expr) + (" DESC" if item.descending else ""))
             parts.append("ORDER BY " + ", ".join(rendered))
         if sel.limit is not None and not self.source and self.target.limit_style == "limit":
             parts.append(f"LIMIT {sel.limit}")

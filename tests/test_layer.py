@@ -3,9 +3,12 @@ from __future__ import annotations
 import pytest
 
 from sirsql.compiler import CompileOptions
-from sirsql.errors import CapabilityMissing, KernelError, ParseError
+import sirsql.layer
+from sirsql.errors import (CapabilityMissing, IaNotComputable, InvariantViolation,
+                           KernelError, ParseError)
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
+from sirsql.parser import parse
 from sirsql.render import RenderTarget
 
 from conftest import fixture_text, load_sp2, make_layer
@@ -175,3 +178,139 @@ def test_deep_nesting_raises_parse_error_and_moderate_nesting_runs(sp2):
         sp2.query("Select " + "(" * 500 + "1" + ")" * 500 + " From S;")
     rows = sp2.query("Select " + "(" * 50 + "S#" + ")" * 50 + " From S Order By 1;").rows
     assert rows[0] == ("S1",)
+
+
+# --- the statement cache --------------------------------------------------------
+
+
+def uncached(layer, text):
+    return layer.apply_statement(parse(text)[0])
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The texts the layer parses from here on."""
+    seen = []
+
+    def spy(text):
+        seen.append(text)
+        return parse(text)
+    monkeypatch.setattr(sirsql.layer, "parse", spy)
+    return seen
+
+
+def test_repeated_shape_skips_parse_and_binds_new_literals(sp2, parses):
+    first = sp2.query("Select S#, QTY From SP Where S# = 'S1' And P# = 'P1';")
+    second = sp2.query("Select S#, QTY From SP Where S# = 'S2' And P# = 'P2';")
+    assert first.rows == [("S1", 300)] and second.rows == [("S2", 400)]
+    assert len(parses) == 1
+    text = "Update SP Set QTY = 7 Where S# = 'S4';"
+    assert uncached(sp2, text.replace("7", "8")).rowcount == 3
+    results = [sp2.apply_source(text.replace("'S4'", f"'S{i}'")) for i in (4, 3, 1)]
+    assert [r[0].rowcount for r in results] == [3, 1, 6]
+    assert [r[0].statement is None for r in results] == [False, True, True]
+    assert sp2.query("Select Sum(QTY) From SP Where S# = 'S4';").rows == [(21,)]
+
+
+def test_one_cached_text_runs_as_query_and_through_apply_source(sp2, parses):
+    sp2.query("Select SNAME From SP Where QTY = 300;")
+    [result] = sp2.apply_source("Select SNAME From SP Where QTY = 400;")
+    assert result.action == "query" and result.statement is None
+    assert sorted(result.rows.rows) == [("Clark",), ("Jones",), ("Smith",)]
+    assert len(parses) == 1
+
+
+@pytest.mark.parametrize("text, other", [
+    ("Select S#, QTY From SP Order By 2, 1;", "Select S#, QTY From SP Order By 1, 2;"),
+    ("Select SCITY, PCITY, Count(*) From SP Group By 1;",
+     "Select SCITY, PCITY, Count(*) From SP Group By 2;"),
+    ("Select Top 2 S# From S Order By S#;", "Select Top 3 S# From S Order By S#;"),
+    ("Select S# From SP Where QTY < 9223372036854775807;",
+     "Select S# From SP Where QTY < 9223372036854775808;"),
+    ("Select S# From SP Where QTY > 99999999999999999999;",
+     "Select S# From SP Where QTY > 9223372036854775808;"),
+    ("Select QTY + 1 From SP Where S# = 'S2';", "Select QTY + 2 From SP Where S# = 'S3';"),
+    ("Select - -1 From S;", "Select - -2 From S;"),
+    ("Select S# From SP Where QTY > - -300;", "Select S# From SP Where QTY > - -100;"),
+    ("Select S#, Round(QTY / 7.1, 2) As r From SP Where QTY >= 300.5;",
+     "Select S#, Round(QTY / 7.1, 3) As r From SP Where QTY >= 1.12345678901234567;"),
+    ("Select S# From SP Where S# = 'S1' And QTY = '300';",
+     "Select S# From SP Where S# = 'S1' And QTY = 300;"),
+])
+def test_literals_that_stay_inline_keep_their_meaning(sp2, text, other):
+    for sql in (text, other, text):
+        expected = uncached(sp2, sql).rows
+        assert sp2.query(sql) == expected
+
+
+def test_double_minus_runs(sp2):
+    text = "Select - -1 From S Where S# = 'S1';"
+    assert sp2.query(text).rows == [(1,)]
+    assert uncached(sp2, text).rows.rows == [(1,)]
+    assert sp2.query("Select S# From S Where - -STATUS = 10;").rows == [("S2",)]
+
+
+def test_alter_drop_invalidates_cached_shapes(sp2, parses):
+    text = "Select S#, SNAME From SP Where P# = '{}';"
+    assert sorted(sp2.query(text.format("P1")).rows) == [("S1", "Smith"), ("S2", "Jones")]
+    sp2.apply_source("Alter Table SP Drop I_S;")
+    with pytest.raises(KernelError, match="no such column: SNAME"):
+        sp2.query(text.format("P2"))
+    # the stage the cached SQL read is gone; its name now denotes another IE
+    sp2.apply_source("Alter Table SP Add I_S (Select SNAME From S Where SP.S# = S#);")
+    rows = sp2.query(text.format("P2")).rows
+    assert sorted(rows) == sorted(uncached(sp2, text.format("P2")).rows.rows)
+    assert len(rows) == 4
+    assert parses.count(text.format("P2")) == 2
+
+
+def test_query_on_a_cached_dml_shape_still_raises(sp2):
+    sp2.apply_source("Update SP Set QTY = 1 Where S# = 'S9';")
+    sp2.apply_source("Update SP Set QTY = 2 Where S# = 'S9';")
+    with pytest.raises(InvariantViolation, match="SELECT"):
+        sp2.query("Update SP Set QTY = 3 Where S# = 'S1';")
+    assert 3 not in sp2.query("Select QTY From SP Where S# = 'S1';").column("QTY")
+
+
+def test_parse_error_keeps_its_position_on_a_miss(sp2):
+    text = "Select S#\nFrom SP\n  Where QTY = 'x' And;"
+    with pytest.raises(ParseError) as direct:
+        parse(text)
+    for run in (sp2.query, sp2.apply_source):
+        with pytest.raises(ParseError) as err:
+            run(text)
+        assert (err.value.line, err.value.col) == (direct.value.line, direct.value.col) == (3, 22)
+
+
+def test_raw_placeholder_fails_to_parse_even_when_its_shape_is_cached(sp2):
+    sp2.query("Select * From S Where S# = 'S1';")
+    sp2.apply_source("Update SP Set QTY = 5 Where S# = 'S9';")
+    for text in ("Select * From S Where S# = ?;", "Update SP Set QTY = ? Where S# = 'S9';"):
+        with pytest.raises(ParseError, match="unexpected character '\\?'"):
+            sp2.apply_source(text)
+    with pytest.raises(ParseError):
+        sp2.query("Select * From S Where S# = ?;")
+
+
+def test_kernel_error_on_a_hit_names_the_dialect_text(sp2):
+    sp2.apply_source("Insert Into S Values ('S7', 'Ng', '10', 'Oslo');")
+    text = "Insert Into S Values ('S7', 'Ng', '20', 'Rome');"
+    with pytest.raises(KernelError, match="UNIQUE") as err:
+        sp2.apply_source(text)
+    assert err.value.statement == text
+
+
+def test_strict_inserts_are_not_cached():
+    layer = load_sp2(make_layer(strict_integrity=True))
+    layer.apply_source("Insert Into SP Values ('S3', 'P1', 50);")
+    with pytest.raises(IaNotComputable):
+        layer.apply_source("Insert Into SP Values ('S7', 'P10', 200);")
+    assert all(r[0] != "S7" for r in layer.query("Select * From SP;").rows)
+
+
+def test_more_literals_than_the_kernel_binds_run_inline(sp2, parses):
+    sp2.conn.max_params = 2
+    for qty in (5, 6):
+        sp2.apply_source(f"Insert Into SP Values ('S5', 'P{qty}', {qty});")
+    assert sp2.query("Select QTY From SP Where S# = 'S5';").rows == [(5,), (6,)]
+    assert len(parses) == 3

@@ -6,7 +6,7 @@ import pytest
 
 from sirsql import nodes as n
 from sirsql.errors import ParseError, UnrenderableNode
-from sirsql.lexer import tokenize
+from sirsql.lexer import literal_value, shape, tokenize
 from sirsql.parser import MAX_EXPRESSION_DEPTH, parse, parse_one
 from sirsql.render import RenderTarget, render, render_source
 
@@ -259,3 +259,16 @@ def test_fixture_files_round_trip():
         source = fixture_text(name)
         first = parse(source)
         assert parse("\n".join(render_source(s) for s in first)) == first
+
+
+def test_literal_value_keeps_unsafe_numbers_inline():
+    assert literal_value("300") == 300 and type(literal_value("300")) is int
+    assert literal_value("007") == 7
+    assert literal_value("2.5") == 2.5 and literal_value(".5") == 0.5
+    assert literal_value(str(2**63 - 1)) == 2**63 - 1
+    assert literal_value(str(2**63)) is None
+    assert literal_value("0.12345678901234") == 0.12345678901234
+    assert literal_value("0.123456789012345") is None      # 16 digits
+    assert literal_value("٣") is None
+    assert shape("Select 1.1234567890123456, 'it''s', 2 From S;") == (
+        "Select 1.1234567890123456, ?, ? From S;", ["it's", 2])

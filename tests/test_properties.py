@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sirsql.compiler import CompileOptions
+from sirsql.errors import ParseError, SirSqlError
 from sirsql.kernel import RowSet
+from sirsql.layer import StatementResult
+from sirsql.lexer import NUMBER, STRING, literal_value, shape, tokenize
 from sirsql.normalizer import (FunctionalDependency, MultivaluedDependency,
                                SchemeDraft, attribute_closure, heath_decompose,
                                is_bcnf, lossless_check, make_universal, normalize)
-from sirsql.parser import parse_one
+from sirsql.parser import parse, parse_one
 from sirsql.render import render
 from sirsql.router import route
 
@@ -136,6 +139,126 @@ def test_pruned_queries_match_full_view_on_random_schemes():
                 full = layer.conn.query(render(stmt, layer.target)).rows
                 assert sorted(layer.query(text).rows, key=repr) == sorted(full, key=repr), text
             layer.conn.close()
+
+
+# --- the statement cache against the uncached path ----------------------------------
+
+
+def random_statement(rng: random.Random, payload: list, extra: list) -> str:
+    """A query, DML or ALTER over `random_sir_case`'s R and X.  The templates
+    are few and the literals many, so shapes repeat with new values."""
+    a, k, v = rng.randint(-2, 14), rng.randint(0, 45), rng.randint(0, 400)
+    col = rng.choice(payload + extra + ["A", "FK"])
+    roll = rng.random()
+    if roll < 0.08:
+        if extra and rng.random() < 0.5:
+            return f"Alter Table R Drop {extra.pop()};"
+        name = f"E{rng.randint(0, 99)}"
+        extra.append(name)
+        return rng.choice([f"Alter Table R Add {name} As (A + {a});",
+                           f"Alter Table R Add {name} (Select Max(K) From X Where K <= R.A);",
+                           f"Alter Table R Add Before FK {name} Int;"])
+    if roll < 0.35:
+        return rng.choice([
+            f"Insert Into R Values ({a}, {k});",
+            f"Insert Into R (A, FK) Values ({a}, {k}), ({a + 20}, '{k}');",
+            f"Insert Into X (K, {payload[0]}) Values ({k}, {v});",
+            f"Update R Set FK = {k} Where A = {a};",
+            f"Update R Set FK = FK + {a} Where {payload[0]} > {v};",
+            f"Delete From R Where A = {a} Or FK = {k};",
+            f"Delete From R Where {col} < {v} And A > {a};",
+            f"Delete From X Where K = {k};",
+        ])
+    return rng.choice([
+        f"Select * From R Where A = {a};",
+        f"Select A, FK From R Where FK >= {k} Order By A;",
+        f"Select {col}, Count(*) From R Where A < {a} Group By {col};",
+        f"Select A + {a} From R;",
+        f"Select A, A * {v}.5 As s, '{a}' As t From R Where {col} Is Not Null;",
+        f"Select K From X Where K In ({k}, {a}, {v}) Order By 1;",
+        f"Select Count(*) From R Where {col} > {v} Or A = - -{k};",
+        f"Select Top {rng.randint(1, 4)} A From R Order By A Desc;",
+        f"Select A From R Where FK = '{k}' -- '{a}'\n;",
+        f"Select /* {a} */ A, {payload[-1]} From R Where A In (Select K From X Where K > {a});",
+    ])
+
+
+def outcome(run, text):
+    """What running `text` did, comparable between the two paths."""
+    try:
+        results = run(text)
+    except SirSqlError as exc:
+        return type(exc).__name__
+    out = []
+    for result in results:
+        rows = result.rows
+        out.append((result.action, result.rowcount,
+                    rows and (rows.columns, sorted(rows.rows, key=repr))))
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=CASES, derandomize=True, deadline=None)
+def test_cached_execution_matches_uncached_on_random_schemes(seed):
+    """`query` and `apply_source` (cached) against `apply_statement` (uncached)
+    on a twin session, with DML and ALTERs between the statements."""
+    rng = random.Random(seed)
+    schema, x_rows, r_rows = random_sir_case(rng)
+    payload = [c for c in ("V0", "V1", "V2") if c in schema[0]]
+    cached, plain = make_layer(), make_layer()
+    for layer in (cached, plain):
+        apply_case(layer, schema, x_rows, r_rows)
+
+    def uncached(text):
+        return [plain.apply_statement(stmt) for stmt in parse(text)]
+
+    def query(text):
+        return [StatementResult(None, "query", rows=cached.query(text))]
+
+    extra = []
+    for _ in range(30):
+        text = random_statement(rng, payload, extra)
+        expected = outcome(uncached, text)
+        if text.startswith("Select") and rng.random() < 0.5:
+            assert outcome(query, text) == expected, text
+        else:
+            assert outcome(cached.apply_source, text) == expected, text
+    for layer in (cached, plain):
+        layer.conn.close()
+
+
+# --- the shape pass against the lexer ----------------------------------------------
+
+
+_pieces = st.one_of(
+    st.sampled_from(["Select", "From", "R001_K", "S#", "P#1", "x$1", "_9", "Größe", "名前",
+                     "été2", "T", "e5", "\"a 1 'b' -- 2\"", "[x 2.5]", "\"\"", "[]"]),
+    st.text(alphabet="ab' -1/*é\n", max_size=8).map(lambda t: "'" + t.replace("'", "''") + "'"),
+    st.integers(0, 2**70).map(str),
+    st.tuples(st.integers(0, 10**18), st.integers(0, 10**18)).map(lambda p: f"{p[0]}.{p[1]}"),
+    st.integers(0, 999).map(lambda i: f".{i}"),
+    st.sampled_from(["-- 7 'c'\n", "/* 8 'd' -- */", "--\n", "/**/"]),
+    st.sampled_from(["(", ")", ",", ";", "=", "-", "+", "*", "/", ".", "<=", "||", "%"]),
+)
+
+
+@given(pieces=st.lists(st.tuples(_pieces, st.sampled_from(["", " ", "\n"])), max_size=20))
+@settings(max_examples=CASES * 3, derandomize=True)
+def test_shape_values_are_the_lexers_literals(pieces):
+    text = "".join(piece + sep for piece, sep in pieces)
+    try:
+        tokens = tokenize(text)
+    except ParseError:
+        return
+    expected = []
+    for tok in tokens:
+        if tok.kind == STRING:
+            expected.append(tok.value)
+        elif tok.kind == NUMBER and literal_value(tok.value) is not None:
+            expected.append(literal_value(tok.value))
+    key, values = shape(text)
+    assert values == expected and list(map(type, values)) == list(map(type, expected))
+    assert key.count("?") == len(values)
 
 
 # --- normalization losslessness ---------------------------------------------------
