@@ -271,13 +271,13 @@ class Catalog:
     def __init__(self):
         self._entries: dict[str, CatalogEntry] = {}   # casefold name -> entry
         self._order: list[str] = []                   # registration order (casefold)
-        self._edges: list[tuple[str, str]] = []       # (src, dst) casefold, insert order
         self._owners: dict[str, CatalogEntry] = {}    # casefold generated object -> entry
         # bumped by attach/detach; a session's statement cache is keyed on it
         self.generation = 0
         # route-time proofs against the current entries; cleared on attach/detach
         self._keeps_card: dict[str, bool] = {}
         self._chains: dict[str, PrefixChain | None] = {}
+        self._graph_maps: tuple[dict, dict] | None = None     # see _graph
 
     # --- lookups ---
 
@@ -334,24 +334,42 @@ class Catalog:
         """Whether relation `name` provably has exactly one row per row of its
         stored base.  A stored relation or a generated base always does, a
         user view never does, a relation with IEs does when every stage of
-        its chain does.  Memoised until the next attach or detach."""
+        its chain does.  Memoised until the next attach or detach.
+
+        The join sources of a relation are proved before it, depth first on
+        an explicit stack, so a long chain of relations needs no recursion."""
         key = name.casefold()
-        if key in self._keeps_card:
-            return self._keeps_card[key]
-        self._keeps_card[key] = False        # a self reference proves nothing
+        stack = [] if key in self._keeps_card else [key]
+        while stack:
+            node = stack[-1]
+            self._keeps_card.setdefault(node, False)    # a self reference proves nothing
+            unproved = next((s for s in self._card_sources(node) if s not in self._keeps_card),
+                            None)
+            if unproved is None:
+                stack.pop()
+                self._keeps_card[node] = self._card_rule(node)
+            else:
+                stack.append(unproved)
+        return self._keeps_card[key]
+
+    def _card_sources(self, key: str) -> list[str]:
+        """The relations joined by the recorded stages of `key`, itself excepted."""
+        entry = self._entries.get(key)
+        if entry is None or not entry.stages_recorded():
+            return []
+        return [source.casefold() for item in entry.views if item.stage.kind == "join"
+                for source, _ in item.stage.joins if source.casefold() != key]
+
+    def _card_rule(self, key: str) -> bool:
+        """`keeps_card` of `key` once its join sources are proved."""
         entry = self._entries.get(key)
         if entry is None:
-            owner = self.owner_of_object(name)
-            result = owner is not None and owner.plan[0].name.casefold() == key
-        elif entry.kind == STORED:
-            result = True
-        elif entry.kind == SIR:
-            result = entry.stages_recorded() and all(
-                self.stage_keeps_card(entry, item.stage) for item in entry.views)
-        else:
-            result = False
-        self._keeps_card[key] = result
-        return result
+            owner = self.owner_of_object(key)
+            return owner is not None and owner.plan[0].name.casefold() == key
+        if entry.kind == STORED:
+            return True
+        return entry.kind == SIR and entry.stages_recorded() and all(
+            self.stage_keeps_card(entry, item.stage) for item in entry.views)
 
     def stage_keeps_card(self, entry: CatalogEntry, stage: StageFacts) -> bool:
         """Whether a view stage of `entry` provably keeps its input's row count.
@@ -405,27 +423,36 @@ class Catalog:
         self._chains[key] = chain
         return chain
 
+    def _graph(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """The dependency graph from the entries' references, in registration
+        order: casefold name -> the names it references, and casefold name ->
+        the names referencing it.  Kept until the next attach or detach."""
+        if self._graph_maps is None:
+            forward = {key: [ref.casefold() for ref in self._entries[key].references]
+                       for key in self._order}
+            reverse: dict[str, list[str]] = {}
+            for key, refs in forward.items():
+                for ref in dict.fromkeys(refs):
+                    reverse.setdefault(ref, []).append(key)
+            self._graph_maps = forward, reverse
+        return self._graph_maps
+
+    def _readers(self, targets: set[str]) -> list[CatalogEntry]:
+        """Entries referencing any casefold name in `targets`, in registration order."""
+        readers = {key for target in targets for key in self._graph()[1].get(target, ())}
+        return [self._entries[key] for key in self._order if key in readers]
+
     def dependents_of(self, name: str) -> list[str]:
         key = name.casefold()
         if key not in self._entries and self.owner_of_object(name) is None:
             raise UnknownRelation(f"no relation named {name!r}")
-        out, seen = [], set()
-        for src, dst in self._edges:
-            if dst == key and src not in seen:
-                seen.add(src)
-                out.append(self._entries[src].name)
-        return out
+        return [entry.name for entry in self._readers({key})]
 
     def blocking_dependents(self, name: str) -> list[str]:
         """Dependents of the relation or of any kernel object it generates."""
         entry = self.get(name)
         targets = {entry.name.casefold()} | {o.casefold() for o in entry.kernel_objects}
-        out, seen = [], set()
-        for src, dst in self._edges:
-            if dst in targets and src not in seen and src != entry.name.casefold():
-                seen.add(src)
-                out.append(self._entries[src].name)
-        return out
+        return [reader.name for reader in self._readers(targets) if reader is not entry]
 
     def transitive_dependents(self, name: str) -> list[str]:
         """Dependents closed transitively, in breadth-first registration order."""
@@ -481,16 +508,10 @@ class Catalog:
             raise InvariantViolation(
                 f"{scheme.name}: a relation with IEs needs a primary key (its base must be duplicate-free)")
 
-    def _adjacency(self) -> dict[str, list[str]]:
-        adjacency: dict[str, list[str]] = {}
-        for src, dst in self._edges:
-            adjacency.setdefault(src, []).append(dst)
-        return adjacency
-
     def reaches(self, start: str, goal: str) -> bool:
         """Whether `goal` is `start` or a relation `start` reads, directly or
         through other relations."""
-        adjacency = self._adjacency()
+        adjacency = self._graph()[0]
         goal = goal.casefold()
         frontier, seen = [start.casefold()], set()
         while frontier:
@@ -504,34 +525,26 @@ class Catalog:
 
     def check_acyclic(self, name: str, references: list[str]):
         """Raise CircularReferenceError if adding name->references closes a cycle."""
-        adjacency = self._adjacency()
+        adjacency = dict(self._graph()[0])
         key = name.casefold()
         adjacency[key] = [r.casefold() for r in references if r.casefold() != key]
 
-        path: list[str] = []
-        on_path: set[str] = set()
+        # depth first from `key`, on an explicit stack: path[i] is being
+        # visited through the successor iterator pending[i]
+        path, pending = [key], [iter(adjacency.get(key, ()))]
         done: set[str] = set()
-
-        def visit(node):
-            if node in done:
-                return None
-            if node in on_path:
-                return path[path.index(node):]
-            on_path.add(node)
-            path.append(node)
-            for succ in adjacency.get(node, ()):
-                cycle = visit(succ)
-                if cycle is not None:
-                    return cycle
-            path.pop()
-            on_path.discard(node)
-            done.add(node)
-            return None
-
-        cycle = visit(key)
-        if cycle is not None:
-            display = [self._entries[c].name if c in self._entries else c for c in cycle]
-            raise CircularReferenceError(display)
+        while path:
+            succ = next(pending[-1], None)
+            if succ is None:
+                done.add(path.pop())
+                pending.pop()
+            elif succ in path:
+                cycle = path[path.index(succ):]
+                raise CircularReferenceError(
+                    [self._entries[c].name if c in self._entries else c for c in cycle])
+            elif succ not in done:
+                path.append(succ)
+                pending.append(iter(adjacency.get(succ, ())))
 
     # --- persistence ---
 
@@ -605,7 +618,6 @@ class Catalog:
         clone = Catalog()
         clone._entries = dict(self._entries)
         clone._order = list(self._order)
-        clone._edges = list(self._edges)
         clone._owners = dict(self._owners)
         return clone
 
@@ -614,6 +626,7 @@ class Catalog:
         self.generation += 1
         self._keeps_card.clear()
         self._chains.clear()
+        self._graph_maps = None
 
     # --- in-memory mutation (after the kernel commit) ---
 
@@ -624,8 +637,6 @@ class Catalog:
         else:
             self._forget_entry(key)
         self._entries[key] = entry
-        for ref in entry.references:
-            self._edges.append((key, ref.casefold()))
         for item in entry.plan:
             if item.name.casefold() != key:
                 self._owners[item.name.casefold()] = entry
@@ -640,8 +651,7 @@ class Catalog:
         self._changed()
 
     def _forget_entry(self, key: str):
-        """Drop the edges and generated objects of the entry named `key`."""
-        self._edges = [(s, d) for s, d in self._edges if s != key]
+        """Drop the generated objects of the entry named `key`."""
         if key in self._entries:
             for item in self._entries[key].plan:
                 self._owners.pop(item.name.casefold(), None)

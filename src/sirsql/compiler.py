@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 from . import nodes as n
 from .catalog import (Catalog, CatalogEntry, ColumnInfo, PlanItem, SirScheme,
                       StageFacts, ie_references, scheme_to_ast)
-from .errors import (CapabilityMissing, IeCycle, IndexOnInheritedAttribute,
+from .errors import (IeCycle, IndexOnInheritedAttribute,
                      InvariantViolation, MissingRecursiveJoin, NotRewritable,
                      RecursiveJoinAttributeDrop, UnknownExcludedColumn, UnknownIE,
                      UnknownRelation)
-from .render import RenderTarget, render, render_source
+from .render import quote_ident, render, render_source
 
 AGGREGATES = {"SUM", "COUNT", "AVG", "MIN", "MAX", "TOTAL", "LIST", "GROUP_CONCAT"}
 
@@ -377,23 +377,6 @@ def order_ies(scheme: SirScheme, canon: list[CanonicalIE], catalog: Catalog) -> 
     return ordered
 
 
-# --- capability gating ------------------------------------------------------
-
-
-def check_capabilities(scheme: SirScheme, target: RenderTarget):
-    for ie in scheme.ies:
-        for sub in n.walk(ie):
-            if not isinstance(sub, n.Call):
-                continue
-            func = sub.func.upper()
-            if func == "LIST" and target.string_agg_func is None:
-                raise CapabilityMissing(
-                    f"IE {ie.name} uses LIST but the kernel has no string-aggregation function")
-            if func == "IIF" and target.conditional_func is None:
-                raise CapabilityMissing(
-                    f"IE {ie.name} uses IIF but the kernel has no conditional function")
-
-
 def _lower_list_calls(select: n.Select) -> n.Select:
     """Rewrite LIST(a, b, ...) with the select's ORDER BY into a string
     aggregation over an ordered derived table, so element order survives on
@@ -483,7 +466,7 @@ def _substitute_columns(expr, replacements: dict):
 
 
 def _stage_select(cie: CanonicalIE, prev: str, scheme_name: str,
-                  target: RenderTarget, items_override=None) -> n.Select:
+                  items_override=None) -> n.Select:
     """The SELECT body of the view stage realizing one canonical IE over the
     previous stage `prev`."""
     if cie.kind == "join":
@@ -580,21 +563,18 @@ def build_columns(scheme: SirScheme, canon: list[CanonicalIE]) -> list[ColumnInf
 
 
 def compile_sir(scheme: SirScheme, catalog: Catalog,
-                options: CompileOptions | None = None,
-                target: RenderTarget | None = None) -> CompiledSir:
+                options: CompileOptions | None = None) -> CompiledSir:
     """Emit the kernel plan for one relation: base table plus view chain.
 
     With zero IEs the plan is a single plain CREATE TABLE under the
     relation's own name.
     """
     options = options or CompileOptions()
-    target = target or RenderTarget()
     catalog.validate_scheme(scheme)
-    check_capabilities(scheme, target)
 
     if not scheme.ies:
         ast = scheme_to_ast(scheme)
-        sql = render(ast, target)
+        sql = render(ast)
         plan = KernelPlan(items=[PlanItem(scheme.name, "table", sql)])
         columns = build_columns(scheme, [])
         return CompiledSir(scheme=scheme, plan=plan, columns=columns,
@@ -627,12 +607,12 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
     in_declared_order = [c.casefold() for c in chain_cols] == [c.casefold() for c in declared]
 
     base_name = f"{scheme.name}_B"
-    items = [PlanItem(base_name, "table", render(_base_table_ast(scheme, base_name), target))]
+    items = [PlanItem(base_name, "table", render(_base_table_ast(scheme, base_name)))]
     canonical_texts: dict[str, str] = {}
 
     def add_view(name: str, select: n.Select, stage: StageFacts):
         items.append(PlanItem(name, "view",
-                              render(n.CreateView(name=name, select=select), target), stage))
+                              render(n.CreateView(name=name, select=select)), stage))
 
     prev = base_name
     fused_last = (options.skip_redundant_full_view and not in_declared_order)
@@ -640,10 +620,10 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
     for pos, cie in enumerate(emit_direct, start=1):
         last_direct = (pos == len(stages)) and in_declared_order
         stage_name = scheme.name if last_direct else f"{scheme.name}_{pos}"
-        select = _stage_select(cie, prev, scheme.name, target)
+        select = _stage_select(cie, prev, scheme.name)
         add_view(stage_name, select, _stage_facts(cie))
         for member in (cie.name,):
-            canonical_texts.setdefault(member, render(select, target))
+            canonical_texts.setdefault(member, render(select))
         prev = stage_name
 
     if fused_last:
@@ -670,13 +650,13 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
             else:
                 final_items.append(n.SelectItem(expr=n.ColumnRef(name=col)))
         if last.kind == "join":
-            body = _stage_select(last, prev, scheme.name, target, items_override=[])
+            body = _stage_select(last, prev, scheme.name, items_override=[])
             body.items = [substitute_relation(i, scheme.name, prev) for i in final_items]
-            canonical_texts[last.name] = render(body, target)
+            canonical_texts[last.name] = render(body)
             add_view(scheme.name, body, _stage_facts(last))
         else:
             body = n.Select(items=final_items, from_=[n.TableName(name=prev)])
-            canonical_texts[last.name] = render(body, target)
+            canonical_texts[last.name] = render(body)
             add_view(scheme.name, body, _stage_facts(last))
     elif not in_declared_order:
         reorder = n.Select(items=[n.SelectItem(expr=n.ColumnRef(name=c)) for c in declared],
@@ -779,37 +759,28 @@ def _check_attr_droppable(scheme: SirScheme, attr: str):
                     f"{scheme.name}.{attr} serves a recursive join in IE {ie.name}")
 
 
-def alter_steps(entry: CatalogEntry, compiled: CompiledSir,
-                target: RenderTarget) -> list[PlanItem]:
+def alter_steps(entry: CatalogEntry, compiled: CompiledSir) -> list[PlanItem]:
     """Maintenance DDL turning the entry's current kernel objects into the
     newly compiled ones.  Views are always dropped and recreated; the base
     table is renamed, extended in place, or rebuilt as needed so stored data
     survives."""
-    steps: list[PlanItem] = []
-    old_views = [item for item in entry.plan if item.kind == "view"]
-    for item in reversed(old_views):
-        steps.append(PlanItem(item.name, "step", f"DROP VIEW {_q(item.name, target)};"))
-
+    steps = _drop_view_steps(entry)
     old_base = entry.plan[0].name
     new_base = compiled.plan.items[0].name
     old_sig = _attr_signature(entry.scheme)
     new_sig = _attr_signature(compiled.scheme)
 
-    if old_sig == new_sig:
+    if old_sig == new_sig or _is_append_only(old_sig, new_sig):
         if old_base.casefold() != new_base.casefold():
-            steps.append(PlanItem(new_base, "step",
-                                  f"ALTER TABLE {_q(old_base, target)} RENAME TO {_q(new_base, target)};"))
-    elif _is_append_only(old_sig, new_sig):
-        if old_base.casefold() != new_base.casefold():
-            steps.append(PlanItem(new_base, "step",
-                                  f"ALTER TABLE {_q(old_base, target)} RENAME TO {_q(new_base, target)};"))
+            steps.append(PlanItem(new_base, "step", f"ALTER TABLE {quote_ident(old_base)}"
+                                                    f" RENAME TO {quote_ident(new_base)};"))
         for attr in compiled.scheme.stored_attrs[len(entry.scheme.stored_attrs):]:
             decl = copy.deepcopy(attr)
             decl.is_primary_key = False
             steps.append(PlanItem(new_base, "step",
-                                  f"ALTER TABLE {_q(new_base, target)} ADD COLUMN {render(decl, target)};"))
+                                  f"ALTER TABLE {quote_ident(new_base)} ADD COLUMN {render(decl)};"))
     else:
-        steps.extend(_rebuild_steps(entry, compiled, old_base, new_base, target))
+        steps.extend(_rebuild_steps(entry, compiled, old_base, new_base))
 
     for item in compiled.plan.items[1:]:
         steps.append(PlanItem(item.name, "step", item.sql))
@@ -824,34 +795,31 @@ def _is_append_only(old_sig, new_sig) -> bool:
             and new_attrs[:len(old_attrs)] == old_attrs)
 
 
-def _rebuild_steps(entry, compiled, old_base, new_base, target) -> list[PlanItem]:
+def _rebuild_steps(entry, compiled, old_base, new_base) -> list[PlanItem]:
     common = [a.name for a in compiled.scheme.stored_attrs
               if entry.scheme.find_attr(a.name) is not None]
-    cols = ", ".join(_q(c, target) for c in common)
+    cols = ", ".join(quote_ident(c) for c in common)
     temp = new_base if old_base.casefold() != new_base.casefold() else f"{new_base}__rebuild"
-    create = render(_base_table_ast(compiled.scheme, temp), target)
+    create = render(_base_table_ast(compiled.scheme, temp))
     steps = [PlanItem(temp, "step", create)]
     if common:
-        steps.append(PlanItem(temp, "step",
-                     f"INSERT INTO {_q(temp, target)} ({cols}) SELECT {cols} FROM {_q(old_base, target)};"))
-    steps.append(PlanItem(old_base, "step", f"DROP TABLE {_q(old_base, target)};"))
+        steps.append(PlanItem(temp, "step", f"INSERT INTO {quote_ident(temp)} ({cols})"
+                                            f" SELECT {cols} FROM {quote_ident(old_base)};"))
+    steps.append(PlanItem(old_base, "step", f"DROP TABLE {quote_ident(old_base)};"))
     if temp != new_base:
         steps.append(PlanItem(new_base, "step",
-                     f"ALTER TABLE {_q(temp, target)} RENAME TO {_q(new_base, target)};"))
+                     f"ALTER TABLE {quote_ident(temp)} RENAME TO {quote_ident(new_base)};"))
     return steps
 
 
-def _q(name: str, target: RenderTarget) -> str:
-    from .render import quote_ident
-    return quote_ident(name, target)
+def _drop_view_steps(entry: CatalogEntry) -> list[PlanItem]:
+    return [PlanItem(item.name, "step", f"DROP VIEW {quote_ident(item.name)};")
+            for item in reversed(entry.views)]
 
 
-def recompile_steps(entry: CatalogEntry, compiled: CompiledSir,
-                    target: RenderTarget) -> list[PlanItem]:
+def recompile_steps(entry: CatalogEntry, compiled: CompiledSir) -> list[PlanItem]:
     """Drop and recreate a dependent's view chain (its base is untouched)."""
-    steps = []
-    for item in reversed([i for i in entry.plan if i.kind == "view"]):
-        steps.append(PlanItem(item.name, "step", f"DROP VIEW {_q(item.name, target)};"))
+    steps = _drop_view_steps(entry)
     for item in compiled.plan.items[1:]:
         steps.append(PlanItem(item.name, "step", item.sql))
     return steps
@@ -861,11 +829,9 @@ def recompile_steps(entry: CatalogEntry, compiled: CompiledSir,
 
 
 def plan_drop(name: str, mode: str, catalog: Catalog,
-              target: RenderTarget | None = None,
               expect_view: bool | None = None) -> list[tuple[CatalogEntry, list]]:
     """Relations to drop, dependents first, each with its DROP statements."""
     from .errors import DependentsExist
-    target = target or RenderTarget()
     entry = catalog.get(name)
     if expect_view is True and entry.kind != "view":
         raise InvariantViolation(f"{name} is not a view; use DROP TABLE")
@@ -900,7 +866,7 @@ def plan_drop(name: str, mode: str, catalog: Catalog,
         steps = []
         for item in reversed(rel_entry.plan):
             verb = "DROP VIEW" if item.kind == "view" else "DROP TABLE"
-            steps.append(PlanItem(item.name, "step", f"{verb} {_q(item.name, target)};"))
+            steps.append(PlanItem(item.name, "step", f"{verb} {quote_ident(item.name)};"))
         result.append((rel_entry, steps))
     return result
 
@@ -908,10 +874,8 @@ def plan_drop(name: str, mode: str, catalog: Catalog,
 # --- index -------------------------------------------------------------------------
 
 
-def compile_index(stmt: n.CreateIndex, catalog: Catalog,
-                  target: RenderTarget | None = None) -> KernelPlan:
+def compile_index(stmt: n.CreateIndex, catalog: Catalog) -> KernelPlan:
     """Indexes apply to the stored base only."""
-    target = target or RenderTarget()
     entry = catalog.get(stmt.table)
     if entry.kind == "view":
         raise InvariantViolation(f"cannot index view {entry.name}")
@@ -923,7 +887,7 @@ def compile_index(stmt: n.CreateIndex, catalog: Catalog,
                 raise IndexOnInheritedAttribute(
                     f"{entry.name}.{col} is inherited; indexes apply to stored attributes only")
     ast = n.CreateIndex(name=stmt.name, table=table, columns=stmt.columns, unique=stmt.unique)
-    return KernelPlan(items=[PlanItem(stmt.name, "index", render(ast, target))])
+    return KernelPlan(items=[PlanItem(stmt.name, "index", render(ast))])
 
 
 # --- rewrite to base -----------------------------------------------------------------

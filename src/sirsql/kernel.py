@@ -1,11 +1,13 @@
-"""Adapter for the embedded relational kernel engine.
+"""Adapter for the kernel: SQLite, through sqlite3 (single file or in-memory).
 
-The reference binding is sqlite3 (single file or in-memory).  The adapter
-adds no semantics of its own: SQL handed to `execute` runs verbatim, with
-engine errors wrapped in KernelError carrying the originating statement.
+There is one kernel, so there is one spelling of kernel SQL (see `render`).
+The adapter adds no semantics of its own: SQL handed to `execute` runs
+verbatim, with engine errors wrapped in KernelError carrying the originating
+statement.
 
 Opening checks the SQLite version once: 3.32 and later have every feature
-the renderer relies on (left joins, scalar subqueries, group_concat, iif).
+the renderer relies on (left joins, scalar subqueries, group_concat, iif);
+an older library raises CapabilityMissing.
 
 Decimal note: the engine's Round(x, d) is round-half-away-from-zero.
 
@@ -20,7 +22,6 @@ import sqlite3
 from dataclasses import dataclass
 
 from .errors import CapabilityMissing, KernelError, UnknownObject
-from .render import RenderTarget
 
 
 @dataclass
@@ -36,9 +37,6 @@ class RowSet:
         return [row[idx] for row in self.rows]
 
 
-CAPABILITIES = frozenset({"left_join", "scalar_subquery", "string_aggregation", "conditional"})
-
-
 class KernelConnection:
     """One open kernel database."""
 
@@ -50,8 +48,6 @@ class KernelConnection:
         self._db.isolation_level = None  # explicit BEGIN/COMMIT
         self._db.execute("PRAGMA legacy_alter_table=ON")  # renames must not rewrite view bodies
         self._in_transaction = False
-        self.capabilities = CAPABILITIES
-        self.render_target = RenderTarget(string_agg_func="group_concat", conditional_func="iif")
         # the most parameters one statement may bind (Connection.getlimit is 3.11+)
         self.max_params = (self._db.getlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER)
                            if hasattr(self._db, "getlimit") else 32766)

@@ -27,13 +27,13 @@ from .catalog import (SIR, STORED, VIEW, Catalog, CatalogEntry, ColumnInfo,
                       PlanItem, ie_references, referenced_relations,
                       scheme_from_ast, scheme_to_ast)
 from .compiler import (CompileOptions, alter_steps, apply_alter, compile_index,
-                       compile_sir, plan_drop, rewrite_to_base)
+                       compile_sir, plan_drop, recompile_steps, rewrite_to_base)
 from .errors import (CircularReferenceError, InvariantViolation, NameCollision,
                      RejectedWrite, UnknownRelation)
 from .kernel import KernelConnection, RowSet
 from .lexer import shape
 from .parser import parse
-from .render import render, render_source
+from .render import quote_ident, render, render_source
 from .router import (BASE_REWRITE, REJECTED, check_ie_integrity,
                      enforce_insert_computability, route)
 
@@ -67,10 +67,6 @@ class SirLayer:
         # shape -> (catalog generation, value count, kernel SQL or None, action);
         # a text whose count differs holds a raw "?", which must fail to parse
         self._statements: dict[str, tuple] = {}
-
-    @property
-    def target(self):
-        return self.conn.render_target
 
     # --- entry points ---
 
@@ -147,9 +143,7 @@ class SirLayer:
     def _probe_view(self, conn, name: str, origin):
         # the engine only resolves a view body on first use; force that now so
         # a bad definition fails inside this transaction, not at query time
-        from .render import quote_ident
-        conn.execute(f"SELECT * FROM {quote_ident(name, self.target)} LIMIT 0",
-                     origin=origin)
+        conn.execute(f"SELECT * FROM {quote_ident(name)} LIMIT 0", origin=origin)
 
     def _resolve_references(self, scheme) -> list[str]:
         refs = []
@@ -199,7 +193,7 @@ class SirLayer:
             scheme = scheme_from_ast(stmt)
             self.catalog.validate_scheme(scheme)
             scheme = self._apply_rewrite_to_base(scheme)
-            compiled = compile_sir(scheme, self.catalog, self.options, self.target)
+            compiled = compile_sir(scheme, self.catalog, self.options)
             self._check_kernel_name_free([i.name for i in compiled.plan.items])
             entry = self._entry_from_compiled(compiled, SIR if scheme.ies else STORED)
 
@@ -230,7 +224,7 @@ class SirLayer:
             self.catalog.check_acyclic(stmt.name, refs)
             routed = route(n.Query(select=stmt.select), self.catalog, prune=False)
             kernel_stmt = n.CreateView(name=stmt.name, select=routed.kernel_stmt.select)
-            sql = render(kernel_stmt, self.target)
+            sql = render(kernel_stmt)
             self._check_kernel_name_free([stmt.name])
 
             def work(conn):
@@ -263,9 +257,9 @@ class SirLayer:
 
             scratch = self.catalog.copy()
             scratch.detach(entry.name)
-            compiled = compile_sir(new_scheme, scratch, self.options, self.target)
+            compiled = compile_sir(new_scheme, scratch, self.options)
             new_entry = self._entry_from_compiled(compiled, SIR if new_scheme.ies else STORED)
-            steps = alter_steps(entry, compiled, self.target)
+            steps = alter_steps(entry, compiled)
             scratch.attach(new_entry)
 
             updates = [(entry, new_entry, steps)]
@@ -293,7 +287,6 @@ class SirLayer:
         """Recompile dependents whose IEs star over a changed relation, so they
         inherit added or dropped attributes automatically; cascades while
         column lists keep changing."""
-        from .compiler import recompile_steps
         updates = []
         changed_set = {changed.casefold()}
         frontier = [changed]
@@ -305,9 +298,9 @@ class SirLayer:
                 dep = scratch.get(dep_name)
                 if dep.kind != SIR or not self._stars_over(dep, current):
                     continue
-                recompiled = compile_sir(dep.scheme, scratch, self.options, self.target)
+                recompiled = compile_sir(dep.scheme, scratch, self.options)
                 new_dep = self._entry_from_compiled(recompiled, SIR)
-                steps = recompile_steps(dep, recompiled, self.target)
+                steps = recompile_steps(dep, recompiled)
                 scratch.attach(new_dep)
                 updates.append((dep, new_dep, steps))
                 changed_set.add(dep_name.casefold())
@@ -329,7 +322,7 @@ class SirLayer:
 
     def _drop(self, name: str, mode: str, expect_view: bool) -> StatementResult:
         with self._ddl_lock:
-            plans = plan_drop(name, mode, self.catalog, self.target, expect_view=expect_view)
+            plans = plan_drop(name, mode, self.catalog, expect_view=expect_view)
             dropped = []
 
             def work(conn):
@@ -346,7 +339,7 @@ class SirLayer:
 
     def _create_index(self, stmt: n.CreateIndex) -> StatementResult:
         with self._ddl_lock:
-            plan = compile_index(stmt, self.catalog, self.target)
+            plan = compile_index(stmt, self.catalog)
             for item in plan.items:
                 self.conn.execute(item.sql, origin=partial(render_source, stmt))
             return StatementResult(stmt, "create index",
@@ -361,7 +354,7 @@ class SirLayer:
         routed = route(stmt, self.catalog)
         if routed.kind == REJECTED:
             raise RejectedWrite(routed.reason)
-        sql = render(routed.kernel_stmt, self.target, params)
+        sql = render(routed.kernel_stmt, params)
         bound = params or ()
         origin = partial(render_source, stmt)     # rendered only for an error report
 
@@ -372,8 +365,7 @@ class SirLayer:
                 and self.strict_integrity):
             entry = self.catalog.get(stmt.table)
             key_cols = entry.scheme.primary_key() or entry.scheme.stored_names
-            returning = ", ".join(
-                f'"{c}"' if self.target.quoting == "double" else c for c in key_cols)
+            returning = ", ".join(quote_ident(c) for c in key_cols)
             returning_sql = sql.rstrip(";") + f" RETURNING {returning}"
 
             def work(conn):

@@ -1,12 +1,13 @@
 """Render AST fragments back to SQL text.
 
-Two modes share one walker:
+The one kernel is SQLite, so kernel text has one spelling.  Two modes share
+one walker:
 
-* kernel mode (`render`) emits text for the embedded engine.  It refuses
-  dialect-only constructs (IE declarations, star-minus, CREATE TABLE with
-  IEs) with UnrenderableNode -- those must be compiled away first -- and
-  translates function spellings (INT -> CAST, LIST/IIF -> the engine's
-  names) plus TOP -> the engine's limit clause.
+* kernel mode (`render`) emits SQLite text.  It refuses dialect-only
+  constructs (IE declarations, star-minus, CREATE TABLE with IEs) with
+  UnrenderableNode -- those must be compiled away first -- quotes
+  identifiers with ``"..."``, writes INT as a CAST, LIST and IIF as
+  group_concat and iif, and TOP as a trailing LIMIT.
 * source mode (`render_source`) emits sirsql dialect text, lossless enough
   that re-parsing yields an equal AST.  Used for catalog persistence and
   round-trip checks.
@@ -22,7 +23,6 @@ a column number; an unaliased select item is named after its text).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import nodes as n
 from .errors import UnrenderableNode
@@ -42,47 +42,30 @@ _RESERVED = {
     "THEN", "ELSE", "END", "TO", "TRANSACTION",
 }
 
-
-@dataclass
-class RenderTarget:
-    """How to spell things for a particular kernel engine."""
-
-    quoting: str = "double"            # 'double' -> "x", 'bracket' -> [x]
-    limit_style: str = "limit"         # 'limit' -> trailing LIMIT n
-    string_agg_func: str | None = None  # e.g. 'group_concat'; None = unsupported
-    conditional_func: str | None = None  # e.g. 'iif'; None = unsupported
+# dialect function -> the kernel's name for it
+_KERNEL_FUNCS = {"LIST": "group_concat", "IIF": "iif"}
 
 
-SOURCE = RenderTarget(quoting="source", limit_style="top",
-                      string_agg_func="LIST", conditional_func="IIF")
-
-
-def quote_ident(name: str, target: RenderTarget) -> str:
-    if target.quoting == "source":
-        if _PLAIN_IDENT_SOURCE.match(name) and name.upper() not in _RESERVED:
-            return name
-        return f'"{name}"'
+def quote_ident(name: str) -> str:
+    """A kernel identifier, quoted only when it is not a plain word."""
     if _PLAIN_IDENT.match(name) and name.upper() not in _RESERVED:
         return name
-    if target.quoting == "bracket":
-        return f"[{name}]"
     return '"' + name.replace('"', '""') + '"'
 
 
-def render(node, target: RenderTarget, params: list | None = None) -> str:
+def render(node, params: list | None = None) -> str:
     """Kernel-dialect text for a statement or fragment; with `params`, the
     bindable literals are written as ``?`` and their values appended to it."""
-    return _Renderer(target, source=target.quoting == "source", params=params).render(node)
+    return _Renderer(source=False, params=params).render(node)
 
 
 def render_source(node) -> str:
     """sirsql dialect text; round-trips through the parser."""
-    return _Renderer(SOURCE, source=True).render(node)
+    return _Renderer(source=True).render(node)
 
 
 class _Renderer:
-    def __init__(self, target: RenderTarget, source: bool, params: list | None = None):
-        self.target = target
+    def __init__(self, source: bool, params: list | None = None):
         self.source = source
         self.params = params
 
@@ -93,7 +76,11 @@ class _Renderer:
         return method(node)
 
     def ident(self, name: str) -> str:
-        return quote_ident(name, self.target)
+        if not self.source:
+            return quote_ident(name)
+        if _PLAIN_IDENT_SOURCE.match(name) and name.upper() not in _RESERVED:
+            return name
+        return f'"{name}"'
 
     def inline(self, node) -> str:
         """`node` with every literal in it written out, not bound."""
@@ -129,14 +116,7 @@ class _Renderer:
                 if len(node.args) != 1:
                     raise UnrenderableNode("integer cast takes one argument")
                 return f"CAST({self.render(node.args[0])} AS INTEGER)"
-            if upper == "IIF":
-                if self.target.conditional_func is None:
-                    raise UnrenderableNode("kernel has no conditional function")
-                func = self.target.conditional_func
-            elif upper == "LIST":
-                if self.target.string_agg_func is None:
-                    raise UnrenderableNode("kernel has no string-aggregation function")
-                func = self.target.string_agg_func
+            func = _KERNEL_FUNCS.get(upper, func)
         if node.star:
             return f"{func}(*)"
         inner = ", ".join(self.render(a) for a in node.args)
@@ -217,7 +197,7 @@ class _Renderer:
         parts = ["SELECT"]
         if sel.distinct:
             parts.append("DISTINCT")
-        if sel.limit is not None and (self.source or self.target.limit_style == "top"):
+        if sel.limit is not None and self.source:
             parts.append(f"TOP {sel.limit}")
         parts.append(", ".join(self.render(i) for i in sel.items))
         if sel.from_:
@@ -231,7 +211,7 @@ class _Renderer:
             for item in sel.order_by:
                 rendered.append(self.inline(item.expr) + (" DESC" if item.descending else ""))
             parts.append("ORDER BY " + ", ".join(rendered))
-        if sel.limit is not None and not self.source and self.target.limit_style == "limit":
+        if sel.limit is not None and not self.source:
             parts.append(f"LIMIT {sel.limit}")
         return " ".join(parts)
 

@@ -35,6 +35,7 @@ from .catalog import Catalog
 from .compiler import conjoin
 from .errors import InvariantViolation, RejectedWrite, UnknownColumn, UnknownRelation
 from .kernel import KernelConnection
+from .render import quote_ident, render
 
 PASS_THROUGH, BASE_REWRITE, REJECTED = "pass_through", "base_rewrite", "rejected"
 
@@ -299,7 +300,6 @@ def check_ie_integrity(entry, catalog: Catalog, conn: KernelConnection) -> list[
     twice and are not audited.
     """
     from .compiler import canonicalize, substitute_relation
-    from .render import render
 
     if entry.kind != "sir":
         raise InvariantViolation(f"{entry.name} is not a relation with IEs")
@@ -338,7 +338,7 @@ def check_ie_integrity(entry, catalog: Catalog, conn: KernelConnection) -> list[
                           from_=[n.TableName(name=prev)] + sources,
                           where=conjoin(preds),
                           group_by=[n.ColumnRef(name=c, table=prev) for c in key_cols])
-        sql = render(n.Query(select=select), conn.render_target).rstrip(";")
+        sql = render(n.Query(select=select)).rstrip(";")
         rows = conn.query(f"SELECT * FROM ({sql}) WHERE n > 1")
         for row in rows.rows:
             violations.append((ie.name, tuple(row[:-1]), row[-1]))
@@ -357,7 +357,6 @@ def enforce_insert_computability(entry, inserted_keys: list[tuple],
     facts is checked.
     """
     from .errors import IaNotComputable
-    from .render import quote_ident
 
     def value_form(ie_name):
         located = entry.ie_stage(ie_name)
@@ -367,15 +366,14 @@ def enforce_insert_computability(entry, inserted_keys: list[tuple],
     if not checked or not inserted_keys:
         return
     key_cols = entry.scheme.primary_key() or entry.scheme.stored_names
-    target = conn.render_target
-    key_list = ", ".join(quote_ident(c, target) for c in key_cols)
+    key_list = ", ".join(quote_ident(c) for c in key_cols)
     operand = f"({key_list})" if len(key_cols) > 1 else key_list
     placeholders = ", ".join(
         "(" + ", ".join("?" for _ in key_cols) + ")" if len(key_cols) > 1 else "?"
         for _ in inserted_keys)
     params = [v for key in inserted_keys for v in (key if len(key_cols) > 1 else key[:1])]
-    cols = ", ".join(quote_ident(c.name, target) for c in checked)
-    sql = (f"SELECT {key_list}, {cols} FROM {quote_ident(entry.name, target)}"
+    cols = ", ".join(quote_ident(c.name) for c in checked)
+    sql = (f"SELECT {key_list}, {cols} FROM {quote_ident(entry.name)}"
            f" WHERE {operand} IN ({placeholders})")
     rows = conn.execute(sql, tuple(params))
     failures = []

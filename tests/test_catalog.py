@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from sirsql.catalog import Catalog
-from sirsql.errors import (CircularReferenceError, CorruptCatalog, DuplicateName,
-                           InvariantViolation, NameCollision, UnknownRelation)
+from sirsql.catalog import STORED, Catalog, CatalogEntry
+from sirsql.errors import (CircularReferenceError, CorruptCatalog, DependentsExist,
+                           DuplicateName, InvariantViolation, NameCollision,
+                           UnknownRelation)
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 
@@ -124,6 +125,32 @@ def test_dependents_in_registration_order(layer):
     Create Table B (K Char, Primary Key (K), I (Select SNAME From S Where B.K = S#));
     """)
     assert layer.catalog.dependents_of("S") == ["A", "B"]
+
+
+def test_dependents_order_survives_alter_and_reopen(tmp_path):
+    location = str(tmp_path / "deps.sqlite")
+    layer = SirLayer(KernelConnection(location))
+    layer.apply_source("""
+    Create Table A (K Int, X Int, Primary Key (K));
+    Create Table B (K Int, Primary Key (K), X (Select X From A Where B.K = A.K));
+    Create Table C (K Int, Primary Key (K), X (Select X From A Where C.K = A.K));
+    Alter Table B Add W Int;
+    """)
+    assert layer.catalog.dependents_of("A") == ["B", "C"]
+    with pytest.raises(DependentsExist, match="dependents exist: B, C$"):
+        layer.apply_source("Drop Table A;")
+    layer.conn.close()
+    assert SirLayer(KernelConnection(location)).catalog.dependents_of("A") == ["B", "C"]
+
+
+def test_check_acyclic_walks_a_deep_chain():
+    catalog = Catalog()
+    for i in range(2000):
+        catalog.attach(CatalogEntry(name=f"R{i}", kind=STORED, scheme=None, columns=[],
+                                    references=[f"R{i - 1}"] if i else []))
+    catalog.check_acyclic("R2000", ["R1999"])
+    with pytest.raises(CircularReferenceError):
+        catalog.check_acyclic("R0", ["R1999"])
 
 
 def test_view_participates_in_dependency_graph(sp2):

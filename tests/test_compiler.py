@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from sirsql import compile_sir
 from sirsql import nodes as n
 from sirsql.catalog import scheme_from_ast
 from sirsql.compiler import (CompileOptions, canonicalize, canonicalize_all,
@@ -155,6 +156,19 @@ def test_sp2_plan_matches_golden():
     for name in ("S", "P", "SP"):
         lines.extend(layer.explain(name))
     assert "\n".join(lines) + "\n" == (GOLDEN / "sp2_plan.sql").read_text()
+
+
+def test_public_compile_sir_spells_list_and_iif_as_the_layer_does():
+    layer = sp2_layer()
+    text = ("Create Table PS (P# Char, WEIGHT Int, Primary Key (P#),"
+            " SUPPLIERS (Select LIST (SP_B.S#, SNAME) From SP_B, S"
+            " Where PS.P# = SP_B.P# And S.S# = SP_B.S#),"
+            " HEAVY As (IIF (WEIGHT > 15, 'yes', 'no')));")
+    compiled = compile_sir(scheme_from_ast(parse_one(text)), layer.catalog)
+    layer.apply_source(text)
+    assert compiled.plan.items == layer.catalog.get("PS").plan
+    sql = "\n".join(item.sql for item in compiled.plan.items)
+    assert "group_concat(" in sql and "iif(" in sql
 
 
 def test_sp2_emits_exactly_five_statements():

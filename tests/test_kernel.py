@@ -4,7 +4,7 @@ import sqlite3
 
 import pytest
 
-from sirsql.errors import KernelError, UnknownObject
+from sirsql.errors import CapabilityMissing, KernelError, UnknownObject
 from sirsql.kernel import KernelConnection, RowSet
 
 from conftest import load_sp2, make_layer
@@ -32,10 +32,10 @@ def test_count_figure4_base_rows():
     assert rows.rows == [(12,)]
 
 
-def test_capabilities_probed():
-    conn = KernelConnection(":memory:")
-    assert {"left_join", "scalar_subquery", "string_aggregation", "conditional"} \
-        <= conn.capabilities
+def test_sqlite_older_than_3_32_is_refused(monkeypatch):
+    monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 31, 0))
+    with pytest.raises(CapabilityMissing, match="older than 3.32"):
+        KernelConnection(":memory:")
 
 
 def test_probing_is_side_effect_free():

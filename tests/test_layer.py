@@ -4,12 +4,10 @@ import pytest
 
 from sirsql.compiler import CompileOptions
 import sirsql.layer
-from sirsql.errors import (CapabilityMissing, IaNotComputable, InvariantViolation,
-                           KernelError, ParseError)
+from sirsql.errors import IaNotComputable, InvariantViolation, KernelError, ParseError
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 from sirsql.parser import parse
-from sirsql.render import RenderTarget
 
 from conftest import fixture_text, load_sp2, make_layer
 
@@ -89,20 +87,6 @@ def test_rewrite_to_base_produces_same_results_as_manual_base_form():
         " (Select Int (SUM(QTY)/100) FROM SP WHERE S.S# = S#);")
     query = "Select S#, SNAME, STATUS, CITY From S Order By S#;"
     assert manual.query(query).rows == auto.query(query).rows
-
-
-def test_capability_gate_reports_missing_function(sp2, monkeypatch):
-    # simulate a kernel without string aggregation
-    target = sp2.conn.render_target
-    monkeypatch.setattr(sp2.conn, "render_target",
-                        RenderTarget(quoting=target.quoting,
-                                     limit_style=target.limit_style,
-                                     string_agg_func=None,
-                                     conditional_func=target.conditional_func))
-    with pytest.raises(CapabilityMissing, match="LIST"):
-        sp2.apply_source(
-            "Alter Table P Add SUPPLIERS (Select LIST (SP_B.S#, SNAME) From SP_B, S"
-            " where P.P# = SP_B.P# And S.S# = SP_B.S#);")
 
 
 def test_failed_create_leaves_no_kernel_objects(sp2):

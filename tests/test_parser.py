@@ -8,7 +8,7 @@ from sirsql import nodes as n
 from sirsql.errors import ParseError, UnrenderableNode
 from sirsql.lexer import literal_value, shape, tokenize
 from sirsql.parser import MAX_EXPRESSION_DEPTH, parse, parse_one
-from sirsql.render import RenderTarget, render, render_source
+from sirsql.render import render, render_source
 
 from conftest import fixture_text
 
@@ -224,34 +224,32 @@ def test_whitespace_and_comments_never_change_ast():
         assert parse("".join(noisy)) == parse(source)
 
 
-def test_render_bracket_quoting():
+def test_render_quotes_kernel_identifiers():
     expr = parse_one("Select S.S# From S;").select.items[0].expr
-    assert render(expr, RenderTarget(quoting="bracket")) == "S.[S#]"
-    assert render(expr, RenderTarget()) == 'S."S#"'
+    assert render(expr) == 'S."S#"'
 
 
 def test_render_rejects_empty_select_list():
     select = n.Select(items=[], from_=[n.TableName(name="S")])
     with pytest.raises(UnrenderableNode):
-        render(n.Query(select=select), RenderTarget())
+        render(n.Query(select=select))
 
 
 def test_render_rejects_star_minus_before_expansion():
     stmt = parse_one("Select */QTY From SP;")
     with pytest.raises(UnrenderableNode):
-        render(stmt, RenderTarget())
+        render(stmt)
 
 
 def test_render_rejects_ie_declarations():
     stmt = parse_one(SP_TABLE)
     with pytest.raises(UnrenderableNode):
-        render(stmt, RenderTarget())
+        render(stmt)
 
 
 def test_render_is_deterministic():
     stmt = parse_one("Select S#, SNAME From S Where STATUS >= 20 Order By S#;")
-    target = RenderTarget()
-    assert render(stmt, target) == render(stmt, target)
+    assert render(stmt) == render(stmt)
 
 
 def test_fixture_files_round_trip():

@@ -136,7 +136,7 @@ def test_pruned_queries_match_full_view_on_random_schemes():
                 stmt = parse_one(text)
                 if text in queries[:2]:     # every stage is key-proven: these read R_B
                     assert route(stmt, layer.catalog).target == "R_B", text
-                full = layer.conn.query(render(stmt, layer.target)).rows
+                full = layer.conn.query(render(stmt)).rows
                 assert sorted(layer.query(text).rows, key=repr) == sorted(full, key=repr), text
             layer.conn.close()
 
