@@ -191,11 +191,51 @@ def _type_affinity(sql_type: str | None) -> str:
     return "NUMERIC"
 
 
+_UNPARSED = object()    # the scheme of a loaded entry before its first read
+
+
+class _LazyScheme:
+    """`CatalogEntry.scheme`, assigned like a plain attribute.  An entry
+    loaded from the meta-tables holds `_UNPARSED` until the scheme is first
+    read; that read parses the entry's source text (`_parsed_scheme`) and
+    keeps the result.  A failed parse keeps nothing, so every read raises."""
+
+    def __get__(self, entry, owner=None):
+        if entry is None:
+            raise AttributeError("scheme")      # no class default: the field stays required
+        scheme = entry.__dict__["_scheme"]
+        if scheme is _UNPARSED:
+            scheme = entry.__dict__["_scheme"] = _parsed_scheme(entry)
+        return scheme
+
+    def __set__(self, entry, scheme):
+        entry.__dict__["_scheme"] = scheme
+
+
+def _parsed_scheme(entry) -> SirScheme:
+    """The scheme in a loaded entry's source text, checked against the
+    entry's sir_ies and sir_attrs rows; raises CorruptCatalog."""
+    name = entry.name
+    try:
+        stmt = parse_one(entry.source_text)
+    except Exception as exc:
+        raise CorruptCatalog(f"{name}: unparseable source text: {exc}") from exc
+    if not isinstance(stmt, n.CreateSirTable):
+        raise CorruptCatalog(f"{name}: source text is not a table definition")
+    scheme = scheme_from_ast(stmt)
+    if {i.casefold() for i in entry.ie_order} != {ie.name.casefold() for ie in scheme.ies}:
+        raise CorruptCatalog(f"{name}: sir_ies rows do not match the declared IEs")
+    declared = {a.name.casefold() for a in scheme.stored_attrs}
+    if declared != {c.casefold() for c in entry.stored_names()}:
+        raise CorruptCatalog(f"{name}: sir_attrs rows do not match the declared scheme")
+    return scheme
+
+
 @dataclass
 class CatalogEntry:
     name: str
     kind: str                            # stored | view | sir
-    scheme: SirScheme | None
+    scheme: SirScheme | None = _LazyScheme()     # required; None for a view
     columns: list                        # ColumnInfo, full declared order
     plan: list = field(default_factory=list)          # PlanItem; definitional DDL
     references: list = field(default_factory=list)    # relation names this entry reads
@@ -660,9 +700,14 @@ class Catalog:
 
     @classmethod
     def load(cls, conn) -> "Catalog":
-        """Rebuild the catalog from meta-tables; raises CorruptCatalog on bad rows.
+        """Rebuild the catalog from meta-tables, reading each once, whatever
+        the number of relations.
 
-        Reads each meta-table once, whatever the number of relations."""
+        Raises CorruptCatalog here on an unreadable plan or a missing kernel
+        object.  A relation's scheme is parsed from its source text when it is
+        first read (see `_LazyScheme`), so an unparseable source text or meta
+        rows that disagree with it raise CorruptCatalog at that read, on every
+        read; `audit` reads them all."""
         catalog = cls()
         objects = {row[0].casefold() for row in conn.query("SELECT name FROM sqlite_master").rows}
         if "sir_relations" not in objects:
@@ -692,34 +737,20 @@ class Catalog:
             columns = [ColumnInfo(col, sql_type, bool(is_key), bool(is_inherited), ie_name)
                        for _, col, sql_type, is_key, is_inherited, ie_name
                        in attrs_of.pop(name, ())]
-            scheme = None
-            canonical = {}
-            ie_order = []
-            if kind in (STORED, SIR):
-                try:
-                    stmt = parse_one(source_text)
-                except Exception as exc:
-                    raise CorruptCatalog(f"{name}: unparseable source text: {exc}") from exc
-                if not isinstance(stmt, n.CreateSirTable):
-                    raise CorruptCatalog(f"{name}: source text is not a table definition")
-                scheme = scheme_from_ast(stmt)
-                ies = ies_of.pop(name, ())
-                recorded = {ie_name.casefold() for _, ie_name, _ in ies}
-                declared = {ie.name.casefold() for ie in scheme.ies}
-                if recorded != declared:
-                    raise CorruptCatalog(f"{name}: sir_ies rows do not match the declared IEs")
-                canonical = {ie_name: text for _, ie_name, text in ies}
-                ie_order = [ie_name for _, ie_name, _ in ies]
-                declared_cols = {a.name.casefold() for a in scheme.stored_attrs}
-                stored_cols = {c.name.casefold() for c in columns if not c.is_inherited}
-                if declared_cols != stored_cols:
-                    raise CorruptCatalog(f"{name}: sir_attrs rows do not match the declared scheme")
+            ies = ies_of.pop(name, ()) if kind in (STORED, SIR) else ()
             entry = CatalogEntry(
-                name=name, kind=kind, scheme=scheme, columns=columns, plan=plan,
-                references=dep_map.get(name.casefold(), []),
-                canonical_texts=canonical, ie_order=ie_order, source_text=source_text)
+                name=name, kind=kind, scheme=_UNPARSED if kind in (STORED, SIR) else None,
+                columns=columns, plan=plan, references=dep_map.get(name.casefold(), []),
+                canonical_texts={ie_name: text for _, ie_name, text in ies},
+                ie_order=[ie_name for _, ie_name, _ in ies], source_text=source_text)
             catalog.attach(entry)
         return catalog
+
+    def audit(self):
+        """Read every entry's scheme; raises CorruptCatalog for the first
+        relation whose source text or meta rows are corrupt."""
+        for entry in self.entries():
+            _ = entry.scheme
 
     def snapshot(self):
         """Structure suitable for equality comparison across persist/load."""

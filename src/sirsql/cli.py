@@ -14,7 +14,7 @@ import os
 import sys
 
 from .compiler import CompileOptions
-from .errors import ParseError, SirSqlError
+from .errors import CorruptCatalog, ParseError, SirSqlError
 from .kernel import KernelConnection, RowSet
 from .layer import SirLayer
 from .normalizer import (drafts_to_sirsql, normalize, parse_dependency_file,
@@ -79,8 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--output", "-o", default=None,
                        help="write the generated schema here instead of stdout")
 
-    p_check = sub.add_parser("check", help="report recursive-join match-count violations")
-    p_check.add_argument("relation")
+    p_check = sub.add_parser("check", help="report recursive-join match-count violations"
+                             " of a relation, or audit the whole catalog")
+    target = p_check.add_mutually_exclusive_group(required=True)
+    target.add_argument("relation", nargs="?")
+    target.add_argument("--catalog", action="store_true",
+                        help="parse every relation's scheme and check it against its meta rows")
 
     sub.add_parser("repl", help="interactive shell")
     return parser
@@ -166,6 +170,8 @@ def cmd_query(layer: SirLayer, args) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except CorruptCatalog:
+        raise                       # a catalog fault exits 2 through main
     except SirSqlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -180,6 +186,10 @@ def cmd_explain(layer: SirLayer, args) -> int:
 
 
 def cmd_check(layer: SirLayer, args) -> int:
+    if args.catalog:
+        layer.catalog.audit()       # CorruptCatalog exits 2 through main
+        print(f"ok: {len(layer.catalog.entries())} relations")
+        return EXIT_OK
     violations = layer.check(args.relation)
     if not violations:
         print("ok")

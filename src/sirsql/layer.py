@@ -9,6 +9,10 @@ A session is used only by the thread that opened its KernelConnection
 database file each open their own session over their own connection; the
 kernel's file locks serialize their writes.  A session loads the catalog
 once, at open, and does not see DDL that another session commits later.
+The open fails with CorruptCatalog on an unreadable plan or a missing kernel
+object.  It parses no scheme: a relation's scheme is parsed when a statement
+first reads it, and a corrupt source text or meta row raises CorruptCatalog
+there, on each such statement (`Catalog.audit` reads every scheme).
 
 Query and DML text is cached by shape (`lexer.shape`: literals replaced by
 ``?``) for one catalog generation: a repeated shape skips parse, route and

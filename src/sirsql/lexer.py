@@ -49,36 +49,38 @@ def _ident_part(ch: str) -> bool:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
+    i, n = 0, len(source)
+    line, line_start = 1, 0         # the character at offset i is in column i - line_start + 1
 
-    def bump(text):
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
+    def skip(end):
+        """Move past source[i:end], a comment, string or quoted identifier,
+        which may span lines."""
+        nonlocal i, line, line_start
+        breaks = source.count("\n", i, end)
+        if breaks:
+            line += breaks
+            line_start = source.rfind("\n", i, end) + 1
+        i = end
 
     while i < n:
         ch = source[i]
-        if ch in " \t\r\n":
-            bump(ch)
+        if ch in " \t\r":
             i += 1
             continue
+        if ch == "\n":
+            i += 1
+            line, line_start = line + 1, i
+            continue
+        col = i - line_start + 1
         if source.startswith("--", i):
             end = source.find("\n", i)
-            end = n if end == -1 else end
-            bump(source[i:end])
-            i = end
+            i = n if end == -1 else end
             continue
         if source.startswith("/*", i):
             end = source.find("*/", i + 2)
             if end == -1:
                 raise ParseError("unterminated block comment", line, col)
-            bump(source[i:end + 2])
-            i = end + 2
+            skip(end + 2)
             continue
         if ch == "'":
             j = i + 1
@@ -95,8 +97,7 @@ def tokenize(source: str) -> list[Token]:
                 out.append(source[j])
                 j += 1
             tokens.append(Token(STRING, "".join(out), line, col))
-            bump(source[i:j + 1])
-            i = j + 1
+            skip(j + 1)
             continue
         if ch == '"' or ch == "[":
             closer = '"' if ch == '"' else "]"
@@ -104,8 +105,7 @@ def tokenize(source: str) -> list[Token]:
             if j == -1:
                 raise ParseError("unterminated quoted identifier", line, col)
             tokens.append(Token(IDENT, source[i + 1:j], line, col, quoted=True))
-            bump(source[i:j + 1])
-            i = j + 1
+            skip(j + 1)
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
             j = i
@@ -118,27 +118,24 @@ def tokenize(source: str) -> list[Token]:
                     seen_dot = True
                 j += 1
             tokens.append(Token(NUMBER, source[i:j], line, col))
-            bump(source[i:j])
             i = j
             continue
         if _ident_start(ch):
-            j = i
+            j = i + 1
             while j < n and _ident_part(source[j]):
                 j += 1
             tokens.append(Token(IDENT, source[i:j], line, col))
-            bump(source[i:j])
             i = j
             continue
         for op in _OPERATORS:
             if source.startswith(op, i):
                 tokens.append(Token(OP, op, line, col))
-                bump(op)
                 i += len(op)
                 break
         else:
             raise ParseError(f"unexpected character {ch!r}", line, col)
 
-    tokens.append(Token(EOF, "", line, col))
+    tokens.append(Token(EOF, "", line, i - line_start + 1))
     return tokens
 
 

@@ -61,7 +61,10 @@ class Parser:
     # --- cursor helpers ---
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        try:
+            return self.tokens[self.pos + ahead]
+        except IndexError:
+            return self.tokens[-1]      # EOF
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -70,7 +73,9 @@ class Parser:
         return tok
 
     def at_word(self, *words: str) -> bool:
-        return self.peek().matches(words[0]) if len(words) == 1 else any(self.at_word(w) for w in words)
+        """Whether the current token is one of `words`, given in upper case."""
+        tok = self.peek()
+        return tok.kind == IDENT and not tok.quoted and tok.value.upper() in words
 
     def accept_word(self, word: str) -> bool:
         if self.at_word(word):

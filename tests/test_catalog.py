@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from sirsql import catalog as catalog_module
 from sirsql.catalog import STORED, Catalog, CatalogEntry
+from sirsql.cli import main
 from sirsql.errors import (CircularReferenceError, CorruptCatalog, DependentsExist,
                            DuplicateName, InvariantViolation, NameCollision,
                            UnknownRelation)
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
+from sirsql.parser import parse_one
+from sirsql.render import render
+from sirsql.router import route
 
-from conftest import load_sp2
+from conftest import fixture_text, load_sp2
 
 ALTER_STATUS_OVER_SP = ("Alter Table S Alter STATUS As STATUS"
                         " (Select Int (SUM(QTY)/100) FROM SP WHERE S.S# = S#);")
@@ -114,8 +121,9 @@ def test_load_detects_tampered_meta_rows(tmp_path):
     layer = load_sp2(SirLayer(KernelConnection(location)), with_data=False)
     layer.conn.execute("DELETE FROM sir_ies WHERE rel = 'SP' AND name = 'I_P'")
     layer.conn.close()
+    reopened = SirLayer(KernelConnection(location))     # SP's scheme is not read at open
     with pytest.raises(CorruptCatalog):
-        SirLayer(KernelConnection(location))
+        reopened.catalog.get("SP").scheme
 
 
 def test_dependents_in_registration_order(layer):
@@ -204,6 +212,10 @@ def test_load_sends_a_fixed_number_of_statements(tmp_path):
     assert counts[0] == counts[1] <= 6
 
 
+# the faults `Catalog.load` finds without parsing a scheme
+_FOUND_AT_OPEN = "kernel object|unreadable plan"
+
+
 @pytest.mark.parametrize("sabotage, message", [
     ("DROP TABLE P", "^P: kernel object 'P'"),
     ("DROP TABLE SP_B", "^SP: kernel object 'SP_B'"),
@@ -221,13 +233,42 @@ def test_load_sends_a_fixed_number_of_statements(tmp_path):
     ("UPDATE sir_attrs SET rel = 'sp' WHERE rel = 'SP'", "^SP: sir_attrs rows"),
     ("UPDATE sir_ies SET rel = 'sp' WHERE rel = 'SP'", "^SP: sir_ies rows"),
 ])
-def test_load_rejects_each_kind_of_corruption(tmp_path, sabotage, message):
+def test_load_rejects_each_kind_of_corruption(tmp_path, sabotage, message, capsys):
     location = str(tmp_path / "db.sqlite")
     layer = load_sp2(SirLayer(KernelConnection(location)), with_data=False)
     layer.conn.execute(sabotage)  # behind the catalog's back
     layer.conn.close()
-    with pytest.raises(CorruptCatalog, match=message):
-        SirLayer(KernelConnection(location))
+    if re.search(_FOUND_AT_OPEN, message):
+        with pytest.raises(CorruptCatalog, match=message):
+            SirLayer(KernelConnection(location))
+    else:
+        # a fault in a scheme's source text or meta rows surfaces when the
+        # scheme is first read: routing Count(*) reads SP's and its sources'
+        reopened = SirLayer(KernelConnection(location))
+        with pytest.raises(CorruptCatalog, match=message):
+            reopened.query("Select Count(*) From SP;")
+    assert main(["-k", location, "check", "--catalog"]) == 2
+    assert re.search(message, capsys.readouterr().err.removeprefix("error: "))
+
+
+def test_corrupt_scheme_raises_on_every_read(tmp_path):
+    location = str(tmp_path / "db.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)), with_data=False)
+    layer.conn.execute("UPDATE sir_relations SET source_text = 'Create Tabel P' WHERE name = 'P'")
+    layer.conn.close()
+    reopened = SirLayer(KernelConnection(location))
+    for _ in range(2):
+        with pytest.raises(CorruptCatalog, match="^P: unparseable source text"):
+            reopened.query("Select Count(*) From SP;")
+    with pytest.raises(CorruptCatalog, match="^P: unparseable source text"):
+        reopened.catalog.get("P").scheme
+
+
+def test_check_catalog_passes_a_sound_catalog(tmp_path, capsys):
+    location = str(tmp_path / "db.sqlite")
+    load_sp2(SirLayer(KernelConnection(location))).conn.close()
+    assert main(["-k", location, "check", "--catalog"]) == 0
+    assert capsys.readouterr().out == "ok: 3 relations\n"
 
 
 def test_alter_through_other_case_round_trips(tmp_path):
@@ -272,3 +313,128 @@ def test_reaches_follows_references(sp2):
     assert sp2.catalog.reaches("S", "S")
     assert not sp2.catalog.reaches("S", "SP")
     assert not sp2.catalog.reaches("SP", "V")
+
+
+# --- lazy schemes: a scheme is parsed when it is first read ---
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Names of the relations whose scheme the catalog parses, in order."""
+    names = []
+    real = catalog_module.parse_one
+
+    def counting(text):
+        stmt = real(text)
+        names.append(getattr(stmt, "name", text))
+        return stmt
+    monkeypatch.setattr(catalog_module, "parse_one", counting)
+    return names
+
+
+def _sp3_session(location: str) -> SirLayer:
+    layer = load_sp2(SirLayer(KernelConnection(location)))
+    layer.apply_source(fixture_text("sp3_alters.sirsql"))
+    return layer
+
+
+def test_open_and_explain_parse_no_scheme(tmp_path, parsed, capsys):
+    location = str(tmp_path / "sp3.sqlite")
+    _sp3_session(location).conn.close()
+    layer = SirLayer(KernelConnection(location))
+    assert len(layer.catalog.entries()) == 3
+    assert layer.explain("SP")[0].startswith("CREATE TABLE")
+    layer.catalog.snapshot()
+    assert main(["-k", location, "explain", "SP"]) == 0
+    assert "CREATE VIEW" in capsys.readouterr().out
+    assert parsed == []
+
+
+def test_routing_parses_only_the_schemes_it_reads(tmp_path, parsed):
+    location = str(tmp_path / "sp3.sqlite")
+    _sp3_session(location).conn.close()
+    layer = SirLayer(KernelConnection(location))
+    assert len(layer.query("Select * From SP;").rows) == 12    # passes through
+    assert parsed == []
+    assert layer.query("Select Count(*) From SP;").rows == [(12,)]
+    # SP's chain, and the keys of the sources its join stages read
+    assert sorted(parsed) == ["P", "S", "SP"]
+    layer.query("Select Count(*) From SP;")
+    layer.query("Select S#, PNAME From SP Where QTY > 100;")
+    assert sorted(parsed) == ["P", "S", "SP"]
+
+
+ROUTED = [
+    "Select Count(*) From SP;",
+    "Select S#, SNAME From SP;",
+    "Select PNAME, SCITY From SP Where S# = 'S1';",
+    "Select * From SP Where QTY > 100;",
+    "Select S#, STATUS From S;",
+    "Select Count(*) From P;",
+    "Insert Into SP (S#, P#, QTY) Values ('S9', 'P9', 1);",
+    "Update SP Set QTY = 1 Where SNAME = 'Smith';",
+    "Delete From SP Where PCITY = 'Paris';",
+]
+
+
+def _routes(layer):
+    out = []
+    for text in ROUTED:
+        routed = route(parse_one(text), layer.catalog)
+        out.append((routed.kind, routed.target, routed.reason, render(routed.kernel_stmt)))
+    return out
+
+
+def test_reopened_catalog_matches_and_routes_alike(tmp_path):
+    location = str(tmp_path / "sp3.sqlite")
+    layer = _sp3_session(location)
+    snapshot, routes = layer.catalog.snapshot(), _routes(layer)
+    layer.conn.close()
+
+    reopened = SirLayer(KernelConnection(location))
+    assert reopened.catalog.snapshot() == snapshot
+    assert _routes(reopened) == routes
+    assert reopened.catalog.snapshot() == snapshot
+
+
+def _star_schema(dims: int = 2, rels: int = 4) -> str:
+    """`dims` dimensions D<j>, and relations R<i> inheriting every column
+    but the key of two of them through `*/K` IEs."""
+    lines = [f"Create Table D{j} (D{j}_K Char, D{j}_NAME Char, D{j}_N Int, Primary Key (D{j}_K));"
+             for j in range(dims)]
+    for i in range(rels):
+        a, b = i % dims, (i + 1) % dims
+        lines.append(
+            f"Create Table R{i} (R{i}_K Char, R{i}_F1 Char, R{i}_F2 Char, Primary Key (R{i}_K),"
+            f" I_1 (Select */D{a}_K From D{a} Where R{i}.R{i}_F1 = D{a}_K),"
+            f" I_2 (Select */D{b}_K From D{b} Where R{i}.R{i}_F2 = D{b}_K));")
+    lines.append("Create View V As Select * From R0;")
+    return "\n".join(lines)
+
+
+def _meta_rows(conn):
+    return [conn.query(sql).rows for sql in (
+        "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid",
+        "SELECT * FROM sir_attrs ORDER BY rel, ordinal",
+        "SELECT * FROM sir_ies ORDER BY rel, ordinal",
+        "SELECT * FROM sir_deps ORDER BY rowid",
+        "SELECT type, name, sql FROM sqlite_master ORDER BY name")]
+
+
+def test_alter_cascade_on_a_reopened_session_writes_the_same_meta_rows(tmp_path):
+    alters = ["Alter Table D0 Add D0_X Char;", "Alter Table D1 Drop D1_N;",
+              "Alter Table D0 Drop D0_X;"]
+    creating = SirLayer(KernelConnection(str(tmp_path / "creating.sqlite")))
+    creating.apply_source(_star_schema())
+    location = str(tmp_path / "reopened.sqlite")
+    first = SirLayer(KernelConnection(location))
+    first.apply_source(_star_schema())
+    first.conn.close()
+    reopened = SirLayer(KernelConnection(location))
+    for alter in alters:
+        creating.apply_source(alter)
+        reopened.apply_source(alter)
+        assert _meta_rows(reopened.conn) == _meta_rows(creating.conn)
+        assert reopened.catalog.snapshot() == creating.catalog.snapshot()
+    assert reopened.query("Select * From R1;").columns == \
+        ["R1_K", "R1_F1", "R1_F2", "D1_NAME", "D0_NAME", "D0_N"]

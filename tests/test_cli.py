@@ -6,7 +6,7 @@ import json
 import pytest
 
 from sirsql.cli import format_rows, main
-from sirsql.kernel import RowSet
+from sirsql.kernel import KernelConnection, RowSet
 
 from conftest import FIXTURES
 
@@ -111,6 +111,17 @@ def test_query_nested_too_deep_exits_3(db, capsys):
         ["-k", db, "query", "Select " + "(" * 500 + "1" + ")" * 500 + " From S;"], capsys)
     assert code == 3
     assert "nested more than" in err
+
+
+def test_query_reading_a_corrupt_scheme_exits_2(db, capsys):
+    apply_sp2(db, capsys, with_data=False)
+    conn = KernelConnection(db)
+    conn.execute("UPDATE sir_relations SET source_text = 'Create Tabel P' WHERE name = 'P'")
+    conn.close()
+    # the open parses no scheme; routing Count(*) reads P's, and a catalog fault exits 2
+    code, out, err = run(["-k", db, "query", "Select Count(*) From SP;"], capsys)
+    assert code == 2
+    assert err.startswith("error: P: unparseable source text")
 
 
 def test_explain_prints_stored_plan(db, capsys):

@@ -34,6 +34,51 @@ def test_lexer_comments_and_strings():
     assert tokens[1].value == "x"
 
 
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of `offset`; only \n starts a line, and a tab
+    or \r is one column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+def test_lexer_positions_match_offsets_in_the_text():
+    # the text is the pieces joined; True marks a piece that is one token
+    pieces = [
+        ("Select", True), ("\t", False), ("S#", True), (",", True), (" ", False),
+        ('"quoted\nname"', True), ("\r\n", False),
+        ("/* a block\n\tcomment\r\n over three lines */", False), ("From", True),
+        ("  -- to the end of the line\r\n", False), ("\t\t", False), ("[S\nP]", True),
+        (" ", False), ("Where", True), ("\t", False), ("QTY", True), (">=", True),
+        ("12.5", True), ("\r\n", False), ("And", True), (" ", False), ("NOTE", True),
+        ("||", True), ("'two\nlines, ''quoted'''", True), ("\n\n", False), ("<>", True),
+        ("-", True), ("3", True), ("/**/", False), (";", True), ("\n-- last", False),
+    ]
+    text = "".join(piece for piece, _ in pieces)
+    expected, offset = [], 0
+    for piece, is_token in pieces:
+        if is_token:
+            expected.append(_position(text, offset))
+        offset += len(piece)
+    expected.append(_position(text, len(text)))         # EOF
+    tokens = tokenize(text)
+    assert [(t.line, t.col) for t in tokens] == expected
+    assert (tokens[3].value, tokens[5].value) == ("quoted\nname", "S\nP")
+    assert tokens[13].value == "two\nlines, 'quoted'"
+
+
+@pytest.mark.parametrize("tail, message", [
+    ("'open", "unterminated string literal"),
+    ('"open', "unterminated quoted identifier"),
+    ("/* open", "unterminated block comment"),
+    ("?", "unexpected character"),
+])
+def test_lexer_errors_carry_the_position_of_their_token(tail, message):
+    text = "Select A\r\n/* x\n\ty */\t'b\nc' "
+    with pytest.raises(ParseError, match=message) as err:
+        tokenize(text + tail)
+    assert (err.value.line, err.value.col) == _position(text, len(text))
+
+
 def test_lexer_star_slash_is_two_tokens():
     values = [t.value for t in tokenize("*/P.P#")][:3]
     assert values == ["*", "/", "P"]
