@@ -160,6 +160,20 @@ def _rows_by_rel(rowset) -> dict[str, list[tuple]]:
     return grouped
 
 
+def _insert_rows(conn, table: str, rows: list[tuple]):
+    """Insert meta rows with one multi-row INSERT, split only where the rows
+    would bind more parameters than the kernel accepts."""
+    if not rows:
+        return
+    width = len(rows[0])
+    per_insert = max(1, conn.max_params // width)
+    row_marks = "(" + ", ".join(["?"] * width) + ")"
+    for start in range(0, len(rows), per_insert):
+        chunk = rows[start:start + per_insert]
+        conn.execute(f"INSERT INTO {table} VALUES " + ", ".join([row_marks] * len(chunk)),
+                     [value for row in chunk for value in row])
+
+
 @dataclass
 class PrefixChain:
     """How a query may read a relation through a prefix of its view chain.
@@ -318,6 +332,9 @@ class Catalog:
         self._keeps_card: dict[str, bool] = {}
         self._chains: dict[str, PrefixChain | None] = {}
         self._graph_maps: tuple[dict, dict] | None = None     # see _graph
+        # the kernel holds the meta-tables: the load saw them, or a DDL of this
+        # session committed them; `ensure_meta` then sends nothing
+        self.meta_ready = False
 
     # --- lookups ---
 
@@ -605,8 +622,10 @@ class Catalog:
     )
 
     def ensure_meta(self, conn):
-        for ddl in self.META_DDL:
-            conn.execute(ddl)
+        """Create the meta-tables unless `meta_ready` says they exist."""
+        if not self.meta_ready:
+            for ddl in self.META_DDL:
+                conn.execute(ddl)
 
     def persist(self, entry: CatalogEntry, conn):
         """Write an entry's meta rows; call inside the DDL's transaction."""
@@ -619,39 +638,40 @@ class Catalog:
         self._persist_details(entry, conn)
 
     def _persist_details(self, entry: CatalogEntry, conn):
-        for ordinal, col in enumerate(entry.columns):
-            conn.execute(
-                "INSERT INTO sir_attrs VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (entry.name, ordinal, col.name, col.sql_type,
-                 int(col.is_key), int(col.is_inherited), col.ie_name))
+        _insert_rows(conn, "sir_attrs", [
+            (entry.name, ordinal, col.name, col.sql_type,
+             int(col.is_key), int(col.is_inherited), col.ie_name)
+            for ordinal, col in enumerate(entry.columns)])
         if entry.scheme is not None:
             # ordinal records evaluation order, which may differ from declaration
             ordered = entry.ie_order or [ie.name for ie in entry.scheme.ies]
-            for ordinal, ie_name in enumerate(ordered):
-                ie = entry.scheme.find_ie(ie_name)
-                conn.execute(
-                    "INSERT INTO sir_ies VALUES (?, ?, ?, ?, ?)",
-                    (entry.name, ordinal, ie.name, render_source(ie),
-                     entry.canonical_texts.get(ie.name, "")))
-        for ref in entry.references:
-            conn.execute("INSERT INTO sir_deps VALUES (?, ?)", (entry.name, ref))
+            ies = [entry.scheme.find_ie(ie_name) for ie_name in ordered]
+            _insert_rows(conn, "sir_ies", [
+                (entry.name, ordinal, ie.name, render_source(ie),
+                 entry.canonical_texts.get(ie.name, ""))
+                for ordinal, ie in enumerate(ies)])
+        _insert_rows(conn, "sir_deps", [(entry.name, ref) for ref in entry.references])
 
     def persist_replace(self, entry: CatalogEntry, conn):
-        """Rewrite an entry's meta rows after an alteration."""
+        """Rewrite an entry's meta rows after an alteration.  Rows are matched
+        by the entry's name exactly as stored, so the primary keys serve them."""
         plan_json = _plan_json(entry.plan)
         conn.execute(
-            "UPDATE sir_relations SET kind = ?, source_text = ?, plan = ? WHERE lower(name) = lower(?)",
+            "UPDATE sir_relations SET kind = ?, source_text = ?, plan = ? WHERE name = ?",
             (entry.kind, entry.source_text, plan_json, entry.name))
-        for table in ("sir_attrs", "sir_ies"):
-            conn.execute(f"DELETE FROM {table} WHERE lower(rel) = lower(?)", (entry.name,))
-        conn.execute("DELETE FROM sir_deps WHERE lower(src) = lower(?)", (entry.name,))
+        self._delete_details(entry.name, conn)
         self._persist_details(entry, conn)
 
     def persist_remove(self, name: str, conn):
-        conn.execute("DELETE FROM sir_relations WHERE lower(name) = lower(?)", (name,))
+        """Delete the meta rows of the relation stored under `name`."""
+        conn.execute("DELETE FROM sir_relations WHERE name = ?", (name,))
+        self._delete_details(name, conn)
+
+    @staticmethod
+    def _delete_details(name: str, conn):
         for table in ("sir_attrs", "sir_ies"):
-            conn.execute(f"DELETE FROM {table} WHERE lower(rel) = lower(?)", (name,))
-        conn.execute("DELETE FROM sir_deps WHERE lower(src) = lower(?)", (name,))
+            conn.execute(f"DELETE FROM {table} WHERE rel = ?", (name,))
+        conn.execute("DELETE FROM sir_deps WHERE src = ?", (name,))
 
     def copy(self) -> "Catalog":
         """Shallow working copy for what-if compilation during alters."""
@@ -710,6 +730,7 @@ class Catalog:
         read; `audit` reads them all."""
         catalog = cls()
         objects = {row[0].casefold() for row in conn.query("SELECT name FROM sqlite_master").rows}
+        catalog.meta_ready = {"sir_relations", "sir_attrs", "sir_ies", "sir_deps"} <= objects
         if "sir_relations" not in objects:
             return catalog
         relations = conn.query(

@@ -17,6 +17,7 @@ from .compiler import CompileOptions
 from .errors import CorruptCatalog, ParseError, SirSqlError
 from .kernel import KernelConnection, RowSet
 from .layer import SirLayer
+from .lexer import OP, tokenize
 from .normalizer import (drafts_to_sirsql, normalize, parse_dependency_file,
                          render_trace)
 
@@ -241,6 +242,9 @@ def repl(layer: SirLayer, args) -> int:
         try:
             line = input(prompt if interactive else "")
         except EOFError:
+            if buffer.strip():
+                print(f"error: incomplete statement at end of input: {buffer.strip()}",
+                      file=sys.stderr)
             break
         if not buffer and line.strip().startswith("."):
             try:
@@ -249,9 +253,12 @@ def repl(layer: SirLayer, args) -> int:
                 break
             continue
         buffer += line + "\n"
-        if ";" not in _strip_literals(buffer):
+        state = _buffer_state(buffer)
+        if state == "more":
             continue
         text, buffer = buffer, ""
+        if state == "empty":
+            continue
         try:
             for result in layer.apply_source(text):
                 for warning in result.warnings:
@@ -265,23 +272,20 @@ def repl(layer: SirLayer, args) -> int:
     return EXIT_OK
 
 
-def _strip_literals(text: str) -> str:
-    out, in_string = [], False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_string:
-            if ch == "'":
-                if i + 1 < len(text) and text[i + 1] == "'":
-                    i += 2
-                    continue
-                in_string = False
-        elif ch == "'":
-            in_string = True
-        else:
-            out.append(ch)
-        i += 1
-    return "".join(out)
+def _buffer_state(text: str) -> str:
+    """What the REPL does with the text typed so far, read as the lexer reads
+    it: "more" while a string, quoted identifier or comment is open or the
+    last token is not ';', "empty" when it holds only blanks and comments,
+    "run" otherwise."""
+    try:
+        tokens = tokenize(text)
+    except ParseError as exc:
+        # more input can close an open literal or comment, never mend a stray character
+        return "more" if str(exc).startswith("unterminated") else "run"
+    if len(tokens) == 1:
+        return "empty"
+    last = tokens[-2]
+    return "run" if last.kind == OP and last.value == ";" else "more"
 
 
 def _dot_command(layer: SirLayer, args, line: str):

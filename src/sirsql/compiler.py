@@ -761,10 +761,11 @@ def _check_attr_droppable(scheme: SirScheme, attr: str):
 
 def alter_steps(entry: CatalogEntry, compiled: CompiledSir) -> list[PlanItem]:
     """Maintenance DDL turning the entry's current kernel objects into the
-    newly compiled ones.  Views are always dropped and recreated; the base
-    table is renamed, extended in place, or rebuilt as needed so stored data
+    newly compiled ones.  Only views whose SQL changed, or that are new or
+    gone, are dropped or created (see `_view_diff`); the base table is
+    renamed, extended in place, or rebuilt as needed so stored data
     survives."""
-    steps = _drop_view_steps(entry)
+    steps, creates = _view_diff(entry.plan, compiled.plan.items)
     old_base = entry.plan[0].name
     new_base = compiled.plan.items[0].name
     old_sig = _attr_signature(entry.scheme)
@@ -781,10 +782,7 @@ def alter_steps(entry: CatalogEntry, compiled: CompiledSir) -> list[PlanItem]:
                                   f"ALTER TABLE {quote_ident(new_base)} ADD COLUMN {render(decl)};"))
     else:
         steps.extend(_rebuild_steps(entry, compiled, old_base, new_base))
-
-    for item in compiled.plan.items[1:]:
-        steps.append(PlanItem(item.name, "step", item.sql))
-    return steps
+    return steps + creates
 
 
 def _is_append_only(old_sig, new_sig) -> bool:
@@ -812,17 +810,26 @@ def _rebuild_steps(entry, compiled, old_base, new_base) -> list[PlanItem]:
     return steps
 
 
-def _drop_view_steps(entry: CatalogEntry) -> list[PlanItem]:
-    return [PlanItem(item.name, "step", f"DROP VIEW {quote_ident(item.name)};")
-            for item in reversed(entry.views)]
+def _view_diff(old_plan: list[PlanItem], new_plan: list[PlanItem]):
+    """DROP VIEW steps for the old views whose SQL the new plan lacks, last
+    first, and CREATE VIEW steps for the new views whose SQL the old plan
+    lacks.  A view's SQL holds its name, so a view kept by name and text is
+    not touched: SQLite reads a view's body, `*` included, each time a
+    statement uses it, so a kept view sees a changed or rebuilt input."""
+    old_sql = {item.sql for item in old_plan if item.kind == "view"}
+    new_sql = {item.sql for item in new_plan if item.kind == "view"}
+    drops = [PlanItem(item.name, "step", f"DROP VIEW {quote_ident(item.name)};")
+             for item in reversed(old_plan) if item.kind == "view" and item.sql not in new_sql]
+    creates = [PlanItem(item.name, "step", item.sql)
+               for item in new_plan if item.kind == "view" and item.sql not in old_sql]
+    return drops, creates
 
 
 def recompile_steps(entry: CatalogEntry, compiled: CompiledSir) -> list[PlanItem]:
-    """Drop and recreate a dependent's view chain (its base is untouched)."""
-    steps = _drop_view_steps(entry)
-    for item in compiled.plan.items[1:]:
-        steps.append(PlanItem(item.name, "step", item.sql))
-    return steps
+    """Drop and create the views of a dependent's chain whose SQL changed;
+    its base and its unchanged views are untouched."""
+    drops, creates = _view_diff(entry.plan, compiled.plan.items)
+    return drops + creates
 
 
 # --- drop ------------------------------------------------------------------------

@@ -140,14 +140,30 @@ class SirLayer:
     # --- DDL ---
 
     def _check_kernel_name_free(self, names: list[str]):
-        for name in names:
-            if self.conn.object_kind(name) is not None:
-                raise NameCollision(f"kernel object {name!r} already exists")
+        """Raise NameCollision if the kernel holds an object named like any of
+        `names` (case-insensitively); one query for all of them."""
+        marks = ", ".join(["lower(?)"] * len(names))
+        taken = self.conn.execute(
+            f"SELECT name FROM sqlite_master WHERE lower(name) IN ({marks}) LIMIT 1", names)
+        if taken.rows:
+            raise NameCollision(f"kernel object {taken.rows[0][0]!r} already exists")
 
     def _probe_view(self, conn, name: str, origin):
-        # the engine only resolves a view body on first use; force that now so
-        # a bad definition fails inside this transaction, not at query time
+        """Prepare a statement over the final view of a created or altered
+        relation.  The engine resolves a view body only when a statement uses
+        it, and preparing the final view resolves every stage of its chain, so
+        a bad or stale stage fails inside this transaction, not at query time."""
         conn.execute(f"SELECT * FROM {quote_ident(name)} LIMIT 0", origin=origin)
+
+    def _ddl_transaction(self, work):
+        """Run `work(conn)` in one kernel transaction, after creating the
+        meta-tables if the session does not know they exist."""
+        def run(conn):
+            self.catalog.ensure_meta(conn)
+            return work(conn)
+        result = self.conn.within_transaction(run)
+        self.catalog.meta_ready = True
+        return result
 
     def _resolve_references(self, scheme) -> list[str]:
         refs = []
@@ -204,14 +220,13 @@ class SirLayer:
             origin = partial(render_source, stmt)
 
             def work(conn):
-                self.catalog.ensure_meta(conn)
                 for item in compiled.plan.items:
                     conn.execute(item.sql, origin=origin)
-                    if item.kind == "view":
-                        self._probe_view(conn, item.name, origin)
+                if entry.views:
+                    self._probe_view(conn, entry.name, origin)
                 self.catalog.persist(entry, conn)
 
-            self.conn.within_transaction(work)
+            self._ddl_transaction(work)
             self.catalog.attach(entry)
             return StatementResult(stmt, "create table",
                                    objects=[i.name for i in compiled.plan.items],
@@ -232,7 +247,6 @@ class SirLayer:
             self._check_kernel_name_free([stmt.name])
 
             def work(conn):
-                self.catalog.ensure_meta(conn)
                 conn.execute(sql, origin=partial(render_source, stmt))
                 self._probe_view(conn, stmt.name, partial(render_source, stmt))
                 columns = [ColumnInfo(c, None, False, True, None)
@@ -244,7 +258,7 @@ class SirLayer:
                 self.catalog.persist(entry, conn)
                 return entry
 
-            entry = self.conn.within_transaction(work)
+            entry = self._ddl_transaction(work)
             self.catalog.attach(entry)
             return StatementResult(stmt, "create view", objects=[stmt.name],
                                    warnings=stmt.warnings)
@@ -272,15 +286,14 @@ class SirLayer:
             origin = partial(render_source, stmt)
 
             def work(conn):
-                self.catalog.ensure_meta(conn)
-                for old, new, maintenance in updates:
+                for _, new, maintenance in updates:
                     for item in maintenance:
                         conn.execute(item.sql, origin=origin)
-                        if item.sql.upper().startswith("CREATE VIEW"):
-                            self._probe_view(conn, item.name, origin)
+                    if new.views:
+                        self._probe_view(conn, new.name, origin)
                     self.catalog.persist_replace(new, conn)
 
-            self.conn.within_transaction(work)
+            self._ddl_transaction(work)
             for _, new, _ in updates:
                 self.catalog.attach(new)
             return StatementResult(stmt, "alter table",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,27 @@ def conn():
     connection = KernelConnection(":memory:")
     yield connection
     connection.close()
+
+
+@pytest.fixture
+def kernel_log():
+    """`kernel_log(conn)` starts recording the SQL statements a
+    KernelConnection sends to SQLite, BEGIN and COMMIT included, and returns
+    the list they are appended to; recording stops at teardown."""
+    watched = []
+
+    def record(connection: KernelConnection) -> list[str]:
+        sent: list[str] = []
+        connection._db.set_trace_callback(sent.append)
+        watched.append(connection)
+        return sent
+
+    yield record
+    for connection in watched:
+        try:
+            connection._db.set_trace_callback(None)
+        except sqlite3.ProgrammingError:        # closed by the test
+            pass
 
 
 @pytest.fixture

@@ -191,7 +191,7 @@ def _catalog_source(size: int) -> str:
     return "\n".join(lines)
 
 
-def test_load_sends_a_fixed_number_of_statements(tmp_path):
+def test_load_sends_a_fixed_number_of_statements(tmp_path, kernel_log):
     counts = []
     for size in (3, 60):
         location = str(tmp_path / f"db{size}.sqlite")
@@ -201,14 +201,12 @@ def test_load_sends_a_fixed_number_of_statements(tmp_path):
         layer.conn.close()
 
         conn = KernelConnection(location)
-        sent = []
-        conn._db.set_trace_callback(sent.append)
+        sent = kernel_log(conn)
         loaded = Catalog.load(conn)
-        conn._db.set_trace_callback(None)
+        counts.append(len(sent))
         conn.close()
         assert len(loaded.entries()) == size
         assert loaded.snapshot() == before
-        counts.append(len(sent))
     assert counts[0] == counts[1] <= 6
 
 

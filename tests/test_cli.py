@@ -241,6 +241,65 @@ def test_repl_error_does_not_end_session(db, capsys, monkeypatch):
     assert "one" in captured.out
 
 
+def repl_run(db, script, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(script))
+    code = main(["-k", db, "repl"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repl_comment_with_a_quote_does_not_swallow_later_lines(db, capsys, monkeypatch):
+    apply_sp2(db, capsys, with_data=False)
+    code, out, err = repl_run(
+        db, "-- it's a note\nSelect 1 As one From S;\n.quit\nSelect 2 As two From S;\n",
+        capsys, monkeypatch)
+    assert code == 0 and err == ""
+    assert "one" in out and "two" not in out
+
+
+def test_repl_quoted_identifier_with_a_quote_ends_its_statement(db, capsys, monkeypatch):
+    apply_sp2(db, capsys, with_data=False)
+    code, out, err = repl_run(
+        db, 'Select 1 As "it\'s" From S;\nSelect 2 As two From S;\n', capsys, monkeypatch)
+    assert code == 0 and err == ""
+    assert "it's" in out and "two" in out
+
+
+def test_repl_semicolon_in_a_block_comment_does_not_end_a_statement(db, capsys, monkeypatch):
+    apply_sp2(db, capsys, with_data=False)
+    code, out, err = repl_run(
+        db, "Select /* ; */ 1 As one\n/* a comment\nspanning; lines */ From S\n;\n",
+        capsys, monkeypatch)
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "one"
+
+
+def test_repl_string_spanning_lines_is_read_to_its_end(db, capsys, monkeypatch):
+    apply_sp2(db, capsys)
+    code, out, err = repl_run(db, "Select 'a;\nb' As v From S Where S# = 'S1';\n.quit\n",
+                              capsys, monkeypatch)
+    assert code == 0 and err == ""
+    assert out.splitlines()[2:4] == ["a;", "b"]
+
+
+def test_repl_reports_an_unfinished_statement_at_end_of_input(db, capsys, monkeypatch):
+    apply_sp2(db, capsys, with_data=False)
+    code, out, err = repl_run(db, "Select 1 As one From S;\nSelect 2 As two\nFrom S\n",
+                              capsys, monkeypatch)
+    assert code == 0
+    assert "one" in out and "two" not in out
+    assert err == "error: incomplete statement at end of input: Select 2 As two\nFrom S\n"
+
+
+def test_repl_reports_a_stray_character_at_once(db, capsys, monkeypatch):
+    apply_sp2(db, capsys, with_data=False)
+    code, out, err = repl_run(db, "Select 1 ? 2\nSelect 2 As two From S;\n",
+                              capsys, monkeypatch)
+    assert code == 0
+    assert err.startswith("error: unexpected character '?' at line 1")
+    assert "two" in out
+
+
 def test_format_rows_null_rendering():
     rows = RowSet(columns=["A", "B"], rows=[(1, None)])
     assert "NULL" in format_rows(rows, "table")
