@@ -1,19 +1,25 @@
 """Relation catalog: schemes, dependency graph, and meta-table persistence.
 
-The catalog mirrors, in memory, four dedicated meta-tables kept inside the
-kernel database (reserved prefix ``sir_``):
+The catalog mirrors, in memory, one meta-table kept inside the kernel
+database (reserved prefix ``sir_``), one row per relation:
 
     sir_relations(name, kind, created_at, source_text, plan)
-    sir_attrs(rel, ordinal, name, sql_type, is_key, is_inherited, ie_name)
-    sir_ies(rel, ordinal, name, source_text, canonical_text)
-    sir_deps(src, dst)
 
-`plan` is a JSON list of [name, kind, sql] per kernel object; the view
-stages of a relation with IEs carry a fourth field, their `StageFacts`.
+`plan` is a JSON object: "plan" lists [name, kind, sql] per kernel object
+(the view stages of a relation with IEs add their `StageFacts`), "columns"
+[name, sql_type, is_key, is_inherited, ie_name] per column in declared
+order, "ie_order" the IE names in evaluation order, and "references" the
+relations the entry reads.  In a catalog written in the earlier four-table
+format `plan` is the list alone, and `_legacy_details` reads the rest from
+`sir_attrs`, `sir_ies` and `sir_deps`; a DDL that rewrites such a relation
+writes its row in the current form, and detail rows no relation uses are
+ignored.
 
 Meta rows are written inside the same kernel transaction as the DDL they
 describe; the in-memory mirror is updated only after the commit, so any
-failure leaves both the kernel and the catalog unchanged.
+failure leaves both the kernel and the catalog unchanged.  The catalog
+records the kernel's `PRAGMA schema_version` as it was read, so a DDL can
+tell whether another session changed the schema since.
 
 Concurrency: a catalog belongs to one session and is used only by the
 thread that opened the session's KernelConnection.  A thread that needs
@@ -25,13 +31,13 @@ from __future__ import annotations
 import datetime
 import json
 import re
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 from . import nodes as n
 from .errors import (CircularReferenceError, CorruptCatalog, DuplicateName,
                      InvariantViolation, NameCollision, UnknownRelation)
 from .parser import parse_one
-from .render import render_source
 
 _BASE_SUFFIX = re.compile(r"_B$", re.IGNORECASE)
 _STAGE_PATTERN = re.compile(r"^(.+)_(\d+)$")
@@ -138,9 +144,14 @@ class PlanItem:
     stage: StageFacts | None = None   # view stages of a relation with IEs
 
 
-def _plan_json(plan: list) -> str:
-    return json.dumps([[i.name, i.kind, i.sql] + ([asdict(i.stage)] if i.stage else [])
-                       for i in plan])
+def _document(entry) -> str:
+    """The JSON stored in an entry's `sir_relations.plan` field."""
+    return json.dumps({
+        "plan": [[i.name, i.kind, i.sql] + ([asdict(i.stage)] if i.stage else [])
+                 for i in entry.plan],
+        "columns": [[c.name, c.sql_type, c.is_key, c.is_inherited, c.ie_name]
+                    for c in entry.columns],
+        "ie_order": entry.ie_order, "references": entry.references})
 
 
 def _plan_item(raw) -> PlanItem:
@@ -152,26 +163,21 @@ def _plan_item(raw) -> PlanItem:
     return PlanItem(name, kind, sql, StageFacts(**rest[0]) if rest else None)
 
 
-def _rows_by_rel(rowset) -> dict[str, list[tuple]]:
-    """Meta rows grouped by their leading `rel` value, order kept."""
-    grouped: dict[str, list[tuple]] = {}
-    for row in rowset.rows:
-        grouped.setdefault(row[0], []).append(row)
-    return grouped
-
-
-def _insert_rows(conn, table: str, rows: list[tuple]):
-    """Insert meta rows with one multi-row INSERT, split only where the rows
-    would bind more parameters than the kernel accepts."""
-    if not rows:
-        return
-    width = len(rows[0])
-    per_insert = max(1, conn.max_params // width)
-    row_marks = "(" + ", ".join(["?"] * width) + ")"
-    for start in range(0, len(rows), per_insert):
-        chunk = rows[start:start + per_insert]
-        conn.execute(f"INSERT INTO {table} VALUES " + ", ".join([row_marks] * len(chunk)),
-                     [value for row in chunk for value in row])
+def _legacy_details(conn, objects: set[str]) -> dict[str, dict]:
+    """The columns, IE order and references of relations stored in the
+    four-table format, read from `sir_attrs`, `sir_ies` and `sir_deps` when
+    the kernel holds them, keyed by the relation name exactly as stored."""
+    details = defaultdict(lambda: {"columns": [], "ie_order": [], "references": []})
+    if {"sir_attrs", "sir_ies", "sir_deps"} <= objects:
+        for rel, *column in conn.query(
+                "SELECT rel, name, sql_type, is_key, is_inherited, ie_name FROM sir_attrs"
+                " ORDER BY rel, ordinal").rows:
+            details[rel]["columns"].append(column)
+        for rel, ie_name in conn.query("SELECT rel, name FROM sir_ies ORDER BY rel, ordinal").rows:
+            details[rel]["ie_order"].append(ie_name)
+        for src, dst in conn.query("SELECT src, dst FROM sir_deps ORDER BY rowid").rows:
+            details[src]["references"].append(dst)
+    return details
 
 
 @dataclass
@@ -210,7 +216,7 @@ _UNPARSED = object()    # the scheme of a loaded entry before its first read
 
 class _LazyScheme:
     """`CatalogEntry.scheme`, assigned like a plain attribute.  An entry
-    loaded from the meta-tables holds `_UNPARSED` until the scheme is first
+    loaded from the meta-table holds `_UNPARSED` until the scheme is first
     read; that read parses the entry's source text (`_parsed_scheme`) and
     keeps the result.  A failed parse keeps nothing, so every read raises."""
 
@@ -228,7 +234,7 @@ class _LazyScheme:
 
 def _parsed_scheme(entry) -> SirScheme:
     """The scheme in a loaded entry's source text, checked against the
-    entry's sir_ies and sir_attrs rows; raises CorruptCatalog."""
+    entry's recorded IE order and columns; raises CorruptCatalog."""
     name = entry.name
     try:
         stmt = parse_one(entry.source_text)
@@ -238,10 +244,10 @@ def _parsed_scheme(entry) -> SirScheme:
         raise CorruptCatalog(f"{name}: source text is not a table definition")
     scheme = scheme_from_ast(stmt)
     if {i.casefold() for i in entry.ie_order} != {ie.name.casefold() for ie in scheme.ies}:
-        raise CorruptCatalog(f"{name}: sir_ies rows do not match the declared IEs")
+        raise CorruptCatalog(f"{name}: recorded IEs do not match the declared IEs")
     declared = {a.name.casefold() for a in scheme.stored_attrs}
     if declared != {c.casefold() for c in entry.stored_names()}:
-        raise CorruptCatalog(f"{name}: sir_attrs rows do not match the declared scheme")
+        raise CorruptCatalog(f"{name}: recorded columns do not match the declared scheme")
     return scheme
 
 
@@ -253,7 +259,6 @@ class CatalogEntry:
     columns: list                        # ColumnInfo, full declared order
     plan: list = field(default_factory=list)          # PlanItem; definitional DDL
     references: list = field(default_factory=list)    # relation names this entry reads
-    canonical_texts: dict = field(default_factory=dict)  # ie name -> canonical SQL text
     ie_order: list = field(default_factory=list)      # IE names in evaluation order
     source_text: str = ""
 
@@ -332,9 +337,11 @@ class Catalog:
         self._keeps_card: dict[str, bool] = {}
         self._chains: dict[str, PrefixChain | None] = {}
         self._graph_maps: tuple[dict, dict] | None = None     # see _graph
-        # the kernel holds the meta-tables: the load saw them, or a DDL of this
-        # session committed them; `ensure_meta` then sends nothing
+        # the kernel holds the meta-table: the load saw it, or a DDL of this
+        # session committed it; `ensure_meta` then sends nothing
         self.meta_ready = False
+        # the kernel's schema_version that the entries reflect (see SirLayer._ddl_transaction)
+        self.schema_version = 0
 
     # --- lookups ---
 
@@ -605,73 +612,33 @@ class Catalog:
 
     # --- persistence ---
 
-    META_DDL = (
-        """CREATE TABLE IF NOT EXISTS sir_relations (
-            name TEXT PRIMARY KEY, kind TEXT NOT NULL, created_at TEXT NOT NULL,
-            source_text TEXT NOT NULL, plan TEXT NOT NULL)""",
-        """CREATE TABLE IF NOT EXISTS sir_attrs (
-            rel TEXT NOT NULL, ordinal INTEGER NOT NULL, name TEXT NOT NULL,
-            sql_type TEXT, is_key INTEGER NOT NULL, is_inherited INTEGER NOT NULL,
-            ie_name TEXT, PRIMARY KEY (rel, ordinal))""",
-        """CREATE TABLE IF NOT EXISTS sir_ies (
-            rel TEXT NOT NULL, ordinal INTEGER NOT NULL, name TEXT NOT NULL,
-            source_text TEXT NOT NULL, canonical_text TEXT NOT NULL,
-            PRIMARY KEY (rel, ordinal))""",
-        """CREATE TABLE IF NOT EXISTS sir_deps (
-            src TEXT NOT NULL, dst TEXT NOT NULL)""",
-    )
+    META_DDL = """CREATE TABLE IF NOT EXISTS sir_relations (
+        name TEXT PRIMARY KEY, kind TEXT NOT NULL, created_at TEXT NOT NULL,
+        source_text TEXT NOT NULL, plan TEXT NOT NULL)"""
 
     def ensure_meta(self, conn):
-        """Create the meta-tables unless `meta_ready` says they exist."""
+        """Create the meta-table unless `meta_ready` says it exists."""
         if not self.meta_ready:
-            for ddl in self.META_DDL:
-                conn.execute(ddl)
+            conn.execute(self.META_DDL)
 
     def persist(self, entry: CatalogEntry, conn):
-        """Write an entry's meta rows; call inside the DDL's transaction."""
+        """Write an entry's meta row; call inside the DDL's transaction."""
         now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        plan_json = _plan_json(entry.plan)
         conn.execute(
             "INSERT INTO sir_relations (name, kind, created_at, source_text, plan)"
             " VALUES (?, ?, ?, ?, ?)",
-            (entry.name, entry.kind, now, entry.source_text, plan_json))
-        self._persist_details(entry, conn)
-
-    def _persist_details(self, entry: CatalogEntry, conn):
-        _insert_rows(conn, "sir_attrs", [
-            (entry.name, ordinal, col.name, col.sql_type,
-             int(col.is_key), int(col.is_inherited), col.ie_name)
-            for ordinal, col in enumerate(entry.columns)])
-        if entry.scheme is not None:
-            # ordinal records evaluation order, which may differ from declaration
-            ordered = entry.ie_order or [ie.name for ie in entry.scheme.ies]
-            ies = [entry.scheme.find_ie(ie_name) for ie_name in ordered]
-            _insert_rows(conn, "sir_ies", [
-                (entry.name, ordinal, ie.name, render_source(ie),
-                 entry.canonical_texts.get(ie.name, ""))
-                for ordinal, ie in enumerate(ies)])
-        _insert_rows(conn, "sir_deps", [(entry.name, ref) for ref in entry.references])
+            (entry.name, entry.kind, now, entry.source_text, _document(entry)))
 
     def persist_replace(self, entry: CatalogEntry, conn):
-        """Rewrite an entry's meta rows after an alteration.  Rows are matched
-        by the entry's name exactly as stored, so the primary keys serve them."""
-        plan_json = _plan_json(entry.plan)
+        """Rewrite an entry's meta row after an alteration.  The row is matched
+        by the entry's name exactly as stored, so the primary key serves it."""
         conn.execute(
             "UPDATE sir_relations SET kind = ?, source_text = ?, plan = ? WHERE name = ?",
-            (entry.kind, entry.source_text, plan_json, entry.name))
-        self._delete_details(entry.name, conn)
-        self._persist_details(entry, conn)
+            (entry.kind, entry.source_text, _document(entry), entry.name))
 
     def persist_remove(self, name: str, conn):
-        """Delete the meta rows of the relation stored under `name`."""
+        """Delete the meta row of the relation stored under `name`."""
         conn.execute("DELETE FROM sir_relations WHERE name = ?", (name,))
-        self._delete_details(name, conn)
-
-    @staticmethod
-    def _delete_details(name: str, conn):
-        for table in ("sir_attrs", "sir_ies"):
-            conn.execute(f"DELETE FROM {table} WHERE rel = ?", (name,))
-        conn.execute("DELETE FROM sir_deps WHERE src = ?", (name,))
 
     def copy(self) -> "Catalog":
         """Shallow working copy for what-if compilation during alters."""
@@ -720,50 +687,45 @@ class Catalog:
 
     @classmethod
     def load(cls, conn) -> "Catalog":
-        """Rebuild the catalog from meta-tables, reading each once, whatever
-        the number of relations.
+        """Rebuild the catalog with three queries, whatever the number of
+        relations (relations in the four-table format add three).  The schema
+        version is read first, so DDL that another session commits during the
+        load leaves the catalog looking stale, never current.
 
         Raises CorruptCatalog here on an unreadable plan or a missing kernel
         object.  A relation's scheme is parsed from its source text when it is
-        first read (see `_LazyScheme`), so an unparseable source text or meta
-        rows that disagree with it raise CorruptCatalog at that read, on every
-        read; `audit` reads them all."""
+        first read (see `_LazyScheme`), so an unparseable source text, or
+        recorded columns or IEs that disagree with it, raise CorruptCatalog at
+        that read, on every read; `audit` reads them all."""
         catalog = cls()
+        catalog.schema_version = conn.schema_version()
         objects = {row[0].casefold() for row in conn.query("SELECT name FROM sqlite_master").rows}
-        catalog.meta_ready = {"sir_relations", "sir_attrs", "sir_ies", "sir_deps"} <= objects
-        if "sir_relations" not in objects:
+        catalog.meta_ready = "sir_relations" in objects
+        if not catalog.meta_ready:
             return catalog
         relations = conn.query(
             "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid")
-        deps = conn.query("SELECT src, dst FROM sir_deps ORDER BY rowid")
-        dep_map: dict[str, list[str]] = {}
-        for src, dst in deps.rows:
-            dep_map.setdefault(src.casefold(), []).append(dst)
-        # keyed by the exact rel value, as a `WHERE rel = ?` lookup matches;
-        # each relation's rows are released once its entry is built
-        attrs_of = _rows_by_rel(conn.query(
-            "SELECT rel, name, sql_type, is_key, is_inherited, ie_name FROM sir_attrs"
-            " ORDER BY rel, ordinal"))
-        ies_of = _rows_by_rel(conn.query(
-            "SELECT rel, name, canonical_text FROM sir_ies ORDER BY rel, ordinal"))
-        for name, kind, source_text, plan_json in relations.rows:
+        legacy = None
+        for name, kind, source_text, stored in relations.rows:
             try:
-                plan = [_plan_item(item) for item in json.loads(plan_json)]
-            except (TypeError, ValueError) as exc:
+                document = json.loads(stored)
+                if isinstance(document, list):
+                    legacy = _legacy_details(conn, objects) if legacy is None else legacy
+                    document = {"plan": document, **legacy[name]}
+                entry = CatalogEntry(
+                    name=name, kind=kind, scheme=_UNPARSED if kind in (STORED, SIR) else None,
+                    columns=[ColumnInfo(col, sql_type, bool(is_key), bool(is_inherited), ie_name)
+                             for col, sql_type, is_key, is_inherited, ie_name
+                             in document["columns"]],
+                    plan=[_plan_item(item) for item in document["plan"]],
+                    references=document["references"], ie_order=document["ie_order"],
+                    source_text=source_text)
+            except (TypeError, ValueError, KeyError) as exc:
                 raise CorruptCatalog(f"{name}: unreadable plan: {exc}") from exc
-            for item in plan:
+            for item in entry.plan:
                 if item.name.casefold() not in objects:
                     raise CorruptCatalog(
                         f"{name}: kernel object {item.name!r} recorded in the catalog is missing")
-            columns = [ColumnInfo(col, sql_type, bool(is_key), bool(is_inherited), ie_name)
-                       for _, col, sql_type, is_key, is_inherited, ie_name
-                       in attrs_of.pop(name, ())]
-            ies = ies_of.pop(name, ()) if kind in (STORED, SIR) else ()
-            entry = CatalogEntry(
-                name=name, kind=kind, scheme=_UNPARSED if kind in (STORED, SIR) else None,
-                columns=columns, plan=plan, references=dep_map.get(name.casefold(), []),
-                canonical_texts={ie_name: text for _, ie_name, text in ies},
-                ie_order=[ie_name for _, ie_name, _ in ies], source_text=source_text)
             catalog.attach(entry)
         return catalog
 

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .compiler import CompileOptions
-from .errors import CorruptCatalog, ParseError, SirSqlError
+from .errors import CorruptCatalog, ParseError, SirSqlError, StaleCatalog
 from .kernel import KernelConnection, RowSet
 from .layer import SirLayer
 from .lexer import OP, tokenize
@@ -154,7 +154,8 @@ def cmd_apply(layer: SirLayer, args) -> int:
             result = layer.apply_statement(stmt)
         except SirSqlError as exc:
             print(f"{index}: error: {exc}", file=sys.stderr)
-            return EXIT_SEMANTIC
+            # refused for another session's DDL, not for the statement itself
+            return EXIT_RUNTIME if isinstance(exc, StaleCatalog) else EXIT_SEMANTIC
         for warning in result.warnings:
             print(f"{index}: warning: {warning}", file=sys.stderr)
         print(f"{index}: ok {result.action}: {_describe(result)}")

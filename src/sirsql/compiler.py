@@ -70,7 +70,6 @@ class CompiledSir:
     scheme: SirScheme
     plan: KernelPlan
     columns: list               # ColumnInfo
-    canonical_texts: dict
     ie_order: list
     references: list
 
@@ -578,7 +577,7 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
         plan = KernelPlan(items=[PlanItem(scheme.name, "table", sql)])
         columns = build_columns(scheme, [])
         return CompiledSir(scheme=scheme, plan=plan, columns=columns,
-                           canonical_texts={}, ie_order=[], references=[])
+                           ie_order=[], references=[])
 
     canon = canonicalize_all(scheme, catalog)
     ordered = order_ies(scheme, canon, catalog)
@@ -608,7 +607,6 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
 
     base_name = f"{scheme.name}_B"
     items = [PlanItem(base_name, "table", render(_base_table_ast(scheme, base_name)))]
-    canonical_texts: dict[str, str] = {}
 
     def add_view(name: str, select: n.Select, stage: StageFacts):
         items.append(PlanItem(name, "view",
@@ -622,14 +620,11 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
         stage_name = scheme.name if last_direct else f"{scheme.name}_{pos}"
         select = _stage_select(cie, prev, scheme.name)
         add_view(stage_name, select, _stage_facts(cie))
-        for member in (cie.name,):
-            canonical_texts.setdefault(member, render(select))
         prev = stage_name
 
     if fused_last:
         # fold the final stage and the reordering into one view (fewer mappings)
         last = stages[-1]
-        canonical_texts.setdefault(last.name, "")
         produced_items: dict[str, n.SelectItem] = {}
         if last.kind == "join":
             for item, attr in zip(last.select_items, last.produced_attrs):
@@ -652,12 +647,9 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
         if last.kind == "join":
             body = _stage_select(last, prev, scheme.name, items_override=[])
             body.items = [substitute_relation(i, scheme.name, prev) for i in final_items]
-            canonical_texts[last.name] = render(body)
-            add_view(scheme.name, body, _stage_facts(last))
         else:
             body = n.Select(items=final_items, from_=[n.TableName(name=prev)])
-            canonical_texts[last.name] = render(body)
-            add_view(scheme.name, body, _stage_facts(last))
+        add_view(scheme.name, body, _stage_facts(last))
     elif not in_declared_order:
         reorder = n.Select(items=[n.SelectItem(expr=n.ColumnRef(name=c)) for c in declared],
                            from_=[n.TableName(name=prev)])
@@ -670,7 +662,6 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
             if ref.casefold() not in {r.casefold() for r in references}:
                 references.append(ref)
     return CompiledSir(scheme=scheme, plan=plan, columns=columns,
-                       canonical_texts=canonical_texts,
                        ie_order=[c.name for c in ordered], references=references)
 
 

@@ -58,6 +58,11 @@ class NameCollision(SirSqlError):
     pass
 
 
+class StaleCatalog(SirSqlError):
+    """Another session changed the kernel schema after this session read its
+    catalog; the DDL was refused and rolled back."""
+
+
 # --- compiler --------------------------------------------------------------
 
 class MissingRecursiveJoin(SirSqlError):

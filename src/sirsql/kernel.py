@@ -85,10 +85,12 @@ class KernelConnection:
     # --- transactions ---
 
     def within_transaction(self, work):
-        """Run `work(conn)`; commit everything or roll back everything."""
+        """Run `work(conn)`; commit everything or roll back everything.  The
+        transaction takes the write lock at once (every caller writes), so
+        what `work` reads stays current until the commit."""
         if self._in_transaction:
             raise KernelError("transaction already open on this connection")
-        self._db.execute("BEGIN")
+        self._db.execute("BEGIN IMMEDIATE")
         self._in_transaction = True
         try:
             result = work(self)
@@ -102,6 +104,10 @@ class KernelConnection:
             self._in_transaction = False
 
     # --- introspection ---
+
+    def schema_version(self) -> int:
+        """SQLite's schema cookie, which every committed schema change bumps."""
+        return self.query("PRAGMA schema_version").rows[0][0]
 
     def object_kind(self, name: str) -> str | None:
         rows = self._db.execute(

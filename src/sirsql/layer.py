@@ -8,7 +8,11 @@ A session is used only by the thread that opened its KernelConnection
 (sqlite3 refuses calls from any other thread).  Threads that share one
 database file each open their own session over their own connection; the
 kernel's file locks serialize their writes.  A session loads the catalog
-once, at open, and does not see DDL that another session commits later.
+once, at open, and does not see DDL that another session commits later.  A
+DDL statement of the session then raises StaleCatalog and changes nothing
+(see `_ddl_transaction`); a new session sees the change.  Queries and DML
+do not check.
+
 The open fails with CorruptCatalog on an unreadable plan or a missing kernel
 object.  It parses no scheme: a relation's scheme is parsed when a statement
 first reads it, and a corrupt source text or meta row raises CorruptCatalog
@@ -33,7 +37,7 @@ from .catalog import (SIR, STORED, VIEW, Catalog, CatalogEntry, ColumnInfo,
 from .compiler import (CompileOptions, alter_steps, apply_alter, compile_index,
                        compile_sir, plan_drop, recompile_steps, rewrite_to_base)
 from .errors import (CircularReferenceError, InvariantViolation, NameCollision,
-                     RejectedWrite, UnknownRelation)
+                     RejectedWrite, StaleCatalog, UnknownRelation)
 from .kernel import KernelConnection, RowSet
 from .lexer import shape
 from .parser import parse
@@ -157,11 +161,17 @@ class SirLayer:
 
     def _ddl_transaction(self, work):
         """Run `work(conn)` in one kernel transaction, after creating the
-        meta-tables if the session does not know they exist."""
+        meta-table if the session does not know it exists.  The transaction
+        holds the write lock from its start; if the kernel's schema version
+        then differs from the catalog's, another session committed DDL since
+        the catalog was read, and StaleCatalog rolls back before any work."""
         def run(conn):
+            if conn.schema_version() != self.catalog.schema_version:
+                raise StaleCatalog("the kernel schema changed since this session read its"
+                                   " catalog; open a new session to see the change")
             self.catalog.ensure_meta(conn)
-            return work(conn)
-        result = self.conn.within_transaction(run)
+            return work(conn), conn.schema_version()
+        result, self.catalog.schema_version = self.conn.within_transaction(run)
         self.catalog.meta_ready = True
         return result
 
@@ -203,8 +213,7 @@ class SirLayer:
         return CatalogEntry(
             name=compiled.scheme.name, kind=kind, scheme=compiled.scheme,
             columns=compiled.columns, plan=compiled.plan.items,
-            references=compiled.references, canonical_texts=compiled.canonical_texts,
-            ie_order=compiled.ie_order,
+            references=compiled.references, ie_order=compiled.ie_order,
             source_text=render_source(scheme_to_ast(compiled.scheme)))
 
     def _create_table(self, stmt: n.CreateSirTable) -> StatementResult:
@@ -282,6 +291,10 @@ class SirLayer:
 
             updates = [(entry, new_entry, steps)]
             updates.extend(self._dependent_recompiles(entry.name, new_entry, scratch))
+            # a dependent left as it is may still name what the alter changed
+            recompiled = {new.name.casefold() for _, new, _ in updates}
+            unchanged = [name for name in self.catalog.transitive_dependents(entry.name)
+                         if name.casefold() not in recompiled]
 
             origin = partial(render_source, stmt)
 
@@ -292,6 +305,8 @@ class SirLayer:
                     if new.views:
                         self._probe_view(conn, new.name, origin)
                     self.catalog.persist_replace(new, conn)
+                for name in unchanged:
+                    self._probe_view(conn, name, origin)
 
             self._ddl_transaction(work)
             for _, new, _ in updates:
@@ -349,7 +364,7 @@ class SirLayer:
                         dropped.append(item.name)
                     self.catalog.persist_remove(entry.name, conn)
 
-            self.conn.within_transaction(work)
+            self._ddl_transaction(work)
             for entry, _ in plans:
                 self.catalog.detach(entry.name)
             return StatementResult(None, "drop", objects=dropped)
@@ -357,8 +372,12 @@ class SirLayer:
     def _create_index(self, stmt: n.CreateIndex) -> StatementResult:
         with self._ddl_lock:
             plan = compile_index(stmt, self.catalog)
-            for item in plan.items:
-                self.conn.execute(item.sql, origin=partial(render_source, stmt))
+
+            def work(conn):
+                for item in plan.items:
+                    conn.execute(item.sql, origin=partial(render_source, stmt))
+
+            self._ddl_transaction(work)
             return StatementResult(stmt, "create index",
                                    objects=[i.name for i in plan.items])
 

@@ -27,6 +27,25 @@ def load_sp2(layer: SirLayer, with_data: bool = True) -> SirLayer:
     return layer
 
 
+def kernel_state(conn: KernelConnection) -> list[list[tuple]]:
+    """The kernel objects and the meta rows, for comparing a file before and
+    after a statement."""
+    return [conn.query(sql).rows for sql in (
+        "SELECT type, name, sql FROM sqlite_master ORDER BY name",
+        "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid")]
+
+
+def write_four_table_sp2(location: str):
+    """Write S-P2, data included, as a file in the earlier four-table
+    catalog format (`sir_relations` plus `sir_attrs`, `sir_ies` and
+    `sir_deps`), replayed from a dump of a file that format's writer made."""
+    db = sqlite3.connect(location)
+    try:
+        db.executescript(fixture_text("sp2_four_table.sql"))
+    finally:
+        db.close()
+
+
 @pytest.fixture
 def conn():
     connection = KernelConnection(":memory:")

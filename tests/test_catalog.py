@@ -16,7 +16,7 @@ from sirsql.parser import parse_one
 from sirsql.render import render
 from sirsql.router import route
 
-from conftest import fixture_text, load_sp2
+from conftest import fixture_text, kernel_state, load_sp2, write_four_table_sp2
 
 ALTER_STATUS_OVER_SP = ("Alter Table S Alter STATUS As STATUS"
                         " (Select Int (SUM(QTY)/100) FROM SP WHERE S.S# = S#);")
@@ -116,10 +116,11 @@ def test_load_detects_missing_kernel_object(tmp_path):
         SirLayer(KernelConnection(location))
 
 
-def test_load_detects_tampered_meta_rows(tmp_path):
+def test_load_detects_tamperedkernel_state(tmp_path):
     location = str(tmp_path / "db.sqlite")
     layer = load_sp2(SirLayer(KernelConnection(location)), with_data=False)
-    layer.conn.execute("DELETE FROM sir_ies WHERE rel = 'SP' AND name = 'I_P'")
+    layer.conn.execute("UPDATE sir_relations SET plan = json_remove(plan, '$.ie_order[1]')"
+                       " WHERE name = 'SP'")
     layer.conn.close()
     reopened = SirLayer(KernelConnection(location))     # SP's scheme is not read at open
     with pytest.raises(CorruptCatalog):
@@ -207,11 +208,14 @@ def test_load_sends_a_fixed_number_of_statements(tmp_path, kernel_log):
         conn.close()
         assert len(loaded.entries()) == size
         assert loaded.snapshot() == before
-    assert counts[0] == counts[1] <= 6
+    # the schema version, sqlite_master and sir_relations
+    assert counts == [3, 3]
 
 
 # the faults `Catalog.load` finds without parsing a scheme
 _FOUND_AT_OPEN = "kernel object|unreadable plan"
+# only a catalog in the four-table format has these tables
+_FOUR_TABLE_DETAILS = re.compile(r"\bsir_(attrs|ies)\b")
 
 
 @pytest.mark.parametrize("sabotage, message", [
@@ -224,18 +228,39 @@ _FOUND_AT_OPEN = "kernel object|unreadable plan"
      "^P: unparseable source text"),
     ("UPDATE sir_relations SET source_text = 'Select * From S;' WHERE name = 'P'",
      "^P: source text is not a table"),
-    ("DELETE FROM sir_ies WHERE rel = 'SP'", "^SP: sir_ies rows"),
-    ("DELETE FROM sir_attrs WHERE rel = 'P'", "^P: sir_attrs rows"),
-    ("DELETE FROM sir_attrs WHERE rel = 'SP' AND NOT is_inherited", "^SP: sir_attrs rows"),
+    ("DELETE FROM sir_ies WHERE rel = 'SP'", "^SP: recorded IEs"),
+    ("DELETE FROM sir_attrs WHERE rel = 'P'", "^P: recorded columns"),
+    ("DELETE FROM sir_attrs WHERE rel = 'SP' AND NOT is_inherited", "^SP: recorded columns"),
     # meta rows belong to the relation whose name they repeat exactly
-    ("UPDATE sir_attrs SET rel = 'sp' WHERE rel = 'SP'", "^SP: sir_attrs rows"),
-    ("UPDATE sir_ies SET rel = 'sp' WHERE rel = 'SP'", "^SP: sir_ies rows"),
+    ("UPDATE sir_attrs SET rel = 'sp' WHERE rel = 'SP'", "^SP: recorded columns"),
+    ("UPDATE sir_ies SET rel = 'sp' WHERE rel = 'SP'", "^SP: recorded IEs"),
+    # the same faults in the one-row document
+    ("UPDATE sir_relations SET plan = json_set(plan, '$.ie_order', json('[]'))"
+     " WHERE name = 'SP'", "^SP: recorded IEs"),
+    ("UPDATE sir_relations SET plan = json_set(plan, '$.columns', json('[]'))"
+     " WHERE name = 'P'", "^P: recorded columns"),
+    ("UPDATE sir_relations SET plan = json_remove(plan, '$.columns[0]', '$.columns[0]',"
+     " '$.columns[0]') WHERE name = 'SP'", "^SP: recorded columns"),
+    ("UPDATE sir_relations SET plan = json_set(plan, '$.columns[0][0]', 'X')"
+     " WHERE name = 'P'", "^P: recorded columns"),
+    ("UPDATE sir_relations SET plan = json_set(plan, '$.plan[0]',"
+     " json('[\"SP_B\", \"table\", \"\", {}, 1]')) WHERE name = 'SP'", "^SP: unreadable plan"),
+    ("UPDATE sir_relations SET plan = json_remove(plan, '$.columns') WHERE name = 'SP'",
+     "^SP: unreadable plan"),
+    ("UPDATE sir_relations SET plan = json_remove(plan, '$.ie_order') WHERE name = 'SP'",
+     "^SP: unreadable plan"),
+    ("UPDATE sir_relations SET plan = json_set(plan, '$.columns[1]', json('[\"SNAME\"]'))"
+     " WHERE name = 'S'", "^S: unreadable plan"),
 ])
 def test_load_rejects_each_kind_of_corruption(tmp_path, sabotage, message, capsys):
     location = str(tmp_path / "db.sqlite")
-    layer = load_sp2(SirLayer(KernelConnection(location)), with_data=False)
-    layer.conn.execute(sabotage)  # behind the catalog's back
-    layer.conn.close()
+    if _FOUR_TABLE_DETAILS.search(sabotage):
+        write_four_table_sp2(location)
+        conn = KernelConnection(location)
+    else:
+        conn = load_sp2(SirLayer(KernelConnection(location)), with_data=False).conn
+    conn.execute(sabotage)  # behind the catalog's back
+    conn.close()
     if re.search(_FOUND_AT_OPEN, message):
         with pytest.raises(CorruptCatalog, match=message):
             SirLayer(KernelConnection(location))
@@ -410,16 +435,7 @@ def _star_schema(dims: int = 2, rels: int = 4) -> str:
     return "\n".join(lines)
 
 
-def _meta_rows(conn):
-    return [conn.query(sql).rows for sql in (
-        "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid",
-        "SELECT * FROM sir_attrs ORDER BY rel, ordinal",
-        "SELECT * FROM sir_ies ORDER BY rel, ordinal",
-        "SELECT * FROM sir_deps ORDER BY rowid",
-        "SELECT type, name, sql FROM sqlite_master ORDER BY name")]
-
-
-def test_alter_cascade_on_a_reopened_session_writes_the_same_meta_rows(tmp_path):
+def test_alter_cascade_on_a_reopened_session_writes_the_samekernel_state(tmp_path):
     alters = ["Alter Table D0 Add D0_X Char;", "Alter Table D1 Drop D1_N;",
               "Alter Table D0 Drop D0_X;"]
     creating = SirLayer(KernelConnection(str(tmp_path / "creating.sqlite")))
@@ -432,7 +448,57 @@ def test_alter_cascade_on_a_reopened_session_writes_the_same_meta_rows(tmp_path)
     for alter in alters:
         creating.apply_source(alter)
         reopened.apply_source(alter)
-        assert _meta_rows(reopened.conn) == _meta_rows(creating.conn)
+        assert kernel_state(reopened.conn) == kernel_state(creating.conn)
         assert reopened.catalog.snapshot() == creating.catalog.snapshot()
     assert reopened.query("Select * From R1;").columns == \
         ["R1_K", "R1_F1", "R1_F2", "D1_NAME", "D0_NAME", "D0_N"]
+
+
+# --- catalogs written in the four-table format ---
+
+
+def _new_format_sp2(location: str) -> SirLayer:
+    return load_sp2(SirLayer(KernelConnection(location)))
+
+
+SP2_QUERIES = ["Select * From SP Order By S#, P#;", "Select Count(*) From SP;",
+               "Select SCITY, Count(*) From SP Group By SCITY Order By SCITY;",
+               "Select S#, STATUS From S Order By S#;"]
+
+
+def test_four_table_catalog_opens_like_a_new_one(tmp_path, kernel_log):
+    legacy_location = str(tmp_path / "legacy.sqlite")
+    write_four_table_sp2(legacy_location)
+    current = _new_format_sp2(str(tmp_path / "current.sqlite"))
+
+    conn = KernelConnection(legacy_location)
+    sent = kernel_log(conn)
+    legacy = SirLayer(conn)
+    # the three reads of the current format, then one per detail table; no write
+    assert len(sent) == 3 + 3
+    assert not [s for s in sent if not s.startswith(("SELECT", "PRAGMA"))]
+    assert legacy.catalog.snapshot() == current.catalog.snapshot()
+    legacy.catalog.audit()
+    for sql in SP2_QUERIES:
+        assert legacy.query(sql) == current.query(sql)
+    assert legacy.explain("SP") == current.explain("SP")
+
+
+def test_alter_on_a_four_table_catalog_writes_the_current_form(tmp_path):
+    alters = "Alter Table SP Add Before QTY NOTE Char; Alter Table S Add RATING Int;"
+    location = str(tmp_path / "legacy.sqlite")
+    write_four_table_sp2(location)
+    legacy = SirLayer(KernelConnection(location))
+    legacy.apply_source(alters)
+    legacy.conn.close()
+    current = _new_format_sp2(str(tmp_path / "current.sqlite"))
+    current.apply_source(alters)
+
+    reopened = SirLayer(KernelConnection(location))
+    assert reopened.catalog.snapshot() == current.catalog.snapshot()
+    for sql in SP2_QUERIES:
+        assert reopened.query(sql) == current.query(sql)
+    # the altered relations' rows are in the current form; P's is untouched
+    assert reopened.conn.query(
+        "SELECT name, json_type(plan) FROM sir_relations ORDER BY name").rows == \
+        [("P", "array"), ("S", "object"), ("SP", "object")]

@@ -35,8 +35,8 @@ def test_apply_reports_objects(db, capsys):
     assert code == 0
     assert "objects: SP_B, SP_1, SP" in out
     assert out.count("ok create table") == 3
-    # 5 relations plus the 4 reserved meta-tables
-    assert out.splitlines()[-1] == "kernel objects: 9"
+    # 5 relations plus the reserved meta-table
+    assert out.splitlines()[-1] == "kernel objects: 6"
 
 
 def test_apply_empty_file(db, tmp_path, capsys):

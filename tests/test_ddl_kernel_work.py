@@ -1,6 +1,6 @@
 """What DDL sends to the kernel: only changed views are re-created, each
-created or altered relation is probed once on its final view, meta rows are
-maintained through their keys, and the cascade stays safe."""
+created or altered relation is probed once on its final view, each relation
+keeps one meta row, maintained through its key, and the cascade stays safe."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from sirsql.errors import KernelError
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 
-from conftest import load_sp2
+from conftest import kernel_state, load_sp2
 
 PROBE = re.compile(r"SELECT \* FROM (\S+) LIMIT 0$")
 
@@ -57,15 +57,6 @@ def _assert_lean_meta_statements(sent: list[str]):
     assert not [s for s in sent if "IF NOT EXISTS" in s]
 
 
-def _kernel_state(layer):
-    return [layer.conn.query(sql).rows for sql in (
-        "SELECT type, name, sql FROM sqlite_master ORDER BY name",
-        "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid",
-        "SELECT * FROM sir_attrs ORDER BY rel, ordinal",
-        "SELECT * FROM sir_ies ORDER BY rel, ordinal",
-        "SELECT * FROM sir_deps ORDER BY rowid")]
-
-
 def test_alter_add_recreates_only_changed_views_and_probes_each_chain_once(tmp_path,
                                                                            kernel_log):
     layer = _reopened(tmp_path, _dimension_schema())
@@ -80,9 +71,9 @@ def test_alter_add_recreates_only_changed_views_and_probes_each_chain_once(tmp_p
     assert set(_named(sent, "CREATE VIEW")) == changed
     assert [PROBE.match(s).group(1) for s in sent if PROBE.match(s)] == ["R0", "R1", "R2"]
     _assert_lean_meta_statements(sent)
-    # BEGIN, ADD COLUMN, COMMIT; D: UPDATE, 3 DELETEs, 1 INSERT; each
-    # dependent: DROP, CREATE, probe, UPDATE, 3 DELETEs, 3 INSERTs
-    assert len(sent) == 3 + 5 + 3 * 10
+    # BEGIN, the schema version before and after, COMMIT; D: ADD COLUMN,
+    # UPDATE; each dependent: DROP, CREATE, probe, UPDATE
+    assert len(sent) == 4 + 2 + 3 * 4
     assert layer.query("Select * From R1;").columns[-1] == "E_NAME"
     assert "D_X" in layer.query("Select * From R1;").columns
 
@@ -96,9 +87,9 @@ def test_create_with_two_ies_probes_its_final_view_once(tmp_path, kernel_log):
     assert _named(sent, "CREATE VIEW") == ["R3_1", "R3"]
     assert [PROBE.match(s).group(1) for s in sent if PROBE.match(s)] == ["R3"]
     _assert_lean_meta_statements(sent)
-    # the name check, BEGIN, the base, two views, the probe, one INSERT per
-    # meta-table, COMMIT
-    assert len(sent) == 1 + 1 + 3 + 1 + 4 + 1
+    # the name check, BEGIN, the schema version before and after, the base,
+    # two views, the probe, one INSERT, COMMIT
+    assert len(sent) == 1 + 1 + 2 + 3 + 1 + 1 + 1
     assert len([s for s in sent if "sqlite_master" in s]) == 1
 
 
@@ -106,13 +97,13 @@ def test_meta_tables_are_created_until_a_ddl_commits(kernel_log):
     layer = SirLayer(KernelConnection(":memory:"))
     sent = kernel_log(layer.conn)
     with pytest.raises(KernelError):
-        # fails after the meta-tables were created, so they roll back
+        # fails after the meta-table was created, so it rolls back
         layer.apply_source("Create Table T (A Int, B Int, Primary Key (A),"
                            " I (Select Count(*) As C From T As X Where T.A = X.A And NOPE = 1));")
-    assert len([s for s in sent if "IF NOT EXISTS" in s]) == 4
+    assert len([s for s in sent if "IF NOT EXISTS" in s]) == 1
     sent.clear()
     layer.apply_source("Create Table U (A Int, Primary Key (A));")
-    assert len([s for s in sent if "IF NOT EXISTS" in s]) == 4
+    assert len([s for s in sent if "IF NOT EXISTS" in s]) == 1
     sent.clear()
     layer.apply_source("Create Table W (A Int, Primary Key (A));")
     assert not [s for s in sent if "IF NOT EXISTS" in s]
@@ -128,7 +119,7 @@ def test_invalid_middle_stage_fails_through_the_final_view_probe(tmp_path, kerne
         "Insert Into D Values ('d1', 'one', 1);",
         "Insert Into R Values ('r1', 'd1');"]))
     assert [item.name for item in layer.catalog.get("R").views] == ["R_1", "R_2", "R"]
-    kernel, snapshot = _kernel_state(layer), layer.catalog.snapshot()
+    kernel, snapshot = kernel_state(layer.conn), layer.catalog.snapshot()
     probed = []
     probe = SirLayer._probe_view
     monkeypatch.setattr(SirLayer, "_probe_view",
@@ -144,7 +135,7 @@ def test_invalid_middle_stage_fails_through_the_final_view_probe(tmp_path, kerne
     assert _named(sent, "CREATE VIEW") == ["R_1"]
     assert probed == ["R"]
     assert sent[-2].startswith("CREATE VIEW R_1 ") and sent[-1] == "ROLLBACK"
-    assert _kernel_state(layer) == kernel
+    assert kernel_state(layer.conn) == kernel
     assert layer.catalog.snapshot() == snapshot
     assert layer.query("Select TWICE, TAG From R;").rows == [(2, "r1x")]
 
@@ -172,15 +163,17 @@ def test_base_rebuild_under_unchanged_views_returns_the_rows(tmp_path, kernel_lo
 
 
 def _meta_counts(conn) -> dict[str, tuple]:
-    """Per stored relation name: sir_relations, sir_attrs, sir_ies and
-    sir_deps row counts, the names matched exactly."""
-    counts = {}
-    for (name,) in conn.query("SELECT name FROM sir_relations").rows:
-        counts[name] = tuple(
-            conn.execute(f"SELECT count(*) FROM {table} WHERE {column} = ?", (name,)).rows[0][0]
-            for table, column in (("sir_relations", "name"), ("sir_attrs", "rel"),
-                                  ("sir_ies", "rel"), ("sir_deps", "src")))
-    return counts
+    """Per stored relation name, matched exactly: its number of
+    sir_relations rows, and the numbers of columns, IEs and references its
+    row records."""
+    return {name: counts for name, *counts in conn.query(
+        "SELECT name, count(*), json_array_length(plan, '$.columns'),"
+        " json_array_length(plan, '$.ie_order'), json_array_length(plan, '$.references')"
+        " FROM sir_relations GROUP BY name").rows}
+
+
+def _meta_tables(conn) -> list[tuple]:
+    return conn.query("SELECT name FROM sqlite_master WHERE name LIKE 'sir_%'").rows
 
 
 def test_ddl_in_another_case_keeps_one_set_of_meta_rows(tmp_path):
@@ -188,39 +181,43 @@ def test_ddl_in_another_case_keeps_one_set_of_meta_rows(tmp_path):
     layer = load_sp2(SirLayer(KernelConnection(location)))
     layer.apply_source("alter table sp add NOTE Char;")
     counts = _meta_counts(layer.conn)
-    assert counts == {entry.name: (1, len(entry.columns), len(entry.ie_order),
-                                   len(entry.references))
+    assert counts == {entry.name: [1, len(entry.columns), len(entry.ie_order),
+                                   len(entry.references)]
                       for entry in layer.catalog.entries()}
-    assert counts["SP"] == (1, 11, 2, 2)
-    assert layer.conn.query("SELECT count(*) FROM sir_attrs").rows == [(4 + 5 + 11,)]
+    assert counts["SP"] == [1, 11, 2, 2]
+    assert _meta_tables(layer.conn) == [("sir_relations",)]
 
     layer.apply_source("drop table s cascade;")
-    assert _meta_counts(layer.conn) == {"P": (1, 5, 0, 0)}
-    for table in ("sir_attrs", "sir_ies", "sir_deps"):
-        column = "src" if table == "sir_deps" else "rel"
-        assert layer.conn.query(f"SELECT count(*) FROM {table} WHERE {column} <> 'P'").rows \
-            == [(0,)]
+    assert _meta_counts(layer.conn) == {"P": [1, 5, 0, 0]}
     snapshot = layer.catalog.snapshot()
     layer.conn.close()
     assert SirLayer(KernelConnection(location)).catalog.snapshot() == snapshot
 
 
-def test_meta_rows_split_where_the_kernel_binds_fewer_parameters(tmp_path, kernel_log):
-    default = load_sp2(SirLayer(KernelConnection(str(tmp_path / "default.sqlite"))),
-                       with_data=False)
-    location = str(tmp_path / "narrow.sqlite")
-    narrow = SirLayer(KernelConnection(location))
-    narrow.conn.max_params = 14                 # two sir_attrs rows per INSERT
-    sent = kernel_log(narrow.conn)
-    load_sp2(narrow, with_data=False)
+@pytest.mark.parametrize("schema, alter, broken, message", [
+    # SP's I_S names SNAME, and SP does not star over S, so it is not recompiled
+    pytest.param(None, "Alter Table S Drop SNAME;", "SP", "no such column: S.SNAME",
+                 id="explicit-ie"),
+    # R0 is recompiled without D_N; the user view over R0 is not
+    pytest.param(_dimension_schema() + "\nCreate View V As Select R0_K, D_N From R0;",
+                 "Alter Table D Drop D_N;", "V", "no such column: D_N", id="user-view"),
+])
+def test_alter_refused_when_a_dependent_left_unchanged_breaks(tmp_path, kernel_log, schema,
+                                                              alter, broken, message):
+    location = str(tmp_path / "db.sqlite")
+    layer = SirLayer(KernelConnection(location))
+    if schema is None:
+        load_sp2(layer)
+    else:
+        layer.apply_source(schema)
+    kernel, snapshot = kernel_state(layer.conn), layer.catalog.snapshot()
+    sent = kernel_log(layer.conn)
 
-    sp_attrs = [s for s in sent if s.startswith("INSERT INTO sir_attrs VALUES ('SP'")]
-    assert len(sp_attrs) == 5                   # SP's 10 columns
-    details = ("SELECT * FROM sir_attrs ORDER BY rel, ordinal",
-               "SELECT * FROM sir_ies ORDER BY rel, ordinal",
-               "SELECT * FROM sir_deps ORDER BY rowid")
-    assert [narrow.conn.query(sql).rows for sql in details] == \
-        [default.conn.query(sql).rows for sql in details]
-    snapshot = narrow.catalog.snapshot()
-    narrow.conn.close()
+    with pytest.raises(KernelError, match=message):
+        layer.apply_source(alter)
+    assert [PROBE.match(s).group(1) for s in sent if PROBE.match(s)][-1] == broken
+    assert sent[-1] == "ROLLBACK"
+    assert kernel_state(layer.conn) == kernel
+    assert layer.catalog.snapshot() == snapshot
+    layer.conn.close()
     assert SirLayer(KernelConnection(location)).catalog.snapshot() == snapshot

@@ -84,9 +84,9 @@ def test_nested_transaction_rejected(conn):
 
 
 def test_sp2_apply_yields_nine_kernel_objects():
-    # 5 relations (S, P, SP_B, SP_1, SP) plus the 4 meta-tables
+    # 5 relations (S, P, SP_B, SP_1, SP) plus the meta-table
     layer = load_sp2(make_layer(), with_data=False)
-    assert len(layer.conn.object_names()) == 9
+    assert len(layer.conn.object_names()) == 6
 
 
 def test_each_statement_commits_plan_and_meta_rows_together():

@@ -335,14 +335,19 @@ def test_source_alter_turns_pruning_off_for_dependents(tmp_path):
     location = str(tmp_path / "db.sqlite")
     layer = SirLayer(KernelConnection(location))
     layer.apply_source("""
-        Create Table X (N Int, K Int, V Char, Primary Key (N), Unique (K));
+        Create Table Y (C Int, W Char, Primary Key (C, W));
+        Create Table X (N Int, K Int, C Int, V Char, Primary Key (N), Unique (K));
         Create Table R (A Int, Primary Key (A), I_X (Select V From X Where R.A = K));
-        Insert Into X Values (1, 1, 'a'), (2, 2, 'b'), (3, 3, 'c');
+        Insert Into Y Values (7, 'a'), (7, 'b');
+        Insert Into X Values (1, 1, 7, 'a'), (2, 2, 0, 'b'), (3, 3, 0, 'c');
         Insert Into R Values (1), (2), (3);
     """)
     assert routed_sql(layer, "Select Count(*) From R;")[0].kind == BASE_REWRITE
-    # the key column goes; an inherited, non-unique K takes its place
-    layer.apply_source("Alter Table X Drop K; Alter Table X Add K As (N / 2);")
+    # dropping the key R joins on would leave R naming a missing column
+    with pytest.raises(KernelError, match="no such column: X.K"):
+        layer.apply_source("Alter Table X Drop K;")
+    # a join on part of Y's key gives X's first row two matches, and R's too
+    layer.apply_source("Alter Table X Add I_Y (Select W From Y Where X.C = C);")
     for session in (layer, SirLayer(KernelConnection(location))):
         assert routed_sql(session, "Select Count(*) From R;")[0].kind == PASS_THROUGH
         assert session.query("Select Count(*) From R;").rows == [(4,)]
@@ -373,9 +378,11 @@ def test_seed_format_plans_load_and_are_never_pruned(tmp_path):
     location = str(tmp_path / "db.sqlite")
     layer = load_sp2(SirLayer(KernelConnection(location)))
     expected = full_view_rows(layer, "Select SCITY, Count(*) From SP Group By SCITY;")
-    for name, plan in layer.conn.query("SELECT name, plan FROM sir_relations").rows:
-        legacy = json.dumps([item[:3] for item in json.loads(plan)])
-        layer.conn.execute("UPDATE sir_relations SET plan = ? WHERE name = ?", (legacy, name))
+    for name, stored in layer.conn.query("SELECT name, plan FROM sir_relations").rows:
+        document = json.loads(stored)
+        document["plan"] = [item[:3] for item in document["plan"]]
+        layer.conn.execute("UPDATE sir_relations SET plan = ? WHERE name = ?",
+                           (json.dumps(document), name))
     layer.conn.close()
 
     reopened = SirLayer(KernelConnection(location))
