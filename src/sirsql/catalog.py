@@ -17,9 +17,10 @@ ignored.
 
 Meta rows are written inside the same kernel transaction as the DDL they
 describe; the in-memory mirror is updated only after the commit, so any
-failure leaves both the kernel and the catalog unchanged.  The catalog
-records the kernel's `PRAGMA schema_version` as it was read, so a DDL can
-tell whether another session changed the schema since.
+failure leaves both the kernel and the catalog unchanged.  Every DDL also
+bumps the kernel's `PRAGMA user_version` in its transaction, and the
+catalog records that version as it was read, so a DDL can tell whether
+another session's DDL committed since.
 
 Concurrency: a catalog belongs to one session and is used only by the
 thread that opened the session's KernelConnection.  A thread that needs
@@ -340,8 +341,8 @@ class Catalog:
         # the kernel holds the meta-table: the load saw it, or a DDL of this
         # session committed it; `ensure_meta` then sends nothing
         self.meta_ready = False
-        # the kernel's schema_version that the entries reflect (see SirLayer._ddl_transaction)
-        self.schema_version = 0
+        # the kernel's DDL version that the entries reflect (see SirLayer._ddl_transaction)
+        self.version = 0
 
     # --- lookups ---
 
@@ -688,7 +689,7 @@ class Catalog:
     @classmethod
     def load(cls, conn) -> "Catalog":
         """Rebuild the catalog with three queries, whatever the number of
-        relations (relations in the four-table format add three).  The schema
+        relations (relations in the four-table format add three).  The DDL
         version is read first, so DDL that another session commits during the
         load leaves the catalog looking stale, never current.
 
@@ -698,7 +699,7 @@ class Catalog:
         recorded columns or IEs that disagree with it, raise CorruptCatalog at
         that read, on every read; `audit` reads them all."""
         catalog = cls()
-        catalog.schema_version = conn.schema_version()
+        catalog.version = conn.ddl_version()
         objects = {row[0].casefold() for row in conn.query("SELECT name FROM sqlite_master").rows}
         catalog.meta_ready = "sir_relations" in objects
         if not catalog.meta_ready:

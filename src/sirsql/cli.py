@@ -18,8 +18,6 @@ from .errors import CorruptCatalog, ParseError, SirSqlError, StaleCatalog
 from .kernel import KernelConnection, RowSet
 from .layer import SirLayer
 from .lexer import OP, tokenize
-from .normalizer import (drafts_to_sirsql, normalize, parse_dependency_file,
-                         render_trace)
 
 EXIT_OK, EXIT_RUNTIME, EXIT_SEMANTIC, EXIT_PARSE = 0, 1, 2, 3
 
@@ -202,6 +200,9 @@ def cmd_check(layer: SirLayer, args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    # imported here: no other command needs the normalizer
+    from .normalizer import drafts_to_sirsql, normalize, parse_dependency_file, render_trace
+
     try:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()

@@ -20,7 +20,6 @@ Plans are pure data; identical scheme + options yield byte-identical text.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from . import nodes as n
@@ -78,18 +77,22 @@ class CompiledSir:
 
 
 def substitute_relation(node, old: str, new: str):
-    """Deep copy with every direct reference to relation `old` renamed to `new`.
+    """`node` with every direct reference to relation `old` renamed to `new`.
+    Only the nodes on a path to a renamed one are new (see `n.transform`).
 
     Alias-qualified references are left alone; only FROM entries naming `old`
     and column qualifiers spelled `old` are touched.
     """
-    node = copy.deepcopy(node)
-    for sub in n.walk(node):
-        if isinstance(sub, n.TableName) and sub.name.casefold() == old.casefold():
-            sub.name = new
-        elif isinstance(sub, n.ColumnRef) and sub.table and sub.table.casefold() == old.casefold():
-            sub.table = new
-    return node
+    old = old.casefold()
+
+    def rename(sub):
+        if isinstance(sub, n.TableName) and sub.name.casefold() == old:
+            return sub.replace(name=new)
+        if isinstance(sub, n.ColumnRef) and sub.table and sub.table.casefold() == old:
+            return sub.replace(table=new)
+        return sub
+
+    return n.transform(node, rename)
 
 
 def conjuncts(expr) -> list:
@@ -443,29 +446,17 @@ def _collapse_value_ies(ordered: list[CanonicalIE]) -> list[CanonicalIE]:
 
 
 def _substitute_columns(expr, replacements: dict):
-    expr = copy.deepcopy(expr)
-
-    def rewrite(node):
-        if isinstance(node, n.ColumnRef) and node.table is None \
-                and node.name.casefold() in replacements:
-            return copy.deepcopy(replacements[node.name.casefold()])
-        fields = getattr(node, "__dataclass_fields__", None)
-        if fields is None:
-            return node
-        for name in fields:
-            child = getattr(node, name)
-            if isinstance(child, list):
-                setattr(node, name, [rewrite(c) if hasattr(c, "__dataclass_fields__") else c
-                                     for c in child])
-            elif hasattr(child, "__dataclass_fields__"):
-                setattr(node, name, rewrite(child))
+    """`expr` with each unqualified column named in `replacements` (by its
+    casefolded name) replaced by the expression given for it."""
+    def swap(node):
+        if isinstance(node, n.ColumnRef) and node.table is None:
+            return replacements.get(node.name.casefold(), node)
         return node
 
-    return rewrite(expr)
+    return n.transform(expr, swap)
 
 
-def _stage_select(cie: CanonicalIE, prev: str, scheme_name: str,
-                  items_override=None) -> n.Select:
+def _stage_select(cie: CanonicalIE, prev: str, scheme_name: str) -> n.Select:
     """The SELECT body of the view stage realizing one canonical IE over the
     previous stage `prev`."""
     if cie.kind == "join":
@@ -490,8 +481,7 @@ def _stage_select(cie: CanonicalIE, prev: str, scheme_name: str,
                                             right=n.Literal(text="1", kind="number"))
             from_entry = n.Join(left=from_entry, kind="left", right=source, on=on)
         items = [n.SelectItem(expr=n.Star(qualifier=prev))]
-        source_items = items_override if items_override is not None else cie.select_items
-        items += [substitute_relation(i, scheme_name, prev) for i in source_items]
+        items += [substitute_relation(i, scheme_name, prev) for i in cie.select_items]
         return n.Select(items=items, from_=[from_entry])
     if cie.kind == "subquery":
         select = substitute_relation(cie.select, scheme_name, prev)
@@ -519,14 +509,12 @@ def _stage_facts(cie: CanonicalIE) -> StageFacts:
 
 
 def _base_table_ast(scheme: SirScheme, base_name: str) -> n.CreateSirTable:
-    elements: list = [copy.deepcopy(a) for a in scheme.stored_attrs]
-    for attr in elements:
-        attr.is_primary_key = False
+    elements: list = [a.replace(is_primary_key=False) for a in scheme.stored_attrs]
     if scheme.keys:
         elements.append(n.PrimaryKeyClause(columns=list(scheme.keys[0])))
         for extra in scheme.keys[1:]:
             elements.append(n.UniqueClause(columns=list(extra)))
-    elements.extend(copy.deepcopy(scheme.foreign_keys))
+    elements.extend(scheme.foreign_keys)
     return n.CreateSirTable(name=base_name, elements=elements)
 
 
@@ -645,8 +633,8 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
             else:
                 final_items.append(n.SelectItem(expr=n.ColumnRef(name=col)))
         if last.kind == "join":
-            body = _stage_select(last, prev, scheme.name, items_override=[])
-            body.items = [substitute_relation(i, scheme.name, prev) for i in final_items]
+            body = _stage_select(last, prev, scheme.name).replace(
+                items=[substitute_relation(i, scheme.name, prev) for i in final_items])
         else:
             body = n.Select(items=final_items, from_=[n.TableName(name=prev)])
         add_view(scheme.name, body, _stage_facts(last))
@@ -693,8 +681,12 @@ def _produced_map(scheme: SirScheme, catalog: Catalog) -> dict[str, str]:
 
 
 def apply_alter(scheme: SirScheme, action, catalog: Catalog) -> SirScheme:
-    """The scheme after an ALTER action; raises before anything is planned."""
-    scheme = copy.deepcopy(scheme)
+    """The scheme after an ALTER action; raises before anything is planned.
+    The new scheme has lists of its own and shares its nodes with `scheme`
+    and `action`."""
+    scheme = SirScheme(name=scheme.name, elements=list(scheme.elements),
+                       keys=[list(key) for key in scheme.keys],
+                       foreign_keys=list(scheme.foreign_keys))
     if isinstance(action, n.AlterAdd):
         slot = len(scheme.elements)
         if action.position is not None:
@@ -706,7 +698,7 @@ def apply_alter(scheme: SirScheme, action, catalog: Catalog) -> SirScheme:
             index = next(i for i, e in enumerate(scheme.elements)
                          if e.name.casefold() == owner.casefold())
             slot = index if where == "before" else index + 1
-        for offset, item in enumerate(copy.deepcopy(action.items)):
+        for offset, item in enumerate(action.items):
             if isinstance(item, n.AttributeDecl) and item.is_primary_key:
                 raise InvariantViolation(
                     f"{scheme.name}: cannot add a primary-key column with ALTER")
@@ -715,7 +707,7 @@ def apply_alter(scheme: SirScheme, action, catalog: Catalog) -> SirScheme:
     if isinstance(action, n.AlterIe):
         for index, element in enumerate(scheme.elements):
             if element.name.casefold() == action.target.casefold():
-                scheme.elements[index] = copy.deepcopy(action.replacement)
+                scheme.elements[index] = action.replacement
                 if isinstance(element, n.AttributeDecl):
                     # a stored attribute became inherited; keys may not keep it
                     for key in scheme.keys:
@@ -767,8 +759,7 @@ def alter_steps(entry: CatalogEntry, compiled: CompiledSir) -> list[PlanItem]:
             steps.append(PlanItem(new_base, "step", f"ALTER TABLE {quote_ident(old_base)}"
                                                     f" RENAME TO {quote_ident(new_base)};"))
         for attr in compiled.scheme.stored_attrs[len(entry.scheme.stored_attrs):]:
-            decl = copy.deepcopy(attr)
-            decl.is_primary_key = False
+            decl = attr.replace(is_primary_key=False)
             steps.append(PlanItem(new_base, "step",
                                   f"ALTER TABLE {quote_ident(new_base)} ADD COLUMN {render(decl)};"))
     else:

@@ -105,9 +105,10 @@ class KernelConnection:
 
     # --- introspection ---
 
-    def schema_version(self) -> int:
-        """SQLite's schema cookie, which every committed schema change bumps."""
-        return self.query("PRAGMA schema_version").rows[0][0]
+    def ddl_version(self) -> int:
+        """The counter that every committed sirsql DDL statement bumps, kept
+        in `PRAGMA user_version` (see `SirLayer._ddl_transaction`)."""
+        return self.query("PRAGMA user_version").rows[0][0]
 
     def object_kind(self, name: str) -> str | None:
         rows = self._db.execute(

@@ -161,17 +161,23 @@ class SirLayer:
 
     def _ddl_transaction(self, work):
         """Run `work(conn)` in one kernel transaction, after creating the
-        meta-table if the session does not know it exists.  The transaction
-        holds the write lock from its start; if the kernel's schema version
-        then differs from the catalog's, another session committed DDL since
-        the catalog was read, and StaleCatalog rolls back before any work."""
+        meta-table if the session does not know it exists, and bump the DDL
+        version (`PRAGMA user_version`) before the commit.  The transaction
+        holds the write lock from its start; if the DDL version then differs
+        from the catalog's, another session committed DDL since the catalog
+        was read, and StaleCatalog rolls back before any work.  The version
+        moves even when a DDL changes meta rows only, which leaves SQLite's
+        schema cookie as it was."""
         def run(conn):
-            if conn.schema_version() != self.catalog.schema_version:
+            if conn.ddl_version() != self.catalog.version:
                 raise StaleCatalog("the kernel schema changed since this session read its"
                                    " catalog; open a new session to see the change")
             self.catalog.ensure_meta(conn)
-            return work(conn), conn.schema_version()
-        result, self.catalog.schema_version = self.conn.within_transaction(run)
+            result = work(conn)
+            conn.execute(f"PRAGMA user_version = {self.catalog.version + 1}")
+            return result
+        result = self.conn.within_transaction(run)
+        self.catalog.version += 1
         self.catalog.meta_ready = True
         return result
 

@@ -1,175 +1,192 @@
 """AST node types for the sirsql dialect.
 
-Nodes are plain dataclasses.  Structural equality deliberately ignores
-source positions and parse warnings so that round-trip comparisons
-(parse(render(parse(s))) == parse(s)) hold regardless of layout.
+Every node class derives from `Node`.  Equality ignores a statement's source
+position and parse warnings, so round trips (parse(render(parse(s))) ==
+parse(s)) hold whatever the layout.  A node is not changed once the parser
+has returned it: a rewrite goes through `transform`, which copies only the
+nodes on a path to a change and shares the rest with its input.  `walk` and
+`transform` are the only code that lists a node's children.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import is_not
+
+_LIST = object()        # the default of a list field: each node gets a fresh list
+_SEQUENCES = (list, tuple)
+
+
+class Node:
+    """A subclass declares its fields as annotations with optional defaults,
+    and gets `_fields`, ``__init__``, ``__eq__``, ``__repr__`` and `replace`.
+    A class made with ``meta=True`` declares keyword-only fields outside equality."""
+
+    _fields: tuple = ()         # compared, in declaration order
+    _meta: tuple = ()           # keyword-only, not compared
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, meta: bool = False):
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = dict(cls._defaults)
+        for name in own:
+            if name in cls.__dict__:
+                cls._defaults[name] = cls.__dict__[name]
+                delattr(cls, name)
+        if meta:
+            cls._meta += own
+        else:
+            cls._fields += own
+        cls.__init__ = _make_init(cls)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields + self._meta)
+        return f"{type(self).__name__}({args})"
+
+    def replace(self, **changes):
+        """A new node with `changes` applied; the other fields are shared."""
+        values = {f: getattr(self, f) for f in self._fields + self._meta}
+        return type(self)(**{**values, **changes})
+
+
+def _make_init(cls):
+    """Compile an ``__init__`` with one assignment per field: a loop over
+    the fields would make a node cost more than twice as much to build."""
+    env, params, body = {"_LIST": _LIST}, [], []
+    for name in cls._fields + cls._meta:
+        value = name
+        if name not in cls._defaults:
+            params.append(name)
+        elif cls._defaults[name] == []:
+            params.append(f"{name}=_LIST")
+            value = f"[] if {name} is _LIST else {name}"
+        else:
+            env[f"_{name}"] = cls._defaults[name]
+            params.append(f"{name}=_{name}")
+        body.append(f"\n    self.{name} = {value}")
+    if cls._meta:
+        params.insert(len(cls._fields), "*")
+    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", env)
+    return env["__init__"]
 
 
 # --- expressions -----------------------------------------------------------
 
-@dataclass
-class Literal:
+class Literal(Node):
     text: str          # lexeme as written, preserved for deterministic rendering
     kind: str          # 'number' | 'string' | 'null'
 
-
-@dataclass
-class ColumnRef:
+class ColumnRef(Node):
     name: str
     table: str | None = None
 
-
-@dataclass
-class Call:
+class Call(Node):
     func: str
     args: list
     star: bool = False          # COUNT(*)
     distinct: bool = False
 
-
-@dataclass
-class Unary:
+class Unary(Node):
     op: str
     operand: object
 
-
-@dataclass
-class Binary:
+class Binary(Node):
     op: str                     # =, <>, <, <=, >, >=, +, -, *, /, %, ||, AND, OR, LIKE
     left: object
     right: object
 
-
-@dataclass
-class IsNull:
+class IsNull(Node):
     operand: object
     negated: bool = False
 
-
-@dataclass
-class InList:
+class InList(Node):
     operand: object
     items: list                 # expressions, or a single Subquery
     negated: bool = False
 
-
-@dataclass
-class Paren:
+class Paren(Node):
     inner: object
 
-
-@dataclass
-class Subquery:
+class Subquery(Node):
     select: "Select"
 
-
-@dataclass
-class Tuple:
+class Tuple(Node):
     """Row value, e.g. (a, b) IN (...); built by rewrites, not by the grammar."""
     items: list
 
 
 # --- select ----------------------------------------------------------------
 
-@dataclass
-class Star:
+class Star(Node):
     qualifier: str | None = None
 
-
-@dataclass
-class StarMinus:
+class StarMinus(Node):
     excluded: list              # list of ColumnRef; non-empty
 
-
-@dataclass
-class SelectItem:
+class SelectItem(Node):
     expr: object                # expression | Star | StarMinus
     alias: str | None = None
 
-
-@dataclass
-class TableName:
+class TableName(Node):
     name: str
     alias: str | None = None
 
-
-@dataclass
-class DerivedTable:
+class DerivedTable(Node):
     """FROM (SELECT ...) alias; built by rewrites, not by the grammar."""
     select: "Select"
     alias: str
 
-
-@dataclass
-class Join:
+class Join(Node):
     left: object                # TableName | Join | DerivedTable
     kind: str                   # 'inner' | 'left' | 'right'
     right: object
     on: object                  # expression
 
-
-@dataclass
-class OrderItem:
+class OrderItem(Node):
     expr: object
     descending: bool = False
 
-
-@dataclass
-class Select:
+class Select(Node):
     items: list
-    from_: list = field(default_factory=list)   # TableName | Join entries (comma list)
+    from_: list = []            # TableName | Join entries (comma list)
     where: object = None
-    group_by: list = field(default_factory=list)
-    order_by: list = field(default_factory=list)
+    group_by: list = []
+    order_by: list = []
     distinct: bool = False
     limit: str | None = None    # numeric lexeme from TOP n / LIMIT n
 
 
 # --- schema elements -------------------------------------------------------
 
-@dataclass
-class AttributeDecl:
+class AttributeDecl(Node):
     name: str
     sql_type: str
-    type_args: list = field(default_factory=list)  # numeric lexemes, e.g. Decimal(10,2)
+    type_args: list = []        # numeric lexemes, e.g. Decimal(10,2)
     is_primary_key: bool = False
     not_null: bool = False
 
-
-@dataclass
-class SelectForm:
+class SelectForm(Node):
     select: Select
 
-
-@dataclass
-class ValueForm:
+class ValueForm(Node):
     items: list                 # list of (name, expression)
 
-
-@dataclass
-class IeDecl:
+class IeDecl(Node):
     name: str
     form: object                # SelectForm | ValueForm
     position: tuple | None = None   # ('before'|'after', attr) or None = append
 
-
-@dataclass
-class PrimaryKeyClause:
+class PrimaryKeyClause(Node):
     columns: list
 
-
-@dataclass
-class UniqueClause:
+class UniqueClause(Node):
     columns: list
 
-
-@dataclass
-class ForeignKeyClause:
+class ForeignKeyClause(Node):
     columns: list
     ref_table: str
     ref_columns: list
@@ -177,14 +194,12 @@ class ForeignKeyClause:
 
 # --- statements ------------------------------------------------------------
 
-@dataclass
-class _Positioned:
-    line: int = field(default=0, kw_only=True, compare=False)
-    col: int = field(default=0, kw_only=True, compare=False)
-    warnings: list = field(default_factory=list, kw_only=True, compare=False)
+class _Positioned(Node, meta=True):
+    """A statement's start in the source and the parser's warnings about it."""
+    line: int = 0
+    col: int = 0
+    warnings: list = []
 
-
-@dataclass
 class CreateSirTable(_Positioned):
     name: str
     elements: list              # AttributeDecl | IeDecl | key clauses, in source order
@@ -201,104 +216,89 @@ class CreateSirTable(_Positioned):
     def is_sir(self):
         return bool(self.ies)
 
-
-@dataclass
 class CreateView(_Positioned):
     name: str
     select: Select
 
-
-@dataclass
-class AlterAdd:
+class AlterAdd(Node):
     position: tuple | None      # ('before'|'after', attr) or None
     items: list                 # AttributeDecl | IeDecl
 
-
-@dataclass
-class AlterIe:
+class AlterIe(Node):
     target: str                 # existing IE or attribute name
     replacement: IeDecl
 
-
-@dataclass
-class AlterDrop:
+class AlterDrop(Node):
     target: str
 
-
-@dataclass
 class AlterTable(_Positioned):
     name: str
     action: object              # AlterAdd | AlterIe | AlterDrop
 
-
-@dataclass
 class DropTable(_Positioned):
     name: str
     mode: str = "restrict"      # 'restrict' | 'cascade'
 
-
-@dataclass
 class DropView(_Positioned):
     name: str
 
-
-@dataclass
 class CreateIndex(_Positioned):
     name: str
     table: str
     columns: list
     unique: bool = False
 
-
-@dataclass
 class Query(_Positioned):
     select: Select
 
-
-@dataclass
 class Insert(_Positioned):
     table: str
     columns: list | None        # explicit column list or None
     source: object              # ValuesRows | Select
 
-
-@dataclass
-class ValuesRows:
+class ValuesRows(Node):
     rows: list                  # list of list of expressions
 
-
-@dataclass
 class Update(_Positioned):
     table: str
     assignments: list           # list of (column, expression)
     where: object = None
 
-
-@dataclass
 class Delete(_Positioned):
     table: str
     where: object = None
 
 
-Statement = (CreateSirTable, CreateView, AlterTable, DropTable, DropView,
-             CreateIndex, Query, Insert, Update, Delete)
-
-
 def walk(node):
-    """Yield node and every dataclass descendant, depth-first."""
-    if node is None:
-        return
-    yield node
-    values = getattr(node, "__dataclass_fields__", None)
-    if values is None:
-        if isinstance(node, (list, tuple)):
-            for item in node:
-                yield from walk(item)
-        return
-    for name in values:
-        child = getattr(node, name)
-        if isinstance(child, (list, tuple)):
-            for item in child:
-                yield from walk(item)
-        elif hasattr(child, "__dataclass_fields__"):
-            yield from walk(child)
+    """Yield `node` and every node below it, depth-first in field order.
+    Lists and tuples are looked into, such as the ``(name, expr)`` pairs of
+    `ValueForm.items` and `Update.assignments`."""
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Node):
+            yield item
+            stack.extend(reversed([getattr(item, f) for f in item._fields]))
+        elif type(item) in _SEQUENCES:
+            stack.extend(reversed(item))
+
+
+def transform(node, fn):
+    """`node` rebuilt bottom-up: the children of each node are transformed
+    first, then `fn` gets the node (a copy if a child changed) and returns it
+    or its replacement.  Lists and tuples are reached as `walk` reaches them.
+    A node, list or tuple in which nothing changed is returned as it is, so
+    only the nodes on a path to a change are copied."""
+    if isinstance(node, Node):
+        changes = {}
+        for name in node._fields:
+            child = getattr(node, name)
+            new = transform(child, fn)
+            if new is not child:
+                changes[name] = new
+        return fn(node.replace(**changes) if changes else node)
+    if type(node) in _SEQUENCES:
+        new = [transform(item, fn) for item in node]
+        if any(map(is_not, new, node)):
+            return new if type(node) is list else tuple(new)
+    return node

@@ -43,14 +43,6 @@ def parse_one(source: str):
     return stmts[0]
 
 
-def parse_expression(source: str):
-    """Parse a standalone expression (used for dependency tooling)."""
-    parser = Parser(tokenize(source))
-    expr = parser.match_expression()
-    parser.expect_kind(EOF)
-    return expr
-
-
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens

@@ -25,10 +25,7 @@ state).
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 from dataclasses import dataclass
-from operator import is_not
 
 from . import nodes as n
 from .catalog import Catalog
@@ -140,40 +137,21 @@ def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatemen
     if not targets and not star_minus:
         return RoutedStatement(original=stmt, kind=PASS_THROUGH,
                                kernel_stmt=n.Query(select=stmt.select))
-    swap = {id(t): n.TableName(name=targets[t.name.casefold()], alias=t.alias or t.name)
-            for t in tables if t.name.casefold() in targets}
-    for sel in star_minus:
-        swap[id(sel)] = dataclasses.replace(sel, items=_expand_star_minus_items(sel, catalog))
+
+    def swap(node):
+        # a relation in `targets` is read by no select with a star, so the
+        # FROM clause a star-minus expands over is never swapped
+        cls = type(node)
+        if cls is n.TableName and node.name.casefold() in targets:
+            return n.TableName(name=targets[node.name.casefold()], alias=node.alias or node.name)
+        if cls is select_node and any(type(i.expr) is n.StarMinus for i in node.items):
+            return node.replace(items=_expand_star_minus_items(node, catalog))
+        return node
+
     return RoutedStatement(original=stmt, kind=BASE_REWRITE if targets else PASS_THROUGH,
-                           kernel_stmt=n.Query(select=_swapped(stmt.select, swap)),
+                           kernel_stmt=n.Query(select=n.transform(stmt.select, swap)),
                            target=next(iter(targets.values()), None),
                            reason="; ".join(reasons) or None)
-
-
-_NODE_TYPES = frozenset(cls for cls in vars(n).values()
-                        if isinstance(cls, type) and dataclasses.is_dataclass(cls))
-
-
-def _swapped(node, swap: dict):
-    """`node` with the nodes keyed by id in `swap` replaced.  Only the nodes
-    on a path to a replacement are copied; the rest is shared."""
-    node = swap.get(id(node), node)
-    changes = {}
-    for name in node.__dataclass_fields__:
-        child = getattr(node, name)
-        if type(child) is list:             # lists in a select hold nodes only
-            new = [_swapped(item, swap) for item in child]
-            if any(map(is_not, new, child)):
-                changes[name] = new
-        elif type(child) in _NODE_TYPES:
-            new = _swapped(child, swap)
-            if new is not child:
-                changes[name] = new
-    if not changes:
-        return node
-    node = copy.copy(node)
-    node.__dict__.update(changes)
-    return node
 
 
 def _expand_star_minus_items(sel: n.Select, catalog: Catalog) -> list:

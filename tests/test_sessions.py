@@ -41,6 +41,23 @@ def test_alter_over_a_stale_catalog_is_refused(tmp_path):
     assert fresh.query("Select * From SP;").columns[:4] == ["S#", "P#", "NOTE2", "QTY"]
 
 
+def test_a_meta_only_alter_makes_the_other_catalog_stale(tmp_path):
+    location, a, b = _two_sessions(tmp_path)
+    # the renamed IE keeps its select, so SQLite's schema cookie stays put
+    cookie = a.conn.query("PRAGMA schema_version").rows[0][0]
+    a.apply_source("Alter Table SP Alter I_S As I_S2"
+                   " (Select SNAME, STATUS, CITY As SCITY From S Where SP.S# = S#);")
+    assert a.conn.query("PRAGMA schema_version").rows[0][0] == cookie
+    kernel = kernel_state(a.conn)
+
+    with pytest.raises(StaleCatalog):
+        b.apply_source("Alter Table SP Drop I_S;")
+    assert kernel_state(b.conn) == kernel
+    fresh = SirLayer(KernelConnection(location))
+    assert fresh.catalog.get("SP").ie_order == ["I_S2", "I_P"]
+    assert fresh.catalog.get("SP").scheme.find_ie("I_S2") is not None
+
+
 @pytest.mark.parametrize("statement", [
     "Drop Table X;",
     "Create Table T (A Int, Primary Key (A));",
