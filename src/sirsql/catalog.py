@@ -488,56 +488,65 @@ class Catalog:
         self._chains[key] = chain
         return chain
 
-    def _graph(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    def _graph(self) -> tuple[dict[str, list[str]], dict[str, dict[str, None]]]:
         """The dependency graph from the entries' references, in registration
         order: casefold name -> the names it references, and casefold name ->
-        the names referencing it.  Kept until the next attach or detach."""
+        the names of the relations reading it, as an ordered set.  A relation
+        reading a kernel object (`R_B`, a stage view) also counts as a reader
+        of the object's relation.  Kept until the next attach or detach."""
         if self._graph_maps is None:
             forward = {key: [ref.casefold() for ref in self._entries[key].references]
                        for key in self._order}
-            reverse: dict[str, list[str]] = {}
+            reverse: dict[str, dict[str, None]] = {}
             for key, refs in forward.items():
-                for ref in dict.fromkeys(refs):
-                    reverse.setdefault(ref, []).append(key)
+                for ref in refs:
+                    owner = self._owners.get(ref)
+                    for target in (ref, owner.name.casefold()) if owner else (ref,):
+                        reverse.setdefault(target, {})[key] = None
             self._graph_maps = forward, reverse
         return self._graph_maps
 
-    def _readers(self, targets: set[str]) -> list[CatalogEntry]:
-        """Entries referencing any casefold name in `targets`, in registration order."""
-        readers = {key for target in targets for key in self._graph()[1].get(target, ())}
-        return [self._entries[key] for key in self._order if key in readers]
-
     def dependents_of(self, name: str) -> list[str]:
+        """The relations reading relation or kernel object `name`, in
+        registration order; those reading a relation's kernel objects count."""
         key = name.casefold()
         if key not in self._entries and self.owner_of_object(name) is None:
             raise UnknownRelation(f"no relation named {name!r}")
-        return [entry.name for entry in self._readers({key})]
+        return [self._entries[reader].name for reader in self._graph()[1].get(key, ())]
 
     def blocking_dependents(self, name: str) -> list[str]:
-        """Dependents of the relation or of any kernel object it generates."""
+        """The relations other than itself that read a relation or any kernel
+        object it generates."""
         entry = self.get(name)
-        targets = {entry.name.casefold()} | {o.casefold() for o in entry.kernel_objects}
-        return [reader.name for reader in self._readers(targets) if reader is not entry]
+        return [dep for dep in self.dependents_of(entry.name) if dep != entry.name]
 
     def transitive_dependents(self, name: str) -> list[str]:
-        """Dependents closed transitively, in breadth-first registration order."""
-        out, seen = [], {name.casefold()}
-        frontier = [name]
-        while frontier:
-            nxt = []
-            for item in frontier:
-                try:
-                    direct = self.blocking_dependents(item) if item.casefold() in self._entries \
-                        else self.dependents_of(item)
-                except UnknownRelation:
-                    continue
-                for dep in direct:
-                    if dep.casefold() not in seen:
-                        seen.add(dep.casefold())
-                        out.append(dep)
-                        nxt.append(dep)
-            frontier = nxt
-        return out
+        """Every relation that reads relation `name` or one of its kernel
+        objects, directly or through other relations, in dependency order:
+        each comes after every relation in the list that it reads; beyond
+        that, the readers of one relation keep registration order.
+
+        The list is the reverse postorder of one depth-first walk over the
+        reverse map, on an explicit stack, so it takes time linear in the
+        relations and references it reaches."""
+        reverse = self._graph()[1]
+
+        def readers(key):
+            # last first, so that the reversed postorder keeps registration order
+            return reversed(reverse.get(key, ()))
+
+        start = self.get(name).name.casefold()
+        postorder, seen = [], {start}
+        stack = [(start, readers(start))]
+        while stack:
+            key, pending = stack[-1]
+            reader = next(pending, None)
+            if reader is None:
+                postorder.append(stack.pop()[0])
+            elif reader not in seen:
+                seen.add(reader)
+                stack.append((reader, readers(reader)))
+        return [self._entries[key].name for key in reversed(postorder[:-1])]
 
     # --- validation ---
 

@@ -42,11 +42,6 @@ class CompileOptions:
 
 
 @dataclass
-class KernelPlan:
-    items: list                 # PlanItem
-
-
-@dataclass
 class CanonicalIE:
     name: str
     kind: str                   # 'join' | 'subquery' | 'value'
@@ -67,7 +62,7 @@ class CanonicalIE:
 @dataclass
 class CompiledSir:
     scheme: SirScheme
-    plan: KernelPlan
+    plan: list                  # PlanItem
     columns: list               # ColumnInfo
     ie_order: list
     references: list
@@ -562,10 +557,8 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
     if not scheme.ies:
         ast = scheme_to_ast(scheme)
         sql = render(ast)
-        plan = KernelPlan(items=[PlanItem(scheme.name, "table", sql)])
-        columns = build_columns(scheme, [])
-        return CompiledSir(scheme=scheme, plan=plan, columns=columns,
-                           ie_order=[], references=[])
+        return CompiledSir(scheme=scheme, plan=[PlanItem(scheme.name, "table", sql)],
+                           columns=build_columns(scheme, []), ie_order=[], references=[])
 
     canon = canonicalize_all(scheme, catalog)
     ordered = order_ies(scheme, canon, catalog)
@@ -611,45 +604,26 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
         prev = stage_name
 
     if fused_last:
-        # fold the final stage and the reordering into one view (fewer mappings)
+        # fold the final stage and the reordering into one view (fewer
+        # mappings): its stage select, with the items in declared order
         last = stages[-1]
-        produced_items: dict[str, n.SelectItem] = {}
-        if last.kind == "join":
-            for item, attr in zip(last.select_items, last.produced_attrs):
-                produced_items[attr.casefold()] = item
-        elif last.kind == "subquery":
-            select = substitute_relation(last.select, scheme.name, prev)
-            select = _lower_list_calls(select)
-            produced_items[last.produced_attrs[0].casefold()] = n.SelectItem(
-                expr=n.Subquery(select=select), alias=last.produced_attrs[0])
-        else:
-            for name, expr in last.items:
-                produced_items[name.casefold()] = n.SelectItem(
-                    expr=substitute_relation(expr, scheme.name, prev), alias=name)
-        final_items = []
-        for col in declared:
-            if col.casefold() in {a.casefold() for a in last.produced_attrs}:
-                final_items.append(produced_items[col.casefold()])
-            else:
-                final_items.append(n.SelectItem(expr=n.ColumnRef(name=col)))
-        if last.kind == "join":
-            body = _stage_select(last, prev, scheme.name).replace(
-                items=[substitute_relation(i, scheme.name, prev) for i in final_items])
-        else:
-            body = n.Select(items=final_items, from_=[n.TableName(name=prev)])
-        add_view(scheme.name, body, _stage_facts(last))
+        body = _stage_select(last, prev, scheme.name)
+        produced = {attr.casefold(): item
+                    for attr, item in zip(last.produced_attrs, body.items[1:])}
+        add_view(scheme.name, body.replace(items=[
+            produced.get(col.casefold()) or n.SelectItem(expr=n.ColumnRef(name=col))
+            for col in declared]), _stage_facts(last))
     elif not in_declared_order:
         reorder = n.Select(items=[n.SelectItem(expr=n.ColumnRef(name=c)) for c in declared],
                            from_=[n.TableName(name=prev)])
         add_view(scheme.name, reorder, StageFacts(kind="reorder", ies=[], adds=[]))
 
-    plan = KernelPlan(items=items)
     references = []
     for ie in scheme.ies:
         for ref in ie_references(ie, scheme.name):
             if ref.casefold() not in {r.casefold() for r in references}:
                 references.append(ref)
-    return CompiledSir(scheme=scheme, plan=plan, columns=columns,
+    return CompiledSir(scheme=scheme, plan=items, columns=columns,
                        ie_order=[c.name for c in ordered], references=references)
 
 
@@ -663,35 +637,22 @@ def _attr_signature(scheme: SirScheme):
             [render_source(fk) for fk in scheme.foreign_keys])
 
 
-def _produced_map(scheme: SirScheme, catalog: Catalog) -> dict[str, str]:
-    """attribute name -> element name, for position anchors over IAs."""
-    out = {}
-    produced: list[str] = []
-    for index, element in enumerate(scheme.elements):
-        if isinstance(element, n.AttributeDecl):
-            out[element.name.casefold()] = element.name
-        else:
-            canon = canonicalize(element, scheme, catalog, produced_so_far=produced,
-                                 declared_index=index)
-            produced.extend(canon.produced_attrs)
-            for attr in canon.produced_attrs:
-                out[attr.casefold()] = element.name
-            out[element.name.casefold()] = element.name
-    return out
-
-
-def apply_alter(scheme: SirScheme, action, catalog: Catalog) -> SirScheme:
-    """The scheme after an ALTER action; raises before anything is planned.
-    The new scheme has lists of its own and shares its nodes with `scheme`
-    and `action`."""
-    scheme = SirScheme(name=scheme.name, elements=list(scheme.elements),
-                       keys=[list(key) for key in scheme.keys],
-                       foreign_keys=list(scheme.foreign_keys))
+def apply_alter(entry: CatalogEntry, action) -> SirScheme:
+    """The entry's scheme after an ALTER action; raises before anything is
+    planned.  The new scheme has lists of its own and shares its nodes with
+    the entry's scheme and `action`.  A position anchor may name a stored
+    attribute, an IE, or an attribute an IE produces (the entry's columns
+    record which)."""
+    old = entry.scheme
+    scheme = SirScheme(name=old.name, elements=list(old.elements),
+                       keys=[list(key) for key in old.keys],
+                       foreign_keys=list(old.foreign_keys))
     if isinstance(action, n.AlterAdd):
         slot = len(scheme.elements)
         if action.position is not None:
             where, anchor = action.position
-            anchors = _produced_map(scheme, catalog)
+            anchors = {c.name.casefold(): c.ie_name or c.name for c in entry.columns}
+            anchors.update((e.name.casefold(), e.name) for e in scheme.elements)
             owner = anchors.get(anchor.casefold())
             if owner is None:
                 raise UnknownIE(f"{scheme.name}: no attribute or IE named {anchor!r}")
@@ -748,9 +709,9 @@ def alter_steps(entry: CatalogEntry, compiled: CompiledSir) -> list[PlanItem]:
     gone, are dropped or created (see `_view_diff`); the base table is
     renamed, extended in place, or rebuilt as needed so stored data
     survives."""
-    steps, creates = _view_diff(entry.plan, compiled.plan.items)
+    steps, creates = _view_diff(entry.plan, compiled.plan)
     old_base = entry.plan[0].name
-    new_base = compiled.plan.items[0].name
+    new_base = compiled.plan[0].name
     old_sig = _attr_signature(entry.scheme)
     new_sig = _attr_signature(compiled.scheme)
 
@@ -810,7 +771,7 @@ def _view_diff(old_plan: list[PlanItem], new_plan: list[PlanItem]):
 def recompile_steps(entry: CatalogEntry, compiled: CompiledSir) -> list[PlanItem]:
     """Drop and create the views of a dependent's chain whose SQL changed;
     its base and its unchanged views are untouched."""
-    drops, creates = _view_diff(entry.plan, compiled.plan.items)
+    drops, creates = _view_diff(entry.plan, compiled.plan)
     return drops + creates
 
 
@@ -819,7 +780,8 @@ def recompile_steps(entry: CatalogEntry, compiled: CompiledSir) -> list[PlanItem
 
 def plan_drop(name: str, mode: str, catalog: Catalog,
               expect_view: bool | None = None) -> list[tuple[CatalogEntry, list]]:
-    """Relations to drop, dependents first, each with its DROP statements."""
+    """Relations to drop, each with its DROP statements: the relation and,
+    with CASCADE, its transitive dependents, in reverse dependency order."""
     from .errors import DependentsExist
     entry = catalog.get(name)
     if expect_view is True and entry.kind != "view":
@@ -830,27 +792,8 @@ def plan_drop(name: str, mode: str, catalog: Catalog,
     if dependents and mode != "cascade":
         raise DependentsExist(name, dependents)
 
-    to_drop = [entry.name] + catalog.transitive_dependents(name)
-    remaining = {r.casefold() for r in to_drop}
-    ordered: list[str] = []
-    while remaining:
-        progressed = False
-        for rel in to_drop:
-            key = rel.casefold()
-            if key not in remaining:
-                continue
-            blockers = {d.casefold() for d in catalog.blocking_dependents(rel)}
-            if blockers & remaining:
-                continue
-            ordered.append(rel)
-            remaining.discard(key)
-            progressed = True
-        if not progressed:   # mutual references cannot exist (graph is acyclic)
-            ordered.extend(r for r in to_drop if r.casefold() in remaining)
-            break
-
     result = []
-    for rel in ordered:
+    for rel in reversed([entry.name] + catalog.transitive_dependents(name)):
         rel_entry = catalog.get(rel)
         steps = []
         for item in reversed(rel_entry.plan):
@@ -863,7 +806,7 @@ def plan_drop(name: str, mode: str, catalog: Catalog,
 # --- index -------------------------------------------------------------------------
 
 
-def compile_index(stmt: n.CreateIndex, catalog: Catalog) -> KernelPlan:
+def compile_index(stmt: n.CreateIndex, catalog: Catalog) -> list[PlanItem]:
     """Indexes apply to the stored base only."""
     entry = catalog.get(stmt.table)
     if entry.kind == "view":
@@ -876,7 +819,7 @@ def compile_index(stmt: n.CreateIndex, catalog: Catalog) -> KernelPlan:
                 raise IndexOnInheritedAttribute(
                     f"{entry.name}.{col} is inherited; indexes apply to stored attributes only")
     ast = n.CreateIndex(name=stmt.name, table=table, columns=stmt.columns, unique=stmt.unique)
-    return KernelPlan(items=[PlanItem(stmt.name, "index", render(ast))])
+    return [PlanItem(stmt.name, "index", render(ast))]
 
 
 # --- rewrite to base -----------------------------------------------------------------

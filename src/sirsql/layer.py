@@ -4,6 +4,14 @@ Every DDL statement is one atomic unit: the generated kernel DDL and the
 catalog meta-rows commit together or not at all, and the in-memory catalog
 is only updated after the commit.  Queries and DML go through the router.
 
+`Catalog.transitive_dependents` alone orders the relations a DDL statement
+reaches beyond its own.  An ALTER walks that list once, in dependency order:
+a dependent whose IE uses `*` over a relation whose column list the
+statement changed (the altered relation always counts, and a star over
+`R_B` counts as one over `R`) is recompiled, so it inherits the attributes
+added or dropped; every other dependent gets a probe of its final view.
+DROP ... CASCADE drops the same list in reverse, the relation last.
+
 A session is used only by the thread that opened its KernelConnection
 (sqlite3 refuses calls from any other thread).  Threads that share one
 database file each open their own session over their own connection; the
@@ -218,7 +226,7 @@ class SirLayer:
     def _entry_from_compiled(self, compiled, kind: str) -> CatalogEntry:
         return CatalogEntry(
             name=compiled.scheme.name, kind=kind, scheme=compiled.scheme,
-            columns=compiled.columns, plan=compiled.plan.items,
+            columns=compiled.columns, plan=compiled.plan,
             references=compiled.references, ie_order=compiled.ie_order,
             source_text=render_source(scheme_to_ast(compiled.scheme)))
 
@@ -229,13 +237,13 @@ class SirLayer:
             self.catalog.validate_scheme(scheme)
             scheme = self._apply_rewrite_to_base(scheme)
             compiled = compile_sir(scheme, self.catalog, self.options)
-            self._check_kernel_name_free([i.name for i in compiled.plan.items])
+            self._check_kernel_name_free([i.name for i in compiled.plan])
             entry = self._entry_from_compiled(compiled, SIR if scheme.ies else STORED)
 
             origin = partial(render_source, stmt)
 
             def work(conn):
-                for item in compiled.plan.items:
+                for item in compiled.plan:
                     conn.execute(item.sql, origin=origin)
                 if entry.views:
                     self._probe_view(conn, entry.name, origin)
@@ -244,7 +252,7 @@ class SirLayer:
             self._ddl_transaction(work)
             self.catalog.attach(entry)
             return StatementResult(stmt, "create table",
-                                   objects=[i.name for i in compiled.plan.items],
+                                   objects=[i.name for i in compiled.plan],
                                    warnings=stmt.warnings)
 
     def _create_view(self, stmt: n.CreateView) -> StatementResult:
@@ -284,7 +292,7 @@ class SirLayer:
             if entry.kind == VIEW:
                 raise InvariantViolation(
                     f"{entry.name} is a view; drop it and recreate (or create a table)")
-            new_scheme = apply_alter(entry.scheme, stmt.action, self.catalog)
+            new_scheme = apply_alter(entry, stmt.action)
             self.catalog.validate_scheme(new_scheme)
             new_scheme = self._apply_rewrite_to_base(new_scheme)
 
@@ -292,71 +300,44 @@ class SirLayer:
             scratch.detach(entry.name)
             compiled = compile_sir(new_scheme, scratch, self.options)
             new_entry = self._entry_from_compiled(compiled, SIR if new_scheme.ies else STORED)
-            steps = alter_steps(entry, compiled)
             scratch.attach(new_entry)
 
-            updates = [(entry, new_entry, steps)]
-            updates.extend(self._dependent_recompiles(entry.name, new_entry, scratch))
-            # a dependent left as it is may still name what the alter changed
-            recompiled = {new.name.casefold() for _, new, _ in updates}
-            unchanged = [name for name in self.catalog.transitive_dependents(entry.name)
-                         if name.casefold() not in recompiled]
+            # (name, new entry or None, maintenance steps) in dependency order;
+            # a dependent whose `*` reads a relation whose column list changed
+            # is recompiled, so it inherits added or dropped attributes, and
+            # every other one is only probed, in case it names what changed
+            updates = [(entry.name, new_entry, alter_steps(entry, compiled))]
+            changed = {entry.name.casefold()}
+            for name in self.catalog.transitive_dependents(entry.name):
+                dep = scratch.get(name)
+                if dep.kind != SIR or not _stars_over(dep, changed, scratch):
+                    updates.append((name, None, []))
+                    continue
+                recompiled = compile_sir(dep.scheme, scratch, self.options)
+                new_dep = self._entry_from_compiled(recompiled, SIR)
+                scratch.attach(new_dep)
+                updates.append((name, new_dep, recompile_steps(dep, recompiled)))
+                if new_dep.column_names != dep.column_names:
+                    changed.add(name.casefold())
 
             origin = partial(render_source, stmt)
 
             def work(conn):
-                for _, new, maintenance in updates:
+                for name, new, maintenance in updates:
                     for item in maintenance:
                         conn.execute(item.sql, origin=origin)
-                    if new.views:
-                        self._probe_view(conn, new.name, origin)
-                    self.catalog.persist_replace(new, conn)
-                for name in unchanged:
-                    self._probe_view(conn, name, origin)
+                    if new is None or new.views:
+                        self._probe_view(conn, name, origin)
+                    if new is not None:
+                        self.catalog.persist_replace(new, conn)
 
             self._ddl_transaction(work)
             for _, new, _ in updates:
-                self.catalog.attach(new)
+                if new is not None:
+                    self.catalog.attach(new)
             return StatementResult(stmt, "alter table",
-                                   objects=[i.name for i in compiled.plan.items],
+                                   objects=[i.name for i in compiled.plan],
                                    warnings=stmt.warnings)
-
-    def _dependent_recompiles(self, changed: str, new_entry, scratch):
-        """Recompile dependents whose IEs star over a changed relation, so they
-        inherit added or dropped attributes automatically; cascades while
-        column lists keep changing."""
-        updates = []
-        changed_set = {changed.casefold()}
-        frontier = [changed]
-        while frontier:
-            current = frontier.pop(0)
-            for dep_name in self.catalog.dependents_of(current):
-                if dep_name.casefold() in changed_set:
-                    continue
-                dep = scratch.get(dep_name)
-                if dep.kind != SIR or not self._stars_over(dep, current):
-                    continue
-                recompiled = compile_sir(dep.scheme, scratch, self.options)
-                new_dep = self._entry_from_compiled(recompiled, SIR)
-                steps = recompile_steps(dep, recompiled)
-                scratch.attach(new_dep)
-                updates.append((dep, new_dep, steps))
-                changed_set.add(dep_name.casefold())
-                if [c.name for c in new_dep.columns] != [c.name for c in dep.columns]:
-                    frontier.append(dep_name)
-        return updates
-
-    def _stars_over(self, entry, relation: str) -> bool:
-        for ie in entry.scheme.ies:
-            if not isinstance(ie.form, n.SelectForm):
-                continue
-            sources = {t.name.casefold() for t in ie.form.select.from_
-                       if isinstance(t, n.TableName)}
-            if relation.casefold() not in sources:
-                continue
-            if any(isinstance(i.expr, (n.Star, n.StarMinus)) for i in ie.form.select.items):
-                return True
-        return False
 
     def _drop(self, name: str, mode: str, expect_view: bool) -> StatementResult:
         with self._ddl_lock:
@@ -380,12 +361,11 @@ class SirLayer:
             plan = compile_index(stmt, self.catalog)
 
             def work(conn):
-                for item in plan.items:
+                for item in plan:
                     conn.execute(item.sql, origin=partial(render_source, stmt))
 
             self._ddl_transaction(work)
-            return StatementResult(stmt, "create index",
-                                   objects=[i.name for i in plan.items])
+            return StatementResult(stmt, "create index", objects=[i.name for i in plan])
 
     # --- queries and DML ---
 
@@ -421,3 +401,18 @@ class SirLayer:
         count = self.conn.execute(sql, bound, origin=origin)
         action = type(stmt).__name__.lower()
         return StatementResult(stmt, action, rowcount=count, warnings=stmt.warnings), sql
+
+
+def _stars_over(entry: CatalogEntry, relations: set[str], catalog: Catalog) -> bool:
+    """Whether an IE of `entry` uses `*` over a relation named in
+    `relations` (casefold) or over one of their kernel objects."""
+    for ie in entry.scheme.ies:
+        if not isinstance(ie.form, n.SelectForm) or not any(
+                isinstance(i.expr, (n.Star, n.StarMinus)) for i in ie.form.select.items):
+            continue
+        for source in ie.form.select.from_:
+            if isinstance(source, n.TableName):
+                owner = catalog.owner_of_object(source.name) or source
+                if owner.name.casefold() in relations:
+                    return True
+    return False

@@ -152,14 +152,65 @@ def test_dependents_order_survives_alter_and_reopen(tmp_path):
     assert SirLayer(KernelConnection(location)).catalog.dependents_of("A") == ["B", "C"]
 
 
-def test_check_acyclic_walks_a_deep_chain():
+def _chain(order) -> Catalog:
+    """Entries R0..R1999, each reading the one before it, registered in
+    `order`; deeper than the interpreter's recursion limit."""
     catalog = Catalog()
-    for i in range(2000):
+    for i in order:
         catalog.attach(CatalogEntry(name=f"R{i}", kind=STORED, scheme=None, columns=[],
                                     references=[f"R{i - 1}"] if i else []))
+    return catalog
+
+
+def test_check_acyclic_walks_a_deep_chain():
+    catalog = _chain(range(2000))
     catalog.check_acyclic("R2000", ["R1999"])
     with pytest.raises(CircularReferenceError):
         catalog.check_acyclic("R0", ["R1999"])
+
+
+@pytest.mark.parametrize("order", [range(2000), range(1999, -1, -1)],
+                         ids=["chain-order", "reverse-order"])
+def test_transitive_dependents_of_a_deep_chain_come_in_dependency_order(order):
+    catalog = _chain(order)
+    assert catalog.transitive_dependents("R0") == [f"R{i}" for i in range(1, 2000)]
+    assert catalog.transitive_dependents("R1500") == [f"R{i}" for i in range(1501, 2000)]
+    assert catalog.transitive_dependents("R1999") == []
+
+
+def test_transitive_dependents_put_each_relation_after_what_it_reads(layer):
+    layer.apply_source("""
+    Create Table A (K Char, Primary Key (K));
+    Create Table S (K Char, SV Char, Primary Key (K));
+    Create Table B (K Char, Primary Key (K), I_S (Select SV From S Where B.K = S.K));
+    Create Table C (K Char, Primary Key (K), I_B (Select */K From B_B Where C.K = B_B.K));
+    Alter Table A Add I_B (Select SV As BV From B Where A.K = B.K);
+    Create View V As Select * From S;
+    """)
+    # A was registered before S and B but reads B; C reads B's base
+    assert layer.catalog.transitive_dependents("S") == ["B", "A", "C", "V"]
+    assert layer.catalog.transitive_dependents("B") == ["A", "C"]
+    assert layer.catalog.transitive_dependents("A") == []
+
+
+def test_drop_cascade_drops_an_earlier_registered_reader_first(tmp_path):
+    location = str(tmp_path / "db.sqlite")
+    layer = SirLayer(KernelConnection(location))
+    layer.apply_source("""
+    Create Table A (K Char, Primary Key (K));
+    Create Table B (K Char, BV Char, Primary Key (K));
+    Create Table C (K Char, Primary Key (K), I_B (Select BV From B Where C.K = B.K));
+    Alter Table A Add I_C (Select */K From C Where A.K = C.K);
+    Create Table D (K Char, Primary Key (K));
+    """)
+    result = layer.apply_source("Drop Table B Cascade;")[0]
+    assert result.objects == ["A", "A_B", "C", "C_B", "B"]
+    assert [entry.name for entry in layer.catalog.entries()] == ["D"]
+    assert layer.conn.query("SELECT name FROM sir_relations").rows == [("D",)]
+    assert layer.conn.query("SELECT name FROM sqlite_master WHERE name NOT LIKE 'sir_%'"
+                            " AND name NOT LIKE 'sqlite_%'").rows == [("D",)]
+    layer.conn.close()
+    assert [e.name for e in SirLayer(KernelConnection(location)).catalog.entries()] == ["D"]
 
 
 def test_view_participates_in_dependency_graph(sp2):

@@ -166,8 +166,8 @@ def test_public_compile_sir_spells_list_and_iif_as_the_layer_does():
             " HEAVY As (IIF (WEIGHT > 15, 'yes', 'no')));")
     compiled = compile_sir(scheme_from_ast(parse_one(text)), layer.catalog)
     layer.apply_source(text)
-    assert compiled.plan.items == layer.catalog.get("PS").plan
-    sql = "\n".join(item.sql for item in compiled.plan.items)
+    assert compiled.plan == layer.catalog.get("PS").plan
+    sql = "\n".join(item.sql for item in compiled.plan)
     assert "group_concat(" in sql and "iif(" in sql
 
 
@@ -182,6 +182,32 @@ def test_sp3_plans_match_golden():
     layer.apply_source(fixture_text("sp3_alters.sirsql"))
     assert "\n".join(layer.explain("S")) + "\n" == (GOLDEN / "sp3_s_plan.sql").read_text()
     assert "\n".join(layer.explain("P")) + "\n" == (GOLDEN / "sp3_p_plan.sql").read_text()
+
+
+SKIP_COLLAPSE_EXTRA = """
+Create Table PS (P# Char,
+  SUPPLIERS (Select LIST (SP_B.S#, SNAME) From SP_B, S
+             Where PS.P# = SP_B.P# And S.S# = SP_B.S# Order By SNAME),
+  WEIGHT Int, Primary Key (P#));
+Create Table SX (SK Char,
+  I_BIG (Select SNAME, CITY As SC From S Where SX.SK = S# And STATUS > 10),
+  NOTE Char, Primary Key (SK));
+Create Table SY (SK Char,
+  I_ALL (Select */S# From S Where SY.SK = S#),
+  TWICE As (QTY * 2), QTY Int, Primary Key (SK));
+"""
+
+
+def test_fused_final_views_match_golden():
+    # S-P3 plus a LIST subquery, a join with a residual predicate and a star
+    # join followed by a value IE, each declared out of evaluation order, so
+    # the last stage and the reordering fuse into one view
+    options = CompileOptions(skip_redundant_full_view=True, collapse_value_ies=True)
+    layer = load_sp2(make_layer(options=options))
+    layer.apply_source(fixture_text("sp3_alters.sirsql"))
+    layer.apply_source(SKIP_COLLAPSE_EXTRA)
+    lines = [sql for name in ("S", "P", "SP", "PS", "SX", "SY") for sql in layer.explain(name)]
+    assert "\n".join(lines) + "\n" == (GOLDEN / "skip_collapse_plans.sql").read_text()
 
 
 def test_zero_ie_plan_is_single_create_table():
@@ -334,6 +360,20 @@ def test_alter_cannot_drop_recursive_join_attribute(sp2):
 def test_alter_unknown_target(sp2):
     with pytest.raises(UnknownIE):
         sp2.apply_source("Alter Table SP Drop NOPE;")
+
+
+@pytest.mark.parametrize("position, before", [
+    ("After SCITY", "I_P"),         # an inherited attribute places after its IE
+    ("Before COLOR", "I_P"),
+    ("Before i_p", "I_P"),          # an IE, matched in any case
+    ("After QTY", "I_S"),
+])
+def test_alter_add_anchors_on_attributes_and_ies(sp2, position, before):
+    sp2.apply_source(f"Alter Table SP Add {position} NOTE Char;")
+    names = [e.name for e in sp2.catalog.get("SP").scheme.elements]
+    assert names[names.index("NOTE") + 1] == before
+    with pytest.raises(UnknownIE, match="NOPE"):
+        sp2.apply_source("Alter Table SP Add After NOPE NOTE2 Char;")
 
 
 def test_alter_add_plain_stored_attribute(sp2):

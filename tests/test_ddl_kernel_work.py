@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from sirsql.errors import KernelError
+from sirsql.errors import InvariantViolation, KernelError
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 
@@ -221,3 +221,59 @@ def test_alter_refused_when_a_dependent_left_unchanged_breaks(tmp_path, kernel_l
     assert layer.catalog.snapshot() == snapshot
     layer.conn.close()
     assert SirLayer(KernelConnection(location)).catalog.snapshot() == snapshot
+
+
+def _diamond(first: str, second: str) -> str:
+    """B and A each inherit X through `*`, and A also inherits B's
+    attributes beyond X's, so a column X gains reaches A twice."""
+    return "\n".join([
+        f"Create Table {first} (K Char, Primary Key (K));",
+        f"Create Table {second} (K Char, Primary Key (K));",
+        "Create Table X (K Char, XV Char, Primary Key (K));",
+        "Alter Table B Add I_X (Select */K From X Where B.K = X.K);",
+        "Alter Table A Add I_X (Select */K From X Where A.K = X.K),"
+        " I_B (Select */(K, XV) From B Where A.K = B.K);",
+        "Alter Table B Add BV Char;"])
+
+
+def test_a_diamond_cascade_is_refused_in_either_registration_order(tmp_path):
+    # B reads X and A reads both, so B is recompiled first whichever of A
+    # and B was registered first; A then inherits XW from X and from B
+    messages = []
+    for first, second in (("A", "B"), ("B", "A")):
+        location = str(tmp_path / f"{first}{second}.sqlite")
+        layer = SirLayer(KernelConnection(location))
+        layer.apply_source(_diamond(first, second))
+        kernel, snapshot = kernel_state(layer.conn), layer.catalog.snapshot()
+        with pytest.raises(InvariantViolation) as err:
+            layer.apply_source("Alter Table X Add XW Char;")
+        messages.append(str(err.value))
+        assert kernel_state(layer.conn) == kernel
+        assert layer.catalog.snapshot() == snapshot
+        layer.apply_source("Alter Table A Add AV Char;")
+        layer.conn.close()
+    assert messages == ["A: attribute name 'XW' produced more than once"] * 2
+
+
+def test_a_star_over_a_base_inherits_an_added_attribute(tmp_path):
+    location = str(tmp_path / "db.sqlite")
+    layer = SirLayer(KernelConnection(location))
+    layer.apply_source("""
+    Create Table Y (K Char, YV Char, Primary Key (K));
+    Create Table R (K Char, RV Char, Primary Key (K), I_Y (Select */K From Y Where R.K = Y.K));
+    Create Table T (K Char, Primary Key (K), I_R (Select */K From R_B Where T.K = R_B.K));
+    Insert Into R Values ('k', 'v');
+    Insert Into T Values ('k');
+    """)
+    layer.apply_source("Alter Table R Add RW Char;")
+    layer.apply_source("Update R Set RW = 'w';")
+
+    assert layer.catalog.get("T").column_names == ["K", "RV", "RW"]
+    assert layer.conn.introspect("T") == ["K", "RV", "RW"]
+    assert layer.query("Select * From T;").rows == [("k", "v", "w")]
+    snapshot = layer.catalog.snapshot()
+    layer.conn.close()
+    reopened = SirLayer(KernelConnection(location))
+    assert reopened.catalog.snapshot() == snapshot
+    assert reopened.catalog.get("T").column_names == ["K", "RV", "RW"]
+    assert reopened.query("Select * From T;").rows == [("k", "v", "w")]

@@ -151,7 +151,7 @@ def test_alter_leaves_scheme_and_action_unchanged(sp2, text):
     stmt = parse_one(text)
     entry, action = sp2.catalog.get(stmt.name), stmt.action
     scheme_before, action_before = copy.deepcopy(entry.scheme), copy.deepcopy(action)
-    scheme = apply_alter(entry.scheme, action, sp2.catalog)
+    scheme = apply_alter(entry, action)
     assert scheme.elements is not entry.scheme.elements
     assert scheme.keys is not entry.scheme.keys
     alter_steps(entry, compile_sir(scheme, sp2.catalog))
@@ -164,7 +164,7 @@ def test_a_refused_apply_alter_leaves_its_inputs_unchanged(sp2):
     action = parse_one("Alter Table SP Add After QTY NOTE Char, K2 Char Primary Key;").action
     scheme_before, action_before = copy.deepcopy(entry.scheme), copy.deepcopy(action)
     with pytest.raises(InvariantViolation, match="primary-key"):
-        apply_alter(entry.scheme, action, sp2.catalog)
+        apply_alter(entry, action)
     assert entry.scheme == scheme_before
     assert action == action_before
 
