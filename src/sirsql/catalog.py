@@ -198,7 +198,7 @@ class PrefixChain:
     floor: int
 
 
-def _type_affinity(sql_type: str | None) -> str:
+def type_affinity(sql_type: str | None) -> str:
     """SQLite's column affinity for a declared type name (datatype3 §3.1)."""
     name = (sql_type or "").upper()
     if "INT" in name:
@@ -456,7 +456,7 @@ class Catalog:
                 src_attr = scheme.find_attr(src_col)
                 encl_attr = entry.scheme.find_attr(encl_col)
                 if src_attr is not None and encl_attr is not None \
-                        and _type_affinity(src_attr.sql_type) == _type_affinity(encl_attr.sql_type):
+                        and type_affinity(src_attr.sql_type) == type_affinity(encl_attr.sql_type):
                     matched.add(src_col.casefold())
             if not any(all(c.casefold() in matched for c in key) for key in scheme.keys):
                 return False

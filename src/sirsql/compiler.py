@@ -20,12 +20,13 @@ Plans are pure data; identical scheme + options yield byte-identical text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import nodes as n
 from .catalog import (Catalog, CatalogEntry, ColumnInfo, PlanItem, SirScheme,
-                      StageFacts, ie_references, scheme_to_ast)
-from .errors import (IeCycle, IndexOnInheritedAttribute,
+                      StageFacts, ie_references, type_affinity)
+from .errors import (IeCycle, IndexedAttributeDrop, IndexOnInheritedAttribute,
                      InvariantViolation, MissingRecursiveJoin, NotRewritable,
                      RecursiveJoinAttributeDrop, UnknownExcludedColumn, UnknownIE,
                      UnknownRelation)
@@ -503,14 +504,56 @@ def _stage_facts(cie: CanonicalIE) -> StageFacts:
                       adds=list(cie.produced_attrs), joins=joins)
 
 
-def _base_table_ast(scheme: SirScheme, base_name: str) -> n.CreateSirTable:
+_CLUSTERED = " WITHOUT ROWID;"
+
+# SQLite advises WITHOUT ROWID only for rows under about a twentieth of a
+# page (4 KB by default): a wider row leaves fewer rows on each B-tree page,
+# the table no longer has a narrow key index to count or scan keys from, and
+# a row over about 1 KB spills to an overflow page
+_CLUSTERED_ROW_BYTES = 4096 // 20
+
+
+def _declared_width(attr: n.AttributeDecl) -> float:
+    """The bytes a value of `attr` takes by its declared type: a string
+    type's length argument (``Char(40)``), 1 for a plain ``Char`` (SQL's
+    ``CHAR`` is ``CHAR(1)``), 8 for a number, and no bound for any other
+    type (``Text``, ``Varchar``, ``Blob``)."""
+    affinity = type_affinity(attr.sql_type)
+    if affinity == "TEXT":
+        if attr.type_args:
+            return float(attr.type_args[0])
+        return 1 if attr.sql_type.upper() in ("CHAR", "CHARACTER") else math.inf
+    return 8 if affinity != "BLOB" else math.inf
+
+
+def _base_table_sql(scheme: SirScheme, name: str) -> str:
+    """The kernel CREATE TABLE holding a relation's stored attributes under
+    `name`: the relation itself when it has no IEs, its base ``R_B``, or the
+    table a base rebuild fills.
+
+    A keyed table is clustered by its primary key (``WITHOUT ROWID``), so a
+    key lookup or a recursive join is one B-tree descent and the key is
+    stored once.  Two kinds of keyed table keep their rowid.  A key of one
+    column declared exactly ``INTEGER`` already is the rowid, and it
+    auto-assigns a key when none is inserted.  A table whose declared row
+    (the `_declared_width` of its stored attributes) exceeds
+    `_CLUSTERED_ROW_BYTES` would be slower and larger clustered.  A table
+    with no key has nothing to cluster by."""
     elements: list = [a.replace(is_primary_key=False) for a in scheme.stored_attrs]
     if scheme.keys:
         elements.append(n.PrimaryKeyClause(columns=list(scheme.keys[0])))
         for extra in scheme.keys[1:]:
             elements.append(n.UniqueClause(columns=list(extra)))
     elements.extend(scheme.foreign_keys)
-    return n.CreateSirTable(name=base_name, elements=elements)
+    sql = render(n.CreateSirTable(name=name, elements=elements))
+    key = scheme.primary_key()
+    if not key or sum(map(_declared_width, scheme.stored_attrs)) > _CLUSTERED_ROW_BYTES:
+        return sql
+    if len(key) == 1:
+        attr = scheme.find_attr(key[0])
+        if attr.sql_type.upper() == "INTEGER" and not attr.type_args:
+            return sql
+    return sql.removesuffix(";") + _CLUSTERED
 
 
 def declared_order(scheme: SirScheme, canon: list[CanonicalIE]) -> list[str]:
@@ -555,8 +598,7 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
     catalog.validate_scheme(scheme)
 
     if not scheme.ies:
-        ast = scheme_to_ast(scheme)
-        sql = render(ast)
+        sql = _base_table_sql(scheme, scheme.name)
         return CompiledSir(scheme=scheme, plan=[PlanItem(scheme.name, "table", sql)],
                            columns=build_columns(scheme, []), ie_order=[], references=[])
 
@@ -587,7 +629,7 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
     in_declared_order = [c.casefold() for c in chain_cols] == [c.casefold() for c in declared]
 
     base_name = f"{scheme.name}_B"
-    items = [PlanItem(base_name, "table", render(_base_table_ast(scheme, base_name)))]
+    items = [PlanItem(base_name, "table", _base_table_sql(scheme, base_name))]
 
     def add_view(name: str, select: n.Select, stage: StageFacts):
         items.append(PlanItem(name, "view",
@@ -611,7 +653,7 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
         produced = {attr.casefold(): item
                     for attr, item in zip(last.produced_attrs, body.items[1:])}
         add_view(scheme.name, body.replace(items=[
-            produced.get(col.casefold()) or n.SelectItem(expr=n.ColumnRef(name=col))
+            produced.get(col.casefold()) or n.SelectItem(expr=n.ColumnRef(name=col, table=prev))
             for col in declared]), _stage_facts(last))
     elif not in_declared_order:
         reorder = n.Select(items=[n.SelectItem(expr=n.ColumnRef(name=c)) for c in declared],
@@ -630,11 +672,15 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
 # --- alter ---------------------------------------------------------------------
 
 
-def _attr_signature(scheme: SirScheme):
+def _attr_signature(scheme: SirScheme, base: PlanItem):
+    """What decides whether a base can be kept: its stored attributes, keys
+    and foreign keys, and the storage form its recorded CREATE TABLE names
+    (a file written before bases were key-clustered holds rowid tables)."""
     return ([(a.name.casefold(), a.sql_type.upper(), tuple(a.type_args), a.not_null)
              for a in scheme.stored_attrs],
             [tuple(c.casefold() for c in key) for key in scheme.keys],
-            [render_source(fk) for fk in scheme.foreign_keys])
+            [render_source(fk) for fk in scheme.foreign_keys],
+            base.sql.endswith(_CLUSTERED))
 
 
 def apply_alter(entry: CatalogEntry, action) -> SirScheme:
@@ -703,46 +749,46 @@ def _check_attr_droppable(scheme: SirScheme, attr: str):
                     f"{scheme.name}.{attr} serves a recursive join in IE {ie.name}")
 
 
-def alter_steps(entry: CatalogEntry, compiled: CompiledSir) -> list[PlanItem]:
+def alter_steps(entry: CatalogEntry, compiled: CompiledSir,
+                read_indexes=lambda: ()) -> list[PlanItem]:
     """Maintenance DDL turning the entry's current kernel objects into the
     newly compiled ones.  Only views whose SQL changed, or that are new or
     gone, are dropped or created (see `_view_diff`); the base table is
     renamed, extended in place, or rebuilt as needed so stored data
-    survives."""
+    survives.  A rebuild re-creates the old base's indexes; only a rebuild
+    calls `read_indexes`, which lists them as `KernelConnection.indexes`
+    does."""
     steps, creates = _view_diff(entry.plan, compiled.plan)
     old_base = entry.plan[0].name
     new_base = compiled.plan[0].name
-    old_sig = _attr_signature(entry.scheme)
-    new_sig = _attr_signature(compiled.scheme)
-
-    if old_sig == new_sig or _is_append_only(old_sig, new_sig):
-        if old_base.casefold() != new_base.casefold():
-            steps.append(PlanItem(new_base, "step", f"ALTER TABLE {quote_ident(old_base)}"
-                                                    f" RENAME TO {quote_ident(new_base)};"))
-        for attr in compiled.scheme.stored_attrs[len(entry.scheme.stored_attrs):]:
-            decl = attr.replace(is_primary_key=False)
-            steps.append(PlanItem(new_base, "step",
-                                  f"ALTER TABLE {quote_ident(new_base)} ADD COLUMN {render(decl)};"))
-    else:
-        steps.extend(_rebuild_steps(entry, compiled, old_base, new_base))
+    if _rebuilds_base(entry, compiled):
+        steps.extend(_rebuild_steps(entry, compiled, old_base, new_base, read_indexes()))
+        return steps + creates
+    if old_base.casefold() != new_base.casefold():
+        steps.append(PlanItem(new_base, "step", f"ALTER TABLE {quote_ident(old_base)}"
+                                                f" RENAME TO {quote_ident(new_base)};"))
+    for attr in compiled.scheme.stored_attrs[len(entry.scheme.stored_attrs):]:
+        decl = attr.replace(is_primary_key=False)
+        steps.append(PlanItem(new_base, "step",
+                              f"ALTER TABLE {quote_ident(new_base)} ADD COLUMN {render(decl)};"))
     return steps + creates
 
 
-def _is_append_only(old_sig, new_sig) -> bool:
-    old_attrs, old_keys, old_fks = old_sig
-    new_attrs, new_keys, new_fks = new_sig
-    return (old_keys == new_keys and old_fks == new_fks
-            and len(new_attrs) > len(old_attrs)
-            and new_attrs[:len(old_attrs)] == old_attrs)
+def _rebuilds_base(entry: CatalogEntry, compiled: CompiledSir) -> bool:
+    """Whether the base must be rebuilt: its storage form, keys or foreign
+    keys change, or its stored attributes change other than by new ones
+    appended at the end."""
+    old_attrs, *old_rest = _attr_signature(entry.scheme, entry.plan[0])
+    new_attrs, *new_rest = _attr_signature(compiled.scheme, compiled.plan[0])
+    return old_rest != new_rest or new_attrs[:len(old_attrs)] != old_attrs
 
 
-def _rebuild_steps(entry, compiled, old_base, new_base) -> list[PlanItem]:
+def _rebuild_steps(entry, compiled, old_base, new_base, indexes) -> list[PlanItem]:
     common = [a.name for a in compiled.scheme.stored_attrs
               if entry.scheme.find_attr(a.name) is not None]
     cols = ", ".join(quote_ident(c) for c in common)
     temp = new_base if old_base.casefold() != new_base.casefold() else f"{new_base}__rebuild"
-    create = render(_base_table_ast(compiled.scheme, temp))
-    steps = [PlanItem(temp, "step", create)]
+    steps = [PlanItem(temp, "step", _base_table_sql(compiled.scheme, temp))]
     if common:
         steps.append(PlanItem(temp, "step", f"INSERT INTO {quote_ident(temp)} ({cols})"
                                             f" SELECT {cols} FROM {quote_ident(old_base)};"))
@@ -750,6 +796,15 @@ def _rebuild_steps(entry, compiled, old_base, new_base) -> list[PlanItem]:
     if temp != new_base:
         steps.append(PlanItem(new_base, "step",
                      f"ALTER TABLE {quote_ident(temp)} RENAME TO {quote_ident(new_base)};"))
+    kept = {c.casefold() for c in common}
+    for name, unique, columns in indexes:
+        lost = [c for c in columns if c.casefold() not in kept]
+        if lost:
+            raise IndexedAttributeDrop(
+                f"{compiled.scheme.name}.{lost[0]} is indexed by {name};"
+                f" the ALTER would leave the index without its column")
+        index = n.CreateIndex(name=name, table=new_base, columns=columns, unique=unique)
+        steps.append(PlanItem(name, "step", render(index)))
     return steps
 
 

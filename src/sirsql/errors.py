@@ -81,6 +81,10 @@ class RecursiveJoinAttributeDrop(SirSqlError):
     pass
 
 
+class IndexedAttributeDrop(SirSqlError):
+    """An ALTER would rebuild a base without a column one of its indexes names."""
+
+
 class UnknownIE(SirSqlError):
     pass
 

@@ -110,6 +110,18 @@ class KernelConnection:
         in `PRAGMA user_version` (see `SirLayer._ddl_transaction`)."""
         return self.query("PRAGMA user_version").rows[0][0]
 
+    def indexes(self, table: str) -> list[tuple[str, bool, list[str]]]:
+        """The indexes that CREATE INDEX made on `table`, by name: (name,
+        unique, column names in index order)."""
+        rows = self.execute(
+            'SELECT il.name, il."unique", ii.name FROM pragma_index_list(?) AS il,'
+            " pragma_index_info(il.name) AS ii WHERE il.origin = 'c'"
+            " ORDER BY il.name, ii.seqno", (table,)).rows
+        out: dict[str, tuple] = {}
+        for name, unique, column in rows:
+            out.setdefault(name, (name, bool(unique), []))[2].append(column)
+        return list(out.values())
+
     def object_kind(self, name: str) -> str | None:
         rows = self._db.execute(
             "SELECT type FROM sqlite_master WHERE lower(name) = lower(?)", (name,)).fetchall()

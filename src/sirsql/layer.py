@@ -302,11 +302,12 @@ class SirLayer:
             new_entry = self._entry_from_compiled(compiled, SIR if new_scheme.ies else STORED)
             scratch.attach(new_entry)
 
-            # (name, new entry or None, maintenance steps) in dependency order;
-            # a dependent whose `*` reads a relation whose column list changed
-            # is recompiled, so it inherits added or dropped attributes, and
-            # every other one is only probed, in case it names what changed
-            updates = [(entry.name, new_entry, alter_steps(entry, compiled))]
+            # (name, new entry or None, maintenance steps) of each dependent,
+            # in dependency order; a dependent whose `*` reads a relation whose
+            # column list changed is recompiled, so it inherits added or
+            # dropped attributes, and every other one is only probed, in case
+            # it names what changed
+            updates = []
             changed = {entry.name.casefold()}
             for name in self.catalog.transitive_dependents(entry.name):
                 dep = scratch.get(name)
@@ -314,6 +315,8 @@ class SirLayer:
                     updates.append((name, None, []))
                     continue
                 recompiled = compile_sir(dep.scheme, scratch, self.options)
+                # its base is not touched, so it keeps the storage form recorded
+                recompiled.plan[0] = dep.plan[0]
                 new_dep = self._entry_from_compiled(recompiled, SIR)
                 scratch.attach(new_dep)
                 updates.append((name, new_dep, recompile_steps(dep, recompiled)))
@@ -323,7 +326,9 @@ class SirLayer:
             origin = partial(render_source, stmt)
 
             def work(conn):
-                for name, new, maintenance in updates:
+                # a rebuilt base gets the old base's indexes back
+                steps = alter_steps(entry, compiled, partial(conn.indexes, entry.plan[0].name))
+                for name, new, maintenance in [(entry.name, new_entry, steps)] + updates:
                     for item in maintenance:
                         conn.execute(item.sql, origin=origin)
                     if new is None or new.views:
@@ -332,6 +337,7 @@ class SirLayer:
                         self.catalog.persist_replace(new, conn)
 
             self._ddl_transaction(work)
+            self.catalog.attach(new_entry)
             for _, new, _ in updates:
                 if new is not None:
                     self.catalog.attach(new)

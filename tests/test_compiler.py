@@ -210,6 +210,17 @@ def test_fused_final_views_match_golden():
     assert "\n".join(lines) + "\n" == (GOLDEN / "skip_collapse_plans.sql").read_text()
 
 
+def test_a_fused_final_view_qualifies_the_relations_own_columns():
+    # SX stores S# and NOTE, and S has an S# of its own
+    layer = load_sp2(make_layer(options=CompileOptions(skip_redundant_full_view=True)))
+    layer.apply_source("Create Table SX (S# Char, I_BIG (Select SNAME From S Where SX.S# = S#),"
+                       " NOTE Char, Primary Key (S#)); Insert Into SX Values ('S1', 'n');")
+    assert layer.explain("SX")[1] == ('CREATE VIEW SX AS SELECT SX_B."S#", S.SNAME, SX_B.NOTE'
+                                      ' FROM SX_B LEFT JOIN S ON SX_B."S#" = S."S#";')
+    layer.apply_source("Alter Table S Add NOTE Char;")
+    assert layer.query("Select * From SX;").rows == [("S1", "Smith", "n")]
+
+
 def test_zero_ie_plan_is_single_create_table():
     layer = make_layer()
     layer.apply_source("Create Table T (A Char, B Int, Primary Key (A));")
