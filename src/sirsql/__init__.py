@@ -8,7 +8,7 @@ universal scheme into such tables instead of plain stored projections.
 """
 
 from .catalog import Catalog, CatalogEntry, SirScheme
-from .compiler import CompileOptions, compile_sir
+from .compiler import compile_sir
 from .errors import SirSqlError
 from .kernel import KernelConnection, RowSet
 from .layer import SirLayer
@@ -16,7 +16,7 @@ from .parser import parse
 from .render import render, render_source
 
 __all__ = [
-    "Catalog", "CatalogEntry", "SirScheme", "CompileOptions", "compile_sir",
+    "Catalog", "CatalogEntry", "SirScheme", "compile_sir",
     "SirSqlError", "KernelConnection", "RowSet", "SirLayer", "parse",
     "render", "render_source",
 ]

@@ -128,7 +128,10 @@ class StageFacts:
     'subquery', 'value') or 'reorder' for the view that only restores the
     declared column order.  For join stages, `joins` lists each joined
     source as [relation, [[source column, enclosing column], ...]], the
-    recursive-join pairs matched against that source.
+    recursive-join pairs matched against that source.  The compiler writes
+    one IE per stage, but `ies` stays a list: files written by earlier
+    releases hold stages realizing several value IEs, and final views
+    fused with the reordering.
     """
 
     kind: str

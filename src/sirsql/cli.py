@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-from .compiler import CompileOptions
 from .errors import CorruptCatalog, ParseError, SirSqlError, StaleCatalog
 from .kernel import KernelConnection, RowSet
 from .layer import SirLayer
@@ -56,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["table", "csv", "json-lines"], default="table")
     parser.add_argument("--rewrite-to-base", action="store_true",
                         help="auto-rewrite cycle-closing IE references to the base table")
-    parser.add_argument("--skip-redundant-full-view", action="store_true")
-    parser.add_argument("--collapse-value-ies", action="store_true")
     parser.add_argument("--strict-integrity", action="store_true",
                         help="inserts commit only if every select-form IA computes")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -91,11 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def open_layer(args) -> SirLayer:
     location = args.kernel or os.environ.get("SIRSQL_KERNEL") or ":memory:"
-    options = CompileOptions(
-        skip_redundant_full_view=args.skip_redundant_full_view,
-        collapse_value_ies=args.collapse_value_ies,
-        rewrite_to_base=args.rewrite_to_base)
-    return SirLayer(KernelConnection(location), options=options,
+    return SirLayer(KernelConnection(location), rewrite_to_base=args.rewrite_to_base,
                     strict_integrity=args.strict_integrity)
 
 

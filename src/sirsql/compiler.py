@@ -15,7 +15,7 @@ the stage's row count equal to the base's; any non-recursive predicates
 from the IE's WHERE are folded into the last join's ON clause for the
 same reason.
 
-Plans are pure data; identical scheme + options yield byte-identical text.
+Plans are pure data; identical scheme yields byte-identical text.
 """
 
 from __future__ import annotations
@@ -36,18 +36,10 @@ AGGREGATES = {"SUM", "COUNT", "AVG", "MIN", "MAX", "TOTAL", "LIST", "GROUP_CONCA
 
 
 @dataclass
-class CompileOptions:
-    skip_redundant_full_view: bool = False
-    collapse_value_ies: bool = False
-    rewrite_to_base: bool = False
-
-
-@dataclass
 class CanonicalIE:
     name: str
     kind: str                   # 'join' | 'subquery' | 'value'
     produced_attrs: list
-    declared_index: int = 0
     # join form
     select_items: list = field(default_factory=list)
     sources: list = field(default_factory=list)        # TableName entries from F'
@@ -57,7 +49,6 @@ class CanonicalIE:
     select: object = None
     # value form
     items: list = field(default_factory=list)          # (name, expr)
-    members: list = field(default_factory=list)        # IEs merged into this one
 
 
 @dataclass
@@ -185,16 +176,12 @@ def _source_column_map(sources, scheme, catalog, produced_so_far):
             cols = scheme.stored_names + produced_so_far
         else:
             cols = catalog.resolve_columns(table.name)
-            if cols is None:
-                raise UnknownRelation(
-                    f"IE in {scheme.name} references unknown relation {table.name!r}")
         col_map[_source_label(table)] = cols
     return col_map
 
 
 def canonicalize(ie: n.IeDecl, scheme: SirScheme, catalog: Catalog,
-                 produced_so_far: list[str] | None = None,
-                 declared_index: int = 0) -> CanonicalIE:
+                 produced_so_far: list[str] | None = None) -> CanonicalIE:
     """Rewrite one IE into its canonical form.
 
     Value expressions flip to ``expr AS name``; an aggregate-valued single
@@ -205,7 +192,7 @@ def canonicalize(ie: n.IeDecl, scheme: SirScheme, catalog: Catalog,
     if isinstance(ie.form, n.ValueForm):
         return CanonicalIE(name=ie.name, kind="value",
                            produced_attrs=[name for name, _ in ie.form.items],
-                           items=list(ie.form.items), declared_index=declared_index)
+                           items=list(ie.form.items))
 
     select = ie.form.select
     sources = []
@@ -226,7 +213,7 @@ def canonicalize(ie: n.IeDecl, scheme: SirScheme, catalog: Catalog,
             and contains_aggregate(select.items[0].expr):
         produced = [select.items[0].alias or ie.name]
         return CanonicalIE(name=ie.name, kind="subquery", produced_attrs=produced,
-                           select=select, declared_index=declared_index)
+                           select=select)
 
     col_map = _source_column_map(sources, scheme, catalog, produced_so_far)
     labels = {label.casefold(): label for label in col_map}
@@ -292,15 +279,13 @@ def canonicalize(ie: n.IeDecl, scheme: SirScheme, catalog: Catalog,
 
     return CanonicalIE(name=ie.name, kind="join", produced_attrs=produced,
                        select_items=select_items, sources=sources,
-                       join_pairs=join_pairs, residual=conjoin(residual),
-                       declared_index=declared_index)
+                       join_pairs=join_pairs, residual=conjoin(residual))
 
 
 def canonicalize_all(scheme: SirScheme, catalog: Catalog) -> list[CanonicalIE]:
     out, produced = [], []
-    for index, ie in enumerate(scheme.ies):
-        canon = canonicalize(ie, scheme, catalog, produced_so_far=produced,
-                             declared_index=index)
+    for ie in scheme.ies:
+        canon = canonicalize(ie, scheme, catalog, produced_so_far=produced)
         produced.extend(canon.produced_attrs)
         out.append(canon)
     return out
@@ -316,12 +301,6 @@ def order_ies(scheme: SirScheme, canon: list[CanonicalIE], catalog: Catalog) -> 
     the IE's own sources cannot satisfy, plus anything qualified with the
     relation's own name.
     """
-    def resolve_or_empty(name):
-        try:
-            return catalog.resolve_columns(name) or []
-        except Exception:
-            return []
-
     produced_by = {}
     for cie in canon:
         for attr in cie.produced_attrs:
@@ -340,7 +319,7 @@ def order_ies(scheme: SirScheme, canon: list[CanonicalIE], catalog: Catalog) -> 
         own_cols: set[str] = set()
         for table in sources:
             if table.name.casefold() != scheme.name.casefold():
-                own_cols |= {c.casefold() for c in resolve_or_empty(table.name)}
+                own_cols |= {c.casefold() for c in catalog.resolve_columns(table.name)}
         refs = set()
         for expr in exprs:
             for ref in column_refs(expr):
@@ -403,55 +382,6 @@ def _lower_list_calls(select: n.Select) -> n.Select:
 # --- plan emission ----------------------------------------------------------
 
 
-def _collapse_value_ies(ordered: list[CanonicalIE]) -> list[CanonicalIE]:
-    """Merge runs of consecutive value-form IEs into one stage.  References to
-    attributes produced earlier in the same run are substituted by their
-    (parenthesised) expressions, since one select list cannot see its own
-    aliases."""
-    out: list[CanonicalIE] = []
-    run: list[CanonicalIE] = []
-
-    def flush():
-        if not run:
-            return
-        if len(run) == 1:
-            out.append(run[0])
-        else:
-            items, produced = [], []
-            known: dict[str, object] = {}
-            for cie in run:
-                for name, expr in cie.items:
-                    expr = _substitute_columns(expr, known)
-                    known[name.casefold()] = n.Paren(inner=expr)
-                    items.append((name, expr))
-                    produced.append(name)
-            out.append(CanonicalIE(
-                name=run[0].name, kind="value", produced_attrs=produced,
-                items=items, declared_index=run[0].declared_index,
-                members=[cie.name for cie in run]))
-        run.clear()
-
-    for cie in ordered:
-        if cie.kind == "value":
-            run.append(cie)
-        else:
-            flush()
-            out.append(cie)
-    flush()
-    return out
-
-
-def _substitute_columns(expr, replacements: dict):
-    """`expr` with each unqualified column named in `replacements` (by its
-    casefolded name) replaced by the expression given for it."""
-    def swap(node):
-        if isinstance(node, n.ColumnRef) and node.table is None:
-            return replacements.get(node.name.casefold(), node)
-        return node
-
-    return n.transform(expr, swap)
-
-
 def _stage_select(cie: CanonicalIE, prev: str, scheme_name: str) -> n.Select:
     """The SELECT body of the view stage realizing one canonical IE over the
     previous stage `prev`."""
@@ -500,7 +430,7 @@ def _stage_facts(cie: CanonicalIE) -> StageFacts:
             joins.append([table.name, [[src_col, encl_col]
                                        for pair_label, src_col, encl_col in cie.join_pairs
                                        if pair_label.casefold() == label]])
-    return StageFacts(kind=cie.kind, ies=cie.members or [cie.name],
+    return StageFacts(kind=cie.kind, ies=[cie.name],
                       adds=list(cie.produced_attrs), joins=joins)
 
 
@@ -587,14 +517,15 @@ def build_columns(scheme: SirScheme, canon: list[CanonicalIE]) -> list[ColumnInf
     return columns
 
 
-def compile_sir(scheme: SirScheme, catalog: Catalog,
-                options: CompileOptions | None = None) -> CompiledSir:
+def compile_sir(scheme: SirScheme, catalog: Catalog) -> CompiledSir:
     """Emit the kernel plan for one relation: base table plus view chain.
 
-    With zero IEs the plan is a single plain CREATE TABLE under the
-    relation's own name.
+    The chain has one view per IE, in evaluation order; the last carries
+    the relation's name, unless evaluation order differs from declared
+    order, when one more view restores the declared column order.  With
+    zero IEs the plan is a single plain CREATE TABLE under the relation's
+    own name.
     """
-    options = options or CompileOptions()
     catalog.validate_scheme(scheme)
 
     if not scheme.ies:
@@ -622,9 +553,8 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
     columns = build_columns(scheme, canon)
     declared = declared_order(scheme, canon)
 
-    stages = _collapse_value_ies(ordered) if options.collapse_value_ies else list(ordered)
     chain_cols = list(scheme.stored_names)
-    for cie in stages:
+    for cie in ordered:
         chain_cols.extend(cie.produced_attrs)
     in_declared_order = [c.casefold() for c in chain_cols] == [c.casefold() for c in declared]
 
@@ -636,26 +566,13 @@ def compile_sir(scheme: SirScheme, catalog: Catalog,
                               render(n.CreateView(name=name, select=select)), stage))
 
     prev = base_name
-    fused_last = (options.skip_redundant_full_view and not in_declared_order)
-    emit_direct = stages[:-1] if fused_last else stages
-    for pos, cie in enumerate(emit_direct, start=1):
-        last_direct = (pos == len(stages)) and in_declared_order
-        stage_name = scheme.name if last_direct else f"{scheme.name}_{pos}"
-        select = _stage_select(cie, prev, scheme.name)
-        add_view(stage_name, select, _stage_facts(cie))
+    for pos, cie in enumerate(ordered, start=1):
+        last = pos == len(ordered) and in_declared_order
+        stage_name = scheme.name if last else f"{scheme.name}_{pos}"
+        add_view(stage_name, _stage_select(cie, prev, scheme.name), _stage_facts(cie))
         prev = stage_name
 
-    if fused_last:
-        # fold the final stage and the reordering into one view (fewer
-        # mappings): its stage select, with the items in declared order
-        last = stages[-1]
-        body = _stage_select(last, prev, scheme.name)
-        produced = {attr.casefold(): item
-                    for attr, item in zip(last.produced_attrs, body.items[1:])}
-        add_view(scheme.name, body.replace(items=[
-            produced.get(col.casefold()) or n.SelectItem(expr=n.ColumnRef(name=col, table=prev))
-            for col in declared]), _stage_facts(last))
-    elif not in_declared_order:
+    if not in_declared_order:
         reorder = n.Select(items=[n.SelectItem(expr=n.ColumnRef(name=c)) for c in declared],
                            from_=[n.TableName(name=prev)])
         add_view(scheme.name, reorder, StageFacts(kind="reorder", ies=[], adds=[]))

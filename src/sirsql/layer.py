@@ -42,10 +42,10 @@ from . import nodes as n
 from .catalog import (SIR, STORED, VIEW, Catalog, CatalogEntry, ColumnInfo,
                       PlanItem, ie_references, referenced_relations,
                       scheme_from_ast, scheme_to_ast)
-from .compiler import (CompileOptions, alter_steps, apply_alter, compile_index,
-                       compile_sir, plan_drop, recompile_steps, rewrite_to_base)
+from .compiler import (alter_steps, apply_alter, compile_index, compile_sir, plan_drop,
+                       recompile_steps, rewrite_to_base)
 from .errors import (CircularReferenceError, InvariantViolation, NameCollision,
-                     RejectedWrite, StaleCatalog, UnknownRelation)
+                     RejectedWrite, StaleCatalog, UnknownObject, UnknownRelation)
 from .kernel import KernelConnection, RowSet
 from .lexer import shape
 from .parser import parse
@@ -72,11 +72,10 @@ class StatementResult:
 
 
 class SirLayer:
-    def __init__(self, conn: KernelConnection,
-                 options: CompileOptions | None = None,
+    def __init__(self, conn: KernelConnection, *, rewrite_to_base: bool = False,
                  strict_integrity: bool = False):
         self.conn = conn
-        self.options = options or CompileOptions()
+        self.rewrite_to_base = rewrite_to_base
         self.strict_integrity = strict_integrity
         self.catalog = Catalog.load(conn)
         self._ddl_lock = threading.Lock()
@@ -105,6 +104,8 @@ class SirLayer:
             return self._drop(stmt.name, "restrict", expect_view=True)
         if isinstance(stmt, n.CreateIndex):
             return self._create_index(stmt)
+        if isinstance(stmt, n.DropIndex):
+            return self._drop_index(stmt)
         if isinstance(stmt, _CACHEABLE):
             return self._execute(stmt)[0]
         raise InvariantViolation(f"unsupported statement {type(stmt).__name__}")
@@ -201,13 +202,14 @@ class SirLayer:
         return refs
 
     def _apply_rewrite_to_base(self, scheme):
-        """With the option on, rewrite cycle-closing IE references to bases."""
+        """Refuse a reference cycle, or with `rewrite_to_base` rewrite the IE
+        references that close it to the referenced relations' bases."""
         refs = self._resolve_references(scheme)
         try:
             self.catalog.check_acyclic(scheme.name, refs)
             return scheme
         except CircularReferenceError:
-            if not self.options.rewrite_to_base:
+            if not self.rewrite_to_base:
                 raise
         for index, element in enumerate(scheme.elements):
             if not isinstance(element, n.IeDecl):
@@ -236,7 +238,7 @@ class SirLayer:
             scheme = scheme_from_ast(stmt)
             self.catalog.validate_scheme(scheme)
             scheme = self._apply_rewrite_to_base(scheme)
-            compiled = compile_sir(scheme, self.catalog, self.options)
+            compiled = compile_sir(scheme, self.catalog)
             self._check_kernel_name_free([i.name for i in compiled.plan])
             entry = self._entry_from_compiled(compiled, SIR if scheme.ies else STORED)
 
@@ -298,7 +300,7 @@ class SirLayer:
 
             scratch = self.catalog.copy()
             scratch.detach(entry.name)
-            compiled = compile_sir(new_scheme, scratch, self.options)
+            compiled = compile_sir(new_scheme, scratch)
             new_entry = self._entry_from_compiled(compiled, SIR if new_scheme.ies else STORED)
             scratch.attach(new_entry)
 
@@ -314,7 +316,7 @@ class SirLayer:
                 if dep.kind != SIR or not _stars_over(dep, changed, scratch):
                     updates.append((name, None, []))
                     continue
-                recompiled = compile_sir(dep.scheme, scratch, self.options)
+                recompiled = compile_sir(dep.scheme, scratch)
                 # its base is not touched, so it keeps the storage form recorded
                 recompiled.plan[0] = dep.plan[0]
                 new_dep = self._entry_from_compiled(recompiled, SIR)
@@ -372,6 +374,23 @@ class SirLayer:
 
             self._ddl_transaction(work)
             return StatementResult(stmt, "create index", objects=[i.name for i in plan])
+
+    def _drop_index(self, stmt: n.DropIndex) -> StatementResult:
+        """Drop an index that CREATE INDEX made on a relation's table.  The
+        catalog records no index, so the transaction asks the kernel."""
+        with self._ddl_lock:
+            def work(conn):
+                found = conn.execute(
+                    "SELECT name, tbl_name FROM sqlite_master WHERE type = 'index'"
+                    " AND sql IS NOT NULL AND lower(name) = lower(?)", (stmt.name,)).rows
+                if not found or not (found[0][1] in self.catalog
+                                     or self.catalog.owner_of_object(found[0][1])):
+                    raise UnknownObject(f"no index named {stmt.name!r} on a relation's table")
+                conn.execute(render(n.DropIndex(name=found[0][0])),
+                             origin=partial(render_source, stmt))
+                return found[0][0]
+
+            return StatementResult(stmt, "drop index", objects=[self._ddl_transaction(work)])
 
     # --- queries and DML ---
 

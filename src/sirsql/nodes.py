@@ -248,6 +248,9 @@ class CreateIndex(_Positioned):
     columns: list
     unique: bool = False
 
+class DropIndex(_Positioned):
+    name: str
+
 class Query(_Positioned):
     select: Select
 

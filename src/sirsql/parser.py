@@ -326,6 +326,8 @@ class Parser:
         self.expect_word("DROP")
         if self.accept_word("VIEW"):
             return n.DropView(name=self.expect_name("view name"))
+        if self.accept_word("INDEX"):
+            return n.DropIndex(name=self.expect_name("index name"))
         self.expect_word("TABLE")
         name = self.expect_name("table name")
         mode = "restrict"

@@ -287,6 +287,9 @@ class _Renderer:
     def _DropView(self, node):
         return f"DROP VIEW {self.ident(node.name)};"
 
+    def _DropIndex(self, node):
+        return f"DROP INDEX {self.ident(node.name)};"
+
     def _CreateIndex(self, node):
         unique = "UNIQUE " if node.unique else ""
         cols = ", ".join(self.ident(c) for c in node.columns)

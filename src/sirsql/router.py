@@ -286,10 +286,7 @@ def check_ie_integrity(entry, catalog: Catalog, conn: KernelConnection) -> list[
     views = entry.views
     produced: list[str] = []
     for ie in entry.scheme.ies:
-        index = next(i for i, e in enumerate(entry.scheme.elements)
-                     if e.name.casefold() == ie.name.casefold())
-        canon = canonicalize(ie, entry.scheme, catalog,
-                             produced_so_far=produced, declared_index=index)
+        canon = canonicalize(ie, entry.scheme, catalog, produced_so_far=produced)
         produced.extend(canon.produced_attrs)
         if canon.kind != "join":
             continue

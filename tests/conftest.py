@@ -35,15 +35,20 @@ def kernel_state(conn: KernelConnection) -> list[list[tuple]]:
         "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid")]
 
 
+def replay_dump(location: str, fixture: str):
+    """Write the file whose `iterdump()` text is the fixture `fixture`."""
+    db = sqlite3.connect(location)
+    try:
+        db.executescript(fixture_text(fixture))
+    finally:
+        db.close()
+
+
 def write_four_table_sp2(location: str):
     """Write S-P2, data included, as a file in the earlier four-table
     catalog format (`sir_relations` plus `sir_attrs`, `sir_ies` and
     `sir_deps`), replayed from a dump of a file that format's writer made."""
-    db = sqlite3.connect(location)
-    try:
-        db.executescript(fixture_text("sp2_four_table.sql"))
-    finally:
-        db.close()
+    replay_dump(location, "sp2_four_table.sql")
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from sirsql.parser import parse_one
 from sirsql.render import render
 from sirsql.router import route
 
-from conftest import fixture_text, kernel_state, load_sp2, write_four_table_sp2
+from conftest import fixture_text, kernel_state, load_sp2, replay_dump, write_four_table_sp2
 
 ALTER_STATUS_OVER_SP = ("Alter Table S Alter STATUS As STATUS"
                         " (Select Int (SUM(QTY)/100) FROM SP WHERE S.S# = S#);")
@@ -569,3 +569,91 @@ def test_alter_on_a_four_table_catalog_writes_the_current_form(tmp_path):
     assert reopened.conn.query(
         "SELECT name, json_type(plan) FROM sir_relations ORDER BY name").rows == \
         [("P", "array"), ("S", "object"), ("SP", "object")]
+
+
+# --- files written with the fused and collapsed plan shapes -------------------------
+
+# S-P3, plus a LIST subquery, a join with a residual predicate and a star join
+# followed by a value IE, each declared out of evaluation order, and a few rows.
+# `sp3_skip_collapse.sql` is the `iterdump()` of a file that earlier releases
+# wrote from this with `skip_redundant_full_view` (the last stage and the
+# reordering fused into one view) and `collapse_value_ies` (consecutive value
+# IEs in one stage) on.
+SKIP_COLLAPSE_EXTRA = """
+Create Table PS (P# Char,
+  SUPPLIERS (Select LIST (SP_B.S#, SNAME) From SP_B, S
+             Where PS.P# = SP_B.P# And S.S# = SP_B.S# Order By SNAME),
+  WEIGHT Int, Primary Key (P#));
+Create Table SX (SK Char,
+  I_BIG (Select SNAME, CITY As SC From S Where SX.SK = S# And STATUS > 10),
+  NOTE Char, Primary Key (SK));
+Create Table SY (SK Char,
+  I_ALL (Select */S# From S Where SY.SK = S#),
+  TWICE As (QTY * 2), QTY Int, Primary Key (SK));
+Insert Into PS (P#, WEIGHT) Values ('P1', 12), ('P2', 17), ('P7', 5);
+Insert Into SX (SK, NOTE) Values ('S1', 'a'), ('S2', 'b'), ('S9', 'c');
+Insert Into SY (SK, QTY) Values ('S1', 3), ('S3', 5), ('S9', 7);
+"""
+SKIP_COLLAPSE_RELATIONS = ["S", "P", "SP", "PS", "SX", "SY"]
+
+
+def _skip_collapse_pair(tmp_path) -> tuple[SirLayer, SirLayer]:
+    """The flag-written file, and the same statements compiled today."""
+    location = str(tmp_path / "flags.sqlite")
+    replay_dump(location, "sp3_skip_collapse.sql")
+    default = _new_format_sp2(str(tmp_path / "default.sqlite"))
+    default.apply_source(fixture_text("sp3_alters.sirsql"))
+    default.apply_source(SKIP_COLLAPSE_EXTRA)
+    return SirLayer(KernelConnection(location)), default
+
+
+def _answers(layer: SirLayer) -> list:
+    """Rows and counts of every relation, after checking that the kernel
+    holds exactly the recorded views and each full view the recorded columns."""
+    assert dict(layer.conn.query("SELECT name, sql || ';' FROM sqlite_master"
+                                 " WHERE type = 'view'").rows) == \
+        {item.name: item.sql for entry in layer.catalog.entries() for item in entry.views}
+    out = []
+    for name in SKIP_COLLAPSE_RELATIONS:
+        rows = layer.query(f"Select * From {name};")
+        assert rows.columns == layer.catalog.get(name).column_names
+        out.append((rows.columns, sorted(rows.rows, key=repr),
+                    layer.query(f"Select Count(*) From {name};").rows))
+    return out
+
+
+def test_a_skip_collapse_file_answers_like_a_default_one(tmp_path, capsys):
+    flagged, default = _skip_collapse_pair(tmp_path)
+    flagged.catalog.audit()
+    # the fused and collapsed chains are still what the file holds
+    assert [len(flagged.explain(name)) for name in SKIP_COLLAPSE_RELATIONS] == [2, 2, 3, 2, 2, 3]
+    assert flagged.catalog.get("P").views[0].stage.ies == ["WEIGHT_KG", "WEIGHT_T"]
+    assert _answers(flagged) == _answers(default)
+    for name in SKIP_COLLAPSE_RELATIONS:
+        count = parse_one(f"Select Count(*) From {name};")
+        assert route(count, flagged.catalog).target == f"{name}_B"
+        assert flagged.check(name) == []
+        for item in flagged.catalog.get(name).views:
+            assert flagged.catalog.resolve_columns(item.name) == \
+                flagged.conn.introspect(item.name)
+    snapshot, location = flagged.catalog.snapshot(), flagged.conn.location
+    flagged.conn.close()
+    assert main(["-k", location, "check", "--catalog"]) == 0
+    assert capsys.readouterr().out == "ok: 6 relations\n"
+    assert SirLayer(KernelConnection(location)).catalog.snapshot() == snapshot
+
+
+@pytest.mark.parametrize("relation", ["S", "P", "PS", "SX", "SY"])
+def test_an_alter_turns_a_fused_or_collapsed_chain_into_the_default_one(tmp_path, relation):
+    flagged, default = _skip_collapse_pair(tmp_path)
+    alter = f"Alter Table {relation} Add NOTE2 Char;"
+    flagged.apply_source(alter)
+    default.apply_source(alter)
+    assert flagged.explain(relation) == default.explain(relation)
+    assert _answers(flagged) == _answers(default)
+    snapshot, location = flagged.catalog.snapshot(), flagged.conn.location
+    flagged.conn.close()
+    reopened = SirLayer(KernelConnection(location))
+    assert reopened.catalog.snapshot() == snapshot
+    reopened.catalog.audit()
+    assert _answers(reopened) == _answers(default)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from sirsql.cli import format_rows, main
+from sirsql.cli import build_parser, format_rows, main
 from sirsql.kernel import KernelConnection, RowSet
 
 from conftest import FIXTURES
@@ -313,3 +316,30 @@ def test_env_var_kernel_location(db, capsys, monkeypatch):
     assert code == 0
     code, out, err = run(["explain", "SP"], capsys)
     assert code == 0 and "CREATE TABLE SP_B" in out
+
+
+def _options(parser: argparse.ArgumentParser) -> set[str]:
+    return {flag for action in parser._actions if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings}
+
+
+def test_readme_cli_flags_table_matches_the_parser():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## CLI flags", 1)[1].split("\n\n")[1]
+    listed = {flag for row in table.splitlines() if row.startswith("| `")
+              for flag in re.findall(r"`(-[^`]+)`", row.split("|")[1])}
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices.values()
+    accepted = _options(parser).union(*map(_options, subcommands))
+    assert _options(parser) <= listed
+    assert listed <= accepted
+
+
+@pytest.mark.parametrize("flag", ["--skip-redundant-full-view", "--collapse-value-ies"])
+def test_removed_plan_shape_flags_are_refused(db, flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-k", db, flag, "apply", str(FIXTURES / "sp2_schema.sirsql")])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not Path(db).exists()

@@ -5,8 +5,8 @@ import pytest
 from sirsql import compile_sir
 from sirsql import nodes as n
 from sirsql.catalog import scheme_from_ast
-from sirsql.compiler import (CompileOptions, canonicalize, canonicalize_all,
-                             expand_star_minus, order_ies, rewrite_to_base)
+from sirsql.compiler import (canonicalize, canonicalize_all, expand_star_minus, order_ies,
+                             rewrite_to_base)
 from sirsql.errors import (DependentsExist, IeCycle, IndexOnInheritedAttribute,
                            InvariantViolation, MissingRecursiveJoin, NameCollision,
                            NotRewritable, RecursiveJoinAttributeDrop, UnknownExcludedColumn,
@@ -73,13 +73,18 @@ def test_canonicalize_missing_recursive_join():
         canonicalize(scheme.ies[0], scheme, layer.catalog)
 
 
-def test_canonicalize_unknown_relation():
+@pytest.mark.parametrize("ie", [
+    "I (Select Z From NOPE Where X.A = Z)",
+    "I (Select SNAME, Z From S, NOPE Where X.A = S# And X.A = Z)",
+    "I (Select Count(*) From NOPE Where X.A = Z)",
+], ids=["join", "join-second-source", "subquery"])
+def test_canonicalize_unknown_relation(ie):
     layer = sp2_layer()
-    stmt = parse_one(
-        "Create Table X (A Char, Primary Key (A), I (Select Z From NOPE Where X.A = Z));")
-    scheme = scheme_from_ast(stmt)
-    with pytest.raises(UnknownRelation):
+    scheme = scheme_from_ast(parse_one(f"Create Table X (A Char, Primary Key (A), {ie});"))
+    with pytest.raises(UnknownRelation, match="NOPE"):
         canonicalize(scheme.ies[0], scheme, layer.catalog)
+    with pytest.raises(UnknownRelation, match="NOPE"):
+        compile_sir(scheme, layer.catalog)
 
 
 def test_canonicalize_residual_predicates_move_into_join():
@@ -184,39 +189,11 @@ def test_sp3_plans_match_golden():
     assert "\n".join(layer.explain("P")) + "\n" == (GOLDEN / "sp3_p_plan.sql").read_text()
 
 
-SKIP_COLLAPSE_EXTRA = """
-Create Table PS (P# Char,
-  SUPPLIERS (Select LIST (SP_B.S#, SNAME) From SP_B, S
-             Where PS.P# = SP_B.P# And S.S# = SP_B.S# Order By SNAME),
-  WEIGHT Int, Primary Key (P#));
-Create Table SX (SK Char,
-  I_BIG (Select SNAME, CITY As SC From S Where SX.SK = S# And STATUS > 10),
-  NOTE Char, Primary Key (SK));
-Create Table SY (SK Char,
-  I_ALL (Select */S# From S Where SY.SK = S#),
-  TWICE As (QTY * 2), QTY Int, Primary Key (SK));
-"""
-
-
-def test_fused_final_views_match_golden():
-    # S-P3 plus a LIST subquery, a join with a residual predicate and a star
-    # join followed by a value IE, each declared out of evaluation order, so
-    # the last stage and the reordering fuse into one view
-    options = CompileOptions(skip_redundant_full_view=True, collapse_value_ies=True)
-    layer = load_sp2(make_layer(options=options))
-    layer.apply_source(fixture_text("sp3_alters.sirsql"))
-    layer.apply_source(SKIP_COLLAPSE_EXTRA)
-    lines = [sql for name in ("S", "P", "SP", "PS", "SX", "SY") for sql in layer.explain(name)]
-    assert "\n".join(lines) + "\n" == (GOLDEN / "skip_collapse_plans.sql").read_text()
-
-
-def test_a_fused_final_view_qualifies_the_relations_own_columns():
-    # SX stores S# and NOTE, and S has an S# of its own
-    layer = load_sp2(make_layer(options=CompileOptions(skip_redundant_full_view=True)))
+def test_own_columns_a_join_source_shares_stay_unambiguous():
+    # SX stores S# and NOTE, S has an S# of its own and later gains a NOTE
+    layer = load_sp2(make_layer())
     layer.apply_source("Create Table SX (S# Char, I_BIG (Select SNAME From S Where SX.S# = S#),"
                        " NOTE Char, Primary Key (S#)); Insert Into SX Values ('S1', 'n');")
-    assert layer.explain("SX")[1] == ('CREATE VIEW SX AS SELECT SX_B."S#", S.SNAME, SX_B.NOTE'
-                                      ' FROM SX_B LEFT JOIN S ON SX_B."S#" = S."S#";')
     layer.apply_source("Alter Table S Add NOTE Char;")
     assert layer.query("Select * From SX;").rows == [("S1", "Smith", "n")]
 
@@ -265,56 +242,21 @@ def test_name_collision_with_existing_kernel_object():
             " I (Select SNAME From S Where Z.A = S#));")
 
 
-# --- options ---------------------------------------------------------------------
+# --- stage facts -------------------------------------------------------------------
 
 
-SP3_P = ("Create Table P (P# Char, PNAME Char, COLOR Char, WEIGHT Char,"
-         " WEIGHT_T As (WEIGHT_KG / 1000), WEIGHT_KG As (Round(WEIGHT / 2.1, 1)),"
-         " CITY Char, Primary Key (P#));")
-
-
-def test_skip_redundant_full_view_fuses_reordering():
-    layer = make_layer(options=CompileOptions(skip_redundant_full_view=True))
-    layer.apply_source(SP3_P)
-    plan = layer.explain("P")
-    assert len(plan) == 3
-    assert plan[-1].startswith("CREATE VIEW P AS ")
-    assert "FROM P_1" in plan[-1]
-
-
-def test_collapse_value_ies_merges_stages():
-    layer = make_layer(options=CompileOptions(skip_redundant_full_view=True,
-                                              collapse_value_ies=True))
-    layer.apply_source(SP3_P)
-    plan = layer.explain("P")
-    assert len(plan) == 2
-    assert "FROM P_B" in plan[-1]
-
-
-def test_options_never_change_full_view_columns():
-    baseline = make_layer()
-    baseline.apply_source(SP3_P)
-    for options in (CompileOptions(skip_redundant_full_view=True),
-                    CompileOptions(collapse_value_ies=True),
-                    CompileOptions(skip_redundant_full_view=True, collapse_value_ies=True)):
-        layer = make_layer(options=options)
-        layer.apply_source(SP3_P)
-        assert layer.conn.introspect("P") == baseline.conn.introspect("P")
-
-
-@pytest.mark.parametrize("options", [
-    CompileOptions(collapse_value_ies=True),
-    CompileOptions(skip_redundant_full_view=True, collapse_value_ies=True)])
-def test_stage_columns_match_kernel_under_collapsed_value_ies(options):
-    layer = make_layer(options=options)
+def test_stage_columns_match_kernel_for_consecutive_value_ies():
+    layer = make_layer()
     layer.apply_source(
         "Create Table X (K Int, V Char, Primary Key (K));"
         " Create Table R (A Int, Primary Key (A), D As (A*2), T As (A*3),"
         " I_X (Select V From X Where R.A = K));")
-    assert layer.catalog.resolve_columns("R_1") == ["A", "D", "T"]
-    assert layer.conn.introspect("R_1") == ["A", "D", "T"]
-    stage = layer.catalog.get("R").views[0].stage
-    assert (stage.kind, stage.ies, stage.adds) == ("value", ["D", "T"], ["D", "T"])
+    for view, columns in (("R_1", ["A", "D"]), ("R_2", ["A", "D", "T"]),
+                          ("R", ["A", "D", "T", "V"])):
+        assert layer.catalog.resolve_columns(view) == columns
+        assert layer.conn.introspect(view) == columns
+    assert [(i.stage.kind, i.stage.ies, i.stage.adds) for i in layer.catalog.get("R").views] == [
+        ("value", ["D"], ["D"]), ("value", ["T"], ["T"]), ("join", ["I_X"], ["V"])]
 
 
 def test_stage_facts_record_join_pairs_per_source(sp3):

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pytest
 
-from sirsql.compiler import CompileOptions
 import sirsql.layer
 from sirsql.errors import IaNotComputable, InvariantViolation, KernelError, ParseError
 from sirsql.kernel import KernelConnection
@@ -76,12 +75,19 @@ def test_suppliers_list_aggregate(sp2):
     assert rows["P3"] == "S1, Smith, 400"
 
 
+def test_layer_policies_are_keyword_only():
+    with pytest.raises(TypeError):
+        SirLayer(KernelConnection(":memory:"), True)
+    layer = SirLayer(KernelConnection(":memory:"), rewrite_to_base=True, strict_integrity=True)
+    assert (layer.rewrite_to_base, layer.strict_integrity) == (True, True)
+
+
 def test_rewrite_to_base_produces_same_results_as_manual_base_form():
     manual = load_sp2(make_layer())
     manual.apply_source(
         "Alter Table S Alter STATUS As STATUS"
         " (Select Int (SUM(QTY)/100) FROM SP_B WHERE S.S# = S#);")
-    auto = load_sp2(make_layer(options=CompileOptions(rewrite_to_base=True)))
+    auto = load_sp2(make_layer(rewrite_to_base=True))
     auto.apply_source(
         "Alter Table S Alter STATUS As STATUS"
         " (Select Int (SUM(QTY)/100) FROM SP WHERE S.S# = S#);")

@@ -9,8 +9,8 @@ import pytest
 
 from sirsql import nodes as n
 from sirsql.catalog import scheme_from_ast, scheme_to_ast
-from sirsql.compiler import (CompileOptions, alter_steps, apply_alter, compile_sir,
-                             rewrite_to_base, substitute_relation)
+from sirsql.compiler import (alter_steps, apply_alter, compile_sir, rewrite_to_base,
+                             substitute_relation)
 from sirsql.errors import InvariantViolation, KernelError
 from sirsql.parser import parse, parse_one
 from sirsql.render import render, render_source
@@ -122,17 +122,17 @@ SCHEMES = [
     # an aggregate subquery with LIST
     "Create Table PY (P# Char, Primary Key (P#), SUPPLIERS (Select LIST (SP.S#, QTY)"
     " From SP Where PY.P# = SP.P# Order By QTY Desc));",
+    # three consecutive value-form IEs, each reading the one before: one stage each
+    "Create Table PW (P# Char, WEIGHT Int, W1 As (PW.WEIGHT * 2), W2 As (W1 + 1),"
+    " W3 As (W2 * W1), Primary Key (P#));",
 ]
 
 
-@pytest.mark.parametrize("skip", [False, True])
-@pytest.mark.parametrize("collapse", [False, True])
 @pytest.mark.parametrize("text", SCHEMES)
-def test_compile_leaves_its_scheme_unchanged(sp2, text, skip, collapse):
+def test_compile_leaves_its_scheme_unchanged(sp2, text):
     scheme = scheme_from_ast(parse_one(text))
     before = copy.deepcopy(scheme)
-    options = CompileOptions(skip_redundant_full_view=skip, collapse_value_ies=collapse)
-    compiled = compile_sir(scheme, sp2.catalog, options)
+    compiled = compile_sir(scheme, sp2.catalog)
     assert scheme == before
     assert compiled.scheme is scheme
 

@@ -244,6 +244,7 @@ CORPUS = [
     "Drop Table S Cascade;",
     "Create Index SP_QTY On SP (QTY);",
     "Create Unique Index S_NAME On S (SNAME);",
+    "Drop Index SP_QTY;",
     "Select S#, SNAME, STATUS, RANK From S Order By RANK;",
     "Select count(*) + 1 From S X Where X.STATUS > S.STATUS;",
     "Select IIF(STATUS is not null, 1, null) As flag From S;",

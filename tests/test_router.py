@@ -187,11 +187,8 @@ def test_insert_key_conflict_surfaces_kernel_error(sp2):
         sp2.apply_source("Insert SP (select 'S4' as S#, 'P4' as P#, 100 as QTY);")
 
 
-@pytest.mark.parametrize("collapse", [False, True])
-def test_strict_mode_exempts_value_form_attributes(collapse):
-    from sirsql.compiler import CompileOptions
-    layer = make_layer(strict_integrity=True,
-                       options=CompileOptions(collapse_value_ies=collapse))
+def test_strict_mode_exempts_value_form_attributes():
+    layer = make_layer(strict_integrity=True)
     layer.apply_source(
         "Create Table P (P# Char, WEIGHT Char, WEIGHT_T As (WEIGHT_KG / 1000),"
         " WEIGHT_KG As (Round(WEIGHT / 2.1, 1)), Primary Key (P#));"

@@ -63,9 +63,11 @@ def test_a_meta_only_alter_makes_the_other_catalog_stale(tmp_path):
     "Create Table T (A Int, Primary Key (A));",
     "Create View V As Select * From S;",
     "Create Index x_a On X (A);",
+    "Drop Index x_i;",
 ])
 def test_each_kind_of_ddl_over_a_stale_catalog_is_refused(tmp_path, statement):
-    _, a, b = _two_sessions(tmp_path, "Create Table X (A Int, Primary Key (A));")
+    _, a, b = _two_sessions(tmp_path, "Create Table X (A Int, Primary Key (A));"
+                                      " Create Index x_i On X (A);")
     a.apply_source("Create Table Y (A Int, Primary Key (A));")
     kernel, snapshot = kernel_state(a.conn), b.catalog.snapshot()
     with pytest.raises(StaleCatalog):

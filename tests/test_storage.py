@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from sirsql import compiler
-from sirsql.errors import IndexedAttributeDrop, KernelError
+from sirsql.errors import IndexedAttributeDrop, KernelError, UnknownObject
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 
@@ -219,3 +219,53 @@ def test_an_alter_dropping_an_indexed_column_is_refused(tmp_path, alter):
         layer.apply_source(alter)
     assert kernel_state(layer.conn) == kernel
     assert layer.catalog.snapshot() == snapshot
+
+
+def test_a_dropped_index_lets_its_column_go(tmp_path):
+    location = str(tmp_path / "db.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)))
+    layer.apply_source("Create Index sp_qty On SP (QTY);")
+    version = layer.conn.ddl_version()
+    result, = layer.apply_source("Drop Index SP_QTY;")
+    assert (result.action, result.objects) == ("drop index", ["sp_qty"])
+    assert layer.conn.ddl_version() == version + 1
+    assert _indexes(layer.conn) == []
+    layer.apply_source("Alter Table SP Drop QTY;")
+    snapshot = layer.catalog.snapshot()
+    layer.conn.close()
+    reopened = SirLayer(KernelConnection(location))
+    assert reopened.catalog.snapshot() == snapshot
+    reopened.catalog.audit()
+    assert reopened.query("Select * From SP;").columns[:3] == ["S#", "P#", "SNAME"]
+
+
+def test_a_dropped_unique_index_admits_duplicates():
+    layer = make_layer()
+    layer.apply_source("Create Table T (K Char, V Int, Primary Key (K));"
+                       " Create Unique Index t_v On T (V); Insert Into T Values ('a', 1);")
+    with pytest.raises(KernelError, match="UNIQUE"):
+        layer.apply_source("Insert Into T Values ('b', 1);")
+    result, = layer.apply_source("Drop Index T_V;")
+    assert (result.action, result.objects) == ("drop index", ["t_v"])
+    assert _indexes(layer.conn) == []
+    layer.apply_source("Insert Into T Values ('b', 1);")
+    assert sorted(layer.query("Select K, V From T;").rows) == [("a", 1), ("b", 1)]
+
+
+@pytest.mark.parametrize("setup, name", [
+    ("", "sp_qty"),
+    ("Create Table U (A Int, B Int, Primary Key (A), Unique (B));", "sqlite_autoindex_U_1"),
+    ("CREATE TABLE raw (a INT); CREATE INDEX raw_a ON raw (a);", "raw_a"),
+], ids=["missing", "automatic", "not-a-relations-table"])
+def test_drop_index_refuses_an_index_it_does_not_own(setup, name):
+    layer = load_sp2(make_layer())
+    if setup.startswith("CREATE"):
+        for sql in setup.split("; "):
+            layer.conn.execute(sql)                 # behind the catalog's back
+    else:
+        layer.apply_source(setup)
+    kernel, version = kernel_state(layer.conn), layer.conn.ddl_version()
+    with pytest.raises(UnknownObject, match=name):
+        layer.apply_source(f"Drop Index {name};")
+    assert kernel_state(layer.conn) == kernel
+    assert layer.conn.ddl_version() == version
