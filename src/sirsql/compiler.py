@@ -458,8 +458,7 @@ def _declared_width(attr: n.AttributeDecl) -> float:
 
 def _base_table_sql(scheme: SirScheme, name: str) -> str:
     """The kernel CREATE TABLE holding a relation's stored attributes under
-    `name`: the relation itself when it has no IEs, its base ``R_B``, or the
-    table a base rebuild fills.
+    `name`: the relation itself when it has no IEs, or its base ``R_B``.
 
     A keyed table is clustered by its primary key (``WITHOUT ROWID``), so a
     key lookup or a recursive join is one B-tree descent and the key is
@@ -590,14 +589,14 @@ def compile_sir(scheme: SirScheme, catalog: Catalog) -> CompiledSir:
 
 
 def _attr_signature(scheme: SirScheme, base: PlanItem):
-    """What decides whether a base can be kept: its stored attributes, keys
-    and foreign keys, and the storage form its recorded CREATE TABLE names
-    (a file written before bases were key-clustered holds rowid tables)."""
+    """What decides whether a base can be kept: its stored attributes, keys,
+    foreign keys and name, and the storage form its recorded CREATE TABLE
+    names (a file written before bases were key-clustered holds rowid tables)."""
     return ([(a.name.casefold(), a.sql_type.upper(), tuple(a.type_args), a.not_null)
              for a in scheme.stored_attrs],
             [tuple(c.casefold() for c in key) for key in scheme.keys],
             [render_source(fk) for fk in scheme.foreign_keys],
-            base.sql.endswith(_CLUSTERED))
+            base.name.casefold(), base.sql.endswith(_CLUSTERED))
 
 
 def apply_alter(entry: CatalogEntry, action) -> SirScheme:
@@ -671,48 +670,49 @@ def alter_steps(entry: CatalogEntry, compiled: CompiledSir,
     """Maintenance DDL turning the entry's current kernel objects into the
     newly compiled ones.  Only views whose SQL changed, or that are new or
     gone, are dropped or created (see `_view_diff`); the base table is
-    renamed, extended in place, or rebuilt as needed so stored data
-    survives.  A rebuild re-creates the old base's indexes; only a rebuild
-    calls `read_indexes`, which lists them as `KernelConnection.indexes`
-    does."""
+    extended in place by ``ADD COLUMN`` or rebuilt by copying its rows (see
+    `_rebuild_steps`), so stored data survives.  A rebuild re-creates the old
+    base's indexes; only a rebuild calls `read_indexes`, which lists them as
+    `KernelConnection.indexes` does."""
     steps, creates = _view_diff(entry.plan, compiled.plan)
-    old_base = entry.plan[0].name
-    new_base = compiled.plan[0].name
     if _rebuilds_base(entry, compiled):
-        steps.extend(_rebuild_steps(entry, compiled, old_base, new_base, read_indexes()))
-        return steps + creates
-    if old_base.casefold() != new_base.casefold():
-        steps.append(PlanItem(new_base, "step", f"ALTER TABLE {quote_ident(old_base)}"
-                                                f" RENAME TO {quote_ident(new_base)};"))
+        return steps + _rebuild_steps(entry, compiled, read_indexes()) + creates
+    base = entry.plan[0].name
     for attr in compiled.scheme.stored_attrs[len(entry.scheme.stored_attrs):]:
         decl = attr.replace(is_primary_key=False)
-        steps.append(PlanItem(new_base, "step",
-                              f"ALTER TABLE {quote_ident(new_base)} ADD COLUMN {render(decl)};"))
+        steps.append(PlanItem(base, "step",
+                              f"ALTER TABLE {quote_ident(base)} ADD COLUMN {render(decl)};"))
     return steps + creates
 
 
 def _rebuilds_base(entry: CatalogEntry, compiled: CompiledSir) -> bool:
-    """Whether the base must be rebuilt: its storage form, keys or foreign
-    keys change, or its stored attributes change other than by new ones
-    appended at the end."""
+    """Whether the base must be rebuilt: its name, storage form, keys or
+    foreign keys change, or its stored attributes change other than by new
+    ones appended at the end."""
     old_attrs, *old_rest = _attr_signature(entry.scheme, entry.plan[0])
     new_attrs, *new_rest = _attr_signature(compiled.scheme, compiled.plan[0])
     return old_rest != new_rest or new_attrs[:len(old_attrs)] != old_attrs
 
 
-def _rebuild_steps(entry, compiled, old_base, new_base, indexes) -> list[PlanItem]:
+def _rebuild_steps(entry, compiled, indexes) -> list[PlanItem]:
+    """Re-create the base from its compiled CREATE TABLE, with the rows of
+    the columns it keeps and the old base's indexes.  A base that changes
+    name (``T`` to ``T_B`` on a first IE, and back) is filled from the old
+    one, which is then dropped; one that keeps its name goes through the
+    scratch table ``sir_rebuild`` (the ``sir_`` prefix is reserved).  No step
+    renames a table: a rename makes SQLite re-check the whole schema."""
+    old, new = entry.plan[0].name, compiled.plan[0].name
     common = [a.name for a in compiled.scheme.stored_attrs
               if entry.scheme.find_attr(a.name) is not None]
     cols = ", ".join(quote_ident(c) for c in common)
-    temp = new_base if old_base.casefold() != new_base.casefold() else f"{new_base}__rebuild"
-    steps = [PlanItem(temp, "step", _base_table_sql(compiled.scheme, temp))]
-    if common:
-        steps.append(PlanItem(temp, "step", f"INSERT INTO {quote_ident(temp)} ({cols})"
-                                            f" SELECT {cols} FROM {quote_ident(old_base)};"))
-    steps.append(PlanItem(old_base, "step", f"DROP TABLE {quote_ident(old_base)};"))
-    if temp != new_base:
-        steps.append(PlanItem(new_base, "step",
-                     f"ALTER TABLE {quote_ident(temp)} RENAME TO {quote_ident(new_base)};"))
+    fill = f"INSERT INTO {quote_ident(new)} ({cols}) SELECT {cols} FROM"
+    drop = f"DROP TABLE {quote_ident(old)};"
+    if old.casefold() != new.casefold():
+        sql = [compiled.plan[0].sql, f"{fill} {quote_ident(old)};", drop]
+    else:
+        sql = [f"CREATE TABLE sir_rebuild AS SELECT {cols} FROM {quote_ident(old)};", drop,
+               compiled.plan[0].sql, f"{fill} sir_rebuild;", "DROP TABLE sir_rebuild;"]
+    steps = [PlanItem(new, "step", text) for text in sql]
     kept = {c.casefold() for c in common}
     for name, unique, columns in indexes:
         lost = [c for c in columns if c.casefold() not in kept]
@@ -720,7 +720,7 @@ def _rebuild_steps(entry, compiled, old_base, new_base, indexes) -> list[PlanIte
             raise IndexedAttributeDrop(
                 f"{compiled.scheme.name}.{lost[0]} is indexed by {name};"
                 f" the ALTER would leave the index without its column")
-        index = n.CreateIndex(name=name, table=new_base, columns=columns, unique=unique)
+        index = n.CreateIndex(name=name, table=new, columns=columns, unique=unique)
         steps.append(PlanItem(name, "step", render(index)))
     return steps
 

@@ -46,7 +46,6 @@ class KernelConnection:
         self.location = location
         self._db = sqlite3.connect(location)
         self._db.isolation_level = None  # explicit BEGIN/COMMIT
-        self._db.execute("PRAGMA legacy_alter_table=ON")  # renames must not rewrite view bodies
         self._in_transaction = False
         # the most parameters one statement may bind (Connection.getlimit is 3.11+)
         self.max_params = (self._db.getlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER)

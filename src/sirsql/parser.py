@@ -154,16 +154,16 @@ class Parser:
 
     def match_create(self):
         self.expect_word("CREATE")
-        if self.accept_word("TABLE"):
+        kind = self.expect_word("TABLE", "VIEW", "UNIQUE", "INDEX").value.upper()
+        if kind == "TABLE":
             return self.match_create_table()
-        if self.accept_word("VIEW"):
+        if kind == "VIEW":
             name = self.expect_name("view name")
             self.expect_word("AS")
             return n.CreateView(name=name, select=self.match_select())
-        unique = False
-        if self.accept_word("UNIQUE"):
-            unique = True
-        self.expect_word("INDEX")
+        unique = kind == "UNIQUE"
+        if unique:
+            self.expect_word("INDEX")
         name = self.expect_name("index name")
         self.expect_word("ON")
         table = self.expect_name("table name")
@@ -324,11 +324,11 @@ class Parser:
 
     def match_drop(self):
         self.expect_word("DROP")
-        if self.accept_word("VIEW"):
+        kind = self.expect_word("TABLE", "VIEW", "INDEX").value.upper()
+        if kind == "VIEW":
             return n.DropView(name=self.expect_name("view name"))
-        if self.accept_word("INDEX"):
+        if kind == "INDEX":
             return n.DropIndex(name=self.expect_name("index name"))
-        self.expect_word("TABLE")
         name = self.expect_name("table name")
         mode = "restrict"
         if self.accept_word("CASCADE"):

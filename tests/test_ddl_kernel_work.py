@@ -1,6 +1,7 @@
-"""What DDL sends to the kernel: only changed views are re-created, each
-created or altered relation is probed once on its final view, each relation
-keeps one meta row, maintained through its key, and the cascade stays safe."""
+"""What DDL sends to the kernel: only changed views are re-created, a base
+is rebuilt by copying its rows and never renamed, each created or altered
+relation is probed once on its final view, each relation keeps one meta row,
+maintained through its key, and the cascade stays safe."""
 
 from __future__ import annotations
 
@@ -15,6 +16,21 @@ from sirsql.layer import SirLayer
 from conftest import kernel_state, load_sp2
 
 PROBE = re.compile(r"SELECT \* FROM (\S+) LIMIT 0$")
+
+
+@pytest.fixture(autouse=True)
+def _no_statement_renames(monkeypatch):
+    """No statement a test here sends renames a table: a base is reshaped
+    by copying its rows (see `compiler._rebuild_steps`)."""
+    sent = []
+    execute = KernelConnection.execute
+
+    def recording(self, sql, *args, **kwargs):
+        sent.append(sql)
+        return execute(self, sql, *args, **kwargs)
+    monkeypatch.setattr(KernelConnection, "execute", recording)
+    yield
+    assert sent and not [s for s in sent if "RENAME" in s.upper()]
 
 
 def _dimension_schema() -> str:
@@ -76,6 +92,27 @@ def test_alter_add_recreates_only_changed_views_and_probes_each_chain_once(tmp_p
     assert len(sent) == 4 + 2 + 3 * 4
     assert layer.query("Select * From R1;").columns[-1] == "E_NAME"
     assert "D_X" in layer.query("Select * From R1;").columns
+
+
+def test_a_base_rebuild_copies_its_rows_through_a_scratch_table(tmp_path, kernel_log):
+    layer = _reopened(tmp_path, _dimension_schema() + "\nInsert Into D Values ('d', 'n', 1);")
+    sent = kernel_log(layer.conn)
+    layer.apply_source("Alter Table D Drop D_NAME;")
+
+    assert sent[4:9] == [
+        "CREATE TABLE sir_rebuild AS SELECT D_K, D_N FROM D;",
+        "DROP TABLE D;",
+        "CREATE TABLE D (D_K Char, D_N Int, PRIMARY KEY (D_K)) WITHOUT ROWID;",
+        "INSERT INTO D (D_K, D_N) SELECT D_K, D_N FROM sir_rebuild;",
+        "DROP TABLE sir_rebuild;"]
+    assert _named(sent, "DROP VIEW") == _named(sent, "CREATE VIEW") == ["R0_1", "R1_1", "R2_1"]
+    assert [PROBE.match(s).group(1) for s in sent if PROBE.match(s)] == ["R0", "R1", "R2"]
+    # BEGIN, the schema version, the index read and its pragma line; the
+    # five rebuild statements and D's UPDATE; each dependent: DROP, CREATE,
+    # probe, UPDATE; the schema version write, COMMIT
+    assert len(sent) == 4 + 6 + 3 * 4 + 2
+    assert layer.query("Select * From D;").rows == [("d", 1)]
+    assert layer.conn.object_kind("sir_rebuild") is None
 
 
 def test_create_with_two_ies_probes_its_final_view_once(tmp_path, kernel_log):

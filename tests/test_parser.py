@@ -143,11 +143,17 @@ def test_duplicate_attribute_rejected():
 
 
 def test_syntax_error_carries_position_and_expectations():
-    with pytest.raises(ParseError) as err:
-        parse("Create Tabel T (A Char);")
-    assert err.value.line == 1
-    assert err.value.col is not None
-    assert err.value.expected
+    # a keyword with alternatives expects every one of them
+    for text, col, expected in [
+            ("Create Tabel T (A Char);", 8, ["INDEX", "TABLE", "UNIQUE", "VIEW"]),
+            ("Create Foo;", 8, ["INDEX", "TABLE", "UNIQUE", "VIEW"]),
+            ("Create Unique Foo;", 15, ["INDEX"]),
+            ("Drop Foo;", 6, ["INDEX", "TABLE", "VIEW"])]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert err.value.expected == expected
+        assert str(err.value).endswith(f"(expected {', '.join(expected)})")
 
 
 @pytest.mark.parametrize("nested", [

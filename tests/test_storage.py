@@ -2,7 +2,7 @@
 ROWID) unless its key is one column declared exactly INTEGER or its
 declared row is wider than a twentieth of a page; a base written in the
 rowid form keeps it until an ALTER rebuilds it; a rebuilt base keeps its
-indexes."""
+rows and indexes, and each recorded CREATE text is the kernel's."""
 
 from __future__ import annotations
 
@@ -31,12 +31,13 @@ def _clustered(sql: str) -> bool:
 
 
 def _assert_plans_match_kernel(layer):
-    """No recorded CREATE TABLE claims a storage form its kernel table lacks."""
-    kernel = _tables(layer.conn)
+    """Each recorded CREATE text is the kernel's own text of its object, so
+    no recorded CREATE TABLE claims a name spelling or a storage form its
+    kernel table lacks."""
+    kernel = dict(layer.conn.query("SELECT name, sql FROM sqlite_master").rows)
     for entry in layer.catalog.entries():
         for item in entry.plan:
-            if item.kind == "table":
-                assert _clustered(item.sql) == _clustered(kernel[item.name]), item.name
+            assert item.sql == kernel[item.name] + ";", item.name
 
 
 def _card(layer, name: str) -> int:
@@ -204,6 +205,56 @@ def test_a_rebuilt_base_keeps_its_indexes(alter, base):
     name, column = ("t_v", "V") if table == "T" else ("sp_qty", "QTY")
     assert (name, base, f"CREATE INDEX {name} ON {base} ({column})") in _indexes(layer.conn)
     assert layer.query(f"Select {column} From {table};").rows
+    _assert_plans_match_kernel(layer)
+
+
+def test_a_base_moves_to_its_base_name_and_back_with_its_rows_and_indexes(tmp_path):
+    location = str(tmp_path / "db.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)))
+    layer.apply_source("Create Table T (K Char, V Int, Primary Key (K));"
+                       " Insert Into T Values ('S1', 1), ('S9', 2);"
+                       " Create Unique Index t_v On T (V);")
+    for alter, base, columns in (
+            ("Alter Table T Add I_S (Select SNAME From S Where T.K = S#);", "T_B",
+             ["K", "V", "SNAME"]),
+            ("Alter Table T Drop I_S;", "T", ["K", "V"])):
+        layer.apply_source(alter)
+        assert _indexes(layer.conn) == [("t_v", base, f"CREATE UNIQUE INDEX t_v ON {base} (V)")]
+        result = layer.query("Select * From T Order By K;")
+        assert result.columns == columns
+        assert [row[:2] for row in result.rows] == [("S1", 1), ("S9", 2)]
+        assert _card(layer, "T") == _card(layer, base) == 2
+        _assert_plans_match_kernel(layer)
+    snapshot = layer.catalog.snapshot()
+    layer.conn.close()
+    reopened = SirLayer(KernelConnection(location))
+    assert reopened.catalog.snapshot() == snapshot
+    _assert_plans_match_kernel(reopened)
+
+
+def test_the_sp3_alters_record_the_kernels_text(sp3):
+    # P and S each gain their first IE, so each base moves to its _B name
+    assert set(_tables(sp3.conn)) == {"S_B", "P_B", "SP_B"}
+    _assert_plans_match_kernel(sp3)
+    for name in ("S", "P", "SP"):
+        assert _card(sp3, name) == _card(sp3, f"{name}_B") > 0
+    # P loses its last IE, so its base moves back to P
+    sp3.apply_source("Alter Table P Drop WEIGHT_T; Alter Table P Drop WEIGHT_KG;")
+    assert set(_tables(sp3.conn)) == {"S_B", "P", "SP_B"}
+    _assert_plans_match_kernel(sp3)
+    assert _card(sp3, "P") == 6
+
+
+def test_a_rebuild_keeps_its_rows_beside_a_relation_named_like_a_scratch_table():
+    layer = make_layer()
+    layer.apply_source("Create Table T (K Int, A Char, B Char, Primary Key (K));"
+                       " Create Table T__rebuild (Z Int);"
+                       " Insert Into T Values (1, 'a', 'b'), (2, 'c', 'd');"
+                       " Insert Into T__rebuild Values (7);")
+    layer.apply_source("Alter Table T Drop B;")
+    assert layer.query("Select * From T Order By K;").rows == [(1, "a"), (2, "c")]
+    assert layer.query("Select * From T__rebuild;").rows == [(7,)]
+    assert layer.conn.object_kind("sir_rebuild") is None
     _assert_plans_match_kernel(layer)
 
 
