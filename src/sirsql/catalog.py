@@ -5,15 +5,17 @@ database (reserved prefix ``sir_``), one row per relation:
 
     sir_relations(name, kind, created_at, source_text, plan)
 
-`plan` is a JSON object: "plan" lists [name, kind, sql] per kernel object
+`plan` is a JSON object: "plan" lists [name, kind] per kernel object
 (the view stages of a relation with IEs add their `StageFacts`), "columns"
 [name, sql_type, is_key, is_inherited, ie_name] per column in declared
 order, "ie_order" the IE names in evaluation order, and "references" the
-relations the entry reads.  In a catalog written in the earlier four-table
-format `plan` is the list alone, and `_legacy_details` reads the rest from
-`sir_attrs`, `sir_ies` and `sir_deps`; a DDL that rewrites such a relation
-writes its row in the current form, and detail rows no relation uses are
-ignored.
+relations the entry reads.  It holds no SQL: the load reads each object's
+text from `sqlite_master`, and ignores what earlier releases wrote third in
+a plan row, the object's SQL.  In a catalog written in the earlier
+four-table format `plan` is the list alone, and `_legacy_details` reads the
+rest from `sir_attrs`, `sir_ies` and `sir_deps`; a DDL that rewrites such a
+relation writes its row in the current form, and detail rows no relation
+uses are ignored.
 
 Meta rows are written inside the same kernel transaction as the DDL they
 describe; the in-memory mirror is updated only after the commit, so any
@@ -144,35 +146,41 @@ class StageFacts:
 class PlanItem:
     name: str
     kind: str       # 'table' | 'view'
-    sql: str
+    sql: str        # the CREATE text, as the kernel holds it, plus ';'
     stage: StageFacts | None = None   # view stages of a relation with IEs
 
 
 def _document(entry) -> str:
     """The JSON stored in an entry's `sir_relations.plan` field."""
     return json.dumps({
-        "plan": [[i.name, i.kind, i.sql] + ([asdict(i.stage)] if i.stage else [])
+        "plan": [[i.name, i.kind] + ([asdict(i.stage)] if i.stage else [])
                  for i in entry.plan],
         "columns": [[c.name, c.sql_type, c.is_key, c.is_inherited, c.ie_name]
                     for c in entry.columns],
         "ie_order": entry.ie_order, "references": entry.references})
 
 
-def _plan_item(raw) -> PlanItem:
-    """A persisted plan row; rows written before stage facts existed have
-    three fields and load without them."""
-    name, kind, sql, *rest = raw
+def _plan_item(raw, relation: str, kernel: dict[str, str]) -> PlanItem:
+    """A plan row of `relation`, with the text of its object in `kernel`
+    (casefold name -> `sqlite_master.sql`).  Rows of earlier releases hold
+    the object's SQL third, and may lack the stage facts."""
+    name, kind, *rest = raw
+    rest = rest[1:] if rest and isinstance(rest[0], str) else rest
     if len(rest) > 1:
         raise ValueError(f"plan row for {name!r} has {len(raw)} fields")
-    return PlanItem(name, kind, sql, StageFacts(**rest[0]) if rest else None)
+    if name.casefold() not in kernel:
+        raise CorruptCatalog(
+            f"{relation}: kernel object {name!r} recorded in the catalog is missing")
+    return PlanItem(name, kind, kernel[name.casefold()] + ";",
+                    StageFacts(**rest[0]) if rest else None)
 
 
-def _legacy_details(conn, objects: set[str]) -> dict[str, dict]:
+def _legacy_details(conn, kernel: dict[str, str]) -> dict[str, dict]:
     """The columns, IE order and references of relations stored in the
     four-table format, read from `sir_attrs`, `sir_ies` and `sir_deps` when
     the kernel holds them, keyed by the relation name exactly as stored."""
     details = defaultdict(lambda: {"columns": [], "ie_order": [], "references": []})
-    if {"sir_attrs", "sir_ies", "sir_deps"} <= objects:
+    if {"sir_attrs", "sir_ies", "sir_deps"} <= kernel.keys():
         for rel, *column in conn.query(
                 "SELECT rel, name, sql_type, is_key, is_inherited, ie_name FROM sir_attrs"
                 " ORDER BY rel, ordinal").rows:
@@ -712,8 +720,9 @@ class Catalog:
         that read, on every read; `audit` reads them all."""
         catalog = cls()
         catalog.version = conn.ddl_version()
-        objects = {row[0].casefold() for row in conn.query("SELECT name FROM sqlite_master").rows}
-        catalog.meta_ready = "sir_relations" in objects
+        kernel = {name.casefold(): sql
+                  for name, sql in conn.query("SELECT name, sql FROM sqlite_master").rows}
+        catalog.meta_ready = "sir_relations" in kernel
         if not catalog.meta_ready:
             return catalog
         relations = conn.query(
@@ -723,22 +732,18 @@ class Catalog:
             try:
                 document = json.loads(stored)
                 if isinstance(document, list):
-                    legacy = _legacy_details(conn, objects) if legacy is None else legacy
+                    legacy = _legacy_details(conn, kernel) if legacy is None else legacy
                     document = {"plan": document, **legacy[name]}
                 entry = CatalogEntry(
                     name=name, kind=kind, scheme=_UNPARSED if kind in (STORED, SIR) else None,
                     columns=[ColumnInfo(col, sql_type, bool(is_key), bool(is_inherited), ie_name)
                              for col, sql_type, is_key, is_inherited, ie_name
                              in document["columns"]],
-                    plan=[_plan_item(item) for item in document["plan"]],
+                    plan=[_plan_item(item, name, kernel) for item in document["plan"]],
                     references=document["references"], ie_order=document["ie_order"],
                     source_text=source_text)
-            except (TypeError, ValueError, KeyError) as exc:
+            except (TypeError, ValueError, KeyError, AttributeError) as exc:
                 raise CorruptCatalog(f"{name}: unreadable plan: {exc}") from exc
-            for item in entry.plan:
-                if item.name.casefold() not in objects:
-                    raise CorruptCatalog(
-                        f"{name}: kernel object {item.name!r} recorded in the catalog is missing")
             catalog.attach(entry)
         return catalog
 

@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="run one SELECT")
     p_query.add_argument("sql")
 
-    p_explain = sub.add_parser("explain", help="print a relation's stored kernel plan")
+    p_explain = sub.add_parser("explain", help="print the kernel's text of a relation's objects")
     p_explain.add_argument("relation")
 
     p_dec = sub.add_parser("decompose", help="normalize a universal scheme")

@@ -30,7 +30,7 @@ from .errors import (IeCycle, IndexedAttributeDrop, IndexOnInheritedAttribute,
                      InvariantViolation, MissingRecursiveJoin, NotRewritable,
                      RecursiveJoinAttributeDrop, UnknownExcludedColumn, UnknownIE,
                      UnknownRelation)
-from .render import quote_ident, render, render_source
+from .render import quote_ident, render
 
 AGGREGATES = {"SUM", "COUNT", "AVG", "MIN", "MAX", "TOTAL", "LIST", "GROUP_CONCAT"}
 
@@ -588,17 +588,6 @@ def compile_sir(scheme: SirScheme, catalog: Catalog) -> CompiledSir:
 # --- alter ---------------------------------------------------------------------
 
 
-def _attr_signature(scheme: SirScheme, base: PlanItem):
-    """What decides whether a base can be kept: its stored attributes, keys,
-    foreign keys and name, and the storage form its recorded CREATE TABLE
-    names (a file written before bases were key-clustered holds rowid tables)."""
-    return ([(a.name.casefold(), a.sql_type.upper(), tuple(a.type_args), a.not_null)
-             for a in scheme.stored_attrs],
-            [tuple(c.casefold() for c in key) for key in scheme.keys],
-            [render_source(fk) for fk in scheme.foreign_keys],
-            base.name.casefold(), base.sql.endswith(_CLUSTERED))
-
-
 def apply_alter(entry: CatalogEntry, action) -> SirScheme:
     """The entry's scheme after an ALTER action; raises before anything is
     planned.  The new scheme has lists of its own and shares its nodes with
@@ -686,12 +675,18 @@ def alter_steps(entry: CatalogEntry, compiled: CompiledSir,
 
 
 def _rebuilds_base(entry: CatalogEntry, compiled: CompiledSir) -> bool:
-    """Whether the base must be rebuilt: its name, storage form, keys or
-    foreign keys change, or its stored attributes change other than by new
-    ones appended at the end."""
-    old_attrs, *old_rest = _attr_signature(entry.scheme, entry.plan[0])
-    new_attrs, *new_rest = _attr_signature(compiled.scheme, compiled.plan[0])
-    return old_rest != new_rest or new_attrs[:len(old_attrs)] != old_attrs
+    """Whether the base must be rebuilt, not extended by ``ADD COLUMN``:
+    its name or storage form changes, its stored attributes change other
+    than by appending, or the kernel's text of it is not the compiler's for
+    them and the new keys (an earlier release's rowid table or quoted name).
+    SQLite's ``ADD COLUMN`` edit of the compiler's text is the compiled text."""
+    base, new, scheme = entry.plan[0], compiled.plan[0], compiled.scheme
+    attrs = entry.scheme.stored_attrs
+    kept = SirScheme(scheme.name, attrs, scheme.keys, scheme.foreign_keys)
+    return scheme.stored_attrs[:len(attrs)] != attrs \
+        or base.name.casefold() != new.name.casefold() \
+        or base.sql.endswith(_CLUSTERED) != new.sql.endswith(_CLUSTERED) \
+        or base.sql != _base_table_sql(kept, base.name)
 
 
 def _rebuild_steps(entry, compiled, indexes) -> list[PlanItem]:

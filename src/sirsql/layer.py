@@ -144,7 +144,7 @@ class SirLayer:
         return [result]
 
     def explain(self, name: str) -> list[str]:
-        """The stored kernel plan of a relation, one DDL statement per entry."""
+        """The kernel's text of each object of a relation, one per entry."""
         return [item.sql for item in self.catalog.get(name).plan]
 
     def check(self, name: str) -> list[tuple]:
@@ -317,7 +317,7 @@ class SirLayer:
                     updates.append((name, None, []))
                     continue
                 recompiled = compile_sir(dep.scheme, scratch)
-                # its base is not touched, so it keeps the storage form recorded
+                # its base is not touched, so it keeps the kernel's text of it
                 recompiled.plan[0] = dep.plan[0]
                 new_dep = self._entry_from_compiled(recompiled, SIR)
                 scratch.attach(new_dep)

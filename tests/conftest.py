@@ -35,6 +35,16 @@ def kernel_state(conn: KernelConnection) -> list[list[tuple]]:
         "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid")]
 
 
+def assert_plans_match_kernel(layer: SirLayer):
+    """Each plan item's CREATE text is the kernel's own text of its object,
+    so no plan claims a name spelling or a storage form its kernel object
+    lacks."""
+    kernel = dict(layer.conn.query("SELECT name, sql FROM sqlite_master").rows)
+    for entry in layer.catalog.entries():
+        for item in entry.plan:
+            assert item.sql == kernel[item.name] + ";", item.name
+
+
 def replay_dump(location: str, fixture: str):
     """Write the file whose `iterdump()` text is the fixture `fixture`."""
     db = sqlite3.connect(location)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
 
 from sirsql import catalog as catalog_module
+from sirsql import compiler
 from sirsql.catalog import STORED, Catalog, CatalogEntry
 from sirsql.cli import main
 from sirsql.errors import (CircularReferenceError, CorruptCatalog, DependentsExist,
@@ -16,7 +18,8 @@ from sirsql.parser import parse_one
 from sirsql.render import render
 from sirsql.router import route
 
-from conftest import fixture_text, kernel_state, load_sp2, replay_dump, write_four_table_sp2
+from conftest import (assert_plans_match_kernel, fixture_text, kernel_state, load_sp2,
+                      replay_dump, write_four_table_sp2)
 
 ALTER_STATUS_OVER_SP = ("Alter Table S Alter STATUS As STATUS"
                         " (Select Int (SUM(QTY)/100) FROM SP WHERE S.S# = S#);")
@@ -296,6 +299,13 @@ _FOUR_TABLE_DETAILS = re.compile(r"\bsir_(attrs|ies)\b")
      " WHERE name = 'P'", "^P: recorded columns"),
     ("UPDATE sir_relations SET plan = json_set(plan, '$.plan[0]',"
      " json('[\"SP_B\", \"table\", \"\", {}, 1]')) WHERE name = 'SP'", "^SP: unreadable plan"),
+    # a plan row's third field is its stage facts, and no row has a fourth
+    ("UPDATE sir_relations SET plan = json_set(plan, '$.plan[0]',"
+     " json('[\"SP_B\", \"table\", 5]')) WHERE name = 'SP'", "^SP: unreadable plan"),
+    ("UPDATE sir_relations SET plan = json_insert(plan, '$.plan[1][#]', 1) WHERE name = 'SP'",
+     "^SP: unreadable plan"),
+    ("UPDATE sir_relations SET plan = json_set(plan, '$.plan[0][0]', 5) WHERE name = 'SP'",
+     "^SP: unreadable plan"),
     ("UPDATE sir_relations SET plan = json_remove(plan, '$.columns') WHERE name = 'SP'",
      "^SP: unreadable plan"),
     ("UPDATE sir_relations SET plan = json_remove(plan, '$.ie_order') WHERE name = 'SP'",
@@ -641,6 +651,53 @@ def test_a_skip_collapse_file_answers_like_a_default_one(tmp_path, capsys):
     assert main(["-k", location, "check", "--catalog"]) == 0
     assert capsys.readouterr().out == "ok: 6 relations\n"
     assert SirLayer(KernelConnection(location)).catalog.snapshot() == snapshot
+
+
+def test_a_base_a_rename_quoted_is_rebuilt_with_the_compilers_text(tmp_path, kernel_log):
+    """A rename of an earlier release left `CREATE TABLE "P_B" …` in the
+    kernel.  The open writes nothing and shows the kernel's text; the first
+    ALTER rebuilds the base, with its rows and indexes, instead of extending
+    that text in place."""
+    location = str(tmp_path / "flags.sqlite")
+    replay_dump(location, "sp3_skip_collapse.sql")
+    conn = KernelConnection(location)
+    sent = kernel_log(conn)
+    layer = SirLayer(conn)
+    assert not [s for s in sent if not s.startswith(("SELECT", "PRAGMA"))]
+    kernel_text = conn.query("SELECT sql || ';' FROM sqlite_master WHERE name = 'P_B'").rows
+    assert layer.explain("P")[0] == kernel_text[0][0]
+    assert layer.explain("P")[0].startswith('CREATE TABLE "P_B" (')
+    layer.apply_source("Create Index p_city On P (CITY);")
+    rows = layer.query("Select * From P_B Order By P#;").rows
+
+    sent.clear()
+    layer.apply_source("Alter Table P Add NOTE Char;")
+    assert "CREATE TABLE sir_rebuild AS SELECT \"P#\", PNAME, COLOR, WEIGHT, CITY FROM P_B;" \
+        in sent
+    assert layer.query("Select * From P_B Order By P#;").rows == [row + (None,) for row in rows]
+    assert conn.query("SELECT name, tbl_name FROM sqlite_master WHERE name = 'p_city'").rows \
+        == [("p_city", "P_B")]
+    base = layer.explain("P")[0]
+    assert base == compiler._base_table_sql(layer.catalog.get("P").scheme, "P_B")
+    assert base.startswith("CREATE TABLE P_B (")
+    assert base.endswith(', CITY Char, NOTE Char, PRIMARY KEY ("P#")) WITHOUT ROWID;')
+    assert_plans_match_kernel(layer)
+    snapshot = layer.catalog.snapshot()
+    conn.close()
+    reopened = SirLayer(KernelConnection(location))
+    assert reopened.catalog.snapshot() == snapshot
+    assert_plans_match_kernel(reopened)
+
+
+def test_no_plan_document_holds_kernel_sql(sp3):
+    """Each plan row is [name, kind], plus the stage facts of a view stage:
+    `sqlite_master` alone holds the objects' text."""
+    for name, stored in sp3.conn.query("SELECT name, plan FROM sir_relations").rows:
+        assert "CREATE" not in stored.upper(), name
+        for row in json.loads(stored)["plan"]:
+            assert len(row) in (2, 3) and all(isinstance(f, str) for f in row[:2]), name
+            assert len(row) == 2 or isinstance(row[2], dict), name
+    assert_plans_match_kernel(sp3)
 
 
 @pytest.mark.parametrize("relation", ["S", "P", "PS", "SX", "SY"])

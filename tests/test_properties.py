@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sirsql.errors import ParseError, SirSqlError
-from sirsql.kernel import RowSet
-from sirsql.layer import StatementResult
+from sirsql.kernel import KernelConnection, RowSet
+from sirsql.layer import SirLayer, StatementResult
 from sirsql.lexer import NUMBER, STRING, literal_value, shape, tokenize
 from sirsql.normalizer import (FunctionalDependency, MultivaluedDependency,
                                SchemeDraft, attribute_closure, heath_decompose,
@@ -20,7 +20,7 @@ from sirsql.parser import parse, parse_one
 from sirsql.render import render
 from sirsql.router import route
 
-from conftest import make_layer
+from conftest import assert_plans_match_kernel, make_layer
 
 CASES = 100
 
@@ -135,6 +135,63 @@ def test_pruned_queries_match_full_view_on_random_schemes():
             full = layer.conn.query(render(stmt)).rows
             assert sorted(layer.query(text).rows, key=repr) == sorted(full, key=repr), text
         layer.conn.close()
+
+
+_ADDED_TYPES = ["Int", "Integer", "Char", "Char(5)", "Char(300)", "Text", "Decimal(10, 2)"]
+
+
+def random_alter(rng: random.Random, layer) -> str:
+    """An ALTER … ADD or DROP over `random_sir_case`'s X or R: a stored
+    attribute appended (what ``ADD COLUMN`` serves) or inserted before
+    another, a value IE, or the drop of any element but the first.  Some
+    are refused: the drop of a recursive-join attribute, of a column that
+    R's IE reads or of the last attribute, and a ``Not Null`` column added
+    to a table with rows."""
+    table = rng.choice(["X", "R"])
+    scheme = layer.catalog.get(table).scheme
+    name = f"N{rng.randint(0, 999)}"
+    roll = rng.random()
+    if roll < 0.4:
+        not_null = " Not Null" if rng.random() < 0.1 else ""
+        return f"Alter Table {table} Add {name} {rng.choice(_ADDED_TYPES)}{not_null};"
+    if roll < 0.5:
+        return f"Alter Table {table} Add Before {scheme.stored_names[-1]} {name} Char;"
+    if roll < 0.7:
+        return f"Alter Table {table} Add {name} As ({scheme.stored_names[0]} + 1);"
+    return f"Alter Table {table} Drop {rng.choice(scheme.elements[1:] or scheme.elements).name};"
+
+
+def test_plans_hold_the_kernels_text_under_random_alters(tmp_path):
+    """Every plan item's SQL is `sqlite_master.sql` plus ';', in the session
+    after each ALTER and after a reopen: a base is extended by ``ADD COLUMN``
+    only when it holds the compiler's text, and SQLite's edit of that text
+    is the compiler's text for the new scheme."""
+    rng = random.Random(1717)
+    for case in range(CASES):
+        schema, x_rows, r_rows = random_sir_case(rng)
+        if rng.random() < 0.3:      # a single INTEGER key is the rowid
+            schema[0] = schema[0].replace("K Int,", "K Integer,")
+        if rng.random() < 0.3:
+            schema[0] = schema[0].replace("Primary Key (K)", "Primary Key (K), Unique (V0)")
+        if rng.random() < 0.3:
+            schema[1] = schema[1].replace("Primary Key (A)",
+                                          "Primary Key (A), Foreign Key (FK) References X (K)")
+        location = str(tmp_path / f"{case}.sqlite")
+        layer = SirLayer(KernelConnection(location))
+        apply_case(layer, schema, x_rows, r_rows)
+        for _ in range(6):
+            text = random_alter(rng, layer)
+            try:
+                layer.apply_source(text)
+            except SirSqlError:
+                pass
+            assert_plans_match_kernel(layer)
+        snapshot = layer.catalog.snapshot()
+        layer.conn.close()
+        reopened = SirLayer(KernelConnection(location))
+        assert reopened.catalog.snapshot() == snapshot
+        assert_plans_match_kernel(reopened)
+        reopened.conn.close()
 
 
 # --- the statement cache against the uncached path ----------------------------------

@@ -375,9 +375,11 @@ def test_seed_format_plans_load_and_are_never_pruned(tmp_path):
     location = str(tmp_path / "db.sqlite")
     layer = load_sp2(SirLayer(KernelConnection(location)))
     expected = full_view_rows(layer, "Select SCITY, Count(*) From SP Group By SCITY;")
+    kernel = dict(layer.conn.query("SELECT name, sql FROM sqlite_master").rows)
     for name, stored in layer.conn.query("SELECT name, plan FROM sir_relations").rows:
         document = json.loads(stored)
-        document["plan"] = [item[:3] for item in document["plan"]]
+        # the seed wrote [name, kind, sql] and no stage facts
+        document["plan"] = [[obj, kind, kernel[obj] + ";"] for obj, kind, *_ in document["plan"]]
         layer.conn.execute("UPDATE sir_relations SET plan = ? WHERE name = ?",
                            (json.dumps(document), name))
     layer.conn.close()

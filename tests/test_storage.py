@@ -2,7 +2,7 @@
 ROWID) unless its key is one column declared exactly INTEGER or its
 declared row is wider than a twentieth of a page; a base written in the
 rowid form keeps it until an ALTER rebuilds it; a rebuilt base keeps its
-rows and indexes, and each recorded CREATE text is the kernel's."""
+rows and indexes, and each plan holds the kernel's CREATE text."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ from sirsql.errors import IndexedAttributeDrop, KernelError, UnknownObject
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 
-from conftest import kernel_state, load_sp2, make_layer, write_four_table_sp2
+from conftest import (assert_plans_match_kernel, kernel_state, load_sp2, make_layer,
+                      write_four_table_sp2)
 
 
 def _tables(conn) -> dict[str, str]:
@@ -30,16 +31,6 @@ def _clustered(sql: str) -> bool:
     return sql.rstrip(";").endswith(" WITHOUT ROWID")
 
 
-def _assert_plans_match_kernel(layer):
-    """Each recorded CREATE text is the kernel's own text of its object, so
-    no recorded CREATE TABLE claims a name spelling or a storage form its
-    kernel table lacks."""
-    kernel = dict(layer.conn.query("SELECT name, sql FROM sqlite_master").rows)
-    for entry in layer.catalog.entries():
-        for item in entry.plan:
-            assert item.sql == kernel[item.name] + ";", item.name
-
-
 def _card(layer, name: str) -> int:
     return layer.query(f"Select Count(*) From {name};").rows[0][0]
 
@@ -52,7 +43,7 @@ def test_every_keyed_sp2_base_is_clustered_by_its_key():
     # the key is stored once: no automatic index copies it
     assert not layer.conn.query("SELECT name FROM sqlite_master WHERE type = 'index'"
                                 " AND tbl_name IN ('S', 'P', 'SP_B')").rows
-    _assert_plans_match_kernel(layer)
+    assert_plans_match_kernel(layer)
 
 
 @pytest.mark.parametrize("text", [
@@ -84,7 +75,7 @@ def test_a_single_integer_key_stays_the_rowid_and_auto_assigns():
     assert layer.query("Select ID, NAME From U Order By ID;").rows == [(1, "a"), (2, "b")]
     assert layer.query("Select ID, SNAME From T Order By ID;").rows == \
         [(1, "Smith"), (2, "Jones")]
-    _assert_plans_match_kernel(layer)
+    assert_plans_match_kernel(layer)
 
 
 @pytest.mark.parametrize("decls, clustered", [
@@ -105,7 +96,7 @@ def test_a_table_declared_wide_keeps_its_rowid(decls, clustered):
     assert _clustered(tables["T"]) == _clustered(tables["U_B"]) == clustered
     assert layer.query("Select K, N From T;").rows == [("k", 1)]
     assert layer.query("Select K, SNAME From U;").rows == [("S1", "Smith")]
-    _assert_plans_match_kernel(layer)
+    assert_plans_match_kernel(layer)
 
 
 def test_an_alter_that_widens_a_clustered_base_rebuilds_it_as_a_rowid_table():
@@ -119,7 +110,7 @@ def test_an_alter_that_widens_a_clustered_base_rebuilds_it_as_a_rowid_table():
         assert ("sp_qty", "SP_B", "CREATE INDEX sp_qty ON SP_B (QTY)") in _indexes(layer.conn)
         assert [row[:len(rows[0])] for row in layer.query(
             "Select * From SP Order By S#, P#;").rows] == rows
-        _assert_plans_match_kernel(layer)
+        assert_plans_match_kernel(layer)
 
 
 def test_an_inline_primary_key_on_a_stored_relation_compiles():
@@ -150,13 +141,13 @@ def test_an_alter_of_a_rowid_base_rebuilds_it_with_its_rows_and_indexes(tmp_path
         after = legacy.query(f"Select * From {name} Order By 1, 2;")
         assert [row[:-1] for row in after.rows] == before.rows
         assert {row[-1] for row in after.rows} == {None}
-    _assert_plans_match_kernel(legacy)
+    assert_plans_match_kernel(legacy)
     snapshot = legacy.catalog.snapshot()
     legacy.conn.close()
 
     reopened = SirLayer(KernelConnection(location))
     assert reopened.catalog.snapshot() == snapshot
-    _assert_plans_match_kernel(reopened)
+    assert_plans_match_kernel(reopened)
     # the next ALTER finds the current form and extends the base in place
     sent = kernel_log(reopened.conn)
     reopened.apply_source("Alter Table SP Add NOTE2 Char;")
@@ -183,7 +174,7 @@ def test_a_recompiled_rowid_dependent_keeps_its_recorded_base(tmp_path, monkeypa
     tables = _tables(layer.conn)
     assert _clustered(tables["D"]) and not _clustered(tables["R_B"])
     assert layer.query("Select * From R;").columns == ["K", "F", "V", "W"]
-    _assert_plans_match_kernel(layer)
+    assert_plans_match_kernel(layer)
     snapshot = layer.catalog.snapshot()
     layer.conn.close()
     assert SirLayer(KernelConnection(location)).catalog.snapshot() == snapshot
@@ -205,7 +196,16 @@ def test_a_rebuilt_base_keeps_its_indexes(alter, base):
     name, column = ("t_v", "V") if table == "T" else ("sp_qty", "QTY")
     assert (name, base, f"CREATE INDEX {name} ON {base} ({column})") in _indexes(layer.conn)
     assert layer.query(f"Select {column} From {table};").rows
-    _assert_plans_match_kernel(layer)
+    assert_plans_match_kernel(layer)
+
+
+def test_an_attribute_inserted_before_a_key_declared_last_rebuilds_the_base():
+    layer = make_layer()
+    layer.apply_source("Create Table T (A Char, K Char, Primary Key (K));"
+                       " Insert Into T Values ('a', 'k');")
+    layer.apply_source("Alter Table T Add Before A N Char;")
+    assert layer.query("Select * From T;").rows == [(None, "a", "k")]
+    assert_plans_match_kernel(layer)
 
 
 def test_a_base_moves_to_its_base_name_and_back_with_its_rows_and_indexes(tmp_path):
@@ -224,24 +224,24 @@ def test_a_base_moves_to_its_base_name_and_back_with_its_rows_and_indexes(tmp_pa
         assert result.columns == columns
         assert [row[:2] for row in result.rows] == [("S1", 1), ("S9", 2)]
         assert _card(layer, "T") == _card(layer, base) == 2
-        _assert_plans_match_kernel(layer)
+        assert_plans_match_kernel(layer)
     snapshot = layer.catalog.snapshot()
     layer.conn.close()
     reopened = SirLayer(KernelConnection(location))
     assert reopened.catalog.snapshot() == snapshot
-    _assert_plans_match_kernel(reopened)
+    assert_plans_match_kernel(reopened)
 
 
 def test_the_sp3_alters_record_the_kernels_text(sp3):
     # P and S each gain their first IE, so each base moves to its _B name
     assert set(_tables(sp3.conn)) == {"S_B", "P_B", "SP_B"}
-    _assert_plans_match_kernel(sp3)
+    assert_plans_match_kernel(sp3)
     for name in ("S", "P", "SP"):
         assert _card(sp3, name) == _card(sp3, f"{name}_B") > 0
     # P loses its last IE, so its base moves back to P
     sp3.apply_source("Alter Table P Drop WEIGHT_T; Alter Table P Drop WEIGHT_KG;")
     assert set(_tables(sp3.conn)) == {"S_B", "P", "SP_B"}
-    _assert_plans_match_kernel(sp3)
+    assert_plans_match_kernel(sp3)
     assert _card(sp3, "P") == 6
 
 
@@ -255,7 +255,7 @@ def test_a_rebuild_keeps_its_rows_beside_a_relation_named_like_a_scratch_table()
     assert layer.query("Select * From T Order By K;").rows == [(1, "a"), (2, "c")]
     assert layer.query("Select * From T__rebuild;").rows == [(7,)]
     assert layer.conn.object_kind("sir_rebuild") is None
-    _assert_plans_match_kernel(layer)
+    assert_plans_match_kernel(layer)
 
 
 @pytest.mark.parametrize("alter", [
