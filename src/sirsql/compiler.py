@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 from . import nodes as n
 from .catalog import (Catalog, CatalogEntry, ColumnInfo, PlanItem, SirScheme,
                       StageFacts, ie_references, type_affinity)
-from .errors import (IeCycle, IndexedAttributeDrop, IndexOnInheritedAttribute,
-                     InvariantViolation, MissingRecursiveJoin, NotRewritable,
-                     RecursiveJoinAttributeDrop, UnknownExcludedColumn, UnknownIE,
-                     UnknownRelation)
+from .errors import (ForeignKeyAttributeDrop, IeCycle, IndexedAttributeDrop,
+                     IndexOnInheritedAttribute, InvariantViolation, MissingRecursiveJoin,
+                     NotRewritable, RecursiveJoinAttributeDrop, UnknownExcludedColumn,
+                     UnknownIE, UnknownRelation)
 from .render import quote_ident, render
 
 AGGREGATES = {"SUM", "COUNT", "AVG", "MIN", "MAX", "TOTAL", "LIST", "GROUP_CONCAT"}
@@ -644,14 +644,19 @@ def apply_alter(entry: CatalogEntry, action) -> SirScheme:
 
 
 def _check_attr_droppable(scheme: SirScheme, attr: str):
-    """An attribute serving a recursive join in any of the relation's own IEs
-    cannot be dropped."""
+    """An attribute serving a recursive join in any of the relation's own IEs,
+    or named by one of its foreign keys, cannot be dropped."""
     for ie in scheme.ies:
         for ref in column_refs(ie):
             if ref.table and ref.table.casefold() == scheme.name.casefold() \
                     and ref.name.casefold() == attr.casefold():
                 raise RecursiveJoinAttributeDrop(
                     f"{scheme.name}.{attr} serves a recursive join in IE {ie.name}")
+    for fk in scheme.foreign_keys:
+        if any(c.casefold() == attr.casefold() for c in fk.columns):
+            raise ForeignKeyAttributeDrop(
+                f"{scheme.name}.{attr} is named by its foreign key"
+                f" referencing {fk.ref_table}")
 
 
 def alter_steps(entry: CatalogEntry, compiled: CompiledSir,

@@ -85,6 +85,15 @@ class IndexedAttributeDrop(SirSqlError):
     """An ALTER would rebuild a base without a column one of its indexes names."""
 
 
+class ForeignKeyAttributeDrop(SirSqlError):
+    """An ALTER would drop an attribute the relation's own foreign key names."""
+
+
+class NotNullAttributeAdd(SirSqlError):
+    """An ALTER would add a ``Not Null`` attribute to a relation with rows,
+    which would hold NULL in it."""
+
+
 class UnknownIE(SirSqlError):
     pass
 

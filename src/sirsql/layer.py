@@ -45,7 +45,8 @@ from .catalog import (SIR, STORED, VIEW, Catalog, CatalogEntry, ColumnInfo,
 from .compiler import (alter_steps, apply_alter, compile_index, compile_sir, plan_drop,
                        recompile_steps, rewrite_to_base)
 from .errors import (CircularReferenceError, InvariantViolation, NameCollision,
-                     RejectedWrite, StaleCatalog, UnknownObject, UnknownRelation)
+                     NotNullAttributeAdd, RejectedWrite, StaleCatalog, UnknownObject,
+                     UnknownRelation)
 from .kernel import KernelConnection, RowSet
 from .lexer import shape
 from .parser import parse
@@ -326,10 +327,17 @@ class SirLayer:
                     changed.add(name.casefold())
 
             origin = partial(render_source, stmt)
+            added = stmt.action.items if isinstance(stmt.action, n.AlterAdd) else []
+            not_null = [i.name for i in added if isinstance(i, n.AttributeDecl) and i.not_null]
 
             def work(conn):
+                base = entry.plan[0].name
+                if not_null and conn.query(f"SELECT 1 FROM {quote_ident(base)} LIMIT 1").rows:
+                    raise NotNullAttributeAdd(
+                        f"{entry.name} has rows, so the Not Null attribute {not_null[0]}"
+                        " cannot be added: every row would hold NULL in it")
                 # a rebuilt base gets the old base's indexes back
-                steps = alter_steps(entry, compiled, partial(conn.indexes, entry.plan[0].name))
+                steps = alter_steps(entry, compiled, partial(conn.indexes, base))
                 for name, new, maintenance in [(entry.name, new_entry, steps)] + updates:
                     for item in maintenance:
                         conn.execute(item.sql, origin=origin)

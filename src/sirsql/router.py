@@ -12,6 +12,25 @@ R keeps R whole, a column name counts for R whatever its qualifier, and R's
 name stays as the alias so qualified references still resolve.  View
 bodies are routed without pruning: stage names shift on ALTER.
 
+A GROUP BY over an inherited attribute that one key-joined stage adds
+aggregates the base first (eager aggregation; see `_pre_aggregate` for the
+rule).  The attribute is a function of the stage's enclosing columns, so
+R_B is grouped by them into partial aggregates, the stage's own join runs
+once per group, and an outer GROUP BY combines the partials.  For S-P3,
+``Select SCITY, Count(*), Sum(QTY) From SP Group By SCITY`` runs as
+
+    SELECT S.CITY AS SCITY, SUM(SP_B.agg1) AS "Count(*)", SUM(SP_B.agg2)
+    AS "Sum(QTY)" FROM (SELECT "S#", Count(*) AS agg1, Sum(QTY) AS agg2
+    FROM SP_B SP GROUP BY "S#") SP_B LEFT JOIN S ON SP_B."S#" = S."S#"
+    GROUP BY S.CITY
+
+with the reason ``SP aggregates SP_B by S# before joining S (I_S)``.  Any
+other query is routed as above.  Only sums over INTEGER-affinity columns
+are split: a sum adds its values in another order, so a non-integer REAL
+value stored in an Int column can round differently, and an integer
+overflow can be raised or not, as any change of plan already allows
+(SQLite 3.40 sums in scan order).
+
 Writes against such a relation are rewritten to its stored base when they
 touch stored attributes only, and rejected otherwise: inherited attributes
 are never writable under the default policy, and they are never
@@ -26,10 +45,11 @@ state).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from . import nodes as n
-from .catalog import Catalog
-from .compiler import conjoin
+from .catalog import Catalog, type_affinity
+from .compiler import _stage_select, canonicalize, conjoin, substitute_relation
 from .errors import InvariantViolation, RejectedWrite, UnknownColumn, UnknownRelation
 from .kernel import KernelConnection
 from .render import quote_ident, render
@@ -95,6 +115,10 @@ def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatemen
     A select with a star keeps the relations of its FROM clause whole; the
     relations of the other selects are the candidates for a prefix.
     """
+    if prune and stmt.select.group_by:
+        routed = _pre_aggregate(stmt, catalog)
+        if routed is not None:
+            return routed
     names, selects = set(), []
     column_ref, select_node = n.ColumnRef, n.Select
     for sub in n.walk(stmt.select):
@@ -152,6 +176,150 @@ def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatemen
                            kernel_stmt=n.Query(select=n.transform(stmt.select, swap)),
                            target=next(iter(targets.values()), None),
                            reason="; ".join(reasons) or None)
+
+
+# an aggregate the base is pre-aggregated by -> the one combining its partials
+_COMBINE = {"COUNT": "SUM", "SUM": "SUM", "MIN": "MIN", "MAX": "MAX"}
+_NOT_EAGER = {n.Subquery, n.Star, n.StarMinus}
+
+
+class _NotEager(Exception):
+    """The query is outside the rule of `_pre_aggregate`."""
+
+
+def _pre_aggregate(stmt: n.Query, catalog: Catalog) -> RoutedStatement | None:
+    """The query grouped by an attribute that one key-joined stage adds,
+    rewritten to group the base by that stage's enclosing columns first, or
+    None when the rule below does not hold.
+
+    One relation R is read, every stage of its chain keeps card(R_B), and
+    the statement has no ``*``, DISTINCT or subquery.  The GROUP BY items
+    are columns of R, and those that are inherited come from one join stage
+    whose IE has no residual predicate, joins on stored attributes and
+    selects columns of its sources only: they are then functions of the
+    enclosing columns.  WHERE names stored attributes.  Every other column
+    is a GROUP BY column or the argument of ``COUNT``, ``MIN``, ``MAX`` or
+    an INTEGER-affinity ``SUM`` over a stored attribute (``COUNT(*)`` too;
+    no DISTINCT and no other function).  The inner group key (the enclosing
+    columns and the stored GROUP BY columns) holds no declared key of R, or
+    the inner GROUP BY would reduce nothing.  Each output column keeps the
+    name SQLite gives it over the view chain.
+    """
+    sel = stmt.select
+    if sel.distinct or len(sel.from_) != 1 or type(sel.from_[0]) is not n.TableName:
+        return None
+    table = sel.from_[0]
+    chain = catalog.prefix_chain(table.name)
+    if chain is None or chain.floor or any(type(sub) in _NOT_EAGER for sub in n.walk(sel)):
+        return None
+    entry, label = catalog.get(table.name), (table.alias or table.name).casefold()
+    scheme, base = entry.scheme, entry.plan[0].name
+
+    def column(ref, stored=False) -> str:
+        """The casefold column of R (a stored one if `stored`) that `ref` names."""
+        key = ref.name.casefold()
+        if (ref.table is not None and ref.table.casefold() != label) \
+                or key not in chain.stage_of or (stored and chain.stage_of[key]):
+            raise _NotEager
+        return key
+
+    if any(type(ref) is not n.ColumnRef for ref in sel.group_by):
+        return None
+    try:
+        group = [column(ref) for ref in sel.group_by]
+        stages = {chain.stage_of[key] for key in group} - {0}
+        if len(stages) != 1:
+            return None
+        stage = entry.views[stages.pop() - 1].stage
+        if stage.kind != "join" or len(stage.ies) != 1:
+            return None
+        cie = canonicalize(scheme.find_ie(stage.ies[0]), scheme, catalog)
+        labels = {(t.alias or t.name).casefold() for t in cie.sources}
+        if cie.residual is not None or base.casefold() in labels or any(
+                type(sub) is n.Subquery or (type(sub) is n.ColumnRef
+                                            and (sub.table or "").casefold() not in labels)
+                for sub in n.walk(cie.select_items)):
+            return None
+        encl = list(dict.fromkeys(column(n.ColumnRef(name=encl), stored=True)
+                                  for _, _, encl in cie.join_pairs))
+        keys = list(dict.fromkeys(encl + [key for key in group if not chain.stage_of[key]]))
+        if any({c.casefold() for c in key} <= set(keys) for key in scheme.keys):
+            return None
+        for ref in n.walk(sel.where):
+            if type(ref) is n.ColumnRef:
+                column(ref, stored=True)
+
+        outer = _stage_select(cie, base, scheme.name)
+        produced = dict(zip((a.casefold() for a in cie.produced_attrs), outer.items[1:]))
+        key_names = [scheme.find_attr(key).name for key in keys]
+        partials, made = [], {}     # made: the references to partials, kept by id
+        names = (f"agg{i}" for i in count(1) if f"agg{i}" not in keys)
+
+        def group_item(ref) -> n.SelectItem:
+            key = column(ref)
+            if key not in group:
+                raise _NotEager
+            if key in produced:
+                return produced[key]
+            return n.SelectItem(expr=n.ColumnRef(name=scheme.find_attr(key).name, table=base))
+
+        def combine(node):
+            if type(node) is not n.Call:
+                return node
+            func = node.func.upper()
+            arg = node.args[0] if len(node.args) == 1 else None
+            if func not in _COMBINE or node.distinct or (node.star and func != "COUNT") \
+                    or (not node.star and type(arg) is not n.ColumnRef):
+                raise _NotEager
+            if arg is not None:
+                attr = scheme.find_attr(column(arg, stored=True))
+                if func == "SUM" and type_affinity(attr.sql_type) != "INTEGER":
+                    raise _NotEager
+            name = next((name for call, name in partials if call == node), None)
+            if name is None:
+                name = next(names)
+                partials.append((node, name))
+            ref = n.ColumnRef(name=name, table=base)
+            made[id(ref)] = ref
+            return n.Call(func=_COMBINE[func], args=[ref])
+
+        def rewrite(expr):
+            expr = n.transform(expr, combine)
+            return n.transform(expr, lambda node: group_item(node).expr
+                               if type(node) is n.ColumnRef and id(node) not in made else node)
+
+        items = []
+        for item in sel.items:
+            if item.alias is None and type(item.expr) is n.ColumnRef:
+                items.append(group_item(item.expr))
+            elif item.alias is None and any(type(sub) is n.Literal for sub in n.walk(item.expr)):
+                return None     # its name holds a literal that a cached shape would rebind
+            else:
+                items.append(n.SelectItem(expr=rewrite(item.expr),
+                                          alias=item.alias or render(item.expr)))
+        aliases = {item.alias.casefold() for item in sel.items if item.alias}
+        if any(type(o.expr) is n.ColumnRef and o.expr.table is None
+               and o.expr.name.casefold() in aliases for o in sel.order_by):
+            return None         # ORDER BY names a result column first
+        order_by = [o.replace(expr=rewrite(o.expr)) for o in sel.order_by]
+        group_by = [group_item(ref).expr for ref in sel.group_by]
+    except _NotEager:
+        return None
+
+    inner = n.Select(
+        items=[n.SelectItem(expr=n.ColumnRef(name=c)) for c in key_names]
+        + [n.SelectItem(expr=call, alias=name) for call, name in partials],
+        from_=[n.TableName(name=base, alias=table.alias or table.name)],
+        where=sel.where, group_by=[n.ColumnRef(name=c) for c in key_names])
+    derived = n.DerivedTable(select=inner, alias=base)
+    from_ = n.transform(outer.from_, lambda node: derived if node == n.TableName(name=base)
+                        else node)
+    kernel = sel.replace(items=items, from_=from_, where=None, group_by=group_by,
+                         order_by=order_by)
+    return RoutedStatement(
+        original=stmt, kind=BASE_REWRITE, kernel_stmt=n.Query(select=kernel), target=base,
+        reason=f"{entry.name} aggregates {base} by {', '.join(key_names[:len(encl)])}"
+               f" before joining {', '.join(t.name for t in cie.sources)} ({cie.name})")
 
 
 def _expand_star_minus_items(sel: n.Select, catalog: Catalog) -> list:
@@ -277,8 +445,6 @@ def check_ie_integrity(entry, catalog: Catalog, conn: KernelConnection) -> list[
     stage provably keeps the card (`Catalog.stage_keeps_card`) cannot match
     twice and are not audited.
     """
-    from .compiler import canonicalize, substitute_relation
-
     if entry.kind != "sir":
         raise InvariantViolation(f"{entry.name} is not a relation with IEs")
     violations = []

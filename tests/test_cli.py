@@ -102,6 +102,23 @@ def test_query_csv_and_json_formats(db, capsys):
     assert json.loads(out) == {"S#": "S1", "QTY": 400}
 
 
+@pytest.mark.parametrize("alter, message", [
+    ("Alter Table R Drop FK;", "error: R.FK is named by its foreign key referencing X"),
+    ("Alter Table R Add N Int Not Null;", "error: R has rows, so the Not Null attribute N"),
+])
+def test_apply_an_alter_refused_by_a_typed_error_exits_2(db, tmp_path, capsys, alter, message):
+    schema = tmp_path / "schema.sirsql"
+    schema.write_text("Create Table X (K Int, Primary Key (K));"
+                      " Create Table R (A Int, FK Int, Primary Key (A),"
+                      " Foreign Key (FK) References X (K)); Insert Into R Values (1, 7);")
+    assert run(["-k", db, "apply", str(schema)], capsys)[0] == 0
+    bad = tmp_path / "alter.sirsql"
+    bad.write_text(alter)
+    code, out, err = run(["-k", db, "apply", str(bad)], capsys)
+    assert code == 2
+    assert message in err and "while executing" not in err, err
+
+
 def test_query_unknown_relation_exits_1(db, capsys):
     apply_sp2(db, capsys, with_data=False)
     code, out, err = run(["-k", db, "query", "Select * From NOWHERE;"], capsys)

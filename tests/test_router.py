@@ -241,12 +241,91 @@ def test_count_reads_base_and_reports_skipped_ies(sp2):
 
 
 def test_inherited_column_reads_shortest_stage(sp2):
-    text = "Select SCITY, Count(*), Sum(QTY) From SP Group By SCITY;"
+    text = "Select SCITY, Count(*), Avg(QTY) From SP Group By SCITY;"
     routed, sql = routed_sql(sp2, text)
     assert routed.target == "SP_1"
     assert routed.reason == "SP reads SP_1, skipping I_P"
-    assert sql.startswith("SELECT SCITY, Count(*), Sum(QTY) FROM SP_1 SP")
+    assert sql.startswith("SELECT SCITY, Count(*), Avg(QTY) FROM SP_1 SP")
     assert sorted(sp2.query(text).rows) == full_view_rows(sp2, text)
+
+
+def test_grouping_by_a_key_inherited_attribute_aggregates_the_base_first(sp2):
+    text = "Select SCITY, Count(*), Sum(QTY) From SP Group By SCITY;"
+    routed, sql = routed_sql(sp2, text)
+    assert (routed.kind, routed.target) == (BASE_REWRITE, "SP_B")
+    assert routed.reason == "SP aggregates SP_B by S# before joining S (I_S)"
+    assert sql == ('SELECT S.CITY AS SCITY, SUM(SP_B.agg1) AS "Count(*)",'
+                   ' SUM(SP_B.agg2) AS "Sum(QTY)" FROM (SELECT "S#", Count(*) AS agg1,'
+                   ' Sum(QTY) AS agg2 FROM SP_B SP GROUP BY "S#") SP_B'
+                   ' LEFT JOIN S ON SP_B."S#" = S."S#" GROUP BY S.CITY;')
+    result = sp2.query(text)
+    assert result.columns == ["SCITY", "Count(*)", "Sum(QTY)"]
+    assert sorted(result.rows) == full_view_rows(sp2, text)
+
+
+_FALLBACK_SCHEMA = (
+    "Create Table Y (C Int, W Int, Primary Key (W));"
+    " Create Table T1 (K Int, FS Char, Primary Key (K),"
+    " I_S (Select CITY As TCITY From S Where T1.FS = S.S# And S.CITY <> 'Rome'));"
+    " Create Table T2 (K Int, FK Int, Primary Key (K),"
+    " I_Y (Select W From Y Where T2.FK = Y.C));"
+    " Create Table T3 (K Int, FS Char, NOTE Char, Primary Key (K),"
+    " I_S (Select S.CITY || T3.NOTE As ZC From S Where T3.FS = S.S#));")
+
+
+@pytest.mark.parametrize("text, target, sql", [
+    pytest.param("Select SCITY, Avg(QTY) From SP Group By SCITY;", "SP_1",
+                 "SELECT SCITY, Avg(QTY) FROM SP_1 SP GROUP BY SCITY;", id="avg"),
+    pytest.param("Select SCITY, Total(QTY), Max(QTY) From SP Group By SCITY;", "SP_1",
+                 "SELECT SCITY, Total(QTY), Max(QTY) FROM SP_1 SP GROUP BY SCITY;",
+                 id="total"),
+    pytest.param("Select SCITY, Count(Distinct P#) From SP Group By SCITY;", "SP_1",
+                 'SELECT SCITY, Count(DISTINCT "P#") FROM SP_1 SP GROUP BY SCITY;',
+                 id="count-distinct"),
+    pytest.param("Select SCITY, Sum(P#) From SP Group By SCITY;", "SP_1",
+                 'SELECT SCITY, Sum("P#") FROM SP_1 SP GROUP BY SCITY;', id="sum-char"),
+    pytest.param("Select SCITY, Count(*) From SP Where SNAME = 'Smith' Group By SCITY;", "SP_1",
+                 "SELECT SCITY, Count(*) FROM SP_1 SP WHERE SNAME = 'Smith' GROUP BY SCITY;",
+                 id="where-inherited"),
+    pytest.param("Select SCITY, PCITY, Count(*) From SP Group By SCITY, PCITY;", None,
+                 "SELECT SCITY, PCITY, Count(*) FROM SP GROUP BY SCITY, PCITY;",
+                 id="two-stages"),
+    pytest.param("Select SCITY, P#, Count(*) From SP Group By SCITY, P#;", "SP_1",
+                 'SELECT SCITY, "P#", Count(*) FROM SP_1 SP GROUP BY SCITY, "P#";',
+                 id="group-key-holds-the-key"),
+    pytest.param("Select TCITY, Count(*) From T1 Group By TCITY;", None,
+                 "SELECT TCITY, Count(*) FROM T1 GROUP BY TCITY;", id="residual-predicate"),
+    pytest.param("Select W, Count(*) From T2 Group By W;", None,
+                 "SELECT W, Count(*) FROM T2 GROUP BY W;", id="join-not-key-covered"),
+    pytest.param("Select ZC, Count(*) From T3 Group By ZC;", None,
+                 "SELECT ZC, Count(*) FROM T3 GROUP BY ZC;", id="ie-reads-its-relation"),
+    pytest.param("Select SP.*, Count(*) From SP Group By SCITY;", None,
+                 "SELECT SP.*, Count(*) FROM SP GROUP BY SCITY;", id="star"),
+    pytest.param("Select SCITY, Count(*) From SP, P Where SP.P# = P.P# Group By SCITY;", "SP_1",
+                 'SELECT SCITY, Count(*) FROM SP_1 SP, P WHERE SP."P#" = P."P#"'
+                 " GROUP BY SCITY;", id="join-with-a-table"),
+    pytest.param("Select Distinct SCITY, Count(*) From SP Group By SCITY;", "SP_1",
+                 "SELECT DISTINCT SCITY, Count(*) FROM SP_1 SP GROUP BY SCITY;",
+                 id="select-distinct"),
+    pytest.param("Select SCITY, Count(*) From SP Where S# In (Select S# From S) Group By SCITY;",
+                 "SP_1", 'SELECT SCITY, Count(*) FROM SP_1 SP WHERE "S#" IN'
+                 ' (SELECT "S#" FROM S) GROUP BY SCITY;', id="subquery"),
+    pytest.param("Select SCITY, Count(*) + 1 From SP Group By SCITY;", "SP_1",
+                 "SELECT SCITY, Count(*) + 1 FROM SP_1 SP GROUP BY SCITY;",
+                 id="unaliased-literal"),
+    pytest.param("Select SCITY, SNAME, Count(*) From SP Group By SCITY;", "SP_1",
+                 "SELECT SCITY, SNAME, Count(*) FROM SP_1 SP GROUP BY SCITY;",
+                 id="ungrouped-inherited"),
+    pytest.param("Select Count(*) As SCITY, SCITY As C From SP Group By SCITY Order By SCITY;",
+                 "SP_1", "SELECT Count(*) AS SCITY, SCITY AS C FROM SP_1 SP GROUP BY SCITY"
+                 " ORDER BY SCITY;", id="order-by-an-alias"),
+])
+def test_grouped_queries_outside_the_rule_route_as_before(sp2, text, target, sql):
+    """Each query breaks one condition of the pre-aggregation rule, so it
+    keeps the target and the kernel SQL it had before the rule existed."""
+    sp2.apply_source(_FALLBACK_SCHEMA)
+    routed, kernel_sql = routed_sql(sp2, text)
+    assert (routed.target, kernel_sql) == (target, sql)
 
 
 def test_last_stage_column_keeps_full_view(sp2):

@@ -6,10 +6,13 @@ rows and indexes, and each plan holds the kernel's CREATE text."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from sirsql import compiler
-from sirsql.errors import IndexedAttributeDrop, KernelError, UnknownObject
+from sirsql.errors import (ForeignKeyAttributeDrop, IndexedAttributeDrop, KernelError,
+                           NotNullAttributeAdd, UnknownObject)
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 
@@ -270,6 +273,47 @@ def test_an_alter_dropping_an_indexed_column_is_refused(tmp_path, alter):
         layer.apply_source(alter)
     assert kernel_state(layer.conn) == kernel
     assert layer.catalog.snapshot() == snapshot
+
+
+_TYPED_REFUSALS = "Create Table X (K Int, Primary Key (K));" \
+    " Create Table R (A Int, FK Int, B Int, Primary Key (A)," \
+    " Foreign Key (FK) References X (K));"
+
+
+@pytest.mark.parametrize("alter, error, sent", [
+    ("Alter Table R Drop FK;", ForeignKeyAttributeDrop, []),
+    ("Alter Table R Add N Int Not Null;", NotNullAttributeAdd, ["SELECT 1 FROM R LIMIT 1"]),
+    ("Alter Table R Add Before B N Int Not Null;", NotNullAttributeAdd,
+     ["SELECT 1 FROM R LIMIT 1"]),
+], ids=["foreign-key-drop", "not-null-add-column", "not-null-rebuild"])
+def test_an_alter_the_kernel_would_refuse_is_a_typed_error(tmp_path, kernel_log,
+                                                           alter, error, sent):
+    """Dropping an attribute the relation's foreign key names is refused
+    before any kernel statement; adding a ``Not Null`` attribute to a
+    relation with rows is refused by one probe inside the transaction, on
+    the ``ADD COLUMN`` path and on the rebuild path alike."""
+    layer = SirLayer(KernelConnection(str(tmp_path / "db.sqlite")))
+    layer.apply_source(_TYPED_REFUSALS + " Insert Into R Values (1, 7, 2);")
+    kernel, snapshot = kernel_state(layer.conn), layer.catalog.snapshot()
+    log = kernel_log(layer.conn)
+    with pytest.raises(error, match="FK is named by its foreign key|R has rows"):
+        layer.apply_source(alter)
+    assert [s for s in log if s.startswith("SELECT")] == sent
+    assert not [s for s in log if re.match(r"(ALTER|CREATE|DROP|INSERT|UPDATE)", s)]
+    assert kernel_state(layer.conn) == kernel
+    assert layer.catalog.snapshot() == snapshot
+
+
+def test_a_not_null_attribute_is_added_to_an_empty_relation(kernel_log):
+    layer = make_layer()
+    layer.apply_source(_TYPED_REFUSALS)
+    log = kernel_log(layer.conn)
+    layer.apply_source("Alter Table R Add N Int Not Null;")
+    layer.apply_source("Alter Table R Add Before B M Int Not Null;")
+    assert log.count("SELECT 1 FROM R LIMIT 1") == 2
+    assert layer.query("Select * From R;").columns == ["A", "FK", "M", "B", "N"]
+    with pytest.raises(KernelError, match="NOT NULL"):
+        layer.apply_source("Insert Into R (A, FK, B, N) Values (1, 7, 2, 3);")
 
 
 def test_a_dropped_index_lets_its_column_go(tmp_path):
