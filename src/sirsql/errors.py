@@ -89,6 +89,11 @@ class ForeignKeyAttributeDrop(SirSqlError):
     """An ALTER would drop an attribute the relation's own foreign key names."""
 
 
+class DependentAttributeDrop(SirSqlError):
+    """An ALTER would remove an attribute that another relation's IE, or a
+    view, reads."""
+
+
 class NotNullAttributeAdd(SirSqlError):
     """An ALTER would add a ``Not Null`` attribute to a relation with rows,
     which would hold NULL in it."""

@@ -44,9 +44,9 @@ from .catalog import (SIR, STORED, VIEW, Catalog, CatalogEntry, ColumnInfo,
                       scheme_from_ast, scheme_to_ast)
 from .compiler import (alter_steps, apply_alter, compile_index, compile_sir, plan_drop,
                        recompile_steps, rewrite_to_base)
-from .errors import (CircularReferenceError, InvariantViolation, NameCollision,
-                     NotNullAttributeAdd, RejectedWrite, StaleCatalog, UnknownObject,
-                     UnknownRelation)
+from .errors import (CircularReferenceError, DependentAttributeDrop, InvariantViolation,
+                     KernelError, NameCollision, NotNullAttributeAdd, RejectedWrite,
+                     StaleCatalog, UnknownObject, UnknownRelation)
 from .kernel import KernelConnection, RowSet
 from .lexer import shape
 from .parser import parse
@@ -112,19 +112,22 @@ class SirLayer:
         raise InvariantViolation(f"unsupported statement {type(stmt).__name__}")
 
     def query(self, sql: str) -> RowSet:
-        return self._run_text(sql, query_only=True)[0].rows
+        return self._run_text(sql, query_only=True)
 
-    def _run_text(self, text: str, query_only: bool) -> list[StatementResult]:
+    def _run_text(self, text: str, query_only: bool):
         """Execute dialect text, through the statement cache when it holds one
-        query or DML statement."""
+        query or DML statement.  With `query_only` the text must be one query,
+        and its RowSet is returned; otherwise the StatementResults."""
         key, values = shape(text)
         hit = self._statements.get(key)
-        if hit is not None and hit[:2] == (self.catalog.generation, len(values)):
-            sql, action = hit[2:]
+        if hit is not None and hit[0] == self.catalog.generation and hit[1] == len(values):
+            _, _, sql, action = hit
             if query_only and action != "query":
                 raise InvariantViolation("expected exactly one SELECT statement")
             if sql is not None:
                 result = self.conn.execute(sql, values, origin=text)
+                if query_only:
+                    return result
                 if action == "query":
                     return [StatementResult(None, action, rows=result)]
                 return [StatementResult(None, action, rowcount=result)]
@@ -134,7 +137,8 @@ class SirLayer:
                 raise InvariantViolation("expected exactly one SELECT statement")
             return [self.apply_statement(stmt) for stmt in stmts]
         if len(values) > self.conn.max_params:
-            return [self.apply_statement(stmts[0])]
+            result = self.apply_statement(stmts[0])
+            return result.rows if query_only else [result]
         params = []
         result, sql = self._execute(stmts[0], params)
         if list(map(type, params)) != list(map(type, values)) or params != values:
@@ -142,7 +146,7 @@ class SirLayer:
         if len(self._statements) >= CACHE_SIZE:
             self._statements.clear()
         self._statements[key] = (self.catalog.generation, len(values), sql, result.action)
-        return [result]
+        return result.rows if query_only else [result]
 
     def explain(self, name: str) -> list[str]:
         """The kernel's text of each object of a relation, one per entry."""
@@ -342,7 +346,17 @@ class SirLayer:
                     for item in maintenance:
                         conn.execute(item.sql, origin=origin)
                     if new is None or new.views:
-                        self._probe_view(conn, name, origin)
+                        try:
+                            self._probe_view(conn, name, origin)
+                        except KernelError as exc:
+                            if name == entry.name:
+                                raise
+                            reader = self.catalog.get(name)
+                            ies = _ies_over(reader, changed, self.catalog)
+                            raise DependentAttributeDrop(
+                                f"{entry.name}: this ALTER removes an attribute"
+                                f" {reader.name} reads{f' through IE {ies}' if ies else ''}"
+                                f" ({exc.__cause__})") from exc
                     if new is not None:
                         self.catalog.persist_replace(new, conn)
 
@@ -434,6 +448,19 @@ class SirLayer:
         count = self.conn.execute(sql, bound, origin=origin)
         action = type(stmt).__name__.lower()
         return StatementResult(stmt, action, rowcount=count, warnings=stmt.warnings), sql
+
+
+def _ies_over(entry: CatalogEntry, relations: set[str], catalog: Catalog) -> str:
+    """The IEs of `entry` that read a relation named in `relations`
+    (casefold) or one of its kernel objects, comma-separated."""
+    names = []
+    for ie in entry.scheme.ies if entry.scheme else []:
+        for ref in ie_references(ie, entry.name):
+            owner = catalog.owner_of_object(ref)
+            if (owner.name if owner else ref).casefold() in relations:
+                names.append(ie.name)
+                break
+    return ", ".join(names)
 
 
 def _stars_over(entry: CatalogEntry, relations: set[str], catalog: Catalog) -> bool:

@@ -144,16 +144,24 @@ def tokenize(source: str) -> list[Token]:
 INT64_MAX = 2**63 - 1
 _BOUND_FLOAT_DIGITS = 15        # a float with more digits may parse differently in SQLite
 
-# One pass over dialect text that finds its literals the way `tokenize` does.
-# Group 1 is a string literal's body, group 2 a number; the third alternative
-# consumes runs of everything else, so that digits inside identifiers (R001_K,
-# S#) and literals inside comments or quoted identifiers are never taken.
+# One `findall` over dialect text that finds its literals the way `tokenize`
+# does.  Each match is the start of the text or a literal (group 1 a string
+# literal's body, group 2 a number), then the run up to the next literal
+# (group 3), so the key is the runs joined by ``?``.  A run takes identifiers,
+# comments and quoted identifiers whole, so that digits in identifiers
+# (R001_K, S#) and literals in comments or quoted identifiers are never bound.
+# It also takes what `tokenize` refuses (a quote, comment or bracket left
+# open) and digits other than 0-9, so it ends only at a literal or at the end
+# and the matches tile the text.  Spaces and punctuation go with the piece
+# before them, which keeps the engine's loop short.
 _SHAPE = re.compile(r"""
-    '([^']*(?:''[^']*)*)'
-  | ([0-9]+(?:\.[0-9]+)?|\.[0-9]+)
-  | (?: [^\W\d][\w#$]* | "[^"]*" | \[[^\]]*\] | --[^\n]* | /\*.*?\*/
-      | [^'"\[\w./-] | \.(?![0-9]) | -(?!-) | /(?!\*) )+
+    (?: \A | '([^']*(?:''[^']*)*)' | ([0-9]+(?:\.[0-9]+)?|\.[0-9]+) )
+    ( [^'"\[\w./-]*
+      (?: (?: [^\W\d][\w#$]* | "[^"]*" | \[[^\]]*\] | --[^\n]* | /\*.*?\*/
+            | \.(?![0-9]) | -(?!-) | /(?!\*) | ["\[/] | '(?![^']*') | [^\D0-9] )
+          [^'"\[\w./-]* )* )
 """, re.VERBOSE | re.DOTALL)
+_LITERAL_START = re.compile("['0-9]")     # a text without one is its own key
 
 
 def literal_value(text: str):
@@ -174,18 +182,13 @@ def shape(source: str) -> tuple[str, list]:
     Strings become str, numbers int or float (see `literal_value`); a number
     that cannot be bound stays in the text, so it is part of the shape.
     """
-    values = []
-
-    def literal(match):
-        string, number = match.group(1, 2)
-        if string is not None:
-            values.append(string.replace("''", "'"))
-            return "?"
-        if number is not None:
-            value = literal_value(number)
-            if value is not None:
-                values.append(value)
-                return "?"
-        return match.group()
-
-    return _SHAPE.sub(literal, source), values
+    if _LITERAL_START.search(source) is None:
+        return source, []
+    parts = _SHAPE.findall(source)
+    values = [literal_value(number) if number else string.replace("''", "'")
+              for string, number, _ in parts[1:]]
+    if None in values:     # a number that cannot be bound stays in the text
+        key = parts[0][2] + "".join(("?" if value is not None else number) + run
+                                    for value, (_, number, run) in zip(values, parts[1:]))
+        return key, [value for value in values if value is not None]
+    return "?".join([run for _, _, run in parts]), values

@@ -102,16 +102,27 @@ def test_query_csv_and_json_formats(db, capsys):
     assert json.loads(out) == {"S#": "S1", "QTY": 400}
 
 
-@pytest.mark.parametrize("alter, message", [
-    ("Alter Table R Drop FK;", "error: R.FK is named by its foreign key referencing X"),
-    ("Alter Table R Add N Int Not Null;", "error: R has rows, so the Not Null attribute N"),
+_FOREIGN_KEY = ("Create Table X (K Int, Primary Key (K));"
+                " Create Table R (A Int, FK Int, Primary Key (A),"
+                " Foreign Key (FK) References X (K)); Insert Into R Values (1, 7);")
+_READ_BY_AN_IE = ("Create Table X (K Int, V0 Char, Primary Key (K));"
+                  " Create Table R (A Int, FK Int, Primary Key (A),"
+                  " I_X (Select V0 From X Where R.FK = K)); Insert Into R Values (1, 7);")
+
+
+@pytest.mark.parametrize("schema, alter, message", [
+    (_FOREIGN_KEY, "Alter Table R Drop FK;",
+     "error: R.FK is named by its foreign key referencing X"),
+    (_FOREIGN_KEY, "Alter Table R Add N Int Not Null;",
+     "error: R has rows, so the Not Null attribute N"),
+    (_READ_BY_AN_IE, "Alter Table X Drop V0;",
+     "error: X: this ALTER removes an attribute R reads through IE I_X"),
 ])
-def test_apply_an_alter_refused_by_a_typed_error_exits_2(db, tmp_path, capsys, alter, message):
-    schema = tmp_path / "schema.sirsql"
-    schema.write_text("Create Table X (K Int, Primary Key (K));"
-                      " Create Table R (A Int, FK Int, Primary Key (A),"
-                      " Foreign Key (FK) References X (K)); Insert Into R Values (1, 7);")
-    assert run(["-k", db, "apply", str(schema)], capsys)[0] == 0
+def test_apply_an_alter_refused_by_a_typed_error_exits_2(db, tmp_path, capsys, schema, alter,
+                                                         message):
+    path = tmp_path / "schema.sirsql"
+    path.write_text(schema)
+    assert run(["-k", db, "apply", str(path)], capsys)[0] == 0
     bad = tmp_path / "alter.sirsql"
     bad.write_text(alter)
     code, out, err = run(["-k", db, "apply", str(bad)], capsys)

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from sirsql.errors import InvariantViolation, KernelError
+from sirsql.errors import DependentAttributeDrop, InvariantViolation, KernelError
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 
@@ -164,7 +164,7 @@ def test_invalid_middle_stage_fails_through_the_final_view_probe(tmp_path, kerne
                                                           probe(self, conn, name, origin)))
     sent = kernel_log(layer.conn)
 
-    with pytest.raises(KernelError, match="no such column: D_N"):
+    with pytest.raises(DependentAttributeDrop, match="R reads through IE I_1 .*column: D_N"):
         layer.apply_source("Alter Table D Drop D_N;")
     # R_2 reads D_N from R_1; its text does not change, so R_2 is not
     # re-created and the probe of the final view R, which fails to prepare
@@ -250,7 +250,7 @@ def test_alter_refused_when_a_dependent_left_unchanged_breaks(tmp_path, kernel_l
     kernel, snapshot = kernel_state(layer.conn), layer.catalog.snapshot()
     sent = kernel_log(layer.conn)
 
-    with pytest.raises(KernelError, match=message):
+    with pytest.raises(DependentAttributeDrop, match=message):
         layer.apply_source(alter)
     assert [PROBE.match(s).group(1) for s in sent if PROBE.match(s)][-1] == broken
     assert sent[-1] == "ROLLBACK"

@@ -11,7 +11,7 @@ from sirsql import nodes as n
 from sirsql.catalog import scheme_from_ast, scheme_to_ast
 from sirsql.compiler import (alter_steps, apply_alter, compile_sir, rewrite_to_base,
                              substitute_relation)
-from sirsql.errors import InvariantViolation, KernelError
+from sirsql.errors import DependentAttributeDrop, InvariantViolation
 from sirsql.parser import parse, parse_one
 from sirsql.render import render, render_source
 from sirsql.router import route
@@ -199,7 +199,7 @@ def test_rewrite_to_base_leaves_its_ie_unchanged(sp2):
 
 
 def test_a_refused_alter_leaves_the_catalog_schemes_intact(sp2):
-    with pytest.raises(KernelError, match="SNAME"):
+    with pytest.raises(DependentAttributeDrop, match="SNAME"):
         sp2.apply_source("Alter Table S Drop SNAME;")
     for name in ("S", "SP"):
         entry = sp2.catalog.get(name)

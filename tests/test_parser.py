@@ -322,3 +322,26 @@ def test_literal_value_keeps_unsafe_numbers_inline():
     assert literal_value("٣") is None
     assert shape("Select 1.1234567890123456, 'it''s', 2 From S;") == (
         "Select 1.1234567890123456, ?, ? From S;", ["it's", 2])
+
+
+@pytest.mark.parametrize("text, key, values", [
+    ("", "", []),
+    ("Select S#, SNAME From S Where STATUS > P#;", "Select S#, SNAME From S Where STATUS > P#;",
+     []),
+    ("Select * From T Where ١٢٣ = 5;", "Select * From T Where ١٢٣ = ?;", [5]),
+    ("Select '' From S;", "Select ? From S;", [""]),
+    ("Select 9223372036854775807, 9223372036854775808, 0.123456789012345, 0.12345678901234;",
+     "Select ?, 9223372036854775808, 0.123456789012345, ?;",
+     [9223372036854775807, 0.12345678901234]),
+    ("Select R001_K, \"C 2\", [D 3] From T -- 4 '5'\n /* 6 */ Where X = 7;",
+     "Select R001_K, \"C 2\", [D 3] From T -- 4 '5'\n /* 6 */ Where X = ?;", [7]),
+    # text the tokenizer refuses keeps every character in its key
+    ("Select 1, 'open 2", "Select ?, 'open ?", [1, 2]),
+    ('Select 1, "open 2', 'Select ?, "open ?', [1, 2]),
+    ("Select 1, [open 2", "Select ?, [open ?", [1, 2]),
+    ("Select 1 /* open 2", "Select ? /* open ?", [1, 2]),
+])
+def test_shape_keeps_all_but_the_bound_literals(text, key, values):
+    shaped = shape(text)
+    assert shaped == (key, values)
+    assert list(map(type, shaped[1])) == list(map(type, values))

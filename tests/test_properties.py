@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sirsql.errors import ParseError, SirSqlError
+from sirsql.errors import KernelError, ParseError, SirSqlError
 from sirsql.kernel import KernelConnection, RowSet
 from sirsql.layer import SirLayer, StatementResult
 from sirsql.lexer import NUMBER, STRING, literal_value, shape, tokenize
@@ -180,8 +180,9 @@ def random_alter(rng: random.Random, layer) -> str:
     attribute appended (what ``ADD COLUMN`` serves) or inserted before
     another, a value IE, or the drop of any element but the first.  Some
     are refused with a typed error: the drop of a recursive-join attribute,
-    of a column that R's IE reads or of the last attribute, and a ``Not
-    Null`` column added to a table with rows (`NotNullAttributeAdd`)."""
+    of a column that R's IE reads (`DependentAttributeDrop`) or of the last
+    attribute, and a ``Not Null`` column added to a table with rows
+    (`NotNullAttributeAdd`)."""
     table = rng.choice(["X", "R"])
     scheme = layer.catalog.get(table).scheme
     name = f"N{rng.randint(0, 999)}"
@@ -218,7 +219,8 @@ def test_plans_hold_the_kernels_text_under_random_alters(tmp_path):
             text = random_alter(rng, layer)
             try:
                 layer.apply_source(text)
-            except SirSqlError as exc:      # the kernel refuses neither of these
+            except SirSqlError as exc:      # every refusal is typed, none the kernel's
+                assert not isinstance(exc, KernelError), text
                 assert "NOT NULL" not in str(exc), text
                 assert "foreign key definition" not in str(exc), text
             assert_plans_match_kernel(layer)
@@ -339,15 +341,23 @@ def test_shape_values_are_the_lexers_literals(pieces):
         tokens = tokenize(text)
     except ParseError:
         return
-    expected = []
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    expected, expected_key, end = [], [], 0
     for tok in tokens:
         if tok.kind == STRING:
             expected.append(tok.value)
+            width = len(tok.value.replace("'", "''")) + 2
         elif tok.kind == NUMBER and literal_value(tok.value) is not None:
             expected.append(literal_value(tok.value))
+            width = len(tok.value)
+        else:
+            continue
+        start = line_starts[tok.line - 1] + tok.col - 1
+        expected_key += [text[end:start], "?"]
+        end = start + width
     key, values = shape(text)
     assert values == expected and list(map(type, values)) == list(map(type, expected))
-    assert key.count("?") == len(values)
+    assert key == "".join(expected_key) + text[end:]
 
 
 # --- normalization losslessness ---------------------------------------------------

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from sirsql import nodes as n
-from sirsql.errors import IaNotComputable, KernelError, RejectedWrite, UnknownColumn, UnknownRelation
+from sirsql.errors import (DependentAttributeDrop, IaNotComputable, KernelError, RejectedWrite,
+                           UnknownColumn, UnknownRelation)
 from sirsql.parser import parse_one
 from sirsql.render import render
 from sirsql.router import BASE_REWRITE, PASS_THROUGH, REJECTED, route
@@ -420,7 +421,7 @@ def test_source_alter_turns_pruning_off_for_dependents(tmp_path):
     """)
     assert routed_sql(layer, "Select Count(*) From R;")[0].kind == BASE_REWRITE
     # dropping the key R joins on would leave R naming a missing column
-    with pytest.raises(KernelError, match="no such column: X.K"):
+    with pytest.raises(DependentAttributeDrop, match="R reads through IE I_X .*column: X.K"):
         layer.apply_source("Alter Table X Drop K;")
     # a join on part of Y's key gives X's first row two matches, and R's too
     layer.apply_source("Alter Table X Add I_Y (Select W From Y Where X.C = C);")

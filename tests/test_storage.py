@@ -11,8 +11,9 @@ import re
 import pytest
 
 from sirsql import compiler
-from sirsql.errors import (ForeignKeyAttributeDrop, IndexedAttributeDrop, KernelError,
-                           NotNullAttributeAdd, UnknownObject)
+from sirsql.errors import (DependentAttributeDrop, ForeignKeyAttributeDrop,
+                           IndexedAttributeDrop, KernelError, NotNullAttributeAdd,
+                           UnknownObject)
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 
@@ -280,26 +281,41 @@ _TYPED_REFUSALS = "Create Table X (K Int, Primary Key (K));" \
     " Foreign Key (FK) References X (K));"
 
 
-@pytest.mark.parametrize("alter, error, sent", [
-    ("Alter Table R Drop FK;", ForeignKeyAttributeDrop, []),
-    ("Alter Table R Add N Int Not Null;", NotNullAttributeAdd, ["SELECT 1 FROM R LIMIT 1"]),
-    ("Alter Table R Add Before B N Int Not Null;", NotNullAttributeAdd,
+_WITH_ROWS = _TYPED_REFUSALS + " Insert Into R Values (1, 7, 2);"
+_READ_BY_AN_IE = "Create Table X (K Int, V0 Char, Primary Key (K));" \
+    " Create Table R (A Int, FK Int, Primary Key (A), I_X (Select V0 From X Where R.FK = K));" \
+    " Insert Into X Values (7, 'v'); Insert Into R Values (1, 7);"
+
+
+@pytest.mark.parametrize("setup, alter, error, message, sent", [
+    (_WITH_ROWS, "Alter Table R Drop FK;", ForeignKeyAttributeDrop,
+     "R.FK is named by its foreign key", []),
+    (_WITH_ROWS, "Alter Table R Add N Int Not Null;", NotNullAttributeAdd, "R has rows",
      ["SELECT 1 FROM R LIMIT 1"]),
-], ids=["foreign-key-drop", "not-null-add-column", "not-null-rebuild"])
-def test_an_alter_the_kernel_would_refuse_is_a_typed_error(tmp_path, kernel_log,
-                                                           alter, error, sent):
+    (_WITH_ROWS, "Alter Table R Add Before B N Int Not Null;", NotNullAttributeAdd,
+     "R has rows", ["SELECT 1 FROM R LIMIT 1"]),
+    (_READ_BY_AN_IE, "Alter Table X Drop V0;", DependentAttributeDrop,
+     r"X: this ALTER removes an attribute R reads through IE I_X \(no such column: X.V0\)", None),
+], ids=["foreign-key-drop", "not-null-add-column", "not-null-rebuild", "ie-reads-the-attribute"])
+def test_an_alter_the_kernel_would_refuse_is_a_typed_error(tmp_path, kernel_log, setup,
+                                                           alter, error, message, sent):
     """Dropping an attribute the relation's foreign key names is refused
     before any kernel statement; adding a ``Not Null`` attribute to a
     relation with rows is refused by one probe inside the transaction, on
-    the ``ADD COLUMN`` path and on the rebuild path alike."""
+    the ``ADD COLUMN`` path and on the rebuild path alike.  Dropping an
+    attribute another relation's IE reads is refused when that relation's
+    probe fails, after the rebuild of the base, which rolls back."""
     layer = SirLayer(KernelConnection(str(tmp_path / "db.sqlite")))
-    layer.apply_source(_TYPED_REFUSALS + " Insert Into R Values (1, 7, 2);")
+    layer.apply_source(setup)
     kernel, snapshot = kernel_state(layer.conn), layer.catalog.snapshot()
     log = kernel_log(layer.conn)
-    with pytest.raises(error, match="FK is named by its foreign key|R has rows"):
+    with pytest.raises(error, match=message):
         layer.apply_source(alter)
-    assert [s for s in log if s.startswith("SELECT")] == sent
-    assert not [s for s in log if re.match(r"(ALTER|CREATE|DROP|INSERT|UPDATE)", s)]
+    writes = [s for s in log if re.match(r"(ALTER|CREATE|DROP|INSERT|UPDATE)", s)]
+    if sent is None:
+        assert writes and log[-2:] == ["SELECT * FROM R LIMIT 0", "ROLLBACK"]
+    else:
+        assert [s for s in log if s.startswith("SELECT")] == sent and not writes
     assert kernel_state(layer.conn) == kernel
     assert layer.catalog.snapshot() == snapshot
 
