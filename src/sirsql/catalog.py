@@ -17,6 +17,10 @@ rest from `sir_attrs`, `sir_ies` and `sir_deps`; a DDL that rewrites such a
 relation writes its row in the current form, and detail rows no relation
 uses are ignored.
 
+A session reads the meta-table once, at open (`Catalog.load`): it decodes
+and checks every row, and builds a relation's columns, plan and scheme only
+when a statement first reads them (`_LoadedEntry`).
+
 Meta rows are written inside the same kernel transaction as the DDL they
 describe; the in-memory mirror is updated only after the commit, so any
 failure leaves both the kernel and the catalog unchanged.  Every DDL also
@@ -36,6 +40,7 @@ import json
 import re
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 from . import nodes as n
 from .errors import (CircularReferenceError, CorruptCatalog, DuplicateName,
@@ -160,19 +165,47 @@ def _document(entry) -> str:
         "ie_order": entry.ie_order, "references": entry.references})
 
 
-def _plan_item(raw, relation: str, kernel: dict[str, str]) -> PlanItem:
-    """A plan row of `relation`, with the text of its object in `kernel`
-    (casefold name -> `sqlite_master.sql`).  Rows of earlier releases hold
+def _plan_row(raw) -> tuple:
+    """The name, kind and stage facts (or None) of a plan row; raises
+    ValueError for a row of another shape.  Rows of earlier releases hold
     the object's SQL third, and may lack the stage facts."""
     name, kind, *rest = raw
     rest = rest[1:] if rest and isinstance(rest[0], str) else rest
-    if len(rest) > 1:
-        raise ValueError(f"plan row for {name!r} has {len(raw)} fields")
-    if name.casefold() not in kernel:
-        raise CorruptCatalog(
-            f"{relation}: kernel object {name!r} recorded in the catalog is missing")
-    return PlanItem(name, kind, kernel[name.casefold()] + ";",
-                    StageFacts(**rest[0]) if rest else None)
+    if len(rest) > 1 or rest and not isinstance(rest[0], dict):
+        raise ValueError(f"plan row for {name!r} is not [name, kind] plus stage facts")
+    return name, kind, rest[0] if rest else None
+
+
+class _KernelText(dict):
+    """The text of each kernel object (`sqlite_master.sql`) by its name as
+    the kernel spells it.  A name spelled otherwise is looked up casefolded,
+    in a map built on the first such miss; KeyError if the kernel lacks it."""
+
+    _folded = None
+
+    def __missing__(self, name: str) -> str:
+        if self._folded is None:
+            self._folded = {key.casefold(): sql for key, sql in self.items()}
+        return self._folded[name.casefold()]
+
+
+def _documents(rows) -> list:
+    """The decoded `plan` field of each `sir_relations` row: one decode of
+    all of them joined, or, when that fails or yields another number of
+    documents, one per row, so that the error names the corrupt relation."""
+    try:
+        documents = json.loads("[" + ",".join(row[-1] for row in rows) + "]")
+        if len(documents) == len(rows):
+            return documents
+    except (TypeError, ValueError):
+        pass
+    out = []
+    for row in rows:
+        try:
+            out.append(json.loads(row[-1]))
+        except (TypeError, ValueError) as exc:
+            raise CorruptCatalog(f"{row[0]}: unreadable plan: {exc}") from exc
+    return out
 
 
 def _legacy_details(conn, kernel: dict[str, str]) -> dict[str, dict]:
@@ -223,51 +256,11 @@ def type_affinity(sql_type: str | None) -> str:
     return "NUMERIC"
 
 
-_UNPARSED = object()    # the scheme of a loaded entry before its first read
-
-
-class _LazyScheme:
-    """`CatalogEntry.scheme`, assigned like a plain attribute.  An entry
-    loaded from the meta-table holds `_UNPARSED` until the scheme is first
-    read; that read parses the entry's source text (`_parsed_scheme`) and
-    keeps the result.  A failed parse keeps nothing, so every read raises."""
-
-    def __get__(self, entry, owner=None):
-        if entry is None:
-            raise AttributeError("scheme")      # no class default: the field stays required
-        scheme = entry.__dict__["_scheme"]
-        if scheme is _UNPARSED:
-            scheme = entry.__dict__["_scheme"] = _parsed_scheme(entry)
-        return scheme
-
-    def __set__(self, entry, scheme):
-        entry.__dict__["_scheme"] = scheme
-
-
-def _parsed_scheme(entry) -> SirScheme:
-    """The scheme in a loaded entry's source text, checked against the
-    entry's recorded IE order and columns; raises CorruptCatalog."""
-    name = entry.name
-    try:
-        stmt = parse_one(entry.source_text)
-    except Exception as exc:
-        raise CorruptCatalog(f"{name}: unparseable source text: {exc}") from exc
-    if not isinstance(stmt, n.CreateSirTable):
-        raise CorruptCatalog(f"{name}: source text is not a table definition")
-    scheme = scheme_from_ast(stmt)
-    if {i.casefold() for i in entry.ie_order} != {ie.name.casefold() for ie in scheme.ies}:
-        raise CorruptCatalog(f"{name}: recorded IEs do not match the declared IEs")
-    declared = {a.name.casefold() for a in scheme.stored_attrs}
-    if declared != {c.casefold() for c in entry.stored_names()}:
-        raise CorruptCatalog(f"{name}: recorded columns do not match the declared scheme")
-    return scheme
-
-
 @dataclass
 class CatalogEntry:
     name: str
     kind: str                            # stored | view | sir
-    scheme: SirScheme | None = _LazyScheme()     # required; None for a view
+    scheme: SirScheme | None             # None for a view
     columns: list                        # ColumnInfo, full declared order
     plan: list = field(default_factory=list)          # PlanItem; definitional DDL
     references: list = field(default_factory=list)    # relation names this entry reads
@@ -304,6 +297,55 @@ class CatalogEntry:
 
     def stored_names(self) -> list[str]:
         return [c.name for c in self.columns if not c.is_inherited]
+
+
+class _LoadedEntry(CatalogEntry):
+    """An entry as `Catalog.load` read it from its meta row.  Its scheme,
+    columns and plan are built from the row the first time each is read, and
+    kept; a build that raises keeps nothing, so every read raises."""
+
+    def __init__(self, name: str, kind: str, source_text: str, document: dict,
+                 kernel: _KernelText):
+        self.name, self.kind, self.source_text = name, kind, source_text
+        self.references, self.ie_order = document["references"], document["ie_order"]
+        self._document, self._kernel = document, kernel
+        if kind not in (STORED, SIR):
+            self.scheme = None
+
+    @cached_property
+    def scheme(self) -> SirScheme:
+        """The scheme in the source text, checked against the recorded IE
+        order and columns; raises CorruptCatalog."""
+        try:
+            stmt = parse_one(self.source_text)
+        except Exception as exc:
+            raise CorruptCatalog(f"{self.name}: unparseable source text: {exc}") from exc
+        if not isinstance(stmt, n.CreateSirTable):
+            raise CorruptCatalog(f"{self.name}: source text is not a table definition")
+        scheme = scheme_from_ast(stmt)
+        if {i.casefold() for i in self.ie_order} != {ie.name.casefold() for ie in scheme.ies}:
+            raise CorruptCatalog(f"{self.name}: recorded IEs do not match the declared IEs")
+        declared = {a.name.casefold() for a in scheme.stored_attrs}
+        if declared != {c.casefold() for c in self.stored_names()}:
+            raise CorruptCatalog(f"{self.name}: recorded columns do not match the declared scheme")
+        return scheme
+
+    @cached_property
+    def columns(self) -> list[ColumnInfo]:
+        return [ColumnInfo(col, sql_type, bool(is_key), bool(is_inherited), ie_name)
+                for col, sql_type, is_key, is_inherited, ie_name in self._document["columns"]]
+
+    @cached_property
+    def plan(self) -> list[PlanItem]:
+        items = []
+        for raw in self._document["plan"]:
+            name, kind, facts = _plan_row(raw)
+            try:
+                stage = StageFacts(**facts) if facts is not None else None
+            except TypeError as exc:
+                raise CorruptCatalog(f"{self.name}: unreadable plan: {exc}") from exc
+            items.append(PlanItem(name, kind, self._kernel[name] + ";", stage))
+        return items
 
 
 def referenced_relations(node) -> list[str]:
@@ -679,16 +721,21 @@ class Catalog:
     # --- in-memory mutation (after the kernel commit) ---
 
     def attach(self, entry: CatalogEntry):
+        self._register(entry, entry.kernel_objects)
+        self._changed()
+
+    def _register(self, entry: CatalogEntry, objects: list[str]):
+        """Enter `entry`, whose kernel objects are `objects`, in place of any
+        entry of the same name; the caller then calls `_changed`."""
         key = entry.name.casefold()
         if key not in self._entries:
             self._order.append(key)
         else:
             self._forget_entry(key)
         self._entries[key] = entry
-        for item in entry.plan:
-            if item.name.casefold() != key:
-                self._owners[item.name.casefold()] = entry
-        self._changed()
+        for name in objects:
+            if name.casefold() != key:
+                self._owners[name.casefold()] = entry
 
     def detach(self, name: str):
         key = name.casefold()
@@ -713,45 +760,51 @@ class Catalog:
         version is read first, so DDL that another session commits during the
         load leaves the catalog looking stale, never current.
 
-        Raises CorruptCatalog here on an unreadable plan or a missing kernel
-        object.  A relation's scheme is parsed from its source text when it is
-        first read (see `_LazyScheme`), so an unparseable source text, or
-        recorded columns or IEs that disagree with it, raise CorruptCatalog at
-        that read, on every read; `audit` reads them all."""
+        Every row's document is decoded here, and CorruptCatalog raised for
+        one that is not JSON, lacks its plan, columns, IE order or
+        references, holds a plan row or column row of the wrong shape, or
+        names a kernel object that `sqlite_master` lacks.  Nothing else is
+        built: an entry's columns, plan and scheme are built from its row
+        when first read (see `_LoadedEntry`).  So an unparseable source
+        text, or recorded columns or IEs that disagree with it, raise
+        CorruptCatalog at that read, on every read; `audit` reads them all."""
         catalog = cls()
         catalog.version = conn.ddl_version()
-        kernel = {name.casefold(): sql
-                  for name, sql in conn.query("SELECT name, sql FROM sqlite_master").rows}
+        kernel = _KernelText(conn.query("SELECT name, sql FROM sqlite_master").rows)
         catalog.meta_ready = "sir_relations" in kernel
         if not catalog.meta_ready:
             return catalog
-        relations = conn.query(
-            "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid")
+        rows = conn.query(
+            "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid").rows
         legacy = None
-        for name, kind, source_text, stored in relations.rows:
+        for (name, kind, source_text, _), document in zip(rows, _documents(rows)):
             try:
-                document = json.loads(stored)
                 if isinstance(document, list):
                     legacy = _legacy_details(conn, kernel) if legacy is None else legacy
                     document = {"plan": document, **legacy[name]}
-                entry = CatalogEntry(
-                    name=name, kind=kind, scheme=_UNPARSED if kind in (STORED, SIR) else None,
-                    columns=[ColumnInfo(col, sql_type, bool(is_key), bool(is_inherited), ie_name)
-                             for col, sql_type, is_key, is_inherited, ie_name
-                             in document["columns"]],
-                    plan=[_plan_item(item, name, kernel) for item in document["plan"]],
-                    references=document["references"], ie_order=document["ie_order"],
-                    source_text=source_text)
+                entry = _LoadedEntry(name, kind, source_text, document, kernel)
+                if not set(map(len, document["columns"])) <= {5}:
+                    raise ValueError("a column row does not hold 5 fields")
+                # the rows this release writes take the short test
+                objects = [raw[0] if len(raw) == 2 or len(raw) == 3 and isinstance(raw[2], dict)
+                           else _plan_row(raw)[0] for raw in document["plan"]]
+                for obj in objects:
+                    try:
+                        kernel[obj]
+                    except KeyError:
+                        raise CorruptCatalog(f"{name}: kernel object {obj!r} recorded in"
+                                             " the catalog is missing") from None
             except (TypeError, ValueError, KeyError, AttributeError) as exc:
                 raise CorruptCatalog(f"{name}: unreadable plan: {exc}") from exc
-            catalog.attach(entry)
+            catalog._register(entry, objects)
+        catalog._changed()
         return catalog
 
     def audit(self):
-        """Read every entry's scheme; raises CorruptCatalog for the first
-        relation whose source text or meta rows are corrupt."""
+        """Read every entry's plan, columns and scheme; raises CorruptCatalog
+        for the first relation whose source text or meta rows are corrupt."""
         for entry in self.entries():
-            _ = entry.scheme
+            _ = entry.plan, entry.columns, entry.scheme
 
     def snapshot(self):
         """Structure suitable for equality comparison across persist/load."""

@@ -21,10 +21,13 @@ DDL statement of the session then raises StaleCatalog and changes nothing
 (see `_ddl_transaction`); a new session sees the change.  Queries and DML
 do not check.
 
-The open fails with CorruptCatalog on an unreadable plan or a missing kernel
-object.  It parses no scheme: a relation's scheme is parsed when a statement
-first reads it, and a corrupt source text or meta row raises CorruptCatalog
-there, on each such statement (`Catalog.audit` reads every scheme).
+The open decodes every meta row and fails with CorruptCatalog on an
+unreadable one or a missing kernel object, but builds no relation's
+columns, plan or scheme: each is built when a statement first reads it, so a
+query builds the relations it routes over and an ALTER the altered relation
+and its dependents.  A corrupt source text or stage fact raises
+CorruptCatalog there, on each such statement (`Catalog.audit` builds them
+all).
 
 Query and DML text is cached by shape (`lexer.shape`: literals replaced by
 ``?``) for one catalog generation: a repeated shape skips parse, route and
@@ -313,12 +316,23 @@ class SirLayer:
             # in dependency order; a dependent whose `*` reads a relation whose
             # column list changed is recompiled, so it inherits added or
             # dropped attributes, and every other one is only probed, in case
-            # it names what changed
+            # it names what changed.  One whose IE names an attribute this
+            # ALTER removes is refused here, before any kernel statement.
             updates = []
             changed = {entry.name.casefold()}
+            # (the relation's own name comes last: it names the old base too
+            # when the relation had no IE)
+            removed = {entry.plan[0].name.casefold(): _dropped(entry.stored_names(),
+                                                               new_entry.stored_names()),
+                       entry.name.casefold(): _dropped(entry.column_names, new_entry.column_names)}
             for name in self.catalog.transitive_dependents(entry.name):
                 dep = scratch.get(name)
                 if dep.kind != SIR or not _stars_over(dep, changed, scratch):
+                    read = dep.kind == SIR and _reads_removed(dep, removed, self.catalog)
+                    if read:
+                        raise DependentAttributeDrop(
+                            f"{entry.name}: this ALTER removes an attribute {dep.name} reads"
+                            f" through IE {read[0]} (no such column: {read[1]})")
                     updates.append((name, None, []))
                     continue
                 recompiled = compile_sir(dep.scheme, scratch)
@@ -461,6 +475,43 @@ def _ies_over(entry: CatalogEntry, relations: set[str], catalog: Catalog) -> str
                 names.append(ie.name)
                 break
     return ", ".join(names)
+
+
+def _dropped(before: list[str], after: list[str]) -> set[str]:
+    """The names in `before` and not in `after`, casefold."""
+    return {c.casefold() for c in before} - {c.casefold() for c in after}
+
+
+def _reads_removed(entry: CatalogEntry, removed: dict[str, set[str]],
+                   catalog: Catalog) -> tuple[str, str] | None:
+    """The first IE of `entry` whose select names a column that `removed`
+    (casefold object name -> the casefold columns an ALTER takes from it)
+    lists, with that column as ``object.column``; None when no IE does.  A
+    column counts when its qualifier is the object's name or alias in the
+    select's sources, or when it is unqualified and no other source has it
+    (`resolve_columns`).  An IE with a nested select is left to the probe."""
+    for ie in entry.scheme.ies:
+        if not isinstance(ie.form, n.SelectForm) \
+                or sum(isinstance(node, n.Select) for node in n.walk(ie.form)) != 1:
+            continue
+        nodes = list(n.walk(ie.form.select))
+        sources = {(node.alias or node.name).casefold(): node.name
+                   for node in nodes if isinstance(node, n.TableName)}
+        for ref in nodes:
+            if not isinstance(ref, n.ColumnRef):
+                continue
+            column = ref.name.casefold()
+            if ref.table is not None:
+                owner = sources.get(ref.table.casefold())
+            else:
+                owners = [s for s in sources.values() if column in removed.get(s.casefold(), ())]
+                others = [catalog.resolve_columns(s) for s in sources.values() if s not in owners]
+                owner = owners[0] if owners and all(
+                    cols is not None and column not in {c.casefold() for c in cols}
+                    for cols in others) else None
+            if owner is not None and column in removed.get(owner.casefold(), ()):
+                return ie.name, f"{owner}.{ref.name}"
+    return None
 
 
 def _stars_over(entry: CatalogEntry, relations: set[str], catalog: Catalog) -> bool:

@@ -39,6 +39,10 @@ class Token:
         return self.kind == IDENT and not self.quoted and self.value.upper() == word.upper()
 
 
+# a number is ASCII digits: SQLite reads no other, so `١٢٣` or `5²` is refused here
+_DIGITS = frozenset("0123456789")
+
+
 def _ident_start(ch: str) -> bool:
     return ch.isalpha() or ch == "_"
 
@@ -107,13 +111,13 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(IDENT, source[i + 1:j], line, col, quoted=True))
             skip(j + 1)
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
+            while j < n and (source[j] in _DIGITS or (source[j] == "." and not seen_dot)):
                 if source[j] == ".":
                     # a dot not followed by a digit ends the number (qualified names)
-                    if j + 1 >= n or not source[j + 1].isdigit():
+                    if j + 1 >= n or source[j + 1] not in _DIGITS:
                         break
                     seen_dot = True
                 j += 1
@@ -151,9 +155,10 @@ _BOUND_FLOAT_DIGITS = 15        # a float with more digits may parse differently
 # comments and quoted identifiers whole, so that digits in identifiers
 # (R001_K, S#) and literals in comments or quoted identifiers are never bound.
 # It also takes what `tokenize` refuses (a quote, comment or bracket left
-# open) and digits other than 0-9, so it ends only at a literal or at the end
-# and the matches tile the text.  Spaces and punctuation go with the piece
-# before them, which keeps the engine's loop short.
+# open, and digits other than 0-9 outside identifiers), so it ends only at
+# a literal or at the end and the matches tile the text.  Spaces and
+# punctuation go with the piece before them, which keeps the engine's loop
+# short.
 _SHAPE = re.compile(r"""
     (?: \A | '([^']*(?:''[^']*)*)' | ([0-9]+(?:\.[0-9]+)?|\.[0-9]+) )
     ( [^'"\[\w./-]*

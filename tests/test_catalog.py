@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import re
 
@@ -266,6 +267,49 @@ def test_load_sends_a_fixed_number_of_statements(tmp_path, kernel_log):
     assert counts == [3, 3]
 
 
+def _built(layer) -> set[str]:
+    """The relations whose columns or plan the session has built."""
+    return {entry.name for entry in layer.catalog.entries()
+            if {"columns", "plan"} & vars(entry).keys()}
+
+
+def test_an_open_builds_only_the_relations_a_statement_reads(tmp_path):
+    source = _catalog_source(300) + """
+    Create Table W (A Int, Primary Key (A), I_R (Select */A From R1 Where W.A = R1.A));"""
+    creating = SirLayer(KernelConnection(str(tmp_path / "creating.sqlite")))
+    creating.apply_source(source)
+    location = str(tmp_path / "reopened.sqlite")
+    SirLayer(KernelConnection(location)).apply_source(source)
+
+    reopened = SirLayer(KernelConnection(location))
+    assert len(reopened.catalog.entries()) == 301 and _built(reopened) == set()
+    assert reopened.query("Select Count(*) From R1;").rows == [(0,)]
+    # R1's chain, and the key of D, the source its join stage reads
+    assert _built(reopened) == {"R1", "D"}
+    # W stars over R1, so it is recompiled; the view V3 reads R1 and is probed
+    alter = "Alter Table R1 Add NOTE Char;"
+    assert [(r.action, r.objects) for r in reopened.apply_source(alter)] == \
+        [(r.action, r.objects) for r in creating.apply_source(alter)]
+    assert _built(reopened) <= {"R1", "D", "W", "V3"}
+    assert kernel_state(reopened.conn) == kernel_state(creating.conn)
+    assert reopened.catalog.audit() is None and creating.catalog.audit() is None
+    assert reopened.catalog.snapshot() == creating.catalog.snapshot()
+    assert reopened.query("Select * From W;").columns == ["A", "NAME", "NOTE"]
+
+
+def test_an_entry_built_directly_keeps_its_fields_and_defaults():
+    assert [(p.name, p.default is p.empty)
+            for p in inspect.signature(CatalogEntry).parameters.values()] == [
+        ("name", True), ("kind", True), ("scheme", True), ("columns", True),
+        ("plan", False), ("references", False), ("ie_order", False), ("source_text", False)]
+    first, second = (CatalogEntry(name="R", kind=STORED, scheme=None, columns=[])
+                     for _ in range(2))
+    assert (first.plan, first.references, first.ie_order, first.source_text) == ([], [], [], "")
+    assert first.plan is not second.plan and first.references is not second.references
+    with pytest.raises(TypeError, match="scheme"):
+        CatalogEntry(name="R", kind=STORED, columns=[])
+
+
 # the faults `Catalog.load` finds without parsing a scheme
 _FOUND_AT_OPEN = "kernel object|unreadable plan"
 # only a catalog in the four-table format has these tables
@@ -276,6 +320,8 @@ _FOUR_TABLE_DETAILS = re.compile(r"\bsir_(attrs|ies)\b")
     ("DROP TABLE P", "^P: kernel object 'P'"),
     ("DROP TABLE SP_B", "^SP: kernel object 'SP_B'"),
     ("UPDATE sir_relations SET plan = 'not json' WHERE name = 'SP'", "^SP: unreadable plan"),
+    # one row holding two documents: joined, the rows hold one document too many
+    ("UPDATE sir_relations SET plan = plan || ', {}' WHERE name = 'S'", "^S: unreadable plan"),
     ("UPDATE sir_relations SET plan = '[[\"SP_B\", \"table\", \"\", {}, 1]]'"
      " WHERE name = 'SP'", "^SP: unreadable plan"),
     ("UPDATE sir_relations SET source_text = 'Create Tabel P' WHERE name = 'P'",
@@ -333,6 +379,20 @@ def test_load_rejects_each_kind_of_corruption(tmp_path, sabotage, message, capsy
             reopened.query("Select Count(*) From SP;")
     assert main(["-k", location, "check", "--catalog"]) == 2
     assert re.search(message, capsys.readouterr().err.removeprefix("error: "))
+
+
+def test_stage_facts_are_checked_when_the_plan_is_first_read(tmp_path, capsys):
+    location = str(tmp_path / "db.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)), with_data=False)
+    layer.conn.execute("UPDATE sir_relations SET plan = json_set(plan, '$.plan[1][2]',"
+                       " json('{\"kind\": \"join\"}')) WHERE name = 'SP'")
+    layer.conn.close()
+    reopened = SirLayer(KernelConnection(location))     # the row has its shape
+    for _ in range(2):
+        with pytest.raises(CorruptCatalog, match="^SP: unreadable plan: .*'ies'"):
+            reopened.explain("SP")
+    assert main(["-k", location, "check", "--catalog"]) == 2
+    assert capsys.readouterr().err.startswith("error: SP: unreadable plan")
 
 
 def test_corrupt_scheme_raises_on_every_read(tmp_path):

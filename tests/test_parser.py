@@ -79,6 +79,24 @@ def test_lexer_errors_carry_the_position_of_their_token(tail, message):
     assert (err.value.line, err.value.col) == _position(text, len(text))
 
 
+@pytest.mark.parametrize("literal, refused", [("١٢٣", "١"), ("5²", "²")])
+def test_a_number_in_digits_other_than_0_to_9_is_a_parse_error(literal, refused):
+    text = f"Select * From T\n Where K = {literal};"
+    with pytest.raises(ParseError, match=f"unexpected character '{refused}'") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == _position(text, text.index(refused))
+
+
+def test_shape_and_tokenize_read_the_same_number():
+    # the number tokenize reads is the ASCII run that shape binds; the digit
+    # before it is refused, where it used to make one unbindable number
+    assert shape("x = ١5") == ("x = ١?", [5])
+    with pytest.raises(ParseError) as err:
+        tokenize("x = ١5")
+    assert (err.value.line, err.value.col) == (1, 5)
+    assert [(t.kind, t.value, t.col) for t in tokenize("x = 5")][2] == ("NUMBER", "5", 5)
+
+
 def test_lexer_star_slash_is_two_tokens():
     values = [t.value for t in tokenize("*/P.P#")][:3]
     assert values == ["*", "/", "P"]
