@@ -39,7 +39,7 @@ import datetime
 import json
 import re
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
 
 from . import nodes as n
@@ -165,13 +165,20 @@ def _document(entry) -> str:
         "ie_order": entry.ie_order, "references": entry.references})
 
 
+# the fields a plan row's stage facts may hold, and those it must hold
+_STAGE_FIELDS = {f.name for f in fields(StageFacts)}
+_STAGE_NEEDS = {f.name for f in fields(StageFacts) if f.default_factory is MISSING}
+
+
 def _plan_row(raw) -> tuple:
     """The name, kind and stage facts (or None) of a plan row; raises
-    ValueError for a row of another shape.  Rows of earlier releases hold
-    the object's SQL third, and may lack the stage facts."""
+    ValueError for a row of another shape, or stage facts with fields other
+    than a stage's.  Rows of earlier releases hold the object's SQL third,
+    and may lack the stage facts."""
     name, kind, *rest = raw
     rest = rest[1:] if rest and isinstance(rest[0], str) else rest
-    if len(rest) > 1 or rest and not isinstance(rest[0], dict):
+    if len(rest) > 1 or rest and not (isinstance(rest[0], dict)
+                                      and _STAGE_NEEDS <= rest[0].keys() <= _STAGE_FIELDS):
         raise ValueError(f"plan row for {name!r} is not [name, kind] plus stage facts")
     return name, kind, rest[0] if rest else None
 
@@ -187,25 +194,6 @@ class _KernelText(dict):
         if self._folded is None:
             self._folded = {key.casefold(): sql for key, sql in self.items()}
         return self._folded[name.casefold()]
-
-
-def _documents(rows) -> list:
-    """The decoded `plan` field of each `sir_relations` row: one decode of
-    all of them joined, or, when that fails or yields another number of
-    documents, one per row, so that the error names the corrupt relation."""
-    try:
-        documents = json.loads("[" + ",".join(row[-1] for row in rows) + "]")
-        if len(documents) == len(rows):
-            return documents
-    except (TypeError, ValueError):
-        pass
-    out = []
-    for row in rows:
-        try:
-            out.append(json.loads(row[-1]))
-        except (TypeError, ValueError) as exc:
-            raise CorruptCatalog(f"{row[0]}: unreadable plan: {exc}") from exc
-    return out
 
 
 def _legacy_details(conn, kernel: dict[str, str]) -> dict[str, dict]:
@@ -340,11 +328,8 @@ class _LoadedEntry(CatalogEntry):
         items = []
         for raw in self._document["plan"]:
             name, kind, facts = _plan_row(raw)
-            try:
-                stage = StageFacts(**facts) if facts is not None else None
-            except TypeError as exc:
-                raise CorruptCatalog(f"{self.name}: unreadable plan: {exc}") from exc
-            items.append(PlanItem(name, kind, self._kernel[name] + ";", stage))
+            items.append(PlanItem(name, kind, self._kernel[name] + ";",
+                                  StageFacts(**facts) if facts is not None else None))
         return items
 
 
@@ -762,11 +747,11 @@ class Catalog:
 
         Every row's document is decoded here, and CorruptCatalog raised for
         one that is not JSON, lacks its plan, columns, IE order or
-        references, holds a plan row or column row of the wrong shape, or
-        names a kernel object that `sqlite_master` lacks.  Nothing else is
-        built: an entry's columns, plan and scheme are built from its row
-        when first read (see `_LoadedEntry`).  So an unparseable source
-        text, or recorded columns or IEs that disagree with it, raise
+        references, holds a plan row, its stage facts or a column row of the
+        wrong shape, or names a kernel object that `sqlite_master` lacks.
+        Nothing else is built: an entry's columns, plan and scheme are built
+        from its row when first read (see `_LoadedEntry`).  So an unparseable
+        source text, or recorded columns or IEs that disagree with it, raise
         CorruptCatalog at that read, on every read; `audit` reads them all."""
         catalog = cls()
         catalog.version = conn.ddl_version()
@@ -777,17 +762,16 @@ class Catalog:
         rows = conn.query(
             "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid").rows
         legacy = None
-        for (name, kind, source_text, _), document in zip(rows, _documents(rows)):
+        for name, kind, source_text, stored in rows:
             try:
+                document = json.loads(stored)
                 if isinstance(document, list):
                     legacy = _legacy_details(conn, kernel) if legacy is None else legacy
                     document = {"plan": document, **legacy[name]}
                 entry = _LoadedEntry(name, kind, source_text, document, kernel)
                 if not set(map(len, document["columns"])) <= {5}:
                     raise ValueError("a column row does not hold 5 fields")
-                # the rows this release writes take the short test
-                objects = [raw[0] if len(raw) == 2 or len(raw) == 3 and isinstance(raw[2], dict)
-                           else _plan_row(raw)[0] for raw in document["plan"]]
+                objects = [_plan_row(raw)[0] for raw in document["plan"]]
                 for obj in objects:
                     try:
                         kernel[obj]

@@ -25,9 +25,9 @@ The open decodes every meta row and fails with CorruptCatalog on an
 unreadable one or a missing kernel object, but builds no relation's
 columns, plan or scheme: each is built when a statement first reads it, so a
 query builds the relations it routes over and an ALTER the altered relation
-and its dependents.  A corrupt source text or stage fact raises
-CorruptCatalog there, on each such statement (`Catalog.audit` builds them
-all).
+and its dependents.  A source text that does not parse, or that disagrees
+with the recorded columns or IEs, raises CorruptCatalog there, on each such
+statement (`Catalog.audit` builds them all).
 
 Query and DML text is cached by shape (`lexer.shape`: literals replaced by
 ``?``) for one catalog generation: a repeated shape skips parse, route and
@@ -486,10 +486,12 @@ def _reads_removed(entry: CatalogEntry, removed: dict[str, set[str]],
                    catalog: Catalog) -> tuple[str, str] | None:
     """The first IE of `entry` whose select names a column that `removed`
     (casefold object name -> the casefold columns an ALTER takes from it)
-    lists, with that column as ``object.column``; None when no IE does.  A
-    column counts when its qualifier is the object's name or alias in the
-    select's sources, or when it is unqualified and no other source has it
-    (`resolve_columns`).  An IE with a nested select is left to the probe."""
+    lists, with that column qualified as written, or by the object when it
+    is unqualified; None when no IE does.  A column counts when its
+    qualifier is the object's name or alias in the select's sources, or
+    when it is unqualified, no other source has it (`resolve_columns`) and
+    no result column takes its name.  An IE with a nested select, and
+    whatever this leaves out, is left to the probe."""
     for ie in entry.scheme.ies:
         if not isinstance(ie.form, n.SelectForm) \
                 or sum(isinstance(node, n.Select) for node in n.walk(ie.form)) != 1:
@@ -497,12 +499,16 @@ def _reads_removed(entry: CatalogEntry, removed: dict[str, set[str]],
         nodes = list(n.walk(ie.form.select))
         sources = {(node.alias or node.name).casefold(): node.name
                    for node in nodes if isinstance(node, n.TableName)}
+        # the kernel resolves an unqualified name to a result alias of that name
+        aliases = {item.alias.casefold() for item in ie.form.select.items if item.alias}
         for ref in nodes:
             if not isinstance(ref, n.ColumnRef):
                 continue
             column = ref.name.casefold()
             if ref.table is not None:
                 owner = sources.get(ref.table.casefold())
+            elif column in aliases:
+                owner = None
             else:
                 owners = [s for s in sources.values() if column in removed.get(s.casefold(), ())]
                 others = [catalog.resolve_columns(s) for s in sources.values() if s not in owners]
@@ -510,7 +516,7 @@ def _reads_removed(entry: CatalogEntry, removed: dict[str, set[str]],
                     cols is not None and column not in {c.casefold() for c in cols}
                     for cols in others) else None
             if owner is not None and column in removed.get(owner.casefold(), ()):
-                return ie.name, f"{owner}.{ref.name}"
+                return ie.name, f"{ref.table or owner}.{ref.name}"
     return None
 
 

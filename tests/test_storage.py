@@ -323,7 +323,7 @@ _DROPPED_UNDER_AN_IE = "Create Table X (K Int, V0 Char, V1 Char, Primary Key (K)
 @pytest.mark.parametrize("alter, ie, column", [
     ("Drop V0", "Select V0 From X Where R.FK = K", "X.V0"),
     ("Drop V0", "Select X.V0 As W From X Where R.FK = X.K", "X.V0"),
-    ("Drop V0", "Select Q.V0 As W From X Q Where R.FK = Q.K", "X.V0"),
+    ("Drop V0", "Select Q.V0 As W From X Q Where R.FK = Q.K", "Q.V0"),
     ("Drop V0", "Select V1 From X_B Where R.FK = K And V0 > 'a'", "X_B.V0"),
     ("Drop KK", "Select KK From X Where R.FK = K", "X.KK"),
     ("Alter V0 As V0 (Select Max(V1) As V0 From X Where X.K = K)",
@@ -341,13 +341,32 @@ def test_an_ie_naming_what_an_alter_removes_is_refused_before_any_kernel_stateme
     assert log == [] and layer.catalog.snapshot() == snapshot
 
 
-def test_an_ie_naming_what_an_alter_keeps_lets_it_commit():
+def test_an_ie_name_that_would_fall_to_its_own_relation_is_refused(kernel_log):
+    """The kernel accepts this drop: its probe reads the IE's unqualified V0
+    as R's own attribute, which changes what I_X computes.  The static check
+    refuses it, naming the attribute the IE read."""
     layer = make_layer()
-    layer.apply_source(_DROPPED_UNDER_AN_IE + " Create Table R (A Int, FK Int, Primary Key (A),"
-                       " I_X (Select V1, KK From X Where R.FK = K));")
+    layer.apply_source(_DROPPED_UNDER_AN_IE + " Create Table R (A Int, FK Int, V0 Char,"
+                       " Primary Key (A), I_X (Select Max(V1) As M From X Where R.FK = K"
+                       " And V0 > 'a'));")
+    snapshot, log = layer.catalog.snapshot(), kernel_log(layer.conn)
+    with pytest.raises(DependentAttributeDrop, match=r"\(no such column: X.V0\)$"):
+        layer.apply_source("Alter Table X Drop V0;")
+    assert log == [] and layer.catalog.snapshot() == snapshot
+
+
+@pytest.mark.parametrize("ie, row", [
+    ("Select V1, KK From X Where R.FK = K", (5, 1, "b", 2)),
+    # after the drop, the kernel reads V0 in the WHERE as the result column V0
+    ("Select V1 As V0 From X Where R.FK = K And V0 > 'a'", (5, 1, "b")),
+], ids=["kept", "result-alias"])
+def test_an_ie_naming_what_an_alter_keeps_lets_it_commit(ie, row):
+    layer = make_layer()
+    layer.apply_source(_DROPPED_UNDER_AN_IE
+                       + f" Create Table R (A Int, FK Int, Primary Key (A), I_X ({ie}));")
     layer.apply_source("Alter Table X Drop V0; Insert Into X Values (1, 'b');"
                        " Insert Into R Values (5, 1);")
-    assert layer.query("Select * From R;").rows == [(5, 1, "b", 2)]
+    assert layer.query("Select * From R;").rows == [row]
 
 
 def test_a_not_null_attribute_is_added_to_an_empty_relation(kernel_log):
