@@ -45,8 +45,8 @@ from . import nodes as n
 from .catalog import (SIR, STORED, VIEW, Catalog, CatalogEntry, ColumnInfo,
                       PlanItem, ie_references, referenced_relations,
                       scheme_from_ast, scheme_to_ast)
-from .compiler import (alter_steps, apply_alter, compile_index, compile_sir, plan_drop,
-                       recompile_steps, rewrite_to_base)
+from .compiler import (alter_steps, apply_alter, base_size_probe, compile_index, compile_sir,
+                       plan_drop, recompile_steps, rewrite_to_base)
 from .errors import (CircularReferenceError, DependentAttributeDrop, InvariantViolation,
                      KernelError, NameCollision, NotNullAttributeAdd, RejectedWrite,
                      StaleCatalog, UnknownObject, UnknownRelation)
@@ -346,16 +346,19 @@ class SirLayer:
 
             origin = partial(render_source, stmt)
             added = stmt.action.items if isinstance(stmt.action, n.AlterAdd) else []
-            not_null = [i.name for i in added if isinstance(i, n.AttributeDecl) and i.not_null]
+            stored = [i for i in added if isinstance(i, n.AttributeDecl)]
+            not_null = [i.name for i in stored if i.not_null]
 
             def work(conn):
                 base = entry.plan[0].name
-                if not_null and conn.query(f"SELECT 1 FROM {quote_ident(base)} LIMIT 1").rows:
+                # an added stored attribute sizes the base: one probe, also for Not Null
+                rows, bound = conn.query(base_size_probe(base)).rows[0] if stored else (0, 0)
+                if not_null and rows:
                     raise NotNullAttributeAdd(
                         f"{entry.name} has rows, so the Not Null attribute {not_null[0]}"
                         " cannot be added: every row would hold NULL in it")
                 # a rebuilt base gets the old base's indexes back
-                steps = alter_steps(entry, compiled, partial(conn.indexes, base))
+                steps = alter_steps(entry, compiled, partial(conn.indexes, base), rows < bound)
                 for name, new, maintenance in [(entry.name, new_entry, steps)] + updates:
                     for item in maintenance:
                         conn.execute(item.sql, origin=origin)

@@ -170,11 +170,9 @@ _LITERAL_START = re.compile("['0-9]")     # a text without one is its own key
 
 
 def literal_value(text: str):
-    """The sqlite3 parameter for a NUMBER token, or None when it must stay
-    inline: integers beyond int64, floats with more than 15 digits and
-    anything but ASCII digits."""
-    if not text.isascii():
-        return None
+    """The sqlite3 parameter for a NUMBER token (ASCII digits only, as
+    `tokenize` and `shape` read them), or None when it must stay inline:
+    integers beyond int64 and floats with more than 15 digits."""
     if "." in text:
         return float(text) if len(text) <= _BOUND_FLOAT_DIGITS + 1 else None
     value = int(text)

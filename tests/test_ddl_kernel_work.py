@@ -9,7 +9,9 @@ import re
 
 import pytest
 
-from sirsql.errors import DependentAttributeDrop, InvariantViolation, KernelError
+from sirsql.compiler import base_size_probe
+from sirsql.errors import (DependentAttributeDrop, InvariantViolation, KernelError,
+                           NotNullAttributeAdd)
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 
@@ -49,9 +51,9 @@ def _dependent(name: str) -> str:
             f" I_2 (Select */E_K From E Where {name}.{name}_F2 = E_K));")
 
 
-def _reopened(tmp_path, source: str) -> SirLayer:
+def _reopened(tmp_path, source: str, name: str = "db") -> SirLayer:
     """A session over a file whose meta-tables already exist at open."""
-    location = str(tmp_path / "db.sqlite")
+    location = str(tmp_path / f"{name}.sqlite")
     creating = SirLayer(KernelConnection(location))
     creating.apply_source(source)
     creating.conn.close()
@@ -87,9 +89,11 @@ def test_alter_add_recreates_only_changed_views_and_probes_each_chain_once(tmp_p
     assert set(_named(sent, "CREATE VIEW")) == changed
     assert [PROBE.match(s).group(1) for s in sent if PROBE.match(s)] == ["R0", "R1", "R2"]
     _assert_lean_meta_statements(sent)
-    # BEGIN, the schema version before and after, COMMIT; D: ADD COLUMN,
-    # UPDATE; each dependent: DROP, CREATE, probe, UPDATE
-    assert len(sent) == 4 + 2 + 3 * 4
+    # BEGIN, the schema version, the size probe, the index read and its
+    # pragma line; D, empty so under the probe's bound: the five rebuild
+    # statements and its UPDATE; each dependent: DROP, CREATE, probe,
+    # UPDATE; the schema version write, COMMIT
+    assert len(sent) == 5 + 6 + 3 * 4 + 2
     assert layer.query("Select * From R1;").columns[-1] == "E_NAME"
     assert "D_X" in layer.query("Select * From R1;").columns
 
@@ -113,6 +117,59 @@ def test_a_base_rebuild_copies_its_rows_through_a_scratch_table(tmp_path, kernel
     assert len(sent) == 4 + 6 + 3 * 4 + 2
     assert layer.query("Select * From D;").rows == [("d", 1)]
     assert layer.conn.object_kind("sir_rebuild") is None
+
+
+def _sized_copies(tmp_path) -> tuple[SirLayer, SirLayer, str]:
+    """The dimension schema in two files: D empty in the first, under the
+    size probe's bound, and in the second holding as many rows as the bound,
+    the fewest that `alter_steps` extends in place; and the rows' VALUES."""
+    empty = _reopened(tmp_path, _dimension_schema(), "empty")
+    full = _reopened(tmp_path, _dimension_schema(), "full")
+    (_, bound), = full.conn.query(base_size_probe("D")).rows
+    values = ", ".join(f"('d{i}', 'n', {i})" for i in range(bound))
+    full.apply_source(f"Insert Into D Values {values};")
+    return empty, full, values
+
+
+def test_an_add_rebuilds_a_base_under_the_size_bound_and_extends_one_over_it(tmp_path,
+                                                                             kernel_log):
+    empty, full, values = _sized_copies(tmp_path)
+    rows = full.query("Select * From D Order By D_N;").rows
+    sent = [kernel_log(layer.conn) for layer in (empty, full)]
+    for layer in (empty, full):
+        layer.apply_source("Alter Table D Add D_X Char;")
+
+    probe = base_size_probe("D")
+    assert sent[0][2] == probe and sent[0][3].startswith("SELECT il.name")
+    assert sent[0][5:10] == [
+        "CREATE TABLE sir_rebuild AS SELECT D_K, D_NAME, D_N FROM D;",
+        "DROP TABLE D;",
+        "CREATE TABLE D (D_K Char, D_NAME Char, D_N Int, D_X Char, PRIMARY KEY (D_K))"
+        " WITHOUT ROWID;",
+        "INSERT INTO D (D_K, D_NAME, D_N) SELECT D_K, D_NAME, D_N FROM sir_rebuild;",
+        "DROP TABLE sir_rebuild;"]
+    assert sent[1][2:4] == [probe, "ALTER TABLE D ADD COLUMN D_X Char;"]
+    assert [s for s in sent[1] if s.startswith(("CREATE TABLE", "DROP TABLE"))] == []
+
+    assert kernel_state(empty.conn) == kernel_state(full.conn)
+    assert empty.explain("D") == full.explain("D")
+    assert empty.catalog.snapshot() == full.catalog.snapshot()
+    assert full.query("Select * From D Order By D_N;").rows == [row + (None,) for row in rows]
+    empty.apply_source(f"Insert Into D (D_K, D_NAME, D_N) Values {values};")
+    for query in ("Select * From D Order By D_N;", "Select * From R0;"):
+        assert empty.query(query).rows == full.query(query).rows
+
+
+def test_a_not_null_add_is_refused_by_the_size_probe_only_where_rows_are(tmp_path,
+                                                                         kernel_log):
+    empty, full, _ = _sized_copies(tmp_path)
+    sent = [kernel_log(layer.conn) for layer in (empty, full)]
+    with pytest.raises(NotNullAttributeAdd, match="D has rows"):
+        full.apply_source("Alter Table D Add D_X Char Not Null;")
+    empty.apply_source("Alter Table D Add D_X Char Not Null;")
+    assert empty.query("Select * From D;").columns[-1] == "D_X"
+    assert [s.count(base_size_probe("D")) for s in sent] == [1, 1]
+    assert sent[1][-1] == "ROLLBACK"
 
 
 def test_create_with_two_ies_probes_its_final_view_once(tmp_path, kernel_log):

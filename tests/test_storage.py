@@ -125,7 +125,8 @@ def test_an_inline_primary_key_on_a_stored_relation_compiles():
     assert layer.query("Select * From T;").rows == [(1, "x")]
 
 
-def test_an_alter_of_a_rowid_base_rebuilds_it_with_its_rows_and_indexes(tmp_path, kernel_log):
+def test_an_alter_of_a_rowid_base_rebuilds_it_with_its_rows_and_indexes(tmp_path, kernel_log,
+                                                                        monkeypatch):
     location = str(tmp_path / "legacy.sqlite")
     write_four_table_sp2(location)
     legacy = SirLayer(KernelConnection(location))
@@ -152,7 +153,9 @@ def test_an_alter_of_a_rowid_base_rebuilds_it_with_its_rows_and_indexes(tmp_path
     reopened = SirLayer(KernelConnection(location))
     assert reopened.catalog.snapshot() == snapshot
     assert_plans_match_kernel(reopened)
-    # the next ALTER finds the current form and extends the base in place
+    # the next ALTER finds the current form, so only the size probe's bound
+    # could rebuild its 12 rows; with the bound at 0 it extends the base in place
+    monkeypatch.setattr(compiler, "REBUILD_ROWS_PER_OBJECT", 0)
     sent = kernel_log(reopened.conn)
     reopened.apply_source("Alter Table SP Add NOTE2 Char;")
     assert "ALTER TABLE SP_B ADD COLUMN NOTE2 Char;" in sent
@@ -291,9 +294,9 @@ _READ_BY_AN_IE = "Create Table X (K Int, V0 Char, Primary Key (K));" \
     (_WITH_ROWS, "Alter Table R Drop FK;", ForeignKeyAttributeDrop,
      "R.FK is named by its foreign key", []),
     (_WITH_ROWS, "Alter Table R Add N Int Not Null;", NotNullAttributeAdd, "R has rows",
-     ["SELECT 1 FROM R LIMIT 1"]),
+     [compiler.base_size_probe("R")]),
     (_WITH_ROWS, "Alter Table R Add Before B N Int Not Null;", NotNullAttributeAdd,
-     "R has rows", ["SELECT 1 FROM R LIMIT 1"]),
+     "R has rows", [compiler.base_size_probe("R")]),
     (_READ_BY_AN_IE, "Alter Table X Drop V0;", DependentAttributeDrop,
      r"X: this ALTER removes an attribute R reads through IE I_X \(no such column: X.V0\)", []),
 ], ids=["foreign-key-drop", "not-null-add-column", "not-null-rebuild", "ie-reads-the-attribute"])
@@ -301,9 +304,9 @@ def test_an_alter_the_kernel_would_refuse_is_a_typed_error(tmp_path, kernel_log,
                                                            alter, error, message, sent):
     """Dropping an attribute the relation's foreign key names, or one that
     another relation's IE names, is refused before any kernel statement;
-    adding a ``Not Null`` attribute to a relation with rows is refused by one
-    probe inside the transaction, on the ``ADD COLUMN`` path and on the
-    rebuild path alike."""
+    adding a ``Not Null`` attribute to a relation with rows is refused by the
+    one probe that sizes its base inside the transaction, whether it would
+    be appended or placed before another attribute."""
     layer = SirLayer(KernelConnection(str(tmp_path / "db.sqlite")))
     layer.apply_source(setup)
     kernel, snapshot = kernel_state(layer.conn), layer.catalog.snapshot()
@@ -375,7 +378,7 @@ def test_a_not_null_attribute_is_added_to_an_empty_relation(kernel_log):
     log = kernel_log(layer.conn)
     layer.apply_source("Alter Table R Add N Int Not Null;")
     layer.apply_source("Alter Table R Add Before B M Int Not Null;")
-    assert log.count("SELECT 1 FROM R LIMIT 1") == 2
+    assert log.count(compiler.base_size_probe("R")) == 2
     assert layer.query("Select * From R;").columns == ["A", "FK", "M", "B", "N"]
     with pytest.raises(KernelError, match="NOT NULL"):
         layer.apply_source("Insert Into R (A, FK, B, N) Values (1, 7, 2, 3);")
