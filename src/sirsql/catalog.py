@@ -6,19 +6,23 @@ database (reserved prefix ``sir_``), one row per relation:
     sir_relations(name, kind, created_at, source_text, plan)
 
 `plan` is a JSON object: "plan" lists [name, kind] per kernel object
-(the view stages of a relation with IEs add their `StageFacts`), "columns"
-[name, sql_type, is_key, is_inherited, ie_name] per column in declared
-order, "ie_order" the IE names in evaluation order, and "references" the
-relations the entry reads.  It holds no SQL: the load reads each object's
-text from `sqlite_master`, and ignores what earlier releases wrote third in
-a plan row, the object's SQL.  In a catalog written in the earlier
+(the view stages of a relation with IEs add their `StageFacts`), and
+"references" the relations the entry reads.  A view's "columns" lists
+[name, sql_type, is_key, is_inherited, ie_name] per column.  A table records
+neither its columns, which `scheme_columns` derives from the scheme in the
+source text and the stage facts, nor its IE order, the stages' IEs in order.
+It holds no SQL: the load reads each object's text from `sqlite_master`.
+Earlier releases wrote each object's SQL third in a plan row, and every
+relation's "columns" and "ie_order"; the load ignores them, but for a
+relation whose plan has a view stage without stage facts (the seed's),
+which has no other record of them.  In a catalog written in the earlier
 four-table format `plan` is the list alone, and `_legacy_details` reads the
 rest from `sir_attrs`, `sir_ies` and `sir_deps`; a DDL that rewrites such a
 relation writes its row in the current form, and detail rows no relation
 uses are ignored.
 
 A session reads the meta-table once, at open (`Catalog.load`): it decodes
-and checks every row, and builds a relation's columns, plan and scheme only
+and checks every row, and builds a relation's scheme, plan and columns only
 when a statement first reads them (`_LoadedEntry`).
 
 Meta rows are written inside the same kernel transaction as the DDL they
@@ -39,7 +43,7 @@ import datetime
 import json
 import re
 from collections import defaultdict
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from functools import cached_property
 
 from . import nodes as n
@@ -157,12 +161,36 @@ class PlanItem:
 
 def _document(entry) -> str:
     """The JSON stored in an entry's `sir_relations.plan` field."""
-    return json.dumps({
-        "plan": [[i.name, i.kind] + ([asdict(i.stage)] if i.stage else [])
-                 for i in entry.plan],
-        "columns": [[c.name, c.sql_type, c.is_key, c.is_inherited, c.ie_name]
-                    for c in entry.columns],
-        "ie_order": entry.ie_order, "references": entry.references})
+    document = {"plan": [[i.name, i.kind] + ([asdict(i.stage)] if i.stage else [])
+                         for i in entry.plan],
+                "references": entry.references}
+    if entry.kind == VIEW:
+        document["columns"] = [astuple(c) for c in entry.columns]
+    return json.dumps(document)
+
+
+def scheme_columns(scheme: SirScheme, stages: list[StageFacts]) -> list[ColumnInfo]:
+    """A relation's columns in declared order, from its scheme and the facts
+    of its view stages: each stored attribute, with its type and key flag,
+    and what each IE adds: a value IE its items, any other IE what its stage
+    adds.  Raises InvariantViolation for a name produced twice."""
+    adds = {stage.ies[0].casefold(): stage.adds for stage in stages if len(stage.ies) == 1}
+    key = {c.casefold() for c in scheme.primary_key()}
+    columns, seen = [], set()
+    for element in scheme.elements:
+        if isinstance(element, n.AttributeDecl):
+            columns.append(ColumnInfo(element.name, element.sql_type,
+                                      element.name.casefold() in key, False, None))
+        else:
+            names = [name for name, _ in element.form.items] \
+                if isinstance(element.form, n.ValueForm) else adds[element.name.casefold()]
+            columns.extend(ColumnInfo(name, None, False, True, element.name) for name in names)
+    for col in columns:
+        if col.name.casefold() in seen:
+            raise InvariantViolation(
+                f"{scheme.name}: attribute name {col.name!r} produced more than once")
+        seen.add(col.name.casefold())
+    return columns
 
 
 # the fields a plan row's stage facts may hold, and those it must hold
@@ -283,54 +311,68 @@ class CatalogEntry:
     def inherited_names(self) -> list[str]:
         return [c.name for c in self.columns if c.is_inherited]
 
-    def stored_names(self) -> list[str]:
-        return [c.name for c in self.columns if not c.is_inherited]
-
 
 class _LoadedEntry(CatalogEntry):
     """An entry as `Catalog.load` read it from its meta row.  Its scheme,
-    columns and plan are built from the row the first time each is read, and
-    kept; a build that raises keeps nothing, so every read raises."""
+    plan, IE order and columns are built the first time each is read, and
+    kept; a build that raises keeps nothing, so every read raises.  The last
+    two are derived from the scheme and the stage facts, or, for a view and
+    a plan with a view stage without stage facts, read from the row."""
 
     def __init__(self, name: str, kind: str, source_text: str, document: dict,
                  kernel: _KernelText):
         self.name, self.kind, self.source_text = name, kind, source_text
-        self.references, self.ie_order = document["references"], document["ie_order"]
-        self._document, self._kernel = document, kernel
+        self.references = document["references"]
+        self._rows, self._kernel = [_plan_row(raw) for raw in document["plan"]], kernel
+        self._recorded = None       # the recorded columns and IE order, if read
         if kind not in (STORED, SIR):
             self.scheme = None
+        if kind not in (STORED, SIR) or any(facts is None for _, item_kind, facts in self._rows
+                                            if item_kind == "view"):
+            self._recorded = document["columns"], document["ie_order"] if kind == SIR else []
+            if not set(map(len, self._recorded[0])) <= {5}:
+                raise ValueError("a column row does not hold 5 fields")
 
     @cached_property
     def scheme(self) -> SirScheme:
-        """The scheme in the source text, checked against the recorded IE
-        order and columns; raises CorruptCatalog."""
+        """The scheme in the source text; raises CorruptCatalog."""
         try:
             stmt = parse_one(self.source_text)
         except Exception as exc:
             raise CorruptCatalog(f"{self.name}: unparseable source text: {exc}") from exc
         if not isinstance(stmt, n.CreateSirTable):
             raise CorruptCatalog(f"{self.name}: source text is not a table definition")
-        scheme = scheme_from_ast(stmt)
-        if {i.casefold() for i in self.ie_order} != {ie.name.casefold() for ie in scheme.ies}:
-            raise CorruptCatalog(f"{self.name}: recorded IEs do not match the declared IEs")
-        declared = {a.name.casefold() for a in scheme.stored_attrs}
-        if declared != {c.casefold() for c in self.stored_names()}:
-            raise CorruptCatalog(f"{self.name}: recorded columns do not match the declared scheme")
-        return scheme
-
-    @cached_property
-    def columns(self) -> list[ColumnInfo]:
-        return [ColumnInfo(col, sql_type, bool(is_key), bool(is_inherited), ie_name)
-                for col, sql_type, is_key, is_inherited, ie_name in self._document["columns"]]
+        return scheme_from_ast(stmt)
 
     @cached_property
     def plan(self) -> list[PlanItem]:
-        items = []
-        for raw in self._document["plan"]:
-            name, kind, facts = _plan_row(raw)
-            items.append(PlanItem(name, kind, self._kernel[name] + ";",
-                                  StageFacts(**facts) if facts is not None else None))
-        return items
+        return [PlanItem(name, kind, self._kernel[name] + ";",
+                         StageFacts(**facts) if facts is not None else None)
+                for name, kind, facts in self._rows]
+
+    @cached_property
+    def ie_order(self) -> list[str]:
+        """The IE order, checked against the declared IEs; raises CorruptCatalog."""
+        order = self._recorded[1] if self._recorded else [
+            ie for item in self.views for ie in item.stage.ies]
+        if self.scheme is not None and \
+                {i.casefold() for i in order} != {ie.name.casefold() for ie in self.scheme.ies}:
+            raise CorruptCatalog(f"{self.name}: recorded IEs do not match the declared IEs")
+        return order
+
+    @cached_property
+    def columns(self) -> list[ColumnInfo]:
+        """The columns in declared order, once the IE order is checked;
+        raises CorruptCatalog."""
+        _ = self.ie_order
+        if self._recorded is None:
+            return scheme_columns(self.scheme, [item.stage for item in self.views])
+        columns = [ColumnInfo(col, sql_type, bool(key), bool(inherited), ie)
+                   for col, sql_type, key, inherited, ie in self._recorded[0]]
+        if self.scheme is not None and {a.casefold() for a in self.scheme.stored_names} \
+                != {c.name.casefold() for c in columns if not c.is_inherited}:
+            raise CorruptCatalog(f"{self.name}: recorded columns do not match the declared scheme")
+        return columns
 
 
 def referenced_relations(node) -> list[str]:
@@ -424,11 +466,9 @@ class Catalog:
         if stage:
             # plans persisted without stage facts: stage k carries the outputs
             # of the first k IEs in evaluation order
-            upto = int(stage.group(2))
-            produced = []
-            for ie_name in owner.ie_order[:upto]:
-                produced.extend(c.name for c in owner.columns if c.ie_name == ie_name)
-            return owner.scheme.stored_names + produced
+            ies = owner.ie_order[:int(stage.group(2))]
+            return owner.scheme.stored_names + [c.name for ie in ies for c in owner.columns
+                                                if c.ie_name == ie]
         return None
 
     # --- cardinality proofs ---
@@ -623,40 +663,54 @@ class Catalog:
     def reaches(self, start: str, goal: str) -> bool:
         """Whether `goal` is `start` or a relation `start` reads, directly or
         through other relations."""
-        adjacency = self._graph()[0]
-        goal = goal.casefold()
-        frontier, seen = [start.casefold()], set()
-        while frontier:
-            node = frontier.pop()
-            if node == goal:
-                return True
-            if node not in seen:
-                seen.add(node)
-                frontier.extend(adjacency.get(node, ()))
-        return False
+        return self._path(start.casefold(), goal.casefold()) is not None
 
     def check_acyclic(self, name: str, references: list[str]):
-        """Raise CircularReferenceError if adding name->references closes a cycle."""
-        adjacency = dict(self._graph()[0])
+        """Raise CircularReferenceError if `name` reading `references` closes
+        a cycle: a path from one of them back to `name`."""
         key = name.casefold()
-        adjacency[key] = [r.casefold() for r in references if r.casefold() != key]
+        for ref in references:
+            path = self._path(ref.casefold(), key) if ref.casefold() != key else None
+            if path is not None:
+                # a kernel object on the path is named by its relation
+                raise CircularReferenceError([name] + [
+                    (self._entries.get(c) or self._owners[c]).name for c in path[:-1]])
 
-        # depth first from `key`, on an explicit stack: path[i] is being
-        # visited through the successor iterator pending[i]
-        path, pending = [key], [iter(adjacency.get(key, ()))]
-        done: set[str] = set()
-        while path:
-            succ = next(pending[-1], None)
-            if succ is None:
-                done.add(path.pop())
-                pending.pop()
-            elif succ in path:
-                cycle = path[path.index(succ):]
-                raise CircularReferenceError(
-                    [self._entries[c].name if c in self._entries else c for c in cycle])
-            elif succ not in done:
-                path.append(succ)
-                pending.append(iter(adjacency.get(succ, ())))
+    def _path(self, start: str, goal: str) -> list[str] | None:
+        """The casefold names on a path from `start` to `goal` along what
+        each reads (see `_reads`), both included; None if there is none.
+        Depth first, on an explicit stack."""
+        came_from, stack = {start: None}, [start]
+        while stack:
+            node = stack.pop()
+            if node == goal:
+                path = [node]
+                while came_from[path[-1]] is not None:
+                    path.append(came_from[path[-1]])
+                return path[::-1]
+            for succ in self._reads(node):
+                if succ not in came_from:
+                    came_from[succ] = node
+                    stack.append(succ)
+        return None
+
+    def _reads(self, key: str) -> list[str]:
+        """What relation or kernel object `key` (casefold) reads, casefold: a
+        relation its references, a base nothing, and a stage view ``R_k``
+        what the IEs of stages 1..k reference (all that R reads when its
+        stages carry no facts)."""
+        owner = self._owners.get(key)
+        if owner is None or owner.plan[0].name.casefold() == key:
+            return self._graph()[0].get(key, [])       # no relation is named as a base
+        if not owner.stages_recorded():
+            return self._graph()[0][owner.name.casefold()]
+        ies = set()
+        for item in owner.views:
+            ies.update(ie.casefold() for ie in item.stage.ies)
+            if item.name.casefold() == key:
+                return [ref.casefold() for ie in owner.scheme.ies if ie.name.casefold() in ies
+                        for ref in ie_references(ie, owner.name)]
+        return []
 
     # --- persistence ---
 
@@ -746,13 +800,14 @@ class Catalog:
         load leaves the catalog looking stale, never current.
 
         Every row's document is decoded here, and CorruptCatalog raised for
-        one that is not JSON, lacks its plan, columns, IE order or
-        references, holds a plan row, its stage facts or a column row of the
-        wrong shape, or names a kernel object that `sqlite_master` lacks.
-        Nothing else is built: an entry's columns, plan and scheme are built
-        from its row when first read (see `_LoadedEntry`).  So an unparseable
-        source text, or recorded columns or IEs that disagree with it, raise
-        CorruptCatalog at that read, on every read; `audit` reads them all."""
+        one that is not JSON, lacks its plan, references or the columns and
+        IE order it must record (see `_LoadedEntry`), holds a plan row, its
+        stage facts or a column row of the wrong shape, or names a kernel
+        object that `sqlite_master` lacks.  Nothing else is built: an entry's
+        scheme, plan and columns are built from its row when first read.  So
+        an unparseable source text, or IEs or columns that disagree with it,
+        raise CorruptCatalog at that read, on every read; `audit` reads them
+        all."""
         catalog = cls()
         catalog.version = conn.ddl_version()
         kernel = _KernelText(conn.query("SELECT name, sql FROM sqlite_master").rows)
@@ -769,9 +824,7 @@ class Catalog:
                     legacy = _legacy_details(conn, kernel) if legacy is None else legacy
                     document = {"plan": document, **legacy[name]}
                 entry = _LoadedEntry(name, kind, source_text, document, kernel)
-                if not set(map(len, document["columns"])) <= {5}:
-                    raise ValueError("a column row does not hold 5 fields")
-                objects = [_plan_row(raw)[0] for raw in document["plan"]]
+                objects = [obj for obj, _, _ in entry._rows]
                 for obj in objects:
                     try:
                         kernel[obj]
@@ -794,8 +847,7 @@ class Catalog:
         """Structure suitable for equality comparison across persist/load."""
         return {
             key: (entry.name, entry.kind, entry.source_text,
-                  [(c.name, c.sql_type, c.is_key, c.is_inherited, c.ie_name)
-                   for c in entry.columns],
+                  [astuple(c) for c in entry.columns],
                   [(i.name, i.kind, i.sql, i.stage) for i in entry.plan],
                   [r.casefold() for r in entry.references],
                   list(entry.ie_order))

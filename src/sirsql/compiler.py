@@ -24,13 +24,13 @@ import math
 from dataclasses import dataclass, field
 
 from . import nodes as n
-from .catalog import (Catalog, CatalogEntry, ColumnInfo, PlanItem, SirScheme,
-                      StageFacts, ie_references, type_affinity)
+from .catalog import (SIR, STORED, Catalog, CatalogEntry, PlanItem, SirScheme, StageFacts,
+                      ie_references, scheme_columns, scheme_to_ast, type_affinity)
 from .errors import (ForeignKeyAttributeDrop, IeCycle, IndexedAttributeDrop,
                      IndexOnInheritedAttribute, InvariantViolation, MissingRecursiveJoin,
                      NotRewritable, RecursiveJoinAttributeDrop, UnknownExcludedColumn,
                      UnknownIE, UnknownRelation)
-from .render import quote_ident, render
+from .render import quote_ident, render, render_source
 
 AGGREGATES = {"SUM", "COUNT", "AVG", "MIN", "MAX", "TOTAL", "LIST", "GROUP_CONCAT"}
 
@@ -49,15 +49,6 @@ class CanonicalIE:
     select: object = None
     # value form
     items: list = field(default_factory=list)          # (name, expr)
-
-
-@dataclass
-class CompiledSir:
-    scheme: SirScheme
-    plan: list                  # PlanItem
-    columns: list               # ColumnInfo
-    ie_order: list
-    references: list
 
 
 # --- small AST helpers -------------------------------------------------------
@@ -485,39 +476,9 @@ def _base_table_sql(scheme: SirScheme, name: str) -> str:
     return sql.removesuffix(";") + _CLUSTERED
 
 
-def declared_order(scheme: SirScheme, canon: list[CanonicalIE]) -> list[str]:
-    produced = {cie.name.casefold(): cie.produced_attrs for cie in canon}
-    order = []
-    for element in scheme.elements:
-        if isinstance(element, n.AttributeDecl):
-            order.append(element.name)
-        else:
-            order.extend(produced[element.name.casefold()])
-    return order
-
-
-def build_columns(scheme: SirScheme, canon: list[CanonicalIE]) -> list[ColumnInfo]:
-    key = {c.casefold() for c in scheme.primary_key()}
-    produced = {cie.name.casefold(): cie.produced_attrs for cie in canon}
-    columns = []
-    for element in scheme.elements:
-        if isinstance(element, n.AttributeDecl):
-            columns.append(ColumnInfo(element.name, element.sql_type,
-                                      element.name.casefold() in key, False, None))
-        else:
-            for attr in produced[element.name.casefold()]:
-                columns.append(ColumnInfo(attr, None, False, True, element.name))
-    seen = set()
-    for col in columns:
-        if col.name.casefold() in seen:
-            raise InvariantViolation(
-                f"{scheme.name}: attribute name {col.name!r} produced more than once")
-        seen.add(col.name.casefold())
-    return columns
-
-
-def compile_sir(scheme: SirScheme, catalog: Catalog) -> CompiledSir:
-    """Emit the kernel plan for one relation: base table plus view chain.
+def compile_sir(scheme: SirScheme, catalog: Catalog) -> CatalogEntry:
+    """The catalog entry of one relation: its kernel plan, a base table plus
+    a view chain, and the scheme's source text.
 
     The chain has one view per IE, in evaluation order; the last carries
     the relation's name, unless evaluation order differs from declared
@@ -526,12 +487,6 @@ def compile_sir(scheme: SirScheme, catalog: Catalog) -> CompiledSir:
     own name.
     """
     catalog.validate_scheme(scheme)
-
-    if not scheme.ies:
-        sql = _base_table_sql(scheme, scheme.name)
-        return CompiledSir(scheme=scheme, plan=[PlanItem(scheme.name, "table", sql)],
-                           columns=build_columns(scheme, []), ie_order=[], references=[])
-
     canon = canonicalize_all(scheme, catalog)
     ordered = order_ies(scheme, canon, catalog)
 
@@ -549,15 +504,12 @@ def compile_sir(scheme: SirScheme, catalog: Catalog) -> CompiledSir:
             raise InvariantViolation(
                 f"{scheme.name}: no IE's recursive join matches a stored attribute")
 
-    columns = build_columns(scheme, canon)
-    declared = declared_order(scheme, canon)
+    stages = [_stage_facts(cie) for cie in ordered]
+    columns = scheme_columns(scheme, stages)
+    chain_cols = scheme.stored_names + [attr for stage in stages for attr in stage.adds]
+    in_declared_order = [c.casefold() for c in chain_cols] == [c.name.casefold() for c in columns]
 
-    chain_cols = list(scheme.stored_names)
-    for cie in ordered:
-        chain_cols.extend(cie.produced_attrs)
-    in_declared_order = [c.casefold() for c in chain_cols] == [c.casefold() for c in declared]
-
-    base_name = f"{scheme.name}_B"
+    base_name = f"{scheme.name}_B" if scheme.ies else scheme.name
     items = [PlanItem(base_name, "table", _base_table_sql(scheme, base_name))]
 
     def add_view(name: str, select: n.Select, stage: StageFacts):
@@ -565,24 +517,25 @@ def compile_sir(scheme: SirScheme, catalog: Catalog) -> CompiledSir:
                               render(n.CreateView(name=name, select=select)), stage))
 
     prev = base_name
-    for pos, cie in enumerate(ordered, start=1):
+    for pos, (cie, stage) in enumerate(zip(ordered, stages), start=1):
         last = pos == len(ordered) and in_declared_order
         stage_name = scheme.name if last else f"{scheme.name}_{pos}"
-        add_view(stage_name, _stage_select(cie, prev, scheme.name), _stage_facts(cie))
+        add_view(stage_name, _stage_select(cie, prev, scheme.name), stage)
         prev = stage_name
 
     if not in_declared_order:
-        reorder = n.Select(items=[n.SelectItem(expr=n.ColumnRef(name=c)) for c in declared],
+        reorder = n.Select(items=[n.SelectItem(expr=n.ColumnRef(name=c.name)) for c in columns],
                            from_=[n.TableName(name=prev)])
         add_view(scheme.name, reorder, StageFacts(kind="reorder", ies=[], adds=[]))
 
     references = []
-    for ie in scheme.ies:
-        for ref in ie_references(ie, scheme.name):
-            if ref.casefold() not in {r.casefold() for r in references}:
-                references.append(ref)
-    return CompiledSir(scheme=scheme, plan=items, columns=columns,
-                       ie_order=[c.name for c in ordered], references=references)
+    for ref in [ref for ie in scheme.ies for ref in ie_references(ie, scheme.name)]:
+        if ref.casefold() not in {r.casefold() for r in references}:
+            references.append(ref)
+    return CatalogEntry(name=scheme.name, kind=SIR if scheme.ies else STORED, scheme=scheme,
+                        columns=columns, plan=items, references=references,
+                        ie_order=[c.name for c in ordered],
+                        source_text=render_source(scheme_to_ast(scheme)))
 
 
 # --- alter ---------------------------------------------------------------------
@@ -667,12 +620,17 @@ REBUILD_ROWS_PER_OBJECT = 7
 
 def base_size_probe(base: str) -> str:
     """The base's rows, counted no further than the bound under which
-    `alter_steps` rebuilds it rather than extend it, and that bound."""
-    bound = f"{REBUILD_ROWS_PER_OBJECT} * (SELECT count(*) FROM sqlite_master)"
+    `alter_steps` rebuilds it rather than extend it, and that bound.  A
+    rebuild also fills each index that CREATE INDEX made on the base, so the
+    bound is the rows per kernel object over one more than those indexes."""
+    name = base.replace("'", "''")
+    indexes = ("(SELECT count(*) FROM sqlite_master WHERE type = 'index'"
+               f" AND tbl_name = '{name}' COLLATE NOCASE AND sql IS NOT NULL)")
+    bound = f"{REBUILD_ROWS_PER_OBJECT} * (SELECT count(*) FROM sqlite_master) / (1 + {indexes})"
     return f"SELECT count(*), {bound} FROM (SELECT 1 FROM {quote_ident(base)} LIMIT {bound})"
 
 
-def alter_steps(entry: CatalogEntry, compiled: CompiledSir,
+def alter_steps(entry: CatalogEntry, compiled: CatalogEntry,
                 read_indexes=lambda: (), small_base: bool = False) -> list[PlanItem]:
     """Maintenance DDL turning the entry's current kernel objects into the
     newly compiled ones.  Only views whose SQL changed, or that are new or
@@ -693,7 +651,7 @@ def alter_steps(entry: CatalogEntry, compiled: CompiledSir,
     return steps + creates
 
 
-def _rebuilds_base(entry: CatalogEntry, compiled: CompiledSir) -> bool:
+def _rebuilds_base(entry: CatalogEntry, compiled: CatalogEntry) -> bool:
     """Whether the base must be rebuilt whatever its rows: its name or
     storage form changes, its stored attributes change other than by
     appending, or the kernel's text of it is not the compiler's for them and
@@ -754,7 +712,7 @@ def _view_diff(old_plan: list[PlanItem], new_plan: list[PlanItem]):
     return drops, creates
 
 
-def recompile_steps(entry: CatalogEntry, compiled: CompiledSir) -> list[PlanItem]:
+def recompile_steps(entry: CatalogEntry, compiled: CatalogEntry) -> list[PlanItem]:
     """Drop and create the views of a dependent's chain whose SQL changed;
     its base and its unchanged views are untouched."""
     drops, creates = _view_diff(entry.plan, compiled.plan)

@@ -26,8 +26,8 @@ unreadable one or a missing kernel object, but builds no relation's
 columns, plan or scheme: each is built when a statement first reads it, so a
 query builds the relations it routes over and an ALTER the altered relation
 and its dependents.  A source text that does not parse, or that disagrees
-with the recorded columns or IEs, raises CorruptCatalog there, on each such
-statement (`Catalog.audit` builds them all).
+with the plan, raises CorruptCatalog there, on each such statement
+(`Catalog.audit` builds them all).
 
 Query and DML text is cached by shape (`lexer.shape`: literals replaced by
 ``?``) for one catalog generation: a repeated shape skips parse, route and
@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import nodes as n
-from .catalog import (SIR, STORED, VIEW, Catalog, CatalogEntry, ColumnInfo,
-                      PlanItem, ie_references, referenced_relations,
-                      scheme_from_ast, scheme_to_ast)
+from .catalog import (SIR, VIEW, Catalog, CatalogEntry, ColumnInfo, PlanItem,
+                      ie_references, referenced_relations, scheme_from_ast)
 from .compiler import (alter_steps, apply_alter, base_size_probe, compile_index, compile_sir,
                        plan_drop, recompile_steps, rewrite_to_base)
 from .errors import (CircularReferenceError, DependentAttributeDrop, InvariantViolation,
@@ -233,27 +232,19 @@ class SirLayer:
         self.catalog.check_acyclic(scheme.name, refs)
         return scheme
 
-    def _entry_from_compiled(self, compiled, kind: str) -> CatalogEntry:
-        return CatalogEntry(
-            name=compiled.scheme.name, kind=kind, scheme=compiled.scheme,
-            columns=compiled.columns, plan=compiled.plan,
-            references=compiled.references, ie_order=compiled.ie_order,
-            source_text=render_source(scheme_to_ast(compiled.scheme)))
-
     def _create_table(self, stmt: n.CreateSirTable) -> StatementResult:
         with self._ddl_lock:
             self.catalog.check_name_free(stmt.name)
             scheme = scheme_from_ast(stmt)
             self.catalog.validate_scheme(scheme)
             scheme = self._apply_rewrite_to_base(scheme)
-            compiled = compile_sir(scheme, self.catalog)
-            self._check_kernel_name_free([i.name for i in compiled.plan])
-            entry = self._entry_from_compiled(compiled, SIR if scheme.ies else STORED)
+            entry = compile_sir(scheme, self.catalog)
+            self._check_kernel_name_free(entry.kernel_objects)
 
             origin = partial(render_source, stmt)
 
             def work(conn):
-                for item in compiled.plan:
+                for item in entry.plan:
                     conn.execute(item.sql, origin=origin)
                 if entry.views:
                     self._probe_view(conn, entry.name, origin)
@@ -261,8 +252,7 @@ class SirLayer:
 
             self._ddl_transaction(work)
             self.catalog.attach(entry)
-            return StatementResult(stmt, "create table",
-                                   objects=[i.name for i in compiled.plan],
+            return StatementResult(stmt, "create table", objects=entry.kernel_objects,
                                    warnings=stmt.warnings)
 
     def _create_view(self, stmt: n.CreateView) -> StatementResult:
@@ -308,8 +298,7 @@ class SirLayer:
 
             scratch = self.catalog.copy()
             scratch.detach(entry.name)
-            compiled = compile_sir(new_scheme, scratch)
-            new_entry = self._entry_from_compiled(compiled, SIR if new_scheme.ies else STORED)
+            new_entry = compile_sir(new_scheme, scratch)
             scratch.attach(new_entry)
 
             # (name, new entry or None, maintenance steps) of each dependent,
@@ -322,8 +311,8 @@ class SirLayer:
             changed = {entry.name.casefold()}
             # (the relation's own name comes last: it names the old base too
             # when the relation had no IE)
-            removed = {entry.plan[0].name.casefold(): _dropped(entry.stored_names(),
-                                                               new_entry.stored_names()),
+            removed = {entry.plan[0].name.casefold(): _dropped(entry.scheme.stored_names,
+                                                               new_scheme.stored_names),
                        entry.name.casefold(): _dropped(entry.column_names, new_entry.column_names)}
             for name in self.catalog.transitive_dependents(entry.name):
                 dep = scratch.get(name)
@@ -335,12 +324,11 @@ class SirLayer:
                             f" through IE {read[0]} (no such column: {read[1]})")
                     updates.append((name, None, []))
                     continue
-                recompiled = compile_sir(dep.scheme, scratch)
+                new_dep = compile_sir(dep.scheme, scratch)
                 # its base is not touched, so it keeps the kernel's text of it
-                recompiled.plan[0] = dep.plan[0]
-                new_dep = self._entry_from_compiled(recompiled, SIR)
+                new_dep.plan[0] = dep.plan[0]
                 scratch.attach(new_dep)
-                updates.append((name, new_dep, recompile_steps(dep, recompiled)))
+                updates.append((name, new_dep, recompile_steps(dep, new_dep)))
                 if new_dep.column_names != dep.column_names:
                     changed.add(name.casefold())
 
@@ -358,7 +346,7 @@ class SirLayer:
                         f"{entry.name} has rows, so the Not Null attribute {not_null[0]}"
                         " cannot be added: every row would hold NULL in it")
                 # a rebuilt base gets the old base's indexes back
-                steps = alter_steps(entry, compiled, partial(conn.indexes, base), rows < bound)
+                steps = alter_steps(entry, new_entry, partial(conn.indexes, base), rows < bound)
                 for name, new, maintenance in [(entry.name, new_entry, steps)] + updates:
                     for item in maintenance:
                         conn.execute(item.sql, origin=origin)
@@ -382,8 +370,7 @@ class SirLayer:
             for _, new, _ in updates:
                 if new is not None:
                     self.catalog.attach(new)
-            return StatementResult(stmt, "alter table",
-                                   objects=[i.name for i in compiled.plan],
+            return StatementResult(stmt, "alter table", objects=new_entry.kernel_objects,
                                    warnings=stmt.warnings)
 
     def _drop(self, name: str, mode: str, expect_view: bool) -> StatementResult:

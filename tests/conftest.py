@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import sqlite3
 from pathlib import Path
 
@@ -52,6 +53,20 @@ def replay_dump(location: str, fixture: str):
         db.executescript(fixture_text(fixture))
     finally:
         db.close()
+
+
+def write_seed_documents(layer: SirLayer):
+    """Rewrite every meta row of `layer`'s file as the seed wrote it: plan
+    rows [name, kind, sql] without stage facts, and the columns and IE order
+    recorded, since nothing else then records them."""
+    for entry in layer.catalog.entries():
+        document = {
+            "plan": [[item.name, item.kind, item.sql] for item in entry.plan],
+            "columns": [[c.name, c.sql_type, c.is_key, c.is_inherited, c.ie_name]
+                        for c in entry.columns],
+            "ie_order": entry.ie_order, "references": entry.references}
+        layer.conn.execute("UPDATE sir_relations SET plan = ? WHERE name = ?",
+                           (json.dumps(document), entry.name))
 
 
 def write_four_table_sp2(location: str):

@@ -20,7 +20,7 @@ from sirsql.render import render
 from sirsql.router import route
 
 from conftest import (assert_plans_match_kernel, fixture_text, kernel_state, load_sp2,
-                      replay_dump, write_four_table_sp2)
+                      make_layer, replay_dump, write_four_table_sp2, write_seed_documents)
 
 ALTER_STATUS_OVER_SP = ("Alter Table S Alter STATUS As STATUS"
                         " (Select Int (SUM(QTY)/100) FROM SP WHERE S.S# = S#);")
@@ -42,6 +42,26 @@ def test_circular_reference_rejected_with_cycle_names(sp2):
     with pytest.raises(CircularReferenceError) as err:
         sp2.apply_source(ALTER_STATUS_OVER_SP)
     assert set(err.value.cycle) == {"S", "SP"}
+
+
+@pytest.mark.parametrize("source, rewrite, cycle", [
+    ("SP", False, True), ("SP_1", False, True), ("SP_B", False, False),
+    # with rewrite_to_base, a relation reference is rewritten to its base, a
+    # stage view reference is not
+    ("SP", True, False), ("SP_1", True, True), ("SP_B", True, False)])
+def test_a_cycle_through_a_stage_view_is_refused_before_any_kernel_statement(
+        source, rewrite, cycle, kernel_log):
+    layer = load_sp2(make_layer(rewrite_to_base=rewrite))
+    alter = (f"Alter Table S Add I_X (Select Count(*) As N From {source}"
+             " Where S.S# = S#);")
+    if not cycle:
+        layer.apply_source(alter)
+        assert layer.query("Select N From S Where S# = 'S1';").rows == [(6,)]
+        return
+    sent = kernel_log(layer.conn)
+    with pytest.raises(CircularReferenceError, match=r"^circular reference: S -> SP -> S$"):
+        layer.apply_source(alter)
+    assert sent == []
 
 
 def test_rejected_mutation_leaves_kernel_and_catalog_unchanged(sp2):
@@ -123,12 +143,14 @@ def test_load_detects_missing_kernel_object(tmp_path):
 def test_load_detects_tamperedkernel_state(tmp_path):
     location = str(tmp_path / "db.sqlite")
     layer = load_sp2(SirLayer(KernelConnection(location)), with_data=False)
+    # the seed's documents record the IE order, as no stage facts do
+    write_seed_documents(layer)
     layer.conn.execute("UPDATE sir_relations SET plan = json_remove(plan, '$.ie_order[1]')"
                        " WHERE name = 'SP'")
     layer.conn.close()
     reopened = SirLayer(KernelConnection(location))     # SP's scheme is not read at open
-    with pytest.raises(CorruptCatalog):
-        reopened.catalog.get("SP").scheme
+    with pytest.raises(CorruptCatalog, match="^SP: recorded IEs"):
+        reopened.catalog.get("SP").ie_order
 
 
 def test_dependents_in_registration_order(layer):
@@ -284,8 +306,8 @@ def test_an_open_builds_only_the_relations_a_statement_reads(tmp_path):
     reopened = SirLayer(KernelConnection(location))
     assert len(reopened.catalog.entries()) == 301 and _built(reopened) == set()
     assert reopened.query("Select Count(*) From R1;").rows == [(0,)]
-    # R1's chain, and the key of D, the source its join stage reads
-    assert _built(reopened) == {"R1", "D"}
+    # R1's chain; of D, the source its join stage reads, only the scheme's key
+    assert _built(reopened) == {"R1"}
     # W stars over R1, so it is recompiled; the view V3 reads R1 and is probed
     alter = "Alter Table R1 Add NOTE Char;"
     assert [(r.action, r.objects) for r in reopened.apply_source(alter)] == \
@@ -314,6 +336,8 @@ def test_an_entry_built_directly_keeps_its_fields_and_defaults():
 _FOUND_AT_OPEN = "kernel object|unreadable plan"
 # only a catalog in the four-table format has these tables
 _FOUR_TABLE_DETAILS = re.compile(r"\bsir_(attrs|ies)\b")
+# recorded columns and IE order are read only where no stage facts hold them
+_RECORDED = re.compile(r"\bsir_(attrs|ies)\b|\$\.(columns|ie_order)")
 
 
 @pytest.mark.parametrize("sabotage, message", [
@@ -329,7 +353,7 @@ _FOUR_TABLE_DETAILS = re.compile(r"\bsir_(attrs|ies)\b")
     ("UPDATE sir_relations SET source_text = 'Select * From S;' WHERE name = 'P'",
      "^P: source text is not a table"),
     ("DELETE FROM sir_ies WHERE rel = 'SP'", "^SP: recorded IEs"),
-    ("DELETE FROM sir_attrs WHERE rel = 'P'", "^P: recorded columns"),
+    ("DELETE FROM sir_attrs WHERE rel = 'SP'", "^SP: recorded columns"),
     ("DELETE FROM sir_attrs WHERE rel = 'SP' AND NOT is_inherited", "^SP: recorded columns"),
     # meta rows belong to the relation whose name they repeat exactly
     ("UPDATE sir_attrs SET rel = 'sp' WHERE rel = 'SP'", "^SP: recorded columns"),
@@ -338,11 +362,11 @@ _FOUR_TABLE_DETAILS = re.compile(r"\bsir_(attrs|ies)\b")
     ("UPDATE sir_relations SET plan = json_set(plan, '$.ie_order', json('[]'))"
      " WHERE name = 'SP'", "^SP: recorded IEs"),
     ("UPDATE sir_relations SET plan = json_set(plan, '$.columns', json('[]'))"
-     " WHERE name = 'P'", "^P: recorded columns"),
+     " WHERE name = 'SP'", "^SP: recorded columns"),
     ("UPDATE sir_relations SET plan = json_remove(plan, '$.columns[0]', '$.columns[0]',"
      " '$.columns[0]') WHERE name = 'SP'", "^SP: recorded columns"),
     ("UPDATE sir_relations SET plan = json_set(plan, '$.columns[0][0]', 'X')"
-     " WHERE name = 'P'", "^P: recorded columns"),
+     " WHERE name = 'SP'", "^SP: recorded columns"),
     ("UPDATE sir_relations SET plan = json_set(plan, '$.plan[0]',"
      " json('[\"SP_B\", \"table\", \"\", {}, 1]')) WHERE name = 'SP'", "^SP: unreadable plan"),
     # a plan row's third field is its stage facts, and no row has a fourth
@@ -355,6 +379,9 @@ _FOUR_TABLE_DETAILS = re.compile(r"\bsir_(attrs|ies)\b")
      " json('{\"kind\": \"join\"}')) WHERE name = 'SP'", "^SP: unreadable plan"),
     ("UPDATE sir_relations SET plan = json_set(plan, '$.plan[1][2].cost', 1) WHERE name = 'SP'",
      "^SP: unreadable plan"),
+    # stage facts realizing an IE the scheme does not declare
+    ("UPDATE sir_relations SET plan = json_set(plan, '$.plan[1][2].ies', json('[\"I_X\"]'))"
+     " WHERE name = 'SP'", "^SP: recorded IEs"),
     ("UPDATE sir_relations SET plan = json_set(plan, '$.plan[0][0]', 5) WHERE name = 'SP'",
      "^SP: unreadable plan"),
     ("UPDATE sir_relations SET plan = json_remove(plan, '$.columns') WHERE name = 'SP'",
@@ -362,26 +389,35 @@ _FOUR_TABLE_DETAILS = re.compile(r"\bsir_(attrs|ies)\b")
     ("UPDATE sir_relations SET plan = json_remove(plan, '$.ie_order') WHERE name = 'SP'",
      "^SP: unreadable plan"),
     ("UPDATE sir_relations SET plan = json_set(plan, '$.columns[1]', json('[\"SNAME\"]'))"
-     " WHERE name = 'S'", "^S: unreadable plan"),
+     " WHERE name = 'SP'", "^SP: unreadable plan"),
 ])
 def test_load_rejects_each_kind_of_corruption(tmp_path, sabotage, message, capsys):
     location = str(tmp_path / "db.sqlite")
     if _FOUR_TABLE_DETAILS.search(sabotage):
         write_four_table_sp2(location)
         conn = KernelConnection(location)
+        # SP's plan as the seed wrote it: [name, kind, sql], no stage facts
+        conn.execute("UPDATE sir_relations SET plan = json_remove(plan, '$[1][3]', '$[2][3]')"
+                     " WHERE name = 'SP'")
     else:
-        conn = load_sp2(SirLayer(KernelConnection(location)), with_data=False).conn
+        layer = load_sp2(SirLayer(KernelConnection(location)), with_data=False)
+        if _RECORDED.search(sabotage):
+            write_seed_documents(layer)
+        conn = layer.conn
     conn.execute(sabotage)  # behind the catalog's back
     conn.close()
     if re.search(_FOUND_AT_OPEN, message):
         with pytest.raises(CorruptCatalog, match=message):
             SirLayer(KernelConnection(location))
     else:
-        # a fault in a scheme's source text or meta rows surfaces when the
-        # scheme is first read: routing Count(*) reads SP's and its sources'
+        # a fault in a scheme's source text surfaces when the scheme is first
+        # read, and one in recorded columns or IEs when the columns are:
+        # routing Count(*) reads the schemes of SP and its sources, and
+        # expanding */QTY reads SP's columns
         reopened = SirLayer(KernelConnection(location))
         with pytest.raises(CorruptCatalog, match=message):
             reopened.query("Select Count(*) From SP;")
+            reopened.query("Select */QTY From SP;")
     assert main(["-k", location, "check", "--catalog"]) == 2
     assert re.search(message, capsys.readouterr().err.removeprefix("error: "))
 
@@ -479,10 +515,12 @@ def test_open_and_explain_parse_no_scheme(tmp_path, parsed, capsys):
     layer = SirLayer(KernelConnection(location))
     assert len(layer.catalog.entries()) == 3
     assert layer.explain("SP")[0].startswith("CREATE TABLE")
-    layer.catalog.snapshot()
     assert main(["-k", location, "explain", "SP"]) == 0
     assert "CREATE VIEW" in capsys.readouterr().out
     assert parsed == []
+    # columns are derived from the schemes
+    layer.catalog.snapshot()
+    assert sorted(parsed) == ["P", "S", "SP"]
 
 
 def test_routing_parses_only_the_schemes_it_reads(tmp_path, parsed):
@@ -630,6 +668,43 @@ def test_alter_on_a_four_table_catalog_writes_the_current_form(tmp_path):
     assert reopened.conn.query(
         "SELECT name, json_type(plan) FROM sir_relations ORDER BY name").rows == \
         [("P", "array"), ("S", "object"), ("SP", "object")]
+
+
+# --- files whose meta rows record every relation's columns and IE order -----------
+
+# `sp3_recorded_columns.sql` is the `iterdump()` of S-P3 (S-P2, its rows and
+# `sp3_alters.sirsql`) as a release wrote it that recorded each relation's
+# columns and IE order in its meta row, beside the stage facts they repeat.
+SP3_QUERIES = SP2_QUERIES + ["Select * From P Order By P#;", "Select * From S Order By S#;",
+                             "Select Count(*) From S Where STATUS > 2;"]
+
+
+def test_a_file_with_recorded_columns_opens_like_a_fresh_load(tmp_path):
+    location = str(tmp_path / "recorded.sqlite")
+    replay_dump(location, "sp3_recorded_columns.sql")
+    recorded = SirLayer(KernelConnection(location))
+    fresh = _new_format_sp2(str(tmp_path / "fresh.sqlite"))
+    fresh.apply_source(fixture_text("sp3_alters.sirsql"))
+    assert recorded.catalog.snapshot() == fresh.catalog.snapshot()
+    for name in ("S", "P", "SP"):
+        assert recorded.explain(name) == fresh.explain(name)
+    for sql in SP3_QUERIES:
+        assert recorded.query(sql) == fresh.query(sql)
+
+    # the first ALTER rewrites the row it touches without the two fields
+    for layer in (recorded, fresh):
+        layer.apply_source("Alter Table P Add NOTE Char;")
+    assert recorded.conn.query(
+        "SELECT name, json_type(plan, '$.columns'), json_type(plan, '$.ie_order')"
+        " FROM sir_relations ORDER BY name").rows == \
+        [("P", None, None), ("S", "array", "array"), ("SP", "array", "array")]
+    snapshot = recorded.catalog.snapshot()
+    assert snapshot == fresh.catalog.snapshot()
+    recorded.conn.close()
+    reopened = SirLayer(KernelConnection(location))
+    assert reopened.catalog.snapshot() == snapshot
+    for sql in SP3_QUERIES:
+        assert reopened.query(sql) == fresh.query(sql)
 
 
 # --- files written with the fused and collapsed plan shapes -------------------------

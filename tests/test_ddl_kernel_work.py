@@ -5,11 +5,12 @@ maintained through its key, and the cascade stays safe."""
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
 
-from sirsql.compiler import base_size_probe
+from sirsql.compiler import REBUILD_ROWS_PER_OBJECT, base_size_probe
 from sirsql.errors import (DependentAttributeDrop, InvariantViolation, KernelError,
                            NotNullAttributeAdd)
 from sirsql.kernel import KernelConnection
@@ -160,6 +161,26 @@ def test_an_add_rebuilds_a_base_under_the_size_bound_and_extends_one_over_it(tmp
         assert empty.query(query).rows == full.query(query).rows
 
 
+def test_each_index_of_a_base_lowers_its_size_bound(tmp_path, kernel_log):
+    layer = _reopened(tmp_path, _dimension_schema() + """
+    Create Index D_I1 On D (D_NAME);
+    Create Index D_I2 On D (D_N);
+    Create Unique Index D_I3 On D (D_NAME, D_N);""")
+    (objects,), = layer.conn.query("SELECT count(*) FROM sqlite_master").rows
+    (_, bound), = layer.conn.query(base_size_probe("D")).rows
+    # a rebuild fills the base and its three indexes
+    assert bound == REBUILD_ROWS_PER_OBJECT * objects // 4
+    values = ", ".join(f"('d{i}', 'n', {i})" for i in range(bound))
+    layer.apply_source(f"Insert Into D Values {values};")
+    # as many rows as the bound, fewer than the bound of a base without indexes
+    assert bound < REBUILD_ROWS_PER_OBJECT * objects
+    sent = kernel_log(layer.conn)
+    layer.apply_source("Alter Table D Add D_X Char;")
+    assert sent[2:4] == [base_size_probe("D"), "ALTER TABLE D ADD COLUMN D_X Char;"]
+    assert len(layer.query("Select * From R0;").rows) == 0
+    assert layer.query("Select Count(*) From D Where D_X Is Null;").rows == [(bound,)]
+
+
 def test_a_not_null_add_is_refused_by_the_size_probe_only_where_rows_are(tmp_path,
                                                                          kernel_log):
     empty, full, _ = _sized_copies(tmp_path)
@@ -256,14 +277,14 @@ def test_base_rebuild_under_unchanged_views_returns_the_rows(tmp_path, kernel_lo
     assert reopened.query("Select * From SP Order By S#, P#;").rows == expected
 
 
-def _meta_counts(conn) -> dict[str, tuple]:
+def _meta_counts(conn) -> dict[str, list]:
     """Per stored relation name, matched exactly: its number of
-    sir_relations rows, and the numbers of columns, IEs and references its
-    row records."""
-    return {name: counts for name, *counts in conn.query(
-        "SELECT name, count(*), json_array_length(plan, '$.columns'),"
-        " json_array_length(plan, '$.ie_order'), json_array_length(plan, '$.references')"
-        " FROM sir_relations GROUP BY name").rows}
+    sir_relations rows, the keys of the document its row holds, and the
+    number of references that document records."""
+    return {name: [count, sorted(json.loads(document)), references]
+            for name, count, document, references in conn.query(
+                "SELECT name, count(*), plan, json_array_length(plan, '$.references')"
+                " FROM sir_relations GROUP BY name").rows}
 
 
 def _meta_tables(conn) -> list[tuple]:
@@ -273,16 +294,19 @@ def _meta_tables(conn) -> list[tuple]:
 def test_ddl_in_another_case_keeps_one_set_of_meta_rows(tmp_path):
     location = str(tmp_path / "db.sqlite")
     layer = load_sp2(SirLayer(KernelConnection(location)))
-    layer.apply_source("alter table sp add NOTE Char;")
+    layer.apply_source("alter table sp add NOTE Char; create view v as select s#, qty from sp;")
+    # a table's columns and IE order come from its scheme and stage facts;
+    # only a view's columns are recorded
     counts = _meta_counts(layer.conn)
-    assert counts == {entry.name: [1, len(entry.columns), len(entry.ie_order),
-                                   len(entry.references)]
+    assert counts == {entry.name: [1, ["columns", "plan", "references"] if entry.kind == "view"
+                                   else ["plan", "references"], len(entry.references)]
                       for entry in layer.catalog.entries()}
-    assert counts["SP"] == [1, 11, 2, 2]
+    assert counts["SP"] == [1, ["plan", "references"], 2]
+    assert counts["v"] == [1, ["columns", "plan", "references"], 1]
     assert _meta_tables(layer.conn) == [("sir_relations",)]
 
     layer.apply_source("drop table s cascade;")
-    assert _meta_counts(layer.conn) == {"P": [1, 5, 0, 0]}
+    assert _meta_counts(layer.conn) == {"P": [1, ["plan", "references"], 0]}
     snapshot = layer.catalog.snapshot()
     layer.conn.close()
     assert SirLayer(KernelConnection(location)).catalog.snapshot() == snapshot

@@ -9,7 +9,7 @@ from sirsql.parser import parse_one
 from sirsql.render import render
 from sirsql.router import BASE_REWRITE, PASS_THROUGH, REJECTED, route
 
-from conftest import load_sp2, make_layer
+from conftest import load_sp2, make_layer, write_seed_documents
 
 
 def test_select_passes_through(sp2):
@@ -449,19 +449,12 @@ def test_source_gaining_non_key_join_turns_pruning_off():
 
 
 def test_seed_format_plans_load_and_are_never_pruned(tmp_path):
-    import json
     from sirsql.kernel import KernelConnection
     from sirsql.layer import SirLayer
     location = str(tmp_path / "db.sqlite")
     layer = load_sp2(SirLayer(KernelConnection(location)))
     expected = full_view_rows(layer, "Select SCITY, Count(*) From SP Group By SCITY;")
-    kernel = dict(layer.conn.query("SELECT name, sql FROM sqlite_master").rows)
-    for name, stored in layer.conn.query("SELECT name, plan FROM sir_relations").rows:
-        document = json.loads(stored)
-        # the seed wrote [name, kind, sql] and no stage facts
-        document["plan"] = [[obj, kind, kernel[obj] + ";"] for obj, kind, *_ in document["plan"]]
-        layer.conn.execute("UPDATE sir_relations SET plan = ? WHERE name = ?",
-                           (json.dumps(document), name))
+    write_seed_documents(layer)
     layer.conn.close()
 
     reopened = SirLayer(KernelConnection(location))
