@@ -35,14 +35,72 @@ from .render import quote_ident, render, render_source
 AGGREGATES = {"SUM", "COUNT", "AVG", "MIN", "MAX", "TOTAL", "LIST", "GROUP_CONCAT"}
 
 
+# --- the names a select uses -----------------------------------------------------
+
+
+def _source_label(table: n.TableName) -> str:
+    return table.alias or table.name
+
+
+@dataclass(eq=False)
+class Source:
+    """One FROM entry of a select and the columns of what it reads."""
+    table: n.TableName
+    columns: list
+    folded: set                 # the columns, casefold
+
+
+class Sources:
+    """The resolver for the names one select uses: its FROM entries by
+    casefold label (alias, else name), each with the ordered columns that
+    `columns_of` gives for the relation it names.  A relation that
+    `columns_of` maps to None, or a star qualifier that labels no entry, is
+    an `UnknownRelation`."""
+
+    def __init__(self, tables, columns_of):
+        self.tables = list(tables)          # in FROM order, as written
+        self._by_label: dict[str, Source] = {}
+        for table in self.tables:
+            columns = columns_of(table.name)
+            if columns is None:
+                raise UnknownRelation(f"no relation named {table.name!r}")
+            self._by_label[_source_label(table).casefold()] = Source(
+                table, columns, {c.casefold() for c in columns})
+
+    def __iter__(self):
+        return iter(self._by_label.values())
+
+    def get(self, label: str) -> Source | None:
+        return self._by_label.get(label.casefold())
+
+    def star(self, qualifier: str | None) -> list[Source]:
+        """The sources a star reads: all of them, or the one its qualifier labels."""
+        if qualifier is None:
+            return list(self)
+        source = self.get(qualifier)
+        if source is None:
+            raise UnknownRelation(f"star qualifier {qualifier!r} is not a source")
+        return [source]
+
+    def named_by(self, ref: n.ColumnRef) -> list[Source]:
+        """The sources `ref` can name: the one its qualifier labels, or each
+        one holding its unqualified name."""
+        if ref.table is not None:
+            source = self.get(ref.table)
+            return [source] if source is not None else []
+        key = ref.name.casefold()
+        return [source for source in self if key in source.folded]
+
+
 @dataclass
 class CanonicalIE:
     name: str
     kind: str                   # 'join' | 'subquery' | 'value'
     produced_attrs: list
+    # join and subquery form: the select's FROM entries
+    sources: Sources = field(default_factory=lambda: Sources([], None))
     # join form
     select_items: list = field(default_factory=list)
-    sources: list = field(default_factory=list)        # TableName entries from F'
     join_pairs: list = field(default_factory=list)     # (source_label, source_col, enclosing_col)
     residual: object = None
     # subquery form
@@ -105,70 +163,33 @@ def column_refs(node) -> list[n.ColumnRef]:
 # --- star-minus ---------------------------------------------------------------
 
 
-def expand_star_minus(item, source_columns: dict[str, list[str]]) -> list[str]:
+def expand_star_minus(item, sources: Sources) -> list[str]:
     """Column names the item denotes, in catalog order.
 
-    `source_columns` maps each source relation (by alias or name) to its
-    ordered column list.  Plain star returns everything; star-minus drops
-    the excluded names and insists each one resolves.
+    A star returns the columns of every source, or of the one its qualifier
+    labels; star-minus drops the excluded names and insists each one
+    resolves.
     """
     if isinstance(item, n.Star):
-        if item.qualifier:
-            if item.qualifier not in source_columns:
-                raise UnknownRelation(f"star qualifier {item.qualifier!r} is not a source")
-            return list(source_columns[item.qualifier])
-        out = []
-        for cols in source_columns.values():
-            out.extend(cols)
-        return out
+        return [col for source in sources.star(item.qualifier) for col in source.columns]
     excluded: set[tuple] = set()
     for ref in item.excluded:
+        named = sources.named_by(ref)
         if ref.table is not None:
-            match = None
-            for label, cols in source_columns.items():
-                if label.casefold() == ref.table.casefold():
-                    match = (label, cols)
-                    break
-            if match is None:
+            if not named:
                 raise UnknownExcludedColumn(
                     f"excluded column {ref.table}.{ref.name}: unknown relation {ref.table!r}")
-            if ref.name.casefold() not in {c.casefold() for c in match[1]}:
+            if ref.name.casefold() not in named[0].folded:
                 raise UnknownExcludedColumn(
                     f"excluded column {ref.name!r} is not a column of {ref.table}")
-            excluded.add((match[0].casefold(), ref.name.casefold()))
-        else:
-            hits = [label for label, cols in source_columns.items()
-                    if ref.name.casefold() in {c.casefold() for c in cols}]
-            if not hits:
-                raise UnknownExcludedColumn(f"excluded column {ref.name!r} not found in sources")
-            for label in hits:
-                excluded.add((label.casefold(), ref.name.casefold()))
-    out = []
-    for label, cols in source_columns.items():
-        for col in cols:
-            if (label.casefold(), col.casefold()) not in excluded:
-                out.append(col)
-    return out
+        elif not named:
+            raise UnknownExcludedColumn(f"excluded column {ref.name!r} not found in sources")
+        excluded.update((source, ref.name.casefold()) for source in named)
+    return [col for source in sources for col in source.columns
+            if (source, col.casefold()) not in excluded]
 
 
 # --- canonicalization ----------------------------------------------------------
-
-
-def _source_label(table: n.TableName) -> str:
-    return table.alias or table.name
-
-
-def _source_column_map(sources, scheme, catalog, produced_so_far):
-    """Ordered {source label -> column list}; self references resolve to what
-    the previous stages expose (stored attributes plus already-produced IAs)."""
-    col_map = {}
-    for table in sources:
-        if table.name.casefold() == scheme.name.casefold():
-            cols = scheme.stored_names + produced_so_far
-        else:
-            cols = catalog.resolve_columns(table.name)
-        col_map[_source_label(table)] = cols
-    return col_map
 
 
 def canonicalize(ie: n.IeDecl, scheme: SirScheme, catalog: Catalog,
@@ -186,35 +207,27 @@ def canonicalize(ie: n.IeDecl, scheme: SirScheme, catalog: Catalog,
                            items=list(ie.form.items))
 
     select = ie.form.select
-    sources = []
-    for entry in select.from_:
-        if isinstance(entry, n.TableName):
-            sources.append(entry)
-        else:
-            raise InvariantViolation(
-                f"IE {ie.name}: explicit JOIN syntax inside an IE is not supported;"
-                " write recursive predicates in WHERE")
-    for table in sources:
-        if table.name.casefold() != scheme.name.casefold() \
-                and catalog.resolve_columns(table.name) is None:
-            raise UnknownRelation(
-                f"IE {ie.name} in {scheme.name} references unknown relation {table.name!r}")
+    if not all(isinstance(entry, n.TableName) for entry in select.from_):
+        raise InvariantViolation(
+            f"IE {ie.name}: explicit JOIN syntax inside an IE is not supported;"
+            " write recursive predicates in WHERE")
 
+    def columns_of(name):
+        # the relation's own name reads what the previous stages expose
+        if name.casefold() == scheme.name.casefold():
+            return scheme.stored_names + produced_so_far
+        return catalog.resolve_columns(name)
+
+    sources = Sources(select.from_, columns_of)
     if len(select.items) == 1 and not isinstance(select.items[0].expr, (n.Star, n.StarMinus)) \
             and contains_aggregate(select.items[0].expr):
         produced = [select.items[0].alias or ie.name]
         return CanonicalIE(name=ie.name, kind="subquery", produced_attrs=produced,
-                           select=select)
+                           sources=sources, select=select)
 
-    col_map = _source_column_map(sources, scheme, catalog, produced_so_far)
-    labels = {label.casefold(): label for label in col_map}
-
-    def owning_source(ref: n.ColumnRef) -> str | None:
-        if ref.table is not None:
-            return labels.get(ref.table.casefold())
-        hits = [label for label, cols in col_map.items()
-                if ref.name.casefold() in {c.casefold() for c in cols}]
-        return hits[0] if len(hits) == 1 else None
+    def owner(ref: n.ColumnRef) -> str | None:
+        named = sources.named_by(ref)
+        return _source_label(named[0].table) if len(named) == 1 else None
 
     join_pairs, residual = [], []
     for pred in conjuncts(select.where):
@@ -224,8 +237,8 @@ def canonicalize(ie: n.IeDecl, scheme: SirScheme, catalog: Catalog,
             left, right = pred.left, pred.right
             for encl, other in ((left, right), (right, left)):
                 if encl.table and encl.table.casefold() == scheme.name.casefold() \
-                        and encl.table.casefold() not in labels:
-                    source = owning_source(other)
+                        and sources.get(encl.table) is None:
+                    source = owner(other)
                     if source is not None:
                         pair = (source, other.name, encl.name)
                         break
@@ -244,22 +257,16 @@ def canonicalize(ie: n.IeDecl, scheme: SirScheme, catalog: Catalog,
     select_items, produced = [], []
     for item in select.items:
         if isinstance(item.expr, (n.Star, n.StarMinus)):
-            if isinstance(item.expr, n.Star) and item.expr.qualifier:
-                scoped = {item.expr.qualifier: col_map.get(item.expr.qualifier, [])}
-            else:
-                scoped = col_map
-            for col in expand_star_minus(item.expr, scoped):
-                owner = owning_source(n.ColumnRef(name=col))
-                select_items.append(n.SelectItem(expr=n.ColumnRef(name=col, table=owner)))
+            for col in expand_star_minus(item.expr, sources):
+                owned = n.ColumnRef(name=col, table=owner(n.ColumnRef(name=col)))
+                select_items.append(n.SelectItem(expr=owned))
                 produced.append(col)
             continue
         expr = item.expr
         if isinstance(expr, n.ColumnRef):
             name = item.alias or expr.name
-            if expr.table is None:
-                owner = owning_source(expr)
-                if owner is not None:
-                    expr = n.ColumnRef(name=expr.name, table=owner)
+            if expr.table is None and (label := owner(expr)) is not None:
+                expr = n.ColumnRef(name=expr.name, table=label)
         else:
             if item.alias is None:
                 raise InvariantViolation(
@@ -285,13 +292,14 @@ def canonicalize_all(scheme: SirScheme, catalog: Catalog) -> list[CanonicalIE]:
 # --- ordering -------------------------------------------------------------------
 
 
-def order_ies(scheme: SirScheme, canon: list[CanonicalIE], catalog: Catalog) -> list[CanonicalIE]:
+def order_ies(scheme: SirScheme, canon: list[CanonicalIE]) -> list[CanonicalIE]:
     """Topological evaluation order: an IE reading another's output runs later.
 
     Ties keep declaration order.  References counted are column names that
-    the IE's own sources cannot satisfy, plus anything qualified with the
-    relation's own name.
+    no source of the IE other than the relation itself holds, plus anything
+    qualified with the relation's own name.
     """
+    own = scheme.name.casefold()
     produced_by = {}
     for cie in canon:
         for attr in cie.produced_attrs:
@@ -300,27 +308,19 @@ def order_ies(scheme: SirScheme, canon: list[CanonicalIE], catalog: Catalog) -> 
     def external_refs(cie: CanonicalIE):
         if cie.kind == "value":
             exprs = [expr for _, expr in cie.items]
-            sources = []
         elif cie.kind == "subquery":
             exprs = [cie.select]
-            sources = [t for t in cie.select.from_ if isinstance(t, n.TableName)]
         else:
             exprs = [i.expr for i in cie.select_items] + ([cie.residual] if cie.residual else [])
-            sources = cie.sources
-        own_cols: set[str] = set()
-        for table in sources:
-            if table.name.casefold() != scheme.name.casefold():
-                own_cols |= {c.casefold() for c in catalog.resolve_columns(table.name)}
         refs = set()
         for expr in exprs:
             for ref in column_refs(expr):
-                key = ref.name.casefold()
                 if ref.table is not None:
-                    if ref.table.casefold() == scheme.name.casefold():
-                        refs.add(key)
-                    continue
-                if key not in own_cols:
-                    refs.add(key)
+                    if ref.table.casefold() == own:
+                        refs.add(ref.name.casefold())
+                elif all(source.table.name.casefold() == own
+                         for source in cie.sources.named_by(ref)):
+                    refs.add(ref.name.casefold())
         return refs
 
     index = {cie.name.casefold(): i for i, cie in enumerate(canon)}
@@ -378,24 +378,24 @@ def _stage_select(cie: CanonicalIE, prev: str, scheme_name: str) -> n.Select:
     previous stage `prev`."""
     if cie.kind == "join":
         from_entry: object = n.TableName(name=prev)
-        sources = [substitute_relation(t, scheme_name, prev) for t in cie.sources]
         pair_by_label: dict[str, list] = {}
         for label, src_col, encl_col in cie.join_pairs:
             pair_by_label.setdefault(label.casefold(), []).append((src_col, encl_col))
         residual = substitute_relation(cie.residual, scheme_name, prev) \
             if cie.residual is not None else None
-        for pos, source in enumerate(sources):
-            label = _source_label(cie.sources[pos])
+        for pos, table in enumerate(cie.sources.tables):
+            label = _source_label(table)
             preds = []
             for src_col, encl_col in pair_by_label.get(label.casefold(), []):
                 preds.append(n.Binary(
                     op="=",
                     left=n.ColumnRef(name=encl_col, table=prev),
                     right=n.ColumnRef(name=src_col, table=label)))
-            if pos == len(sources) - 1 and residual is not None:
+            if pos == len(cie.sources.tables) - 1 and residual is not None:
                 preds.append(residual)
             on = conjoin(preds) or n.Binary(op="=", left=n.Literal(text="1", kind="number"),
                                             right=n.Literal(text="1", kind="number"))
+            source = substitute_relation(table, scheme_name, prev)
             from_entry = n.Join(left=from_entry, kind="left", right=source, on=on)
         items = [n.SelectItem(expr=n.Star(qualifier=prev))]
         items += [substitute_relation(i, scheme_name, prev) for i in cie.select_items]
@@ -416,7 +416,7 @@ def _stage_select(cie: CanonicalIE, prev: str, scheme_name: str) -> n.Select:
 def _stage_facts(cie: CanonicalIE) -> StageFacts:
     joins = []
     if cie.kind == "join":
-        for table in cie.sources:
+        for table in cie.sources.tables:
             label = _source_label(table).casefold()
             joins.append([table.name, [[src_col, encl_col]
                                        for pair_label, src_col, encl_col in cie.join_pairs
@@ -488,7 +488,7 @@ def compile_sir(scheme: SirScheme, catalog: Catalog) -> CatalogEntry:
     """
     catalog.validate_scheme(scheme)
     canon = canonicalize_all(scheme, catalog)
-    ordered = order_ies(scheme, canon, catalog)
+    ordered = order_ies(scheme, canon)
 
     # at least one IE's recursive join must match a stored attribute
     select_like = [c for c in canon if c.kind in ("join", "subquery")]
@@ -784,29 +784,29 @@ def rewrite_to_base(ie: n.IeDecl, enclosing: str, catalog: Catalog,
                 f"IE {ie.name}: {offender} has no stored base to rewrite to")
         stored = {c.casefold() for c in entry.scheme.stored_names}
         inherited = {c.casefold() for c in entry.inherited_names()}
-        labels = {offender.casefold()}
-        for sub in n.walk(new_ie):
-            if isinstance(sub, n.TableName) and sub.name.casefold() == offender.casefold():
-                if sub.alias:
-                    labels.add(sub.alias.casefold())
+        # every FROM entry of the IE, nested selects included; the enclosing
+        # relation, not yet in the catalog when created, holds no column
+        sources = Sources([sub for sub in n.walk(new_ie) if isinstance(sub, n.TableName)],
+                          lambda name: catalog.resolve_columns(name) or [])
+
+        def offends(source: Source) -> bool:
+            return source.table.name.casefold() == offender.casefold()
+
         bad = []
         for ref in column_refs(new_ie):
-            if ref.table is not None and ref.table.casefold() in labels:
-                if ref.name.casefold() not in stored:
+            named = sources.named_by(ref)
+            if ref.table is not None:
+                if any(map(offends, named)) and ref.name.casefold() not in stored:
                     bad.append(f"{ref.table}.{ref.name}")
-            elif ref.table is None and ref.name.casefold() in inherited \
-                    and ref.name.casefold() not in stored:
+            elif ref.name.casefold() in inherited and ref.name.casefold() not in stored \
+                    and all(map(offends, named)):
                 # unqualified and only satisfiable by the full view
-                others = _other_sources_with(new_ie, ref.name, offender, catalog)
-                if not others:
-                    bad.append(ref.name)
-        for sub in n.walk(new_ie):
-            if isinstance(sub, (n.Star, n.StarMinus)):
-                if isinstance(sub, n.Star) and sub.qualifier \
-                        and sub.qualifier.casefold() not in labels:
-                    continue
-                if inherited:
-                    bad.append("*")
+                bad.append(ref.name)
+        if inherited and any(
+                isinstance(sub, n.StarMinus) or isinstance(sub, n.Star)
+                and (sub.qualifier is None or any(map(offends, sources.star(sub.qualifier))))
+                for sub in n.walk(new_ie)):
+            bad.append("*")
         if bad:
             raise NotRewritable(
                 f"IE {ie.name} reads inherited attributes of {offender}"
@@ -814,13 +814,3 @@ def rewrite_to_base(ie: n.IeDecl, enclosing: str, catalog: Catalog,
         base = entry.plan[0].name
         new_ie = substitute_relation(new_ie, offender, base)
     return new_ie
-
-
-def _other_sources_with(ie: n.IeDecl, column: str, excluded: str, catalog: Catalog) -> list[str]:
-    out = []
-    for sub in n.walk(ie):
-        if isinstance(sub, n.TableName) and sub.name.casefold() != excluded.casefold():
-            cols = catalog.resolve_columns(sub.name) or []
-            if column.casefold() in {c.casefold() for c in cols}:
-                out.append(sub.name)
-    return out

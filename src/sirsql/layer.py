@@ -44,8 +44,8 @@ from functools import partial
 from . import nodes as n
 from .catalog import (SIR, VIEW, Catalog, CatalogEntry, ColumnInfo, PlanItem,
                       ie_references, referenced_relations, scheme_from_ast)
-from .compiler import (alter_steps, apply_alter, base_size_probe, compile_index, compile_sir,
-                       plan_drop, recompile_steps, rewrite_to_base)
+from .compiler import (Sources, alter_steps, apply_alter, base_size_probe, column_refs,
+                       compile_index, compile_sir, plan_drop, recompile_steps, rewrite_to_base)
 from .errors import (CircularReferenceError, DependentAttributeDrop, InvariantViolation,
                      KernelError, NameCollision, NotNullAttributeAdd, RejectedWrite,
                      StaleCatalog, UnknownObject, UnknownRelation)
@@ -477,36 +477,26 @@ def _reads_removed(entry: CatalogEntry, removed: dict[str, set[str]],
     """The first IE of `entry` whose select names a column that `removed`
     (casefold object name -> the casefold columns an ALTER takes from it)
     lists, with that column qualified as written, or by the object when it
-    is unqualified; None when no IE does.  A column counts when its
-    qualifier is the object's name or alias in the select's sources, or
-    when it is unqualified, no other source has it (`resolve_columns`) and
-    no result column takes its name.  An IE with a nested select, and
-    whatever this leaves out, is left to the probe."""
+    is unqualified; None when no IE does.  A column counts when each source
+    it can name (`Sources.named_by`, with `catalog`'s columns from before
+    the ALTER) loses it, unless it is unqualified and a result column takes
+    its name.  An IE with a nested select, and whatever this leaves out, is
+    left to the probe."""
     for ie in entry.scheme.ies:
         if not isinstance(ie.form, n.SelectForm) \
                 or sum(isinstance(node, n.Select) for node in n.walk(ie.form)) != 1:
             continue
-        nodes = list(n.walk(ie.form.select))
-        sources = {(node.alias or node.name).casefold(): node.name
-                   for node in nodes if isinstance(node, n.TableName)}
+        select = ie.form.select
+        sources = Sources(select.from_, catalog.resolve_columns)
         # the kernel resolves an unqualified name to a result alias of that name
-        aliases = {item.alias.casefold() for item in ie.form.select.items if item.alias}
-        for ref in nodes:
-            if not isinstance(ref, n.ColumnRef):
-                continue
+        aliases = {item.alias.casefold() for item in select.items if item.alias}
+        for ref in column_refs(select):
             column = ref.name.casefold()
-            if ref.table is not None:
-                owner = sources.get(ref.table.casefold())
-            elif column in aliases:
-                owner = None
-            else:
-                owners = [s for s in sources.values() if column in removed.get(s.casefold(), ())]
-                others = [catalog.resolve_columns(s) for s in sources.values() if s not in owners]
-                owner = owners[0] if owners and all(
-                    cols is not None and column not in {c.casefold() for c in cols}
-                    for cols in others) else None
-            if owner is not None and column in removed.get(owner.casefold(), ()):
-                return ie.name, f"{ref.table or owner}.{ref.name}"
+            if ref.table is None and column in aliases:
+                continue
+            named = sources.named_by(ref)
+            if named and all(column in removed.get(s.table.name.casefold(), ()) for s in named):
+                return ie.name, f"{ref.table or named[0].table.name}.{ref.name}"
     return None
 
 

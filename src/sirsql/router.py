@@ -49,7 +49,7 @@ from itertools import count
 
 from . import nodes as n
 from .catalog import Catalog, type_affinity
-from .compiler import _stage_select, canonicalize, conjoin, substitute_relation
+from .compiler import Sources, _stage_select, canonicalize, expand_star_minus
 from .errors import InvariantViolation, RejectedWrite, UnknownColumn, UnknownRelation
 from .kernel import KernelConnection
 from .render import quote_ident, render
@@ -234,10 +234,9 @@ def _pre_aggregate(stmt: n.Query, catalog: Catalog) -> RoutedStatement | None:
         if stage.kind != "join" or len(stage.ies) != 1:
             return None
         cie = canonicalize(scheme.find_ie(stage.ies[0]), scheme, catalog)
-        labels = {(t.alias or t.name).casefold() for t in cie.sources}
-        if cie.residual is not None or base.casefold() in labels or any(
-                type(sub) is n.Subquery or (type(sub) is n.ColumnRef
-                                            and (sub.table or "").casefold() not in labels)
+        if cie.residual is not None or cie.sources.get(base) is not None or any(
+                type(sub) is n.Subquery or type(sub) is n.ColumnRef
+                and (sub.table is None or cie.sources.get(sub.table) is None)
                 for sub in n.walk(cie.select_items)):
             return None
         encl = list(dict.fromkeys(column(n.ColumnRef(name=encl), stored=True)
@@ -319,23 +318,16 @@ def _pre_aggregate(stmt: n.Query, catalog: Catalog) -> RoutedStatement | None:
     return RoutedStatement(
         original=stmt, kind=BASE_REWRITE, kernel_stmt=n.Query(select=kernel), target=base,
         reason=f"{entry.name} aggregates {base} by {', '.join(key_names[:len(encl)])}"
-               f" before joining {', '.join(t.name for t in cie.sources)} ({cie.name})")
+               f" before joining {', '.join(t.name for t in cie.sources.tables)} ({cie.name})")
 
 
 def _expand_star_minus_items(sel: n.Select, catalog: Catalog) -> list:
     """A select's items with star-minus replaced by the columns it denotes."""
-    from .compiler import expand_star_minus
-    col_map = {}
-    for table in _from_tables(sel):
-        cols = catalog.resolve_columns(table.name)
-        if cols is None:
-            raise UnknownRelation(
-                f"cannot expand star-minus: unknown relation {table.name!r}")
-        col_map[table.alias or table.name] = cols
+    sources = Sources(_from_tables(sel), catalog.resolve_columns)
     new_items = []
     for item in sel.items:
         if isinstance(item.expr, n.StarMinus):
-            for col in expand_star_minus(item.expr, col_map):
+            for col in expand_star_minus(item.expr, sources):
                 new_items.append(n.SelectItem(expr=n.ColumnRef(name=col)))
         else:
             new_items.append(item)
@@ -439,9 +431,10 @@ def _route_delete(stmt: n.Delete, catalog: Catalog) -> RoutedStatement:
 def check_ie_integrity(entry, catalog: Catalog, conn: KernelConnection) -> list[tuple]:
     """Rows whose recursive join matches more than one source tuple.
 
-    For each join-form IE the check counts matches per base key against the
-    stage the IE reads (everything produced before it), returning
-    (ie_name, key_values, match_count) for every count above one.  IEs whose
+    For each join-form IE the check counts, per base key, the rows of the
+    view stage that realizes the IE (`_stage_select`, a left join of its
+    sources to the stage before it), returning (ie_name, key_values,
+    match_count) for every count above one.  IEs whose
     stage provably keeps the card (`Catalog.stage_keeps_card`) cannot match
     twice and are not audited.
     """
@@ -465,20 +458,10 @@ def check_ie_integrity(entry, catalog: Catalog, conn: KernelConnection) -> list[
             if catalog.stage_keeps_card(entry, stage):
                 continue
         prev = entry.plan[0].name if pos == 1 else views[pos - 2].name
-        key_items = [n.SelectItem(expr=n.ColumnRef(name=c, table=prev)) for c in key_cols]
+        keys = [n.ColumnRef(name=c, table=prev) for c in key_cols]
         count_item = n.SelectItem(expr=n.Call(func="COUNT", args=[], star=True), alias="n")
-        sources = [substitute_relation(t, entry.name, prev) for t in canon.sources]
-        preds = []
-        for label, src_col, encl_col in canon.join_pairs:
-            preds.append(n.Binary(op="=",
-                                  left=n.ColumnRef(name=encl_col, table=prev),
-                                  right=n.ColumnRef(name=src_col, table=label)))
-        if canon.residual is not None:
-            preds.append(substitute_relation(canon.residual, entry.name, prev))
-        select = n.Select(items=key_items + [count_item],
-                          from_=[n.TableName(name=prev)] + sources,
-                          where=conjoin(preds),
-                          group_by=[n.ColumnRef(name=c, table=prev) for c in key_cols])
+        select = _stage_select(canon, prev, entry.name).replace(
+            items=[n.SelectItem(expr=key) for key in keys] + [count_item], group_by=keys)
         sql = render(n.Query(select=select)).rstrip(";")
         rows = conn.query(f"SELECT * FROM ({sql}) WHERE n > 1")
         for row in rows.rows:

@@ -64,6 +64,21 @@ def test_a_cycle_through_a_stage_view_is_refused_before_any_kernel_statement(
     assert sent == []
 
 
+def test_a_cycle_through_a_stage_view_of_a_seed_format_file_is_refused(tmp_path, kernel_log):
+    # a stage view without stage facts reads all that its relation reads
+    location = str(tmp_path / "db.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)))
+    write_seed_documents(layer)
+    layer.conn.close()
+    reopened = SirLayer(KernelConnection(location))
+    assert not reopened.catalog.get("SP").stages_recorded()
+    sent = kernel_log(reopened.conn)
+    with pytest.raises(CircularReferenceError, match=r"^circular reference: S -> SP -> S$"):
+        reopened.apply_source(
+            "Alter Table S Add I_X (Select Count(*) As N From SP_1 Where S.S# = S#);")
+    assert sent == []
+
+
 def test_rejected_mutation_leaves_kernel_and_catalog_unchanged(sp2):
     objects = sp2.conn.object_names()
     snapshot = sp2.catalog.snapshot()

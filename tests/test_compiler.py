@@ -5,8 +5,8 @@ import pytest
 from sirsql import compile_sir
 from sirsql import nodes as n
 from sirsql.catalog import scheme_from_ast
-from sirsql.compiler import (canonicalize, canonicalize_all, expand_star_minus, order_ies,
-                             rewrite_to_base)
+from sirsql.compiler import (Sources, canonicalize, canonicalize_all, expand_star_minus,
+                             order_ies, rewrite_to_base)
 from sirsql.errors import (DependentsExist, IeCycle, IndexOnInheritedAttribute,
                            InvariantViolation, MissingRecursiveJoin, NameCollision,
                            NotRewritable, RecursiveJoinAttributeDrop, UnknownExcludedColumn,
@@ -87,6 +87,24 @@ def test_canonicalize_unknown_relation(ie):
         compile_sir(scheme, layer.catalog)
 
 
+def test_star_qualifier_is_case_insensitive_and_must_label_a_source(kernel_log):
+    layer = sp2_layer()
+    layer.apply_source("Create Table D (DK Char, DN Char, Primary Key (DK));")
+
+    def create(star):
+        return (f"Create Table R (F Char, Primary Key (F),"
+                f" I (Select {star} From D Where R.F = DK));")
+
+    upper, lower = (compile_sir(scheme_from_ast(parse_one(create(star))), layer.catalog)
+                    for star in ("D.*", "d.*"))
+    assert [item.sql for item in lower.plan] == [item.sql for item in upper.plan]
+    assert lower.column_names == ["F", "DK", "DN"]
+    sent = kernel_log(layer.conn)
+    with pytest.raises(UnknownRelation, match="'Z'"):
+        layer.apply_source(create("Z.*"))
+    assert sent == [] and "R" not in layer.catalog
+
+
 def test_canonicalize_residual_predicates_move_into_join():
     layer = sp2_layer()
     stmt = parse_one(
@@ -103,7 +121,7 @@ def test_canonicalize_residual_predicates_move_into_join():
 
 def test_order_keeps_declaration_order_without_references():
     scheme, catalog = sp_scheme_and_catalog()
-    ordered = order_ies(scheme, canonicalize_all(scheme, catalog), catalog)
+    ordered = order_ies(scheme, canonicalize_all(scheme, catalog))
     assert [c.name for c in ordered] == ["I_S", "I_P"]
 
 
@@ -113,7 +131,7 @@ def test_order_moves_referenced_value_ie_first():
         "Create Table Q (P# Char, WEIGHT Char, Primary Key (P#),"
         " WEIGHT_T As (WEIGHT_KG / 1000), WEIGHT_KG As (Round(WEIGHT / 2.1, 1)));")
     scheme = scheme_from_ast(stmt)
-    ordered = order_ies(scheme, canonicalize_all(scheme, layer.catalog), layer.catalog)
+    ordered = order_ies(scheme, canonicalize_all(scheme, layer.catalog))
     assert [c.name for c in ordered] == ["WEIGHT_KG", "WEIGHT_T"]
 
 
@@ -124,13 +142,13 @@ def test_order_detects_forced_two_cycle():
         " A As (B + 1), B As (A + 1));")
     scheme = scheme_from_ast(stmt)
     with pytest.raises(IeCycle):
-        order_ies(scheme, canonicalize_all(scheme, layer.catalog), layer.catalog)
+        order_ies(scheme, canonicalize_all(scheme, layer.catalog))
 
 
 # --- expand_star_minus ----------------------------------------------------------
 
 
-P_COLS = {"P": ["P#", "PNAME", "COLOR", "WEIGHT", "CITY"]}
+P_COLS = Sources([n.TableName(name="P")], {"P": ["P#", "PNAME", "COLOR", "WEIGHT", "CITY"]}.get)
 
 
 def test_star_minus_single_exclusion():

@@ -8,7 +8,7 @@ from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 from sirsql.parser import parse
 
-from conftest import fixture_text, load_sp2, make_layer
+from conftest import fixture_text, kernel_state, load_sp2, make_layer
 
 FIGURE4_SP = [
     ("S1", "P1", 300, "Smith", "20", "London", "Nut", "Red", "12", "London"),
@@ -105,6 +105,15 @@ def test_failed_create_leaves_no_kernel_objects(sp2):
             " I (Select NOPE From S Where X.A = S#));")
     assert sp2.conn.object_names() == objects
     assert "X" not in sp2.catalog
+
+
+def test_failed_probe_of_the_altered_relation_leaves_the_file_unchanged(sp2):
+    state, snapshot = kernel_state(sp2.conn), sp2.catalog.snapshot()
+    # NOPE is not a column of S: only the probe of SP's new view finds that
+    with pytest.raises(KernelError, match="no such column: NOPE"):
+        sp2.apply_source("Alter Table SP Add I_X (Select NOPE From S Where SP.S# = S#);")
+    assert kernel_state(sp2.conn) == state
+    assert sp2.catalog.snapshot() == snapshot
 
 
 def test_statement_granularity_is_per_statement(sp2):

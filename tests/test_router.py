@@ -142,8 +142,24 @@ def test_integrity_audits_only_unproven_join_ies(sp2, monkeypatch):
     monkeypatch.setattr(sp2.conn, "query",
                         lambda sql, *a, **k: audits.append(sql) or query(sql, *a, **k))
     violations = sp2.check("SP")
-    assert len(audits) == 1 and "FROM SP_2, T WHERE" in audits[0]   # I_S, I_P key-proven
+    assert len(audits) == 1 and "FROM SP_2 LEFT JOIN T ON" in audits[0]   # I_S, I_P key-proven
     assert {v[0] for v in violations} == {"I_T"} and len(violations) == 6
+
+
+def test_integrity_counts_matches_over_the_stage_s_left_joins():
+    # B matches nothing: an inner join over A and B would hide A's two matches
+    layer = make_layer()
+    layer.apply_source("""
+    Create Table A (K Int, V Char, Primary Key (K, V));
+    Create Table B (K Int, W Char, Primary Key (K, W));
+    Insert Into A Values (1, 'a'), (1, 'b');
+    Insert Into B Values (5, 'x');
+    Create Table R (ID Int, F Int, G Int, Primary Key (ID),
+      I (Select A.V, B.W From A, B Where R.F = A.K And R.G = B.K));
+    Insert Into R Values (10, 1, 2);
+    """)
+    assert layer.query("Select Count(*) From R;").rows == [(2,)]
+    assert layer.check("R") == [("I", (10,), 2)]
 
 
 def test_integrity_vacuous_for_value_form_only():
@@ -239,6 +255,15 @@ def test_count_reads_base_and_reports_skipped_ies(sp2):
     assert "I_S" in routed.reason and "I_P" in routed.reason
     assert sql == "SELECT Count(*) FROM SP_B SP;"
     assert sp2.query("Select Count(*) From SP;").rows == [(12,)]
+
+
+def test_a_join_on_a_base_s_whole_key_keeps_the_card(sp2):
+    sp2.apply_source("Create Table X (S# Char, P# Char, Primary Key (S#, P#),"
+                     " I (Select QTY From SP_B Where X.S# = S# And X.P# = P#));"
+                     " Insert Into X Values ('S1', 'P1'), ('S9', 'P1');")
+    routed, sql = routed_sql(sp2, "Select Count(*) From X;")
+    assert (routed.kind, sql) == (BASE_REWRITE, "SELECT Count(*) FROM X_B X;")
+    assert sp2.query("Select Count(*) From X;").rows == [(2,)]
 
 
 def test_inherited_column_reads_shortest_stage(sp2):
