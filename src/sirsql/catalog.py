@@ -137,7 +137,8 @@ class StageFacts:
 
     kind is the canonical form of the IEs the stage realizes ('join',
     'subquery', 'value') or 'reorder' for the view that only restores the
-    declared column order.  For join stages, `joins` lists each joined
+    declared column order; None for a stage of a plan that records no facts
+    (see `_LoadedEntry.plan`).  For join stages, `joins` lists each joined
     source as [relation, [[source column, enclosing column], ...]], the
     recursive-join pairs matched against that source.  The compiler writes
     one IE per stage, but `ies` stays a list: files written by earlier
@@ -145,7 +146,7 @@ class StageFacts:
     fused with the reordering.
     """
 
-    kind: str
+    kind: str | None
     ies: list                   # IE names realized, in evaluation order
     adds: list                  # columns the stage adds to its input
     joins: list = field(default_factory=list)
@@ -291,16 +292,11 @@ class CatalogEntry:
     def views(self) -> list[PlanItem]:
         return [item for item in self.plan if item.kind == "view"]
 
-    def stages_recorded(self) -> bool:
-        """Whether every view stage carries compiler facts (plans persisted
-        before the facts existed do not, and are never pruned)."""
-        return self.kind == SIR and all(item.stage is not None for item in self.views)
-
     def ie_stage(self, ie_name: str) -> tuple[int, StageFacts] | None:
         """1-based position and facts of the view stage realizing an IE."""
         key = ie_name.casefold()
         for pos, item in enumerate(self.views, start=1):
-            if item.stage is not None and key in {i.casefold() for i in item.stage.ies}:
+            if key in {i.casefold() for i in item.stage.ies}:
                 return pos, item.stage
         return None
 
@@ -346,9 +342,21 @@ class _LoadedEntry(CatalogEntry):
 
     @cached_property
     def plan(self) -> list[PlanItem]:
-        return [PlanItem(name, kind, self._kernel[name] + ";",
-                         StageFacts(**facts) if facts is not None else None)
-                for name, kind, facts in self._rows]
+        """The plan rows; a view stage of a relation with IEs that records no
+        facts (a seed-format plan) realizes the next IE in the recorded order,
+        the last view all those left, and adds their recorded columns.  Its
+        kind is None, so it is never proved to keep card(R_B)."""
+        items = [PlanItem(name, kind, self._kernel[name] + ";",
+                          StageFacts(**facts) if facts is not None else None)
+                 for name, kind, facts in self._rows]
+        if self.kind == SIR and self._recorded is not None:
+            columns, order = self._recorded
+            views = [item for item in items if item.kind == "view"]
+            for k, item in enumerate(views):
+                ies = order[k:] if k == len(views) - 1 else order[k:k + 1]
+                item.stage = StageFacts(None, ies, [
+                    col for ie in ies for col, _, _, _, ie_name in columns if ie_name == ie])
+        return items
 
     @cached_property
     def ie_order(self) -> list[str]:
@@ -453,22 +461,13 @@ class Catalog:
             return None
         if _BASE_SUFFIX.search(name):
             return owner.scheme.stored_names
-        if owner.stages_recorded():
-            # a stage view carries the stored attrs plus what each stage up
-            # to and including it adds
-            columns = list(owner.scheme.stored_names)
-            for item in owner.views:
-                columns.extend(item.stage.adds)
-                if item.name.casefold() == key:
-                    return columns
-            return None
-        stage = _STAGE_PATTERN.match(name)
-        if stage:
-            # plans persisted without stage facts: stage k carries the outputs
-            # of the first k IEs in evaluation order
-            ies = owner.ie_order[:int(stage.group(2))]
-            return owner.scheme.stored_names + [c.name for ie in ies for c in owner.columns
-                                                if c.ie_name == ie]
+        # a stage view carries the stored attrs plus what each stage up to
+        # and including it adds
+        columns = list(owner.scheme.stored_names)
+        for item in owner.views:
+            columns.extend(item.stage.adds)
+            if item.name.casefold() == key:
+                return columns
         return None
 
     # --- cardinality proofs ---
@@ -498,7 +497,7 @@ class Catalog:
     def _card_sources(self, key: str) -> list[str]:
         """The relations joined by the recorded stages of `key`, itself excepted."""
         entry = self._entries.get(key)
-        if entry is None or not entry.stages_recorded():
+        if entry is None or entry.kind != SIR:
             return []
         return [source.casefold() for item in entry.views if item.stage.kind == "join"
                 for source, _ in item.stage.joins if source.casefold() != key]
@@ -511,20 +510,21 @@ class Catalog:
             return owner is not None and owner.plan[0].name.casefold() == key
         if entry.kind == STORED:
             return True
-        return entry.kind == SIR and entry.stages_recorded() and all(
+        return entry.kind == SIR and all(
             self.stage_keeps_card(entry, item.stage) for item in entry.views)
 
     def stage_keeps_card(self, entry: CatalogEntry, stage: StageFacts) -> bool:
         """Whether a view stage of `entry` provably keeps its input's row count.
 
-        Value, subquery and reorder stages always do.  A join stage does when
+        Value, subquery and reorder stages always do, a stage without
+        recorded facts never does.  A join stage does when
         each joined source keeps its own card and the stage's recursive-join
         pairs cover a declared key of that source, counting only pairs that
         join two stored attributes of the same type affinity (an Int column
         compared with a Char key holding '01' and '1' matches both).
         """
         if stage.kind != "join":
-            return True
+            return stage.kind is not None
         for source, pairs in stage.joins:
             if source.casefold() == entry.name.casefold() or not self.keeps_card(source):
                 return False
@@ -547,13 +547,13 @@ class Catalog:
 
     def prefix_chain(self, name: str) -> PrefixChain | None:
         """The view chain of a relation with IEs, for prefix routing; None for
-        any other relation and for plans persisted without stage facts."""
+        any other relation."""
         key = name.casefold()
         if key in self._chains:
             return self._chains[key]
         entry = self._entries.get(key)
         chain = None
-        if entry is not None and entry.stages_recorded():
+        if entry is not None and entry.kind == SIR:
             stage_of = {c.casefold(): 0 for c in entry.scheme.stored_names}
             objects, ies, floor = [entry.plan[0].name], [[]], 0
             for pos, item in enumerate(entry.views, start=1):
@@ -697,13 +697,10 @@ class Catalog:
     def _reads(self, key: str) -> list[str]:
         """What relation or kernel object `key` (casefold) reads, casefold: a
         relation its references, a base nothing, and a stage view ``R_k``
-        what the IEs of stages 1..k reference (all that R reads when its
-        stages carry no facts)."""
+        what the IEs of stages 1..k reference."""
         owner = self._owners.get(key)
         if owner is None or owner.plan[0].name.casefold() == key:
             return self._graph()[0].get(key, [])       # no relation is named as a base
-        if not owner.stages_recorded():
-            return self._graph()[0][owner.name.casefold()]
         ies = set()
         for item in owner.views:
             ies.update(ie.casefold() for ie in item.stage.ies)

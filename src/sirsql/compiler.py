@@ -163,15 +163,17 @@ def column_refs(node) -> list[n.ColumnRef]:
 # --- star-minus ---------------------------------------------------------------
 
 
-def expand_star_minus(item, sources: Sources) -> list[str]:
-    """Column names the item denotes, in catalog order.
+def expand_star_minus(item, sources: Sources) -> list[n.ColumnRef]:
+    """The columns the item denotes, in catalog order, each qualified with
+    the label of the source it comes from.
 
     A star returns the columns of every source, or of the one its qualifier
     labels; star-minus drops the excluded names and insists each one
     resolves.
     """
     if isinstance(item, n.Star):
-        return [col for source in sources.star(item.qualifier) for col in source.columns]
+        return [n.ColumnRef(name=col, table=_source_label(source.table))
+                for source in sources.star(item.qualifier) for col in source.columns]
     excluded: set[tuple] = set()
     for ref in item.excluded:
         named = sources.named_by(ref)
@@ -185,7 +187,8 @@ def expand_star_minus(item, sources: Sources) -> list[str]:
         elif not named:
             raise UnknownExcludedColumn(f"excluded column {ref.name!r} not found in sources")
         excluded.update((source, ref.name.casefold()) for source in named)
-    return [col for source in sources for col in source.columns
+    return [n.ColumnRef(name=col, table=_source_label(source.table))
+            for source in sources for col in source.columns
             if (source, col.casefold()) not in excluded]
 
 
@@ -257,10 +260,9 @@ def canonicalize(ie: n.IeDecl, scheme: SirScheme, catalog: Catalog,
     select_items, produced = [], []
     for item in select.items:
         if isinstance(item.expr, (n.Star, n.StarMinus)):
-            for col in expand_star_minus(item.expr, sources):
-                owned = n.ColumnRef(name=col, table=owner(n.ColumnRef(name=col)))
-                select_items.append(n.SelectItem(expr=owned))
-                produced.append(col)
+            for ref in expand_star_minus(item.expr, sources):
+                select_items.append(n.SelectItem(expr=ref))
+                produced.append(ref.name)
             continue
         expr = item.expr
         if isinstance(expr, n.ColumnRef):

@@ -4,6 +4,10 @@ Identifiers may contain ``#`` (S#, P#) and can be quoted with double quotes
 or square brackets.  Comments are ``--`` to end of line and ``/* ... */``.
 Keywords are not reserved at the lexer level; the parser matches token text
 case-insensitively, so names like STATUS stay plain identifiers.
+
+Each lexical piece (string literal, number, word, quoted identifier,
+comment) is written once below; `tokenize` and `shape` are both built from
+them, so the statement cache binds exactly the literals the parser reads.
 """
 
 from __future__ import annotations
@@ -20,11 +24,6 @@ STRING = "STRING"
 OP = "OP"
 EOF = "EOF"
 
-_OPERATORS = (
-    "||", "<=", ">=", "<>", "!=",
-    "(", ")", ",", ";", ".", "*", "/", "+", "-", "=", "<", ">", "%",
-)
-
 
 @dataclass
 class Token:
@@ -39,108 +38,52 @@ class Token:
         return self.kind == IDENT and not self.quoted and self.value.upper() == word.upper()
 
 
-# a number is ASCII digits: SQLite reads no other, so `١٢٣` or `5²` is refused here
-_DIGITS = frozenset("0123456789")
+# the lexical pieces; a number is ASCII digits, as SQLite reads no other
+_STRING_BODY = r"[^']*(?:''[^']*)*"    # between a string literal's quotes
+_NUMBER = r"[0-9]+(?:\.[0-9]+)?|\.[0-9]+"
+_WORD = r"[^\W\d][\w#$]*"       # tokenize refuses a first character that is not alphabetic
+_QUOTED = r'"[^"]*"|\[[^\]]*\]'
+_COMMENT = r"--[^\n]*|/\*.*?\*/"
 
-
-def _ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch in "_#$"
+# One match per token: whitespace and comments, then the token.  `(?!')`
+# keeps an unterminated string from backtracking to end at an escaped
+# quote, and `/(?!\*)` keeps an open block comment from reading as an
+# operator; what is left is BAD.
+_TOKEN = re.compile(rf"""
+    (?: [ \t\r\n]+ | {_COMMENT} )*
+    (?: (?P<STRING>'{_STRING_BODY}')(?!') | (?P<NUMBER>{_NUMBER}) | (?P<IDENT>{_WORD})
+      | (?P<QUOTED>{_QUOTED}) | (?P<OP>\|\||[<>!]=|<>|[(),;.*+=<>%-]|/(?!\*))
+      | (?P<EOF>\Z) | (?P<BAD>.) )
+""", re.VERBOSE | re.DOTALL)
+_UNTERMINATED = {"'": "unterminated string literal", '"': "unterminated quoted identifier",
+                 "[": "unterminated quoted identifier", "/": "unterminated block comment"}
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of `source`, ending with EOF; ParseError at the first
+    character that starts no token, or at an opener left unclosed."""
     tokens: list[Token] = []
-    i, n = 0, len(source)
-    line, line_start = 1, 0         # the character at offset i is in column i - line_start + 1
-
-    def skip(end):
-        """Move past source[i:end], a comment, string or quoted identifier,
-        which may span lines."""
-        nonlocal i, line, line_start
-        breaks = source.count("\n", i, end)
+    line, line_start, counted = 1, 0, 0     # newlines before offset `counted` are in `line`
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        start = m.start(kind)
+        breaks = source.count("\n", counted, start)
         if breaks:
             line += breaks
-            line_start = source.rfind("\n", i, end) + 1
-        i = end
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "\n":
-            i += 1
-            line, line_start = line + 1, i
-            continue
-        col = i - line_start + 1
-        if source.startswith("--", i):
-            end = source.find("\n", i)
-            i = n if end == -1 else end
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise ParseError("unterminated block comment", line, col)
-            skip(end + 2)
-            continue
-        if ch == "'":
-            j = i + 1
-            out = []
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated string literal", line, col)
-                if source[j] == "'":
-                    if j + 1 < n and source[j + 1] == "'":
-                        out.append("'")
-                        j += 2
-                        continue
-                    break
-                out.append(source[j])
-                j += 1
-            tokens.append(Token(STRING, "".join(out), line, col))
-            skip(j + 1)
-            continue
-        if ch == '"' or ch == "[":
-            closer = '"' if ch == '"' else "]"
-            j = source.find(closer, i + 1)
-            if j == -1:
-                raise ParseError("unterminated quoted identifier", line, col)
-            tokens.append(Token(IDENT, source[i + 1:j], line, col, quoted=True))
-            skip(j + 1)
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
-            j = i
-            seen_dot = False
-            while j < n and (source[j] in _DIGITS or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    # a dot not followed by a digit ends the number (qualified names)
-                    if j + 1 >= n or source[j + 1] not in _DIGITS:
-                        break
-                    seen_dot = True
-                j += 1
-            tokens.append(Token(NUMBER, source[i:j], line, col))
-            i = j
-            continue
-        if _ident_start(ch):
-            j = i + 1
-            while j < n and _ident_part(source[j]):
-                j += 1
-            tokens.append(Token(IDENT, source[i:j], line, col))
-            i = j
-            continue
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(OP, op, line, col))
-                i += len(op)
-                break
+            line_start = source.rfind("\n", counted, start) + 1
+        counted, col, text = start, start - line_start + 1, m.group(kind)
+        if kind == IDENT and not (text[0].isalpha() or text[0] == "_"):    # ², ½, Ⅻ
+            kind, text = "BAD", text[0]
+        if kind == STRING:
+            tokens.append(Token(STRING, text[1:-1].replace("''", "'"), line, col))
+        elif kind == "QUOTED":
+            tokens.append(Token(IDENT, text[1:-1], line, col, quoted=True))
+        elif kind == "BAD":
+            raise ParseError(_UNTERMINATED.get(text, f"unexpected character {text!r}"), line, col)
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-
-    tokens.append(Token(EOF, "", line, i - line_start + 1))
-    return tokens
+            tokens.append(Token(kind, text, line, col))
+            if kind == EOF:
+                return tokens
 
 
 # --- statement shapes --------------------------------------------------------
@@ -148,21 +91,17 @@ def tokenize(source: str) -> list[Token]:
 INT64_MAX = 2**63 - 1
 _BOUND_FLOAT_DIGITS = 15        # a float with more digits may parse differently in SQLite
 
-# One `findall` over dialect text that finds its literals the way `tokenize`
-# does.  Each match is the start of the text or a literal (group 1 a string
-# literal's body, group 2 a number), then the run up to the next literal
-# (group 3), so the key is the runs joined by ``?``.  A run takes identifiers,
-# comments and quoted identifiers whole, so that digits in identifiers
-# (R001_K, S#) and literals in comments or quoted identifiers are never bound.
-# It also takes what `tokenize` refuses (a quote, comment or bracket left
-# open, and digits other than 0-9 outside identifiers), so it ends only at
-# a literal or at the end and the matches tile the text.  Spaces and
-# punctuation go with the piece before them, which keeps the engine's loop
-# short.
-_SHAPE = re.compile(r"""
-    (?: \A | '([^']*(?:''[^']*)*)' | ([0-9]+(?:\.[0-9]+)?|\.[0-9]+) )
+# One `findall` over dialect text: each match is the start of the text or a
+# literal (group 1 a string literal's body, group 2 a number), then the run
+# up to the next literal (group 3), so the key is the runs joined by ``?``.
+# The run also takes what `tokenize` refuses (a quote, comment or bracket
+# left open, and digits other than 0-9 outside words), so the matches tile
+# every text.  Spaces and punctuation go with the piece before them, which
+# keeps the engine's loop short.
+_SHAPE = re.compile(rf"""
+    (?: \A | '({_STRING_BODY})' | ({_NUMBER}) )
     ( [^'"\[\w./-]*
-      (?: (?: [^\W\d][\w#$]* | "[^"]*" | \[[^\]]*\] | --[^\n]* | /\*.*?\*/
+      (?: (?: {_WORD} | {_QUOTED} | {_COMMENT}
             | \.(?![0-9]) | -(?!-) | /(?!\*) | ["\[/] | '(?![^']*') | [^\D0-9] )
           [^'"\[\w./-]* )* )
 """, re.VERBOSE | re.DOTALL)

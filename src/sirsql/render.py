@@ -7,7 +7,8 @@ one walker:
   constructs (IE declarations, star-minus, CREATE TABLE with IEs) with
   UnrenderableNode -- those must be compiled away first -- quotes
   identifiers with ``"..."``, writes INT as a CAST, LIST and IIF as
-  group_concat and iif, and TOP as a trailing LIMIT.
+  group_concat and iif, EXISTS of a subquery without its call parentheses,
+  and TOP as a trailing LIMIT.
 * source mode (`render_source`) emits sirsql dialect text, lossless enough
   that re-parsing yields an equal AST.  Used for catalog persistence and
   round-trip checks.
@@ -116,6 +117,9 @@ class _Renderer:
                 if len(node.args) != 1:
                     raise UnrenderableNode("integer cast takes one argument")
                 return f"CAST({self.render(node.args[0])} AS INTEGER)"
+            if upper == "EXISTS" and len(node.args) == 1 and not node.distinct \
+                    and isinstance(node.args[0], n.Subquery):
+                return f"{func} {self.render(node.args[0])}"    # SQLite reads no EXISTS((…))
             func = _KERNEL_FUNCS.get(upper, func)
         if node.star:
             return f"{func}(*)"

@@ -322,13 +322,16 @@ def _pre_aggregate(stmt: n.Query, catalog: Catalog) -> RoutedStatement | None:
 
 
 def _expand_star_minus_items(sel: n.Select, catalog: Catalog) -> list:
-    """A select's items with star-minus replaced by the columns it denotes."""
+    """A select's items with star-minus replaced by the columns it denotes;
+    a name that more than one source holds keeps its source's qualifier."""
     sources = Sources(_from_tables(sel), catalog.resolve_columns)
     new_items = []
     for item in sel.items:
         if isinstance(item.expr, n.StarMinus):
-            for col in expand_star_minus(item.expr, sources):
-                new_items.append(n.SelectItem(expr=n.ColumnRef(name=col)))
+            for ref in expand_star_minus(item.expr, sources):
+                bare = n.ColumnRef(name=ref.name)
+                new_items.append(n.SelectItem(
+                    expr=ref if len(sources.named_by(bare)) > 1 else bare))
         else:
             new_items.append(item)
     return new_items
@@ -449,14 +452,9 @@ def check_ie_integrity(entry, catalog: Catalog, conn: KernelConnection) -> list[
         produced.extend(canon.produced_attrs)
         if canon.kind != "join":
             continue
-        located = entry.ie_stage(ie.name)
-        if located is None:
-            # plans persisted without stage facts: one stage per IE in order
-            pos = [i.casefold() for i in entry.ie_order].index(ie.name.casefold()) + 1
-        else:
-            pos, stage = located
-            if catalog.stage_keeps_card(entry, stage):
-                continue
+        pos, stage = entry.ie_stage(ie.name)
+        if catalog.stage_keeps_card(entry, stage):
+            continue
         prev = entry.plan[0].name if pos == 1 else views[pos - 2].name
         keys = [n.ColumnRef(name=c, table=prev) for c in key_cols]
         count_item = n.SelectItem(expr=n.Call(func="COUNT", args=[], star=True), alias="n")
@@ -477,16 +475,13 @@ def enforce_insert_computability(entry, inserted_keys: list[tuple],
 
     Value-form attributes are exempt: arithmetic over NULL inputs is
     legitimate NULL propagation, not a failed inheritance.  The form is the
-    kind the compiler recorded for the IE's stage; an IE without recorded
-    facts is checked.
+    kind the compiler recorded for the IE's stage; a stage of a plan that
+    records no facts has no kind, so its IEs are checked.
     """
     from .errors import IaNotComputable
 
-    def value_form(ie_name):
-        located = entry.ie_stage(ie_name)
-        return located is not None and located[1].kind == "value"
-
-    checked = [c for c in entry.columns if c.is_inherited and not value_form(c.ie_name)]
+    checked = [c for c in entry.columns
+               if c.is_inherited and entry.ie_stage(c.ie_name)[1].kind != "value"]
     if not checked or not inserted_keys:
         return
     key_cols = entry.scheme.primary_key() or entry.scheme.stored_names

@@ -65,18 +65,34 @@ def test_a_cycle_through_a_stage_view_is_refused_before_any_kernel_statement(
 
 
 def test_a_cycle_through_a_stage_view_of_a_seed_format_file_is_refused(tmp_path, kernel_log):
-    # a stage view without stage facts reads all that its relation reads
+    # stage k of a plan without stage facts reads what the first k IEs read
     location = str(tmp_path / "db.sqlite")
     layer = load_sp2(SirLayer(KernelConnection(location)))
     write_seed_documents(layer)
     layer.conn.close()
     reopened = SirLayer(KernelConnection(location))
-    assert not reopened.catalog.get("SP").stages_recorded()
+    assert [item.stage.kind for item in reopened.catalog.get("SP").views] == [None, None]
     sent = kernel_log(reopened.conn)
     with pytest.raises(CircularReferenceError, match=r"^circular reference: S -> SP -> S$"):
         reopened.apply_source(
             "Alter Table S Add I_X (Select Count(*) As N From SP_1 Where S.S# = S#);")
     assert sent == []
+
+
+@pytest.mark.parametrize("seed_format", [False, True])
+def test_a_stage_view_of_a_seed_format_file_reads_only_its_own_ies(tmp_path, seed_format):
+    # SP_1 realizes I_S, which reads S only, so P may read it
+    location = str(tmp_path / "db.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)))
+    if seed_format:
+        write_seed_documents(layer)
+    layer.conn.close()
+    reopened = SirLayer(KernelConnection(location))
+    reopened.apply_source(
+        "Alter Table P Add I_X (Select Count(*) As N From SP_1 Where P.P# = P#);")
+    assert reopened.query("Select P#, N From P Where P# In ('P1', 'P2', 'P3');").rows == [
+        ("P1", 2), ("P2", 4), ("P3", 1)]
+    reopened.conn.close()
 
 
 def test_rejected_mutation_leaves_kernel_and_catalog_unchanged(sp2):

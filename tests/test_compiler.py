@@ -105,6 +105,21 @@ def test_star_qualifier_is_case_insensitive_and_must_label_a_source(kernel_log):
     assert sent == [] and "R" not in layer.catalog
 
 
+@pytest.mark.parametrize("items, where, columns", [
+    ("S.*", "X.A = S# And X.B = P#", ["A", "B", "S#", "SNAME", "STATUS", "CITY"]),
+    ("*/(P.CITY)", "X.A = S# And P# = 'P1'",
+     ["A", "B", "S#", "SNAME", "STATUS", "CITY", "P#", "PNAME", "COLOR", "WEIGHT"]),
+])
+def test_a_star_column_that_two_sources_hold_reads_its_own_source(items, where, columns):
+    layer = sp2_layer(with_data=True)
+    layer.apply_source(f"Create Table X (A Char, B Char, Primary Key (A),"
+                       f" I (Select {items} From S, P Where {where}));")
+    layer.apply_source("Insert Into X Values ('S2', 'P3');")
+    result = layer.query("Select * From X;")
+    assert result.columns == columns
+    assert dict(zip(columns, result.rows[0]))["CITY"] == "Paris"     # S2's city, not P3's
+
+
 def test_canonicalize_residual_predicates_move_into_join():
     layer = sp2_layer()
     stmt = parse_one(
@@ -151,18 +166,22 @@ def test_order_detects_forced_two_cycle():
 P_COLS = Sources([n.TableName(name="P")], {"P": ["P#", "PNAME", "COLOR", "WEIGHT", "CITY"]}.get)
 
 
+def _of_p(columns):
+    return [n.ColumnRef(name=col, table="P") for col in columns]
+
+
 def test_star_minus_single_exclusion():
     item = n.StarMinus(excluded=[n.ColumnRef(name="P#", table="P")])
-    assert expand_star_minus(item, P_COLS) == ["PNAME", "COLOR", "WEIGHT", "CITY"]
+    assert expand_star_minus(item, P_COLS) == _of_p(["PNAME", "COLOR", "WEIGHT", "CITY"])
 
 
 def test_plain_star_expands_all():
-    assert expand_star_minus(n.Star(), P_COLS) == ["P#", "PNAME", "COLOR", "WEIGHT", "CITY"]
+    assert expand_star_minus(n.Star(), P_COLS) == _of_p(["P#", "PNAME", "COLOR", "WEIGHT", "CITY"])
 
 
 def test_star_minus_list_exclusion():
     item = n.StarMinus(excluded=[n.ColumnRef(name="P#"), n.ColumnRef(name="CITY")])
-    assert expand_star_minus(item, P_COLS) == ["PNAME", "COLOR", "WEIGHT"]
+    assert expand_star_minus(item, P_COLS) == _of_p(["PNAME", "COLOR", "WEIGHT"])
 
 
 def test_star_minus_unknown_exclusion():

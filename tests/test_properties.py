@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sirsql.errors import KernelError, ParseError, SirSqlError
 from sirsql.kernel import KernelConnection, RowSet
 from sirsql.layer import SirLayer, StatementResult
-from sirsql.lexer import NUMBER, STRING, literal_value, shape, tokenize
+from sirsql.lexer import _SHAPE, NUMBER, STRING, literal_value, shape, tokenize
 from sirsql.normalizer import (FunctionalDependency, MultivaluedDependency,
                                SchemeDraft, attribute_closure, heath_decompose,
                                is_bcnf, lossless_check, make_universal, normalize)
@@ -358,6 +358,23 @@ def test_shape_values_are_the_lexers_literals(pieces):
     key, values = shape(text)
     assert values == expected and list(map(type, values)) == list(map(type, expected))
     assert key == "".join(expected_key) + text[end:]
+
+
+_open_pieces = st.sampled_from(["'open", "'''", '"open', "[open", "/* open", "*/", "²", "١", "Ⅻ",
+                                "\r\n", "?", "]"])
+
+
+@given(pieces=st.lists(st.tuples(st.one_of(_pieces, _open_pieces),
+                                 st.sampled_from(["", " ", "\n"])), max_size=20))
+@settings(max_examples=CASES * 3, derandomize=True)
+def test_shape_matches_tile_every_text(pieces):
+    # refused texts included: each match starts where the last one ended
+    text = "".join(piece + sep for piece, sep in pieces)
+    end = 0
+    for match in _SHAPE.finditer(text):
+        assert match.start() == end, (text, match)
+        end = match.end()
+    assert end == len(text)
 
 
 # --- normalization losslessness ---------------------------------------------------

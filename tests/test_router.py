@@ -30,6 +30,32 @@ def test_select_star_minus_expanded_before_kernel(sp2):
     assert text.startswith('SELECT "S#", "P#", SNAME')
 
 
+def test_star_minus_qualifies_only_a_name_that_two_sources_hold(sp2):
+    text = "Select */(QTY) From SP_B, S Where SP_B.S# = S.S#;"
+    assert render(route(parse_one(text), sp2.catalog).kernel_stmt) == (
+        'SELECT SP_B."S#", "P#", S."S#", SNAME, STATUS, CITY FROM SP_B, S'
+        ' WHERE SP_B."S#" = S."S#";')
+    assert sp2.query(text).rows[0] == ("S1", "P1", "S1", "Smith", "20", "London")
+
+
+@pytest.mark.parametrize("verb, kernel, suppliers", [
+    ("Exists", "WHERE Exists (SELECT 1", [("Smith",), ("Jones",), ("Blake",), ("Clark",)]),
+    ("Not Exists", "WHERE NOT Exists (SELECT 1", [("Adams",)]),
+])
+def test_exists_of_a_subquery_reaches_the_kernel(sp2, verb, kernel, suppliers):
+    text = f"Select SNAME From S Where {verb} (Select 1 From SP Where SP.S# = S.S#);"
+    assert kernel in render(route(parse_one(text), sp2.catalog).kernel_stmt)
+    assert sp2.query(text).rows == suppliers
+
+
+def test_an_ie_item_of_exists_compiles(sp2):
+    sp2.apply_source("Create Table Z (K Char, Primary Key (K), I (Select SNAME,"
+                     " Exists (Select 1 From SP Where SP.S# = S.S#) As SUPPLIES"
+                     " From S Where Z.K = S#));")
+    sp2.apply_source("Insert Into Z Values ('S1'), ('S5');")
+    assert sp2.query("Select * From Z;").rows == [("S1", "Smith", 1), ("S5", "Adams", 0)]
+
+
 def test_paper_insert_select_rewrites_to_base(sp2):
     routed = route(parse_one("Insert SP (select 'S9' as S#, 'P1' as P#, 100 as QTY);"),
                    sp2.catalog)
@@ -484,7 +510,7 @@ def test_seed_format_plans_load_and_are_never_pruned(tmp_path):
 
     reopened = SirLayer(KernelConnection(location))
     entry = reopened.catalog.get("SP")
-    assert not entry.stages_recorded()
+    assert [item.stage.kind for item in entry.views] == [None, None]
     assert reopened.catalog.resolve_columns("SP_1")[-1] == "SCITY"
     routed, _ = routed_sql(reopened, "Select Count(*) From SP;")
     assert routed.kind == PASS_THROUGH
