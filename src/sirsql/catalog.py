@@ -43,7 +43,7 @@ import datetime
 import json
 import re
 from collections import defaultdict
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from functools import cached_property
 
 from . import nodes as n
@@ -161,12 +161,14 @@ class PlanItem:
 
 
 def _document(entry) -> str:
-    """The JSON stored in an entry's `sir_relations.plan` field."""
-    document = {"plan": [[i.name, i.kind] + ([asdict(i.stage)] if i.stage else [])
+    """The JSON stored in an entry's `sir_relations.plan` field.  A stage's
+    facts are its fields in declaration order (`vars`, no copy)."""
+    document = {"plan": [[i.name, i.kind, vars(i.stage)] if i.stage else [i.name, i.kind]
                          for i in entry.plan],
                 "references": entry.references}
     if entry.kind == VIEW:
-        document["columns"] = [astuple(c) for c in entry.columns]
+        document["columns"] = [[c.name, c.sql_type, c.is_key, c.is_inherited, c.ie_name]
+                               for c in entry.columns]
     return json.dumps(document)
 
 
@@ -417,15 +419,16 @@ class Catalog:
     """In-memory mirror of the meta-tables, plus the dependency graph."""
 
     def __init__(self):
-        self._entries: dict[str, CatalogEntry] = {}   # casefold name -> entry
-        self._order: list[str] = []                   # registration order (casefold)
+        # casefold name -> entry, in registration order (an entry entered again
+        # under its name keeps its place)
+        self._entries: dict[str, CatalogEntry] = {}
         self._owners: dict[str, CatalogEntry] = {}    # casefold generated object -> entry
         # bumped by attach/detach; a session's statement cache is keyed on it
         self.generation = 0
         # route-time proofs against the current entries; cleared on attach/detach
         self._keeps_card: dict[str, bool] = {}
         self._chains: dict[str, PrefixChain | None] = {}
-        self._graph_maps: tuple[dict, dict] | None = None     # see _graph
+        self._readers: dict[str, dict[str, None]] | None = None     # see _reverse
         # the kernel holds the meta-table: the load saw it, or a DDL of this
         # session committed it; `ensure_meta` then sends nothing
         self.meta_ready = False
@@ -444,7 +447,7 @@ class Catalog:
         return entry
 
     def entries(self) -> list[CatalogEntry]:
-        return [self._entries[key] for key in self._order]
+        return list(self._entries.values())
 
     def owner_of_object(self, name: str) -> CatalogEntry | None:
         """Entry whose kernel plan produced the named object, if any; a
@@ -566,23 +569,35 @@ class Catalog:
         self._chains[key] = chain
         return chain
 
-    def _graph(self) -> tuple[dict[str, list[str]], dict[str, dict[str, None]]]:
-        """The dependency graph from the entries' references, in registration
-        order: casefold name -> the names it references, and casefold name ->
-        the names of the relations reading it, as an ordered set.  A relation
-        reading a kernel object (`R_B`, a stage view) also counts as a reader
-        of the object's relation.  Kept until the next attach or detach."""
-        if self._graph_maps is None:
-            forward = {key: [ref.casefold() for ref in self._entries[key].references]
-                       for key in self._order}
-            reverse: dict[str, dict[str, None]] = {}
-            for key, refs in forward.items():
-                for ref in refs:
-                    owner = self._owners.get(ref)
-                    for target in (ref, owner.name.casefold()) if owner else (ref,):
-                        reverse.setdefault(target, {})[key] = None
-            self._graph_maps = forward, reverse
-        return self._graph_maps
+    def _links(self, keys) -> dict[str, dict[str, None]]:
+        """The dependency links of the entries named in `keys` (casefold;
+        a name no entry has is skipped): casefold name -> the entries reading
+        it, in the order of `keys`, as an ordered set.  An entry reads each
+        relation or kernel object it references, and counts as a reader of
+        the relation owning each such kernel object (`R_B`, a stage view)."""
+        links: dict[str, dict[str, None]] = {}
+        for key in keys:
+            entry = self._entries.get(key)
+            for ref in entry.references if entry is not None else ():
+                ref = ref.casefold()
+                links.setdefault(ref, {})[key] = None
+                owner = self._owners.get(ref)
+                if owner is not None:
+                    links.setdefault(owner.name.casefold(), {})[key] = None
+        return links
+
+    def _build_readers(self) -> dict[str, dict[str, None]]:
+        """The reverse dependency map built from every entry: the links of all
+        entries, so each relation's readers come in registration order."""
+        return self._links(self._entries)
+
+    def _reverse(self) -> dict[str, dict[str, None]]:
+        """The reverse dependency map (see `_build_readers`).  It is built at
+        its first use, not at open, and from then on `attach` and `detach`
+        keep it current, re-linking only the entries they touch (`_enter`)."""
+        if self._readers is None:
+            self._readers = self._build_readers()
+        return self._readers
 
     def dependents_of(self, name: str) -> list[str]:
         """The relations reading relation or kernel object `name`, in
@@ -590,7 +605,7 @@ class Catalog:
         key = name.casefold()
         if key not in self._entries and self.owner_of_object(name) is None:
             raise UnknownRelation(f"no relation named {name!r}")
-        return [self._entries[reader].name for reader in self._graph()[1].get(key, ())]
+        return [self._entries[reader].name for reader in self._reverse().get(key, ())]
 
     def blocking_dependents(self, name: str) -> list[str]:
         """The relations other than itself that read a relation or any kernel
@@ -605,9 +620,9 @@ class Catalog:
         that, the readers of one relation keep registration order.
 
         The list is the reverse postorder of one depth-first walk over the
-        reverse map, on an explicit stack, so it takes time linear in the
-        relations and references it reaches."""
-        reverse = self._graph()[1]
+        kept reverse map (`_reverse`), on an explicit stack, so it takes time
+        linear in the relations and references it reaches."""
+        reverse = self._reverse()
 
         def readers(key):
             # last first, so that the reversed postorder keeps registration order
@@ -700,7 +715,8 @@ class Catalog:
         what the IEs of stages 1..k reference."""
         owner = self._owners.get(key)
         if owner is None or owner.plan[0].name.casefold() == key:
-            return self._graph()[0].get(key, [])       # no relation is named as a base
+            entry = self._entries.get(key)      # no relation is named as a base
+            return [ref.casefold() for ref in entry.references] if entry is not None else []
         ies = set()
         for item in owner.views:
             ies.update(ie.casefold() for ie in item.stage.ies)
@@ -740,10 +756,11 @@ class Catalog:
         conn.execute("DELETE FROM sir_relations WHERE name = ?", (name,))
 
     def copy(self) -> "Catalog":
-        """Shallow working copy for what-if compilation during alters."""
+        """Shallow working copy for what-if compilation during alters.  It
+        shares no reverse dependency map with the original: it builds its own
+        at its first use, so attaching to the copy never touches the original's."""
         clone = Catalog()
         clone._entries = dict(self._entries)
-        clone._order = list(self._order)
         clone._owners = dict(self._owners)
         return clone
 
@@ -752,34 +769,68 @@ class Catalog:
         self.generation += 1
         self._keeps_card.clear()
         self._chains.clear()
-        self._graph_maps = None
 
     # --- in-memory mutation (after the kernel commit) ---
 
     def attach(self, entry: CatalogEntry):
-        self._register(entry, entry.kernel_objects)
+        self._enter(entry.name.casefold(), entry)
+
+    def detach(self, name: str):
+        self._enter(name.casefold(), None)
+
+    def _enter(self, key: str, entry: CatalogEntry | None):
+        """Put `entry` under casefold `key` in place of any entry there, or with
+        None remove that entry, and keep a built reverse map current.  Only
+        the links of the entry named `key` (unless it keeps its references
+        and kernel objects) and of the readers of a kernel object that gains
+        or loses its owner here are compared before and after, and only the
+        links that differ are removed or added."""
+        old, relinked = self._entries.get(key), []
+        if self._readers is not None:
+            moved = {o.casefold() for o in (old.kernel_objects if old else ())} \
+                ^ {o.casefold() for o in (entry.kernel_objects if entry else ())}
+            if moved or old is None or entry is None or old.references != entry.references:
+                relinked = [key] + [reader for obj in moved - {key}
+                                    for reader in self._readers.get(obj, ())]
+            before = self._pairs(relinked)
+        if entry is not None:
+            self._register(entry, entry.kernel_objects)
+        else:
+            self._forget_entry(key)
+            self._entries.pop(key, None)
+        if self._readers is not None:
+            after = self._pairs(relinked)
+            for target, reader in before - after:
+                readers = self._readers[target]
+                del readers[reader]
+                if not readers:
+                    del self._readers[target]
+            for target, reader in after - before:
+                self._link(reader, target)
         self._changed()
+
+    def _pairs(self, keys: list[str]) -> set[tuple[str, str]]:
+        """The (target, reader) links of the entries named in `keys`."""
+        return {(target, reader) for target, readers in self._links(keys).items()
+                for reader in readers}
+
+    def _link(self, reader: str, target: str):
+        """Enter `reader` among the readers of `target`, in registration order."""
+        readers = self._readers.setdefault(target, {})
+        readers[reader] = None
+        if len(readers) > 1 and reader != next(reversed(self._entries)):
+            self._readers[target] = {key: None for key in self._entries if key in readers}
 
     def _register(self, entry: CatalogEntry, objects: list[str]):
         """Enter `entry`, whose kernel objects are `objects`, in place of any
-        entry of the same name; the caller then calls `_changed`."""
+        entry of the same name (which keeps its place in registration order);
+        the caller then calls `_changed`."""
         key = entry.name.casefold()
-        if key not in self._entries:
-            self._order.append(key)
-        else:
-            self._forget_entry(key)
+        self._forget_entry(key)
         self._entries[key] = entry
         for name in objects:
             if name.casefold() != key:
                 self._owners[name.casefold()] = entry
-
-    def detach(self, name: str):
-        key = name.casefold()
-        self._forget_entry(key)
-        self._entries.pop(key, None)
-        if key in self._order:
-            self._order.remove(key)
-        self._changed()
 
     def _forget_entry(self, key: str):
         """Drop the generated objects of the entry named `key`."""

@@ -480,15 +480,33 @@ def _base_table_sql(scheme: SirScheme, name: str) -> str:
 
 def compile_sir(scheme: SirScheme, catalog: Catalog) -> CatalogEntry:
     """The catalog entry of one relation: its kernel plan, a base table plus
-    a view chain, and the scheme's source text.
+    the view chain that `compile_chain` builds, and the parts the scheme
+    alone fixes, the references and the source text.  With zero IEs the plan
+    is a single plain CREATE TABLE under the relation's own name."""
+    catalog.validate_scheme(scheme)
+    base_name = f"{scheme.name}_B" if scheme.ies else scheme.name
+    references = []
+    for ref in [ref for ie in scheme.ies for ref in ie_references(ie, scheme.name)]:
+        if ref.casefold() not in {r.casefold() for r in references}:
+            references.append(ref)
+    return compile_chain(CatalogEntry(
+        name=scheme.name, kind=SIR if scheme.ies else STORED, scheme=scheme, columns=[],
+        plan=[PlanItem(base_name, "table", _base_table_sql(scheme, base_name))],
+        references=references, source_text=render_source(scheme_to_ast(scheme))), catalog)
+
+
+def compile_chain(entry: CatalogEntry, catalog: Catalog) -> CatalogEntry:
+    """A new entry: `entry` with its view chain, columns and IE order compiled
+    from its scheme against `catalog`.  Its base item (`plan[0]`), references
+    and source text are kept: the scheme alone fixes them, so an ALTER
+    cascade recompiles a star dependent, whose scheme it does not change,
+    through this alone.
 
     The chain has one view per IE, in evaluation order; the last carries
     the relation's name, unless evaluation order differs from declared
-    order, when one more view restores the declared column order.  With
-    zero IEs the plan is a single plain CREATE TABLE under the relation's
-    own name.
+    order, when one more view restores the declared column order.
     """
-    catalog.validate_scheme(scheme)
+    scheme = entry.scheme
     canon = canonicalize_all(scheme, catalog)
     ordered = order_ies(scheme, canon)
 
@@ -511,14 +529,13 @@ def compile_sir(scheme: SirScheme, catalog: Catalog) -> CatalogEntry:
     chain_cols = scheme.stored_names + [attr for stage in stages for attr in stage.adds]
     in_declared_order = [c.casefold() for c in chain_cols] == [c.name.casefold() for c in columns]
 
-    base_name = f"{scheme.name}_B" if scheme.ies else scheme.name
-    items = [PlanItem(base_name, "table", _base_table_sql(scheme, base_name))]
+    items = [entry.plan[0]]
 
     def add_view(name: str, select: n.Select, stage: StageFacts):
         items.append(PlanItem(name, "view",
                               render(n.CreateView(name=name, select=select)), stage))
 
-    prev = base_name
+    prev = entry.plan[0].name
     for pos, (cie, stage) in enumerate(zip(ordered, stages), start=1):
         last = pos == len(ordered) and in_declared_order
         stage_name = scheme.name if last else f"{scheme.name}_{pos}"
@@ -530,14 +547,9 @@ def compile_sir(scheme: SirScheme, catalog: Catalog) -> CatalogEntry:
                            from_=[n.TableName(name=prev)])
         add_view(scheme.name, reorder, StageFacts(kind="reorder", ies=[], adds=[]))
 
-    references = []
-    for ref in [ref for ie in scheme.ies for ref in ie_references(ie, scheme.name)]:
-        if ref.casefold() not in {r.casefold() for r in references}:
-            references.append(ref)
-    return CatalogEntry(name=scheme.name, kind=SIR if scheme.ies else STORED, scheme=scheme,
-                        columns=columns, plan=items, references=references,
-                        ie_order=[c.name for c in ordered],
-                        source_text=render_source(scheme_to_ast(scheme)))
+    return CatalogEntry(name=entry.name, kind=entry.kind, scheme=scheme, columns=columns,
+                        plan=items, references=entry.references,
+                        ie_order=[c.name for c in ordered], source_text=entry.source_text)
 
 
 # --- alter ---------------------------------------------------------------------

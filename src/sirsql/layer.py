@@ -5,12 +5,16 @@ catalog meta-rows commit together or not at all, and the in-memory catalog
 is only updated after the commit.  Queries and DML go through the router.
 
 `Catalog.transitive_dependents` alone orders the relations a DDL statement
-reaches beyond its own.  An ALTER walks that list once, in dependency order:
-a dependent whose IE uses `*` over a relation whose column list the
-statement changed (the altered relation always counts, and a star over
-`R_B` counts as one over `R`) is recompiled, so it inherits the attributes
-added or dropped; every other dependent gets a probe of its final view.
-DROP ... CASCADE drops the same list in reverse, the relation last.
+reaches beyond its own; the catalog keeps its dependency graph across DDL.
+An ALTER walks that list once, in dependency order: a dependent whose IE
+uses `*` over a relation whose column list the statement changed (the
+altered relation always counts, and a star over `R_B` counts as one over
+`R`) gets its view chain compiled again (`compile_chain`), so it inherits
+the attributes added or dropped, and keeps its base, references and source
+text, which its unchanged scheme fixes.  Every other dependent gets a probe
+of its final view; a view dependent then has its columns read back from the
+kernel, which re-expands a view's `*`, and its meta row rewritten when they
+changed.  DROP ... CASCADE drops the same list in reverse, the relation last.
 
 A session is used only by the thread that opened its KernelConnection
 (sqlite3 refuses calls from any other thread).  Threads that share one
@@ -45,7 +49,8 @@ from . import nodes as n
 from .catalog import (SIR, VIEW, Catalog, CatalogEntry, ColumnInfo, PlanItem,
                       ie_references, referenced_relations, scheme_from_ast)
 from .compiler import (Sources, alter_steps, apply_alter, base_size_probe, column_refs,
-                       compile_index, compile_sir, plan_drop, recompile_steps, rewrite_to_base)
+                       compile_chain, compile_index, compile_sir, plan_drop, recompile_steps,
+                       rewrite_to_base)
 from .errors import (CircularReferenceError, DependentAttributeDrop, InvariantViolation,
                      KernelError, NameCollision, NotNullAttributeAdd, RejectedWrite,
                      StaleCatalog, UnknownObject, UnknownRelation)
@@ -272,10 +277,9 @@ class SirLayer:
             def work(conn):
                 conn.execute(sql, origin=partial(render_source, stmt))
                 self._probe_view(conn, stmt.name, partial(render_source, stmt))
-                columns = [ColumnInfo(c, None, False, True, None)
-                           for c in conn.introspect(stmt.name)]
                 entry = CatalogEntry(
-                    name=stmt.name, kind=VIEW, scheme=None, columns=columns,
+                    name=stmt.name, kind=VIEW, scheme=None,
+                    columns=_view_columns(conn, stmt.name),
                     plan=[PlanItem(stmt.name, "view", sql)],
                     references=refs, source_text=render_source(stmt))
                 self.catalog.persist(entry, conn)
@@ -324,9 +328,8 @@ class SirLayer:
                             f" through IE {read[0]} (no such column: {read[1]})")
                     updates.append((name, None, []))
                     continue
-                new_dep = compile_sir(dep.scheme, scratch)
-                # its base is not touched, so it keeps the kernel's text of it
-                new_dep.plan[0] = dep.plan[0]
+                # its scheme is unchanged: only its view chain is compiled again
+                new_dep = compile_chain(dep, scratch)
                 scratch.attach(new_dep)
                 updates.append((name, new_dep, recompile_steps(dep, new_dep)))
                 if new_dep.column_names != dep.column_names:
@@ -347,6 +350,7 @@ class SirLayer:
                         " cannot be added: every row would hold NULL in it")
                 # a rebuilt base gets the old base's indexes back
                 steps = alter_steps(entry, new_entry, partial(conn.indexes, base), rows < bound)
+                views = []      # the view dependents whose columns the ALTER changed
                 for name, new, maintenance in [(entry.name, new_entry, steps)] + updates:
                     for item in maintenance:
                         conn.execute(item.sql, origin=origin)
@@ -362,14 +366,21 @@ class SirLayer:
                                 f"{entry.name}: this ALTER removes an attribute"
                                 f" {reader.name} reads{f' through IE {ies}' if ies else ''}"
                                 f" ({exc.__cause__})") from exc
+                    if new is None and (dep := self.catalog.get(name)).kind == VIEW:
+                        # the kernel re-expands a view's `*` at each use
+                        columns = _view_columns(conn, dep.name)
+                        if [c.name for c in columns] != dep.column_names:
+                            new = CatalogEntry(dep.name, VIEW, None, columns, dep.plan,
+                                               dep.references, source_text=dep.source_text)
+                            views.append(new)
                     if new is not None:
                         self.catalog.persist_replace(new, conn)
+                return views
 
-            self._ddl_transaction(work)
+            views = self._ddl_transaction(work)
             self.catalog.attach(new_entry)
-            for _, new, _ in updates:
-                if new is not None:
-                    self.catalog.attach(new)
+            for new in [new for _, new, _ in updates if new is not None] + views:
+                self.catalog.attach(new)
             return StatementResult(stmt, "alter table", objects=new_entry.kernel_objects,
                                    warnings=stmt.warnings)
 
@@ -452,6 +463,12 @@ class SirLayer:
         count = self.conn.execute(sql, bound, origin=origin)
         action = type(stmt).__name__.lower()
         return StatementResult(stmt, action, rowcount=count, warnings=stmt.warnings), sql
+
+
+def _view_columns(conn, name: str) -> list[ColumnInfo]:
+    """A view's columns as the kernel reports them; the catalog records no
+    type, key or IE for a view's column."""
+    return [ColumnInfo(c, None, False, True, None) for c in conn.introspect(name)]
 
 
 def _ies_over(entry: CatalogEntry, relations: set[str], catalog: Catalog) -> str:

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import inspect
 import json
+import random
 import re
 
 import pytest
 
 from sirsql import catalog as catalog_module
 from sirsql import compiler
-from sirsql.catalog import STORED, Catalog, CatalogEntry
+from sirsql.catalog import STORED, Catalog, CatalogEntry, scheme_from_ast
 from sirsql.cli import main
 from sirsql.errors import (CircularReferenceError, CorruptCatalog, DependentsExist,
                            DuplicateName, InvariantViolation, NameCollision,
@@ -248,6 +249,103 @@ def test_transitive_dependents_put_each_relation_after_what_it_reads(layer):
     assert layer.catalog.transitive_dependents("S") == ["B", "A", "C", "V"]
     assert layer.catalog.transitive_dependents("B") == ["A", "C"]
     assert layer.catalog.transitive_dependents("A") == []
+
+
+def _kept_and_rebuilt(catalog: Catalog) -> tuple[dict, dict]:
+    """The catalog's kept reverse map and one rebuilt from every entry, each
+    as casefold name -> its readers in order."""
+    def listed(readers):
+        return {key: list(names) for key, names in readers.items()}
+    return listed(catalog._reverse()), listed(catalog._build_readers())
+
+
+def _graph_steps(seed: int) -> list[str]:
+    """A DDL sequence over S-P2: relations reading a base, a stage view and
+    (with `*`) a dimension, a view, seeded ALTER ADDs and DROPs on the two
+    dimensions S and P, an ALTER that `rewrite_to_base` rewrites to read
+    SP_B, one that makes P, registered first, read the later Z, and a
+    DROP ... CASCADE."""
+    rng, added = random.Random(seed), []
+    steps = [fixture_text("sp2_schema.sirsql"),
+             "Create Table X (S# Char, P# Char, Primary Key (S#, P#),"
+             " I (Select QTY From SP_B Where X.S# = SP_B.S# And X.P# = SP_B.P#));",
+             "Create Table Y (S# Char, P# Char, Primary Key (S#, P#),"
+             " I (Select SNAME From SP_1 Where Y.S# = SP_1.S# And Y.P# = SP_1.P#));",
+             "Create Table Z (K Char, F Char, Primary Key (K), I (Select */S# From S Where Z.F = S#));",
+             "Create View V As Select * From Z;",
+             "Create Table W (K Char, Primary Key (K), I (Select */K From Z Where W.K = Z.K));"]
+    for i in range(4):
+        if added and rng.random() < 0.5:
+            dim, column = added.pop(rng.randrange(len(added)))
+            steps.append(f"Alter Table {dim} Drop {column};")
+        else:
+            added.append((rng.choice("SP"), f"N{i}"))
+            steps.append(f"Alter Table {added[-1][0]} Add {added[-1][1]} Char;")
+    return steps + [ALTER_STATUS_OVER_SP, "Drop Table Z Cascade;", steps[3],
+                    "Alter Table P Add I_Z (Select F As ZF From Z Where P.P# = Z.K);"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_kept_dependency_graph_equals_a_rebuilt_one(tmp_path, seed):
+    location = str(tmp_path / "db.sqlite")
+    layer = SirLayer(KernelConnection(location), rewrite_to_base=True)
+    for step in _graph_steps(seed):
+        layer.apply_source(step)
+        kept, rebuilt = _kept_and_rebuilt(layer.catalog)
+        assert kept == rebuilt, step
+        fresh = SirLayer(KernelConnection(location))
+        for entry in fresh.catalog.entries():
+            assert layer.catalog.dependents_of(entry.name) == \
+                fresh.catalog.dependents_of(entry.name), (step, entry.name)
+            assert layer.catalog.transitive_dependents(entry.name) == \
+                fresh.catalog.transitive_dependents(entry.name), (step, entry.name)
+        fresh.conn.close()
+    # S reads SP_B, so it counts as a reader of SP, registered after it;
+    # P reads the Z created after it
+    assert layer.catalog.dependents_of("SP") == ["S", "X", "Y"]
+    assert layer.catalog.transitive_dependents("S") == ["Z", "P", "SP", "X", "Y"]
+
+
+def test_a_reader_registered_before_the_owner_of_what_it_reads_counts_for_it():
+    catalog = Catalog()
+    catalog._reverse()
+    catalog.attach(CatalogEntry(name="A", kind=STORED, scheme=None, columns=[],
+                                references=["X_B"]))
+    assert _kept_and_rebuilt(catalog)[0] == {"x_b": ["a"]}
+    owner = compiler.compile_sir(scheme_from_ast(parse_one(
+        "Create Table X (K Int, Primary Key (K), V As (K + 1));")), catalog)
+    catalog.attach(owner)
+    assert catalog.dependents_of("X") == ["A"]
+    catalog.detach("X")
+    assert _kept_and_rebuilt(catalog)[0] == {"x_b": ["a"]}
+    catalog.attach(owner)
+    scratch = catalog.copy()
+    scratch.detach("X")
+    assert scratch.transitive_dependents("A") == []
+    kept, rebuilt = _kept_and_rebuilt(catalog)
+    assert kept == rebuilt == {"x_b": ["a"], "x": ["a"]}
+
+
+def test_the_dependency_graph_is_built_once_a_session(tmp_path, monkeypatch):
+    location = str(tmp_path / "db.sqlite")
+    SirLayer(KernelConnection(location)).apply_source(_catalog_source(300))
+    builds = []
+    build = Catalog._build_readers
+    monkeypatch.setattr(Catalog, "_build_readers",
+                        lambda catalog: builds.append(catalog) or build(catalog))
+    layer = SirLayer(KernelConnection(location))
+    assert builds == []
+    assert layer.catalog.dependents_of("R1") == ["V3"]
+    assert len(builds) == 1
+    layer.apply_source("""
+    Create Table N (A Int, Primary Key (A), I (Select */K From D Where N.A = K));
+    Alter Table D Add NOTE Char;
+    Alter Table D Drop NOTE;
+    Drop Table N;
+    """)
+    assert len(builds) == 1
+    kept, rebuilt = _kept_and_rebuilt(layer.catalog)
+    assert len(builds) == 2 and kept == rebuilt
 
 
 def test_drop_cascade_drops_an_earlier_registered_reader_first(tmp_path):

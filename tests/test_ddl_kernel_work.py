@@ -10,13 +10,13 @@ import re
 
 import pytest
 
-from sirsql.compiler import REBUILD_ROWS_PER_OBJECT, base_size_probe
+from sirsql.compiler import REBUILD_ROWS_PER_OBJECT, base_size_probe, compile_sir
 from sirsql.errors import (DependentAttributeDrop, InvariantViolation, KernelError,
                            NotNullAttributeAdd)
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 
-from conftest import kernel_state, load_sp2
+from conftest import fixture_text, kernel_state, load_sp2
 
 PROBE = re.compile(r"SELECT \* FROM (\S+) LIMIT 0$")
 
@@ -396,3 +396,57 @@ def test_a_star_over_a_base_inherits_an_added_attribute(tmp_path):
     assert reopened.catalog.snapshot() == snapshot
     assert reopened.catalog.get("T").column_names == ["K", "RV", "RW"]
     assert reopened.query("Select * From T;").rows == [("k", "v", "w")]
+
+
+_STAR_DEPENDENTS = """
+Create Table XS (K Char, F Char, Primary Key (K), I_S (Select */S# From S Where XS.F = S#));
+Create Table XP (K Char, F Char, Primary Key (K), I_P (Select */(P#, CITY) From P Where XP.F = P#),
+  V As (K || F));
+Create Table XX (K Char, Primary Key (K), I_X (Select */K From XS Where XX.K = XS.K));
+"""
+
+
+def _assert_chains_match_a_full_compile(layer: SirLayer, alter: str, recompiled: list[str]):
+    """`alter` recompiles the view chains of `recompiled`, and each new
+    entry equals a full `compile_sir` of its scheme; each stage view's
+    columns, as the kernel reports them, are the stored attributes plus
+    what the stage facts say the stages up to it add."""
+    name = alter.split()[2]
+    before = {entry.name: entry for entry in layer.catalog.entries()}
+    layer.apply_source(alter)
+    assert [dep for dep in layer.catalog.transitive_dependents(name)
+            if layer.catalog.get(dep) is not before[dep]] == recompiled
+    for dep in recompiled:
+        entry = layer.catalog.get(dep)
+        full = compile_sir(entry.scheme, layer.catalog)
+        assert [(i.name, i.kind, i.sql, i.stage) for i in entry.plan] == \
+            [(i.name, i.kind, i.sql, i.stage) for i in full.plan]
+        assert entry.columns == full.columns
+        assert (entry.references, entry.source_text, entry.ie_order) == \
+            (full.references, full.source_text, full.ie_order)
+        columns = list(entry.scheme.stored_names)
+        for item in entry.views:
+            columns += item.stage.adds
+            assert layer.conn.introspect(item.name) == \
+                (columns if item.stage.kind != "reorder" else entry.column_names)
+        assert layer.conn.introspect(dep) == entry.column_names
+
+
+@pytest.mark.parametrize("reopen", [False, True], ids=["created", "reopened"])
+def test_a_chain_only_recompile_equals_a_full_compile(tmp_path, reopen):
+    location = str(tmp_path / "sp3.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)))
+    layer.apply_source(fixture_text("sp3_alters.sirsql") + _STAR_DEPENDENTS)
+    if reopen:
+        layer.conn.close()
+        layer = SirLayer(KernelConnection(location))
+    _assert_chains_match_a_full_compile(layer, "Alter Table S Add NOTE Char;", ["XS", "XX"])
+    _assert_chains_match_a_full_compile(layer, "Alter Table P Add COST Int;", ["XP"])
+    _assert_chains_match_a_full_compile(layer, "Alter Table S Drop NOTE;", ["XS", "XX"])
+
+    dims = _reopened(tmp_path, _dimension_schema(), "dims") if reopen else \
+        SirLayer(KernelConnection(str(tmp_path / "dims.sqlite")))
+    if not reopen:
+        dims.apply_source(_dimension_schema())
+    _assert_chains_match_a_full_compile(dims, "Alter Table D Add D_X Char;", ["R0", "R1", "R2"])
+    _assert_chains_match_a_full_compile(dims, "Alter Table E Drop E_NAME;", ["R0", "R1", "R2"])

@@ -148,6 +148,25 @@ def test_dependent_views_survive_alter_of_source(sp2):
     assert len(sp2.query("Select * From Smiths;").rows) == 6
 
 
+@pytest.mark.parametrize("before, alter, columns", [
+    ("", "Alter Table S Add NOTE Char;", ["S#", "SNAME", "STATUS", "NOTE"]),
+    ("Alter Table S Add NOTE Char;", "Alter Table S Drop NOTE;", ["S#", "SNAME", "STATUS"]),
+], ids=["add", "drop"])
+def test_a_view_s_recorded_columns_follow_an_alter_of_what_it_reads(tmp_path, before, alter,
+                                                                     columns):
+    location = str(tmp_path / "db.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)))
+    layer.apply_source(before)
+    layer.apply_source("Create View V As Select * From S; Create View W As Select * From V;")
+    layer.apply_source(alter)
+    for session in (layer, SirLayer(KernelConnection(location))):
+        for view in ("V", "W"):
+            assert session.catalog.get(view).column_names == \
+                columns[:3] + ["CITY"] + columns[3:]
+            rows = session.query(f"Select */(CITY) From {view};")
+            assert rows.columns == columns and len(rows.rows) == 5
+
+
 def test_drop_then_recreate_same_name(sp2):
     sp2.apply_source("Drop Table SP;")
     sp2.apply_source("""
