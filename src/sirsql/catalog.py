@@ -432,7 +432,7 @@ class Catalog:
         # the kernel holds the meta-table: the load saw it, or a DDL of this
         # session committed it; `ensure_meta` then sends nothing
         self.meta_ready = False
-        # the kernel's DDL version that the entries reflect (see SirLayer._ddl_transaction)
+        # the kernel's DDL version that the entries reflect (see SirLayer._apply)
         self.version = 0
 
     # --- lookups ---

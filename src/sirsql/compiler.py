@@ -737,15 +737,15 @@ def recompile_steps(entry: CatalogEntry, compiled: CatalogEntry) -> list[PlanIte
 
 
 def plan_drop(name: str, mode: str, catalog: Catalog,
-              expect_view: bool | None = None) -> list[tuple[CatalogEntry, list]]:
+              expect_view: bool) -> list[tuple[CatalogEntry, list]]:
     """Relations to drop, each with its DROP statements: the relation and,
-    with CASCADE, its transitive dependents, in reverse dependency order."""
+    with CASCADE, its transitive dependents, in reverse dependency order.
+    `expect_view` says whether the statement was DROP VIEW."""
     from .errors import DependentsExist
     entry = catalog.get(name)
-    if expect_view is True and entry.kind != "view":
-        raise InvariantViolation(f"{name} is not a view; use DROP TABLE")
-    if expect_view is False and entry.kind == "view":
-        raise InvariantViolation(f"{name} is a view; use DROP VIEW")
+    if expect_view != (entry.kind == "view"):
+        raise InvariantViolation(f"{name} is not a view; use DROP TABLE" if expect_view
+                                 else f"{name} is a view; use DROP VIEW")
     dependents = catalog.blocking_dependents(name)
     if dependents and mode != "cascade":
         raise DependentsExist(name, dependents)

@@ -106,7 +106,7 @@ class KernelConnection:
 
     def ddl_version(self) -> int:
         """The counter that every committed sirsql DDL statement bumps, kept
-        in `PRAGMA user_version` (see `SirLayer._ddl_transaction`)."""
+        in `PRAGMA user_version` (see `SirLayer._apply`)."""
         return self.query("PRAGMA user_version").rows[0][0]
 
     def indexes(self, table: str) -> list[tuple[str, bool, list[str]]]:

@@ -1,8 +1,12 @@
 """The middleware session: executes dialect statements over one kernel DB.
 
-Every DDL statement is one atomic unit: the generated kernel DDL and the
-catalog meta-rows commit together or not at all, and the in-memory catalog
-is only updated after the commit.  Queries and DML go through the router.
+A DDL method only plans: it turns its statement into a list of steps, one
+per relation it touches, and `SirLayer._apply` alone runs a plan.  In one
+kernel transaction each step sends its kernel items, probes its final view,
+reads a view's columns back from the kernel and writes its meta row, so the
+statement's kernel DDL and meta rows commit together or not at all; the
+in-memory catalog takes the steps' entries after the commit.  Queries and
+DML go through the router.
 
 `Catalog.transitive_dependents` alone orders the relations a DDL statement
 reaches beyond its own; the catalog keeps its dependency graph across DDL.
@@ -22,8 +26,8 @@ database file each open their own session over their own connection; the
 kernel's file locks serialize their writes.  A session loads the catalog
 once, at open, and does not see DDL that another session commits later.  A
 DDL statement of the session then raises StaleCatalog and changes nothing
-(see `_ddl_transaction`); a new session sees the change.  Queries and DML
-do not check.
+(see `_apply`); a new session sees the change.  Queries and DML do not
+check.
 
 The open decodes every meta row and fails with CorruptCatalog on an
 unreadable one or a missing kernel object, but builds no relation's
@@ -44,6 +48,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 from . import nodes as n
 from .catalog import (SIR, VIEW, Catalog, CatalogEntry, ColumnInfo, PlanItem,
@@ -79,6 +84,18 @@ class StatementResult:
     warnings: list = field(default_factory=list)
 
 
+@dataclass
+class _Step:
+    """What one DDL statement does to one relation, in `SirLayer._apply`."""
+
+    name: str
+    items: list | Callable      # kernel PlanItems, or a function of the connection
+                                # that returns them inside the transaction
+    probe: bool                 # prepare a statement over its final view
+    entry: CatalogEntry | None = None    # its new entry; None keeps the catalog's
+    remove: bool = False        # its meta row and entry go
+
+
 class SirLayer:
     def __init__(self, conn: KernelConnection, *, rewrite_to_base: bool = False,
                  strict_integrity: bool = False):
@@ -100,22 +117,23 @@ class SirLayer:
 
     def apply_statement(self, stmt) -> StatementResult:
         """Execute a parsed statement, without the statement cache."""
-        if isinstance(stmt, n.CreateSirTable):
-            return self._create_table(stmt)
-        if isinstance(stmt, n.CreateView):
-            return self._create_view(stmt)
-        if isinstance(stmt, n.AlterTable):
-            return self._alter_table(stmt)
-        if isinstance(stmt, n.DropTable):
-            return self._drop(stmt.name, stmt.mode, expect_view=False)
-        if isinstance(stmt, n.DropView):
-            return self._drop(stmt.name, "restrict", expect_view=True)
-        if isinstance(stmt, n.CreateIndex):
-            return self._create_index(stmt)
-        if isinstance(stmt, n.DropIndex):
-            return self._drop_index(stmt)
         if isinstance(stmt, _CACHEABLE):
             return self._execute(stmt)[0]
+        with self._ddl_lock:
+            if isinstance(stmt, n.CreateSirTable):
+                return self._create_table(stmt)
+            if isinstance(stmt, n.CreateView):
+                return self._create_view(stmt)
+            if isinstance(stmt, n.AlterTable):
+                return self._alter_table(stmt)
+            if isinstance(stmt, n.DropTable):
+                return self._drop(stmt.name, stmt.mode, expect_view=False)
+            if isinstance(stmt, n.DropView):
+                return self._drop(stmt.name, "restrict", expect_view=True)
+            if isinstance(stmt, n.CreateIndex):
+                return self._create_index(stmt)
+            if isinstance(stmt, n.DropIndex):
+                return self._drop_index(stmt)
         raise InvariantViolation(f"unsupported statement {type(stmt).__name__}")
 
     def query(self, sql: str) -> RowSet:
@@ -173,35 +191,6 @@ class SirLayer:
         if taken.rows:
             raise NameCollision(f"kernel object {taken.rows[0][0]!r} already exists")
 
-    def _probe_view(self, conn, name: str, origin):
-        """Prepare a statement over the final view of a created or altered
-        relation.  The engine resolves a view body only when a statement uses
-        it, and preparing the final view resolves every stage of its chain, so
-        a bad or stale stage fails inside this transaction, not at query time."""
-        conn.execute(f"SELECT * FROM {quote_ident(name)} LIMIT 0", origin=origin)
-
-    def _ddl_transaction(self, work):
-        """Run `work(conn)` in one kernel transaction, after creating the
-        meta-table if the session does not know it exists, and bump the DDL
-        version (`PRAGMA user_version`) before the commit.  The transaction
-        holds the write lock from its start; if the DDL version then differs
-        from the catalog's, another session committed DDL since the catalog
-        was read, and StaleCatalog rolls back before any work.  The version
-        moves even when a DDL changes meta rows only, which leaves SQLite's
-        schema cookie as it was."""
-        def run(conn):
-            if conn.ddl_version() != self.catalog.version:
-                raise StaleCatalog("the kernel schema changed since this session read its"
-                                   " catalog; open a new session to see the change")
-            self.catalog.ensure_meta(conn)
-            result = work(conn)
-            conn.execute(f"PRAGMA user_version = {self.catalog.version + 1}")
-            return result
-        result = self.conn.within_transaction(run)
-        self.catalog.version += 1
-        self.catalog.meta_ready = True
-        return result
-
     def _resolve_references(self, scheme) -> list[str]:
         refs = []
         for ie in scheme.ies:
@@ -237,197 +226,192 @@ class SirLayer:
         self.catalog.check_acyclic(scheme.name, refs)
         return scheme
 
-    def _create_table(self, stmt: n.CreateSirTable) -> StatementResult:
-        with self._ddl_lock:
-            self.catalog.check_name_free(stmt.name)
-            scheme = scheme_from_ast(stmt)
-            self.catalog.validate_scheme(scheme)
-            scheme = self._apply_rewrite_to_base(scheme)
-            entry = compile_sir(scheme, self.catalog)
-            self._check_kernel_name_free(entry.kernel_objects)
+    def _apply(self, plan: list[_Step], origin=None, changed=frozenset()) -> list[str]:
+        """Run a DDL plan in one kernel transaction; return the names of the
+        kernel items sent.  The transaction holds the write lock from its
+        start, and a DDL version (`PRAGMA user_version`) other than the
+        catalog's means another session committed DDL since the catalog was
+        read: StaleCatalog then rolls back before any step.  The version is
+        bumped before the commit, also when only meta rows change.
 
-            origin = partial(render_source, stmt)
+        A probe prepares a statement over a final view, which resolves every
+        stage of its chain, so a bad or stale stage fails here, not at query
+        time.  A later step's failed probe is an ALTER's dependent reading
+        what the ALTER removes; `changed` (casefold) names the relations
+        whose columns the ALTER changes, to name the IEs that read them."""
+        sent, entered = [], []
 
-            def work(conn):
-                for item in entry.plan:
+        def run(conn):
+            if conn.ddl_version() != self.catalog.version:
+                raise StaleCatalog("the kernel schema changed since this session read its"
+                                   " catalog; open a new session to see the change")
+            self.catalog.ensure_meta(conn)
+            for step in plan:
+                for item in step.items(conn) if callable(step.items) else step.items:
                     conn.execute(item.sql, origin=origin)
-                if entry.views:
-                    self._probe_view(conn, entry.name, origin)
-                self.catalog.persist(entry, conn)
+                    sent.append(item.name)
+                if step.probe:
+                    try:
+                        conn.execute(f"SELECT * FROM {quote_ident(step.name)} LIMIT 0",
+                                     origin=origin)
+                    except KernelError as exc:
+                        if step is plan[0]:
+                            raise
+                        reader = self.catalog.get(step.name)
+                        ies = _ies_over(reader, changed, self.catalog)
+                        raise DependentAttributeDrop(
+                            f"{plan[0].name}: this ALTER removes an attribute"
+                            f" {reader.name} reads{f' through IE {ies}' if ies else ''}"
+                            f" ({exc.__cause__})") from exc
+                entry, known = step.entry, step.name in self.catalog
+                if entry is not None and entry.kind == VIEW:
+                    # a view's columns are the kernel's, which re-expands its
+                    # `*` at each use; the catalog records no type, key or IE
+                    names = conn.introspect(entry.name)
+                    if known and names == entry.column_names:
+                        continue
+                    entry = CatalogEntry(
+                        entry.name, VIEW, None, [ColumnInfo(c, None, False, True, None)
+                                                 for c in names],
+                        entry.plan, entry.references, source_text=entry.source_text)
+                if step.remove:
+                    self.catalog.persist_remove(step.name, conn)
+                elif entry is None:
+                    continue
+                else:
+                    (self.catalog.persist_replace if known else self.catalog.persist)(entry, conn)
+                entered.append((step.name, entry))
+            conn.execute(f"PRAGMA user_version = {self.catalog.version + 1}")
 
-            self._ddl_transaction(work)
-            self.catalog.attach(entry)
-            return StatementResult(stmt, "create table", objects=entry.kernel_objects,
-                                   warnings=stmt.warnings)
+        self.conn.within_transaction(run)
+        self.catalog.version += 1
+        self.catalog.meta_ready = True
+        for name, entry in entered:
+            if entry is None:
+                self.catalog.detach(name)
+            else:
+                self.catalog.attach(entry)
+        return sent
+
+    def _create_table(self, stmt: n.CreateSirTable) -> StatementResult:
+        self.catalog.check_name_free(stmt.name)
+        scheme = scheme_from_ast(stmt)
+        self.catalog.validate_scheme(scheme)
+        scheme = self._apply_rewrite_to_base(scheme)
+        entry = compile_sir(scheme, self.catalog)
+        self._check_kernel_name_free(entry.kernel_objects)
+        self._apply([_Step(entry.name, entry.plan, bool(entry.views), entry)],
+                    partial(render_source, stmt))
+        return StatementResult(stmt, "create table", objects=entry.kernel_objects,
+                               warnings=stmt.warnings)
 
     def _create_view(self, stmt: n.CreateView) -> StatementResult:
-        with self._ddl_lock:
-            self.catalog.check_name_free(stmt.name)
-            refs = []
-            for ref in referenced_relations(stmt.select):
-                if self.catalog.resolve_columns(ref) is None:
-                    raise UnknownRelation(f"view {stmt.name} references unknown relation {ref!r}")
-                refs.append(ref)
-            self.catalog.check_acyclic(stmt.name, refs)
-            routed = route(n.Query(select=stmt.select), self.catalog, prune=False)
-            kernel_stmt = n.CreateView(name=stmt.name, select=routed.kernel_stmt.select)
-            sql = render(kernel_stmt)
-            self._check_kernel_name_free([stmt.name])
-
-            def work(conn):
-                conn.execute(sql, origin=partial(render_source, stmt))
-                self._probe_view(conn, stmt.name, partial(render_source, stmt))
-                entry = CatalogEntry(
-                    name=stmt.name, kind=VIEW, scheme=None,
-                    columns=_view_columns(conn, stmt.name),
-                    plan=[PlanItem(stmt.name, "view", sql)],
-                    references=refs, source_text=render_source(stmt))
-                self.catalog.persist(entry, conn)
-                return entry
-
-            entry = self._ddl_transaction(work)
-            self.catalog.attach(entry)
-            return StatementResult(stmt, "create view", objects=[stmt.name],
-                                   warnings=stmt.warnings)
+        self.catalog.check_name_free(stmt.name)
+        refs = []
+        for ref in referenced_relations(stmt.select):
+            if self.catalog.resolve_columns(ref) is None:
+                raise UnknownRelation(f"view {stmt.name} references unknown relation {ref!r}")
+            refs.append(ref)
+        self.catalog.check_acyclic(stmt.name, refs)
+        routed = route(n.Query(select=stmt.select), self.catalog, prune=False)
+        kernel_stmt = n.CreateView(name=stmt.name, select=routed.kernel_stmt.select)
+        item = PlanItem(stmt.name, "view", render(kernel_stmt))
+        self._check_kernel_name_free([stmt.name])
+        # `_apply` reads its columns from the kernel
+        entry = CatalogEntry(stmt.name, VIEW, None, [], [item], refs,
+                             source_text=render_source(stmt))
+        self._apply([_Step(stmt.name, entry.plan, True, entry)], partial(render_source, stmt))
+        return StatementResult(stmt, "create view", objects=[stmt.name],
+                               warnings=stmt.warnings)
 
     def _alter_table(self, stmt: n.AlterTable) -> StatementResult:
-        with self._ddl_lock:
-            entry = self.catalog.get(stmt.name)
-            if entry.kind == VIEW:
-                raise InvariantViolation(
-                    f"{entry.name} is a view; drop it and recreate (or create a table)")
-            new_scheme = apply_alter(entry, stmt.action)
-            self.catalog.validate_scheme(new_scheme)
-            new_scheme = self._apply_rewrite_to_base(new_scheme)
+        entry = self.catalog.get(stmt.name)
+        if entry.kind == VIEW:
+            raise InvariantViolation(
+                f"{entry.name} is a view; drop it and recreate (or create a table)")
+        new_scheme = apply_alter(entry, stmt.action)
+        self.catalog.validate_scheme(new_scheme)
+        new_scheme = self._apply_rewrite_to_base(new_scheme)
 
-            scratch = self.catalog.copy()
-            scratch.detach(entry.name)
-            new_entry = compile_sir(new_scheme, scratch)
-            scratch.attach(new_entry)
+        scratch = self.catalog.copy()
+        scratch.detach(entry.name)
+        new_entry = compile_sir(new_scheme, scratch)
+        scratch.attach(new_entry)
 
-            # (name, new entry or None, maintenance steps) of each dependent,
-            # in dependency order; a dependent whose `*` reads a relation whose
-            # column list changed is recompiled, so it inherits added or
-            # dropped attributes, and every other one is only probed, in case
-            # it names what changed.  One whose IE names an attribute this
-            # ALTER removes is refused here, before any kernel statement.
-            updates = []
-            changed = {entry.name.casefold()}
-            # (the relation's own name comes last: it names the old base too
-            # when the relation had no IE)
-            removed = {entry.plan[0].name.casefold(): _dropped(entry.scheme.stored_names,
-                                                               new_scheme.stored_names),
-                       entry.name.casefold(): _dropped(entry.column_names, new_entry.column_names)}
-            for name in self.catalog.transitive_dependents(entry.name):
-                dep = scratch.get(name)
-                if dep.kind != SIR or not _stars_over(dep, changed, scratch):
-                    read = dep.kind == SIR and _reads_removed(dep, removed, self.catalog)
-                    if read:
-                        raise DependentAttributeDrop(
-                            f"{entry.name}: this ALTER removes an attribute {dep.name} reads"
-                            f" through IE {read[0]} (no such column: {read[1]})")
-                    updates.append((name, None, []))
-                    continue
-                # its scheme is unchanged: only its view chain is compiled again
-                new_dep = compile_chain(dep, scratch)
-                scratch.attach(new_dep)
-                updates.append((name, new_dep, recompile_steps(dep, new_dep)))
-                if new_dep.column_names != dep.column_names:
-                    changed.add(name.casefold())
+        added = stmt.action.items if isinstance(stmt.action, n.AlterAdd) else []
+        stored = [i for i in added if isinstance(i, n.AttributeDecl)]
+        not_null = [i.name for i in stored if i.not_null]
 
-            origin = partial(render_source, stmt)
-            added = stmt.action.items if isinstance(stmt.action, n.AlterAdd) else []
-            stored = [i for i in added if isinstance(i, n.AttributeDecl)]
-            not_null = [i.name for i in stored if i.not_null]
+        def own_items(conn):
+            base = entry.plan[0].name
+            # an added stored attribute sizes the base: one probe, also for Not Null
+            rows, bound = conn.query(base_size_probe(base)).rows[0] if stored else (0, 0)
+            if not_null and rows:
+                raise NotNullAttributeAdd(
+                    f"{entry.name} has rows, so the Not Null attribute {not_null[0]}"
+                    " cannot be added: every row would hold NULL in it")
+            # a rebuilt base gets the old base's indexes back
+            return alter_steps(entry, new_entry, partial(conn.indexes, base), rows < bound)
 
-            def work(conn):
-                base = entry.plan[0].name
-                # an added stored attribute sizes the base: one probe, also for Not Null
-                rows, bound = conn.query(base_size_probe(base)).rows[0] if stored else (0, 0)
-                if not_null and rows:
-                    raise NotNullAttributeAdd(
-                        f"{entry.name} has rows, so the Not Null attribute {not_null[0]}"
-                        " cannot be added: every row would hold NULL in it")
-                # a rebuilt base gets the old base's indexes back
-                steps = alter_steps(entry, new_entry, partial(conn.indexes, base), rows < bound)
-                views = []      # the view dependents whose columns the ALTER changed
-                for name, new, maintenance in [(entry.name, new_entry, steps)] + updates:
-                    for item in maintenance:
-                        conn.execute(item.sql, origin=origin)
-                    if new is None or new.views:
-                        try:
-                            self._probe_view(conn, name, origin)
-                        except KernelError as exc:
-                            if name == entry.name:
-                                raise
-                            reader = self.catalog.get(name)
-                            ies = _ies_over(reader, changed, self.catalog)
-                            raise DependentAttributeDrop(
-                                f"{entry.name}: this ALTER removes an attribute"
-                                f" {reader.name} reads{f' through IE {ies}' if ies else ''}"
-                                f" ({exc.__cause__})") from exc
-                    if new is None and (dep := self.catalog.get(name)).kind == VIEW:
-                        # the kernel re-expands a view's `*` at each use
-                        columns = _view_columns(conn, dep.name)
-                        if [c.name for c in columns] != dep.column_names:
-                            new = CatalogEntry(dep.name, VIEW, None, columns, dep.plan,
-                                               dep.references, source_text=dep.source_text)
-                            views.append(new)
-                    if new is not None:
-                        self.catalog.persist_replace(new, conn)
-                return views
+        # then each dependent, in dependency order; a dependent whose `*`
+        # reads a relation whose column list changed is recompiled, so it
+        # inherits added or dropped attributes, and every other one is only
+        # probed, in case it names what changed.  One whose IE names an
+        # attribute this ALTER removes is refused here, before any kernel
+        # statement.
+        plan = [_Step(entry.name, own_items, bool(new_entry.views), new_entry)]
+        changed = {entry.name.casefold()}
+        # (the relation's own name comes last: it names the old base too
+        # when the relation had no IE)
+        removed = {entry.plan[0].name.casefold(): _dropped(entry.scheme.stored_names,
+                                                           new_scheme.stored_names),
+                   entry.name.casefold(): _dropped(entry.column_names, new_entry.column_names)}
+        for name in self.catalog.transitive_dependents(entry.name):
+            dep = scratch.get(name)
+            if dep.kind != SIR or not _stars_over(dep, changed, scratch):
+                read = dep.kind == SIR and _reads_removed(dep, removed, self.catalog)
+                if read:
+                    raise DependentAttributeDrop(
+                        f"{entry.name}: this ALTER removes an attribute {dep.name} reads"
+                        f" through IE {read[0]} (no such column: {read[1]})")
+                plan.append(_Step(name, [], True, dep if dep.kind == VIEW else None))
+                continue
+            # its scheme is unchanged: only its view chain is compiled again
+            new_dep = compile_chain(dep, scratch)
+            scratch.attach(new_dep)
+            plan.append(_Step(name, recompile_steps(dep, new_dep), bool(new_dep.views), new_dep))
+            if new_dep.column_names != dep.column_names:
+                changed.add(name.casefold())
 
-            views = self._ddl_transaction(work)
-            self.catalog.attach(new_entry)
-            for new in [new for _, new, _ in updates if new is not None] + views:
-                self.catalog.attach(new)
-            return StatementResult(stmt, "alter table", objects=new_entry.kernel_objects,
-                                   warnings=stmt.warnings)
+        self._apply(plan, partial(render_source, stmt), changed)
+        return StatementResult(stmt, "alter table", objects=new_entry.kernel_objects,
+                               warnings=stmt.warnings)
 
     def _drop(self, name: str, mode: str, expect_view: bool) -> StatementResult:
-        with self._ddl_lock:
-            plans = plan_drop(name, mode, self.catalog, expect_view=expect_view)
-            dropped = []
-
-            def work(conn):
-                for entry, steps in plans:
-                    for item in steps:
-                        conn.execute(item.sql)
-                        dropped.append(item.name)
-                    self.catalog.persist_remove(entry.name, conn)
-
-            self._ddl_transaction(work)
-            for entry, _ in plans:
-                self.catalog.detach(entry.name)
-            return StatementResult(None, "drop", objects=dropped)
+        plan = [_Step(entry.name, steps, False, remove=True)
+                for entry, steps in plan_drop(name, mode, self.catalog, expect_view)]
+        return StatementResult(None, "drop", objects=self._apply(plan))
 
     def _create_index(self, stmt: n.CreateIndex) -> StatementResult:
-        with self._ddl_lock:
-            plan = compile_index(stmt, self.catalog)
-
-            def work(conn):
-                for item in plan:
-                    conn.execute(item.sql, origin=partial(render_source, stmt))
-
-            self._ddl_transaction(work)
-            return StatementResult(stmt, "create index", objects=[i.name for i in plan])
+        plan = [_Step(stmt.table, compile_index(stmt, self.catalog), False)]
+        return StatementResult(stmt, "create index",
+                               objects=self._apply(plan, partial(render_source, stmt)))
 
     def _drop_index(self, stmt: n.DropIndex) -> StatementResult:
         """Drop an index that CREATE INDEX made on a relation's table.  The
         catalog records no index, so the transaction asks the kernel."""
-        with self._ddl_lock:
-            def work(conn):
-                found = conn.execute(
-                    "SELECT name, tbl_name FROM sqlite_master WHERE type = 'index'"
-                    " AND sql IS NOT NULL AND lower(name) = lower(?)", (stmt.name,)).rows
-                if not found or not (found[0][1] in self.catalog
-                                     or self.catalog.owner_of_object(found[0][1])):
-                    raise UnknownObject(f"no index named {stmt.name!r} on a relation's table")
-                conn.execute(render(n.DropIndex(name=found[0][0])),
-                             origin=partial(render_source, stmt))
-                return found[0][0]
+        def items(conn):
+            found = conn.execute(
+                "SELECT name, tbl_name FROM sqlite_master WHERE type = 'index'"
+                " AND sql IS NOT NULL AND lower(name) = lower(?)", (stmt.name,)).rows
+            if not found or not (found[0][1] in self.catalog
+                                 or self.catalog.owner_of_object(found[0][1])):
+                raise UnknownObject(f"no index named {stmt.name!r} on a relation's table")
+            return [PlanItem(found[0][0], "index", render(n.DropIndex(name=found[0][0])))]
 
-            return StatementResult(stmt, "drop index", objects=[self._ddl_transaction(work)])
+        plan = [_Step(stmt.name, items, False)]
+        return StatementResult(stmt, "drop index",
+                               objects=self._apply(plan, partial(render_source, stmt)))
 
     # --- queries and DML ---
 
@@ -463,12 +447,6 @@ class SirLayer:
         count = self.conn.execute(sql, bound, origin=origin)
         action = type(stmt).__name__.lower()
         return StatementResult(stmt, action, rowcount=count, warnings=stmt.warnings), sql
-
-
-def _view_columns(conn, name: str) -> list[ColumnInfo]:
-    """A view's columns as the kernel reports them; the catalog records no
-    type, key or IE for a view's column."""
-    return [ColumnInfo(c, None, False, True, None) for c in conn.introspect(name)]
 
 
 def _ies_over(entry: CatalogEntry, relations: set[str], catalog: Catalog) -> str:

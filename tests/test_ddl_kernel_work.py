@@ -235,11 +235,16 @@ def test_invalid_middle_stage_fails_through_the_final_view_probe(tmp_path, kerne
         "Insert Into R Values ('r1', 'd1');"]))
     assert [item.name for item in layer.catalog.get("R").views] == ["R_1", "R_2", "R"]
     kernel, snapshot = kernel_state(layer.conn), layer.catalog.snapshot()
-    probed = []
-    probe = SirLayer._probe_view
-    monkeypatch.setattr(SirLayer, "_probe_view",
-                        lambda self, conn, name, origin: (probed.append(name),
-                                                          probe(self, conn, name, origin)))
+    # a statement that fails to prepare is never traced, so the probes are
+    # seen where the session attempts them
+    attempted = []
+    execute = KernelConnection.execute
+
+    def record(self, sql, *args, **kwargs):
+        attempted.append(sql)
+        return execute(self, sql, *args, **kwargs)
+
+    monkeypatch.setattr(KernelConnection, "execute", record)
     sent = kernel_log(layer.conn)
 
     with pytest.raises(DependentAttributeDrop, match="R reads through IE I_1 .*column: D_N"):
@@ -248,7 +253,7 @@ def test_invalid_middle_stage_fails_through_the_final_view_probe(tmp_path, kerne
     # re-created and the probe of the final view R, which fails to prepare
     # (the trace shows no statement after CREATE VIEW R_1), finds the fault
     assert _named(sent, "CREATE VIEW") == ["R_1"]
-    assert probed == ["R"]
+    assert [sql for sql in attempted if sql.endswith(" LIMIT 0")] == ["SELECT * FROM R LIMIT 0"]
     assert sent[-2].startswith("CREATE VIEW R_1 ") and sent[-1] == "ROLLBACK"
     assert kernel_state(layer.conn) == kernel
     assert layer.catalog.snapshot() == snapshot
