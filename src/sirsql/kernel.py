@@ -134,7 +134,8 @@ class KernelConnection:
     def introspect(self, object_name: str) -> list[str]:
         """Ordered column names of a table or view, as the engine reports them."""
         try:
-            rows = self._db.execute(f'PRAGMA table_info("{object_name}")').fetchall()
+            quoted = object_name.replace('"', '""')
+            rows = self._db.execute(f'PRAGMA table_info("{quoted}")').fetchall()
         except sqlite3.Error as exc:
             raise KernelError(f"{type(exc).__name__}: {exc}") from exc
         if not rows:

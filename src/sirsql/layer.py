@@ -40,7 +40,11 @@ with the plan, raises CorruptCatalog there, on each such statement
 Query and DML text is cached by shape (`lexer.shape`: literals replaced by
 ``?``) for one catalog generation: a repeated shape skips parse, route and
 render and binds its literals as sqlite3 parameters.  A shape is cached only
-when the renderer bound exactly the shape's values, in order and type.
+when the renderer bound exactly the shape's values, in order and type.  A
+query text served from that cache is kept with its shape and values, so an
+exact repeat skips `shape` too; it still passes its shape's generation and
+value-count checks.  DML text is never kept.  Both caches hold `CACHE_SIZE`
+entries and are cleared when full.
 """
 
 from __future__ import annotations
@@ -107,6 +111,8 @@ class SirLayer:
         # shape -> (catalog generation, value count, kernel SQL or None, action);
         # a text whose count differs holds a raw "?", which must fail to parse
         self._statements: dict[str, tuple] = {}
+        # query text -> its shape and values, filled on a hit; DML is never kept
+        self._shapes: dict[str, tuple[str, list]] = {}
 
     # --- entry points ---
 
@@ -143,7 +149,8 @@ class SirLayer:
         """Execute dialect text, through the statement cache when it holds one
         query or DML statement.  With `query_only` the text must be one query,
         and its RowSet is returned; otherwise the StatementResults."""
-        key, values = shape(text)
+        known = self._shapes.get(text)
+        key, values = known or shape(text)
         hit = self._statements.get(key)
         if hit is not None and hit[0] == self.catalog.generation and hit[1] == len(values):
             _, _, sql, action = hit
@@ -151,11 +158,13 @@ class SirLayer:
                 raise InvariantViolation("expected exactly one SELECT statement")
             if sql is not None:
                 result = self.conn.execute(sql, values, origin=text)
-                if query_only:
-                    return result
-                if action == "query":
-                    return [StatementResult(None, action, rows=result)]
-                return [StatementResult(None, action, rowcount=result)]
+                if action != "query":
+                    return [StatementResult(None, action, rowcount=result)]
+                if known is None:
+                    if len(self._shapes) >= CACHE_SIZE:
+                        self._shapes.clear()
+                    self._shapes[text] = key, values
+                return result if query_only else [StatementResult(None, action, rows=result)]
         stmts = parse(text)
         if len(stmts) != 1 or not isinstance(stmts[0], n.Query if query_only else _CACHEABLE):
             if query_only:

@@ -81,7 +81,8 @@ class _Renderer:
             return quote_ident(name)
         if _PLAIN_IDENT_SOURCE.match(name) and name.upper() not in _RESERVED:
             return name
-        return f'"{name}"'
+        # the dialect has no escape inside quotes; no text spells both " and ]
+        return f"[{name}]" if '"' in name else f'"{name}"'
 
     def inline(self, node) -> str:
         """`node` with every literal in it written out, not bound."""

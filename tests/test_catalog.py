@@ -17,7 +17,7 @@ from sirsql.errors import (CircularReferenceError, CorruptCatalog, DependentsExi
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 from sirsql.parser import parse_one
-from sirsql.render import render
+from sirsql.render import render, render_source
 from sirsql.router import route
 
 from conftest import (assert_plans_match_kernel, fixture_text, kernel_state, load_sp2,
@@ -161,6 +161,46 @@ def test_persist_then_load_round_trip(tmp_path):
     # behavior equivalent too: the loaded catalog routes and explains
     assert reopened.query("Select S#, STATUS From S Order By S#;").rows[0] == ("S1", 13)
     assert reopened.explain("SP") == [item.sql for item in reopened.catalog.get("SP").plan]
+
+
+def test_a_relation_named_with_a_double_quote_reopens(tmp_path):
+    location = str(tmp_path / "db.sqlite")
+    layer = SirLayer(KernelConnection(location))
+    create = ('Create Table [x"y] (K Char, I (Select V From S Where [x"y].K = S.K),'
+              ' Primary Key (K));')
+    layer.apply_source("Create Table S (K Char, V Char, Primary Key (K));"
+                       "Insert Into S Values ('a', 'v');" + create
+                       + """Insert Into [x"y] Values ('a');""")
+    [[source]] = layer.conn.execute(
+        "SELECT source_text FROM sir_relations WHERE name = ?", ['x"y']).rows
+    assert source.startswith('CREATE TABLE [x"y] (')
+    assert render_source(parse_one(source)) == source
+    assert render_source(parse_one(create)) == source
+    layer.conn.close()
+
+    reopened = SirLayer(KernelConnection(location))
+    reopened.catalog.audit()
+    assert reopened.query("""Select K, V From [x"y] Where K = 'a';""").rows == [("a", "v")]
+    reopened.apply_source("""Alter Table [x"y] Add W Char;""")
+    assert reopened.query("""Select * From [x"y];""").rows == [("a", "v", None)]
+    reopened.conn.close()
+    SirLayer(KernelConnection(location)).catalog.audit()
+
+
+def test_a_view_named_with_a_double_quote_follows_an_alter(tmp_path):
+    location = str(tmp_path / "db.sqlite")
+    layer = SirLayer(KernelConnection(location))
+    layer.apply_source("Create Table S (K Char, V Char, Primary Key (K));"
+                       """Insert Into S Values ('a', 'v');Create View [a"b] As Select * From S;""")
+    assert layer.query("""Select * From [a"b];""").rows == [("a", "v")]
+    layer.apply_source("Alter Table S Add NOTE Char;")
+    assert [c.name for c in layer.catalog.get('a"b').columns] == ["K", "V", "NOTE"]
+    layer.conn.close()
+
+    reopened = SirLayer(KernelConnection(location))
+    reopened.catalog.audit()
+    rows = reopened.query("""Select * From [a"b];""")
+    assert (rows.columns, rows.rows) == (["K", "V", "NOTE"], [("a", "v", None)])
 
 
 def test_load_detects_missing_kernel_object(tmp_path):

@@ -6,6 +6,7 @@ import sirsql.layer
 from sirsql.errors import IaNotComputable, InvariantViolation, KernelError, ParseError
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
+from sirsql.lexer import shape
 from sirsql.parser import parse
 
 from conftest import fixture_text, kernel_state, load_sp2, make_layer
@@ -332,3 +333,71 @@ def test_more_literals_than_the_kernel_binds_run_inline(sp2, parses):
         sp2.apply_source(f"Insert Into SP Values ('S5', 'P{qty}', {qty});")
     assert sp2.query("Select QTY From SP Where S# = 'S5';").rows == [(5,), (6,)]
     assert len(parses) == 3
+
+
+# --- the text memo: an exact repeat of a query text skips shape ---
+
+
+@pytest.fixture
+def shapes(monkeypatch):
+    """The texts the layer shapes from here on."""
+    seen = []
+
+    def spy(text):
+        seen.append(text)
+        return shape(text)
+    monkeypatch.setattr(sirsql.layer, "shape", spy)
+    return seen
+
+
+def test_a_repeated_query_text_is_shaped_at_most_twice(sp2, shapes):
+    texts = ["Select * From SP Where S# = 'S1' And P# = 'P2';",
+             "Select * From SP Where S# = 'S2' And P# = 'P1';"]
+    expected = [uncached(sp2, text).rows.rows for text in texts]
+    for _ in range(10):
+        for text, rows in zip(texts, expected):
+            assert sp2.query(text).rows == rows
+            assert sp2.apply_source(text)[0].rows.rows == rows
+    assert [shapes.count(text) for text in texts] == [2, 1]
+    assert set(sp2._shapes) == set(texts)
+
+
+def test_a_memoized_text_follows_an_alter_drop_and_re_add(sp2, parses, shapes):
+    text = "Select S#, SNAME From SP Where P# = 'P2';"
+    for _ in range(3):
+        assert len(sp2.query(text).rows) == 4
+    assert text in sp2._shapes
+    sp2.apply_source("Alter Table SP Drop I_S;")
+    with pytest.raises(KernelError, match="no such column: SNAME"):
+        sp2.query(text)
+    sp2.apply_source("Alter Table SP Add I_S (Select SNAME From S Where SP.S# = S#);")
+    for _ in range(3):
+        rows = sp2.query(text).rows
+        assert sorted(rows) == sorted(uncached(sp2, text).rows.rows)
+        assert len(rows) == 4
+    assert parses.count(text) == 3 and shapes.count(text) == 2
+
+
+def test_dml_texts_are_never_memoized(sp2):
+    rows = ", ".join(f"('S{i}', 'P9', {i})" for i in range(500))
+    texts = [f"Insert Into SP Values {rows};", "Delete From SP Where P# = 'P9';",
+             "Update SP Set QTY = 5 Where S# = 'S1' And P# = 'P1';"]
+    for _ in range(2):
+        assert [sp2.apply_source(text)[0].rowcount for text in texts] == [500, 500, 1]
+    assert sp2._shapes == {}
+
+
+def test_the_memo_holds_at_most_cache_size_texts(sp2):
+    sizes = set()
+    for i in range(sirsql.layer.CACHE_SIZE + 20):
+        sp2.query(f"Select S# From SP Where QTY = {i};")
+        sizes.add(len(sp2._shapes))
+    # the first text misses; the next 512 fill the memo, and 19 follow the clear
+    assert max(sizes) == sirsql.layer.CACHE_SIZE and len(sp2._shapes) == 19
+
+
+def test_a_never_cached_query_is_not_memoized(sp2, parses):
+    text = "Select Top 2 S# From S Order By S#;"
+    for _ in range(3):
+        assert sp2.query(text).rows == [("S1",), ("S2",)]
+    assert parses.count(text) == 3 and sp2._shapes == {}

@@ -292,7 +292,8 @@ def outcome(run, text):
 @settings(max_examples=CASES, derandomize=True, deadline=None)
 def test_cached_execution_matches_uncached_on_random_schemes(seed):
     """`query` and `apply_source` (cached) against `apply_statement` (uncached)
-    on a twin session, with DML and ALTERs between the statements."""
+    on a twin session, with DML and ALTERs between the statements; some query
+    texts come again verbatim, so the text memo serves them."""
     rng = random.Random(seed)
     schema, x_rows, r_rows = random_sir_case(rng)
     payload = [c for c in ("V0", "V1", "V2") if c in schema[0]]
@@ -306,9 +307,14 @@ def test_cached_execution_matches_uncached_on_random_schemes(seed):
     def query(text):
         return [StatementResult(None, "query", rows=cached.query(text))]
 
-    extra = []
+    extra, queries = [], []
     for _ in range(30):
-        text = random_statement(rng, payload, extra)
+        if queries and rng.random() < 0.3:
+            text = rng.choice(queries)      # verbatim, across the DML and ALTERs since
+        else:
+            text = random_statement(rng, payload, extra)
+            if text.startswith("Select"):
+                queries.append(text)
         expected = outcome(uncached, text)
         if text.startswith("Select") and rng.random() < 0.5:
             assert outcome(query, text) == expected, text
