@@ -12,14 +12,9 @@ database (reserved prefix ``sir_``), one row per relation:
 neither its columns, which `scheme_columns` derives from the scheme in the
 source text and the stage facts, nor its IE order, the stages' IEs in order.
 It holds no SQL: the load reads each object's text from `sqlite_master`.
-Earlier releases wrote each object's SQL third in a plan row, and every
-relation's "columns" and "ie_order"; the load ignores them, but for a
-relation whose plan has a view stage without stage facts (the seed's),
-which has no other record of them.  In a catalog written in the earlier
-four-table format `plan` is the list alone, and `_legacy_details` reads the
-rest from `sir_attrs`, `sir_ies` and `sir_deps`; a DDL that rewrites such a
-relation writes its row in the current form, and detail rows no relation
-uses are ignored.
+Extra "columns" and "ie_order" keys, which earlier releases wrote, are
+ignored; a row in any other earlier form is `outdated` (see `_LoadedEntry`),
+and the session upgrades it at open (`SirLayer._upgrade`).
 
 A session reads the meta-table once, at open (`Catalog.load`): it decodes
 and checks every row, and builds a relation's scheme, plan and columns only
@@ -42,7 +37,6 @@ from __future__ import annotations
 import datetime
 import json
 import re
-from collections import defaultdict
 from dataclasses import MISSING, astuple, dataclass, field, fields
 from functools import cached_property
 
@@ -137,16 +131,13 @@ class StageFacts:
 
     kind is the canonical form of the IEs the stage realizes ('join',
     'subquery', 'value') or 'reorder' for the view that only restores the
-    declared column order; None for a stage of a plan that records no facts
-    (see `_LoadedEntry.plan`).  For join stages, `joins` lists each joined
+    declared column order.  For join stages, `joins` lists each joined
     source as [relation, [[source column, enclosing column], ...]], the
     recursive-join pairs matched against that source.  The compiler writes
-    one IE per stage, but `ies` stays a list: files written by earlier
-    releases hold stages realizing several value IEs, and final views
-    fused with the reordering.
+    one IE per stage; `ies` stays a list, the form the meta rows record.
     """
 
-    kind: str | None
+    kind: str
     ies: list                   # IE names realized, in evaluation order
     adds: list                  # columns the stage adds to its input
     joins: list = field(default_factory=list)
@@ -204,10 +195,8 @@ _STAGE_NEEDS = {f.name for f in fields(StageFacts) if f.default_factory is MISSI
 def _plan_row(raw) -> tuple:
     """The name, kind and stage facts (or None) of a plan row; raises
     ValueError for a row of another shape, or stage facts with fields other
-    than a stage's.  Rows of earlier releases hold the object's SQL third,
-    and may lack the stage facts."""
+    than a stage's."""
     name, kind, *rest = raw
-    rest = rest[1:] if rest and isinstance(rest[0], str) else rest
     if len(rest) > 1 or rest and not (isinstance(rest[0], dict)
                                       and _STAGE_NEEDS <= rest[0].keys() <= _STAGE_FIELDS):
         raise ValueError(f"plan row for {name!r} is not [name, kind] plus stage facts")
@@ -217,31 +206,14 @@ def _plan_row(raw) -> tuple:
 class _KernelText(dict):
     """The text of each kernel object (`sqlite_master.sql`) by its name as
     the kernel spells it.  A name spelled otherwise is looked up casefolded,
-    in a map built on the first such miss; KeyError if the kernel lacks it."""
+    in a map built on the first such miss; None if the kernel lacks it."""
 
     _folded = None
 
-    def __missing__(self, name: str) -> str:
+    def __missing__(self, name: str) -> str | None:
         if self._folded is None:
             self._folded = {key.casefold(): sql for key, sql in self.items()}
-        return self._folded[name.casefold()]
-
-
-def _legacy_details(conn, kernel: dict[str, str]) -> dict[str, dict]:
-    """The columns, IE order and references of relations stored in the
-    four-table format, read from `sir_attrs`, `sir_ies` and `sir_deps` when
-    the kernel holds them, keyed by the relation name exactly as stored."""
-    details = defaultdict(lambda: {"columns": [], "ie_order": [], "references": []})
-    if {"sir_attrs", "sir_ies", "sir_deps"} <= kernel.keys():
-        for rel, *column in conn.query(
-                "SELECT rel, name, sql_type, is_key, is_inherited, ie_name FROM sir_attrs"
-                " ORDER BY rel, ordinal").rows:
-            details[rel]["columns"].append(column)
-        for rel, ie_name in conn.query("SELECT rel, name FROM sir_ies ORDER BY rel, ordinal").rows:
-            details[rel]["ie_order"].append(ie_name)
-        for src, dst in conn.query("SELECT src, dst FROM sir_deps ORDER BY rowid").rows:
-            details[src]["references"].append(dst)
-    return details
+        return self._folded.get(name.casefold())
 
 
 @dataclass
@@ -285,6 +257,7 @@ class CatalogEntry:
     references: list = field(default_factory=list)    # relation names this entry reads
     ie_order: list = field(default_factory=list)      # IE names in evaluation order
     source_text: str = ""
+    outdated = False        # its meta row is an earlier release's (see `_LoadedEntry`)
 
     @property
     def kernel_objects(self) -> list[str]:
@@ -313,76 +286,67 @@ class CatalogEntry:
 class _LoadedEntry(CatalogEntry):
     """An entry as `Catalog.load` read it from its meta row.  Its scheme,
     plan, IE order and columns are built the first time each is read, and
-    kept; a build that raises keeps nothing, so every read raises.  The last
-    two are derived from the scheme and the stage facts, or, for a view and
-    a plan with a view stage without stage facts, read from the row."""
+    kept; a build that raises keeps nothing, so every read raises.  A view's
+    columns are read from the row, a table's derived (`scheme_columns`).
 
-    def __init__(self, name: str, kind: str, source_text: str, document: dict,
+    A row is `outdated` when an earlier release wrote it: a plan list alone
+    (the four-table format), a plan row holding its object's SQL third, or a
+    view stage of a relation with IEs without stage facts.  Only its kernel
+    objects are read from it, for `SirLayer._upgrade` to compile it again."""
+
+    def __init__(self, name: str, kind: str, source_text: str, document,
                  kernel: _KernelText):
-        self.name, self.kind, self.source_text = name, kind, source_text
-        self.references = document["references"]
-        self._rows, self._kernel = [_plan_row(raw) for raw in document["plan"]], kernel
-        self._recorded = None       # the recorded columns and IE order, if read
+        self.name, self.kind, self.source_text, self._kernel = name, kind, source_text, kernel
+        rows = document if isinstance(document, list) else document["plan"]
+        # such a release wrote every row [name, kind, sql], maybe with stage facts
+        old = isinstance(document, list) or len(rows[0]) > 2 and isinstance(rows[0][2], str)
+        self._rows = [_plan_row(raw[:2] if old and len(raw) <= 4 else raw) for raw in rows]
+        self.outdated = old or kind == SIR and any(
+            facts is None for _, obj_kind, facts in self._rows if obj_kind == "view")
+        self.references = [] if self.outdated else document["references"]
         if kind not in (STORED, SIR):
             self.scheme = None
-        if kind not in (STORED, SIR) or any(facts is None for _, item_kind, facts in self._rows
-                                            if item_kind == "view"):
-            self._recorded = document["columns"], document["ie_order"] if kind == SIR else []
-            if not set(map(len, self._recorded[0])) <= {5}:
+            self._columns = [] if self.outdated else document["columns"]
+            if not set(map(len, self._columns)) <= {5}:
                 raise ValueError("a column row does not hold 5 fields")
 
-    @cached_property
-    def scheme(self) -> SirScheme:
-        """The scheme in the source text; raises CorruptCatalog."""
+    def statement(self, node_type=n.CreateSirTable, what="table"):
+        """The statement in the source text, a `node_type`; raises CorruptCatalog."""
         try:
             stmt = parse_one(self.source_text)
         except Exception as exc:
             raise CorruptCatalog(f"{self.name}: unparseable source text: {exc}") from exc
-        if not isinstance(stmt, n.CreateSirTable):
-            raise CorruptCatalog(f"{self.name}: source text is not a table definition")
-        return scheme_from_ast(stmt)
+        if not isinstance(stmt, node_type):
+            raise CorruptCatalog(f"{self.name}: source text is not a {what} definition")
+        return stmt
+
+    @cached_property
+    def scheme(self) -> SirScheme:
+        """The scheme in the source text; raises CorruptCatalog."""
+        return scheme_from_ast(self.statement())
 
     @cached_property
     def plan(self) -> list[PlanItem]:
-        """The plan rows; a view stage of a relation with IEs that records no
-        facts (a seed-format plan) realizes the next IE in the recorded order,
-        the last view all those left, and adds their recorded columns.  Its
-        kind is None, so it is never proved to keep card(R_B)."""
-        items = [PlanItem(name, kind, self._kernel[name] + ";",
-                          StageFacts(**facts) if facts is not None else None)
-                 for name, kind, facts in self._rows]
-        if self.kind == SIR and self._recorded is not None:
-            columns, order = self._recorded
-            views = [item for item in items if item.kind == "view"]
-            for k, item in enumerate(views):
-                ies = order[k:] if k == len(views) - 1 else order[k:k + 1]
-                item.stage = StageFacts(None, ies, [
-                    col for ie in ies for col, _, _, _, ie_name in columns if ie_name == ie])
-        return items
+        """The plan rows, each with the kernel's text of its object."""
+        return [PlanItem(name, kind, self._kernel[name] + ";",
+                         StageFacts(**facts) if facts is not None else None)
+                for name, kind, facts in self._rows]
 
     @cached_property
     def ie_order(self) -> list[str]:
-        """The IE order, checked against the declared IEs; raises CorruptCatalog."""
-        order = self._recorded[1] if self._recorded else [
-            ie for item in self.views for ie in item.stage.ies]
-        if self.scheme is not None and \
-                {i.casefold() for i in order} != {ie.name.casefold() for ie in self.scheme.ies}:
-            raise CorruptCatalog(f"{self.name}: recorded IEs do not match the declared IEs")
-        return order
+        return [ie for item in self.views if item.stage for ie in item.stage.ies]
 
     @cached_property
     def columns(self) -> list[ColumnInfo]:
-        """The columns in declared order, once the IE order is checked;
+        """A view's columns as its row records them, or a table's in declared
+        order once its stages' IEs are checked against the declared ones;
         raises CorruptCatalog."""
-        _ = self.ie_order
-        if self._recorded is None:
-            return scheme_columns(self.scheme, [item.stage for item in self.views])
-        columns = [ColumnInfo(col, sql_type, bool(key), bool(inherited), ie)
-                   for col, sql_type, key, inherited, ie in self._recorded[0]]
-        if self.scheme is not None and {a.casefold() for a in self.scheme.stored_names} \
-                != {c.name.casefold() for c in columns if not c.is_inherited}:
-            raise CorruptCatalog(f"{self.name}: recorded columns do not match the declared scheme")
-        return columns
+        if self.scheme is None:
+            return [ColumnInfo(col, sql_type, bool(key), bool(inherited), ie)
+                    for col, sql_type, key, inherited, ie in self._columns]
+        if {i.casefold() for i in self.ie_order} != {ie.name.casefold() for ie in self.scheme.ies}:
+            raise CorruptCatalog(f"{self.name}: recorded IEs do not match the declared IEs")
+        return scheme_columns(self.scheme, [item.stage for item in self.views])
 
 
 def referenced_relations(node) -> list[str]:
@@ -413,6 +377,15 @@ def ie_references(ie: n.IeDecl, enclosing: str) -> list[str]:
         seen.add(key)
         out.append(ref)
     return out
+
+
+def scheme_references(scheme: SirScheme) -> list[str]:
+    """What a scheme's IEs read, each once, in first-use order: the
+    references of its entry."""
+    refs = {}
+    for ref in (ref for ie in scheme.ies for ref in ie_references(ie, scheme.name)):
+        refs.setdefault(ref.casefold(), ref)
+    return list(refs.values())
 
 
 class Catalog:
@@ -519,15 +492,14 @@ class Catalog:
     def stage_keeps_card(self, entry: CatalogEntry, stage: StageFacts) -> bool:
         """Whether a view stage of `entry` provably keeps its input's row count.
 
-        Value, subquery and reorder stages always do, a stage without
-        recorded facts never does.  A join stage does when
+        Value, subquery and reorder stages always do.  A join stage does when
         each joined source keeps its own card and the stage's recursive-join
         pairs cover a declared key of that source, counting only pairs that
         join two stored attributes of the same type affinity (an Int column
         compared with a Char key holding '01' and '1' matches both).
         """
         if stage.kind != "join":
-            return stage.kind is not None
+            return True
         for source, pairs in stage.joins:
             if source.casefold() == entry.name.casefold() or not self.keeps_card(source):
                 return False
@@ -843,19 +815,17 @@ class Catalog:
     @classmethod
     def load(cls, conn) -> "Catalog":
         """Rebuild the catalog with three queries, whatever the number of
-        relations (relations in the four-table format add three).  The DDL
-        version is read first, so DDL that another session commits during the
-        load leaves the catalog looking stale, never current.
+        relations.  The DDL version is read first, so DDL that another
+        session commits during the load leaves the catalog looking stale,
+        never current.
 
-        Every row's document is decoded here, and CorruptCatalog raised for
-        one that is not JSON, lacks its plan, references or the columns and
-        IE order it must record (see `_LoadedEntry`), holds a plan row, its
-        stage facts or a column row of the wrong shape, or names a kernel
-        object that `sqlite_master` lacks.  Nothing else is built: an entry's
-        scheme, plan and columns are built from its row when first read.  So
-        an unparseable source text, or IEs or columns that disagree with it,
-        raise CorruptCatalog at that read, on every read; `audit` reads them
-        all."""
+        Every row's document is decoded here (see `_LoadedEntry`), and
+        CorruptCatalog raised for one that is not JSON, lacks its plan,
+        references or a view's columns, holds a plan row, its stage facts or
+        a column row of the wrong shape, or names a kernel object that
+        `sqlite_master` lacks.  Nothing else is built, so an unparseable
+        source text, or stage facts that realize other IEs than it declares,
+        raise CorruptCatalog when first read, on every read."""
         catalog = cls()
         catalog.version = conn.ddl_version()
         kernel = _KernelText(conn.query("SELECT name, sql FROM sqlite_master").rows)
@@ -864,22 +834,15 @@ class Catalog:
             return catalog
         rows = conn.query(
             "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid").rows
-        legacy = None
         for name, kind, source_text, stored in rows:
             try:
-                document = json.loads(stored)
-                if isinstance(document, list):
-                    legacy = _legacy_details(conn, kernel) if legacy is None else legacy
-                    document = {"plan": document, **legacy[name]}
-                entry = _LoadedEntry(name, kind, source_text, document, kernel)
+                entry = _LoadedEntry(name, kind, source_text, json.loads(stored), kernel)
                 objects = [obj for obj, _, _ in entry._rows]
                 for obj in objects:
-                    try:
-                        kernel[obj]
-                    except KeyError:
+                    if kernel[obj] is None:
                         raise CorruptCatalog(f"{name}: kernel object {obj!r} recorded in"
-                                             " the catalog is missing") from None
-            except (TypeError, ValueError, KeyError, AttributeError) as exc:
+                                             " the catalog is missing")
+            except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
                 raise CorruptCatalog(f"{name}: unreadable plan: {exc}") from exc
             catalog._register(entry, objects)
         catalog._changed()

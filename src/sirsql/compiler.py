@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from . import nodes as n
 from .catalog import (SIR, STORED, Catalog, CatalogEntry, PlanItem, SirScheme, StageFacts,
-                      ie_references, scheme_columns, scheme_to_ast, type_affinity)
+                      scheme_columns, scheme_references, scheme_to_ast, type_affinity)
 from .errors import (ForeignKeyAttributeDrop, IeCycle, IndexedAttributeDrop,
                      IndexOnInheritedAttribute, InvariantViolation, MissingRecursiveJoin,
                      NotRewritable, RecursiveJoinAttributeDrop, UnknownExcludedColumn,
@@ -478,21 +478,18 @@ def _base_table_sql(scheme: SirScheme, name: str) -> str:
     return sql.removesuffix(";") + _CLUSTERED
 
 
-def compile_sir(scheme: SirScheme, catalog: Catalog) -> CatalogEntry:
-    """The catalog entry of one relation: its kernel plan, a base table plus
-    the view chain that `compile_chain` builds, and the parts the scheme
-    alone fixes, the references and the source text.  With zero IEs the plan
-    is a single plain CREATE TABLE under the relation's own name."""
+def compile_sir(scheme: SirScheme, catalog: Catalog, base: PlanItem | None = None) -> CatalogEntry:
+    """The catalog entry of one relation: its kernel plan, a base table (or
+    `base`, kept) plus the view chain that `compile_chain` builds, and the
+    parts the scheme alone fixes, the references and the source text.  With
+    zero IEs the plan is a single plain CREATE TABLE under its own name."""
     catalog.validate_scheme(scheme)
     base_name = f"{scheme.name}_B" if scheme.ies else scheme.name
-    references = []
-    for ref in [ref for ie in scheme.ies for ref in ie_references(ie, scheme.name)]:
-        if ref.casefold() not in {r.casefold() for r in references}:
-            references.append(ref)
     return compile_chain(CatalogEntry(
         name=scheme.name, kind=SIR if scheme.ies else STORED, scheme=scheme, columns=[],
-        plan=[PlanItem(base_name, "table", _base_table_sql(scheme, base_name))],
-        references=references, source_text=render_source(scheme_to_ast(scheme))), catalog)
+        plan=[base or PlanItem(base_name, "table", _base_table_sql(scheme, base_name))],
+        references=scheme_references(scheme),
+        source_text=render_source(scheme_to_ast(scheme))), catalog)
 
 
 def compile_chain(entry: CatalogEntry, catalog: Catalog) -> CatalogEntry:

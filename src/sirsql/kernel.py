@@ -18,6 +18,7 @@ ProgrammingError).
 
 from __future__ import annotations
 
+import contextlib
 import sqlite3
 from dataclasses import dataclass
 
@@ -86,19 +87,20 @@ class KernelConnection:
     def within_transaction(self, work):
         """Run `work(conn)`; commit everything or roll back everything.  The
         transaction takes the write lock at once (every caller writes), so
-        what `work` reads stays current until the commit."""
+        what `work` reads stays current until the commit.  A read-only or
+        locked file fails it with KernelError."""
         if self._in_transaction:
             raise KernelError("transaction already open on this connection")
-        self._db.execute("BEGIN IMMEDIATE")
+        self.execute("BEGIN IMMEDIATE")
         self._in_transaction = True
         try:
             result = work(self)
-        except BaseException:
-            self._db.execute("ROLLBACK")
-            raise
-        else:
-            self._db.execute("COMMIT")
+            self.execute("COMMIT")
             return result
+        except BaseException:
+            with contextlib.suppress(sqlite3.Error):    # the error raised is the one reported
+                self._db.execute("ROLLBACK")
+            raise
         finally:
             self._in_transaction = False
 

@@ -29,13 +29,11 @@ DDL statement of the session then raises StaleCatalog and changes nothing
 (see `_apply`); a new session sees the change.  Queries and DML do not
 check.
 
-The open decodes every meta row and fails with CorruptCatalog on an
-unreadable one or a missing kernel object, but builds no relation's
-columns, plan or scheme: each is built when a statement first reads it, so a
-query builds the relations it routes over and an ALTER the altered relation
-and its dependents.  A source text that does not parse, or that disagrees
-with the plan, raises CorruptCatalog there, on each such statement
-(`Catalog.audit` builds them all).
+The open decodes every meta row, fails with CorruptCatalog on an unreadable
+one or a missing kernel object, and upgrades the rows an earlier release
+wrote in one DDL transaction (`_upgrade`).  It builds no other relation's
+columns, plan or scheme: each is built, and a corrupt one raises
+CorruptCatalog, when a statement first reads it (`Catalog.audit` reads all).
 
 Query and DML text is cached by shape (`lexer.shape`: literals replaced by
 ``?``) for one catalog generation: a repeated shape skips parse, route and
@@ -49,6 +47,7 @@ entries and are cleared when full.
 
 from __future__ import annotations
 
+import graphlib
 import threading
 from dataclasses import dataclass, field
 from functools import partial
@@ -56,13 +55,13 @@ from typing import Callable
 
 from . import nodes as n
 from .catalog import (SIR, VIEW, Catalog, CatalogEntry, ColumnInfo, PlanItem,
-                      ie_references, referenced_relations, scheme_from_ast)
+                      ie_references, referenced_relations, scheme_from_ast, scheme_references)
 from .compiler import (Sources, alter_steps, apply_alter, base_size_probe, column_refs,
                        compile_chain, compile_index, compile_sir, plan_drop, recompile_steps,
                        rewrite_to_base)
-from .errors import (CircularReferenceError, DependentAttributeDrop, InvariantViolation,
-                     KernelError, NameCollision, NotNullAttributeAdd, RejectedWrite,
-                     StaleCatalog, UnknownObject, UnknownRelation)
+from .errors import (CircularReferenceError, CorruptCatalog, DependentAttributeDrop,
+                     InvariantViolation, KernelError, NameCollision, NotNullAttributeAdd,
+                     RejectedWrite, StaleCatalog, UnknownObject, UnknownRelation)
 from .kernel import KernelConnection, RowSet
 from .lexer import shape
 from .parser import parse
@@ -113,6 +112,7 @@ class SirLayer:
         self._statements: dict[str, tuple] = {}
         # query text -> its shape and values, filled on a hit; DML is never kept
         self._shapes: dict[str, tuple[str, list]] = {}
+        self._upgrade()
 
     # --- entry points ---
 
@@ -201,15 +201,12 @@ class SirLayer:
             raise NameCollision(f"kernel object {taken.rows[0][0]!r} already exists")
 
     def _resolve_references(self, scheme) -> list[str]:
-        refs = []
         for ie in scheme.ies:
             for ref in ie_references(ie, scheme.name):
                 if self.catalog.resolve_columns(ref) is None:
                     raise UnknownRelation(
                         f"IE {ie.name} in {scheme.name} references unknown relation {ref!r}")
-                if ref.casefold() not in {r.casefold() for r in refs}:
-                    refs.append(ref)
-        return refs
+        return scheme_references(scheme)
 
     def _apply_rewrite_to_base(self, scheme):
         """Refuse a reference cycle, or with `rewrite_to_base` rewrite the IE
@@ -245,7 +242,7 @@ class SirLayer:
 
         A probe prepares a statement over a final view, which resolves every
         stage of its chain, so a bad or stale stage fails here, not at query
-        time.  A later step's failed probe is an ALTER's dependent reading
+        time.  In an ALTER, a later step's failed probe is a dependent reading
         what the ALTER removes; `changed` (casefold) names the relations
         whose columns the ALTER changes, to name the IEs that read them."""
         sent, entered = [], []
@@ -264,7 +261,7 @@ class SirLayer:
                         conn.execute(f"SELECT * FROM {quote_ident(step.name)} LIMIT 0",
                                      origin=origin)
                     except KernelError as exc:
-                        if step is plan[0]:
+                        if step is plan[0] or not changed:
                             raise
                         reader = self.catalog.get(step.name)
                         ies = _ies_over(reader, changed, self.catalog)
@@ -274,15 +271,10 @@ class SirLayer:
                             f" ({exc.__cause__})") from exc
                 entry, known = step.entry, step.name in self.catalog
                 if entry is not None and entry.kind == VIEW:
-                    # a view's columns are the kernel's, which re-expands its
-                    # `*` at each use; the catalog records no type, key or IE
                     names = conn.introspect(entry.name)
-                    if known and names == entry.column_names:
+                    if known and names == self.catalog.get(step.name).column_names:
                         continue
-                    entry = CatalogEntry(
-                        entry.name, VIEW, None, [ColumnInfo(c, None, False, True, None)
-                                                 for c in names],
-                        entry.plan, entry.references, source_text=entry.source_text)
+                    entry = _view_entry(entry, names, entry.references)
                 if step.remove:
                     self.catalog.persist_remove(step.name, conn)
                 elif entry is None:
@@ -302,7 +294,45 @@ class SirLayer:
                 self.catalog.attach(entry)
         return sent
 
+    def _upgrade(self):
+        """Upgrade the rows an earlier release wrote (`_LoadedEntry`) in one
+        DDL plan that also drops the four-table format's detail tables.  A
+        table is compiled again, keeping its base item, after the outdated
+        views (columns read from the kernel), relations and stage views it
+        reads (a base needs only a scheme).  On StaleCatalog, reload."""
+        while outdated := {e.name.casefold(): e for e in self.catalog.entries() if e.outdated}:
+            catalog, scratch, plan = self.catalog, self.catalog.copy(), []
+
+            def reads(old):
+                for ref in scheme_references(old.scheme) if old.kind != VIEW else ():
+                    owner = catalog.owner_of_object(ref) or catalog.get(ref)
+                    if owner.name.casefold() in outdated and (
+                            owner.kind == VIEW or owner.plan[0].name.casefold() != ref.casefold()):
+                        yield owner.name.casefold()
+
+            try:
+                order = list(graphlib.TopologicalSorter(
+                    {key: reads(old) for key, old in outdated.items()}).static_order())
+            except graphlib.CycleError as exc:
+                raise CorruptCatalog(f"{', '.join(outdated[key].name for key in exc.args[1][1:])}:"
+                                     " cannot be upgraded: they read each other's stages") from None
+            for old in map(outdated.get, order):
+                entry = compile_sir(old.scheme, scratch, old.plan[0]) if old.kind != VIEW \
+                    else _view_entry(old, self.conn.introspect(old.name), referenced_relations(
+                        old.statement(n.CreateView, "view").select))
+                scratch.attach(entry)
+                plan.append(_Step(entry.name, recompile_steps(old, entry), bool(entry.views), entry))
+            drops = [PlanItem(table, "step", f"DROP TABLE IF EXISTS {table};")
+                     for table in ("sir_attrs", "sir_ies", "sir_deps")]
+            try:
+                self._apply(plan + [_Step("sir_attrs", drops, False)])
+            except StaleCatalog:
+                self.catalog = Catalog.load(self.conn)
+
     def _create_table(self, stmt: n.CreateSirTable) -> StatementResult:
+        if sum(isinstance(e, n.PrimaryKeyClause) or isinstance(e, n.AttributeDecl)
+               and e.is_primary_key for e in stmt.elements) > 1:
+            raise InvariantViolation(f"{stmt.name}: more than one primary key is declared")
         self.catalog.check_name_free(stmt.name)
         scheme = scheme_from_ast(stmt)
         self.catalog.validate_scheme(scheme)
@@ -456,6 +486,14 @@ class SirLayer:
         count = self.conn.execute(sql, bound, origin=origin)
         action = type(stmt).__name__.lower()
         return StatementResult(stmt, action, rowcount=count, warnings=stmt.warnings), sql
+
+
+def _view_entry(view: CatalogEntry, names: list[str], references: list[str]) -> CatalogEntry:
+    """`view` with `references` and the columns `names` read from the kernel,
+    which re-expands a `*` at each use; the catalog records no type, key or IE."""
+    return CatalogEntry(view.name, VIEW, None, [ColumnInfo(c, None, False, True, None)
+                                                for c in names],
+                        view.plan, references, source_text=view.source_text)
 
 
 def _ies_over(entry: CatalogEntry, relations: set[str], catalog: Catalog) -> str:

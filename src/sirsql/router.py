@@ -475,8 +475,7 @@ def enforce_insert_computability(entry, inserted_keys: list[tuple],
 
     Value-form attributes are exempt: arithmetic over NULL inputs is
     legitimate NULL propagation, not a failed inheritance.  The form is the
-    kind the compiler recorded for the IE's stage; a stage of a plan that
-    records no facts has no kind, so its IEs are checked.
+    kind the compiler recorded for the IE's stage.
     """
     from .errors import IaNotComputable
 

@@ -12,6 +12,13 @@ from sirsql.layer import SirLayer
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
+# queries over S-P2, and over S-P3 (S-P2 after `sp3_alters.sirsql`)
+SP2_QUERIES = ["Select * From SP Order By S#, P#;", "Select Count(*) From SP;",
+               "Select SCITY, Count(*) From SP Group By SCITY Order By SCITY;",
+               "Select S#, STATUS From S Order By S#;"]
+SP3_QUERIES = SP2_QUERIES + ["Select * From P Order By P#;", "Select * From S Order By S#;",
+                             "Select Count(*) From S Where STATUS > 2;"]
+
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
@@ -58,7 +65,7 @@ def replay_dump(location: str, fixture: str):
 def write_seed_documents(layer: SirLayer):
     """Rewrite every meta row of `layer`'s file as the seed wrote it: plan
     rows [name, kind, sql] without stage facts, and the columns and IE order
-    recorded, since nothing else then records them."""
+    recorded.  A session that opens the file upgrades every row."""
     for entry in layer.catalog.entries():
         document = {
             "plan": [[item.name, item.kind, item.sql] for item in entry.plan],

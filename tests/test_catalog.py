@@ -20,8 +20,9 @@ from sirsql.parser import parse_one
 from sirsql.render import render, render_source
 from sirsql.router import route
 
-from conftest import (assert_plans_match_kernel, fixture_text, kernel_state, load_sp2,
-                      make_layer, replay_dump, write_four_table_sp2, write_seed_documents)
+from conftest import (SP2_QUERIES, SP3_QUERIES, assert_plans_match_kernel, fixture_text,
+                      kernel_state, load_sp2, make_layer, replay_dump, write_four_table_sp2,
+                      write_seed_documents)
 
 ALTER_STATUS_OVER_SP = ("Alter Table S Alter STATUS As STATUS"
                         " (Select Int (SUM(QTY)/100) FROM SP WHERE S.S# = S#);")
@@ -66,13 +67,13 @@ def test_a_cycle_through_a_stage_view_is_refused_before_any_kernel_statement(
 
 
 def test_a_cycle_through_a_stage_view_of_a_seed_format_file_is_refused(tmp_path, kernel_log):
-    # stage k of a plan without stage facts reads what the first k IEs read
+    # the open upgrades the seed's plan, so its stage k reads what its first k IEs read
     location = str(tmp_path / "db.sqlite")
     layer = load_sp2(SirLayer(KernelConnection(location)))
     write_seed_documents(layer)
     layer.conn.close()
     reopened = SirLayer(KernelConnection(location))
-    assert [item.stage.kind for item in reopened.catalog.get("SP").views] == [None, None]
+    assert [item.stage.kind for item in reopened.catalog.get("SP").views] == ["join", "join"]
     sent = kernel_log(reopened.conn)
     with pytest.raises(CircularReferenceError, match=r"^circular reference: S -> SP -> S$"):
         reopened.apply_source(
@@ -138,6 +139,33 @@ def test_sir_requires_primary_key(layer):
     layer.apply_source("Create Table S (S# Char, SNAME Char, Primary Key (S#));")
     with pytest.raises(InvariantViolation, match="primary key"):
         layer.apply_source("Create Table T (A Char, I (Select SNAME From S Where T.A = S#));")
+
+
+@pytest.mark.parametrize("definition", [
+    "U4 (A Int, B Int, Primary Key (B), Primary Key (A))",
+    "U3 (A Int Primary Key, B Int Primary Key)",
+    "U2 (A Int Primary Key, B Int, Primary Key (B))"])
+def test_a_second_primary_key_is_refused_before_any_kernel_statement(layer, definition,
+                                                                      kernel_log):
+    sent = kernel_log(layer.conn)
+    with pytest.raises(InvariantViolation, match="more than one primary key"):
+        layer.apply_source(f"Create Table {definition};")
+    assert sent == [] and layer.catalog.entries() == []
+
+
+def test_a_stored_scheme_with_two_primary_keys_still_opens(tmp_path):
+    # the refusal is CREATE's; a scheme already stored reads as it always did
+    location = str(tmp_path / "db.sqlite")
+    layer = SirLayer(KernelConnection(location))
+    layer.apply_source("Create Table U (A Int, B Int, Primary Key (A));"
+                       " Insert Into U Values (1, 2);")
+    layer.conn.execute("UPDATE sir_relations SET source_text ="
+                       " 'CREATE TABLE U (A Int, B Int, PRIMARY KEY (B), PRIMARY KEY (A));'")
+    layer.conn.close()
+    reopened = SirLayer(KernelConnection(location))
+    reopened.catalog.audit()
+    assert reopened.catalog.get("U").scheme.keys == [["A"], ["B"]]
+    assert reopened.query("Select * From U;").rows == [(1, 2)]
 
 
 def test_unknown_relation(sp2):
@@ -210,19 +238,6 @@ def test_load_detects_missing_kernel_object(tmp_path):
     layer.conn.close()
     with pytest.raises(CorruptCatalog, match="SP_1"):
         SirLayer(KernelConnection(location))
-
-
-def test_load_detects_tamperedkernel_state(tmp_path):
-    location = str(tmp_path / "db.sqlite")
-    layer = load_sp2(SirLayer(KernelConnection(location)), with_data=False)
-    # the seed's documents record the IE order, as no stage facts do
-    write_seed_documents(layer)
-    layer.conn.execute("UPDATE sir_relations SET plan = json_remove(plan, '$.ie_order[1]')"
-                       " WHERE name = 'SP'")
-    layer.conn.close()
-    reopened = SirLayer(KernelConnection(location))     # SP's scheme is not read at open
-    with pytest.raises(CorruptCatalog, match="^SP: recorded IEs"):
-        reopened.catalog.get("SP").ie_order
 
 
 def test_dependents_in_registration_order(layer):
@@ -503,10 +518,6 @@ def test_an_entry_built_directly_keeps_its_fields_and_defaults():
 
 # the faults `Catalog.load` finds without parsing a scheme
 _FOUND_AT_OPEN = "kernel object|unreadable plan"
-# only a catalog in the four-table format has these tables
-_FOUR_TABLE_DETAILS = re.compile(r"\bsir_(attrs|ies)\b")
-# recorded columns and IE order are read only where no stage facts hold them
-_RECORDED = re.compile(r"\bsir_(attrs|ies)\b|\$\.(columns|ie_order)")
 
 
 @pytest.mark.parametrize("sabotage, message", [
@@ -521,21 +532,6 @@ _RECORDED = re.compile(r"\bsir_(attrs|ies)\b|\$\.(columns|ie_order)")
      "^P: unparseable source text"),
     ("UPDATE sir_relations SET source_text = 'Select * From S;' WHERE name = 'P'",
      "^P: source text is not a table"),
-    ("DELETE FROM sir_ies WHERE rel = 'SP'", "^SP: recorded IEs"),
-    ("DELETE FROM sir_attrs WHERE rel = 'SP'", "^SP: recorded columns"),
-    ("DELETE FROM sir_attrs WHERE rel = 'SP' AND NOT is_inherited", "^SP: recorded columns"),
-    # meta rows belong to the relation whose name they repeat exactly
-    ("UPDATE sir_attrs SET rel = 'sp' WHERE rel = 'SP'", "^SP: recorded columns"),
-    ("UPDATE sir_ies SET rel = 'sp' WHERE rel = 'SP'", "^SP: recorded IEs"),
-    # the same faults in the one-row document
-    ("UPDATE sir_relations SET plan = json_set(plan, '$.ie_order', json('[]'))"
-     " WHERE name = 'SP'", "^SP: recorded IEs"),
-    ("UPDATE sir_relations SET plan = json_set(plan, '$.columns', json('[]'))"
-     " WHERE name = 'SP'", "^SP: recorded columns"),
-    ("UPDATE sir_relations SET plan = json_remove(plan, '$.columns[0]', '$.columns[0]',"
-     " '$.columns[0]') WHERE name = 'SP'", "^SP: recorded columns"),
-    ("UPDATE sir_relations SET plan = json_set(plan, '$.columns[0][0]', 'X')"
-     " WHERE name = 'SP'", "^SP: recorded columns"),
     ("UPDATE sir_relations SET plan = json_set(plan, '$.plan[0]',"
      " json('[\"SP_B\", \"table\", \"\", {}, 1]')) WHERE name = 'SP'", "^SP: unreadable plan"),
     # a plan row's third field is its stage facts, and no row has a fourth
@@ -553,26 +549,17 @@ _RECORDED = re.compile(r"\bsir_(attrs|ies)\b|\$\.(columns|ie_order)")
      " WHERE name = 'SP'", "^SP: recorded IEs"),
     ("UPDATE sir_relations SET plan = json_set(plan, '$.plan[0][0]', 5) WHERE name = 'SP'",
      "^SP: unreadable plan"),
-    ("UPDATE sir_relations SET plan = json_remove(plan, '$.columns') WHERE name = 'SP'",
-     "^SP: unreadable plan"),
-    ("UPDATE sir_relations SET plan = json_remove(plan, '$.ie_order') WHERE name = 'SP'",
-     "^SP: unreadable plan"),
+    # a view's row records its columns
+    ("UPDATE sir_relations SET plan = json_remove(plan, '$.columns') WHERE name = 'V'",
+     "^V: unreadable plan"),
     ("UPDATE sir_relations SET plan = json_set(plan, '$.columns[1]', json('[\"SNAME\"]'))"
-     " WHERE name = 'SP'", "^SP: unreadable plan"),
+     " WHERE name = 'V'", "^V: unreadable plan"),
 ])
 def test_load_rejects_each_kind_of_corruption(tmp_path, sabotage, message, capsys):
     location = str(tmp_path / "db.sqlite")
-    if _FOUR_TABLE_DETAILS.search(sabotage):
-        write_four_table_sp2(location)
-        conn = KernelConnection(location)
-        # SP's plan as the seed wrote it: [name, kind, sql], no stage facts
-        conn.execute("UPDATE sir_relations SET plan = json_remove(plan, '$[1][3]', '$[2][3]')"
-                     " WHERE name = 'SP'")
-    else:
-        layer = load_sp2(SirLayer(KernelConnection(location)), with_data=False)
-        if _RECORDED.search(sabotage):
-            write_seed_documents(layer)
-        conn = layer.conn
+    layer = load_sp2(SirLayer(KernelConnection(location)), with_data=False)
+    layer.apply_source("Create View V As Select S#, SNAME From S;")
+    conn = layer.conn
     conn.execute(sabotage)  # behind the catalog's back
     conn.close()
     if re.search(_FOUND_AT_OPEN, message):
@@ -580,9 +567,9 @@ def test_load_rejects_each_kind_of_corruption(tmp_path, sabotage, message, capsy
             SirLayer(KernelConnection(location))
     else:
         # a fault in a scheme's source text surfaces when the scheme is first
-        # read, and one in recorded columns or IEs when the columns are:
-        # routing Count(*) reads the schemes of SP and its sources, and
-        # expanding */QTY reads SP's columns
+        # read, and one in the stage facts' IEs when the columns are: routing
+        # Count(*) reads the schemes of SP and its sources, and expanding
+        # */QTY reads SP's columns
         reopened = SirLayer(KernelConnection(location))
         with pytest.raises(CorruptCatalog, match=message):
             reopened.query("Select Count(*) From SP;")
@@ -780,11 +767,6 @@ def _new_format_sp2(location: str) -> SirLayer:
     return load_sp2(SirLayer(KernelConnection(location)))
 
 
-SP2_QUERIES = ["Select * From SP Order By S#, P#;", "Select Count(*) From SP;",
-               "Select SCITY, Count(*) From SP Group By SCITY Order By SCITY;",
-               "Select S#, STATUS From S Order By S#;"]
-
-
 def _rowid_bases(snapshot: dict, relations: list[str]) -> dict:
     """`snapshot` with the tables of `relations` recorded in the rowid form
     of a file written before bases were key-clustered."""
@@ -805,10 +787,18 @@ def test_four_table_catalog_opens_like_a_new_one(tmp_path, kernel_log):
     conn = KernelConnection(legacy_location)
     sent = kernel_log(conn)
     legacy = SirLayer(conn)
-    # the three reads of the current format, then one per detail table; no write
-    assert len(sent) == 3 + 3
-    assert not [s for s in sent if not s.startswith(("SELECT", "PRAGMA"))]
-    # the one difference: the untouched legacy bases keep their rowid SQL
+    # the three reads, then one upgrade that rewrites the meta rows, probes
+    # SP and drops the detail tables; the bases and views stay
+    assert sent[:4] == ["PRAGMA user_version", "SELECT name, sql FROM sqlite_master",
+                        "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid",
+                        "BEGIN IMMEDIATE"] and sent[-1] == "COMMIT"
+    assert [s.split(" ")[0] for s in sent[4:-1]] == [
+        "PRAGMA", "UPDATE", "UPDATE", "SELECT", "UPDATE", "DROP", "DROP", "DROP", "PRAGMA"]
+    assert legacy.conn.query("SELECT name, json_type(plan) FROM sir_relations").rows == \
+        [("S", "object"), ("P", "object"), ("SP", "object")]
+    assert legacy.conn.query("SELECT name FROM sqlite_master WHERE name LIKE 'sir%'").rows \
+        == [("sir_relations",)]
+    # the one difference: the legacy bases keep their rowid SQL
     assert legacy.catalog.snapshot() == _rowid_bases(current.catalog.snapshot(),
                                                      ["S", "P", "SP"])
     legacy.catalog.audit()
@@ -816,6 +806,11 @@ def test_four_table_catalog_opens_like_a_new_one(tmp_path, kernel_log):
         assert legacy.query(sql) == current.query(sql)
     assert legacy.explain("SP") == [current.explain("SP")[0].replace(" WITHOUT ROWID;", ";")] \
         + current.explain("SP")[1:]
+    snapshot = legacy.catalog.snapshot()
+    conn.close()
+    conn = KernelConnection(legacy_location)
+    sent = kernel_log(conn)
+    assert SirLayer(conn).catalog.snapshot() == snapshot and len(sent) == 3
 
 
 def test_alter_on_a_four_table_catalog_writes_the_current_form(tmp_path):
@@ -829,14 +824,14 @@ def test_alter_on_a_four_table_catalog_writes_the_current_form(tmp_path):
     current.apply_source(alters)
 
     reopened = SirLayer(KernelConnection(location))
-    # S and SP were rebuilt key-clustered; the untouched P keeps its rowid SQL
+    # S and SP were rebuilt key-clustered; the unaltered P keeps its rowid SQL
     assert reopened.catalog.snapshot() == _rowid_bases(current.catalog.snapshot(), ["P"])
     for sql in SP2_QUERIES:
         assert reopened.query(sql) == current.query(sql)
-    # the altered relations' rows are in the current form; P's is untouched
+    # the open upgraded every row, P's too
     assert reopened.conn.query(
         "SELECT name, json_type(plan) FROM sir_relations ORDER BY name").rows == \
-        [("P", "array"), ("S", "object"), ("SP", "object")]
+        [("P", "object"), ("S", "object"), ("SP", "object")]
 
 
 # --- files whose meta rows record every relation's columns and IE order -----------
@@ -844,8 +839,6 @@ def test_alter_on_a_four_table_catalog_writes_the_current_form(tmp_path):
 # `sp3_recorded_columns.sql` is the `iterdump()` of S-P3 (S-P2, its rows and
 # `sp3_alters.sirsql`) as a release wrote it that recorded each relation's
 # columns and IE order in its meta row, beside the stage facts they repeat.
-SP3_QUERIES = SP2_QUERIES + ["Select * From P Order By P#;", "Select * From S Order By S#;",
-                             "Select Count(*) From S Where STATUS > 2;"]
 
 
 def test_a_file_with_recorded_columns_opens_like_a_fresh_load(tmp_path):
@@ -930,9 +923,12 @@ def _answers(layer: SirLayer) -> list:
 def test_a_skip_collapse_file_answers_like_a_default_one(tmp_path, capsys):
     flagged, default = _skip_collapse_pair(tmp_path)
     flagged.catalog.audit()
-    # the fused and collapsed chains are still what the file holds
-    assert [len(flagged.explain(name)) for name in SKIP_COLLAPSE_RELATIONS] == [2, 2, 3, 2, 2, 3]
-    assert flagged.catalog.get("P").views[0].stage.ies == ["WEIGHT_KG", "WEIGHT_T"]
+    # the open recompiled the fused and collapsed chains to the default ones;
+    # the bases are the file's
+    assert [len(flagged.explain(name)) for name in SKIP_COLLAPSE_RELATIONS] == [3, 4, 3, 3, 3, 4]
+    for name in SKIP_COLLAPSE_RELATIONS:
+        assert flagged.explain(name)[1:] == default.explain(name)[1:]
+    assert flagged.catalog.get("P").views[0].stage.ies == ["WEIGHT_KG"]
     assert _answers(flagged) == _answers(default)
     for name in SKIP_COLLAPSE_RELATIONS:
         count = parse_one(f"Select Count(*) From {name};")
@@ -950,15 +946,17 @@ def test_a_skip_collapse_file_answers_like_a_default_one(tmp_path, capsys):
 
 def test_a_base_a_rename_quoted_is_rebuilt_with_the_compilers_text(tmp_path, kernel_log):
     """A rename of an earlier release left `CREATE TABLE "P_B" …` in the
-    kernel.  The open writes nothing and shows the kernel's text; the first
-    ALTER rebuilds the base, with its rows and indexes, instead of extending
-    that text in place."""
+    kernel.  The open's upgrade keeps every base and shows the kernel's
+    text; the first ALTER rebuilds the base, with its rows and indexes,
+    instead of extending that text in place."""
     location = str(tmp_path / "flags.sqlite")
     replay_dump(location, "sp3_skip_collapse.sql")
     conn = KernelConnection(location)
     sent = kernel_log(conn)
     layer = SirLayer(conn)
-    assert not [s for s in sent if not s.startswith(("SELECT", "PRAGMA"))]
+    assert "BEGIN IMMEDIATE" in sent
+    assert not [s for s in sent if s.startswith(("CREATE TABLE", "INSERT", "ALTER"))
+                or s.startswith("DROP TABLE") and "IF EXISTS sir_" not in s]
     kernel_text = conn.query("SELECT sql || ';' FROM sqlite_master WHERE name = 'P_B'").rows
     assert layer.explain("P")[0] == kernel_text[0][0]
     assert layer.explain("P")[0].startswith('CREATE TABLE "P_B" (')

@@ -75,6 +75,44 @@ def test_transaction_empty_work_commits(conn):
     assert conn.within_transaction(lambda c: "done") == "done"
 
 
+def test_a_failed_commit_raises_kernel_error_and_rolls_back(conn):
+    conn.execute("PRAGMA foreign_keys = ON")
+    conn.execute("CREATE TABLE p (k PRIMARY KEY)")
+    conn.execute("CREATE TABLE c (k REFERENCES p (k) DEFERRABLE INITIALLY DEFERRED)")
+    with pytest.raises(KernelError, match="FOREIGN KEY constraint failed"):
+        conn.within_transaction(lambda c: c.execute("INSERT INTO c VALUES (1)"))
+    assert not conn._db.in_transaction
+    assert conn.execute("SELECT count(*) FROM c").rows == [(0,)]
+
+
+class _FailingRollback:
+    """A sqlite3 connection whose ROLLBACK fails."""
+
+    def __init__(self, db):
+        self.db = db
+
+    def __getattr__(self, name):
+        return getattr(self.db, name)
+
+    def execute(self, sql, *args):
+        if sql == "ROLLBACK":
+            raise sqlite3.OperationalError("cannot rollback")
+        return self.db.execute(sql, *args)
+
+
+def test_a_failed_rollback_does_not_hide_the_error_that_ended_the_work(conn):
+    def work(c):
+        c.execute("CREATE TABLE a (x)")
+        raise ValueError("the work failed")
+
+    conn._db = _FailingRollback(conn._db)
+    with pytest.raises(ValueError, match="the work failed"):
+        conn.within_transaction(work)
+    conn._db = conn._db.db
+    conn._db.execute("ROLLBACK")
+    assert conn.object_names() == []
+
+
 def test_nested_transaction_rejected(conn):
     def work(c):
         return c.within_transaction(lambda inner: None)

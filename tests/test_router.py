@@ -499,7 +499,7 @@ def test_source_gaining_non_key_join_turns_pruning_off():
     assert layer.query("Select Count(*) From R;").rows == [(2,)]
 
 
-def test_seed_format_plans_load_and_are_never_pruned(tmp_path):
+def test_seed_format_plans_are_upgraded_at_open_and_pruned(tmp_path):
     from sirsql.kernel import KernelConnection
     from sirsql.layer import SirLayer
     location = str(tmp_path / "db.sqlite")
@@ -510,10 +510,10 @@ def test_seed_format_plans_load_and_are_never_pruned(tmp_path):
 
     reopened = SirLayer(KernelConnection(location))
     entry = reopened.catalog.get("SP")
-    assert [item.stage.kind for item in entry.views] == [None, None]
+    assert [item.stage.kind for item in entry.views] == ["join", "join"]
     assert reopened.catalog.resolve_columns("SP_1")[-1] == "SCITY"
     routed, _ = routed_sql(reopened, "Select Count(*) From SP;")
-    assert routed.kind == PASS_THROUGH
+    assert (routed.kind, routed.target) == (BASE_REWRITE, "SP_B")
     assert reopened.query("Select Count(*) From SP;").rows == [(12,)]
     assert sorted(reopened.query(
         "Select SCITY, Count(*) From SP Group By SCITY;").rows) == expected
