@@ -630,30 +630,38 @@ REBUILD_ROWS_PER_OBJECT = 7
 
 
 def base_size_probe(base: str) -> str:
-    """The base's rows, counted no further than the bound under which
-    `alter_steps` rebuilds it rather than extend it, and that bound.  A
-    rebuild also fills each index that CREATE INDEX made on the base, so the
-    bound is the rows per kernel object over one more than those indexes."""
+    """One row: the base's rows, counted no further than the bound under
+    which `alter_steps` rebuilds it rather than extend it; that bound; and
+    the indexes that CREATE INDEX made on the base.  A rebuild also fills
+    those indexes, so the bound is the rows per kernel object over one more
+    than them.  The probe reads ``sqlite_master`` once: SQLite (3.35 on)
+    materializes a CTE that is read twice; an older one reads it twice."""
     name = base.replace("'", "''")
-    indexes = ("(SELECT count(*) FROM sqlite_master WHERE type = 'index'"
-               f" AND tbl_name = '{name}' COLLATE NOCASE AND sql IS NOT NULL)")
-    bound = f"{REBUILD_ROWS_PER_OBJECT} * (SELECT count(*) FROM sqlite_master) / (1 + {indexes})"
-    return f"SELECT count(*), {bound} FROM (SELECT 1 FROM {quote_ident(base)} LIMIT {bound})"
+    indexes = (f"sum(type = 'index' AND tbl_name = '{name}' COLLATE NOCASE"
+               " AND sql IS NOT NULL)")
+    return (f"WITH m (bound, indexes) AS (SELECT {REBUILD_ROWS_PER_OBJECT} * objects"
+            f" / (1 + indexes), indexes FROM (SELECT count(*) AS objects, {indexes} AS indexes"
+            f" FROM sqlite_master)) SELECT (SELECT count(*) FROM (SELECT 1 FROM {quote_ident(base)}"
+            " LIMIT (SELECT bound FROM m))), bound, indexes FROM m")
 
 
 def alter_steps(entry: CatalogEntry, compiled: CatalogEntry,
-                read_indexes=lambda: (), small_base: bool = False) -> list[PlanItem]:
+                read_indexes=lambda: (), size: tuple | None = None) -> list[PlanItem]:
     """Maintenance DDL turning the entry's current kernel objects into the
     newly compiled ones.  Only views whose SQL changed, or that are new or
     gone, are dropped or created (see `_view_diff`); the base table is
-    extended in place by ``ADD COLUMN``, or rebuilt by copying its rows (see
-    `_rebuild_steps`) where `_rebuilds_base` says so or for a `small_base`
-    (see `base_size_probe`), so stored data survives.  A rebuild re-creates
-    the old base's indexes; only a rebuild calls `read_indexes`, which lists
-    them as `KernelConnection.indexes` does."""
+    extended in place by ``ADD COLUMN``, or rebuilt (see `_rebuild_steps`)
+    where `_rebuilds_base` says so or where `size`, the row that
+    `base_size_probe` read, puts it under its bound, so stored data
+    survives.  A base that `size` counts empty is created again without
+    copying rows.  A rebuild re-creates the old base's indexes: only a
+    rebuild calls `read_indexes`, which lists them as
+    `KernelConnection.indexes` does, and not when `size` counts none."""
     steps, creates = _view_diff(entry.plan, compiled.plan)
-    if small_base or _rebuilds_base(entry, compiled):
-        return steps + _rebuild_steps(entry, compiled, read_indexes()) + creates
+    rows, bound, indexes = size or (None, None, None)
+    if rows is not None and rows < bound or _rebuilds_base(entry, compiled):
+        kept = read_indexes() if indexes != 0 else ()
+        return steps + _rebuild_steps(entry, compiled, kept, rows == 0) + creates
     base = entry.plan[0].name
     for attr in compiled.scheme.stored_attrs[len(entry.scheme.stored_attrs):]:
         decl = attr.replace(is_primary_key=False)
@@ -677,20 +685,23 @@ def _rebuilds_base(entry: CatalogEntry, compiled: CatalogEntry) -> bool:
         or base.sql != _base_table_sql(kept, base.name)
 
 
-def _rebuild_steps(entry, compiled, indexes) -> list[PlanItem]:
+def _rebuild_steps(entry, compiled, indexes, empty: bool = False) -> list[PlanItem]:
     """Re-create the base from its compiled CREATE TABLE, with the rows of
-    the columns it keeps and the old base's indexes.  A base that changes
-    name (``T`` to ``T_B`` on a first IE, and back) is filled from the old
-    one, which is then dropped; one that keeps its name goes through the
-    scratch table ``sir_rebuild`` (the ``sir_`` prefix is reserved).  No step
-    renames a table: a rename makes SQLite re-check the whole schema."""
+    the columns it keeps and the old base's indexes.  An `empty` base is
+    dropped and created.  A base that changes name (``T`` to ``T_B`` on a
+    first IE, and back) is filled from the old one, which is then dropped;
+    one that keeps its name goes through the scratch table ``sir_rebuild``
+    (the ``sir_`` prefix is reserved).  No step renames a table: a rename
+    makes SQLite re-check the whole schema."""
     old, new = entry.plan[0].name, compiled.plan[0].name
     common = [a.name for a in compiled.scheme.stored_attrs
               if entry.scheme.find_attr(a.name) is not None]
     cols = ", ".join(quote_ident(c) for c in common)
     fill = f"INSERT INTO {quote_ident(new)} ({cols}) SELECT {cols} FROM"
     drop = f"DROP TABLE {quote_ident(old)};"
-    if old.casefold() != new.casefold():
+    if empty:
+        sql = [drop, compiled.plan[0].sql]
+    elif old.casefold() != new.casefold():
         sql = [compiled.plan[0].sql, f"{fill} {quote_ident(old)};", drop]
     else:
         sql = [f"CREATE TABLE sir_rebuild AS SELECT {cols} FROM {quote_ident(old)};", drop,

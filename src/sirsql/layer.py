@@ -41,13 +41,16 @@ render and binds its literals as sqlite3 parameters.  A shape is cached only
 when the renderer bound exactly the shape's values, in order and type.  A
 query text served from that cache is kept with its shape and values, so an
 exact repeat skips `shape` too; it still passes its shape's generation and
-value-count checks.  DML text is never kept.  Both caches hold `CACHE_SIZE`
-entries and are cleared when full.
+value-count checks.  DML text is never kept.  A cached shape also keeps its
+pattern (`lexer.shape_pattern`), which binds a new text of that shape in
+about a third of the time `shape` takes.  All three hold `CACHE_SIZE`
+entries at most and are cleared when full, the patterns with the shapes.
 """
 
 from __future__ import annotations
 
 import graphlib
+import re
 import threading
 from dataclasses import dataclass, field
 from functools import partial
@@ -63,7 +66,7 @@ from .errors import (CircularReferenceError, CorruptCatalog, DependentAttributeD
                      InvariantViolation, KernelError, NameCollision, NotNullAttributeAdd,
                      RejectedWrite, StaleCatalog, UnknownObject, UnknownRelation)
 from .kernel import KernelConnection, RowSet
-from .lexer import shape
+from .lexer import bind_pattern, literal_prefix, shape, shape_pattern
 from .parser import parse
 from .render import quote_ident, render, render_source
 from .router import (BASE_REWRITE, REJECTED, check_ie_integrity,
@@ -71,6 +74,7 @@ from .router import (BASE_REWRITE, REJECTED, check_ie_integrity,
 
 
 CACHE_SIZE = 512       # shapes per session; the cache is cleared when full
+PREFIX_PATTERNS = 4    # shape patterns kept under one literal prefix
 _CACHEABLE = (n.Query, n.Insert, n.Update, n.Delete)
 
 
@@ -112,6 +116,8 @@ class SirLayer:
         self._statements: dict[str, tuple] = {}
         # query text -> its shape and values, filled on a hit; DML is never kept
         self._shapes: dict[str, tuple[str, list]] = {}
+        # literal prefix -> [(shape, its pattern)], for the shapes in `_statements`
+        self._patterns: dict[str, list[tuple[str, re.Pattern]]] = {}
         self._upgrade()
 
     # --- entry points ---
@@ -148,9 +154,14 @@ class SirLayer:
     def _run_text(self, text: str, query_only: bool):
         """Execute dialect text, through the statement cache when it holds one
         query or DML statement.  With `query_only` the text must be one query,
-        and its RowSet is returned; otherwise the StatementResults."""
+        and its RowSet is returned; otherwise the StatementResults.
+
+        A text missing from the text memo is bound by the first pattern kept
+        under its `literal_prefix` that matches it, and shaped only when none
+        does.  A miss parses the text itself, so a ParseError keeps its
+        position."""
         known = self._shapes.get(text)
-        key, values = known or shape(text)
+        key, values = known or self._bind(text) or shape(text)
         hit = self._statements.get(key)
         if hit is not None and hit[0] == self.catalog.generation and hit[1] == len(values):
             _, _, sql, action = hit
@@ -179,8 +190,30 @@ class SirLayer:
             sql = None
         if len(self._statements) >= CACHE_SIZE:
             self._statements.clear()
+            self._patterns.clear()
         self._statements[key] = (self.catalog.generation, len(values), sql, result.action)
+        if sql is not None:
+            self._keep_pattern(key, len(values))
         return result.rows if query_only else [result]
+
+    def _bind(self, text: str) -> tuple[str, list] | None:
+        """The shape and values of `text`, from the first pattern kept under
+        its prefix that binds it; None when none does."""
+        for key, pattern in self._patterns.get(literal_prefix(text), ()):
+            values = bind_pattern(pattern, text)
+            if values is not None:
+                return key, values
+        return None
+
+    def _keep_pattern(self, key: str, count: int):
+        """Keep the pattern of the shape `key` under its prefix, unless it is
+        kept already, `PREFIX_PATTERNS` are, or the shape has none."""
+        prefix = literal_prefix(key)
+        kept = self._patterns.get(prefix, [])
+        if len(kept) < PREFIX_PATTERNS and all(other != key for other, _ in kept):
+            pattern = shape_pattern(key, count)
+            if pattern is not None:
+                self._patterns[prefix] = kept + [(key, pattern)]
 
     def explain(self, name: str) -> list[str]:
         """The kernel's text of each object of a relation, one per entry."""
@@ -191,14 +224,20 @@ class SirLayer:
 
     # --- DDL ---
 
-    def _check_kernel_name_free(self, names: list[str]):
-        """Raise NameCollision if the kernel holds an object named like any of
-        `names` (case-insensitively); one query for all of them."""
-        marks = ", ".join(["lower(?)"] * len(names))
-        taken = self.conn.execute(
-            f"SELECT name FROM sqlite_master WHERE lower(name) IN ({marks}) LIMIT 1", names)
-        if taken.rows:
-            raise NameCollision(f"kernel object {taken.rows[0][0]!r} already exists")
+    def _create(self, step: _Step, names: list[str], stmt):
+        """Apply the plan of a CREATE whose kernel objects are `names`.
+        SQLite refuses a name that is taken, and the plan rolls back; only
+        then is the kernel asked, and a name it holds (case-insensitively)
+        raises NameCollision."""
+        try:
+            self._apply([step], partial(render_source, stmt))
+        except KernelError as exc:
+            marks = ", ".join(["lower(?)"] * len(names))
+            taken = self.conn.execute(
+                f"SELECT name FROM sqlite_master WHERE lower(name) IN ({marks}) LIMIT 1", names)
+            if taken.rows:
+                raise NameCollision(f"kernel object {taken.rows[0][0]!r} already exists") from exc
+            raise
 
     def _resolve_references(self, scheme) -> list[str]:
         for ie in scheme.ies:
@@ -338,9 +377,8 @@ class SirLayer:
         self.catalog.validate_scheme(scheme)
         scheme = self._apply_rewrite_to_base(scheme)
         entry = compile_sir(scheme, self.catalog)
-        self._check_kernel_name_free(entry.kernel_objects)
-        self._apply([_Step(entry.name, entry.plan, bool(entry.views), entry)],
-                    partial(render_source, stmt))
+        self._create(_Step(entry.name, entry.plan, bool(entry.views), entry),
+                     entry.kernel_objects, stmt)
         return StatementResult(stmt, "create table", objects=entry.kernel_objects,
                                warnings=stmt.warnings)
 
@@ -355,11 +393,10 @@ class SirLayer:
         routed = route(n.Query(select=stmt.select), self.catalog, prune=False)
         kernel_stmt = n.CreateView(name=stmt.name, select=routed.kernel_stmt.select)
         item = PlanItem(stmt.name, "view", render(kernel_stmt))
-        self._check_kernel_name_free([stmt.name])
         # `_apply` reads its columns from the kernel
         entry = CatalogEntry(stmt.name, VIEW, None, [], [item], refs,
                              source_text=render_source(stmt))
-        self._apply([_Step(stmt.name, entry.plan, True, entry)], partial(render_source, stmt))
+        self._create(_Step(stmt.name, entry.plan, True, entry), [stmt.name], stmt)
         return StatementResult(stmt, "create view", objects=[stmt.name],
                                warnings=stmt.warnings)
 
@@ -384,13 +421,13 @@ class SirLayer:
         def own_items(conn):
             base = entry.plan[0].name
             # an added stored attribute sizes the base: one probe, also for Not Null
-            rows, bound = conn.query(base_size_probe(base)).rows[0] if stored else (0, 0)
-            if not_null and rows:
+            size = conn.query(base_size_probe(base)).rows[0] if stored else None
+            if not_null and size[0]:
                 raise NotNullAttributeAdd(
                     f"{entry.name} has rows, so the Not Null attribute {not_null[0]}"
                     " cannot be added: every row would hold NULL in it")
             # a rebuilt base gets the old base's indexes back
-            return alter_steps(entry, new_entry, partial(conn.indexes, base), rows < bound)
+            return alter_steps(entry, new_entry, partial(conn.indexes, base), size)
 
         # then each dependent, in dependency order; a dependent whose `*`
         # reads a relation whose column list changed is recompiled, so it

@@ -130,6 +130,18 @@ def test_apply_an_alter_refused_by_a_typed_error_exits_2(db, tmp_path, capsys, s
     assert message in err and "while executing" not in err, err
 
 
+def test_apply_a_create_over_a_raw_kernel_object_exits_2(db, tmp_path, capsys):
+    apply_sp2(db, capsys, with_data=False)
+    raw = KernelConnection(db)
+    raw.execute("CREATE TABLE zv (x)")
+    raw.close()
+    path = tmp_path / "create.sirsql"
+    path.write_text("Create View ZV As Select S# From S;")
+    code, out, err = run(["-k", db, "apply", str(path)], capsys)
+    assert code == 2
+    assert "1: error: kernel object 'zv' already exists" in err, err
+
+
 def test_query_unknown_relation_exits_1(db, capsys):
     apply_sp2(db, capsys, with_data=False)
     code, out, err = run(["-k", db, "query", "Select * From NOWHERE;"], capsys)

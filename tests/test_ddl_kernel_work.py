@@ -11,7 +11,7 @@ import re
 import pytest
 
 from sirsql.compiler import REBUILD_ROWS_PER_OBJECT, base_size_probe, compile_sir
-from sirsql.errors import (DependentAttributeDrop, InvariantViolation, KernelError,
+from sirsql.errors import (DependentAttributeDrop, InvariantViolation, KernelError, NameCollision,
                            NotNullAttributeAdd)
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
@@ -90,11 +90,10 @@ def test_alter_add_recreates_only_changed_views_and_probes_each_chain_once(tmp_p
     assert set(_named(sent, "CREATE VIEW")) == changed
     assert [PROBE.match(s).group(1) for s in sent if PROBE.match(s)] == ["R0", "R1", "R2"]
     _assert_lean_meta_statements(sent)
-    # BEGIN, the schema version, the size probe, the index read and its
-    # pragma line; D, empty so under the probe's bound: the five rebuild
-    # statements and its UPDATE; each dependent: DROP, CREATE, probe,
-    # UPDATE; the schema version write, COMMIT
-    assert len(sent) == 5 + 6 + 3 * 4 + 2
+    # BEGIN, the schema version, the size probe; D, empty and without an
+    # index: DROP, CREATE and its UPDATE; each dependent: DROP, CREATE,
+    # probe, UPDATE; the schema version write, COMMIT
+    assert len(sent) == 3 + 3 + 3 * 4 + 2
     assert layer.query("Select * From R1;").columns[-1] == "E_NAME"
     assert "D_X" in layer.query("Select * From R1;").columns
 
@@ -126,7 +125,7 @@ def _sized_copies(tmp_path) -> tuple[SirLayer, SirLayer, str]:
     the fewest that `alter_steps` extends in place; and the rows' VALUES."""
     empty = _reopened(tmp_path, _dimension_schema(), "empty")
     full = _reopened(tmp_path, _dimension_schema(), "full")
-    (_, bound), = full.conn.query(base_size_probe("D")).rows
+    (_, bound, _), = full.conn.query(base_size_probe("D")).rows
     values = ", ".join(f"('d{i}', 'n', {i})" for i in range(bound))
     full.apply_source(f"Insert Into D Values {values};")
     return empty, full, values
@@ -141,14 +140,12 @@ def test_an_add_rebuilds_a_base_under_the_size_bound_and_extends_one_over_it(tmp
         layer.apply_source("Alter Table D Add D_X Char;")
 
     probe = base_size_probe("D")
-    assert sent[0][2] == probe and sent[0][3].startswith("SELECT il.name")
-    assert sent[0][5:10] == [
-        "CREATE TABLE sir_rebuild AS SELECT D_K, D_NAME, D_N FROM D;",
-        "DROP TABLE D;",
+    # the empty base is created again: no index read, no rows copied
+    assert sent[0][2:5] == [
+        probe, "DROP TABLE D;",
         "CREATE TABLE D (D_K Char, D_NAME Char, D_N Int, D_X Char, PRIMARY KEY (D_K))"
-        " WITHOUT ROWID;",
-        "INSERT INTO D (D_K, D_NAME, D_N) SELECT D_K, D_NAME, D_N FROM sir_rebuild;",
-        "DROP TABLE sir_rebuild;"]
+        " WITHOUT ROWID;"]
+    assert not [s for s in sent[0] if "sir_rebuild" in s or "pragma_index_list" in s]
     assert sent[1][2:4] == [probe, "ALTER TABLE D ADD COLUMN D_X Char;"]
     assert [s for s in sent[1] if s.startswith(("CREATE TABLE", "DROP TABLE"))] == []
 
@@ -167,8 +164,9 @@ def test_each_index_of_a_base_lowers_its_size_bound(tmp_path, kernel_log):
     Create Index D_I2 On D (D_N);
     Create Unique Index D_I3 On D (D_NAME, D_N);""")
     (objects,), = layer.conn.query("SELECT count(*) FROM sqlite_master").rows
-    (_, bound), = layer.conn.query(base_size_probe("D")).rows
+    (_, bound, indexes), = layer.conn.query(base_size_probe("D")).rows
     # a rebuild fills the base and its three indexes
+    assert indexes == 3
     assert bound == REBUILD_ROWS_PER_OBJECT * objects // 4
     values = ", ".join(f"('d{i}', 'n', {i})" for i in range(bound))
     layer.apply_source(f"Insert Into D Values {values};")
@@ -179,6 +177,21 @@ def test_each_index_of_a_base_lowers_its_size_bound(tmp_path, kernel_log):
     assert sent[2:4] == [base_size_probe("D"), "ALTER TABLE D ADD COLUMN D_X Char;"]
     assert len(layer.query("Select * From R0;").rows) == 0
     assert layer.query("Select Count(*) From D Where D_X Is Null;").rows == [(bound,)]
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_a_rebuilt_base_under_the_bound_gets_its_index_back(tmp_path, kernel_log, rows):
+    layer = _reopened(tmp_path, _dimension_schema() + "\nCreate Index D_I On D (D_N);"
+                      + "\nInsert Into D Values ('d', 'n', 1);" * rows)
+    sent = kernel_log(layer.conn)
+    layer.apply_source("Alter Table D Add D_X Char;")
+
+    assert sent[2] == base_size_probe("D") and sent[3].startswith("SELECT il.name")
+    copies = [s for s in sent if "sir_rebuild" in s]
+    assert len(copies) == (0 if rows == 0 else 3)
+    assert "CREATE INDEX D_I ON D (D_N);" in sent
+    assert layer.conn.indexes("D") == [("D_I", False, ["D_N"])]
+    assert layer.query("Select D_K, D_X From D;").rows == [("d", None)] * rows
 
 
 def test_a_not_null_add_is_refused_by_the_size_probe_only_where_rows_are(tmp_path,
@@ -202,10 +215,10 @@ def test_create_with_two_ies_probes_its_final_view_once(tmp_path, kernel_log):
     assert _named(sent, "CREATE VIEW") == ["R3_1", "R3"]
     assert [PROBE.match(s).group(1) for s in sent if PROBE.match(s)] == ["R3"]
     _assert_lean_meta_statements(sent)
-    # the name check, BEGIN, the schema version before and after, the base,
-    # two views, the probe, one INSERT, COMMIT
-    assert len(sent) == 1 + 1 + 2 + 3 + 1 + 1 + 1
-    assert len([s for s in sent if "sqlite_master" in s]) == 1
+    # BEGIN, the schema version before and after, the base, two views, the
+    # probe, one INSERT, COMMIT; SQLite's CREATE checks the names
+    assert len(sent) == 1 + 2 + 3 + 1 + 1 + 1
+    assert not [s for s in sent if "sqlite_master" in s]
 
 
 def test_meta_tables_are_created_until_a_ddl_commits(kernel_log):
@@ -455,3 +468,26 @@ def test_a_chain_only_recompile_equals_a_full_compile(tmp_path, reopen):
         dims.apply_source(_dimension_schema())
     _assert_chains_match_a_full_compile(dims, "Alter Table D Add D_X Char;", ["R0", "R1", "R2"])
     _assert_chains_match_a_full_compile(dims, "Alter Table E Drop E_NAME;", ["R0", "R1", "R2"])
+
+
+@pytest.mark.parametrize("raw, statement", [
+    ("CREATE TABLE r3_b (x)", _dependent("R3")),
+    ("CREATE INDEX r3_1 ON D_X (x)", _dependent("R3")),
+    ("CREATE TABLE dv (x)", "Create View DV As Select D_K From D;"),
+    ("CREATE INDEX dv ON D_X (x)", "Create View DV As Select D_K From D;"),
+], ids=["table-over-table", "table-over-index", "view-over-table", "view-over-index"])
+def test_a_create_over_a_raw_kernel_object_is_a_name_collision(tmp_path, kernel_log, raw,
+                                                               statement):
+    """SQLite's own CREATE refuses a name that another object holds in any
+    case; the layer then names that object, and nothing changes."""
+    layer = _reopened(tmp_path, _dimension_schema())
+    layer.conn.execute("CREATE TABLE D_X (x)")
+    layer.conn.execute(raw)
+    kernel, snapshot = kernel_state(layer.conn), layer.catalog.snapshot()
+    sent = kernel_log(layer.conn)
+    name = raw.split()[2]
+    with pytest.raises(NameCollision, match=f"kernel object '{name}' already exists"):
+        layer.apply_source(statement)
+    assert sent[0] == "BEGIN IMMEDIATE" and "ROLLBACK" in sent
+    assert kernel_state(layer.conn) == kernel
+    assert layer.catalog.snapshot() == snapshot

@@ -358,7 +358,8 @@ def test_a_repeated_query_text_is_shaped_at_most_twice(sp2, shapes):
         for text, rows in zip(texts, expected):
             assert sp2.query(text).rows == rows
             assert sp2.apply_source(text)[0].rows.rows == rows
-    assert [shapes.count(text) for text in texts] == [2, 1]
+    # the first text misses; its shape's pattern binds the rest
+    assert [shapes.count(text) for text in texts] == [1, 0]
     assert set(sp2._shapes) == set(texts)
 
 
@@ -375,7 +376,7 @@ def test_a_memoized_text_follows_an_alter_drop_and_re_add(sp2, parses, shapes):
         rows = sp2.query(text).rows
         assert sorted(rows) == sorted(uncached(sp2, text).rows.rows)
         assert len(rows) == 4
-    assert parses.count(text) == 3 and shapes.count(text) == 2
+    assert parses.count(text) == 3 and shapes.count(text) == 1
 
 
 def test_dml_texts_are_never_memoized(sp2):
@@ -401,3 +402,69 @@ def test_a_never_cached_query_is_not_memoized(sp2, parses):
     for _ in range(3):
         assert sp2.query(text).rows == [("S1",), ("S2",)]
     assert parses.count(text) == 3 and sp2._shapes == {}
+
+
+# --- shape patterns: a new text of a cached shape is bound without shape ---
+
+
+def test_a_new_text_of_a_cached_shape_is_bound_by_its_pattern(sp2, parses, shapes):
+    cases = [
+        ["Select S#, P# From SP Where S# = 'S1' And QTY = 300;",
+         "Select S#, P# From SP Where S# = 'S2' And QTY = '400';"],    # a string for a number
+        ["Select P#, SNAME From SP Where SNAME = 'Smith' Order By P#;",
+         "Select P#, SNAME From SP Where SNAME = 300 Order By P#;",     # a number for a string
+         "Select P#, SNAME From SP Where SNAME = 'O''Hara' Order By P#;"],
+        ["Update SP Set QTY = 5 Where S# = 'S9';", "Update SP Set QTY = 7 Where S# = 'S3';"],
+    ]
+    for texts in cases:
+        for text in texts:
+            expected = uncached(sp2, text)
+            [result] = sp2.apply_source(text)
+            assert (result.action, result.rowcount) == (expected.action, expected.rowcount)
+            assert result.rows == expected.rows, text
+    # only the first text of each shape is shaped and parsed
+    assert shapes == parses == [texts[0] for texts in cases]
+    assert sp2.query("Select QTY From SP Where S# = 'S3';").rows == [(7,)]
+    # after DDL a text is bound, then parsed, and its shape keeps its one pattern
+    alter, text = "Alter Table S Add NOTE Char;", cases[1][0].replace("Smith", "Jones")
+    sp2.apply_source(alter)
+    assert sp2.query(text) == uncached(sp2, text).rows
+    assert shapes[-1] == alter and parses[-2:] == [alter, text]
+    assert [len(kept) for kept in sp2._patterns.values()] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("first, second", [
+    # an unbound number stays in the key, so its pattern cannot bind it
+    ("Select S# From SP Where QTY > 100;", "Select S# From SP Where QTY > 99999999999999999999;"),
+    ("Select S#, QTY As \"q?\" From SP Where QTY = 300;",
+     "Select S#, QTY As \"q?\" From SP Where QTY = 400;"),
+    ("Select /* ? */ S# From SP Where QTY = 300;", "Select /* ? */ S# From SP Where QTY = 400;"),
+    ("Select S# -- ?\n From SP Where QTY = 300;", "Select S# -- ?\n From SP Where QTY = 400;"),
+])
+def test_a_text_no_pattern_binds_is_shaped(sp2, shapes, first, second):
+    for text in (first, second):
+        assert sp2.query(text) == uncached(sp2, text).rows
+    assert shapes == [first, second]
+
+
+def test_a_1500_literal_insert_is_shaped(sp2, shapes):
+    texts = ["Insert Into SP Values " + ", ".join(f"('S{i}', 'P{n}', {i})" for i in range(500))
+             + ";" for n in (7, 8)]
+    for text in texts:
+        assert sp2.apply_source(text)[0].rowcount == 500
+    assert shapes == texts and sp2._patterns == {}
+    assert sp2.query("Select Count(*) From SP_B Where P# In ('P7', 'P8');").rows == [(1000,)]
+
+
+def test_patterns_are_few_under_one_prefix_and_cleared_with_the_cache(sp2, shapes):
+    for count in range(1, 8):
+        sp2.query("Select S# From SP Where QTY In (" + ", ".join(["300"] * count) + ");")
+    assert [len(kept) for kept in sp2._patterns.values()] == [sirsql.layer.PREFIX_PATTERNS]
+    text = "Select S# From SP Where QTY In (400, 300);"
+    assert sp2.query(text) == uncached(sp2, text).rows and text not in shapes
+    # each alias is its own shape: 7 shapes and 505 aliases fill the cache,
+    # which is cleared with its patterns, and the last 7 aliases follow
+    for alias in range(sirsql.layer.CACHE_SIZE):
+        sp2.query(f"Select S# As A{alias} From SP Where QTY = 300;")
+    assert len(sp2._statements) == 7
+    assert [key for kept in sp2._patterns.values() for key, _ in kept] == list(sp2._statements)

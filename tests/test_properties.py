@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from sirsql.errors import KernelError, ParseError, SirSqlError
 from sirsql.kernel import KernelConnection, RowSet
 from sirsql.layer import SirLayer, StatementResult
-from sirsql.lexer import _SHAPE, NUMBER, STRING, literal_value, shape, tokenize
+from sirsql.lexer import (_SHAPE, NUMBER, STRING, bind_pattern, literal_prefix, literal_value,
+                          shape, shape_pattern, tokenize)
 from sirsql.normalizer import (FunctionalDependency, MultivaluedDependency,
                                SchemeDraft, attribute_closure, heath_decompose,
                                is_bcnf, lossless_check, make_universal, normalize)
@@ -327,13 +328,16 @@ def test_cached_execution_matches_uncached_on_random_schemes(seed):
 # --- the shape pass against the lexer ----------------------------------------------
 
 
-_pieces = st.one_of(
-    st.sampled_from(["Select", "From", "R001_K", "S#", "P#1", "x$1", "_9", "Größe", "名前",
-                     "été2", "T", "e5", "\"a 1 'b' -- 2\"", "[x 2.5]", "\"\"", "[]"]),
+_literal_pieces = st.one_of(
     st.text(alphabet="ab' -1/*é\n", max_size=8).map(lambda t: "'" + t.replace("'", "''") + "'"),
     st.integers(0, 2**70).map(str),
     st.tuples(st.integers(0, 10**18), st.integers(0, 10**18)).map(lambda p: f"{p[0]}.{p[1]}"),
     st.integers(0, 999).map(lambda i: f".{i}"),
+)
+_pieces = st.one_of(
+    st.sampled_from(["Select", "From", "R001_K", "S#", "P#1", "x$1", "_9", "Größe", "名前",
+                     "été2", "T", "e5", "\"a 1 'b' -- 2\"", "[x 2.5]", "\"\"", "[]"]),
+    _literal_pieces,
     st.sampled_from(["-- 7 'c'\n", "/* 8 'd' -- */", "--\n", "/**/"]),
     st.sampled_from(["(", ")", ",", ";", "=", "-", "+", "*", "/", ".", "<=", "||", "%"]),
 )
@@ -381,6 +385,49 @@ def test_shape_matches_tile_every_text(pieces):
         assert match.start() == end, (text, match)
         end = match.end()
     assert end == len(text)
+
+
+_border_pieces = st.sampled_from([".", "T.", "x", "#", "\"a?b\"", "[?]", "/* ? */", "-- ?\n"])
+_MUTATIONS = ["", "'", "''", "0", "7.", ".5", "x", "#", "?", " ", "-", "/*", "*/", "\n", '"', "]"]
+
+
+@given(pieces=st.lists(st.tuples(st.one_of(_pieces, _literal_pieces, _border_pieces),
+                                 st.sampled_from(["", " ", "\n"])), max_size=8),
+       fills=st.lists(_literal_pieces, min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=CASES * 3, derandomize=True)
+def test_a_shape_pattern_binds_exactly_the_texts_of_its_shape(pieces, fills, seed):
+    """For the key of a text that tokenizes (a statement of any other text
+    is never cached), its pattern binds a text with the values `shape` gives
+    it whenever `shape` gives it that key, and binds no other text: texts
+    with other literals in its place, and texts mutated a character or two
+    at a time, across literal borders too."""
+    text = "".join(piece + sep for piece, sep in pieces)
+    try:
+        tokenize(text)
+    except ParseError:
+        return
+    key, values = shape(text)
+    pattern = shape_pattern(key, len(values))
+    if pattern is None:
+        return
+    rng = random.Random(seed)
+    runs = key.split("?")
+    fills += ["'a'", "'it''s'", "5", "12.5", ".5", "99999999999999999999"]
+    others = [text] + [runs[0] + "".join(rng.choice(fills) + run for run in runs[1:])
+                       for _ in range(4)]
+    for _ in range(6):
+        start = rng.randrange(len(text) + 1)
+        end = min(len(text), start + rng.choice([0, 0, 1, 2]))
+        others.append(text[:start] + rng.choice(_MUTATIONS) + text[end:])
+    for other in others:
+        bound, (other_key, other_values) = bind_pattern(pattern, other), shape(other)
+        if bound is None:    # a raw ``?`` gives the key too, with fewer values
+            assert (other_key, len(other_values)) != (key, len(values)), other
+        else:
+            assert (other_key, bound) == (key, other_values), other
+            assert list(map(type, bound)) == list(map(type, other_values))
+            assert literal_prefix(other) == literal_prefix(key)
+    assert bind_pattern(pattern, text) == values
 
 
 # --- normalization losslessness ---------------------------------------------------
