@@ -398,7 +398,7 @@ class Catalog:
         self._owners: dict[str, CatalogEntry] = {}    # casefold generated object -> entry
         # bumped by attach/detach; a session's statement cache is keyed on it
         self.generation = 0
-        # route-time proofs against the current entries; cleared on attach/detach
+        # what is built from the current entries; dropped on attach/detach
         self._keeps_card: dict[str, bool] = {}
         self._chains: dict[str, PrefixChain | None] = {}
         self._readers: dict[str, dict[str, None]] | None = None     # see _reverse
@@ -541,34 +541,23 @@ class Catalog:
         self._chains[key] = chain
         return chain
 
-    def _links(self, keys) -> dict[str, dict[str, None]]:
-        """The dependency links of the entries named in `keys` (casefold;
-        a name no entry has is skipped): casefold name -> the entries reading
-        it, in the order of `keys`, as an ordered set.  An entry reads each
-        relation or kernel object it references, and counts as a reader of
-        the relation owning each such kernel object (`R_B`, a stage view)."""
-        links: dict[str, dict[str, None]] = {}
-        for key in keys:
-            entry = self._entries.get(key)
-            for ref in entry.references if entry is not None else ():
-                ref = ref.casefold()
-                links.setdefault(ref, {})[key] = None
-                owner = self._owners.get(ref)
-                if owner is not None:
-                    links.setdefault(owner.name.casefold(), {})[key] = None
-        return links
-
-    def _build_readers(self) -> dict[str, dict[str, None]]:
-        """The reverse dependency map built from every entry: the links of all
-        entries, so each relation's readers come in registration order."""
-        return self._links(self._entries)
-
     def _reverse(self) -> dict[str, dict[str, None]]:
-        """The reverse dependency map (see `_build_readers`).  It is built at
-        its first use, not at open, and from then on `attach` and `detach`
-        keep it current, re-linking only the entries they touch (`_enter`)."""
+        """The reverse dependency map: casefold name -> the entries reading
+        it, in registration order, as an ordered set.  An entry reads each
+        relation or kernel object it references, and counts as a reader of
+        the relation owning each such kernel object (`R_B`, a stage view).
+        Like the card proofs, it is built from the entries at its first use
+        after each change (`_changed`); queries never read it."""
         if self._readers is None:
-            self._readers = self._build_readers()
+            readers: dict[str, dict[str, None]] = {}
+            for key, entry in self._entries.items():
+                for ref in entry.references:
+                    ref = ref.casefold()
+                    readers.setdefault(ref, {})[key] = None
+                    owner = self._owners.get(ref)
+                    if owner is not None:
+                        readers.setdefault(owner.name.casefold(), {})[key] = None
+            self._readers = readers
         return self._readers
 
     def dependents_of(self, name: str) -> list[str]:
@@ -592,7 +581,7 @@ class Catalog:
         that, the readers of one relation keep registration order.
 
         The list is the reverse postorder of one depth-first walk over the
-        kept reverse map (`_reverse`), on an explicit stack, so it takes time
+        reverse map (`_reverse`), on an explicit stack, so it takes time
         linear in the relations and references it reaches."""
         reverse = self._reverse()
 
@@ -728,70 +717,34 @@ class Catalog:
         conn.execute("DELETE FROM sir_relations WHERE name = ?", (name,))
 
     def copy(self) -> "Catalog":
-        """Shallow working copy for what-if compilation during alters.  It
-        shares no reverse dependency map with the original: it builds its own
-        at its first use, so attaching to the copy never touches the original's."""
+        """Shallow working copy for what-if compilation during alters; it
+        builds its own reverse dependency map if it is asked for one."""
         clone = Catalog()
         clone._entries = dict(self._entries)
         clone._owners = dict(self._owners)
         return clone
 
     def _changed(self):
-        """The entries changed: a new generation, and no proof still holds."""
+        """The entries changed: a new generation, and no proof or reverse
+        map still holds."""
         self.generation += 1
         self._keeps_card.clear()
         self._chains.clear()
+        self._readers = None
 
     # --- in-memory mutation (after the kernel commit) ---
 
     def attach(self, entry: CatalogEntry):
-        self._enter(entry.name.casefold(), entry)
-
-    def detach(self, name: str):
-        self._enter(name.casefold(), None)
-
-    def _enter(self, key: str, entry: CatalogEntry | None):
-        """Put `entry` under casefold `key` in place of any entry there, or with
-        None remove that entry, and keep a built reverse map current.  Only
-        the links of the entry named `key` (unless it keeps its references
-        and kernel objects) and of the readers of a kernel object that gains
-        or loses its owner here are compared before and after, and only the
-        links that differ are removed or added."""
-        old, relinked = self._entries.get(key), []
-        if self._readers is not None:
-            moved = {o.casefold() for o in (old.kernel_objects if old else ())} \
-                ^ {o.casefold() for o in (entry.kernel_objects if entry else ())}
-            if moved or old is None or entry is None or old.references != entry.references:
-                relinked = [key] + [reader for obj in moved - {key}
-                                    for reader in self._readers.get(obj, ())]
-            before = self._pairs(relinked)
-        if entry is not None:
-            self._register(entry, entry.kernel_objects)
-        else:
-            self._forget_entry(key)
-            self._entries.pop(key, None)
-        if self._readers is not None:
-            after = self._pairs(relinked)
-            for target, reader in before - after:
-                readers = self._readers[target]
-                del readers[reader]
-                if not readers:
-                    del self._readers[target]
-            for target, reader in after - before:
-                self._link(reader, target)
+        """Enter `entry` in place of any entry of the same name."""
+        self._register(entry, entry.kernel_objects)
         self._changed()
 
-    def _pairs(self, keys: list[str]) -> set[tuple[str, str]]:
-        """The (target, reader) links of the entries named in `keys`."""
-        return {(target, reader) for target, readers in self._links(keys).items()
-                for reader in readers}
-
-    def _link(self, reader: str, target: str):
-        """Enter `reader` among the readers of `target`, in registration order."""
-        readers = self._readers.setdefault(target, {})
-        readers[reader] = None
-        if len(readers) > 1 and reader != next(reversed(self._entries)):
-            self._readers[target] = {key: None for key in self._entries if key in readers}
+    def detach(self, name: str):
+        """Remove the entry named `name`, if there is one."""
+        key = name.casefold()
+        self._forget_entry(key)
+        self._entries.pop(key, None)
+        self._changed()
 
     def _register(self, entry: CatalogEntry, objects: list[str]):
         """Enter `entry`, whose kernel objects are `objects`, in place of any

@@ -9,7 +9,7 @@ in-memory catalog takes the steps' entries after the commit.  Queries and
 DML go through the router.
 
 `Catalog.transitive_dependents` alone orders the relations a DDL statement
-reaches beyond its own; the catalog keeps its dependency graph across DDL.
+reaches beyond its own; the graph is rebuilt at first use after a DDL.
 An ALTER walks that list once, in dependency order: a dependent whose IE
 uses `*` over a relation whose column list the statement changed (the
 altered relation always counts, and a star over `R_B` counts as one over

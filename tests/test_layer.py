@@ -3,7 +3,9 @@ from __future__ import annotations
 import pytest
 
 import sirsql.layer
-from sirsql.errors import IaNotComputable, InvariantViolation, KernelError, ParseError
+from sirsql.cli import main
+from sirsql.errors import (IaNotComputable, InvariantViolation, KernelError, ParseError,
+                           UnknownIE, UnknownRelation)
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 from sirsql.lexer import shape
@@ -115,6 +117,42 @@ def test_failed_probe_of_the_altered_relation_leaves_the_file_unchanged(sp2):
         sp2.apply_source("Alter Table SP Add I_X (Select NOPE From S Where SP.S# = S#);")
     assert kernel_state(sp2.conn) == state
     assert sp2.catalog.snapshot() == snapshot
+
+
+@pytest.mark.parametrize("statement, error", [
+    ("Alter Table V Add X Char;", InvariantViolation),
+    ("Create View W As Select * From Nope;", UnknownRelation),
+    ("Create Index IV On V (S#);", InvariantViolation),
+    ("Drop View S;", InvariantViolation),
+    ("Drop Table V;", InvariantViolation),
+    ("Alter Table S Alter S# As S# (Select S# From SP Where S.S# = SP.S#);",
+     InvariantViolation),
+    ("Alter Table S Alter NOPE As NOPE (Select PNAME From P Where S.S# = P.P#);", UnknownIE),
+    ("Alter Table SP Add I_J (Select SNAME From S Join P On S.CITY = P.CITY"
+     " Where SP.S# = S.S#);", InvariantViolation),
+    ("Alter Table SP Add I_X (Select SNAME, CITY || 'x' From S Where SP.S# = S#);",
+     InvariantViolation)],
+    ids=["alter-view", "view-over-unknown", "index-view", "drop-view-on-table",
+         "drop-table-on-view", "replace-key", "alter-unknown", "ie-join", "ie-item-unnamed"])
+def test_a_refused_ddl_changes_nothing_and_the_cli_exits_2(tmp_path, capsys, statement, error):
+    location = str(tmp_path / "db.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)))
+    layer.apply_source("Create View V As Select * From SP;")
+    state, snapshot = kernel_state(layer.conn), layer.catalog.snapshot()
+    with pytest.raises(error) as refused:
+        layer.apply_source(statement)
+    assert type(refused.value) is error
+    assert kernel_state(layer.conn) == state
+    assert layer.catalog.snapshot() == snapshot
+    layer.conn.close()
+    script = tmp_path / "refused.sirsql"
+    script.write_text(statement)
+    assert main(["-k", location, "apply", str(script)]) == 2
+    assert capsys.readouterr().err.startswith("1: error: ")
+    reopened = SirLayer(KernelConnection(location))
+    assert kernel_state(reopened.conn) == state
+    assert reopened.catalog.snapshot() == snapshot
+    reopened.conn.close()
 
 
 def test_statement_granularity_is_per_statement(sp2):
