@@ -388,6 +388,30 @@ def scheme_references(scheme: SirScheme) -> list[str]:
     return list(refs.values())
 
 
+def depth_first(start, successors) -> tuple[list, list | None]:
+    """Walk a graph depth first from `start`, visiting the nodes that
+    `successors(node)` yields in the order it yields them, on an explicit
+    stack, so a long chain needs no recursion.  Return the postorder of the
+    nodes reached (`start` last) and the first cycle met: the stack from
+    the target of the first back edge to the node that closed it, or None."""
+    postorder, cycle = [], None
+    stack, on_stack = [(start, iter(successors(start)))], {start: True}    # node -> on the stack
+    while stack:
+        node, pending = stack[-1]
+        succ = next(pending, None)
+        if succ is None:
+            stack.pop()
+            on_stack[node] = False
+            postorder.append(node)
+        elif succ not in on_stack:
+            on_stack[succ] = True
+            stack.append((succ, iter(successors(succ))))
+        elif on_stack[succ] and cycle is None:
+            path = [key for key, _ in stack]
+            cycle = path[path.index(succ):]
+    return postorder, cycle
+
+
 class Catalog:
     """In-memory mirror of the meta-tables, plus the dependency graph."""
 
@@ -454,20 +478,17 @@ class Catalog:
         user view never does, a relation with IEs does when every stage of
         its chain does.  Memoised until the next attach or detach.
 
-        The join sources of a relation are proved before it, depth first on
-        an explicit stack, so a long chain of relations needs no recursion."""
+        One `depth_first` walk over the join sources not yet proved marks
+        each relation it reaches False, then proves them in postorder, so a
+        source is proved before what joins it and a source still on the walk's
+        stack (a cycle) proves nothing."""
         key = name.casefold()
-        stack = [] if key in self._keeps_card else [key]
-        while stack:
-            node = stack[-1]
-            self._keeps_card.setdefault(node, False)    # a self reference proves nothing
-            unproved = next((s for s in self._card_sources(node) if s not in self._keeps_card),
-                            None)
-            if unproved is None:
-                stack.pop()
+        if key not in self._keeps_card:
+            postorder, _ = depth_first(key, lambda node: [
+                s for s in self._card_sources(node) if s not in self._keeps_card])
+            self._keeps_card.update(dict.fromkeys(postorder, False))
+            for node in postorder:
                 self._keeps_card[node] = self._card_rule(node)
-            else:
-                stack.append(unproved)
         return self._keeps_card[key]
 
     def _card_sources(self, key: str) -> list[str]:
@@ -580,26 +601,14 @@ class Catalog:
         each comes after every relation in the list that it reads; beyond
         that, the readers of one relation keep registration order.
 
-        The list is the reverse postorder of one depth-first walk over the
-        reverse map (`_reverse`), on an explicit stack, so it takes time
-        linear in the relations and references it reaches."""
+        The list is the reverse postorder of one `depth_first` walk over the
+        reverse map (`_reverse`) that visits each relation's readers last
+        first, so it takes time linear in the relations and references it
+        reaches."""
         reverse = self._reverse()
-
-        def readers(key):
-            # last first, so that the reversed postorder keeps registration order
-            return reversed(reverse.get(key, ()))
-
-        start = self.get(name).name.casefold()
-        postorder, seen = [], {start}
-        stack = [(start, readers(start))]
-        while stack:
-            key, pending = stack[-1]
-            reader = next(pending, None)
-            if reader is None:
-                postorder.append(stack.pop()[0])
-            elif reader not in seen:
-                seen.add(reader)
-                stack.append((reader, readers(reader)))
+        # readers last first, so that the reversed postorder keeps registration order
+        postorder, _ = depth_first(self.get(name).name.casefold(),
+                                   lambda key: reversed(reverse.get(key, ())))
         return [self._entries[key].name for key in reversed(postorder[:-1])]
 
     # --- validation ---
@@ -639,36 +648,21 @@ class Catalog:
     def reaches(self, start: str, goal: str) -> bool:
         """Whether `goal` is `start` or a relation `start` reads, directly or
         through other relations."""
-        return self._path(start.casefold(), goal.casefold()) is not None
+        return goal.casefold() in depth_first(start.casefold(), self._reads)[0]
 
     def check_acyclic(self, name: str, references: list[str]):
         """Raise CircularReferenceError if `name` reading `references` closes
-        a cycle: a path from one of them back to `name`."""
+        a cycle.  One `depth_first` walk starts at `name`, goes to its
+        references other than itself, in order, and from there along what
+        each reads (`_reads`); its first back edge is the cycle named in the
+        error, a kernel object by its relation."""
         key = name.casefold()
-        for ref in references:
-            path = self._path(ref.casefold(), key) if ref.casefold() != key else None
-            if path is not None:
-                # a kernel object on the path is named by its relation
-                raise CircularReferenceError([name] + [
-                    (self._entries.get(c) or self._owners[c]).name for c in path[:-1]])
-
-    def _path(self, start: str, goal: str) -> list[str] | None:
-        """The casefold names on a path from `start` to `goal` along what
-        each reads (see `_reads`), both included; None if there is none.
-        Depth first, on an explicit stack."""
-        came_from, stack = {start: None}, [start]
-        while stack:
-            node = stack.pop()
-            if node == goal:
-                path = [node]
-                while came_from[path[-1]] is not None:
-                    path.append(came_from[path[-1]])
-                return path[::-1]
-            for succ in self._reads(node):
-                if succ not in came_from:
-                    came_from[succ] = node
-                    stack.append(succ)
-        return None
+        refs = [ref.casefold() for ref in references if ref.casefold() != key]
+        _, cycle = depth_first(key, lambda node: refs if node == key else self._reads(node))
+        if cycle is not None:
+            raise CircularReferenceError([
+                name if c == key else (self._entries.get(c) or self._owners[c]).name
+                for c in cycle])
 
     def _reads(self, key: str) -> list[str]:
         """What relation or kernel object `key` (casefold) reads, casefold: a

@@ -234,10 +234,12 @@ def canonicalize(ie: n.IeDecl, scheme: SirScheme, catalog: Catalog,
 
     join_pairs, residual = [], []
     for pred in conjuncts(select.where):
-        pair = None
-        if isinstance(pred, n.Binary) and pred.op == "=" \
-                and isinstance(pred.left, n.ColumnRef) and isinstance(pred.right, n.ColumnRef):
-            left, right = pred.left, pred.right
+        pair, test = None, pred
+        while isinstance(test, n.Paren):    # a residual keeps its parentheses
+            test = test.inner
+        if isinstance(test, n.Binary) and test.op == "=" \
+                and isinstance(test.left, n.ColumnRef) and isinstance(test.right, n.ColumnRef):
+            left, right = test.left, test.right
             for encl, other in ((left, right), (right, left)):
                 if encl.table and encl.table.casefold() == scheme.name.casefold() \
                         and sources.get(encl.table) is None:

@@ -49,7 +49,6 @@ entries at most and are cleared when full, the patterns with the shapes.
 
 from __future__ import annotations
 
-import graphlib
 import re
 import threading
 from dataclasses import dataclass, field
@@ -57,7 +56,7 @@ from functools import partial
 from typing import Callable
 
 from . import nodes as n
-from .catalog import (SIR, VIEW, Catalog, CatalogEntry, ColumnInfo, PlanItem,
+from .catalog import (SIR, VIEW, Catalog, CatalogEntry, ColumnInfo, PlanItem, depth_first,
                       ie_references, referenced_relations, scheme_from_ast, scheme_references)
 from .compiler import (Sources, alter_steps, apply_alter, base_size_probe, column_refs,
                        compile_chain, compile_index, compile_sir, plan_drop, recompile_steps,
@@ -338,24 +337,26 @@ class SirLayer:
         DDL plan that also drops the four-table format's detail tables.  A
         table is compiled again, keeping its base item, after the outdated
         views (columns read from the kernel), relations and stage views it
-        reads (a base needs only a scheme).  On StaleCatalog, reload."""
+        reads (a base needs only a scheme): the order is the postorder of one
+        `depth_first` walk from a virtual root ("") over the outdated
+        relations, and any order that puts what a relation reads first would
+        serve.  A cycle raises CorruptCatalog.  On StaleCatalog, reload."""
         while outdated := {e.name.casefold(): e for e in self.catalog.entries() if e.outdated}:
             catalog, scratch, plan = self.catalog, self.catalog.copy(), []
 
-            def reads(old):
+            def reads(key):
+                old = outdated[key]
                 for ref in scheme_references(old.scheme) if old.kind != VIEW else ():
                     owner = catalog.owner_of_object(ref) or catalog.get(ref)
                     if owner.name.casefold() in outdated and (
                             owner.kind == VIEW or owner.plan[0].name.casefold() != ref.casefold()):
                         yield owner.name.casefold()
 
-            try:
-                order = list(graphlib.TopologicalSorter(
-                    {key: reads(old) for key, old in outdated.items()}).static_order())
-            except graphlib.CycleError as exc:
-                raise CorruptCatalog(f"{', '.join(outdated[key].name for key in exc.args[1][1:])}:"
-                                     " cannot be upgraded: they read each other's stages") from None
-            for old in map(outdated.get, order):
+            order, cycle = depth_first("", lambda key: reads(key) if key else outdated)
+            if cycle is not None:
+                raise CorruptCatalog(f"{', '.join(outdated[key].name for key in cycle)}:"
+                                     " cannot be upgraded: they read each other's stages")
+            for old in map(outdated.get, order[:-1]):
                 entry = compile_sir(old.scheme, scratch, old.plan[0]) if old.kind != VIEW \
                     else _view_entry(old, self.conn.introspect(old.name), referenced_relations(
                         old.statement(n.CreateView, "view").select))

@@ -295,7 +295,11 @@ class Parser:
         if self.accept_word("ALTER"):
             target = self.expect_name("attribute or IE name")
             self.expect_word("AS")
-            replacement = self.match_ie_decl()
+            tok = self.peek()
+            replacement = self.match_table_element()
+            if not isinstance(replacement, n.IeDecl):
+                raise ParseError("ALTER ... ALTER ... AS takes an IE declaration",
+                                 tok.line, tok.col)
             return n.AlterTable(name=name, action=n.AlterIe(target=target, replacement=replacement))
         if self.accept_word("DROP"):
             target = self.expect_name("attribute or IE name")
@@ -303,22 +307,6 @@ class Parser:
         tok = self.peek()
         raise ParseError(f"unexpected {tok.value!r}", tok.line, tok.col,
                          expected={"ADD", "ALTER", "DROP"})
-
-    def match_ie_decl(self) -> n.IeDecl:
-        name = self.expect_name("IE name")
-        if self.at_word("AS"):
-            self.advance()
-            self.expect_op("(")
-            expr = self.match_expression()
-            self.expect_op(")")
-            ie = n.IeDecl(name=name, form=n.ValueForm(items=[(name, expr)]))
-        else:
-            self.expect_op("(")
-            select = self.match_select()
-            self.expect_op(")")
-            ie = n.IeDecl(name=name, form=n.SelectForm(select=select))
-        self.skip_trailing_from(ie)
-        return ie
 
     # --- DROP ---
 

@@ -434,36 +434,24 @@ def _route_delete(stmt: n.Delete, catalog: Catalog) -> RoutedStatement:
 def check_ie_integrity(entry, catalog: Catalog, conn: KernelConnection) -> list[tuple]:
     """Rows whose recursive join matches more than one source tuple.
 
-    For each join-form IE the check counts, per base key, the rows of the
-    view stage that realizes the IE (`_stage_select`, a left join of its
-    sources to the stage before it), returning (ie_name, key_values,
-    match_count) for every count above one.  IEs whose
-    stage provably keeps the card (`Catalog.stage_keeps_card`) cannot match
-    twice and are not audited.
+    For each join stage, in declared IE order, the check counts the rows of
+    the stage view per base key (``SELECT keys, count(*) AS n FROM <stage
+    view> GROUP BY keys HAVING n > 1``), returning (ie_name, key_values,
+    match_count) for every count above one.  The stage's kind is the one the
+    compiler recorded; a stage that provably keeps the card
+    (`Catalog.stage_keeps_card`) cannot match twice and is not audited.
     """
     if entry.kind != "sir":
         raise InvariantViolation(f"{entry.name} is not a relation with IEs")
+    keys = ", ".join(map(quote_ident, entry.scheme.primary_key() or entry.scheme.stored_names))
     violations = []
-    key_cols = entry.scheme.primary_key() or entry.scheme.stored_names
-    views = entry.views
-    produced: list[str] = []
     for ie in entry.scheme.ies:
-        canon = canonicalize(ie, entry.scheme, catalog, produced_so_far=produced)
-        produced.extend(canon.produced_attrs)
-        if canon.kind != "join":
-            continue
         pos, stage = entry.ie_stage(ie.name)
-        if catalog.stage_keeps_card(entry, stage):
+        if stage.kind != "join" or catalog.stage_keeps_card(entry, stage):
             continue
-        prev = entry.plan[0].name if pos == 1 else views[pos - 2].name
-        keys = [n.ColumnRef(name=c, table=prev) for c in key_cols]
-        count_item = n.SelectItem(expr=n.Call(func="COUNT", args=[], star=True), alias="n")
-        select = _stage_select(canon, prev, entry.name).replace(
-            items=[n.SelectItem(expr=key) for key in keys] + [count_item], group_by=keys)
-        sql = render(n.Query(select=select)).rstrip(";")
-        rows = conn.query(f"SELECT * FROM ({sql}) WHERE n > 1")
-        for row in rows.rows:
-            violations.append((ie.name, tuple(row[:-1]), row[-1]))
+        view = quote_ident(entry.views[pos - 1].name)
+        rows = conn.query(f"SELECT {keys}, count(*) AS n FROM {view} GROUP BY {keys} HAVING n > 1")
+        violations.extend((ie.name, tuple(row[:-1]), row[-1]) for row in rows.rows)
     return violations
 
 

@@ -97,6 +97,37 @@ def test_a_stage_view_of_a_seed_format_file_reads_only_its_own_ies(tmp_path, see
     reopened.conn.close()
 
 
+def test_a_cycle_through_a_user_view_names_each_relation_in_order(sp2):
+    sp2.apply_source("Create View V As Select S#, QTY From SP;")
+    with pytest.raises(CircularReferenceError,
+                       match=r"^circular reference: S -> V -> SP -> S$"):
+        sp2.apply_source("Alter Table S Add I_X (Select Count(*) As N From V Where S.S# = S#);")
+
+
+def test_an_alter_whose_second_reference_closes_the_cycle_names_that_one(sp2):
+    # S reads V, then P through V; only SP reads S back
+    sp2.apply_source("Create View V As Select P#, COLOR From P;")
+    sp2.apply_source("Alter Table S Add I_V (Select Count(*) As NV From V Where S.S# = P#);")
+    with pytest.raises(CircularReferenceError, match=r"^circular reference: S -> SP -> S$"):
+        sp2.apply_source("Alter Table S Add I_X (Select Count(*) As N From SP Where S.S# = S#);")
+    assert sp2.catalog.get("S").references == ["V"]
+
+
+def test_an_upgrade_cycle_error_names_the_relations_on_the_cycle(tmp_path):
+    # P reads SP_1 and SP reads P: the upgrade compiles whole chains
+    location = str(tmp_path / "db.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)))
+    layer.apply_source("Create View V As Select S#, QTY From SP;")
+    layer.apply_source("Alter Table P Add I_X (Select Count(*) As N From SP_1 Where P.P# = P#);")
+    write_seed_documents(layer)
+    layer.conn.close()
+    conn = KernelConnection(location)
+    with pytest.raises(CorruptCatalog, match="read each other's stages") as err:
+        SirLayer(conn)
+    conn.close()
+    assert set(str(err.value).split(":")[0].split(", ")) == {"P", "SP"}
+
+
 def test_rejected_mutation_leaves_kernel_and_catalog_unchanged(sp2):
     objects = sp2.conn.object_names()
     snapshot = sp2.catalog.snapshot()

@@ -73,6 +73,25 @@ def test_canonicalize_missing_recursive_join():
         canonicalize(scheme.ies[0], scheme, layer.catalog)
 
 
+@pytest.mark.parametrize("bare, parenthesized", [
+    ("X.K = S#", "(X.K = S#)"),
+    ("X.K = S# And STATUS > 10", "((X.K = S#)) And STATUS > 10"),
+    ("X.K = S# And (STATUS > 20 Or CITY = 'Paris')",
+     "(X.K = S#) And (STATUS > 20 Or CITY = 'Paris')"),
+], ids=["alone", "with-residual", "with-parenthesized-residual"])
+def test_a_parenthesized_recursive_join_compiles_like_the_bare_one(bare, parenthesized):
+    plans, rows = [], []
+    for where in (bare, parenthesized):
+        layer = sp2_layer(with_data=True)
+        layer.apply_source(f"Create Table X (K Char, Primary Key (K),"
+                           f" I (Select SNAME From S Where {where}));"
+                           " Insert Into X Values ('S1'), ('S2'), ('S3'), ('S9');")
+        plans.append([item.sql for item in layer.catalog.get("X").plan])
+        rows.append(layer.query("Select K, SNAME From X Order By K;").rows)
+    assert plans[1] == plans[0]
+    assert rows[1] == rows[0] and len({name for _, name in rows[0]}) > 1
+
+
 @pytest.mark.parametrize("ie", [
     "I (Select Z From NOPE Where X.A = Z)",
     "I (Select SNAME, Z From S, NOPE Where X.A = S# And X.A = Z)",

@@ -186,6 +186,14 @@ def test_syntax_error_carries_position_and_expectations():
         assert str(err.value).endswith(f"(expected {', '.join(expected)})")
 
 
+@pytest.mark.parametrize("element", ["NOTE Char", "Primary Key (S#)"])
+def test_alter_as_refuses_an_element_that_is_not_an_ie_at_its_start(element):
+    text = f"Alter Table SP Alter I_S As {element};"
+    with pytest.raises(ParseError, match="takes an IE declaration") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (1, text.index(element) + 1)
+
+
 @pytest.mark.parametrize("nested", [
     "(" * 500 + "1" + ")" * 500,
     "(Select " * 500 + "1" + ")" * 500,
@@ -273,6 +281,7 @@ CORPUS = [
     "Alter Table S Alter STATUS As STATUS (Select Int (SUM(QTY)/100)"
     " FROM SP_B WHERE S.S# = S#);",
     "Alter Table SP Drop I_P;",
+    "Alter Table SP Alter I_S As I_S2 As (QTY * 2);",
     "Insert SP (select 'S4' as S#, 'P4' as P#, 100 as QTY);",
     "Insert Into SP Values ('S1', 'P1', 300);",
     "Update SP set QTY = 250, CITY = 'Paris' where S# = 'S1' and P# = 'P1';",

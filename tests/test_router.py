@@ -168,7 +168,8 @@ def test_integrity_audits_only_unproven_join_ies(sp2, monkeypatch):
     monkeypatch.setattr(sp2.conn, "query",
                         lambda sql, *a, **k: audits.append(sql) or query(sql, *a, **k))
     violations = sp2.check("SP")
-    assert len(audits) == 1 and "FROM SP_2 LEFT JOIN T ON" in audits[0]   # I_S, I_P key-proven
+    # I_S and I_P are key-proven; the stage view of I_T is the last, named SP
+    assert len(audits) == 1 and " FROM SP GROUP BY " in audits[0]
     assert {v[0] for v in violations} == {"I_T"} and len(violations) == 6
 
 
