@@ -16,9 +16,12 @@ Extra "columns" and "ie_order" keys, which earlier releases wrote, are
 ignored; a row in any other earlier form is `outdated` (see `_LoadedEntry`),
 and the session upgrades it at open (`SirLayer._upgrade`).
 
-A session reads the meta-table once, at open (`Catalog.load`): it decodes
-and checks every row, and builds a relation's scheme, plan and columns only
-when a statement first reads them (`_LoadedEntry`).
+A session reads the meta-table once, at open (`Catalog.load`), and builds
+a relation's scheme, plan and columns only when a statement first reads
+them (`_LoadedEntry`).  It takes over from the catalog of the process's
+latest open, while that catalog is alive, each entry loaded from an
+identical row whose kernel objects keep their texts, with whatever parts of
+it are already built; it decodes and checks every other row.
 
 Meta rows are written inside the same kernel transaction as the DDL they
 describe; the in-memory mirror is updated only after the commit, so any
@@ -29,7 +32,13 @@ another session's DDL committed since.
 
 Concurrency: a catalog belongs to one session and is used only by the
 thread that opened the session's KernelConnection.  A thread that needs
-the catalog opens its own session over its own connection.
+the catalog opens its own session over its own connection.  Entries are
+shared, though: between a catalog and the scratch copy an ALTER compiles
+against (`Catalog.copy`), and between the catalogs of sessions that loaded
+the same rows, whatever their threads.  No code changes an entry once it is
+built; a DDL enters a new entry in its place.  A loaded entry builds each
+part from its own row and kernel texts alone, so two threads that first
+read a part at once both get that part's value.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from __future__ import annotations
 import datetime
 import json
 import re
+import weakref
 from dataclasses import MISSING, astuple, dataclass, field, fields
 from functools import cached_property
 
@@ -196,11 +206,13 @@ def _plan_row(raw) -> tuple:
     """The name, kind and stage facts (or None) of a plan row; raises
     ValueError for a row of another shape, or stage facts with fields other
     than a stage's."""
-    name, kind, *rest = raw
-    if len(rest) > 1 or rest and not (isinstance(rest[0], dict)
-                                      and _STAGE_NEEDS <= rest[0].keys() <= _STAGE_FIELDS):
-        raise ValueError(f"plan row for {name!r} is not [name, kind] plus stage facts")
-    return name, kind, rest[0] if rest else None
+    if len(raw) == 2:
+        name, kind = raw
+        return name, kind, None
+    if len(raw) != 3 or not (isinstance(raw[2], dict)
+                             and _STAGE_NEEDS <= raw[2].keys() <= _STAGE_FIELDS):
+        raise ValueError(f"plan row for {raw[0]!r} is not [name, kind] plus stage facts")
+    return tuple(raw)
 
 
 class _KernelText(dict):
@@ -289,18 +301,30 @@ class _LoadedEntry(CatalogEntry):
     kept; a build that raises keeps nothing, so every read raises.  A view's
     columns are read from the row, a table's derived (`scheme_columns`).
 
+    It keeps its meta row and the kernel's text of each of its objects,
+    which is all that it is built from, and not the rest of the session's
+    `sqlite_master`.  So `holds` can tell whether a later open's row and
+    kernel would build the same entry, and that open takes this one as it
+    is, with the parts already built (`Catalog.load`).
+
     A row is `outdated` when an earlier release wrote it: a plan list alone
     (the four-table format), a plan row holding its object's SQL third, or a
     view stage of a relation with IEs without stage facts.  Only its kernel
     objects are read from it, for `SirLayer._upgrade` to compile it again."""
 
-    def __init__(self, name: str, kind: str, source_text: str, document,
-                 kernel: _KernelText):
-        self.name, self.kind, self.source_text, self._kernel = name, kind, source_text, kernel
+    def __init__(self, row: tuple, kernel: _KernelText):
+        name, kind, source_text, stored = row
+        self.name, self.kind, self.source_text, self._meta_row = name, kind, source_text, row
+        document = json.loads(stored)
         rows = document if isinstance(document, list) else document["plan"]
         # such a release wrote every row [name, kind, sql], maybe with stage facts
         old = isinstance(document, list) or len(rows[0]) > 2 and isinstance(rows[0][2], str)
         self._rows = [_plan_row(raw[:2] if old and len(raw) <= 4 else raw) for raw in rows]
+        self._objects = [obj for obj, _, _ in self._rows]
+        self._texts = list(map(kernel.__getitem__, self._objects))    # each object's text
+        if None in self._texts:
+            raise CorruptCatalog(f"{name}: kernel object {self._objects[self._texts.index(None)]!r}"
+                                 " recorded in the catalog is missing")
         self.outdated = old or kind == SIR and any(
             facts is None for _, obj_kind, facts in self._rows if obj_kind == "view")
         self.references = [] if self.outdated else document["references"]
@@ -309,6 +333,11 @@ class _LoadedEntry(CatalogEntry):
             self._columns = [] if self.outdated else document["columns"]
             if not set(map(len, self._columns)) <= {5}:
                 raise ValueError("a column row does not hold 5 fields")
+
+    def holds(self, row: tuple, kernel: _KernelText) -> bool:
+        """Whether this entry is what `row` and `kernel` would load: the row
+        is the one it was loaded from and each of its objects keeps its text."""
+        return row == self._meta_row and self._texts == list(map(kernel.__getitem__, self._objects))
 
     def statement(self, node_type=n.CreateSirTable, what="table"):
         """The statement in the source text, a `node_type`; raises CorruptCatalog."""
@@ -328,9 +357,8 @@ class _LoadedEntry(CatalogEntry):
     @cached_property
     def plan(self) -> list[PlanItem]:
         """The plan rows, each with the kernel's text of its object."""
-        return [PlanItem(name, kind, self._kernel[name] + ";",
-                         StageFacts(**facts) if facts is not None else None)
-                for name, kind, facts in self._rows]
+        return [PlanItem(name, kind, sql + ";", StageFacts(**facts) if facts is not None else None)
+                for (name, kind, facts), sql in zip(self._rows, self._texts)]
 
     @cached_property
     def ie_order(self) -> list[str]:
@@ -347,6 +375,10 @@ class _LoadedEntry(CatalogEntry):
         if {i.casefold() for i in self.ie_order} != {ie.name.casefold() for ie in self.scheme.ies}:
             raise CorruptCatalog(f"{self.name}: recorded IEs do not match the declared IEs")
         return scheme_columns(self.scheme, [item.stage for item in self.views])
+
+
+# a weak reference to the catalog that the latest `Catalog.load` built
+_latest_load = None
 
 
 def referenced_relations(node) -> list[str]:
@@ -748,8 +780,9 @@ class Catalog:
         self._forget_entry(key)
         self._entries[key] = entry
         for name in objects:
-            if name.casefold() != key:
-                self._owners[name.casefold()] = entry
+            folded = name.casefold()
+            if folded != key:
+                self._owners[folded] = entry
 
     def _forget_entry(self, key: str):
         """Drop the generated objects of the entry named `key`."""
@@ -766,13 +799,19 @@ class Catalog:
         session commits during the load leaves the catalog looking stale,
         never current.
 
-        Every row's document is decoded here (see `_LoadedEntry`), and
-        CorruptCatalog raised for one that is not JSON, lacks its plan,
-        references or a view's columns, holds a plan row, its stage facts or
-        a column row of the wrong shape, or names a kernel object that
-        `sqlite_master` lacks.  Nothing else is built, so an unparseable
-        source text, or stage facts that realize other IEs than it declares,
-        raise CorruptCatalog when first read, on every read."""
+        A row is served by the entry that the catalog of the process's latest
+        load holds under its name, while that catalog is alive, when the entry
+        was loaded from an identical row and each of its kernel objects keeps
+        its text (`_LoadedEntry.holds`): such an entry is what decoding the
+        row would build, and no session changes an entry once built.  Every
+        other row's document is decoded here, and CorruptCatalog raised for
+        one that is not JSON, lacks its plan, references or a view's columns,
+        holds a plan row, its stage facts or a column row of the wrong shape,
+        or names a kernel object that `sqlite_master` lacks.  Nothing else is
+        built, so an unparseable source text, or stage facts that realize
+        other IEs than it declares, raise CorruptCatalog when first read, on
+        every read."""
+        global _latest_load
         catalog = cls()
         catalog.version = conn.ddl_version()
         kernel = _KernelText(conn.query("SELECT name, sql FROM sqlite_master").rows)
@@ -781,18 +820,18 @@ class Catalog:
             return catalog
         rows = conn.query(
             "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid").rows
-        for name, kind, source_text, stored in rows:
-            try:
-                entry = _LoadedEntry(name, kind, source_text, json.loads(stored), kernel)
-                objects = [obj for obj, _, _ in entry._rows]
-                for obj in objects:
-                    if kernel[obj] is None:
-                        raise CorruptCatalog(f"{name}: kernel object {obj!r} recorded in"
-                                             " the catalog is missing")
-            except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
-                raise CorruptCatalog(f"{name}: unreadable plan: {exc}") from exc
-            catalog._register(entry, objects)
+        donor = _latest_load() if _latest_load is not None else None
+        shared = donor._entries if donor is not None else {}
+        for row in rows:
+            entry = shared.get(row[0].casefold()) if shared else None
+            if entry.__class__ is not _LoadedEntry or not entry.holds(row, kernel):
+                try:
+                    entry = _LoadedEntry(row, kernel)
+                except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
+                    raise CorruptCatalog(f"{row[0]}: unreadable plan: {exc}") from exc
+            catalog._register(entry, entry._objects)
         catalog._changed()
+        _latest_load = weakref.ref(catalog)
         return catalog
 
     def audit(self):

@@ -28,9 +28,12 @@ from .catalog import (SIR, STORED, Catalog, CatalogEntry, PlanItem, SirScheme, S
                       scheme_columns, scheme_references, scheme_to_ast, type_affinity)
 from .errors import (ForeignKeyAttributeDrop, IeCycle, IndexedAttributeDrop,
                      IndexOnInheritedAttribute, InvariantViolation, MissingRecursiveJoin,
-                     NotRewritable, RecursiveJoinAttributeDrop, UnknownExcludedColumn,
-                     UnknownIE, UnknownRelation)
+                     NotRewritable, RecursiveJoinAttributeDrop, TooManyJoins,
+                     UnknownExcludedColumn, UnknownIE, UnknownRelation)
 from .render import quote_ident, render, render_source
+
+# the most tables one SQLite statement may join (https://sqlite.org/limits.html)
+KERNEL_JOIN_LIMIT = 64
 
 AGGREGATES = {"SUM", "COUNT", "AVG", "MIN", "MAX", "TOTAL", "LIST", "GROUP_CONCAT"}
 
@@ -524,6 +527,12 @@ def compile_chain(entry: CatalogEntry, catalog: Catalog) -> CatalogEntry:
                 f"{scheme.name}: no IE's recursive join matches a stored attribute")
 
     stages = [_stage_facts(cie) for cie in ordered]
+    # the full view joins at least its base and each join stage's sources; the
+    # sources' own chains may add more once SQLite flattens the views
+    tables = 1 + sum(len(stage.joins) for stage in stages)
+    if tables > KERNEL_JOIN_LIMIT:
+        raise TooManyJoins(f"{scheme.name}: its view chain joins at least {tables} tables, and the"
+                           f" kernel joins at most {KERNEL_JOIN_LIMIT}")
     columns = scheme_columns(scheme, stages)
     chain_cols = scheme.stored_names + [attr for stage in stages for attr in stage.adds]
     in_declared_order = [c.casefold() for c in chain_cols] == [c.name.casefold() for c in columns]

@@ -73,6 +73,10 @@ class IeCycle(SirSqlError):
     pass
 
 
+class TooManyJoins(SirSqlError):
+    """A relation's view chain joins more tables than the kernel can."""
+
+
 class UnknownExcludedColumn(SirSqlError):
     pass
 

@@ -108,6 +108,10 @@ _FOREIGN_KEY = ("Create Table X (K Int, Primary Key (K));"
 _READ_BY_AN_IE = ("Create Table X (K Int, V0 Char, Primary Key (K));"
                   " Create Table R (A Int, FK Int, Primary Key (A),"
                   " I_X (Select V0 From X Where R.FK = K)); Insert Into R Values (1, 7);")
+# the most join IEs that SQLite's 64-table join limit admits
+_63_JOINS = ("Create Table S (S# Char, SNAME Char, Primary Key (S#)); Create Table T (K Char,"
+             " Primary Key (K), " + ", ".join(f"I_{i} (Select SNAME As N{i} From S Where T.K = S#)"
+                                              for i in range(63)) + ");")
 
 
 @pytest.mark.parametrize("schema, alter, message", [
@@ -117,6 +121,8 @@ _READ_BY_AN_IE = ("Create Table X (K Int, V0 Char, Primary Key (K));"
      "error: R has rows, so the Not Null attribute N"),
     (_READ_BY_AN_IE, "Alter Table X Drop V0;",
      "error: X: this ALTER removes an attribute R reads through IE I_X"),
+    (_63_JOINS, "Alter Table T Add I_63 (Select SNAME As N63 From S Where T.K = S#);",
+     "error: T: its view chain joins at least 65 tables, and the kernel joins at most 64"),
 ])
 def test_apply_an_alter_refused_by_a_typed_error_exits_2(db, tmp_path, capsys, schema, alter,
                                                          message):

@@ -10,7 +10,7 @@ from sirsql.compiler import (Sources, canonicalize, canonicalize_all, expand_sta
 from sirsql.errors import (DependentsExist, IeCycle, IndexOnInheritedAttribute,
                            InvariantViolation, MissingRecursiveJoin, NameCollision,
                            NotRewritable, RecursiveJoinAttributeDrop, UnknownExcludedColumn,
-                           UnknownIE, UnknownRelation)
+                           TooManyJoins, UnknownIE, UnknownRelation)
 from sirsql.parser import parse_one
 from sirsql.render import render_source
 
@@ -488,3 +488,47 @@ def test_rewrite_list_aggregate_example(sp2):
     text = render_source(rewritten)
     assert "FROM SP_B, S" in text
     assert "SP_B.S#" in text
+
+
+# --- the kernel's join limit ----------------------------------------------------------
+
+
+def _join_ies(count: int, first: int = 0) -> str:
+    return ", ".join(f"I_{i} (Select SNAME As N{i} From S Where T.K = S#)"
+                     for i in range(first, first + count))
+
+
+def _layer_with_s():
+    layer = make_layer()
+    layer.apply_source("Create Table S (S# Char, SNAME Char, Primary Key (S#));"
+                       " Insert Into S Values ('S1', 'Smith');")
+    return layer
+
+
+def test_a_chain_of_63_join_stages_compiles_and_answers():
+    layer = _layer_with_s()
+    layer.apply_source(f"Create Table T (K Char, Primary Key (K), {_join_ies(63)});"
+                       " Insert Into T (K) Values ('S1');")
+    assert layer.query("Select * From T;").rows == [("S1",) + ("Smith",) * 63]
+
+
+@pytest.mark.parametrize("statement", [
+    f"Create Table T (K Char, Primary Key (K), {_join_ies(64)});",
+    f"Alter Table T Add {_join_ies(1, first=63)};",
+])
+def test_a_chain_joining_65_tables_is_refused_before_the_kernel_sees_it(kernel_log, statement):
+    layer = _layer_with_s()
+    if statement.startswith("Alter"):
+        layer.apply_source(f"Create Table T (K Char, Primary Key (K), {_join_ies(63)});")
+    sent = kernel_log(layer.conn)
+    with pytest.raises(TooManyJoins, match="^T: its view chain joins at least 65 tables"):
+        layer.apply_source(statement)
+    assert sent == []
+
+
+def test_alter_add_up_to_64_joined_tables_compiles():
+    layer = _layer_with_s()
+    layer.apply_source(f"Create Table T (K Char, Primary Key (K), {_join_ies(62)});"
+                       f" Alter Table T Add {_join_ies(1, first=62)};"
+                       " Insert Into T (K) Values ('S1');")
+    assert layer.query("Select N62 From T;").rows == [("Smith",)]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sirsql.catalog import scheme_to_ast
 from sirsql.errors import KernelError, ParseError, SirSqlError
 from sirsql.kernel import KernelConnection, RowSet
 from sirsql.layer import SirLayer, StatementResult
@@ -18,7 +19,7 @@ from sirsql.normalizer import (FunctionalDependency, MultivaluedDependency,
                                SchemeDraft, attribute_closure, heath_decompose,
                                is_bcnf, lossless_check, make_universal, normalize)
 from sirsql.parser import parse, parse_one
-from sirsql.render import render
+from sirsql.render import render, render_source
 from sirsql.router import route
 
 from conftest import assert_plans_match_kernel, make_layer
@@ -231,6 +232,38 @@ def test_plans_hold_the_kernels_text_under_random_alters(tmp_path):
         assert reopened.catalog.snapshot() == snapshot
         assert_plans_match_kernel(reopened)
         reopened.conn.close()
+
+
+def _rendered_schemes(layer) -> list[str]:
+    return [render_source(scheme_to_ast(entry.scheme)) for entry in layer.catalog.entries()
+            if entry.scheme is not None]
+
+
+def test_random_alters_leave_the_entries_another_session_shares_alone(tmp_path):
+    """A session opened while another is alive takes over that session's
+    entries; no ALTER that the later session runs or refuses changes what
+    the earlier one reads."""
+    rng = random.Random(4242)
+    for case in range(CASES):
+        schema, x_rows, r_rows = random_sir_case(rng)
+        location = str(tmp_path / f"{case}.sqlite")
+        creating = SirLayer(KernelConnection(location))
+        apply_case(creating, schema, x_rows, r_rows)
+        creating.conn.close()
+        held = SirLayer(KernelConnection(location))
+        snapshot, schemes = held.catalog.snapshot(), _rendered_schemes(held)
+        active = SirLayer(KernelConnection(location))
+        assert all(active.catalog.get(e.name) is e for e in held.catalog.entries())
+        for _ in range(6):
+            text = random_alter(rng, active)
+            try:
+                active.apply_source(text)
+            except SirSqlError:
+                pass
+            assert held.catalog.snapshot() == snapshot, text
+            assert _rendered_schemes(held) == schemes, text
+        held.conn.close()
+        active.conn.close()
 
 
 # --- the statement cache against the uncached path ----------------------------------

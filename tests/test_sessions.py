@@ -1,18 +1,23 @@
 """Two sessions over one kernel file: a DDL statement never commits over a
-catalog that another session's DDL has made stale."""
+catalog that another session's DDL has made stale, and a session opened
+while another is alive takes over its entries only for unchanged rows."""
 
 from __future__ import annotations
 
 import argparse
+import gc
+import sqlite3
+import threading
+import weakref
 
 import pytest
 
 from sirsql.cli import EXIT_RUNTIME, cmd_apply
-from sirsql.errors import StaleCatalog
+from sirsql.errors import CorruptCatalog, StaleCatalog
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 
-from conftest import kernel_state, load_sp2
+from conftest import SP2_QUERIES, kernel_state, load_sp2
 
 
 def _two_sessions(tmp_path, extra: str = ""):
@@ -103,3 +108,110 @@ def test_cli_apply_exits_1_over_a_stale_catalog(tmp_path, capsys):
     script.write_text("Alter Table SP Add NOTE Char;\n")
     assert cmd_apply(b, argparse.Namespace(file=str(script), format="table")) == EXIT_RUNTIME
     assert capsys.readouterr().err.startswith("1: error: the kernel schema changed")
+
+
+# --- entries shared between the sessions of one process ------------------------------
+
+
+def _meta_rows(conn: KernelConnection) -> dict[str, tuple]:
+    return {row[0]: row for row in kernel_state(conn)[1]}
+
+
+def test_a_later_session_shares_the_entries_of_unchanged_rows_only(tmp_path):
+    location, a, b = _two_sessions(tmp_path)
+    before, snapshot = _meta_rows(b.conn), b.catalog.snapshot()
+    a.apply_source("Alter Table S Add NOTE Char; Alter Table SP Drop I_P;")
+    after = _meta_rows(a.conn)
+    assert b.catalog.snapshot() == snapshot
+
+    c = SirLayer(KernelConnection(location))
+    assert c.catalog.snapshot() == a.catalog.snapshot() != snapshot
+    changed = {name for name in after if after[name] != before[name]}
+    assert changed == {"S", "SP"}
+    for name in after:
+        entry = c.catalog.get(name)
+        if name in changed:     # a's own entries are compiled, not loaded
+            assert entry is not b.catalog.get(name) and entry is not a.catalog.get(name)
+        else:
+            assert entry is b.catalog.get(name), name
+
+
+def test_a_base_changed_under_an_unchanged_row_is_read_again(tmp_path):
+    location, a, b = _two_sessions(tmp_path)
+    b.explain("SP")
+    raw = sqlite3.connect(location)
+    raw.execute("ALTER TABLE SP_B ADD COLUMN ZNOTE TEXT")
+    raw.commit()
+    raw.close()
+    c = SirLayer(KernelConnection(location))
+    assert c.catalog.get("SP") is not b.catalog.get("SP")
+    assert c.catalog.get("S") is b.catalog.get("S")
+    assert "ZNOTE" in c.explain("SP")[0] and "ZNOTE" not in b.explain("SP")[0]
+
+
+@pytest.mark.parametrize("sabotage, message", [
+    ("UPDATE sir_relations SET plan = '{' WHERE name = 'P'", "^P: unreadable plan"),
+    ("DROP VIEW SP_1", "^SP: kernel object 'SP_1' recorded in the catalog is missing"),
+])
+def test_a_fault_made_while_a_healthy_session_is_open_fails_the_next_open(tmp_path, sabotage,
+                                                                            message):
+    location, a, b = _two_sessions(tmp_path)
+    b.catalog.audit()
+    raw = sqlite3.connect(location)
+    raw.execute(sabotage)
+    raw.commit()
+    raw.close()
+    with pytest.raises(CorruptCatalog, match=message):
+        SirLayer(KernelConnection(location))
+
+
+def test_no_entry_outlives_the_sessions_holding_it(tmp_path):
+    location, a, b = _two_sessions(tmp_path)
+    assert b.catalog.get("SP") is a.catalog.get("SP")
+    entry, catalog = weakref.ref(b.catalog.get("SP")), weakref.ref(a.catalog)
+    a.conn.close()
+    b.conn.close()
+    del a, b
+    gc.collect()
+    assert entry() is None and catalog() is None
+
+
+def test_two_threads_over_shared_entries_answer_like_one(tmp_path):
+    """Sessions of two threads share every entry, then build their parts
+    (each a `cached_property`) and query at the same time."""
+    location, a, b = _two_sessions(tmp_path)
+    expected = [a.query(sql).rows for sql in SP2_QUERIES]
+    a.conn.close()
+    b.conn.close()
+    del a, b
+    gc.collect()
+    for _ in range(10):
+        opened, start = threading.Event(), threading.Barrier(2)
+        catalogs, answers, failures = [None, None], [None, None], []
+
+        def session(index: int):
+            try:
+                if index:
+                    opened.wait()
+                layer = SirLayer(KernelConnection(location))
+                catalogs[index] = layer.catalog
+                opened.set()
+                start.wait()
+                layer.catalog.audit()
+                answers[index] = [layer.query(sql).rows for sql in SP2_QUERIES]
+                layer.conn.close()
+            except Exception as exc:        # reported below, in the test's thread
+                failures.append(exc)
+                start.abort()
+
+        threads = [threading.Thread(target=session, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert failures == []
+        first, second = catalogs
+        assert all(second.get(e.name) is e for e in first.entries())
+        assert answers == [expected, expected]
+        del catalogs, first, second
+        gc.collect()
