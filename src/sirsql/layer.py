@@ -42,14 +42,14 @@ when the renderer bound exactly the shape's values, in order and type.  A
 query text served from that cache is kept with its shape and values, so an
 exact repeat skips `shape` too; it still passes its shape's generation and
 value-count checks.  DML text is never kept.  A cached shape also keeps its
-pattern (`lexer.shape_pattern`), which binds a new text of that shape in
-about a third of the time `shape` takes.  All three hold `CACHE_SIZE`
-entries at most and are cleared when full, the patterns with the shapes.
+runs (`lexer.shape_runs`), and a new text of that shape is bound by walking
+them (`lexer.bind_runs`), with no regex compiled.  All three hold
+`CACHE_SIZE` entries at most and are cleared when full, the runs with the
+shapes.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass, field
 from functools import partial
@@ -65,7 +65,7 @@ from .errors import (CircularReferenceError, CorruptCatalog, DependentAttributeD
                      InvariantViolation, KernelError, NameCollision, NotNullAttributeAdd,
                      RejectedWrite, StaleCatalog, UnknownObject, UnknownRelation)
 from .kernel import KernelConnection, RowSet
-from .lexer import bind_pattern, literal_prefix, shape, shape_pattern
+from .lexer import bind_runs, literal_prefix, shape, shape_runs
 from .parser import parse
 from .render import quote_ident, render, render_source
 from .router import (BASE_REWRITE, REJECTED, check_ie_integrity,
@@ -73,7 +73,7 @@ from .router import (BASE_REWRITE, REJECTED, check_ie_integrity,
 
 
 CACHE_SIZE = 512       # shapes per session; the cache is cleared when full
-PREFIX_PATTERNS = 4    # shape patterns kept under one literal prefix
+PREFIX_PATTERNS = 4    # shapes whose runs are kept under one literal prefix
 _CACHEABLE = (n.Query, n.Insert, n.Update, n.Delete)
 
 
@@ -115,8 +115,8 @@ class SirLayer:
         self._statements: dict[str, tuple] = {}
         # query text -> its shape and values, filled on a hit; DML is never kept
         self._shapes: dict[str, tuple[str, list]] = {}
-        # literal prefix -> [(shape, its pattern)], for the shapes in `_statements`
-        self._patterns: dict[str, list[tuple[str, re.Pattern]]] = {}
+        # literal prefix -> [(shape, its runs)], for the shapes in `_statements`
+        self._patterns: dict[str, list[tuple[str, list[str]]]] = {}
         self._upgrade()
 
     # --- entry points ---
@@ -155,10 +155,10 @@ class SirLayer:
         query or DML statement.  With `query_only` the text must be one query,
         and its RowSet is returned; otherwise the StatementResults.
 
-        A text missing from the text memo is bound by the first pattern kept
-        under its `literal_prefix` that matches it, and shaped only when none
-        does.  A miss parses the text itself, so a ParseError keeps its
-        position."""
+        A text missing from the text memo is bound by the first shape whose
+        runs, kept under its `literal_prefix`, it walks (`_bind`), and shaped
+        only when none does.  A miss parses the text itself, so a ParseError
+        keeps its position."""
         known = self._shapes.get(text)
         key, values = known or self._bind(text) or shape(text)
         hit = self._statements.get(key)
@@ -196,23 +196,24 @@ class SirLayer:
         return result.rows if query_only else [result]
 
     def _bind(self, text: str) -> tuple[str, list] | None:
-        """The shape and values of `text`, from the first pattern kept under
-        its prefix that binds it; None when none does."""
-        for key, pattern in self._patterns.get(literal_prefix(text), ()):
-            values = bind_pattern(pattern, text)
+        """The shape and values of `text`, from the first shape kept under
+        its prefix whose runs bind it; None when none does."""
+        for key, runs in self._patterns.get(literal_prefix(text), ()):
+            values = bind_runs(runs, text)
             if values is not None:
                 return key, values
         return None
 
     def _keep_pattern(self, key: str, count: int):
-        """Keep the pattern of the shape `key` under its prefix, unless it is
-        kept already, `PREFIX_PATTERNS` are, or the shape has none."""
+        """Keep the runs of the shape `key` (a split, no compile) under its
+        prefix, unless they are kept already, `PREFIX_PATTERNS` shapes' are,
+        or the shape has none."""
         prefix = literal_prefix(key)
         kept = self._patterns.get(prefix, [])
         if len(kept) < PREFIX_PATTERNS and all(other != key for other, _ in kept):
-            pattern = shape_pattern(key, count)
-            if pattern is not None:
-                self._patterns[prefix] = kept + [(key, pattern)]
+            runs = shape_runs(key, count)
+            if runs is not None:
+                self._patterns[prefix] = kept + [(key, runs)]
 
     def explain(self, name: str) -> list[str]:
         """The kernel's text of each object of a relation, one per entry."""

@@ -6,9 +6,9 @@ Keywords are not reserved at the lexer level; the parser matches token text
 case-insensitively, so names like STATUS stay plain identifiers.
 
 Each lexical piece (string literal, number, word, quoted identifier,
-comment) is written once below; `tokenize`, `shape` and the shape patterns
-(`shape_pattern`) are built from them, so the statement cache binds exactly
-the literals the parser reads.
+comment) is written once below; `tokenize`, `shape` and the literal that
+`bind_runs` reads between a shape's runs are built from them, so the
+statement cache binds exactly the literals the parser reads.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def shape(source: str) -> tuple[str, list]:
 
     Strings become str, numbers int or float (see `literal_value`); a number
     that cannot be bound stays in the text, so it is part of the shape.  One
-    `findall` tiles the whole text; a text of a shape that has a pattern
-    (`shape_pattern`) is bound by that pattern instead, which is faster.
+    `findall` tiles the whole text; a new text of a cached shape is bound by
+    walking that shape's runs (`bind_runs`) instead.
     """
     if _LITERAL_START.search(source) is None:
         return source, []
@@ -139,60 +139,56 @@ def shape(source: str) -> tuple[str, list]:
     return "?".join([run for _, _, run in parts]), values
 
 
-# --- shape patterns ------------------------------------------------------------
+# --- shape runs ---------------------------------------------------------------
 
-# A literal as `shape` reads it, in one group: a string with its quotes, or a number
-_LITERAL = rf"('{_STRING_BODY}'|{_NUMBER})"
+# A literal as `shape` reads it: a string literal's body, or a number
+_LITERAL = re.compile(rf"'({_STRING_BODY})'|({_NUMBER})")
 # Where a text's first literal, or a key's first ``?``, may start: a quote,
 # a dot, a digit or ``?`` that is not inside a word (R070, S#1) or after a dot
 _LITERAL_AT = re.compile(r"['.0-9?](?<![\w#$.].)")
 # A literal after a word or a dot, or before another literal or a number
 # that is not bound, may be read as one token with it, so a key with such a
-# border gets no pattern
+# border gets no runs; on every other key the greedy literal read at each
+# gap of `bind_runs` is the one `shape` makes
 _JOINED = re.compile(r"[\w#$.]\?|\?[.0-9?]")
-# Python's `re` saves every earlier group mark at each repetition, so a
-# pattern's cost grows with the square of its literals.  On a 2-core x86-64
-# machine (Python 3.11) a pattern bound 300 literals in 157 µs against 298 µs
-# for `shape`, 1,500 in 0.99 ms against 1.47 ms and 3,000 in 4.2 ms against
-# 3.2 ms, and compiling one cost 80-100 µs a literal; so a 500-row INSERT
-# (1,500 values) keeps `shape`.
-MAX_PATTERN_VALUES = 300
 
 
 def literal_prefix(text: str) -> str:
     """`text` up to where its first literal may start: the key under which a
-    session keeps the patterns of its shapes.  A text that a pattern binds
-    has the same prefix as that pattern's shape key."""
+    session keeps the runs of its shapes.  A text that runs bind has the
+    same prefix as their shape key."""
     found = _LITERAL_AT.search(text)
     return text if found is None else text[:found.start()]
 
 
-def shape_pattern(key: str, count: int) -> re.Pattern | None:
-    """The pattern that fullmatches exactly the texts of shape `key` whose
-    literals can all be bound, one group a literal (see `bind_pattern`), or
-    None.  `key` must be the shape of a text that tokenizes, holding `count`
-    values.  There is none for a key without a value or with more than
-    `MAX_PATTERN_VALUES`, with a ``?`` that is not a value (inside a quoted
-    identifier or a comment, or a raw one), or where a literal follows a
-    word or a dot, or comes before another literal or a number."""
-    if not 0 < count <= MAX_PATTERN_VALUES or key.count("?") != count or _JOINED.search(key):
+def shape_runs(key: str, count: int) -> list[str] | None:
+    """The runs between the values of shape `key`, with which `bind_runs`
+    reads exactly the texts of that shape, or None: for a key without a
+    value, with a ``?`` that is not one (inside a quoted identifier or a
+    comment, or a raw one), or that `_JOINED` matches.  `key` must be the
+    shape of a text that tokenizes, holding `count` values."""
+    if not count or key.count("?") != count or _JOINED.search(key):
         return None
-    return re.compile(_LITERAL.join(map(re.escape, key.split("?"))))
+    return key.split("?")
 
 
-def bind_pattern(pattern: re.Pattern, text: str) -> list | None:
-    """The values `shape` gives `text` when `pattern` matches all of it, or
-    None when it does not or a number cannot be bound (`shape` would keep
-    that number in its key)."""
-    found = pattern.fullmatch(text)
-    if found is None:
+def bind_runs(runs: list[str], text: str) -> list | None:
+    """The values `shape` gives `text` when it is `runs` with one literal in
+    each gap, or None when it is not or a number cannot be bound (`shape`
+    would keep that number in its key)."""
+    if not text.startswith(runs[0]):
         return None
-    values = []
-    for literal in found.groups():
-        if literal[0] == "'":
-            values.append(literal[1:-1].replace("''", "'"))
-        elif (value := literal_value(literal)) is not None:
+    at, values = len(runs[0]), []
+    for run in runs[1:]:
+        found = _LITERAL.match(text, at)
+        if found is None or not text.startswith(run, found.end()):
+            return None
+        string, number = found.groups()
+        if number is None:
+            values.append(string.replace("''", "'"))
+        elif (value := literal_value(number)) is not None:
             values.append(value)
         else:
             return None
-    return values
+        at = found.end() + len(run)
+    return values if at == len(text) else None

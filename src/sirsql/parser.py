@@ -29,6 +29,14 @@ _COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 # Python frames here and more in the later passes, so the limit keeps every
 # pass well inside the interpreter's default recursion limit of 1000.
 MAX_EXPRESSION_DEPTH = 64
+# Operators an expression may chain on one path: a binary operator, IS
+# [NOT] NULL or [NOT] IN takes what stands on its left as its operand, so
+# `1 + 1 + 1` or `A = 1 Or A = 2 Or A = 3` is a tree as deep as its chain,
+# which the later passes walk one call a level.  With the levels above,
+# the limit keeps route, `n.transform` and render inside the default
+# recursion limit; node equality, three frames a level, holds a chain at
+# the limit and overflows near 250.
+MAX_OPERATOR_CHAIN = 200
 
 
 def parse(source: str) -> list:
@@ -48,6 +56,7 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.height = 0     # operators on the longest path of what was just read
         self.warnings: list[str] = []
 
     # --- cursor helpers ---
@@ -500,21 +509,45 @@ class Parser:
                              tok.line, tok.col)
         self.depth += 1
 
+    def advance_operator(self) -> int:
+        """Advance past an operator; return the height of its left operand
+        and start its right operand at height 0."""
+        self.advance()
+        below, self.height = self.height, 0
+        return below
+
+    def rise(self, tok: Token, below: int):
+        """Set the height to that of the operator at `tok` over operands of
+        heights `below` and the current one; ParseError past
+        `MAX_OPERATOR_CHAIN`."""
+        self.height = max(below, self.height) + 1
+        if self.height > MAX_OPERATOR_CHAIN:
+            raise ParseError(f"operators chained more than {MAX_OPERATOR_CHAIN} deep",
+                             tok.line, tok.col)
+
     def match_expression(self):
-        return self.match_or()
+        """An expression read from height 0; the height is then the larger of
+        its own and the one before, so the height of a call, an IN list or
+        a subquery is that of its tallest expression."""
+        before, self.height = self.height, 0
+        expr = self.match_or()
+        self.height = max(before, self.height)
+        return expr
 
     def match_or(self):
         left = self.match_and()
-        while self.at_word("OR"):
-            self.advance()
+        while (tok := self.peek()).matches("OR"):
+            below = self.advance_operator()
             left = n.Binary(op="OR", left=left, right=self.match_and())
+            self.rise(tok, below)
         return left
 
     def match_and(self):
         left = self.match_not()
-        while self.at_word("AND"):
-            self.advance()
+        while (tok := self.peek()).matches("AND"):
+            below = self.advance_operator()
             left = n.Binary(op="AND", left=left, right=self.match_not())
+            self.rise(tok, below)
         return left
 
     def match_not(self):
@@ -530,19 +563,19 @@ class Parser:
         while True:
             tok = self.peek()
             if tok.kind == OP and tok.value in _COMPARISONS:
-                self.advance()
+                below = self.advance_operator()
                 left = n.Binary(op=tok.value, left=left, right=self.match_additive())
             elif tok.matches("LIKE"):
-                self.advance()
+                below = self.advance_operator()
                 left = n.Binary(op="LIKE", left=left, right=self.match_additive())
             elif tok.matches("IS"):
-                self.advance()
+                below = self.advance_operator()
                 negated = bool(self.accept_word("NOT"))
                 self.expect_word("NULL")
                 left = n.IsNull(operand=left, negated=negated)
             elif tok.matches("IN") or (tok.matches("NOT") and self.peek(1).matches("IN")):
                 negated = tok.matches("NOT")
-                self.advance()
+                below = self.advance_operator()
                 if negated:
                     self.expect_word("IN")
                 self.descend(self.expect_op("("))
@@ -557,14 +590,16 @@ class Parser:
                 left = n.InList(operand=left, items=items, negated=negated)
             else:
                 return left
+            self.rise(tok, below)
 
     def match_additive(self):
         left = self.match_multiplicative()
         while True:
             tok = self.peek()
             if tok.kind == OP and tok.value in ("+", "-", "||"):
-                self.advance()
+                below = self.advance_operator()
                 left = n.Binary(op=tok.value, left=left, right=self.match_multiplicative())
+                self.rise(tok, below)
             else:
                 return left
 
@@ -573,8 +608,9 @@ class Parser:
         while True:
             tok = self.peek()
             if tok.kind == OP and tok.value in ("*", "/", "%"):
-                self.advance()
+                below = self.advance_operator()
                 left = n.Binary(op=tok.value, left=left, right=self.match_unary())
+                self.rise(tok, below)
             else:
                 return left
 

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import sirsql.layer
+import sirsql.lexer
 from sirsql.cli import main
 from sirsql.errors import (IaNotComputable, InvariantViolation, KernelError, ParseError,
                            UnknownIE, UnknownRelation)
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 from sirsql.lexer import shape
-from sirsql.parser import parse
+from sirsql.parser import MAX_OPERATOR_CHAIN, parse
 
 from conftest import fixture_text, kernel_state, load_sp2, make_layer
 
@@ -235,6 +238,54 @@ def test_deep_nesting_raises_parse_error_and_moderate_nesting_runs(sp2):
         sp2.query("Select " + "(" * 500 + "1" + ")" * 500 + " From S;")
     rows = sp2.query("Select " + "(" * 50 + "S#" + ")" * 50 + " From S Order By 1;").rows
     assert rows[0] == ("S1",)
+
+
+def _chain(term, op, operators):
+    return f" {op} ".join([term] * (operators + 1))
+
+
+# kind: the text for a chain of a number of operators, what runs after it at
+# the limit (an ALTER recompiles X's chain or probes W), and a query of the
+# result (None: the text itself again) with its rows
+_TERMS = MAX_OPERATOR_CHAIN + 1
+_CHAINS = {
+    "select": (lambda ops: f"Select {_chain('1', '+', ops)} From S Where S# = 'S1';",
+               "", None, [(_TERMS,)]),
+    "or": (lambda ops: "Select S# From S Where " + _chain("S# = 'S1'", "Or", ops - 1) + ";",
+           "", None, [("S1",)]),
+    "update": (lambda ops: f"Update SP Set QTY = 7 Where {_chain('QTY', '+', ops - 1)} > 0;",
+               "", "Select Count(*) From SP Where QTY = 7;", [(12,)]),
+    "delete": (lambda ops: f"Delete From SP Where {_chain('QTY', '+', ops - 1)} > 0;",
+               "", "Select Count(*) From SP;", [(0,)]),
+    "view": (lambda ops: f"Create View W As Select S#, P#, {_chain('QTY', '+', ops)} As T"
+             " From SP;", "Alter Table SP Add NOTE Char;",
+             "Select T From W Where S# = 'S1' And P# = 'P1';", [(_TERMS * 300,)]),
+    "ie": (lambda ops: f"Create Table X (K Int, Primary Key (K), V As ({_chain('K', '+', ops)}));",
+           "Insert Into X Values (1); Alter Table X Add NOTE Char;", "Select V From X;",
+           [(_TERMS,)]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CHAINS))
+def test_an_operator_chain_runs_at_the_limit_and_is_a_parse_error_past_it(
+        tmp_path, capsys, kind):
+    make, then, check, rows = _CHAINS[kind]
+    location = str(tmp_path / "db.sqlite")
+    layer = load_sp2(SirLayer(KernelConnection(location)))
+    layer.apply_source(make(MAX_OPERATOR_CHAIN) + then)
+    assert layer.query(check or make(MAX_OPERATOR_CHAIN)).rows == rows
+    past = make(MAX_OPERATOR_CHAIN + 1)
+    with pytest.raises(ParseError, match=f"chained more than {MAX_OPERATOR_CHAIN} deep") as err:
+        layer.apply_source(past)
+    last = {"or": "Or", "update": ">", "delete": ">"}.get(kind, "+")
+    assert err.value.col - 1 == past.rindex(last)
+    layer.conn.close()
+    script = tmp_path / "past.sirsql"
+    script.write_text(past)
+    assert main(["-k", location, "apply", str(script)]) == 3
+    if kind in ("select", "or"):
+        assert main(["-k", location, "query", past]) == 3
+    assert "chained more than" in capsys.readouterr().err
 
 
 # --- the statement cache --------------------------------------------------------
@@ -485,13 +536,36 @@ def test_a_text_no_pattern_binds_is_shaped(sp2, shapes, first, second):
     assert shapes == [first, second]
 
 
-def test_a_1500_literal_insert_is_shaped(sp2, shapes):
+def test_a_1500_literal_insert_is_bound_by_its_runs(sp2, shapes):
     texts = ["Insert Into SP Values " + ", ".join(f"('S{i}', 'P{n}', {i})" for i in range(500))
              + ";" for n in (7, 8)]
     for text in texts:
         assert sp2.apply_source(text)[0].rowcount == 500
-    assert shapes == texts and sp2._patterns == {}
+    assert shapes == texts[:1]    # the second text is bound, not shaped
+    # a number that cannot be bound is part of another shape
+    unbound = texts[0].replace("'P7'", "'P9'").replace("499);", "99999999999999999999);")
+    assert sp2.apply_source(unbound)[0].rowcount == 500
+    assert shapes == [texts[0], unbound]
     assert sp2.query("Select Count(*) From SP_B Where P# In ('P7', 'P8');").rows == [(1000,)]
+    assert sp2.query("Select Count(*) From SP_B Where P# = 'P9';").rows == [(500,)]
+
+
+def test_a_miss_compiles_no_regex(sp2, shapes, monkeypatch):
+    class NoCompile:
+        def __getattr__(self, name):
+            return getattr(re, name)
+
+        def compile(self, *args, **kwargs):
+            raise AssertionError("a regex was compiled")
+    monkeypatch.setattr(sirsql.lexer, "re", NoCompile())
+    first, second = ("Select S# From SP Where QTY = 300 And P# = 'P1';",
+                     "Select S# From SP Where QTY = 400 And P# = 'P2';")
+    dml = ["Update SP Set QTY = 5 Where S# = 'S9';", "Update SP Set QTY = 7 Where S# = 'S3';"]
+    assert sp2.query(first).rows == [("S1",), ("S2",)]
+    assert sp2.query(second).rows == [("S2",)]
+    assert [result.rowcount for text in dml for result in sp2.apply_source(text)] == [0, 1]
+    assert shapes == [first, dml[0]]
+    assert sp2.query("Select QTY From SP Where S# = 'S3';").rows == [(7,)]
 
 
 def test_patterns_are_few_under_one_prefix_and_cleared_with_the_cache(sp2, shapes):

@@ -7,7 +7,7 @@ import pytest
 from sirsql import nodes as n
 from sirsql.errors import ParseError, UnrenderableNode
 from sirsql.lexer import literal_value, shape, tokenize
-from sirsql.parser import MAX_EXPRESSION_DEPTH, parse, parse_one
+from sirsql.parser import MAX_EXPRESSION_DEPTH, MAX_OPERATOR_CHAIN, parse, parse_one
 from sirsql.render import render, render_source
 
 from conftest import fixture_text
@@ -215,6 +215,27 @@ def test_nesting_up_to_the_limit_parses():
     assert parse_one(render_source(stmt)) == stmt
     with pytest.raises(ParseError, match="nested more than"):
         parse_one(f"Select ({inner}) From S;")
+
+
+@pytest.mark.parametrize("past", [
+    "S#" + " Is Null" * (MAX_OPERATOR_CHAIN + 1),
+    "S#" + " Not In (1)" * (MAX_OPERATOR_CHAIN + 1),
+    "(" + " - ".join(["1"] * 151) + ")" + " * 1" * (MAX_OPERATOR_CHAIN - 149),
+    "1 In (Select 1 From S Where " + " And ".join(["1"] * (MAX_OPERATOR_CHAIN + 1)) + ")",
+], ids=["is_null", "in", "nested_left", "subquery"])
+def test_an_operator_chain_is_counted_through_nested_levels(past):
+    with pytest.raises(ParseError, match=f"chained more than {MAX_OPERATOR_CHAIN} deep"):
+        parse_one(f"Select S# From S Where {past};")
+
+
+def test_an_operator_chain_counts_the_longest_path_of_each_expression():
+    # an OR of comparisons is as deep as its terms; sibling expressions
+    # (select items, a call's arguments, an IN list's items) are counted apart
+    terms = " Or ".join(["S# = 'S1'"] * MAX_OPERATOR_CHAIN)
+    chain = " + ".join(["1"] * MAX_OPERATOR_CHAIN)
+    stmt = parse_one(f"Select {chain} + 1, Coalesce({chain} + 1, {chain} + 1) From S"
+                     f" Where {terms} Order By S# In ({chain}, {chain}), {chain};")
+    assert parse_one(render_source(stmt)) == stmt
 
 
 def test_unterminated_statement():

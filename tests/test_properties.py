@@ -13,8 +13,8 @@ from sirsql.catalog import scheme_to_ast
 from sirsql.errors import KernelError, ParseError, SirSqlError
 from sirsql.kernel import KernelConnection, RowSet
 from sirsql.layer import SirLayer, StatementResult
-from sirsql.lexer import (_SHAPE, NUMBER, STRING, bind_pattern, literal_prefix, literal_value,
-                          shape, shape_pattern, tokenize)
+from sirsql.lexer import (_SHAPE, NUMBER, STRING, bind_runs, literal_prefix, literal_value,
+                          shape, shape_runs, tokenize)
 from sirsql.normalizer import (FunctionalDependency, MultivaluedDependency,
                                SchemeDraft, attribute_closure, heath_decompose,
                                is_bcnf, lossless_check, make_universal, normalize)
@@ -430,7 +430,7 @@ _MUTATIONS = ["", "'", "''", "0", "7.", ".5", "x", "#", "?", " ", "-", "/*", "*/
 @settings(max_examples=CASES * 3, derandomize=True)
 def test_a_shape_pattern_binds_exactly_the_texts_of_its_shape(pieces, fills, seed):
     """For the key of a text that tokenizes (a statement of any other text
-    is never cached), its pattern binds a text with the values `shape` gives
+    is never cached), its runs bind a text with the values `shape` gives
     it whenever `shape` gives it that key, and binds no other text: texts
     with other literals in its place, and texts mutated a character or two
     at a time, across literal borders too."""
@@ -440,11 +440,10 @@ def test_a_shape_pattern_binds_exactly_the_texts_of_its_shape(pieces, fills, see
     except ParseError:
         return
     key, values = shape(text)
-    pattern = shape_pattern(key, len(values))
-    if pattern is None:
+    runs = shape_runs(key, len(values))
+    if runs is None:
         return
     rng = random.Random(seed)
-    runs = key.split("?")
     fills += ["'a'", "'it''s'", "5", "12.5", ".5", "99999999999999999999"]
     others = [text] + [runs[0] + "".join(rng.choice(fills) + run for run in runs[1:])
                        for _ in range(4)]
@@ -453,14 +452,14 @@ def test_a_shape_pattern_binds_exactly_the_texts_of_its_shape(pieces, fills, see
         end = min(len(text), start + rng.choice([0, 0, 1, 2]))
         others.append(text[:start] + rng.choice(_MUTATIONS) + text[end:])
     for other in others:
-        bound, (other_key, other_values) = bind_pattern(pattern, other), shape(other)
+        bound, (other_key, other_values) = bind_runs(runs, other), shape(other)
         if bound is None:    # a raw ``?`` gives the key too, with fewer values
             assert (other_key, len(other_values)) != (key, len(values)), other
         else:
             assert (other_key, bound) == (key, other_values), other
             assert list(map(type, bound)) == list(map(type, other_values))
             assert literal_prefix(other) == literal_prefix(key)
-    assert bind_pattern(pattern, text) == values
+    assert bind_runs(runs, text) == values
 
 
 # --- normalization losslessness ---------------------------------------------------
