@@ -452,8 +452,6 @@ class Catalog:
         # under its name keeps its place)
         self._entries: dict[str, CatalogEntry] = {}
         self._owners: dict[str, CatalogEntry] = {}    # casefold generated object -> entry
-        # bumped by attach/detach; a session's statement cache is keyed on it
-        self.generation = 0
         # what is built from the current entries; dropped on attach/detach
         self._keeps_card: dict[str, bool] = {}
         self._chains: dict[str, PrefixChain | None] = {}
@@ -751,9 +749,7 @@ class Catalog:
         return clone
 
     def _changed(self):
-        """The entries changed: a new generation, and no proof or reverse
-        map still holds."""
-        self.generation += 1
+        """The entries changed: no proof or reverse map still holds."""
         self._keeps_card.clear()
         self._chains.clear()
         self._readers = None
@@ -830,7 +826,6 @@ class Catalog:
                 except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
                     raise CorruptCatalog(f"{row[0]}: unreadable plan: {exc}") from exc
             catalog._register(entry, entry._objects)
-        catalog._changed()
         _latest_load = weakref.ref(catalog)
         return catalog
 

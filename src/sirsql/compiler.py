@@ -330,7 +330,6 @@ def order_ies(scheme: SirScheme, canon: list[CanonicalIE]) -> list[CanonicalIE]:
                     refs.add(ref.name.casefold())
         return refs
 
-    index = {cie.name.casefold(): i for i, cie in enumerate(canon)}
     pending = {cie.name.casefold(): set() for cie in canon}
     for cie in canon:
         for ref in external_refs(cie):
@@ -341,11 +340,10 @@ def order_ies(scheme: SirScheme, canon: list[CanonicalIE]) -> list[CanonicalIE]:
     ordered, done = [], set()
     remaining = list(canon)
     while remaining:
-        ready = [cie for cie in remaining if pending[cie.name.casefold()] <= done]
-        if not ready:
+        nxt = next((cie for cie in remaining if pending[cie.name.casefold()] <= done), None)
+        if nxt is None:
             names = [cie.name for cie in remaining]
             raise IeCycle(f"IEs reference each other's outputs: {', '.join(names)}")
-        nxt = min(ready, key=lambda cie: index[cie.name.casefold()])
         ordered.append(nxt)
         done.add(nxt.name.casefold())
         remaining.remove(nxt)
@@ -359,22 +357,28 @@ def _lower_list_calls(select: n.Select) -> n.Select:
     if len(select.items) != 1:
         return select
     expr = select.items[0].expr
-    if not (isinstance(expr, n.Call) and expr.func.upper() == "LIST"):
+    if not (isinstance(expr, n.Call) and expr.func.upper() == "LIST" and expr.args):
         return select
     sep = n.Literal(text=", ", kind="string")
-    concat = None
-    for arg in expr.args:
-        piece = arg
-        concat = piece if concat is None else n.Binary(
-            op="||", left=n.Binary(op="||", left=concat, right=sep), right=piece)
+    terms = [term for arg in expr.args for term in (sep, arg)][1:]
     inner = n.Select(
-        items=[n.SelectItem(expr=concat, alias="list_item")],
+        items=[n.SelectItem(expr=_concat(terms), alias="list_item")],
         from_=select.from_, where=select.where,
         group_by=select.group_by, order_by=select.order_by)
     agg = n.Call(func="LIST",
                  args=[n.ColumnRef(name="list_item"), n.Literal(text="; ", kind="string")])
     return n.Select(items=[n.SelectItem(expr=agg, alias=select.items[0].alias)],
                     from_=[n.DerivedTable(select=inner, alias="list_src")])
+
+
+def _concat(terms: list):
+    """`terms` joined by `||` as a balanced tree.  `||` is associative and
+    renders without parentheses, so the text is that of the left-deep chain,
+    while each pass over the tree recurses about log2 of its length deep."""
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    return n.Binary(op="||", left=_concat(terms[:half]), right=_concat(terms[half:]))
 
 
 # --- plan emission ----------------------------------------------------------
@@ -645,8 +649,8 @@ def base_size_probe(base: str) -> str:
     which `alter_steps` rebuilds it rather than extend it; that bound; and
     the indexes that CREATE INDEX made on the base.  A rebuild also fills
     those indexes, so the bound is the rows per kernel object over one more
-    than them.  The probe reads ``sqlite_master`` once: SQLite (3.35 on)
-    materializes a CTE that is read twice; an older one reads it twice."""
+    than them.  The probe reads ``sqlite_master`` once: SQLite materializes
+    a CTE that is read twice."""
     name = base.replace("'", "''")
     indexes = (f"sum(type = 'index' AND tbl_name = '{name}' COLLATE NOCASE"
                " AND sql IS NOT NULL)")

@@ -5,9 +5,10 @@ The adapter adds no semantics of its own: SQL handed to `execute` runs
 verbatim, with engine errors wrapped in KernelError carrying the originating
 statement.
 
-Opening checks the SQLite version once: 3.32 and later have every feature
-the renderer relies on (left joins, scalar subqueries, group_concat, iif);
-an older library raises CapabilityMissing.
+Opening checks the SQLite version once: 3.35 and later have every feature
+the layer relies on (left joins, scalar subqueries, group_concat, iif, and
+the RETURNING of a strict-integrity INSERT); an older library raises
+CapabilityMissing.
 
 Decimal note: the engine's Round(x, d) is round-half-away-from-zero.
 
@@ -42,12 +43,11 @@ class KernelConnection:
     """One open kernel database."""
 
     def __init__(self, location: str = ":memory:"):
-        if sqlite3.sqlite_version_info < (3, 32):
-            raise CapabilityMissing(f"SQLite {sqlite3.sqlite_version} is older than 3.32")
+        if sqlite3.sqlite_version_info < (3, 35):
+            raise CapabilityMissing(f"SQLite {sqlite3.sqlite_version} is older than 3.35")
         self.location = location
         self._db = sqlite3.connect(location)
         self._db.isolation_level = None  # explicit BEGIN/COMMIT
-        self._in_transaction = False
         # the most parameters one statement may bind (Connection.getlimit is 3.11+)
         self.max_params = (self._db.getlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER)
                            if hasattr(self._db, "getlimit") else 32766)
@@ -89,10 +89,9 @@ class KernelConnection:
         transaction takes the write lock at once (every caller writes), so
         what `work` reads stays current until the commit.  A read-only or
         locked file fails it with KernelError."""
-        if self._in_transaction:
+        if self._db.in_transaction:
             raise KernelError("transaction already open on this connection")
         self.execute("BEGIN IMMEDIATE")
-        self._in_transaction = True
         try:
             result = work(self)
             self.execute("COMMIT")
@@ -101,8 +100,6 @@ class KernelConnection:
             with contextlib.suppress(sqlite3.Error):    # the error raised is the one reported
                 self._db.execute("ROLLBACK")
             raise
-        finally:
-            self._in_transaction = False
 
     # --- introspection ---
 

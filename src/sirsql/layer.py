@@ -36,16 +36,17 @@ columns, plan or scheme: each is built, and a corrupt one raises
 CorruptCatalog, when a statement first reads it (`Catalog.audit` reads all).
 
 Query and DML text is cached by shape (`lexer.shape`: literals replaced by
-``?``) for one catalog generation: a repeated shape skips parse, route and
-render and binds its literals as sqlite3 parameters.  A shape is cached only
-when the renderer bound exactly the shape's values, in order and type.  A
-query text served from that cache is kept with its shape and values, so an
-exact repeat skips `shape` too; it still passes its shape's generation and
-value-count checks.  DML text is never kept.  A cached shape also keeps its
-runs (`lexer.shape_runs`), and a new text of that shape is bound by walking
-them (`lexer.bind_runs`), with no regex compiled.  All three hold
-`CACHE_SIZE` entries at most and are cleared when full, the runs with the
-shapes.
+``?``) for one DDL version of the catalog (`Catalog.version`, which a load
+reads from the kernel and every committed DDL bumps): a repeated shape skips
+parse, route and render and binds its literals as sqlite3 parameters.  A
+shape is cached only when the renderer bound exactly the shape's values, in
+order and type.  A query text served from that cache is kept with its shape
+and values, so an exact repeat skips `shape` too; it still passes its
+shape's version and value-count checks.  DML text is never kept.  A
+cached shape also keeps its runs (`lexer.shape_runs`), and a new text of
+that shape is bound by walking them (`lexer.bind_runs`), with no regex
+compiled.  All three hold `CACHE_SIZE` entries at most and are cleared when
+full, the runs with the shapes.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class SirLayer:
         self.strict_integrity = strict_integrity
         self.catalog = Catalog.load(conn)
         self._ddl_lock = threading.Lock()
-        # shape -> (catalog generation, value count, kernel SQL or None, action);
+        # shape -> (DDL version, value count, kernel SQL or None, action);
         # a text whose count differs holds a raw "?", which must fail to parse
         self._statements: dict[str, tuple] = {}
         # query text -> its shape and values, filled on a hit; DML is never kept
@@ -162,7 +163,7 @@ class SirLayer:
         known = self._shapes.get(text)
         key, values = known or self._bind(text) or shape(text)
         hit = self._statements.get(key)
-        if hit is not None and hit[0] == self.catalog.generation and hit[1] == len(values):
+        if hit is not None and hit[0] == self.catalog.version and hit[1] == len(values):
             _, _, sql, action = hit
             if query_only and action != "query":
                 raise InvariantViolation("expected exactly one SELECT statement")
@@ -190,7 +191,7 @@ class SirLayer:
         if len(self._statements) >= CACHE_SIZE:
             self._statements.clear()
             self._patterns.clear()
-        self._statements[key] = (self.catalog.generation, len(values), sql, result.action)
+        self._statements[key] = (self.catalog.version, len(values), sql, result.action)
         if sql is not None:
             self._keep_pattern(key, len(values))
         return result.rows if query_only else [result]

@@ -464,23 +464,27 @@ class Parser:
         return n.ColumnRef(name=first)
 
     def match_table_ref(self):
+        """A FROM entry read from height 0, as `match_expression` reads an
+        expression.  Each JOIN is an operator over what stands on its left
+        and its table; the entry is then as high as the taller of that and
+        the JOIN's ON expression."""
+        before, self.height = self.height, 0
         ref = self.match_table_primary()
-        while True:
-            kind = None
-            if self.at_word("JOIN", "INNER"):
-                self.accept_word("INNER")
-                self.expect_word("JOIN")
-                kind = "inner"
-            elif self.at_word("LEFT", "RIGHT"):
-                kind = self.advance().value.lower()
+        while self.at_word("JOIN", "INNER", "LEFT", "RIGHT"):
+            tok = self.peek()
+            below = self.advance_operator()
+            kind = tok.value.lower()
+            if kind in ("left", "right"):
                 self.accept_word("OUTER")
+            if kind != "join":
                 self.expect_word("JOIN")
-            else:
-                return ref
             right = self.match_table_primary()
+            self.rise(tok, below)
             self.expect_word("ON")
             on = self.match_expression()
-            ref = n.Join(left=ref, kind=kind, right=right, on=on)
+            ref = n.Join(left=ref, kind="inner" if kind == "join" else kind, right=right, on=on)
+        self.height = max(before, self.height)
+        return ref
 
     def match_table_primary(self) -> n.TableName:
         name = self.expect_name("relation name")

@@ -59,7 +59,6 @@ PASS_THROUGH, BASE_REWRITE, REJECTED = "pass_through", "base_rewrite", "rejected
 
 @dataclass
 class RoutedStatement:
-    original: object
     kind: str                       # pass_through | base_rewrite | rejected
     kernel_stmt: object = None      # AST to render for the kernel
     target: str | None = None       # base table (or, for queries, chain prefix) read
@@ -159,8 +158,7 @@ def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatemen
                            f" skipping {', '.join(skipped)}")
 
     if not targets and not star_minus:
-        return RoutedStatement(original=stmt, kind=PASS_THROUGH,
-                               kernel_stmt=n.Query(select=stmt.select))
+        return RoutedStatement(kind=PASS_THROUGH, kernel_stmt=n.Query(select=stmt.select))
 
     def swap(node):
         # a relation in `targets` is read by no select with a star, so the
@@ -172,7 +170,7 @@ def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatemen
             return node.replace(items=_expand_star_minus_items(node, catalog))
         return node
 
-    return RoutedStatement(original=stmt, kind=BASE_REWRITE if targets else PASS_THROUGH,
+    return RoutedStatement(kind=BASE_REWRITE if targets else PASS_THROUGH,
                            kernel_stmt=n.Query(select=n.transform(stmt.select, swap)),
                            target=next(iter(targets.values()), None),
                            reason="; ".join(reasons) or None)
@@ -316,7 +314,7 @@ def _pre_aggregate(stmt: n.Query, catalog: Catalog) -> RoutedStatement | None:
     kernel = sel.replace(items=items, from_=from_, where=None, group_by=group_by,
                          order_by=order_by)
     return RoutedStatement(
-        original=stmt, kind=BASE_REWRITE, kernel_stmt=n.Query(select=kernel), target=base,
+        kind=BASE_REWRITE, kernel_stmt=n.Query(select=kernel), target=base,
         reason=f"{entry.name} aggregates {base} by {', '.join(key_names[:len(encl)])}"
                f" before joining {', '.join(t.name for t in cie.sources.tables)} ({cie.name})")
 
@@ -340,7 +338,7 @@ def _expand_star_minus_items(sel: n.Select, catalog: Catalog) -> list:
 def _route_insert(stmt: n.Insert, catalog: Catalog) -> RoutedStatement:
     entry = _lookup(catalog, stmt.table)
     if entry is None or entry.kind != "sir":
-        return RoutedStatement(original=stmt, kind=PASS_THROUGH, kernel_stmt=stmt)
+        return RoutedStatement(kind=PASS_THROUGH, kernel_stmt=stmt)
     stored = {c.casefold(): c for c in entry.scheme.stored_names}
     inherited = {c.casefold() for c in entry.inherited_names()}
 
@@ -367,13 +365,13 @@ def _route_insert(stmt: n.Insert, catalog: Catalog) -> RoutedStatement:
         key = col.casefold()
         if key in inherited:
             return RoutedStatement(
-                original=stmt, kind=REJECTED,
+                kind=REJECTED,
                 reason=f"{entry.name}.{col} is an inherited attribute; it is not writable")
         if key not in stored:
             raise UnknownColumn(f"{entry.name} has no stored attribute {col!r}")
         bound.append(stored[key])
     rewritten = n.Insert(table=entry.plan[0].name, columns=bound, source=stmt.source)
-    return RoutedStatement(original=stmt, kind=BASE_REWRITE, kernel_stmt=rewritten,
+    return RoutedStatement(kind=BASE_REWRITE, kernel_stmt=rewritten,
                            target=entry.plan[0].name, inserted_columns=bound)
 
 
@@ -400,12 +398,12 @@ def _where_touches_inherited(entry, where) -> bool:
 def _route_update(stmt: n.Update, catalog: Catalog) -> RoutedStatement:
     entry = _lookup(catalog, stmt.table)
     if entry is None or entry.kind != "sir":
-        return RoutedStatement(original=stmt, kind=PASS_THROUGH, kernel_stmt=stmt)
+        return RoutedStatement(kind=PASS_THROUGH, kernel_stmt=stmt)
     stored = {c.casefold() for c in entry.scheme.stored_names}
     for col, _ in stmt.assignments:
         if col.casefold() not in stored:
             return RoutedStatement(
-                original=stmt, kind=REJECTED,
+                kind=REJECTED,
                 reason=f"{entry.name}.{col} is not a writable stored attribute"
                        " (inherited attributes cannot be updated)")
     base = entry.plan[0].name
@@ -413,19 +411,19 @@ def _route_update(stmt: n.Update, catalog: Catalog) -> RoutedStatement:
     if where is not None and _where_touches_inherited(entry, where):
         where = _key_filter(entry, where)
     rewritten = n.Update(table=base, assignments=stmt.assignments, where=where)
-    return RoutedStatement(original=stmt, kind=BASE_REWRITE, kernel_stmt=rewritten, target=base)
+    return RoutedStatement(kind=BASE_REWRITE, kernel_stmt=rewritten, target=base)
 
 
 def _route_delete(stmt: n.Delete, catalog: Catalog) -> RoutedStatement:
     entry = _lookup(catalog, stmt.table)
     if entry is None or entry.kind != "sir":
-        return RoutedStatement(original=stmt, kind=PASS_THROUGH, kernel_stmt=stmt)
+        return RoutedStatement(kind=PASS_THROUGH, kernel_stmt=stmt)
     base = entry.plan[0].name
     where = stmt.where
     if where is not None and _where_touches_inherited(entry, where):
         where = _key_filter(entry, where)
     rewritten = n.Delete(table=base, where=where)
-    return RoutedStatement(original=stmt, kind=BASE_REWRITE, kernel_stmt=rewritten, target=base)
+    return RoutedStatement(kind=BASE_REWRITE, kernel_stmt=rewritten, target=base)
 
 
 # --- integrity checks -------------------------------------------------------

@@ -32,9 +32,11 @@ def test_count_figure4_base_rows():
     assert rows.rows == [(12,)]
 
 
-def test_sqlite_older_than_3_32_is_refused(monkeypatch):
-    monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 31, 0))
-    with pytest.raises(CapabilityMissing, match="older than 3.32"):
+@pytest.mark.parametrize("version", [(3, 31, 0), (3, 34, 1)])
+def test_sqlite_older_than_3_35_is_refused(monkeypatch, version):
+    # a strict-integrity INSERT appends RETURNING, which SQLite reads from 3.35
+    monkeypatch.setattr(sqlite3, "sqlite_version_info", version)
+    with pytest.raises(CapabilityMissing, match="older than 3.35"):
         KernelConnection(":memory:")
 
 

@@ -288,6 +288,24 @@ def test_an_operator_chain_runs_at_the_limit_and_is_a_parse_error_past_it(
     assert "chained more than" in capsys.readouterr().err
 
 
+def test_a_list_of_many_arguments_compiles_to_a_view_sqlite_reads(sp2):
+    # 250 arguments lower to a 499-term `||` concatenation; 600 lower to 1,199
+    # terms, past SQLite's expression depth of 1,000; none is a call SQLite refuses
+    def create(arguments):
+        sp2.apply_source(f"Create Table X (K Char, Primary Key (K), I_L (Select List("
+                         f"{', '.join(['SNAME'] * arguments)}) As L From S Where X.K = S#));")
+
+    create(250)
+    sp2.apply_source("Insert Into X Values ('S1');")
+    assert sp2.query("Select L From X;").rows == [(", ".join(["Smith"] * 250),)]
+    sp2.apply_source("Drop Table X;")
+    with pytest.raises(KernelError, match="Expression tree is too large"):
+        create(600)
+    with pytest.raises(KernelError, match="wrong number of arguments"):
+        create(0)
+    assert "X" not in sp2.catalog
+
+
 # --- the statement cache --------------------------------------------------------
 
 
@@ -370,6 +388,16 @@ def test_alter_drop_invalidates_cached_shapes(sp2, parses):
     assert sorted(rows) == sorted(uncached(sp2, text.format("P2")).rows.rows)
     assert len(rows) == 4
     assert parses.count(text.format("P2")) == 2
+
+
+@pytest.mark.parametrize("statement", ["Create Index sp_qty On SP (QTY);", "Drop Index sp_s;"])
+def test_index_ddl_invalidates_cached_shapes(sp2, parses, statement):
+    sp2.apply_source("Create Index sp_s On SP (S#);")
+    text = "Select QTY From SP Where S# = 'S1';"
+    rows = sp2.query(text).rows
+    sp2.apply_source(statement)
+    assert sp2.query(text).rows == rows
+    assert parses.count(text) == 2
 
 
 def test_query_on_a_cached_dml_shape_still_raises(sp2):

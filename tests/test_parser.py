@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sirsql import nodes as n
+from sirsql.cli import main
 from sirsql.errors import ParseError, UnrenderableNode
 from sirsql.lexer import literal_value, shape, tokenize
 from sirsql.parser import MAX_EXPRESSION_DEPTH, MAX_OPERATOR_CHAIN, parse, parse_one
@@ -236,6 +237,25 @@ def test_an_operator_chain_counts_the_longest_path_of_each_expression():
     stmt = parse_one(f"Select {chain} + 1, Coalesce({chain} + 1, {chain} + 1) From S"
                      f" Where {terms} Order By S# In ({chain}, {chain}), {chain};")
     assert parse_one(render_source(stmt)) == stmt
+
+
+def _joined(alias, join, joins):
+    """S as `alias`, joined to S `joins` times with `join`."""
+    return f"S {alias}" + "".join(f" {join} S {alias}{i} On {alias}{i}.S# = {alias}.S#"
+                                  for i in range(joins))
+
+
+def test_a_join_chain_counts_each_join_as_an_operator(tmp_path, capsys):
+    # each FROM entry is counted from height 0
+    stmt = parse_one(f"Select A.S# From {_joined('A', 'Join', MAX_OPERATOR_CHAIN)},"
+                     f" {_joined('B', 'Left Outer Join', MAX_OPERATOR_CHAIN)};")
+    assert parse_one(render_source(stmt)) == stmt
+    past = f"Select A.S# From {_joined('A', 'Join', MAX_OPERATOR_CHAIN + 1)};"
+    with pytest.raises(ParseError, match=f"chained more than {MAX_OPERATOR_CHAIN} deep") as err:
+        parse_one(past)
+    assert err.value.col - 1 == past.rindex("Join")
+    assert main(["-k", str(tmp_path / "db.sqlite"), "query", past]) == 3
+    assert "chained more than" in capsys.readouterr().err
 
 
 def test_unterminated_statement():

@@ -302,6 +302,19 @@ def test_inherited_column_reads_shortest_stage(sp2):
     assert sorted(sp2.query(text).rows) == full_view_rows(sp2, text)
 
 
+@pytest.mark.parametrize("join", ["Join", "Left Join"])
+def test_a_relation_of_an_explicit_join_reads_its_shortest_stage(sp2, join):
+    comma = route(parse_one("Select SP.QTY, S.SNAME From SP, S Where S.S# = SP.S#;"),
+                  sp2.catalog)
+    text = f"Select SP.QTY, S.SNAME From SP {join} S On S.S# = SP.S#;"
+    routed, sql = routed_sql(sp2, text)
+    assert (routed.kind, routed.target, routed.reason) == (
+        comma.kind, comma.target, comma.reason) == (
+        BASE_REWRITE, "SP_1", "SP reads SP_1, skipping I_P")
+    assert sql.startswith("SELECT SP.QTY, S.SNAME FROM SP_1 SP ")
+    assert sorted(sp2.query(text).rows) == full_view_rows(sp2, text)
+
+
 def test_grouping_by_a_key_inherited_attribute_aggregates_the_base_first(sp2):
     text = "Select SCITY, Count(*), Sum(QTY) From SP Group By SCITY;"
     routed, sql = routed_sql(sp2, text)

@@ -12,6 +12,7 @@ import weakref
 
 import pytest
 
+from sirsql.catalog import Catalog
 from sirsql.cli import EXIT_RUNTIME, cmd_apply
 from sirsql.errors import CorruptCatalog, StaleCatalog
 from sirsql.kernel import KernelConnection
@@ -108,6 +109,28 @@ def test_cli_apply_exits_1_over_a_stale_catalog(tmp_path, capsys):
     script.write_text("Alter Table SP Add NOTE Char;\n")
     assert cmd_apply(b, argparse.Namespace(file=str(script), format="table")) == EXIT_RUNTIME
     assert capsys.readouterr().err.startswith("1: error: the kernel schema changed")
+
+
+def test_a_catalog_loaded_again_drops_the_statements_cached_before_it(tmp_path):
+    """A cached statement is stamped with the DDL version, which a load reads
+    from the kernel, so a reloaded catalog routes it again over the new plan."""
+    location, a, b = _two_sessions(tmp_path)
+    for _ in range(2):      # the second run hits the cache and keeps the text
+        assert len(b.query("Select QTY From SP;").rows) == 12
+        assert b.query("Select Count(*) From SP;").rows == [(12,)]
+    a.apply_source("""
+        Create Table X (Q Int, NOTE Char, Primary Key (NOTE));
+        Insert Into X Values (300, 'a'), (300, 'b');
+        Alter Table SP Add I_X (Select NOTE From X Where SP.QTY = Q);
+    """)
+    fresh = SirLayer(KernelConnection(location))
+    assert len(fresh.query("Select QTY From SP;").rows) == 15
+    assert fresh.query("Select Count(*) From SP;").rows == [(15,)]
+
+    b.catalog = Catalog.load(b.conn)
+    assert b.catalog.version == a.catalog.version
+    assert len(b.query("Select QTY From SP;").rows) == 15
+    assert b.query("Select Count(*) From SP;").rows == [(15,)]
 
 
 # --- entries shared between the sessions of one process ------------------------------
