@@ -18,10 +18,10 @@ and the session upgrades it at open (`SirLayer._upgrade`).
 
 A session reads the meta-table once, at open (`Catalog.load`), and builds
 a relation's scheme, plan and columns only when a statement first reads
-them (`_LoadedEntry`).  It takes over from the catalog of the process's
-latest open, while that catalog is alive, each entry loaded from an
-identical row whose kernel objects keep their texts, with whatever parts of
-it are already built; it decodes and checks every other row.
+them (`_LoadedEntry`).  From the catalog of the process's latest open or
+committed DDL, while alive, it takes over each entry, loaded or compiled,
+that stands for an identical row whose objects keep their texts, as built
+so far; it decodes and checks every other row.
 
 Meta rows are written inside the same kernel transaction as the DDL they
 describe; the in-memory mirror is updated only after the commit, so any
@@ -34,11 +34,11 @@ Concurrency: a catalog belongs to one session and is used only by the
 thread that opened the session's KernelConnection.  A thread that needs
 the catalog opens its own session over its own connection.  Entries are
 shared, though: between a catalog and the scratch copy an ALTER compiles
-against (`Catalog.copy`), and between the catalogs of sessions that loaded
-the same rows, whatever their threads.  No code changes an entry once it is
-built; a DDL enters a new entry in its place.  A loaded entry builds each
-part from its own row and kernel texts alone, so two threads that first
-read a part at once both get that part's value.
+against (`Catalog.copy`), and between the catalogs of sessions that read
+or wrote the same rows, whatever their threads.  No code changes an entry
+that a session's catalog holds; a DDL enters a new entry in its place.  A
+loaded entry builds each part from its own row and kernel texts alone, so
+two threads that first read a part at once both get that part's value.
 """
 
 from __future__ import annotations
@@ -270,6 +270,7 @@ class CatalogEntry:
     ie_order: list = field(default_factory=list)      # IE names in evaluation order
     source_text: str = ""
     outdated = False        # its meta row is an earlier release's (see `_LoadedEntry`)
+    _meta_row, _objects, _texts = None, (), ()      # the row it stands for (see `holds`)
 
     @property
     def kernel_objects(self) -> list[str]:
@@ -293,6 +294,17 @@ class CatalogEntry:
 
     def inherited_names(self) -> list[str]:
         return [c.name for c in self.columns if c.is_inherited]
+
+    def record(self, row: tuple):
+        """Record `row`, the meta row that a committed DDL wrote for this new
+        entry, and its plan's texts as the kernel holds them (without ';')."""
+        self._meta_row, self._objects = row, self.kernel_objects
+        self._texts = [item.sql.removesuffix(";") for item in self.plan]
+
+    def holds(self, row: tuple, kernel: _KernelText) -> bool:
+        """Whether this entry is what `row` and `kernel` would load: it stands
+        for `row` (loaded from it, or `record`ed) and its objects keep their texts."""
+        return row == self._meta_row and self._texts == list(map(kernel.__getitem__, self._objects))
 
 
 class _LoadedEntry(CatalogEntry):
@@ -334,11 +346,6 @@ class _LoadedEntry(CatalogEntry):
             if not set(map(len, self._columns)) <= {5}:
                 raise ValueError("a column row does not hold 5 fields")
 
-    def holds(self, row: tuple, kernel: _KernelText) -> bool:
-        """Whether this entry is what `row` and `kernel` would load: the row
-        is the one it was loaded from and each of its objects keeps its text."""
-        return row == self._meta_row and self._texts == list(map(kernel.__getitem__, self._objects))
-
     def statement(self, node_type=n.CreateSirTable, what="table"):
         """The statement in the source text, a `node_type`; raises CorruptCatalog."""
         try:
@@ -377,7 +384,7 @@ class _LoadedEntry(CatalogEntry):
         return scheme_columns(self.scheme, [item.stage for item in self.views])
 
 
-# a weak reference to the catalog that the latest `Catalog.load` built
+# a weak reference to the donor of the next `Catalog.load` (`serve_next_open`)
 _latest_load = None
 
 
@@ -721,20 +728,23 @@ class Catalog:
         if not self.meta_ready:
             conn.execute(self.META_DDL)
 
-    def persist(self, entry: CatalogEntry, conn):
-        """Write an entry's meta row; call inside the DDL's transaction."""
+    def persist(self, entry: CatalogEntry, conn) -> tuple:
+        """Write an entry's meta row in the DDL's transaction; return it as `load` reads it."""
+        row = (entry.name, entry.kind, entry.source_text, _document(entry))
         now = datetime.datetime.now(datetime.timezone.utc).isoformat()
         conn.execute(
             "INSERT INTO sir_relations (name, kind, created_at, source_text, plan)"
-            " VALUES (?, ?, ?, ?, ?)",
-            (entry.name, entry.kind, now, entry.source_text, _document(entry)))
+            " VALUES (?, ?, ?, ?, ?)", (*row[:2], now, *row[2:]))
+        return row
 
-    def persist_replace(self, entry: CatalogEntry, conn):
-        """Rewrite an entry's meta row after an alteration.  The row is matched
-        by the entry's name exactly as stored, so the primary key serves it."""
+    def persist_replace(self, entry: CatalogEntry, conn) -> tuple:
+        """Rewrite an entry's meta row after an alteration, matched by its name
+        exactly as stored (the primary key), and return it as `persist` does."""
+        row = (entry.name, entry.kind, entry.source_text, _document(entry))
         conn.execute(
             "UPDATE sir_relations SET kind = ?, source_text = ?, plan = ? WHERE name = ?",
-            (entry.kind, entry.source_text, _document(entry), entry.name))
+            (*row[1:], row[0]))
+        return row
 
     def persist_remove(self, name: str, conn):
         """Delete the meta row of the relation stored under `name`."""
@@ -795,11 +805,11 @@ class Catalog:
         session commits during the load leaves the catalog looking stale,
         never current.
 
-        A row is served by the entry that the catalog of the process's latest
-        load holds under its name, while that catalog is alive, when the entry
-        was loaded from an identical row and each of its kernel objects keeps
-        its text (`_LoadedEntry.holds`): such an entry is what decoding the
-        row would build, and no session changes an entry once built.  Every
+        A row is served by the entry, loaded or compiled, that the donor (the
+        catalog of the process's latest load or committed DDL, while alive)
+        holds under its name, when it `holds` the identical row and each of
+        its objects keeps its text: such an entry is what decoding the row
+        would build, and no session changes an entry once built.  Every
         other row's document is decoded here, and CorruptCatalog raised for
         one that is not JSON, lacks its plan, references or a view's columns,
         holds a plan row, its stage facts or a column row of the wrong shape,
@@ -807,7 +817,6 @@ class Catalog:
         built, so an unparseable source text, or stage facts that realize
         other IEs than it declares, raise CorruptCatalog when first read, on
         every read."""
-        global _latest_load
         catalog = cls()
         catalog.version = conn.ddl_version()
         kernel = _KernelText(conn.query("SELECT name, sql FROM sqlite_master").rows)
@@ -820,14 +829,19 @@ class Catalog:
         shared = donor._entries if donor is not None else {}
         for row in rows:
             entry = shared.get(row[0].casefold()) if shared else None
-            if entry.__class__ is not _LoadedEntry or not entry.holds(row, kernel):
+            if entry is None or not entry.holds(row, kernel):
                 try:
                     entry = _LoadedEntry(row, kernel)
                 except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
                     raise CorruptCatalog(f"{row[0]}: unreadable plan: {exc}") from exc
             catalog._register(entry, entry._objects)
-        _latest_load = weakref.ref(catalog)
+        catalog.serve_next_open()
         return catalog
+
+    def serve_next_open(self):
+        """Make this catalog the donor of the process's next `load`."""
+        global _latest_load
+        _latest_load = weakref.ref(self)
 
     def audit(self):
         """Read every entry's plan, columns and scheme; raises CorruptCatalog

@@ -317,21 +317,22 @@ class SirLayer:
                     entry = _view_entry(entry, names, entry.references)
                 if step.remove:
                     self.catalog.persist_remove(step.name, conn)
-                elif entry is None:
-                    continue
-                else:
-                    (self.catalog.persist_replace if known else self.catalog.persist)(entry, conn)
-                entered.append((step.name, entry))
+                    entered.append((step.name, None, None))
+                elif entry is not None:
+                    persist = self.catalog.persist_replace if known else self.catalog.persist
+                    entered.append((step.name, entry, persist(entry, conn)))
             conn.execute(f"PRAGMA user_version = {self.catalog.version + 1}")
 
         self.conn.within_transaction(run)
         self.catalog.version += 1
         self.catalog.meta_ready = True
-        for name, entry in entered:
+        for name, entry, row in entered:
             if entry is None:
                 self.catalog.detach(name)
             else:
+                entry.record(row)
                 self.catalog.attach(entry)
+        self.catalog.serve_next_open()
         return sent
 
     def _upgrade(self):

@@ -112,18 +112,20 @@ def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatemen
 
     One walk over the statement collects the column names and the selects.
     A select with a star keeps the relations of its FROM clause whole; the
-    relations of the other selects are the candidates for a prefix.
+    relations of the other selects are the candidates for a prefix, each
+    needing the names left unqualified or qualified by one of its FROM terms.
     """
     if prune and stmt.select.group_by:
         routed = _pre_aggregate(stmt, catalog)
         if routed is not None:
             return routed
-    names, selects = set(), []
+    names, qualified, selects = set(), {}, []     # qualified: casefold qualifier -> names
     column_ref, select_node = n.ColumnRef, n.Select
     for sub in n.walk(stmt.select):
         cls = type(sub)
         if cls is column_ref:
-            names.add(sub.name)
+            (qualified.setdefault(sub.table.casefold(), set()) if sub.table else names).add(
+                sub.name.casefold())
         elif cls is select_node:
             selects.append(sub)
 
@@ -140,7 +142,6 @@ def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatemen
     targets, reasons = {}, []
     if prune and tables:
         whole = {t.name.casefold() for sel in star_selects for t in _from_tables(sel)}
-        columns = {name.casefold() for name in names}
         for table in tables:
             key = table.name.casefold()
             if key in whole or key in targets:
@@ -148,6 +149,8 @@ def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatemen
             chain = catalog.prefix_chain(table.name)
             if chain is None:
                 continue
+            columns = names.union(*(qualified.get(q.casefold(), ()) for t in tables
+                                    if t.name.casefold() == key for q in (t.name, t.alias) if q))
             need = max((chain.stage_of[c] for c in columns if c in chain.stage_of), default=0)
             last = max(need, chain.floor)
             skipped = [ie for ies in chain.ies[last + 1:] for ie in ies]

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+import sqlite3
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sirsql import catalog
 from sirsql.catalog import scheme_to_ast
 from sirsql.errors import KernelError, ParseError, SirSqlError
 from sirsql.kernel import KernelConnection, RowSet
@@ -264,6 +266,57 @@ def test_random_alters_leave_the_entries_another_session_shares_alone(tmp_path):
             assert _rendered_schemes(held) == schemes, text
         held.conn.close()
         active.conn.close()
+
+
+def _recording(layer) -> list:
+    """The (SQL, parameters) of each statement `layer` sends from now on."""
+    sent, execute = [], layer.conn.execute
+
+    def record(sql, params=(), origin=None):
+        sent.append((sql, tuple(params)))
+        return execute(sql, params, origin)
+
+    layer.conn.execute = record
+    return sent
+
+
+def _outcome(layer, text):
+    try:
+        layer.apply_source(text)
+        return None
+    except SirSqlError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_a_writers_entries_build_what_a_cold_load_builds(tmp_path):
+    """After random DDL, a session that takes over the writer's compiled
+    entries and one that decodes every row (no donor) hold equal snapshots,
+    and send byte-identical kernel statements for the next random ALTER, so
+    an entry compiled from a statement builds what parsing its source text
+    builds."""
+    rng = random.Random(5151)
+    for case in range(CASES):
+        schema, x_rows, r_rows = random_sir_case(rng)
+        location, copy = (str(tmp_path / f"{case}{side}.sqlite") for side in "ab")
+        writer = SirLayer(KernelConnection(location))
+        apply_case(writer, schema, x_rows, r_rows)
+        for _ in range(rng.randint(0, 4)):
+            _outcome(writer, random_alter(rng, writer))
+        with sqlite3.connect(copy) as target:
+            writer.conn._db.backup(target)
+        warm = SirLayer(KernelConnection(location))
+        assert all(warm.catalog.get(e.name) is e for e in writer.catalog.entries())
+        catalog._latest_load = None
+        cold = SirLayer(KernelConnection(copy))
+        assert not any(cold.catalog.get(e.name) is e for e in writer.catalog.entries())
+        assert warm.catalog.snapshot() == cold.catalog.snapshot()
+        text = random_alter(rng, warm)
+        warm_sent, cold_sent = _recording(warm), _recording(cold)
+        assert _outcome(warm, text) == _outcome(cold, text), text
+        assert warm_sent == cold_sent, text
+        assert warm.catalog.snapshot() == cold.catalog.snapshot(), text
+        for layer in (writer, warm, cold):
+            layer.conn.close()
 
 
 # --- the statement cache against the uncached path ----------------------------------

@@ -310,8 +310,8 @@ def test_a_relation_of_an_explicit_join_reads_its_shortest_stage(sp2, join):
     routed, sql = routed_sql(sp2, text)
     assert (routed.kind, routed.target, routed.reason) == (
         comma.kind, comma.target, comma.reason) == (
-        BASE_REWRITE, "SP_1", "SP reads SP_1, skipping I_P")
-    assert sql.startswith("SELECT SP.QTY, S.SNAME FROM SP_1 SP ")
+        BASE_REWRITE, "SP_B", "SP reads SP_B, skipping I_S, I_P")
+    assert sql.startswith("SELECT SP.QTY, S.SNAME FROM SP_B SP ")
     assert sorted(sp2.query(text).rows) == full_view_rows(sp2, text)
 
 
@@ -408,10 +408,22 @@ def test_star_over_relation_keeps_it_whole(sp2):
     assert routed.kind == PASS_THROUGH
 
 
-def test_qualifier_matching_any_column_counts(sp2):
-    # SNAME is qualified by S, but SP has a column of that name too
-    routed, _ = routed_sql(sp2, "Select S.SNAME From S, SP Where S.S# = SP.S#;")
-    assert routed.target == "SP_1"
+@pytest.mark.parametrize("text, target, reason", [
+    # SNAME is qualified by S, though SP has a column of that name too
+    ("Select S.SNAME From S, SP Where S.S# = SP.S#;", "SP_B", "SP reads SP_B, skipping I_S, I_P"),
+    ("Select Count(*) From SP, S Where S.S# = SP.S# And S.SNAME = 'Smith';",
+     "SP_B", "SP reads SP_B, skipping I_S, I_P"),
+    # a name qualified by SP's alias, or unqualified, counts for SP
+    ("Select Count(*) From S, SP X Where S.S# = X.S# And X.SNAME = 'Smith';",
+     "SP_1", "SP reads SP_1, skipping I_P"),
+    ("Select Count(*) From SP Where SNAME = 'Smith';", "SP_1", "SP reads SP_1, skipping I_P"),
+    # each FROM term of SP counts for it: B needs the full view, so A gets it too
+    ("Select Count(*) From SP A, SP B Where A.S# = B.S# And B.PNAME = 'Nut';", None, None),
+])
+def test_a_qualified_column_counts_only_for_its_own_relation(sp2, text, target, reason):
+    routed, _ = routed_sql(sp2, text)
+    assert (routed.target, routed.reason) == (target, reason)
+    assert sorted(sp2.query(text).rows) == full_view_rows(sp2, text)
 
 
 def test_pruned_reference_keeps_alias_for_correlated_subquery(sp2):

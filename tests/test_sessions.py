@@ -1,6 +1,7 @@
 """Two sessions over one kernel file: a DDL statement never commits over a
 catalog that another session's DDL has made stale, and a session opened
-while another is alive takes over its entries only for unchanged rows."""
+while another is alive takes over its entries, loaded or compiled for its
+own DDL, only for unchanged rows."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from sirsql.cli import EXIT_RUNTIME, cmd_apply
 from sirsql.errors import CorruptCatalog, StaleCatalog
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
+from sirsql.parser import parse_one
 
 from conftest import SP2_QUERIES, kernel_state, load_sp2
 
@@ -153,8 +155,8 @@ def test_a_later_session_shares_the_entries_of_unchanged_rows_only(tmp_path):
     assert changed == {"S", "SP"}
     for name in after:
         entry = c.catalog.get(name)
-        if name in changed:     # a's own entries are compiled, not loaded
-            assert entry is not b.catalog.get(name) and entry is not a.catalog.get(name)
+        if name in changed:     # a's own entries, which it compiled for its DDL
+            assert entry is not b.catalog.get(name) and entry is a.catalog.get(name)
         else:
             assert entry is b.catalog.get(name), name
 
@@ -170,6 +172,73 @@ def test_a_base_changed_under_an_unchanged_row_is_read_again(tmp_path):
     assert c.catalog.get("SP") is not b.catalog.get("SP")
     assert c.catalog.get("S") is b.catalog.get("S")
     assert "ZNOTE" in c.explain("SP")[0] and "ZNOTE" not in b.explain("SP")[0]
+
+
+def test_the_writers_entries_serve_the_next_open(tmp_path, monkeypatch):
+    """The session that built the file from empty, then altered it, serves a
+    later open with every entry it compiled, so an ALTER there parses no
+    source text."""
+    location = str(tmp_path / "db.sqlite")
+    writer = load_sp2(SirLayer(KernelConnection(location)))
+    writer.apply_source("Create Table D (K Char, N Int, Primary Key (K));"
+                        " Create Table R (K Char, FD Char, Primary Key (K),"
+                        " I_D (Select */K From D Where R.FD = K));"
+                        " Alter Table D Add M Char; Alter Table S Add NOTE Char;")
+    reader = SirLayer(KernelConnection(location))
+    assert reader.catalog.snapshot() == writer.catalog.snapshot()
+    assert all(reader.catalog.get(e.name) is e for e in writer.catalog.entries())
+    parses = []
+    monkeypatch.setattr("sirsql.catalog.parse_one",
+                        lambda text: parses.append(text) or parse_one(text))
+    reader.apply_source("Alter Table D Add L Char; Alter Table SP Add I_Q As (QTY + 1);")
+    assert parses == []
+    assert reader.query("Select * From R;").columns == ["K", "FD", "N", "M", "L"]
+    assert reader.query("Select I_Q From SP Where S# = 'S1' And P# = 'P1';").rows == [(301,)]
+
+
+def _raw(location: str, sql: str):
+    raw = sqlite3.connect(location)
+    raw.execute(sql)
+    raw.commit()
+    raw.close()
+
+
+def test_a_base_extended_behind_the_writers_back_is_read_again(tmp_path):
+    """T holds rows over the rebuild bound, so the writer's ALTER extends
+    its base by ``ADD COLUMN``; SQLite's edit is the compiled text, and the
+    next open takes the writer's entry.  Another ``ADD COLUMN`` on that base
+    leaves T's meta row as it was, and the open after it reads T again."""
+    location = str(tmp_path / "db.sqlite")
+    writer = load_sp2(SirLayer(KernelConnection(location)))
+    writer.apply_source("Create Table T (K Int, A Char, Primary Key (K));")
+    writer.apply_source("Insert Into T Values " + ", ".join(f"({k}, 'a')" for k in range(100))
+                        + ";")
+    sent = []
+    writer.conn.execute = lambda sql, *args, execute=writer.conn.execute, **kwargs: (
+        sent.append(sql), execute(sql, *args, **kwargs))[1]
+    writer.apply_source("Alter Table T Add N Char;")
+    assert "ALTER TABLE T ADD COLUMN N Char;" in sent
+    reader = SirLayer(KernelConnection(location))
+    assert reader.catalog.get("T") is writer.catalog.get("T")
+    assert reader.explain("T") == [writer.conn.query(
+        "SELECT sql FROM sqlite_master WHERE name = 'T'").rows[0][0] + ";"]
+
+    _raw(location, "ALTER TABLE T ADD COLUMN Z TEXT")
+    later = SirLayer(KernelConnection(location))
+    assert later.catalog.get("T") is not writer.catalog.get("T")
+    assert later.catalog.get("S") is writer.catalog.get("S")
+    assert "Z TEXT" in later.explain("T")[0] and "Z TEXT" not in writer.explain("T")[0]
+
+
+def test_a_base_changed_after_the_writers_commit_is_read_again(tmp_path):
+    location = str(tmp_path / "db.sqlite")
+    writer = load_sp2(SirLayer(KernelConnection(location)))
+    writer.apply_source("Alter Table SP Add NOTE Char;")
+    _raw(location, "ALTER TABLE SP_B ADD COLUMN ZNOTE TEXT")
+    reader = SirLayer(KernelConnection(location))
+    assert reader.catalog.get("SP") is not writer.catalog.get("SP")
+    assert reader.catalog.get("S") is writer.catalog.get("S")
+    assert "ZNOTE" in reader.explain("SP")[0] and "ZNOTE" not in writer.explain("SP")[0]
 
 
 @pytest.mark.parametrize("sabotage, message", [
