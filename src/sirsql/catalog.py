@@ -99,6 +99,9 @@ class SirScheme:
 
 
 def scheme_from_ast(stmt: n.CreateSirTable) -> SirScheme:
+    """The scheme a CREATE TABLE declares.  Its primary key (an inline
+    marker before a PRIMARY KEY clause) comes first; a key equal to one
+    already listed is skipped."""
     elements, keys, fks = [], [], []
     inline_pk = [e.name for e in stmt.elements
                  if isinstance(e, n.AttributeDecl) and e.is_primary_key]
@@ -113,11 +116,16 @@ def scheme_from_ast(stmt: n.CreateSirTable) -> SirScheme:
             elements.append(element)
     if inline_pk:
         keys.insert(0, inline_pk)
+    keys = [key for pos, key in enumerate(keys) if key not in keys[:pos]]
     return SirScheme(name=stmt.name, elements=elements, keys=keys, foreign_keys=fks)
 
 
 def scheme_to_ast(scheme: SirScheme) -> n.CreateSirTable:
-    elements = list(scheme.elements)
+    """The CREATE TABLE of a scheme: its elements, each attribute without
+    an inline PRIMARY KEY marker, then its keys as clauses and its foreign
+    keys.  It writes every key clause the kernel and the source text hold."""
+    elements = [e.replace(is_primary_key=False) if isinstance(e, n.AttributeDecl)
+                and e.is_primary_key else e for e in scheme.elements]
     if scheme.keys:
         elements.append(n.PrimaryKeyClause(columns=list(scheme.keys[0])))
         for extra in scheme.keys[1:]:
@@ -232,15 +240,13 @@ class _KernelText(dict):
 class PrefixChain:
     """How a query may read a relation through a prefix of its view chain.
 
-    `objects[k]` is the kernel object holding the stored attributes plus
-    the outputs of stages 1..k (0 is the base, the last one the full view);
-    `ies[k]` names the IEs stage k realizes.  Every stage after `floor`
-    provably keeps card(R_B), so any prefix ending at or after `floor`
-    has the full view's rows.
+    The prefix ending at stage k is `plan[k]` of the relation's entry (0 the
+    base), holding the stored attributes plus what stages 1..k add.  Every
+    stage after `floor` provably keeps card(R_B), so any prefix ending at or
+    after `floor` has the full view's rows; with a floor of 0 the relation
+    keeps card(R_B) (`Catalog.keeps_card`).
     """
 
-    objects: list
-    ies: list
     stage_of: dict              # casefold column -> index of the stage producing it
     floor: int
 
@@ -267,7 +273,6 @@ class CatalogEntry:
     columns: list                        # ColumnInfo, full declared order
     plan: list = field(default_factory=list)          # PlanItem; definitional DDL
     references: list = field(default_factory=list)    # relation names this entry reads
-    ie_order: list = field(default_factory=list)      # IE names in evaluation order
     source_text: str = ""
     outdated = False        # its meta row is an earlier release's (see `_LoadedEntry`)
     _meta_row, _objects, _texts = None, (), ()      # the row it stands for (see `holds`)
@@ -279,6 +284,12 @@ class CatalogEntry:
     @property
     def views(self) -> list[PlanItem]:
         return [item for item in self.plan if item.kind == "view"]
+
+    @property
+    def ie_order(self) -> list[str]:
+        """The IE names in evaluation order: those its view stages realize, in
+        chain order (none for a table, a user view or an outdated row)."""
+        return [ie for item in self.plan if item.stage for ie in item.stage.ies]
 
     def ie_stage(self, ie_name: str) -> tuple[int, StageFacts] | None:
         """1-based position and facts of the view stage realizing an IE."""
@@ -309,7 +320,7 @@ class CatalogEntry:
 
 class _LoadedEntry(CatalogEntry):
     """An entry as `Catalog.load` read it from its meta row.  Its scheme,
-    plan, IE order and columns are built the first time each is read, and
+    plan and columns are built the first time each is read, and
     kept; a build that raises keeps nothing, so every read raises.  A view's
     columns are read from the row, a table's derived (`scheme_columns`).
 
@@ -366,10 +377,6 @@ class _LoadedEntry(CatalogEntry):
         """The plan rows, each with the kernel's text of its object."""
         return [PlanItem(name, kind, sql + ";", StageFacts(**facts) if facts is not None else None)
                 for (name, kind, facts), sql in zip(self._rows, self._texts)]
-
-    @cached_property
-    def ie_order(self) -> list[str]:
-        return [ie for item in self.views if item.stage for ie in item.stage.ies]
 
     @cached_property
     def columns(self) -> list[ColumnInfo]:
@@ -458,7 +465,9 @@ class Catalog:
         # casefold name -> entry, in registration order (an entry entered again
         # under its name keeps its place)
         self._entries: dict[str, CatalogEntry] = {}
-        self._owners: dict[str, CatalogEntry] = {}    # casefold generated object -> entry
+        # casefold generated object -> its entry and its index in the entry's
+        # plan: 0 the base R_B, k the view of stage k (`_register`)
+        self._owners: dict[str, tuple[CatalogEntry, int]] = {}
         # what is built from the current entries; dropped on attach/detach
         self._keeps_card: dict[str, bool] = {}
         self._chains: dict[str, PrefixChain | None] = {}
@@ -486,26 +495,21 @@ class Catalog:
     def owner_of_object(self, name: str) -> CatalogEntry | None:
         """Entry whose kernel plan produced the named object, if any; a
         relation's own name maps to nothing."""
-        return self._owners.get(name.casefold())
+        owned = self._owners.get(name.casefold())
+        return owned[0] if owned else None
 
     def resolve_columns(self, name: str) -> list[str] | None:
-        """Columns of a registered relation or of a generated kernel object."""
+        """Columns of a registered relation or of a generated kernel object:
+        the object at index k of its owner's plan holds the stored attributes
+        plus what stages 1..k add (none for the base)."""
         key = name.casefold()
         if key in self._entries:
             return self._entries[key].column_names
-        owner = self.owner_of_object(name)
+        owner, index = self._owners.get(key, (None, 0))
         if owner is None or owner.scheme is None:
             return None
-        if _BASE_SUFFIX.search(name):
-            return owner.scheme.stored_names
-        # a stage view carries the stored attrs plus what each stage up to
-        # and including it adds
-        columns = list(owner.scheme.stored_names)
-        for item in owner.views:
-            columns.extend(item.stage.adds)
-            if item.name.casefold() == key:
-                return columns
-        return None
+        return owner.scheme.stored_names + [
+            c for item in owner.plan[1:index + 1] for c in item.stage.adds]
 
     # --- cardinality proofs ---
 
@@ -537,15 +541,15 @@ class Catalog:
                 for source, _ in item.stage.joins if source.casefold() != key]
 
     def _card_rule(self, key: str) -> bool:
-        """`keeps_card` of `key` once its join sources are proved."""
+        """`keeps_card` of `key` once its join sources are proved: true for a
+        stored relation and a generated base (index 0 of its owner's plan),
+        and for a relation with IEs whose `prefix_chain` has floor 0."""
         entry = self._entries.get(key)
         if entry is None:
-            owner = self.owner_of_object(key)
-            return owner is not None and owner.plan[0].name.casefold() == key
+            return key in self._owners and self._owners[key][1] == 0
         if entry.kind == STORED:
             return True
-        return entry.kind == SIR and all(
-            self.stage_keeps_card(entry, item.stage) for item in entry.views)
+        return entry.kind == SIR and self.prefix_chain(key).floor == 0
 
     def stage_keeps_card(self, entry: CatalogEntry, stage: StageFacts) -> bool:
         """Whether a view stage of `entry` provably keeps its input's row count.
@@ -579,8 +583,9 @@ class Catalog:
         return entry.scheme
 
     def prefix_chain(self, name: str) -> PrefixChain | None:
-        """The view chain of a relation with IEs, for prefix routing; None for
-        any other relation."""
+        """The view chain of a relation with IEs, for prefix routing and card
+        proofs; None for any other relation.  Memoised until the next attach
+        or detach, so each stage is proved once per change."""
         key = name.casefold()
         if key in self._chains:
             return self._chains[key]
@@ -588,14 +593,12 @@ class Catalog:
         chain = None
         if entry is not None and entry.kind == SIR:
             stage_of = {c.casefold(): 0 for c in entry.scheme.stored_names}
-            objects, ies, floor = [entry.plan[0].name], [[]], 0
+            floor = 0
             for pos, item in enumerate(entry.views, start=1):
                 stage_of.update((c.casefold(), pos) for c in item.stage.adds)
-                objects.append(item.name)
-                ies.append(item.stage.ies)
                 if not self.stage_keeps_card(entry, item.stage):
                     floor = pos
-            chain = PrefixChain(objects=objects, ies=ies, stage_of=stage_of, floor=floor)
+            chain = PrefixChain(stage_of=stage_of, floor=floor)
         self._chains[key] = chain
         return chain
 
@@ -612,9 +615,8 @@ class Catalog:
                 for ref in entry.references:
                     ref = ref.casefold()
                     readers.setdefault(ref, {})[key] = None
-                    owner = self._owners.get(ref)
-                    if owner is not None:
-                        readers.setdefault(owner.name.casefold(), {})[key] = None
+                    if ref in self._owners:
+                        readers.setdefault(self._owners[ref][0].name.casefold(), {})[key] = None
             self._readers = readers
         return self._readers
 
@@ -698,24 +700,20 @@ class Catalog:
         _, cycle = depth_first(key, lambda node: refs if node == key else self._reads(node))
         if cycle is not None:
             raise CircularReferenceError([
-                name if c == key else (self._entries.get(c) or self._owners[c]).name
+                name if c == key else (self._entries.get(c) or self._owners[c][0]).name
                 for c in cycle])
 
     def _reads(self, key: str) -> list[str]:
         """What relation or kernel object `key` (casefold) reads, casefold: a
-        relation its references, a base nothing, and a stage view ``R_k``
-        what the IEs of stages 1..k reference."""
-        owner = self._owners.get(key)
-        if owner is None or owner.plan[0].name.casefold() == key:
+        relation its references, a base nothing, and the view at index k of
+        its owner's plan what the IEs of stages 1..k reference."""
+        owner, index = self._owners.get(key, (None, 0))
+        if not index:
             entry = self._entries.get(key)      # no relation is named as a base
             return [ref.casefold() for ref in entry.references] if entry is not None else []
-        ies = set()
-        for item in owner.views:
-            ies.update(ie.casefold() for ie in item.stage.ies)
-            if item.name.casefold() == key:
-                return [ref.casefold() for ie in owner.scheme.ies if ie.name.casefold() in ies
-                        for ref in ie_references(ie, owner.name)]
-        return []
+        ies = {ie.casefold() for item in owner.plan[1:index + 1] for ie in item.stage.ies}
+        return [ref.casefold() for ie in owner.scheme.ies if ie.name.casefold() in ies
+                for ref in ie_references(ie, owner.name)]
 
     # --- persistence ---
 
@@ -779,16 +777,17 @@ class Catalog:
         self._changed()
 
     def _register(self, entry: CatalogEntry, objects: list[str]):
-        """Enter `entry`, whose kernel objects are `objects`, in place of any
-        entry of the same name (which keeps its place in registration order);
-        the caller then calls `_changed`."""
+        """Enter `entry`, whose kernel objects are `objects` in plan order, in
+        place of any entry of the same name (which keeps its place in
+        registration order), and record each generated object's index in the
+        plan; the caller then calls `_changed`."""
         key = entry.name.casefold()
         self._forget_entry(key)
         self._entries[key] = entry
-        for name in objects:
+        for index, name in enumerate(objects):
             folded = name.casefold()
             if folded != key:
-                self._owners[folded] = entry
+                self._owners[folded] = entry, index
 
     def _forget_entry(self, key: str):
         """Drop the generated objects of the entry named `key`."""
@@ -856,6 +855,6 @@ class Catalog:
                   [astuple(c) for c in entry.columns],
                   [(i.name, i.kind, i.sql, i.stage) for i in entry.plan],
                   [r.casefold() for r in entry.references],
-                  list(entry.ie_order))
+                  entry.ie_order)
             for key, entry in self._entries.items()
         }

@@ -302,9 +302,10 @@ def canonicalize_all(scheme: SirScheme, catalog: Catalog) -> list[CanonicalIE]:
 def order_ies(scheme: SirScheme, canon: list[CanonicalIE]) -> list[CanonicalIE]:
     """Topological evaluation order: an IE reading another's output runs later.
 
-    Ties keep declaration order.  References counted are column names that
-    no source of the IE other than the relation itself holds, plus anything
-    qualified with the relation's own name.
+    Ties keep declaration order.  References counted are the enclosing
+    columns of a join's recursive-join pairs, column names that no source of
+    the IE other than the relation itself holds, and anything qualified with
+    the relation's own name.
     """
     own = scheme.name.casefold()
     produced_by = {}
@@ -319,7 +320,7 @@ def order_ies(scheme: SirScheme, canon: list[CanonicalIE]) -> list[CanonicalIE]:
             exprs = [cie.select]
         else:
             exprs = [i.expr for i in cie.select_items] + ([cie.residual] if cie.residual else [])
-        refs = set()
+        refs = {encl.casefold() for _, _, encl in cie.join_pairs} if cie.kind == "join" else set()
         for expr in exprs:
             for ref in column_refs(expr):
                 if ref.table is not None:
@@ -470,13 +471,8 @@ def _base_table_sql(scheme: SirScheme, name: str) -> str:
     (the `_declared_width` of its stored attributes) exceeds
     `_CLUSTERED_ROW_BYTES` would be slower and larger clustered.  A table
     with no key has nothing to cluster by."""
-    elements: list = [a.replace(is_primary_key=False) for a in scheme.stored_attrs]
-    if scheme.keys:
-        elements.append(n.PrimaryKeyClause(columns=list(scheme.keys[0])))
-        for extra in scheme.keys[1:]:
-            elements.append(n.UniqueClause(columns=list(extra)))
-    elements.extend(scheme.foreign_keys)
-    sql = render(n.CreateSirTable(name=name, elements=elements))
+    sql = render(scheme_to_ast(SirScheme(name, scheme.stored_attrs, scheme.keys,
+                                         scheme.foreign_keys)))
     key = scheme.primary_key()
     if not key or sum(map(_declared_width, scheme.stored_attrs)) > _CLUSTERED_ROW_BYTES:
         return sql
@@ -502,8 +498,8 @@ def compile_sir(scheme: SirScheme, catalog: Catalog, base: PlanItem | None = Non
 
 
 def compile_chain(entry: CatalogEntry, catalog: Catalog) -> CatalogEntry:
-    """A new entry: `entry` with its view chain, columns and IE order compiled
-    from its scheme against `catalog`.  Its base item (`plan[0]`), references
+    """A new entry: `entry` with its view chain and columns compiled from its
+    scheme against `catalog`.  Its base item (`plan[0]`), references
     and source text are kept: the scheme alone fixes them, so an ALTER
     cascade recompiles a star dependent, whose scheme it does not change,
     through this alone.
@@ -560,8 +556,7 @@ def compile_chain(entry: CatalogEntry, catalog: Catalog) -> CatalogEntry:
         add_view(scheme.name, reorder, StageFacts(kind="reorder", ies=[], adds=[]))
 
     return CatalogEntry(name=entry.name, kind=entry.kind, scheme=scheme, columns=columns,
-                        plan=items, references=entry.references,
-                        ie_order=[c.name for c in ordered], source_text=entry.source_text)
+                        plan=items, references=entry.references, source_text=entry.source_text)
 
 
 # --- alter ---------------------------------------------------------------------

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 
 from . import nodes as n
+from .catalog import depth_first
 from .errors import NoProgress, NotApplicable, ParseError, SchemaMismatch
 from .render import render_source
 
@@ -339,8 +340,10 @@ def normalize(universal: SchemeDraft, fds, mvds, heath_first: bool = False,
 
     Multivalued dependencies are taken first by default; `heath_first`
     forces functional splits first, demonstrating the stored-value blowup.
-    `name_hints` maps frozensets of stored attribute names (casefolded) to
-    the names the resulting schemes should take.
+    Each split is named after the draft it splits plus the first number
+    that makes a name no draft holds (``U1``, ``U2``, ...); `name_hints`
+    maps frozensets of stored attribute names (casefolded) to the names the
+    resulting schemes should take instead.
     """
     hints = {frozenset(k): v for k, v in (name_hints or {}).items()}
     drafts = [copy.deepcopy(universal)]
@@ -369,13 +372,16 @@ def normalize(universal: SchemeDraft, fds, mvds, heath_first: bool = False,
         use_mvd = mvd is not None and (not heath_first or fd is None)
         position = drafts.index(target)
         before_sets = {d.stored_set() for d in drafts}
+        taken = {d.name.casefold() for d in drafts}
+        split_name = next(name for name in (f"{target.name}{k}" for k in count(1))
+                          if name.casefold() not in taken)
         if use_mvd:
-            step = fagin_decompose(target, mvd, fds)
+            step = fagin_decompose(target, mvd, fds, split_name)
         else:
             if fd is None:
                 raise NoProgress(
                     f"{target.name} violates 4NF but no declared dependency applies")
-            step = heath_decompose(target, fd, fds)
+            step = heath_decompose(target, fd, fds, split_name)
         split, residual = step.outputs
         drafts[position:position + 1] = [split, residual]
         apply_hints()
@@ -519,23 +525,18 @@ def draft_to_ast(draft: SchemeDraft) -> n.CreateSirTable:
 
 
 def drafts_to_sirsql(drafts) -> str:
-    """CREATE TABLE statements for the final drafts, referenced schemes first."""
+    """CREATE TABLE statements for the final drafts, referenced schemes
+    first: the postorder of one `depth_first` walk over the drafts in order
+    and, from each, the drafts its IEs read."""
     by_name = {d.name.casefold(): d for d in drafts}
-    done, out = set(), []
 
-    def emit(draft):
-        if draft.name.casefold() in done:
-            return
-        done.add(draft.name.casefold())
-        for ie in draft.ies:
-            dep = by_name.get(ie.source.casefold())
-            if dep is not None and dep is not draft:
-                emit(dep)
-        out.append(render_source(draft_to_ast(draft)))
+    def reads(key):
+        if key is None:
+            return list(by_name)
+        return [s for s in (ie.source.casefold() for ie in by_name[key].ies) if s in by_name]
 
-    for draft in drafts:
-        emit(draft)
-    return "\n".join(out) + "\n"
+    postorder, _ = depth_first(None, reads)
+    return "\n".join(render_source(draft_to_ast(by_name[key])) for key in postorder[:-1]) + "\n"
 
 
 def render_trace(steps) -> str:

@@ -152,12 +152,12 @@ def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatemen
             columns = names.union(*(qualified.get(q.casefold(), ()) for t in tables
                                     if t.name.casefold() == key for q in (t.name, t.alias) if q))
             need = max((chain.stage_of[c] for c in columns if c in chain.stage_of), default=0)
-            last = max(need, chain.floor)
-            skipped = [ie for ies in chain.ies[last + 1:] for ie in ies]
+            last, plan = max(need, chain.floor), catalog.get(table.name).plan
+            skipped = [ie for item in plan[last + 1:] for ie in item.stage.ies]
             if not skipped:         # only the full view or a column reordering is left
                 continue
-            targets[key] = chain.objects[last]
-            reasons.append(f"{table.name} reads {chain.objects[last]},"
+            targets[key] = plan[last].name
+            reasons.append(f"{table.name} reads {plan[last].name},"
                            f" skipping {', '.join(skipped)}")
 
     if not targets and not star_minus:

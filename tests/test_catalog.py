@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sirsql
 from sirsql import catalog as catalog_module
 from sirsql import compiler
-from sirsql.catalog import STORED, Catalog, CatalogEntry, scheme_from_ast
+from sirsql.catalog import SIR, STORED, Catalog, CatalogEntry, scheme_from_ast
 from sirsql.cli import main
 from sirsql.errors import (CircularReferenceError, CorruptCatalog, DependentsExist,
                            DuplicateName, InvariantViolation, NameCollision,
@@ -197,6 +202,80 @@ def test_a_stored_scheme_with_two_primary_keys_still_opens(tmp_path):
     reopened.catalog.audit()
     assert reopened.catalog.get("U").scheme.keys == [["A"], ["B"]]
     assert reopened.query("Select * From U;").rows == [(1, 2)]
+
+
+# one ALTER in a new process over the file named first; it prints the keys read at open
+_ALTER_IN_A_NEW_PROCESS = """
+import sys
+from sirsql.kernel import KernelConnection
+from sirsql.layer import SirLayer
+layer = SirLayer(KernelConnection(sys.argv[1]))
+print(layer.catalog.get("S").scheme.keys)
+layer.apply_source(f"Alter Table S Add C{sys.argv[2]} Char;")
+"""
+
+
+def test_an_inline_primary_key_is_read_once_in_each_new_process(tmp_path):
+    location = str(tmp_path / "db.sqlite")
+    layer = SirLayer(KernelConnection(location))
+    layer.apply_source("Create Table S (S# Char Primary Key, SNAME Char);")
+    assert layer.catalog.get("S").scheme.keys == [["S#"]]
+    layer.conn.close()
+    env = {**os.environ, "PYTHONPATH": str(Path(sirsql.__file__).parents[1])}
+    for k in range(3):
+        done = subprocess.run([sys.executable, "-c", _ALTER_IN_A_NEW_PROCESS, location, str(k)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "[['S#']]\n")
+    reopened = SirLayer(KernelConnection(location))
+    entry = reopened.catalog.get("S")
+    assert entry.scheme.keys == [["S#"]]
+    assert entry.source_text == ("CREATE TABLE S (S# Char, SNAME Char, C0 Char, C1 Char, C2 Char,"
+                                 " PRIMARY KEY (S#));")
+    assert "UNIQUE" not in entry.plan[0].sql
+
+
+def test_a_key_stored_twice_reads_once_and_the_next_alter_writes_it_once(tmp_path):
+    # what an inline key became after an ALTER in a new process, before keys were deduplicated
+    location = str(tmp_path / "db.sqlite")
+    layer = SirLayer(KernelConnection(location))
+    layer.apply_source("Create Table S (S# Char Primary Key, SNAME Char);")
+    layer.conn.execute("UPDATE sir_relations SET source_text = 'CREATE TABLE S (S# Char PRIMARY KEY,"
+                       " SNAME Char, PRIMARY KEY (S#), UNIQUE (S#));'")
+    layer.conn.close()
+    catalog_module._latest_load = None
+    reopened = SirLayer(KernelConnection(location))
+    assert reopened.catalog.get("S").scheme.keys == [["S#"]]
+    reopened.apply_source("Alter Table S Add CITY Char;")
+    assert reopened.catalog.get("S").source_text == \
+        "CREATE TABLE S (S# Char, SNAME Char, CITY Char, PRIMARY KEY (S#));"
+    assert "UNIQUE" not in reopened.conn.query(
+        "SELECT sql FROM sqlite_master WHERE name = 'S'").rows[0][0]
+
+
+# a relation of five stages over S-P3: two joins, a value IE over both, one
+# of its own stored attributes, and a reorder view, since LBL is declared first
+FIVE_STAGES = ("Create Table T (K Int, LBL As (SNAME || '/' || PNAME), S# Char, P# Char,"
+               " I_S (Select SNAME From S Where S# = T.S#),"
+               " I_P (Select PNAME From P Where P# = T.P#), DBL As (K * 2), Primary Key (K));")
+
+
+def test_each_base_and_stage_view_resolves_to_the_columns_the_kernel_reports(tmp_path):
+    location = str(tmp_path / "db.sqlite")
+    writer = load_sp2(SirLayer(KernelConnection(location)))
+    writer.apply_source(fixture_text("sp3_alters.sirsql"))
+    writer.apply_source(FIVE_STAGES)
+    catalog_module._latest_load = None
+    cold = SirLayer(KernelConnection(location))
+    assert cold.catalog.get("T") is not writer.catalog.get("T")
+    for layer in (writer, cold):
+        objects = [item.name for entry in layer.catalog.entries() if entry.kind == SIR
+                   for item in entry.plan]
+        assert objects == ["S_B", "S_1", "S", "P_B", "P_1", "P_2", "P", "SP_B", "SP_1", "SP",
+                           "T_B", "T_1", "T_2", "T_3", "T_4", "T"]
+        for obj in objects:
+            assert layer.catalog.resolve_columns(obj) == layer.conn.introspect(obj), obj
+    assert [item.stage.kind for item in cold.catalog.get("T").views] == \
+        ["join", "join", "value", "value", "reorder"]
 
 
 def test_unknown_relation(sp2):
@@ -533,7 +612,7 @@ def test_an_entry_built_directly_keeps_its_fields_and_defaults():
     assert [(p.name, p.default is p.empty)
             for p in inspect.signature(CatalogEntry).parameters.values()] == [
         ("name", True), ("kind", True), ("scheme", True), ("columns", True),
-        ("plan", False), ("references", False), ("ie_order", False), ("source_text", False)]
+        ("plan", False), ("references", False), ("source_text", False)]
     first, second = (CatalogEntry(name="R", kind=STORED, scheme=None, columns=[])
                      for _ in range(2))
     assert (first.plan, first.references, first.ie_order, first.source_text) == ([], [], [], "")

@@ -169,6 +169,21 @@ def test_order_moves_referenced_value_ie_first():
     assert [c.name for c in ordered] == ["WEIGHT_KG", "WEIGHT_T"]
 
 
+def test_an_ie_joined_on_another_ies_output_runs_after_it():
+    # U's IE I_U1 joins U1 on A0, which I_U2 inherits from U2
+    layer = make_layer()
+    layer.apply_source(
+        "Create Table U1 (A0 Char, A2 Char, Primary Key (A0));"
+        " Create Table U2 (A1 Char, A0 Char, Primary Key (A1));"
+        " Create Table U (A1 Char, A4 Char, Primary Key (A1, A4),"
+        " I_U1 (Select */A0 From U1 Where A0 = U.A0), I_U2 (Select */A1 From U2 Where A1 = U.A1));"
+        " Insert Into U1 Values ('x', 'two'); Insert Into U2 Values ('a', 'x');"
+        " Insert Into U Values ('a', 'four');")
+    assert layer.catalog.get("U").ie_order == ["I_U2", "I_U1"]
+    result = layer.query("Select * From U;")
+    assert (result.columns, result.rows) == (["A1", "A4", "A2", "A0"], [("a", "four", "two", "x")])
+
+
 def test_order_detects_forced_two_cycle():
     layer = sp2_layer()
     stmt = parse_one(

@@ -12,7 +12,7 @@ from sirsql.normalizer import (FunctionalDependency,
                                render_trace, stored_value_count)
 from sirsql.parser import parse
 
-from conftest import fixture_text
+from conftest import fixture_text, make_layer
 
 FD = FunctionalDependency
 MVD = MultivaluedDependency
@@ -214,6 +214,16 @@ def test_final_drafts_cover_the_universal_attributes():
             assert d.stored_set() <= universe
         covered = set().union(*(d.stored_set() for d in drafts))
         assert covered == universe
+
+
+def test_each_split_takes_a_name_no_draft_holds():
+    universal, fds, mvds, hints = parse_dependency_file(
+        "RELATION U (A0 Char, A1 Char, A2 Char, A3 Char, A4 Char)\nA3 -> A0\nA0 -> A3, A1\n")
+    drafts, _ = normalize(universal, fds, mvds, name_hints=hints)
+    assert sorted(d.name for d in drafts) == ["U", "U1", "U2"]
+    layer = make_layer()
+    layer.apply_source(drafts_to_sirsql(drafts))
+    assert layer.query("Select * From U;").columns == ["A0", "A2", "A4", "A3", "A1"]
 
 
 def test_normalize_already_4nf_returns_unchanged():

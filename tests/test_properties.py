@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sqlite3
 from itertools import combinations
 
@@ -18,8 +19,9 @@ from sirsql.layer import SirLayer, StatementResult
 from sirsql.lexer import (_SHAPE, NUMBER, STRING, bind_runs, literal_prefix, literal_value,
                           shape, shape_runs, tokenize)
 from sirsql.normalizer import (FunctionalDependency, MultivaluedDependency,
-                               SchemeDraft, attribute_closure, heath_decompose,
-                               is_bcnf, lossless_check, make_universal, normalize)
+                               SchemeDraft, attribute_closure, drafts_to_sirsql,
+                               heath_decompose, is_bcnf, lossless_check, make_universal,
+                               normalize)
 from sirsql.parser import parse, parse_one
 from sirsql.render import render, render_source
 from sirsql.router import route
@@ -288,15 +290,25 @@ def _outcome(layer, text):
         return type(exc).__name__, str(exc)
 
 
+def _inline_keys(schema: list[str]) -> list[str]:
+    """`random_sir_case`'s statements with each key declared on its column
+    (``K Int Primary Key``) in place of a ``Primary Key (K)`` clause."""
+    return [re.sub(r"\((\w+) Int(.*), Primary Key \(\1\)\);$", r"(\1 Int Primary Key\2);", stmt)
+            for stmt in schema]
+
+
 def test_a_writers_entries_build_what_a_cold_load_builds(tmp_path):
     """After random DDL, a session that takes over the writer's compiled
     entries and one that decodes every row (no donor) hold equal snapshots,
     and send byte-identical kernel statements for the next random ALTER, so
     an entry compiled from a statement builds what parsing its source text
-    builds."""
+    builds.  Every other case declares its keys inline."""
     rng = random.Random(5151)
     for case in range(CASES):
         schema, x_rows, r_rows = random_sir_case(rng)
+        if case % 2:
+            schema = _inline_keys(schema)
+            assert all("Primary Key (" not in stmt for stmt in schema)
         location, copy = (str(tmp_path / f"{case}{side}.sqlite") for side in "ab")
         writer = SirLayer(KernelConnection(location))
         apply_case(writer, schema, x_rows, r_rows)
@@ -686,3 +698,41 @@ def test_heath_step_lossless_whenever_fd_holds(rows, c_values):
         return
     instance = RowSet(columns=["A", "B", "C"], rows=sorted(set(table)))
     assert lossless_check(step, instance)
+
+
+@st.composite
+def dependency_sets(draw):
+    """A universal relation of 3 to 7 attributes, up to five FDs over it and,
+    half the time, one MVD."""
+    attrs = [f"A{i}" for i in range(draw(st.integers(3, 7)))]
+    side = st.lists(st.sampled_from(attrs), min_size=1, max_size=2, unique=True).map(tuple)
+    fds = draw(st.lists(st.builds(FunctionalDependency, side, side), max_size=5))
+    mvds = []
+    if draw(st.booleans()):
+        lhs = draw(st.sampled_from(attrs))
+        rest = [a for a in attrs if a != lhs]
+        branch = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=len(rest), unique=True))
+        mvds.append(MultivaluedDependency((lhs,), tuple(branch)))
+    return attrs, fds, mvds
+
+
+@given(case=dependency_sets())
+@settings(max_examples=CASES, derandomize=True, deadline=None)
+def test_a_decomposition_names_each_scheme_once_and_stores_every_attribute(case):
+    """The schemes `normalize` returns have distinct names, store every
+    universal attribute between them, and `drafts_to_sirsql` emits them as a
+    schema that applies, unless a split noted that its two sides read each
+    other, which no acyclic schema holds."""
+    attrs, fds, mvds = case
+    drafts, steps = normalize(make_universal("U", attrs), fds, mvds)
+    names = [d.name.casefold() for d in drafts]
+    assert len(set(names)) == len(names)
+    layer = make_layer()
+    try:
+        layer.apply_source(drafts_to_sirsql(drafts))
+    except SirSqlError:
+        assert any(step.notes for step in steps)
+        return
+    stored = {a.casefold() for entry in layer.catalog.entries() for a in entry.scheme.stored_names}
+    assert stored == {a.casefold() for a in attrs}
+    assert sorted(entry.name.casefold() for entry in layer.catalog.entries()) == sorted(names)
