@@ -206,10 +206,10 @@ def cmd_decompose(args) -> int:
         universal, fds, mvds, hints = parse_dependency_file(text)
         drafts, steps = normalize(universal, fds, mvds,
                                   heath_first=args.heath_first, name_hints=hints)
-    except SirSqlError as exc:  # bad input or no 4NF fixpoint: semantic failure
+        schema = drafts_to_sirsql(drafts)
+    except SirSqlError as exc:  # bad input, no 4NF fixpoint, a reference cycle: semantic failure
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    schema = drafts_to_sirsql(drafts)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(schema)

@@ -35,18 +35,19 @@ wrote in one DDL transaction (`_upgrade`).  It builds no other relation's
 columns, plan or scheme: each is built, and a corrupt one raises
 CorruptCatalog, when a statement first reads it (`Catalog.audit` reads all).
 
-Query and DML text is cached by shape (`lexer.shape`: literals replaced by
-``?``) for one DDL version of the catalog (`Catalog.version`, which a load
-reads from the kernel and every committed DDL bumps): a repeated shape skips
-parse, route and render and binds its literals as sqlite3 parameters.  A
-shape is cached only when the renderer bound exactly the shape's values, in
-order and type.  A query text served from that cache is kept with its shape
-and values, so an exact repeat skips `shape` too; it still passes its
-shape's version and value-count checks.  DML text is never kept.  A
-cached shape also keeps its runs (`lexer.shape_runs`), and a new text of
-that shape is bound by walking them (`lexer.bind_runs`), with no regex
-compiled.  All three hold `CACHE_SIZE` entries at most and are cleared when
-full, the runs with the shapes.
+Query and DML text is cached for one DDL version of the catalog
+(`Catalog.version`, which a load reads from the kernel and every committed
+DDL bumps; the cache is emptied when it changes): a text that repeats with
+new literals skips parse, route and render and binds its literals as
+sqlite3 parameters.  A miss cuts its text at the literal tokens the parser
+read (`lexer.literal_runs`) and keeps the runs with the kernel SQL and
+action under the text's `lexer.literal_prefix`, `PREFIX_PATTERNS` runs at
+most per prefix, when the renderer bound exactly those values, in order and
+type.  A new text is bound by walking the runs kept under its prefix
+(`lexer.bind_runs`).  A query text served from them is kept in a text memo
+with its values, so an exact repeat skips the walk; DML text is never kept.
+The memo and the runs hold `CACHE_SIZE` entries at most each and are
+cleared when full.
 """
 
 from __future__ import annotations
@@ -66,15 +67,15 @@ from .errors import (CircularReferenceError, CorruptCatalog, DependentAttributeD
                      InvariantViolation, KernelError, NameCollision, NotNullAttributeAdd,
                      RejectedWrite, StaleCatalog, UnknownObject, UnknownRelation)
 from .kernel import KernelConnection, RowSet
-from .lexer import bind_runs, literal_prefix, shape, shape_runs
+from .lexer import bind_runs, literal_prefix, literal_runs
 from .parser import parse
 from .render import quote_ident, render, render_source
 from .router import (BASE_REWRITE, REJECTED, check_ie_integrity,
-                     enforce_insert_computability, route)
+                     enforce_insert_computability, expand_selects, route)
 
 
-CACHE_SIZE = 512       # shapes per session; the cache is cleared when full
-PREFIX_PATTERNS = 4    # shapes whose runs are kept under one literal prefix
+CACHE_SIZE = 512       # statements per session; the cache is cleared when full
+PREFIX_PATTERNS = 4    # statements whose runs are kept under one literal prefix
 _CACHEABLE = (n.Query, n.Insert, n.Update, n.Delete)
 
 
@@ -111,13 +112,12 @@ class SirLayer:
         self.strict_integrity = strict_integrity
         self.catalog = Catalog.load(conn)
         self._ddl_lock = threading.Lock()
-        # shape -> (DDL version, value count, kernel SQL or None, action);
-        # a text whose count differs holds a raw "?", which must fail to parse
-        self._statements: dict[str, tuple] = {}
-        # query text -> its shape and values, filled on a hit; DML is never kept
-        self._shapes: dict[str, tuple[str, list]] = {}
-        # literal prefix -> [(shape, its runs)], for the shapes in `_statements`
-        self._patterns: dict[str, list[tuple[str, list[str]]]] = {}
+        # query text -> (kernel SQL, action, values), filled on a hit; DML is never kept
+        self._memo: dict[str, tuple[str, str, list]] = {}
+        # literal prefix -> [(runs, kernel SQL, action)], `_kept` in all
+        self._patterns: dict[str, list[tuple[list[str], str, str]]] = {}
+        self._kept = 0
+        self._version = self.catalog.version     # the DDL version both were filled at
         self._upgrade()
 
     # --- entry points ---
@@ -156,65 +156,64 @@ class SirLayer:
         query or DML statement.  With `query_only` the text must be one query,
         and its RowSet is returned; otherwise the StatementResults.
 
-        A text missing from the text memo is bound by the first shape whose
-        runs, kept under its `literal_prefix`, it walks (`_bind`), and shaped
-        only when none does.  A miss parses the text itself, so a ParseError
+        A text missing from the text memo is bound by the first runs kept
+        under its `literal_prefix` that it walks (`_bind`), and parsed only
+        when none does.  A miss parses the text itself, so a ParseError
         keeps its position."""
-        known = self._shapes.get(text)
-        key, values = known or self._bind(text) or shape(text)
-        hit = self._statements.get(key)
-        if hit is not None and hit[0] == self.catalog.version and hit[1] == len(values):
-            _, _, sql, action = hit
+        if self._version != self.catalog.version:     # a DDL made every entry stale
+            self._memo.clear()
+            self._patterns.clear()
+            self._kept, self._version = 0, self.catalog.version
+        known = self._memo.get(text)
+        hit = known or self._bind(text)
+        if hit is not None:
+            sql, action, values = hit
             if query_only and action != "query":
                 raise InvariantViolation("expected exactly one SELECT statement")
-            if sql is not None:
-                result = self.conn.execute(sql, values, origin=text)
-                if action != "query":
-                    return [StatementResult(None, action, rowcount=result)]
-                if known is None:
-                    if len(self._shapes) >= CACHE_SIZE:
-                        self._shapes.clear()
-                    self._shapes[text] = key, values
-                return result if query_only else [StatementResult(None, action, rows=result)]
+            result = self.conn.execute(sql, values, origin=text)
+            if action != "query":
+                return [StatementResult(None, action, rowcount=result)]
+            if known is None:
+                if len(self._memo) >= CACHE_SIZE:
+                    self._memo.clear()
+                self._memo[text] = hit
+            return result if query_only else [StatementResult(None, action, rows=result)]
         stmts = parse(text)
         if len(stmts) != 1 or not isinstance(stmts[0], n.Query if query_only else _CACHEABLE):
             if query_only:
                 raise InvariantViolation("expected exactly one SELECT statement")
             return [self.apply_statement(stmt) for stmt in stmts]
+        runs, values = literal_runs(text, stmts[0].literals)
         if len(values) > self.conn.max_params:
             result = self.apply_statement(stmts[0])
             return result.rows if query_only else [result]
         params = []
         result, sql = self._execute(stmts[0], params)
-        if list(map(type, params)) != list(map(type, values)) or params != values:
-            sql = None
-        if len(self._statements) >= CACHE_SIZE:
-            self._statements.clear()
-            self._patterns.clear()
-        self._statements[key] = (self.catalog.version, len(values), sql, result.action)
-        if sql is not None:
-            self._keep_pattern(key, len(values))
+        if sql is not None and runs is not None and params == values \
+                and list(map(type, params)) == list(map(type, values)):
+            self._keep(text, runs, sql, result.action)
         return result.rows if query_only else [result]
 
-    def _bind(self, text: str) -> tuple[str, list] | None:
-        """The shape and values of `text`, from the first shape kept under
-        its prefix whose runs bind it; None when none does."""
-        for key, runs in self._patterns.get(literal_prefix(text), ()):
+    def _bind(self, text: str) -> tuple[str, str, list] | None:
+        """The kernel SQL, action and values of the first runs kept under the
+        prefix of `text` that bind it; None when none do."""
+        for runs, sql, action in self._patterns.get(literal_prefix(text), ()):
             values = bind_runs(runs, text)
             if values is not None:
-                return key, values
+                return sql, action, values
         return None
 
-    def _keep_pattern(self, key: str, count: int):
-        """Keep the runs of the shape `key` (a split, no compile) under its
-        prefix, unless they are kept already, `PREFIX_PATTERNS` shapes' are,
-        or the shape has none."""
-        prefix = literal_prefix(key)
-        kept = self._patterns.get(prefix, [])
-        if len(kept) < PREFIX_PATTERNS and all(other != key for other, _ in kept):
-            runs = shape_runs(key, count)
-            if runs is not None:
-                self._patterns[prefix] = kept + [(key, runs)]
+    def _keep(self, text: str, runs: list[str], sql: str, action: str):
+        """Keep the runs cut from `text`, with its kernel SQL and action,
+        under its prefix, unless `PREFIX_PATTERNS` runs are kept there.  All
+        runs are cleared first when `CACHE_SIZE` are kept."""
+        if self._kept >= CACHE_SIZE:
+            self._patterns.clear()
+            self._kept = 0
+        kept = self._patterns.setdefault(literal_prefix(text), [])
+        if len(kept) < PREFIX_PATTERNS:
+            kept.append((runs, sql, action))
+            self._kept += 1
 
     def explain(self, name: str) -> list[str]:
         """The kernel's text of each object of a relation, one per entry."""
@@ -394,9 +393,8 @@ class SirLayer:
                 raise UnknownRelation(f"view {stmt.name} references unknown relation {ref!r}")
             refs.append(ref)
         self.catalog.check_acyclic(stmt.name, refs)
-        routed = route(n.Query(select=stmt.select), self.catalog, prune=False)
-        kernel_stmt = n.CreateView(name=stmt.name, select=routed.kernel_stmt.select)
-        item = PlanItem(stmt.name, "view", render(kernel_stmt))
+        select = expand_selects(stmt.select, self.catalog)
+        item = PlanItem(stmt.name, "view", render(n.CreateView(name=stmt.name, select=select)))
         # `_apply` reads its columns from the kernel
         entry = CatalogEntry(stmt.name, VIEW, None, [], [item], refs,
                              source_text=render_source(stmt))
@@ -498,7 +496,7 @@ class SirLayer:
     def _execute(self, stmt, params: list | None = None) -> tuple[StatementResult, str | None]:
         """Route, render and run a query or DML statement.  With `params`, its
         literals are bound (see `render`).  Also returns the kernel SQL that a
-        statement of the same shape may run again, or None."""
+        text with other literals in their place may run again, or None."""
         routed = route(stmt, self.catalog)
         if routed.kind == REJECTED:
             raise RejectedWrite(routed.reason)

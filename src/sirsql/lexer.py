@@ -6,9 +6,11 @@ Keywords are not reserved at the lexer level; the parser matches token text
 case-insensitively, so names like STATUS stay plain identifiers.
 
 Each lexical piece (string literal, number, word, quoted identifier,
-comment) is written once below; `tokenize`, `shape` and the literal that
-`bind_runs` reads between a shape's runs are built from them, so the
-statement cache binds exactly the literals the parser reads.
+comment) is written once below.  `tokenize` is the only reader of a text's
+literals: each token records where it starts and ends, and the statement
+cache cuts a parsed text at its literal tokens into runs (`literal_runs`).
+The literal that `bind_runs` reads between a new text's runs is built from
+the same pieces, so the cache binds exactly the literals the parser reads.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ class Token:
     value: str
     line: int
     col: int
+    start: int      # offsets of the token's first character and one past its last
+    end: int
     quoted: bool = field(default=False)
 
     def matches(self, word: str) -> bool:
@@ -76,106 +80,83 @@ def tokenize(source: str) -> list[Token]:
         if kind == IDENT and not (text[0].isalpha() or text[0] == "_"):    # ², ½, Ⅻ
             kind, text = "BAD", text[0]
         if kind == STRING:
-            tokens.append(Token(STRING, text[1:-1].replace("''", "'"), line, col))
+            tokens.append(Token(STRING, text[1:-1].replace("''", "'"), line, col, start, m.end()))
         elif kind == "QUOTED":
-            tokens.append(Token(IDENT, text[1:-1], line, col, quoted=True))
+            tokens.append(Token(IDENT, text[1:-1], line, col, start, m.end(), quoted=True))
         elif kind == "BAD":
             raise ParseError(_UNTERMINATED.get(text, f"unexpected character {text!r}"), line, col)
         else:
-            tokens.append(Token(kind, text, line, col))
+            tokens.append(Token(kind, text, line, col, start, m.end()))
             if kind == EOF:
                 return tokens
 
 
-# --- statement shapes --------------------------------------------------------
+# --- literal runs --------------------------------------------------------------
 
 INT64_MAX = 2**63 - 1
 _BOUND_FLOAT_DIGITS = 15        # a float with more digits may parse differently in SQLite
 
-# One `findall` over dialect text: each match is the start of the text or a
-# literal (group 1 a string literal's body, group 2 a number), then the run
-# up to the next literal (group 3), so the key is the runs joined by ``?``.
-# The run also takes what `tokenize` refuses (a quote, comment or bracket
-# left open, and digits other than 0-9 outside words), so the matches tile
-# every text.  Spaces and punctuation go with the piece before them, which
-# keeps the engine's loop short.
-_SHAPE = re.compile(rf"""
-    (?: \A | '({_STRING_BODY})' | ({_NUMBER}) )
-    ( [^'"\[\w./-]*
-      (?: (?: {_WORD} | {_QUOTED} | {_COMMENT}
-            | \.(?![0-9]) | -(?!-) | /(?!\*) | ["\[/] | '(?![^']*') | [^\D0-9] )
-          [^'"\[\w./-]* )* )
-""", re.VERBOSE | re.DOTALL)
-_LITERAL_START = re.compile("['0-9]")     # a text without one is its own key
-
 
 def literal_value(text: str):
     """The sqlite3 parameter for a NUMBER token (ASCII digits only, as
-    `tokenize` and `shape` read them), or None when it must stay inline:
-    integers beyond int64 and floats with more than 15 digits."""
+    `tokenize` reads them), or None when it must stay inline: integers
+    beyond int64 and floats with more than 15 digits."""
     if "." in text:
         return float(text) if len(text) <= _BOUND_FLOAT_DIGITS + 1 else None
     value = int(text)
     return value if value <= INT64_MAX else None
 
 
-def shape(source: str) -> tuple[str, list]:
-    """`source` with each bindable literal replaced by ``?``, and the values.
+# A literal after a word or a dot may be read as one token with it once
+# another literal takes its place (`T.'a'` and `T.5`, `R'a'` and `R0`).  At
+# every other border the literal `bind_runs` reads at a gap is the one
+# `tokenize` reads: both read it greedily from the same pieces, and the next
+# run must follow where that read ends
+_WORD_OR_DOT = re.compile(r"[\w#$.]")
+
+
+def literal_runs(text: str, tokens) -> tuple[list[str] | None, list]:
+    """`text` cut at its bindable literals among `tokens`, which `tokenize`
+    read from it: the runs between them, and the values.
 
     Strings become str, numbers int or float (see `literal_value`); a number
-    that cannot be bound stays in the text, so it is part of the shape.  One
-    `findall` tiles the whole text; a new text of a cached shape is bound by
-    walking that shape's runs (`bind_runs`) instead.
-    """
-    if _LITERAL_START.search(source) is None:
-        return source, []
-    parts = _SHAPE.findall(source)
-    values = [literal_value(number) if number else string.replace("''", "'")
-              for string, number, _ in parts[1:]]
-    if None in values:     # a number that cannot be bound stays in the text
-        key = parts[0][2] + "".join(("?" if value is not None else number) + run
-                                    for value, (_, number, run) in zip(values, parts[1:]))
-        return key, [value for value in values if value is not None]
-    return "?".join([run for _, _, run in parts]), values
+    that cannot be bound stays in its run.  The runs are None when a literal
+    follows a word or a dot (`_WORD_OR_DOT`): they could then bind a text
+    that tokenizes otherwise."""
+    runs, values, at = [], [], 0
+    for tok in tokens:
+        if tok.kind == STRING:
+            value = tok.value
+        elif tok.kind != NUMBER or (value := literal_value(tok.value)) is None:
+            continue
+        runs.append(text[at:tok.start])
+        values.append(value)
+        at = tok.end
+    runs.append(text[at:])
+    if any(_WORD_OR_DOT.match(run[-1:]) for run in runs[:-1]):
+        return None, values
+    return runs, values
 
 
-# --- shape runs ---------------------------------------------------------------
-
-# A literal as `shape` reads it: a string literal's body, or a number
+# A literal as `tokenize` reads it: a string literal's body, or a number
 _LITERAL = re.compile(rf"'({_STRING_BODY})'|({_NUMBER})")
-# Where a text's first literal, or a key's first ``?``, may start: a quote,
-# a dot, a digit or ``?`` that is not inside a word (R070, S#1) or after a dot
-_LITERAL_AT = re.compile(r"['.0-9?](?<![\w#$.].)")
-# A literal after a word or a dot, or before another literal or a number
-# that is not bound, may be read as one token with it, so a key with such a
-# border gets no runs; on every other key the greedy literal read at each
-# gap of `bind_runs` is the one `shape` makes
-_JOINED = re.compile(r"[\w#$.]\?|\?[.0-9?]")
+# Where a text's first literal may start: a quote, a dot or a digit that is
+# not inside a word (R070, S#1) or after a dot
+_LITERAL_AT = re.compile(r"['.0-9](?<![\w#$.].)")
 
 
 def literal_prefix(text: str) -> str:
     """`text` up to where its first literal may start: the key under which a
-    session keeps the runs of its shapes.  A text that runs bind has the
-    same prefix as their shape key."""
+    session keeps the runs it cut from a text.  Every text those runs bind
+    has the same prefix."""
     found = _LITERAL_AT.search(text)
     return text if found is None else text[:found.start()]
 
 
-def shape_runs(key: str, count: int) -> list[str] | None:
-    """The runs between the values of shape `key`, with which `bind_runs`
-    reads exactly the texts of that shape, or None: for a key without a
-    value, with a ``?`` that is not one (inside a quoted identifier or a
-    comment, or a raw one), or that `_JOINED` matches.  `key` must be the
-    shape of a text that tokenizes, holding `count` values."""
-    if not count or key.count("?") != count or _JOINED.search(key):
-        return None
-    return key.split("?")
-
-
 def bind_runs(runs: list[str], text: str) -> list | None:
-    """The values `shape` gives `text` when it is `runs` with one literal in
-    each gap, or None when it is not or a number cannot be bound (`shape`
-    would keep that number in its key)."""
+    """The values `literal_runs` gives `text` when it is `runs` with one
+    literal in each gap, or None when it is not or a number cannot be bound
+    (`literal_runs` would keep that number in a run)."""
     if not text.startswith(runs[0]):
         return None
     at, values = len(runs[0]), []

@@ -1,11 +1,12 @@
 """AST node types for the sirsql dialect.
 
 Every node class derives from `Node`.  Equality ignores a statement's source
-position and parse warnings, so round trips (parse(render(parse(s))) ==
-parse(s)) hold whatever the layout.  A node is not changed once the parser
-has returned it: a rewrite goes through `transform`, which copies only the
-nodes on a path to a change and shares the rest with its input.  `walk` and
-`transform` are the only code that lists a node's children.
+position, parse warnings and literal tokens, so round trips
+(parse(render(parse(s))) == parse(s)) hold whatever the layout.  A node is
+not changed once the parser has returned it: a rewrite goes through
+`transform`, which copies only the nodes on a path to a change and shares
+the rest with its input.  `walk` and `transform` are the only code that
+lists a node's children.
 """
 
 from __future__ import annotations
@@ -195,10 +196,12 @@ class ForeignKeyClause(Node):
 # --- statements ------------------------------------------------------------
 
 class _Positioned(Node, meta=True):
-    """A statement's start in the source and the parser's warnings about it."""
+    """A statement's start in the source, the parser's warnings about it and
+    the literal tokens (STRING and NUMBER) it was read from, in order."""
     line: int = 0
     col: int = 0
     warnings: list = []
+    literals: list = []
 
 class CreateSirTable(_Positioned):
     name: str

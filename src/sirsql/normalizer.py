@@ -24,7 +24,7 @@ from itertools import combinations, count
 
 from . import nodes as n
 from .catalog import depth_first
-from .errors import NoProgress, NotApplicable, ParseError, SchemaMismatch
+from .errors import CircularReferenceError, NoProgress, NotApplicable, ParseError, SchemaMismatch
 from .render import render_source
 
 
@@ -260,8 +260,7 @@ def heath_decompose(draft: SchemeDraft, fd: FunctionalDependency,
 
 
 def fagin_decompose(draft: SchemeDraft, mvd: MultivaluedDependency,
-                    fds=(), split_name: str | None = None,
-                    residual_name: str | None = None) -> DecompositionStep:
+                    fds=(), split_name: str | None = None) -> DecompositionStep:
     """Split on A ->> B | C into stored(A, B) and stored(A, C); each side
     additionally inherits the subset of the other side that A determines
     functionally (possibly empty)."""
@@ -287,8 +286,6 @@ def fagin_decompose(draft: SchemeDraft, mvd: MultivaluedDependency,
                         attributes=a_cols + b_cols, stored=a_cols + b_cols,
                         types=dict(draft.types))
     residual = draft
-    if residual_name:
-        rename(residual, residual_name, [])
     residual.stored = a_cols + c_cols
     residual.ies = list(residual.ies)
 
@@ -527,7 +524,9 @@ def draft_to_ast(draft: SchemeDraft) -> n.CreateSirTable:
 def drafts_to_sirsql(drafts) -> str:
     """CREATE TABLE statements for the final drafts, referenced schemes
     first: the postorder of one `depth_first` walk over the drafts in order
-    and, from each, the drafts its IEs read."""
+    and, from each, the drafts its IEs read.  CircularReferenceError when
+    drafts read each other (a split whose two sides inherit from each
+    other), as no order of the statements would apply."""
     by_name = {d.name.casefold(): d for d in drafts}
 
     def reads(key):
@@ -535,7 +534,9 @@ def drafts_to_sirsql(drafts) -> str:
             return list(by_name)
         return [s for s in (ie.source.casefold() for ie in by_name[key].ies) if s in by_name]
 
-    postorder, _ = depth_first(None, reads)
+    postorder, cycle = depth_first(None, reads)
+    if cycle is not None:
+        raise CircularReferenceError([by_name[key].name for key in cycle])
     return "\n".join(render_source(draft_to_ast(by_name[key])) for key in postorder[:-1]) + "\n"
 
 

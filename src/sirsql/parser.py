@@ -23,6 +23,7 @@ _CLAUSE_WORDS = {
 }
 
 _COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
+_LITERALS = (STRING, NUMBER)
 
 # Nesting levels an expression may have: each parenthesis, subquery, function
 # call, IN list and prefix operator opens one.  A level costs up to a dozen
@@ -128,11 +129,12 @@ class Parser:
         while self.peek().kind != EOF:
             if self.accept_op(";"):
                 continue
-            start = self.peek()
+            first, start = self.pos, self.peek()
             self.warnings = []
             stmt = self.match_statement()
             stmt.line, stmt.col = start.line, start.col
             stmt.warnings = self.warnings
+            stmt.literals = [tok for tok in self.tokens[first:self.pos] if tok.kind in _LITERALS]
             if self.peek().kind == EOF:
                 raise ParseError("unterminated statement (missing ';')", start.line, start.col)
             self.expect_op(";")

@@ -9,8 +9,9 @@ stage that first produces the last inherited attribute it needs.  A prefix
 is taken only when every stage it skips provably keeps card(R_B) (see
 `Catalog.stage_keeps_card`), so it has the full view's rows.  Any ``*`` over
 R keeps R whole, a column name counts for R whatever its qualifier, and R's
-name stays as the alias so qualified references still resolve.  View
-bodies are routed without pruning: stage names shift on ALTER.
+name stays as the alias so qualified references still resolve.  A view
+body is not routed, as stage names shift on ALTER: `expand_selects` only
+expands its star-minus items.
 
 A GROUP BY over an inherited attribute that one key-joined stage adds
 aggregates the base first (eager aggregation; see `_pre_aggregate` for the
@@ -66,14 +67,10 @@ class RoutedStatement:
     inserted_columns: list | None = None   # stored columns an insert binds
 
 
-def route(stmt, catalog: Catalog, prune: bool = True) -> RoutedStatement:
-    """Classify a parsed statement and rewrite it for the kernel.
-
-    `prune=False` keeps every relation of a query on its full view, for
-    selects that are persisted rather than executed now.
-    """
+def route(stmt, catalog: Catalog) -> RoutedStatement:
+    """Classify a parsed statement and rewrite it for the kernel."""
     if isinstance(stmt, n.Query):
-        return _route_query(stmt, catalog, prune)
+        return _route_query(stmt, catalog)
     if isinstance(stmt, n.Insert):
         return _route_insert(stmt, catalog)
     if isinstance(stmt, n.Update):
@@ -107,7 +104,7 @@ def _from_tables(sel: n.Select):
 _STARS = {n.Star, n.StarMinus}
 
 
-def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatement:
+def _route_query(stmt: n.Query, catalog: Catalog) -> RoutedStatement:
     """Expand star-minus items and point each relation at its chain prefix.
 
     One walk over the statement collects the column names and the selects.
@@ -115,7 +112,7 @@ def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatemen
     relations of the other selects are the candidates for a prefix, each
     needing the names left unqualified or qualified by one of its FROM terms.
     """
-    if prune and stmt.select.group_by:
+    if stmt.select.group_by:
         routed = _pre_aggregate(stmt, catalog)
         if routed is not None:
             return routed
@@ -140,7 +137,7 @@ def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatemen
             tables.extend(_from_tables(sel))
 
     targets, reasons = {}, []
-    if prune and tables:
+    if tables:
         whole = {t.name.casefold() for sel in star_selects for t in _from_tables(sel)}
         for table in tables:
             key = table.name.casefold()
@@ -169,9 +166,7 @@ def _route_query(stmt: n.Query, catalog: Catalog, prune: bool) -> RoutedStatemen
         cls = type(node)
         if cls is n.TableName and node.name.casefold() in targets:
             return n.TableName(name=targets[node.name.casefold()], alias=node.alias or node.name)
-        if cls is select_node and any(type(i.expr) is n.StarMinus for i in node.items):
-            return node.replace(items=_expand_star_minus_items(node, catalog))
-        return node
+        return _expanded(node, catalog) if cls is select_node else node
 
     return RoutedStatement(kind=BASE_REWRITE if targets else PASS_THROUGH,
                            kernel_stmt=n.Query(select=n.transform(stmt.select, swap)),
@@ -293,7 +288,7 @@ def _pre_aggregate(stmt: n.Query, catalog: Catalog) -> RoutedStatement | None:
             if item.alias is None and type(item.expr) is n.ColumnRef:
                 items.append(group_item(item.expr))
             elif item.alias is None and any(type(sub) is n.Literal for sub in n.walk(item.expr)):
-                return None     # its name holds a literal that a cached shape would rebind
+                return None     # its name holds a literal that the statement cache would rebind
             else:
                 items.append(n.SelectItem(expr=rewrite(item.expr),
                                           alias=item.alias or render(item.expr)))
@@ -322,9 +317,18 @@ def _pre_aggregate(stmt: n.Query, catalog: Catalog) -> RoutedStatement | None:
                f" before joining {', '.join(t.name for t in cie.sources.tables)} ({cie.name})")
 
 
-def _expand_star_minus_items(sel: n.Select, catalog: Catalog) -> list:
-    """A select's items with star-minus replaced by the columns it denotes;
-    a name that more than one source holds keeps its source's qualifier."""
+def expand_selects(select: n.Select, catalog: Catalog) -> n.Select:
+    """`select` with the star-minus items of it and of its subqueries
+    expanded, and every relation on its full view: what a view persists."""
+    return n.transform(select, lambda node: _expanded(node, catalog)
+                       if type(node) is n.Select else node)
+
+
+def _expanded(sel: n.Select, catalog: Catalog) -> n.Select:
+    """`sel` with star-minus items replaced by the columns they denote; a
+    name that more than one source holds keeps its source's qualifier."""
+    if not any(type(item.expr) is n.StarMinus for item in sel.items):
+        return sel
     sources = Sources(_from_tables(sel), catalog.resolve_columns)
     new_items = []
     for item in sel.items:
@@ -335,7 +339,7 @@ def _expand_star_minus_items(sel: n.Select, catalog: Catalog) -> list:
                     expr=ref if len(sources.named_by(bare)) > 1 else bare))
         else:
             new_items.append(item)
-    return new_items
+    return sel.replace(items=new_items)
 
 
 def _route_insert(stmt: n.Insert, catalog: Catalog) -> RoutedStatement:

@@ -256,6 +256,15 @@ def test_decompose_bad_input_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_decompose_of_schemes_that_read_each_other_exits_2_and_writes_nothing(tmp_path, capsys):
+    output = tmp_path / "out.sirsql"
+    code, out, err = run(["decompose", str(FIXTURES / "mutual_split.deps"), "-o", str(output)],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert "circular reference: U1 -> U -> U1" in err
+    assert not output.exists()
+
+
 def test_repl_matches_one_shot_results(db, tmp_path, capsys, monkeypatch):
     apply_sp2(db, capsys)
     script = "Select P#, QTY From SP Where SNAME = 'Smith' Order By P#;\n.quit\n"

@@ -11,7 +11,6 @@ from sirsql.errors import (IaNotComputable, InvariantViolation, KernelError, Par
                            UnknownIE, UnknownRelation)
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
-from sirsql.lexer import shape
 from sirsql.parser import MAX_OPERATOR_CHAIN, parse
 
 from conftest import fixture_text, kernel_state, load_sp2, make_layer
@@ -452,22 +451,10 @@ def test_more_literals_than_the_kernel_binds_run_inline(sp2, parses):
     assert len(parses) == 3
 
 
-# --- the text memo: an exact repeat of a query text skips shape ---
+# --- the text memo: an exact repeat of a query text skips the runs ---
 
 
-@pytest.fixture
-def shapes(monkeypatch):
-    """The texts the layer shapes from here on."""
-    seen = []
-
-    def spy(text):
-        seen.append(text)
-        return shape(text)
-    monkeypatch.setattr(sirsql.layer, "shape", spy)
-    return seen
-
-
-def test_a_repeated_query_text_is_shaped_at_most_twice(sp2, shapes):
+def test_a_repeated_query_text_is_parsed_at_most_once(sp2, parses):
     texts = ["Select * From SP Where S# = 'S1' And P# = 'P2';",
              "Select * From SP Where S# = 'S2' And P# = 'P1';"]
     expected = [uncached(sp2, text).rows.rows for text in texts]
@@ -475,16 +462,16 @@ def test_a_repeated_query_text_is_shaped_at_most_twice(sp2, shapes):
         for text, rows in zip(texts, expected):
             assert sp2.query(text).rows == rows
             assert sp2.apply_source(text)[0].rows.rows == rows
-    # the first text misses; its shape's pattern binds the rest
-    assert [shapes.count(text) for text in texts] == [1, 0]
-    assert set(sp2._shapes) == set(texts)
+    # the first text misses; the runs cut from it bind the rest
+    assert [parses.count(text) for text in texts] == [1, 0]
+    assert set(sp2._memo) == set(texts)
 
 
-def test_a_memoized_text_follows_an_alter_drop_and_re_add(sp2, parses, shapes):
+def test_a_memoized_text_follows_an_alter_drop_and_re_add(sp2, parses):
     text = "Select S#, SNAME From SP Where P# = 'P2';"
     for _ in range(3):
         assert len(sp2.query(text).rows) == 4
-    assert text in sp2._shapes
+    assert text in sp2._memo
     sp2.apply_source("Alter Table SP Drop I_S;")
     with pytest.raises(KernelError, match="no such column: SNAME"):
         sp2.query(text)
@@ -493,7 +480,7 @@ def test_a_memoized_text_follows_an_alter_drop_and_re_add(sp2, parses, shapes):
         rows = sp2.query(text).rows
         assert sorted(rows) == sorted(uncached(sp2, text).rows.rows)
         assert len(rows) == 4
-    assert parses.count(text) == 3 and shapes.count(text) == 1
+    assert parses.count(text) == 3
 
 
 def test_dml_texts_are_never_memoized(sp2):
@@ -502,29 +489,29 @@ def test_dml_texts_are_never_memoized(sp2):
              "Update SP Set QTY = 5 Where S# = 'S1' And P# = 'P1';"]
     for _ in range(2):
         assert [sp2.apply_source(text)[0].rowcount for text in texts] == [500, 500, 1]
-    assert sp2._shapes == {}
+    assert sp2._memo == {}
 
 
 def test_the_memo_holds_at_most_cache_size_texts(sp2):
     sizes = set()
     for i in range(sirsql.layer.CACHE_SIZE + 20):
         sp2.query(f"Select S# From SP Where QTY = {i};")
-        sizes.add(len(sp2._shapes))
+        sizes.add(len(sp2._memo))
     # the first text misses; the next 512 fill the memo, and 19 follow the clear
-    assert max(sizes) == sirsql.layer.CACHE_SIZE and len(sp2._shapes) == 19
+    assert max(sizes) == sirsql.layer.CACHE_SIZE and len(sp2._memo) == 19
 
 
 def test_a_never_cached_query_is_not_memoized(sp2, parses):
     text = "Select Top 2 S# From S Order By S#;"
     for _ in range(3):
         assert sp2.query(text).rows == [("S1",), ("S2",)]
-    assert parses.count(text) == 3 and sp2._shapes == {}
+    assert parses.count(text) == 3 and sp2._memo == {} and sp2._patterns == {}
 
 
-# --- shape patterns: a new text of a cached shape is bound without shape ---
+# --- literal runs: a new text of a cached statement is bound without a parse ---
 
 
-def test_a_new_text_of_a_cached_shape_is_bound_by_its_pattern(sp2, parses, shapes):
+def test_a_new_text_of_a_cached_statement_is_bound_by_its_runs(sp2, parses):
     cases = [
         ["Select S#, P# From SP Where S# = 'S1' And QTY = 300;",
          "Select S#, P# From SP Where S# = 'S2' And QTY = '400';"],    # a string for a number
@@ -536,49 +523,64 @@ def test_a_new_text_of_a_cached_shape_is_bound_by_its_pattern(sp2, parses, shape
     for texts in cases:
         for text in texts:
             expected = uncached(sp2, text)
+            parses.clear()
             [result] = sp2.apply_source(text)
             assert (result.action, result.rowcount) == (expected.action, expected.rowcount)
             assert result.rows == expected.rows, text
-    # only the first text of each shape is shaped and parsed
-    assert shapes == parses == [texts[0] for texts in cases]
+            # only the first text of each statement is parsed
+            assert parses == ([text] if text == texts[0] else []), text
     assert sp2.query("Select QTY From SP Where S# = 'S3';").rows == [(7,)]
-    # after DDL a text is bound, then parsed, and its shape keeps its one pattern
+    # DDL empties the cache: the next text is parsed, and its runs are kept once
     alter, text = "Alter Table S Add NOTE Char;", cases[1][0].replace("Smith", "Jones")
+    parses.clear()
     sp2.apply_source(alter)
     assert sp2.query(text) == uncached(sp2, text).rows
-    assert shapes[-1] == alter and parses[-2:] == [alter, text]
-    assert [len(kept) for kept in sp2._patterns.values()] == [1, 1, 1, 1]
+    assert parses[:2] == [alter, text]
+    assert [len(kept) for kept in sp2._patterns.values()] == [1]
 
 
-@pytest.mark.parametrize("first, second", [
-    # an unbound number stays in the key, so its pattern cannot bind it
-    ("Select S# From SP Where QTY > 100;", "Select S# From SP Where QTY > 99999999999999999999;"),
+def test_a_literal_free_dml_text_is_bound_on_its_second_run(sp2, parses):
+    text = "Update SP Set QTY = QTY + QTY;"
+    results = [sp2.apply_source(text)[0] for _ in range(2)]
+    assert [(r.rowcount, r.statement is None) for r in results] == [(12, False), (12, True)]
+    assert parses == [text]
+    assert sp2.query("Select QTY From SP Where S# = 'S1' And P# = 'P1';").rows == [(1200,)]
+
+
+@pytest.mark.parametrize("first, second, bound", [
+    # a number that cannot be bound stays in its run, so those runs cannot bind another
+    ("Select S# From SP Where QTY > 100;", "Select S# From SP Where QTY > 99999999999999999999;",
+     False),
+    # a "?" inside a quoted name or a comment is text like any other
     ("Select S#, QTY As \"q?\" From SP Where QTY = 300;",
-     "Select S#, QTY As \"q?\" From SP Where QTY = 400;"),
-    ("Select /* ? */ S# From SP Where QTY = 300;", "Select /* ? */ S# From SP Where QTY = 400;"),
-    ("Select S# -- ?\n From SP Where QTY = 300;", "Select S# -- ?\n From SP Where QTY = 400;"),
+     "Select S#, QTY As \"q?\" From SP Where QTY = 400;", True),
+    ("Select /* ? */ S# From SP Where QTY = 300;", "Select /* ? */ S# From SP Where QTY = 400;",
+     True),
+    ("Select S# -- ?\n From SP Where QTY = 300;", "Select S# -- ?\n From SP Where QTY = 400;",
+     True),
 ])
-def test_a_text_no_pattern_binds_is_shaped(sp2, shapes, first, second):
+def test_a_second_text_is_bound_by_the_runs_of_the_first_or_parsed(sp2, parses, first, second,
+                                                                     bound):
     for text in (first, second):
         assert sp2.query(text) == uncached(sp2, text).rows
-    assert shapes == [first, second]
+    assert parses == ([first] if bound else [first, second])
 
 
-def test_a_1500_literal_insert_is_bound_by_its_runs(sp2, shapes):
+def test_a_1500_literal_insert_is_bound_by_its_runs(sp2, parses):
     texts = ["Insert Into SP Values " + ", ".join(f"('S{i}', 'P{n}', {i})" for i in range(500))
              + ";" for n in (7, 8)]
     for text in texts:
         assert sp2.apply_source(text)[0].rowcount == 500
-    assert shapes == texts[:1]    # the second text is bound, not shaped
-    # a number that cannot be bound is part of another shape
+    assert parses == texts[:1]    # the second text is bound, not parsed
+    # a number that cannot be bound is part of other runs
     unbound = texts[0].replace("'P7'", "'P9'").replace("499);", "99999999999999999999);")
     assert sp2.apply_source(unbound)[0].rowcount == 500
-    assert shapes == [texts[0], unbound]
+    assert parses == [texts[0], unbound]
     assert sp2.query("Select Count(*) From SP_B Where P# In ('P7', 'P8');").rows == [(1000,)]
     assert sp2.query("Select Count(*) From SP_B Where P# = 'P9';").rows == [(500,)]
 
 
-def test_a_miss_compiles_no_regex(sp2, shapes, monkeypatch):
+def test_a_miss_compiles_no_regex(sp2, parses, monkeypatch):
     class NoCompile:
         def __getattr__(self, name):
             return getattr(re, name)
@@ -592,19 +594,25 @@ def test_a_miss_compiles_no_regex(sp2, shapes, monkeypatch):
     assert sp2.query(first).rows == [("S1",), ("S2",)]
     assert sp2.query(second).rows == [("S2",)]
     assert [result.rowcount for text in dml for result in sp2.apply_source(text)] == [0, 1]
-    assert shapes == [first, dml[0]]
+    assert parses == [first, dml[0]]
     assert sp2.query("Select QTY From SP Where S# = 'S3';").rows == [(7,)]
 
 
-def test_patterns_are_few_under_one_prefix_and_cleared_with_the_cache(sp2, shapes):
-    for count in range(1, 8):
-        sp2.query("Select S# From SP Where QTY In (" + ", ".join(["300"] * count) + ");")
+def test_patterns_are_few_under_one_prefix_and_cleared_with_the_cache(sp2, parses):
+    texts = ["Select S# From SP Where QTY In (" + ", ".join(["300"] * count) + ");"
+             for count in range(1, 8)]
+    for text in texts:
+        sp2.query(text)
     assert [len(kept) for kept in sp2._patterns.values()] == [sirsql.layer.PREFIX_PATTERNS]
-    text = "Select S# From SP Where QTY In (400, 300);"
-    assert sp2.query(text) == uncached(sp2, text).rows and text not in shapes
-    # each alias is its own shape: 7 shapes and 505 aliases fill the cache,
-    # which is cleared with its patterns, and the last 7 aliases follow
+    # a new text of the second statement is bound; one of the fifth is parsed each time
+    second, fifth = (texts[i].replace("300", "400", 1) for i in (1, 4))
+    for text in (second, second, fifth, fifth):
+        assert sp2.query(text) == uncached(sp2, text).rows
+    assert parses == texts + [fifth, fifth]
+    # each alias has its own prefix: 4 runs and 508 aliases fill the cache,
+    # whose runs are cleared, and the last 4 aliases follow
     for alias in range(sirsql.layer.CACHE_SIZE):
         sp2.query(f"Select S# As A{alias} From SP Where QTY = 300;")
-    assert len(sp2._statements) == 7
-    assert [key for kept in sp2._patterns.values() for key, _ in kept] == list(sp2._statements)
+    assert sp2._kept == 4
+    assert [runs[0] for kept in sp2._patterns.values() for runs, _, _ in kept] == [
+        f"Select S# As A{alias} From SP Where QTY = " for alias in range(508, 512)]

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from sirsql.errors import NotApplicable, ParseError, SchemaMismatch
+from sirsql.errors import CircularReferenceError, NotApplicable, ParseError, SchemaMismatch
 from sirsql.kernel import RowSet
 from sirsql.normalizer import (FunctionalDependency,
                                MultivaluedDependency, SchemeDraft, attribute_closure,
@@ -224,6 +224,15 @@ def test_each_split_takes_a_name_no_draft_holds():
     layer = make_layer()
     layer.apply_source(drafts_to_sirsql(drafts))
     assert layer.query("Select * From U;").columns == ["A0", "A2", "A4", "A3", "A1"]
+
+
+def test_a_split_whose_sides_read_each_other_is_refused():
+    universal, fds, mvds, hints = parse_dependency_file(fixture_text("mutual_split.deps"))
+    drafts, steps = normalize(universal, fds, mvds, name_hints=hints)
+    assert steps[0].notes and len(steps[0].created_ies) == 2
+    with pytest.raises(CircularReferenceError) as err:
+        drafts_to_sirsql(drafts)
+    assert err.value.cycle == ["U1", "U"]
 
 
 def test_normalize_already_4nf_returns_unchanged():

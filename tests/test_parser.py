@@ -7,7 +7,7 @@ import pytest
 from sirsql import nodes as n
 from sirsql.cli import main
 from sirsql.errors import ParseError, UnrenderableNode
-from sirsql.lexer import literal_value, shape, tokenize
+from sirsql.lexer import bind_runs, literal_runs, literal_value, tokenize
 from sirsql.parser import MAX_EXPRESSION_DEPTH, MAX_OPERATOR_CHAIN, parse, parse_one
 from sirsql.render import render, render_source
 
@@ -91,23 +91,24 @@ def test_a_number_in_digits_other_than_0_to_9_is_a_parse_error(literal, refused)
     assert (err.value.line, err.value.col) == _position(text, text.index(refused))
 
 
-def test_shape_and_tokenize_read_the_same_number():
-    # the number tokenize reads is the ASCII run that shape binds; the digit
-    # before it is refused, where it used to make one unbindable number
-    assert shape("x = ١5") == ("x = ١?", [5])
+def test_a_digit_other_than_0_to_9_before_a_number_is_refused():
+    # the digit before the ASCII run is refused, where it used to make one
+    # unbindable number
     with pytest.raises(ParseError) as err:
         tokenize("x = ١5")
     assert (err.value.line, err.value.col) == (1, 5)
     assert [(t.kind, t.value, t.col) for t in tokenize("x = 5")][2] == ("NUMBER", "5", 5)
 
 
-def test_a_stray_quote_after_an_escaped_one_is_refused_and_keeps_its_own_shape():
+def test_a_stray_quote_after_an_escaped_one_is_refused_and_not_bound():
     # the cache must never map a text the parser refuses onto one it accepts
     text = "Select * From T Where A = ''';"
     with pytest.raises(ParseError, match="unterminated string literal"):
         parse(text)
-    assert shape(text) == ("Select * From T Where A = ?';", [""])
-    assert shape(text)[0] != shape("Select * From T Where A = '';")[0]
+    accepted = "Select * From T Where A = '';"
+    runs, values = literal_runs(accepted, tokenize(accepted))
+    assert (runs, values) == (["Select * From T Where A = ", ";"], [""])
+    assert bind_runs(runs, text) is None
 
 
 def test_lexer_star_slash_is_two_tokens():
@@ -399,28 +400,28 @@ def test_literal_value_keeps_unsafe_numbers_inline():
     assert literal_value(str(2**63)) is None
     assert literal_value("0.12345678901234") == 0.12345678901234
     assert literal_value("0.123456789012345") is None      # 16 digits
-    assert shape("Select 1.1234567890123456, 'it''s', 2 From S;") == (
-        "Select 1.1234567890123456, ?, ? From S;", ["it's", 2])
+    text = "Select 1.1234567890123456, 'it''s', 2 From S;"
+    assert literal_runs(text, tokenize(text)) == (
+        ["Select 1.1234567890123456, ", ", ", " From S;"], ["it's", 2])
 
 
 @pytest.mark.parametrize("text, key, values", [
     ("", "", []),
     ("Select S#, SNAME From S Where STATUS > P#;", "Select S#, SNAME From S Where STATUS > P#;",
      []),
-    ("Select * From T Where ١٢٣ = 5;", "Select * From T Where ١٢٣ = ?;", [5]),
     ("Select '' From S;", "Select ? From S;", [""]),
     ("Select 9223372036854775807, 9223372036854775808, 0.123456789012345, 0.12345678901234;",
      "Select ?, 9223372036854775808, 0.123456789012345, ?;",
      [9223372036854775807, 0.12345678901234]),
     ("Select R001_K, \"C 2\", [D 3] From T -- 4 '5'\n /* 6 */ Where X = 7;",
      "Select R001_K, \"C 2\", [D 3] From T -- 4 '5'\n /* 6 */ Where X = ?;", [7]),
-    # text the tokenizer refuses keeps every character in its key
-    ("Select 1, 'open 2", "Select ?, 'open ?", [1, 2]),
-    ('Select 1, "open 2', 'Select ?, "open ?', [1, 2]),
-    ("Select 1, [open 2", "Select ?, [open ?", [1, 2]),
-    ("Select 1 /* open 2", "Select ? /* open ?", [1, 2]),
+    # a literal after a word or a dot gives no runs; one before a literal or a number does
+    ("Select T.5 From T;", None, [0.5]),
+    ("Select 99999999999999999999'a' From T;", None, ["a"]),
+    ("Select 1'a'.5 From T;", "Select ??? From T;", [1, "a", 0.5]),
+    ("Select 'a'99999999999999999999 From T;", "Select ?99999999999999999999 From T;", ["a"]),
 ])
-def test_shape_keeps_all_but_the_bound_literals(text, key, values):
-    shaped = shape(text)
-    assert shaped == (key, values)
-    assert list(map(type, shaped[1])) == list(map(type, values))
+def test_literal_runs_keep_all_but_the_bound_literals(text, key, values):
+    runs, bound = literal_runs(text, tokenize(text))
+    assert (runs if runs is None else "?".join(runs)) == key
+    assert bound == values and list(map(type, bound)) == list(map(type, values))

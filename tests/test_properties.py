@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from sirsql import catalog
 from sirsql.catalog import scheme_to_ast
-from sirsql.errors import KernelError, ParseError, SirSqlError
+from sirsql.errors import CircularReferenceError, KernelError, ParseError, SirSqlError
 from sirsql.kernel import KernelConnection, RowSet
 from sirsql.layer import SirLayer, StatementResult
-from sirsql.lexer import (_SHAPE, NUMBER, STRING, bind_runs, literal_prefix, literal_value,
-                          shape, shape_runs, tokenize)
+from sirsql.lexer import (NUMBER, STRING, bind_runs, literal_prefix, literal_runs, literal_value,
+                          tokenize)
 from sirsql.normalizer import (FunctionalDependency, MultivaluedDependency,
                                SchemeDraft, attribute_closure, drafts_to_sirsql,
                                heath_decompose, is_bcnf, lossless_check, make_universal,
@@ -423,7 +423,7 @@ def test_cached_execution_matches_uncached_on_random_schemes(seed):
         layer.conn.close()
 
 
-# --- the shape pass against the lexer ----------------------------------------------
+# --- literal runs against the lexer ------------------------------------------------
 
 
 _literal_pieces = st.one_of(
@@ -443,15 +443,19 @@ _pieces = st.one_of(
 
 @given(pieces=st.lists(st.tuples(_pieces, st.sampled_from(["", " ", "\n"])), max_size=20))
 @settings(max_examples=CASES * 3, derandomize=True)
-def test_shape_values_are_the_lexers_literals(pieces):
+def test_literal_runs_cut_a_text_at_the_lexers_literals(pieces):
+    """Each token's offsets are where its line and column put it, and
+    `literal_runs` cuts the text at its string literals and bindable
+    numbers, with their values."""
     text = "".join(piece + sep for piece, sep in pieces)
     try:
         tokens = tokenize(text)
     except ParseError:
         return
     line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
-    expected, expected_key, end = [], [], 0
+    expected, cut, end = [], [], 0
     for tok in tokens:
+        assert tok.start == line_starts[tok.line - 1] + tok.col - 1
         if tok.kind == STRING:
             expected.append(tok.value)
             width = len(tok.value.replace("'", "''")) + 2
@@ -460,52 +464,37 @@ def test_shape_values_are_the_lexers_literals(pieces):
             width = len(tok.value)
         else:
             continue
-        start = line_starts[tok.line - 1] + tok.col - 1
-        expected_key += [text[end:start], "?"]
-        end = start + width
-    key, values = shape(text)
+        assert tok.end == tok.start + width
+        cut.append(text[end:tok.start])
+        end = tok.end
+    runs, values = literal_runs(text, tokens)
     assert values == expected and list(map(type, values)) == list(map(type, expected))
-    assert key == "".join(expected_key) + text[end:]
+    assert runs is None or runs == cut + [text[end:]]
 
 
 _open_pieces = st.sampled_from(["'open", "'''", '"open', "[open", "/* open", "*/", "²", "١", "Ⅻ",
                                 "\r\n", "?", "]"])
-
-
-@given(pieces=st.lists(st.tuples(st.one_of(_pieces, _open_pieces),
-                                 st.sampled_from(["", " ", "\n"])), max_size=20))
-@settings(max_examples=CASES * 3, derandomize=True)
-def test_shape_matches_tile_every_text(pieces):
-    # refused texts included: each match starts where the last one ended
-    text = "".join(piece + sep for piece, sep in pieces)
-    end = 0
-    for match in _SHAPE.finditer(text):
-        assert match.start() == end, (text, match)
-        end = match.end()
-    assert end == len(text)
-
-
 _border_pieces = st.sampled_from([".", "T.", "x", "#", "\"a?b\"", "[?]", "/* ? */", "-- ?\n"])
 _MUTATIONS = ["", "'", "''", "0", "7.", ".5", "x", "#", "?", " ", "-", "/*", "*/", "\n", '"', "]"]
 
 
 @given(pieces=st.lists(st.tuples(st.one_of(_pieces, _literal_pieces, _border_pieces),
                                  st.sampled_from(["", " ", "\n"])), max_size=8),
-       fills=st.lists(_literal_pieces, min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
+       fills=st.lists(st.one_of(_literal_pieces, _open_pieces), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=CASES * 3, derandomize=True)
-def test_a_shape_pattern_binds_exactly_the_texts_of_its_shape(pieces, fills, seed):
-    """For the key of a text that tokenizes (a statement of any other text
-    is never cached), its runs bind a text with the values `shape` gives
-    it whenever `shape` gives it that key, and binds no other text: texts
-    with other literals in its place, and texts mutated a character or two
-    at a time, across literal borders too."""
+def test_literal_runs_bind_exactly_the_texts_cut_into_them(pieces, fills, seed):
+    """The runs cut from a text that tokenizes bind another text exactly
+    when `literal_runs` cuts that text, as `tokenize` reads it, into the
+    same runs, and then with the same values; they bind no text that
+    `tokenize` refuses.  The other texts have other literals (or pieces
+    that are none) in the gaps, or are mutated a character or two at a
+    time, across literal borders too."""
     text = "".join(piece + sep for piece, sep in pieces)
     try:
-        tokenize(text)
+        runs, values = literal_runs(text, tokenize(text))
     except ParseError:
         return
-    key, values = shape(text)
-    runs = shape_runs(key, len(values))
     if runs is None:
         return
     rng = random.Random(seed)
@@ -517,13 +506,18 @@ def test_a_shape_pattern_binds_exactly_the_texts_of_its_shape(pieces, fills, see
         end = min(len(text), start + rng.choice([0, 0, 1, 2]))
         others.append(text[:start] + rng.choice(_MUTATIONS) + text[end:])
     for other in others:
-        bound, (other_key, other_values) = bind_runs(runs, other), shape(other)
-        if bound is None:    # a raw ``?`` gives the key too, with fewer values
-            assert (other_key, len(other_values)) != (key, len(values)), other
+        bound = bind_runs(runs, other)
+        try:
+            other_runs, other_values = literal_runs(other, tokenize(other))
+        except ParseError:
+            assert bound is None, other
+            continue
+        if bound is None:
+            assert other_runs != runs, other
         else:
-            assert (other_key, bound) == (key, other_values), other
+            assert (other_runs, other_values) == (runs, bound), other
             assert list(map(type, bound)) == list(map(type, other_values))
-            assert literal_prefix(other) == literal_prefix(key)
+            assert literal_prefix(other) == literal_prefix(text)
     assert bind_runs(runs, text) == values
 
 
@@ -721,18 +715,19 @@ def dependency_sets(draw):
 def test_a_decomposition_names_each_scheme_once_and_stores_every_attribute(case):
     """The schemes `normalize` returns have distinct names, store every
     universal attribute between them, and `drafts_to_sirsql` emits them as a
-    schema that applies, unless a split noted that its two sides read each
-    other, which no acyclic schema holds."""
+    schema that applies, or raises CircularReferenceError when a split noted
+    that its two sides read each other, which no acyclic schema holds."""
     attrs, fds, mvds = case
     drafts, steps = normalize(make_universal("U", attrs), fds, mvds)
     names = [d.name.casefold() for d in drafts]
     assert len(set(names)) == len(names)
-    layer = make_layer()
     try:
-        layer.apply_source(drafts_to_sirsql(drafts))
-    except SirSqlError:
+        schema = drafts_to_sirsql(drafts)
+    except CircularReferenceError:
         assert any(step.notes for step in steps)
         return
+    layer = make_layer()
+    layer.apply_source(schema)
     stored = {a.casefold() for entry in layer.catalog.entries() for a in entry.scheme.stored_names}
     assert stored == {a.casefold() for a in attrs}
     assert sorted(entry.name.casefold() for entry in layer.catalog.entries()) == sorted(names)
