@@ -12,9 +12,9 @@ CapabilityMissing.
 
 Decimal note: the engine's Round(x, d) is round-half-away-from-zero.
 
-Concurrency: a connection is used only by the thread that opened it; a
-call from any other thread fails with KernelError (sqlite3's
-ProgrammingError).
+A file that cannot be opened, a call after `close` and a call from a thread
+other than the one that opened the connection (sqlite3 allows no other)
+each fail with KernelError.
 """
 
 from __future__ import annotations
@@ -46,7 +46,10 @@ class KernelConnection:
         if sqlite3.sqlite_version_info < (3, 35):
             raise CapabilityMissing(f"SQLite {sqlite3.sqlite_version} is older than 3.35")
         self.location = location
-        self._db = sqlite3.connect(location)
+        try:
+            self._db = sqlite3.connect(location)
+        except sqlite3.Error as exc:
+            raise KernelError(f"{type(exc).__name__}: {exc}: {location}") from exc
         self._db.isolation_level = None  # explicit BEGIN/COMMIT
         # the most parameters one statement may bind (Connection.getlimit is 3.11+)
         self.max_params = (self._db.getlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER)
@@ -64,8 +67,8 @@ class KernelConnection:
         `origin` is the sirsql-layer statement attached to error reports, or
         a callable producing it, called only when there is an error.
         """
-        before = self._db.total_changes
         try:
+            before = self._db.total_changes
             cursor = self._db.execute(sql, params)
         except sqlite3.Error as exc:
             if callable(origin):
@@ -89,7 +92,11 @@ class KernelConnection:
         transaction takes the write lock at once (every caller writes), so
         what `work` reads stays current until the commit.  A read-only or
         locked file fails it with KernelError."""
-        if self._db.in_transaction:
+        try:
+            nested = self._db.in_transaction
+        except sqlite3.Error as exc:        # a closed connection
+            raise KernelError(f"{type(exc).__name__}: {exc}") from exc
+        if nested:
             raise KernelError("transaction already open on this connection")
         self.execute("BEGIN IMMEDIATE")
         try:
@@ -121,22 +128,19 @@ class KernelConnection:
         return list(out.values())
 
     def object_kind(self, name: str) -> str | None:
-        rows = self._db.execute(
-            "SELECT type FROM sqlite_master WHERE lower(name) = lower(?)", (name,)).fetchall()
+        rows = self.execute(
+            "SELECT type FROM sqlite_master WHERE lower(name) = lower(?)", (name,)).rows
         return rows[0][0] if rows else None
 
     def object_names(self) -> list[str]:
-        rows = self._db.execute(
-            "SELECT name FROM sqlite_master WHERE type IN ('table','view') ORDER BY name").fetchall()
+        rows = self.execute(
+            "SELECT name FROM sqlite_master WHERE type IN ('table','view') ORDER BY name").rows
         return [r[0] for r in rows]
 
     def introspect(self, object_name: str) -> list[str]:
         """Ordered column names of a table or view, as the engine reports them."""
-        try:
-            quoted = object_name.replace('"', '""')
-            rows = self._db.execute(f'PRAGMA table_info("{quoted}")').fetchall()
-        except sqlite3.Error as exc:
-            raise KernelError(f"{type(exc).__name__}: {exc}") from exc
+        quoted = object_name.replace('"', '""')
+        rows = self.execute(f'PRAGMA table_info("{quoted}")').rows
         if not rows:
             raise UnknownObject(f"no table or view named {object_name!r}")
         return [r[1] for r in rows]

@@ -1,24 +1,25 @@
 """The middleware session: executes dialect statements over one kernel DB.
 
 A DDL method only plans: it turns its statement into a list of steps, one
-per relation it touches, and `SirLayer._apply` alone runs a plan.  In one
-kernel transaction each step sends its kernel items, probes its final view,
-reads a view's columns back from the kernel and writes its meta row, so the
-statement's kernel DDL and meta rows commit together or not at all; the
-in-memory catalog takes the steps' entries after the commit.  Queries and
-DML go through the router.
+per relation it touches, each with the relation's name, its kernel items
+and its entry after the step, and `SirLayer._apply` alone runs a plan.  In
+one kernel transaction each step sends its items, probes its entry's final
+view (whose columns are a view's columns) and writes the meta row of an
+entry the catalog does not hold, so the statement's kernel DDL and meta
+rows commit together or not at all; the in-memory catalog takes the
+steps' entries after the commit.  Queries and DML go through the router.
 
 `Catalog.transitive_dependents` alone orders the relations a DDL statement
 reaches beyond its own; the graph is rebuilt at first use after a DDL.
-An ALTER walks that list once, in dependency order: a dependent whose IE
-uses `*` over a relation whose column list the statement changed (the
-altered relation always counts, and a star over `R_B` counts as one over
-`R`) gets its view chain compiled again (`compile_chain`), so it inherits
-the attributes added or dropped, and keeps its base, references and source
-text, which its unchanged scheme fixes.  Every other dependent gets a probe
-of its final view; a view dependent then has its columns read back from the
-kernel, which re-expands a view's `*`, and its meta row rewritten when they
-changed.  DROP ... CASCADE drops the same list in reverse, the relation last.
+An ALTER walks that list once, in dependency order, keeping one map,
+`lost`, from each relation whose column list it changes (the altered one
+always, and its old base) to the columns it loses.  A dependent whose IE
+uses `*` over such a relation (a star over `R_B` counts as one over `R`)
+gets its view chain compiled again (`compile_chain`), so it inherits the
+attributes added or dropped, keeps its base, references and source text,
+and enters `lost` when its columns change.  Every other dependent keeps its
+entry and is probed; one whose IE names a column `lost` lists is refused
+first.  DROP ... CASCADE drops the same list in reverse, the relation last.
 
 A session is used only by the thread that opened its KernelConnection
 (sqlite3 refuses calls from any other thread).  Threads that share one
@@ -55,7 +56,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Container
 
 from . import nodes as n
 from .catalog import (SIR, VIEW, Catalog, CatalogEntry, ColumnInfo, PlanItem, depth_first,
@@ -99,8 +100,8 @@ class _Step:
     name: str
     items: list | Callable      # kernel PlanItems, or a function of the connection
                                 # that returns them inside the transaction
-    probe: bool                 # prepare a statement over its final view
-    entry: CatalogEntry | None = None    # its new entry; None keeps the catalog's
+    entry: CatalogEntry | None = None    # its entry after the step; one with a view
+                                         # is probed; the catalog's own is not written
     remove: bool = False        # its meta row and entry go
 
 
@@ -271,7 +272,7 @@ class SirLayer:
         self.catalog.check_acyclic(scheme.name, refs)
         return scheme
 
-    def _apply(self, plan: list[_Step], origin=None, changed=frozenset()) -> list[str]:
+    def _apply(self, plan: list[_Step], origin=None, lost=None) -> list[str]:
         """Run a DDL plan in one kernel transaction; return the names of the
         kernel items sent.  The transaction holds the write lock from its
         start, and a DDL version (`PRAGMA user_version`) other than the
@@ -279,11 +280,11 @@ class SirLayer:
         read: StaleCatalog then rolls back before any step.  The version is
         bumped before the commit, also when only meta rows change.
 
-        A probe prepares a statement over a final view, which resolves every
-        stage of its chain, so a bad or stale stage fails here, not at query
-        time.  In an ALTER, a later step's failed probe is a dependent reading
-        what the ALTER removes; `changed` (casefold) names the relations
-        whose columns the ALTER changes, to name the IEs that read them."""
+        A step whose entry has a view is probed: a statement prepared over
+        its final view resolves every stage of its chain, so a bad or stale
+        stage fails here, not at query time, and gives a view's columns.  In
+        an ALTER, a later step's failed probe is a dependent reading what the
+        ALTER removes; `lost` names the relations whose columns change."""
         sent, entered = [], []
 
         def run(conn):
@@ -295,29 +296,26 @@ class SirLayer:
                 for item in step.items(conn) if callable(step.items) else step.items:
                     conn.execute(item.sql, origin=origin)
                     sent.append(item.name)
-                if step.probe:
+                entry, known = step.entry, step.name in self.catalog
+                if entry is not None and entry.views:
                     try:
-                        conn.execute(f"SELECT * FROM {quote_ident(step.name)} LIMIT 0",
-                                     origin=origin)
+                        columns = conn.execute(f"SELECT * FROM {quote_ident(step.name)} LIMIT 0",
+                                               origin=origin).columns
                     except KernelError as exc:
-                        if step is plan[0] or not changed:
+                        if step is plan[0] or not lost:
                             raise
                         reader = self.catalog.get(step.name)
-                        ies = _ies_over(reader, changed, self.catalog)
+                        ies = _ies_over(reader, lost, self.catalog)
                         raise DependentAttributeDrop(
                             f"{plan[0].name}: this ALTER removes an attribute"
                             f" {reader.name} reads{f' through IE {ies}' if ies else ''}"
                             f" ({exc.__cause__})") from exc
-                entry, known = step.entry, step.name in self.catalog
-                if entry is not None and entry.kind == VIEW:
-                    names = conn.introspect(entry.name)
-                    if known and names == self.catalog.get(step.name).column_names:
-                        continue
-                    entry = _view_entry(entry, names, entry.references)
+                    if entry.kind == VIEW and columns != entry.column_names:
+                        entry = _view_entry(entry, columns, entry.references)
                 if step.remove:
                     self.catalog.persist_remove(step.name, conn)
                     entered.append((step.name, None, None))
-                elif entry is not None:
+                elif entry is not None and not (known and entry is self.catalog.get(step.name)):
                     persist = self.catalog.persist_replace if known else self.catalog.persist
                     entered.append((step.name, entry, persist(entry, conn)))
             conn.execute(f"PRAGMA user_version = {self.catalog.version + 1}")
@@ -338,7 +336,7 @@ class SirLayer:
         """Upgrade the rows an earlier release wrote (`_LoadedEntry`) in one
         DDL plan that also drops the four-table format's detail tables.  A
         table is compiled again, keeping its base item, after the outdated
-        views (columns read from the kernel), relations and stage views it
+        views (columns from a probe), relations and stage views it
         reads (a base needs only a scheme): the order is the postorder of one
         `depth_first` walk from a virtual root ("") over the outdated
         relations, and any order that puts what a relation reads first would
@@ -360,14 +358,15 @@ class SirLayer:
                                      " cannot be upgraded: they read each other's stages")
             for old in map(outdated.get, order[:-1]):
                 entry = compile_sir(old.scheme, scratch, old.plan[0]) if old.kind != VIEW \
-                    else _view_entry(old, self.conn.introspect(old.name), referenced_relations(
-                        old.statement(n.CreateView, "view").select))
+                    else _view_entry(old, self.conn.query(f"SELECT * FROM {quote_ident(old.name)}"
+                                                          " LIMIT 0").columns,
+                                     referenced_relations(old.statement(n.CreateView, "view").select))
                 scratch.attach(entry)
-                plan.append(_Step(entry.name, recompile_steps(old, entry), bool(entry.views), entry))
+                plan.append(_Step(entry.name, recompile_steps(old, entry), entry))
             drops = [PlanItem(table, "step", f"DROP TABLE IF EXISTS {table};")
                      for table in ("sir_attrs", "sir_ies", "sir_deps")]
             try:
-                self._apply(plan + [_Step("sir_attrs", drops, False)])
+                self._apply(plan + [_Step("sir_attrs", drops)])
             except StaleCatalog:
                 self.catalog = Catalog.load(self.conn)
 
@@ -380,8 +379,7 @@ class SirLayer:
         self.catalog.validate_scheme(scheme)
         scheme = self._apply_rewrite_to_base(scheme)
         entry = compile_sir(scheme, self.catalog)
-        self._create(_Step(entry.name, entry.plan, bool(entry.views), entry),
-                     entry.kernel_objects, stmt)
+        self._create(_Step(entry.name, entry.plan, entry), entry.kernel_objects, stmt)
         return StatementResult(stmt, "create table", objects=entry.kernel_objects,
                                warnings=stmt.warnings)
 
@@ -395,10 +393,10 @@ class SirLayer:
         self.catalog.check_acyclic(stmt.name, refs)
         select = expand_selects(stmt.select, self.catalog)
         item = PlanItem(stmt.name, "view", render(n.CreateView(name=stmt.name, select=select)))
-        # `_apply` reads its columns from the kernel
+        # `_apply` takes its columns from its probe
         entry = CatalogEntry(stmt.name, VIEW, None, [], [item], refs,
                              source_text=render_source(stmt))
-        self._create(_Step(stmt.name, entry.plan, True, entry), [stmt.name], stmt)
+        self._create(_Step(stmt.name, entry.plan, entry), [stmt.name], stmt)
         return StatementResult(stmt, "create view", objects=[stmt.name],
                                warnings=stmt.warnings)
 
@@ -435,43 +433,43 @@ class SirLayer:
         # reads a relation whose column list changed is recompiled, so it
         # inherits added or dropped attributes, and every other one is only
         # probed, in case it names what changed.  One whose IE names an
-        # attribute this ALTER removes is refused here, before any kernel
-        # statement.
-        plan = [_Step(entry.name, own_items, bool(new_entry.views), new_entry)]
-        changed = {entry.name.casefold()}
-        # (the relation's own name comes last: it names the old base too
-        # when the relation had no IE)
-        removed = {entry.plan[0].name.casefold(): _dropped(entry.scheme.stored_names,
-                                                           new_scheme.stored_names),
-                   entry.name.casefold(): _dropped(entry.column_names, new_entry.column_names)}
+        # attribute this ALTER removes, also through a recompiled `*`, is
+        # refused here, before any kernel statement.
+        plan = [_Step(entry.name, own_items, new_entry)]
+        # casefold object -> the casefold columns it loses: the relations whose
+        # column list changes, and the old base (the relation's own name comes
+        # last: it names the old base too when the relation had no IE)
+        lost = {entry.plan[0].name.casefold(): _dropped(entry.scheme.stored_names,
+                                                        new_scheme.stored_names),
+                entry.name.casefold(): _dropped(entry.column_names, new_entry.column_names)}
         for name in self.catalog.transitive_dependents(entry.name):
             dep = scratch.get(name)
-            if dep.kind != SIR or not _stars_over(dep, changed, scratch):
-                read = dep.kind == SIR and _reads_removed(dep, removed, self.catalog)
+            if dep.kind != SIR or not _stars_over(dep, lost, scratch):
+                read = dep.kind == SIR and _reads_removed(dep, lost, self.catalog)
                 if read:
                     raise DependentAttributeDrop(
                         f"{entry.name}: this ALTER removes an attribute {dep.name} reads"
                         f" through IE {read[0]} (no such column: {read[1]})")
-                plan.append(_Step(name, [], True, dep if dep.kind == VIEW else None))
+                plan.append(_Step(name, [], dep))
                 continue
             # its scheme is unchanged: only its view chain is compiled again
             new_dep = compile_chain(dep, scratch)
             scratch.attach(new_dep)
-            plan.append(_Step(name, recompile_steps(dep, new_dep), bool(new_dep.views), new_dep))
+            plan.append(_Step(name, recompile_steps(dep, new_dep), new_dep))
             if new_dep.column_names != dep.column_names:
-                changed.add(name.casefold())
+                lost[name.casefold()] = _dropped(dep.column_names, new_dep.column_names)
 
-        self._apply(plan, partial(render_source, stmt), changed)
+        self._apply(plan, partial(render_source, stmt), lost)
         return StatementResult(stmt, "alter table", objects=new_entry.kernel_objects,
                                warnings=stmt.warnings)
 
     def _drop(self, name: str, mode: str, expect_view: bool) -> StatementResult:
-        plan = [_Step(entry.name, steps, False, remove=True)
+        plan = [_Step(entry.name, steps, remove=True)
                 for entry, steps in plan_drop(name, mode, self.catalog, expect_view)]
         return StatementResult(None, "drop", objects=self._apply(plan))
 
     def _create_index(self, stmt: n.CreateIndex) -> StatementResult:
-        plan = [_Step(stmt.table, compile_index(stmt, self.catalog), False)]
+        plan = [_Step(stmt.table, compile_index(stmt, self.catalog))]
         return StatementResult(stmt, "create index",
                                objects=self._apply(plan, partial(render_source, stmt)))
 
@@ -487,7 +485,7 @@ class SirLayer:
                 raise UnknownObject(f"no index named {stmt.name!r} on a relation's table")
             return [PlanItem(found[0][0], "index", render(n.DropIndex(name=found[0][0])))]
 
-        plan = [_Step(stmt.name, items, False)]
+        plan = [_Step(stmt.name, items)]
         return StatementResult(stmt, "drop index",
                                objects=self._apply(plan, partial(render_source, stmt)))
 
@@ -535,7 +533,7 @@ def _view_entry(view: CatalogEntry, names: list[str], references: list[str]) -> 
                         view.plan, references, source_text=view.source_text)
 
 
-def _ies_over(entry: CatalogEntry, relations: set[str], catalog: Catalog) -> str:
+def _ies_over(entry: CatalogEntry, relations: Container[str], catalog: Catalog) -> str:
     """The IEs of `entry` that read a relation named in `relations`
     (casefold) or one of its kernel objects, comma-separated."""
     names = []
@@ -553,9 +551,9 @@ def _dropped(before: list[str], after: list[str]) -> set[str]:
     return {c.casefold() for c in before} - {c.casefold() for c in after}
 
 
-def _reads_removed(entry: CatalogEntry, removed: dict[str, set[str]],
+def _reads_removed(entry: CatalogEntry, lost: dict[str, set[str]],
                    catalog: Catalog) -> tuple[str, str] | None:
-    """The first IE of `entry` whose select names a column that `removed`
+    """The first IE of `entry` whose select names a column that `lost`
     (casefold object name -> the casefold columns an ALTER takes from it)
     lists, with that column qualified as written, or by the object when it
     is unqualified; None when no IE does.  A column counts when each source
@@ -576,14 +574,14 @@ def _reads_removed(entry: CatalogEntry, removed: dict[str, set[str]],
             if ref.table is None and column in aliases:
                 continue
             named = sources.named_by(ref)
-            if named and all(column in removed.get(s.table.name.casefold(), ()) for s in named):
+            if named and all(column in lost.get(s.table.name.casefold(), ()) for s in named):
                 return ie.name, f"{ref.table or named[0].table.name}.{ref.name}"
     return None
 
 
-def _stars_over(entry: CatalogEntry, relations: set[str], catalog: Catalog) -> bool:
-    """Whether an IE of `entry` uses `*` over a relation named in
-    `relations` (casefold) or over one of their kernel objects."""
+def _stars_over(entry: CatalogEntry, relations: Container[str], catalog: Catalog) -> bool:
+    """Whether an IE of `entry` uses `*` over a relation of `catalog` named
+    in `relations` (casefold) or over one of its kernel objects."""
     for ie in entry.scheme.ies:
         if not isinstance(ie.form, n.SelectForm) or not any(
                 isinstance(i.expr, (n.Star, n.StarMinus)) for i in ie.form.select.items):
@@ -591,6 +589,6 @@ def _stars_over(entry: CatalogEntry, relations: set[str], catalog: Catalog) -> b
         for source in ie.form.select.from_:
             if isinstance(source, n.TableName):
                 owner = catalog.owner_of_object(source.name) or source
-                if owner.name.casefold() in relations:
+                if owner.name.casefold() in relations and owner.name in catalog:
                     return True
     return False

@@ -179,7 +179,6 @@ class ValueForm(Node):
 class IeDecl(Node):
     name: str
     form: object                # SelectForm | ValueForm
-    position: tuple | None = None   # ('before'|'after', attr) or None = append
 
 class PrimaryKeyClause(Node):
     columns: list

@@ -96,7 +96,6 @@ class DraftIE:
 @dataclass
 class SchemeDraft:
     name: str
-    attributes: list            # full attribute order: stored then inherited
     stored: list                # ordered stored subset
     ies: list = field(default_factory=list)     # DraftIE
     keys: list = field(default_factory=list)
@@ -110,7 +109,7 @@ class SchemeDraft:
 
 
 def make_universal(name: str, attributes, types=None) -> SchemeDraft:
-    return SchemeDraft(name=name, attributes=list(attributes), stored=list(attributes),
+    return SchemeDraft(name=name, stored=list(attributes),
                        types={k.casefold(): v for k, v in (types or {}).items()})
 
 
@@ -235,7 +234,6 @@ def heath_decompose(draft: SchemeDraft, fd: FunctionalDependency,
                  and {c.casefold() for c in ie.join_cols} <= lhs]
     split = SchemeDraft(
         name=split_name or f"{draft.name}1",
-        attributes=a_cols + b_cols + [p for ie in moved_ies for p in ie.produced],
         stored=a_cols + b_cols,
         ies=copy.deepcopy(moved_ies),
         keys=[list(a_cols)],
@@ -251,7 +249,6 @@ def heath_decompose(draft: SchemeDraft, fd: FunctionalDependency,
     residual = draft
     residual.stored = residual_stored
     residual.ies = residual.ies + [inherited_back]
-    residual.attributes = residual_stored + residual.inherited()
     residual.keys = [candidate_key(residual_stored, fds)]
     split.keys = [candidate_key(split.stored, fds)]
 
@@ -283,7 +280,7 @@ def fagin_decompose(draft: SchemeDraft, mvd: MultivaluedDependency,
     c_prime = [a for a in c_cols if a.casefold() in closure_a]
 
     split = SchemeDraft(name=split_name or f"{draft.name}1",
-                        attributes=a_cols + b_cols, stored=a_cols + b_cols,
+                        stored=a_cols + b_cols,
                         types=dict(draft.types))
     residual = draft
     residual.stored = a_cols + c_cols
@@ -305,8 +302,6 @@ def fagin_decompose(draft: SchemeDraft, mvd: MultivaluedDependency,
         notes.append("both sides inherit functionally dependent attributes;"
                      " the schemes reference each other and cannot both keep"
                      " their IEs in one acyclic database")
-    split.attributes = split.stored + split.inherited()
-    residual.attributes = residual.stored + residual.inherited()
     split.keys = [candidate_key(split.stored, fds)]
     residual.keys = [candidate_key(residual.stored, fds)]
 

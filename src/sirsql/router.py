@@ -8,10 +8,11 @@ no inherited attribute (``COUNT(*)``, stored columns only), otherwise the
 stage that first produces the last inherited attribute it needs.  A prefix
 is taken only when every stage it skips provably keeps card(R_B) (see
 `Catalog.stage_keeps_card`), so it has the full view's rows.  Any ``*`` over
-R keeps R whole, a column name counts for R whatever its qualifier, and R's
-name stays as the alias so qualified references still resolve.  A view
-body is not routed, as stage names shift on ALTER: `expand_selects` only
-expands its star-minus items.
+R keeps R whole.  An unqualified column name counts for every relation the
+statement reads, a qualified one only for the relation whose name or alias
+qualifies it.  R's name stays as the alias so qualified references still
+resolve.  A view body is not routed, as stage names shift on ALTER:
+`expand_selects` only expands its star-minus items.
 
 A GROUP BY over an inherited attribute that one key-joined stage adds
 aggregates the base first (eager aggregation; see `_pre_aggregate` for the
@@ -64,7 +65,6 @@ class RoutedStatement:
     kernel_stmt: object = None      # AST to render for the kernel
     target: str | None = None       # base table (or, for queries, chain prefix) read
     reason: str | None = None       # why a write was rejected or a query pruned
-    inserted_columns: list | None = None   # stored columns an insert binds
 
 
 def route(stmt, catalog: Catalog) -> RoutedStatement:
@@ -379,7 +379,7 @@ def _route_insert(stmt: n.Insert, catalog: Catalog) -> RoutedStatement:
         bound.append(stored[key])
     rewritten = n.Insert(table=entry.plan[0].name, columns=bound, source=stmt.source)
     return RoutedStatement(kind=BASE_REWRITE, kernel_stmt=rewritten,
-                           target=entry.plan[0].name, inserted_columns=bound)
+                           target=entry.plan[0].name)
 
 
 def _key_filter(entry, where) -> object:
@@ -464,7 +464,8 @@ def enforce_insert_computability(entry, inserted_keys: list[tuple],
                                  conn: KernelConnection) -> None:
     """Strict-integrity mode: the just-inserted rows must have every
     select-form inherited attribute computed (non-NULL).  Runs inside the
-    insert's transaction; raising rolls the insert back.
+    insert's transaction, `conn.max_params` key values per statement;
+    raising rolls the insert back.
 
     Value-form attributes are exempt: arithmetic over NULL inputs is
     legitimate NULL propagation, not a failed inheritance.  The form is the
@@ -477,21 +478,20 @@ def enforce_insert_computability(entry, inserted_keys: list[tuple],
     if not checked or not inserted_keys:
         return
     key_cols = entry.scheme.primary_key() or entry.scheme.stored_names
+    width = len(key_cols)
     key_list = ", ".join(quote_ident(c) for c in key_cols)
-    operand = f"({key_list})" if len(key_cols) > 1 else key_list
-    placeholders = ", ".join(
-        "(" + ", ".join("?" for _ in key_cols) + ")" if len(key_cols) > 1 else "?"
-        for _ in inserted_keys)
-    params = [v for key in inserted_keys for v in (key if len(key_cols) > 1 else key[:1])]
+    operand = f"({key_list})" if width > 1 else key_list
+    marks = "(" + ", ".join("?" * width) + ")" if width > 1 else "?"
     cols = ", ".join(quote_ident(c.name) for c in checked)
-    sql = (f"SELECT {key_list}, {cols} FROM {quote_ident(entry.name)}"
-           f" WHERE {operand} IN ({placeholders})")
-    rows = conn.execute(sql, tuple(params))
+    batch = conn.max_params // width     # keys one statement binds
     failures = []
-    for row in rows.rows:
-        key = tuple(row[:len(key_cols)])
-        for offset, col in enumerate(checked):
-            if row[len(key_cols) + offset] is None:
-                failures.append((col.ie_name, key))
+    for start in range(0, len(inserted_keys), batch):
+        keys = inserted_keys[start:start + batch]
+        sql = (f"SELECT {key_list}, {cols} FROM {quote_ident(entry.name)}"
+               f" WHERE {operand} IN ({', '.join([marks] * len(keys))})")
+        for row in conn.execute(sql, [v for key in keys for v in key]).rows:
+            for offset, col in enumerate(checked):
+                if row[width + offset] is None:
+                    failures.append((col.ie_name, tuple(row[:width])))
     if failures:
         raise IaNotComputable(sorted(set(failures)))

@@ -173,6 +173,13 @@ def test_query_reading_a_corrupt_scheme_exits_2(db, capsys):
     assert err.startswith("error: P: unparseable source text")
 
 
+def test_a_kernel_path_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    location = str(tmp_path / "missing" / "cli.sqlite")
+    code, out, err = run(["-k", location, "query", "Select Count(*) From S;"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: OperationalError: unable to open database file: {location}\n"
+
+
 def test_explain_prints_stored_plan(db, capsys):
     apply_sp2(db, capsys, with_data=False)
     code, out, err = run(["-k", db, "explain", "SP"], capsys)

@@ -491,3 +491,75 @@ def test_a_create_over_a_raw_kernel_object_is_a_name_collision(tmp_path, kernel_
     assert sent[0] == "BEGIN IMMEDIATE" and "ROLLBACK" in sent
     assert kernel_state(layer.conn) == kernel
     assert layer.catalog.snapshot() == snapshot
+
+
+def test_a_name_lost_through_a_star_cascade_is_refused_and_changes_nothing(tmp_path, kernel_log):
+    # Y inherits NOTE through `*` over S; Z's unqualified NOTE reads Y's,
+    # and would silently read Z's own NOTE once Y is recompiled without it
+    location = str(tmp_path / "db.sqlite")
+    layer = SirLayer(KernelConnection(location))
+    layer.apply_source(
+        "Create Table S (S# Char, SNAME Char, NOTE Char, Primary Key (S#));"
+        " Create Table Y (K Char, Primary Key (K), I (Select */S# From S Where Y.K = S.S#));"
+        " Create Table Z (K Char, NOTE Char, Primary Key (K),"
+        " I_C (Select Count(*) As C From Y Where Z.K = Y.K And NOTE = 'x'));"
+        " Insert Into S Values ('s1', 'n', 'y'); Insert Into Y Values ('s1');"
+        " Insert Into Z Values ('s1', 'x');")
+    kernel, snapshot = kernel_state(layer.conn), layer.catalog.snapshot()
+    sent = kernel_log(layer.conn)
+
+    with pytest.raises(DependentAttributeDrop,
+                       match=r"Z reads through IE I_C \(no such column: Y\.NOTE\)"):
+        layer.apply_source("Alter Table S Drop NOTE;")
+    assert sent == []                   # refused before any kernel statement
+    assert kernel_state(layer.conn) == kernel
+    assert layer.catalog.snapshot() == snapshot
+    assert layer.query("Select * From Z;").rows == [("s1", "x", 0)]
+
+
+@pytest.mark.parametrize("view", [
+    "Create View V As Select S#, S#, SNAME As S# From S;",
+    "Create View V As Select STATUS + 1, Upper(SNAME), Count(*) From S Group By STATUS, SNAME;",
+    "Create View V As Select SNAME As N, CITY As C From S;",
+    "Create View V As Select * From S, P Where S.CITY = P.CITY;",
+    "Create View V As Select * From SP Join S On SP.S# = S.S#;",
+], ids=["duplicates", "expressions", "aliases", "star-over-comma-join", "star-over-join"])
+def test_a_views_columns_from_its_probe_are_the_kernels_table_info(view):
+    layer = load_sp2(SirLayer(KernelConnection(":memory:")))
+    layer.apply_source(view)
+    assert layer.catalog.get("V").column_names == layer.conn.introspect("V")
+    layer.apply_source("Alter Table S Add NOTE Char;")
+    assert layer.catalog.get("V").column_names == layer.conn.introspect("V")
+
+
+def test_a_view_dependent_whose_columns_stay_writes_no_meta_row(kernel_log):
+    layer = load_sp2(SirLayer(KernelConnection(":memory:")))
+    layer.apply_source("Create View KEPT As Select S#, SNAME From SP;"
+                       " Create View GROWN As Select * From S;")
+    sent = kernel_log(layer.conn)
+
+    layer.apply_source("Alter Table S Add NOTE Char;")
+    # SP names what it inherits from S, so its columns stay, and KEPT's
+    assert sorted(PROBE.match(s).group(1) for s in sent if PROBE.match(s)) == ["GROWN", "KEPT", "SP"]
+    written = [s.rsplit(" WHERE name = ", 1)[1] for s in sent
+               if s.startswith("UPDATE sir_relations")]
+    assert sorted(written) == ["'GROWN'", "'S'"]
+    assert layer.catalog.get("GROWN").column_names[-1] == "NOTE"
+
+
+def test_a_star_over_a_base_that_the_alter_removes_is_refused_by_the_probe(kernel_log):
+    # X loses its only IE, so its base X_B goes; Y's `*` over X_B is not
+    # recompiled against a base that no longer exists, and its probe fails
+    layer = SirLayer(KernelConnection(":memory:"))
+    layer.apply_source(
+        "Create Table D (K Char, V Char, Primary Key (K));"
+        " Create Table X (K Char, Primary Key (K), I (Select V From D Where X.K = D.K));"
+        " Create Table Y (K Char, Primary Key (K), J (Select */K From X_B Where Y.K = X_B.K));")
+    kernel, snapshot = kernel_state(layer.conn), layer.catalog.snapshot()
+    sent = kernel_log(layer.conn)
+
+    with pytest.raises(DependentAttributeDrop, match="Y reads through IE J .*no such table"):
+        layer.apply_source("Alter Table X Drop I;")
+    assert sent[-1] == "ROLLBACK"
+    assert kernel_state(layer.conn) == kernel
+    assert layer.catalog.snapshot() == snapshot

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sqlite3
+import threading
 
 import pytest
 
@@ -169,3 +170,48 @@ def test_adapter_adds_no_semantics(conn):
         conn.execute(sql)
     query = "SELECT a, b, a * 2 FROM t ORDER BY a"
     assert conn.execute(query).rows == raw.execute(query).fetchall()
+
+
+def test_a_file_that_cannot_be_opened_raises_kernel_error(tmp_path):
+    with pytest.raises(KernelError, match="unable to open database file"):
+        KernelConnection(str(tmp_path / "missing" / "db.sqlite"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: c.execute("SELECT 1"),
+    lambda c: c.query("SELECT 1"),
+    lambda c: c.within_transaction(lambda inner: None),
+    lambda c: c.ddl_version(),
+    lambda c: c.indexes("t"),
+    lambda c: c.object_kind("t"),
+    lambda c: c.object_names(),
+    lambda c: c.introspect("t"),
+], ids=["execute", "query", "within_transaction", "ddl_version", "indexes", "object_kind",
+        "object_names", "introspect"])
+def test_every_call_on_a_closed_connection_raises_kernel_error(call):
+    conn = KernelConnection(":memory:")
+    conn.execute("CREATE TABLE t (a)")
+    conn.close()
+    with pytest.raises(KernelError, match="closed database"):
+        call(conn)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: c.object_kind("t"),
+    lambda c: c.object_names(),
+    lambda c: c.introspect("t"),
+], ids=["object_kind", "object_names", "introspect"])
+def test_a_call_from_another_thread_raises_kernel_error(conn, call):
+    raised = []
+
+    def other():
+        try:
+            call(conn)
+        except Exception as exc:        # kept to be checked on the test's thread
+            raised.append(exc)
+
+    worker = threading.Thread(target=other)
+    worker.start()
+    worker.join()
+    assert len(raised) == 1 and isinstance(raised[0], KernelError)
+    assert "same thread" in str(raised[0])

@@ -56,8 +56,7 @@ def test_closure_two_step_fixpoint():
 
 
 def draft(stored, inherited=(), name="T"):
-    d = SchemeDraft(name=name, attributes=list(stored) + list(inherited),
-                    stored=list(stored))
+    d = SchemeDraft(name=name, stored=list(stored))
     if inherited:
         from sirsql.normalizer import DraftIE
         d.ies = [DraftIE(name="I_X", source="X", produced=list(inherited),
@@ -95,7 +94,7 @@ def test_candidate_key_of_universal():
 
 
 def test_heath_on_supplier_fd():
-    sp = SchemeDraft(name="SP", attributes=list(EX8_ATTRS[1:]), stored=list(EX8_ATTRS[1:]))
+    sp = SchemeDraft(name="SP", stored=list(EX8_ATTRS[1:]))
     step = heath_decompose(sp, FD(("S#",), ("SNAME", "STATUS", "SCITY")),
                            EX8_FDS, split_name="S")
     split, residual = step.outputs

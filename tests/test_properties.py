@@ -635,9 +635,9 @@ def test_restated_bcnf_matches_classic_oracle():
     rng = random.Random(31415)
     checked_true = checked_false = 0
     for _ in range(CASES * 2):
-        attrs, raw_fds, stored = random_dependency_case(rng)
+        _, raw_fds, stored = random_dependency_case(rng)
         fds = [FunctionalDependency(tuple(l), tuple(r)) for l, r in raw_fds]
-        draft = SchemeDraft(name="T", attributes=attrs, stored=stored)
+        draft = SchemeDraft(name="T", stored=stored)
         lowered = [(tuple(x.casefold() for x in l), tuple(x.casefold() for x in r))
                    for l, r in raw_fds]
         expected = classic_bcnf([s.casefold() for s in stored], lowered)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from sirsql import nodes as n
@@ -61,7 +63,7 @@ def test_paper_insert_select_rewrites_to_base(sp2):
                    sp2.catalog)
     assert routed.kind == BASE_REWRITE
     assert routed.target == "SP_B"
-    assert routed.inserted_columns == ["S#", "P#", "QTY"]
+    assert routed.kernel_stmt.columns == ["S#", "P#", "QTY"]
     assert render(routed.kernel_stmt).startswith(
         'INSERT INTO SP_B ("S#", "P#", QTY)')
 
@@ -69,7 +71,7 @@ def test_paper_insert_select_rewrites_to_base(sp2):
 def test_insert_values_binds_stored_attributes(sp2):
     routed = route(parse_one("Insert Into SP Values ('S9','P9',1);"), sp2.catalog)
     assert routed.kind == BASE_REWRITE
-    assert routed.inserted_columns == ["S#", "P#", "QTY"]
+    assert routed.kernel_stmt.columns == ["S#", "P#", "QTY"]
 
 
 def test_insert_wrong_arity(sp2):
@@ -223,6 +225,30 @@ def test_strict_mode_message_names_the_first_ten_failures():
     message = str(err.value)
     assert message.count(" for key ") == 10
     assert message.endswith("; … and 14 more")
+
+
+def test_strict_mode_checks_more_keys_than_one_statement_binds():
+    layer = make_layer(strict_integrity=True)
+    conn = layer.conn
+    if hasattr(conn._db, "setlimit"):       # Python 3.11+: a low limit keeps the test fast
+        conn._db.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 10)
+        conn.max_params = 10
+    layer.apply_source("Create Table D (K Int, V Char, Primary Key (K));"
+                       " Create Table T (K Int, Primary Key (K));"
+                       " Create Table R (K Int, Primary Key (K),"
+                       " I (Select V From D Where R.K = D.K));")
+    keys = conn.max_params + 1              # one key more than one statement binds
+    conn.execute(f"WITH RECURSIVE k(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM k"
+                 f" WHERE n < {keys}) INSERT INTO T SELECT n FROM k")
+    conn.execute(f"INSERT INTO D SELECT K, 'v' FROM T WHERE K < {keys}")
+
+    with pytest.raises(IaNotComputable) as err:     # the last key has no D row
+        layer.apply_source("Insert Into R (K) Select K From T;")
+    assert err.value.failures == [("I", (keys,))]
+    assert layer.query("Select Count(*) From R;").rows == [(0,)]
+    conn.execute(f"INSERT INTO D VALUES ({keys}, 'v')")
+    assert layer.apply_source("Insert Into R (K) Select K From T;")[0].rowcount == keys
+    assert layer.query("Select Count(V) From R;").rows == [(keys,)]
 
 
 def test_insert_key_conflict_surfaces_kernel_error(sp2):
