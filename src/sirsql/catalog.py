@@ -30,6 +30,14 @@ bumps the kernel's `PRAGMA user_version` in its transaction, and the
 catalog records that version as it was read, so a DDL can tell whether
 another session's DDL committed since.
 
+A catalog over a file also records SQLite's schema cookie (`PRAGMA
+schema_version`), which any connection's schema change moves: at that
+cookie each entry's kernel objects had exactly its plan's texts.  A load
+reads it with the DDL version; a DDL of the session reads it again before
+its commit, and records none when the cookie had moved outside sirsql since
+the catalog's.  A later open that reads the same file, DDL version and
+cookie as its donor's needs no kernel text to take the donor's entries.
+
 Concurrency: a catalog belongs to one session and is used only by the
 thread that opened the session's KernelConnection.  A thread that needs
 the catalog opens its own session over its own connection.  Entries are
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import re
 import weakref
 from dataclasses import MISSING, astuple, dataclass, field, fields
@@ -308,14 +317,18 @@ class CatalogEntry:
 
     def record(self, row: tuple):
         """Record `row`, the meta row that a committed DDL wrote for this new
-        entry, and its plan's texts as the kernel holds them (without ';')."""
+        entry, and its plan's texts, which are the kernel's own (without ';'):
+        the schema cookie that DDL's catalog then records vouches for them."""
         self._meta_row, self._objects = row, self.kernel_objects
         self._texts = [item.sql.removesuffix(";") for item in self.plan]
 
-    def holds(self, row: tuple, kernel: _KernelText) -> bool:
+    def holds(self, row: tuple, kernel: _KernelText | None) -> bool:
         """Whether this entry is what `row` and `kernel` would load: it stands
-        for `row` (loaded from it, or `record`ed) and its objects keep their texts."""
-        return row == self._meta_row and self._texts == list(map(kernel.__getitem__, self._objects))
+        for `row` (loaded from it, or `record`ed) and its objects keep their
+        texts.  With no `kernel`, an unmoved schema cookie vouches for the
+        texts, and only the row is compared."""
+        return row == self._meta_row and (
+            kernel is None or self._texts == list(map(kernel.__getitem__, self._objects)))
 
 
 class _LoadedEntry(CatalogEntry):
@@ -477,6 +490,11 @@ class Catalog:
         self.meta_ready = False
         # the kernel's DDL version that the entries reflect (see SirLayer._apply)
         self.version = 0
+        # the absolute path of the file the entries were read from or written
+        # to, and SQLite's schema cookie at which each entry's kernel objects
+        # had exactly its plan's texts; None when unknown, as for a database
+        # without a file
+        self.location, self.cookie = None, None
 
     # --- lookups ---
 
@@ -799,36 +817,53 @@ class Catalog:
 
     @classmethod
     def load(cls, conn) -> "Catalog":
-        """Rebuild the catalog with three queries, whatever the number of
-        relations.  The DDL version is read first, so DDL that another
-        session commits during the load leaves the catalog looking stale,
-        never current.
+        """Rebuild the catalog with two or three queries, whatever the number
+        of relations.  Both header counters come first, in one statement
+        (`KernelConnection.versions`), so DDL that another session commits
+        during the load leaves the catalog looking stale, never current, and
+        its schema cookie never newer than the rows and texts it vouches for.
 
         A row is served by the entry, loaded or compiled, that the donor (the
         catalog of the process's latest load or committed DDL, while alive)
-        holds under its name, when it `holds` the identical row and each of
-        its objects keeps its text: such an entry is what decoding the row
-        would build, and no session changes an entry once built.  Every
-        other row's document is decoded here, and CorruptCatalog raised for
-        one that is not JSON, lacks its plan, references or a view's columns,
-        holds a plan row, its stage facts or a column row of the wrong shape,
-        or names a kernel object that `sqlite_master` lacks.  Nothing else is
+        holds under its name, when it `holds` the identical row: such an
+        entry is what decoding the row would build, and no session changes
+        an entry once built.  When the donor has the same file, DDL version
+        and schema cookie, no kernel object can have changed its text since
+        the donor saw it, so `sqlite_master` is read only for a row that
+        must be decoded, and the donor's `meta_ready` is taken over.
+        Otherwise `sqlite_master` is read second, and a donor's entry serves
+        only when each of its objects keeps its text.  Every other row's
+        document is decoded here, and CorruptCatalog raised for one that is
+        not JSON, lacks its plan, references or a view's columns, holds a
+        plan row, its stage facts or a column row of the wrong shape, or
+        names a kernel object that `sqlite_master` lacks.  Nothing else is
         built, so an unparseable source text, or stage facts that realize
         other IEs than it declares, raise CorruptCatalog when first read, on
         every read."""
+        def kernel_texts():
+            return _KernelText(conn.query("SELECT name, sql FROM sqlite_master").rows)
+
         catalog = cls()
-        catalog.version = conn.ddl_version()
-        kernel = _KernelText(conn.query("SELECT name, sql FROM sqlite_master").rows)
-        catalog.meta_ready = "sir_relations" in kernel
+        catalog.version, cookie = conn.versions()
+        if conn.location not in (":memory:", ""):       # a file other connections may open
+            # absolute: the same relative path opened from elsewhere is another file
+            catalog.location, catalog.cookie = os.path.abspath(conn.location), cookie
+        donor = _latest_load() if _latest_load is not None else None
+        trusted = donor is not None and catalog.cookie is not None and (
+            (donor.location, donor.version, donor.cookie)
+            == (catalog.location, catalog.version, catalog.cookie))
+        kernel = None if trusted else kernel_texts()
+        catalog.meta_ready = donor.meta_ready if trusted else "sir_relations" in kernel
         if not catalog.meta_ready:
             return catalog
         rows = conn.query(
             "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid").rows
-        donor = _latest_load() if _latest_load is not None else None
         shared = donor._entries if donor is not None else {}
         for row in rows:
             entry = shared.get(row[0].casefold()) if shared else None
-            if entry is None or not entry.holds(row, kernel):
+            if entry is None or not entry.holds(row, None if trusted else kernel):
+                if kernel is None:
+                    kernel = kernel_texts()
                 try:
                     entry = _LoadedEntry(row, kernel)
                 except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:

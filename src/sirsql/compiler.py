@@ -644,14 +644,15 @@ def base_size_probe(base: str) -> str:
     which `alter_steps` rebuilds it rather than extend it; that bound; and
     the indexes that CREATE INDEX made on the base.  A rebuild also fills
     those indexes, so the bound is the rows per kernel object over one more
-    than them.  The probe reads ``sqlite_master`` once: SQLite materializes
-    a CTE that is read twice."""
+    than them.  It counts the objects by the B-tree count of
+    ``sqlite_master``, decoding no row, and the indexes as
+    `KernelConnection.indexes` finds them; SQLite materializes a CTE that is
+    read twice, so each count runs once."""
     name = base.replace("'", "''")
-    indexes = (f"sum(type = 'index' AND tbl_name = '{name}' COLLATE NOCASE"
-               " AND sql IS NOT NULL)")
     return (f"WITH m (bound, indexes) AS (SELECT {REBUILD_ROWS_PER_OBJECT} * objects"
-            f" / (1 + indexes), indexes FROM (SELECT count(*) AS objects, {indexes} AS indexes"
-            f" FROM sqlite_master)) SELECT (SELECT count(*) FROM (SELECT 1 FROM {quote_ident(base)}"
+            " / (1 + indexes), indexes FROM (SELECT (SELECT count(*) FROM sqlite_master)"
+            f" AS objects, (SELECT count(*) FROM pragma_index_list('{name}') WHERE origin = 'c')"
+            f" AS indexes)) SELECT (SELECT count(*) FROM (SELECT 1 FROM {quote_ident(base)}"
             " LIMIT (SELECT bound FROM m))), bound, indexes FROM m")
 
 

@@ -110,10 +110,14 @@ class KernelConnection:
 
     # --- introspection ---
 
-    def ddl_version(self) -> int:
-        """The counter that every committed sirsql DDL statement bumps, kept
-        in `PRAGMA user_version` (see `SirLayer._apply`)."""
-        return self.query("PRAGMA user_version").rows[0][0]
+    def versions(self) -> tuple[int, int]:
+        """Both header counters, in one statement: the DDL version, which
+        every committed sirsql DDL statement bumps, kept in `PRAGMA
+        user_version` (see `SirLayer._apply`), and SQLite's schema cookie
+        (`PRAGMA schema_version`), which every schema change of any
+        connection moves."""
+        return self.query("SELECT user_version, schema_version"
+                          " FROM pragma_user_version, pragma_schema_version").rows[0]
 
     def indexes(self, table: str) -> list[tuple[str, bool, list[str]]]:
         """The indexes that CREATE INDEX made on `table`, by name: (name,

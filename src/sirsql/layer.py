@@ -30,8 +30,11 @@ DDL statement of the session then raises StaleCatalog and changes nothing
 (see `_apply`); a new session sees the change.  Queries and DML do not
 check.
 
-The open decodes every meta row, fails with CorruptCatalog on an unreadable
-one or a missing kernel object, and upgrades the rows an earlier release
+The open decodes every meta row that no entry of the process's latest
+catalog stands for (`Catalog.load`, which reads no kernel text for those
+entries when SQLite's schema cookie has not moved since that catalog's),
+fails with CorruptCatalog on an unreadable one or a missing kernel
+object, and upgrades the rows an earlier release
 wrote in one DDL transaction (`_upgrade`).  It builds no other relation's
 columns, plan or scheme: each is built, and a corrupt one raises
 CorruptCatalog, when a statement first reads it (`Catalog.audit` reads all).
@@ -280,6 +283,13 @@ class SirLayer:
         read: StaleCatalog then rolls back before any step.  The version is
         bumped before the commit, also when only meta rows change.
 
+        The same statement reads SQLite's schema cookie.  When it is the
+        catalog's (`Catalog.cookie`), nothing outside sirsql changed the
+        schema since, and the cookie read after the last step, under the
+        write lock, is recorded after the commit: the steps' entries have the
+        kernel's own texts, and the other entries kept theirs.  Otherwise the
+        catalog records no cookie, and the next open reads every text.
+
         A step whose entry has a view is probed: a statement prepared over
         its final view resolves every stage of its chain, so a bad or stale
         stage fails here, not at query time, and gives a view's columns.  In
@@ -288,7 +298,8 @@ class SirLayer:
         sent, entered = [], []
 
         def run(conn):
-            if conn.ddl_version() != self.catalog.version:
+            version, start = conn.versions()
+            if version != self.catalog.version:
                 raise StaleCatalog("the kernel schema changed since this session read its"
                                    " catalog; open a new session to see the change")
             self.catalog.ensure_meta(conn)
@@ -318,9 +329,12 @@ class SirLayer:
                 elif entry is not None and not (known and entry is self.catalog.get(step.name)):
                     persist = self.catalog.persist_replace if known else self.catalog.persist
                     entered.append((step.name, entry, persist(entry, conn)))
+            cookie = conn.query("PRAGMA schema_version").rows[0][0] \
+                if start == self.catalog.cookie else None
             conn.execute(f"PRAGMA user_version = {self.catalog.version + 1}")
+            return cookie
 
-        self.conn.within_transaction(run)
+        self.catalog.cookie = self.conn.within_transaction(run)
         self.catalog.version += 1
         self.catalog.meta_ready = True
         for name, entry, row in entered:

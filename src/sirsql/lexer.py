@@ -94,16 +94,23 @@ def tokenize(source: str) -> list[Token]:
 # --- literal runs --------------------------------------------------------------
 
 INT64_MAX = 2**63 - 1
+_INT64_DIGITS = len(str(INT64_MAX))
 _BOUND_FLOAT_DIGITS = 15        # a float with more digits may parse differently in SQLite
 
 
 def literal_value(text: str):
     """The sqlite3 parameter for a NUMBER token (ASCII digits only, as
     `tokenize` reads them), or None when it must stay inline: integers
-    beyond int64 and floats with more than 15 digits."""
+    beyond int64 and floats with more than 15 digits.  Only an integer's
+    digits after its leading zeros are converted, and only when they are no
+    more than int64's, so no text meets Python's limit on integer string
+    conversion."""
     if "." in text:
         return float(text) if len(text) <= _BOUND_FLOAT_DIGITS + 1 else None
-    value = int(text)
+    digits = text.lstrip("0")
+    if len(digits) > _INT64_DIGITS:
+        return None
+    value = int(digits or "0")
     return value if value <= INT64_MAX else None
 
 

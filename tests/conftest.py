@@ -19,6 +19,17 @@ SP2_QUERIES = ["Select * From SP Order By S#, P#;", "Select Count(*) From SP;",
 SP3_QUERIES = SP2_QUERIES + ["Select * From P Order By P#;", "Select * From S Order By S#;",
                              "Select Count(*) From S Where STATUS > 2;"]
 
+# what every open and DDL reads first, the DDL version and the schema
+# cookie, as sqlite3's trace callback reports it: the statement, then the
+# pragma each of its table-valued functions runs
+VERSIONS = "SELECT user_version, schema_version FROM pragma_user_version, pragma_schema_version"
+VERSIONS_TRACED = [VERSIONS, "-- PRAGMA user_version", "-- PRAGMA schema_version"]
+_META_ROWS = "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid"
+# the reads of an open whose donor vouches for no kernel text
+COLD_READS = VERSIONS_TRACED + ["SELECT name, sql FROM sqlite_master", _META_ROWS]
+# the reads of an open whose donor has the file's DDL version and schema cookie
+WARM_READS = VERSIONS_TRACED + [_META_ROWS]
+
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")

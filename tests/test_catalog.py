@@ -25,7 +25,8 @@ from sirsql.parser import parse_one
 from sirsql.render import render, render_source
 from sirsql.router import route
 
-from conftest import (SP2_QUERIES, SP3_QUERIES, assert_plans_match_kernel, fixture_text,
+from conftest import (COLD_READS, SP2_QUERIES, SP3_QUERIES, VERSIONS_TRACED, WARM_READS,
+                      assert_plans_match_kernel, fixture_text,
                       kernel_state, load_sp2, make_layer, replay_dump, write_four_table_sp2,
                       write_seed_documents)
 
@@ -567,15 +568,20 @@ def test_load_sends_a_fixed_number_of_statements(tmp_path, kernel_log):
         before = layer.catalog.snapshot()
         layer.conn.close()
 
-        conn = KernelConnection(location)
-        sent = kernel_log(conn)
-        loaded = Catalog.load(conn)
-        counts.append(len(sent))
-        conn.close()
-        assert len(loaded.entries()) == size
-        assert loaded.snapshot() == before
-    # the schema version, sqlite_master and sir_relations
-    assert counts == [3, 3]
+        for warm in (True, False):      # the writer's catalog is the donor, then none
+            if not warm:
+                catalog_module._latest_load = None
+            conn = KernelConnection(location)
+            sent = kernel_log(conn)
+            loaded = Catalog.load(conn)
+            # the trace adds a line for the pragma each pragma function runs
+            counts.append(len([sql for sql in sent if not sql.startswith("-- PRAGMA ")]))
+            conn.close()
+            assert len(loaded.entries()) == size
+            assert loaded.snapshot() == before
+    # the DDL version with the schema cookie, then sir_relations; before
+    # it, sqlite_master when no donor has the file's version and cookie
+    assert counts == [2, 3, 2, 3]
 
 
 def _built(layer) -> set[str]:
@@ -892,13 +898,14 @@ def test_four_table_catalog_opens_like_a_new_one(tmp_path, kernel_log):
     conn = KernelConnection(legacy_location)
     sent = kernel_log(conn)
     legacy = SirLayer(conn)
-    # the three reads, then one upgrade that rewrites the meta rows, probes
-    # SP and drops the detail tables; the bases and views stay
-    assert sent[:4] == ["PRAGMA user_version", "SELECT name, sql FROM sqlite_master",
-                        "SELECT name, kind, source_text, plan FROM sir_relations ORDER BY rowid",
-                        "BEGIN IMMEDIATE"] and sent[-1] == "COMMIT"
-    assert [s.split(" ")[0] for s in sent[4:-1]] == [
-        "PRAGMA", "UPDATE", "UPDATE", "SELECT", "UPDATE", "DROP", "DROP", "DROP", "PRAGMA"]
+    # the reads of an open whose donor (the other file's catalog) vouches for
+    # no text, then one upgrade that rewrites the meta rows, probes SP and
+    # drops the detail tables; the bases and views stay
+    assert sent[:6] == COLD_READS + ["BEGIN IMMEDIATE"] and sent[-1] == "COMMIT"
+    assert sent[6:9] == VERSIONS_TRACED
+    # then the schema cookie it commits at, and the DDL version it writes
+    assert [s.split(" ")[0] for s in sent[9:-1]] == [
+        "UPDATE", "UPDATE", "SELECT", "UPDATE", "DROP", "DROP", "DROP", "PRAGMA", "PRAGMA"]
     assert legacy.conn.query("SELECT name, json_type(plan) FROM sir_relations").rows == \
         [("S", "object"), ("P", "object"), ("SP", "object")]
     assert legacy.conn.query("SELECT name FROM sqlite_master WHERE name LIKE 'sir%'").rows \
@@ -915,7 +922,8 @@ def test_four_table_catalog_opens_like_a_new_one(tmp_path, kernel_log):
     conn.close()
     conn = KernelConnection(legacy_location)
     sent = kernel_log(conn)
-    assert SirLayer(conn).catalog.snapshot() == snapshot and len(sent) == 3
+    # the upgrade recorded the schema cookie it committed at
+    assert SirLayer(conn).catalog.snapshot() == snapshot and sent == WARM_READS
 
 
 def test_alter_on_a_four_table_catalog_writes_the_current_form(tmp_path):

@@ -154,6 +154,12 @@ def test_query_unknown_relation_exits_1(db, capsys):
     assert code == 1
 
 
+def test_query_of_an_integer_too_long_for_python_exits_0(db, capsys):
+    code, out, err = run(["-k", db, "query", f"Select {'9' * 5000};"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "inf"
+
+
 def test_query_nested_too_deep_exits_3(db, capsys):
     apply_sp2(db, capsys, with_data=False)
     code, out, err = run(

@@ -23,7 +23,7 @@ from sirsql.layer import SirLayer
 from sirsql.parser import parse
 from sirsql.render import render_source
 
-from conftest import GOLDEN, fixture_text, replay_dump
+from conftest import GOLDEN, assert_plans_match_kernel, fixture_text, replay_dump
 
 LOG = GOLDEN / "ddl_kernel_log.txt"
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -86,7 +86,9 @@ class _Log:
         self.sent.clear()
 
     def run(self, layer: SirLayer, text: str):
-        """Apply each statement of `text` and record what it sent and did."""
+        """Apply each statement of `text` and record what it sent and did.
+        After each statement that succeeds, so after every commit, each plan
+        holds the kernel's own texts (`check_plans`)."""
         for stmt in parse(text):
             self.flush()
             self.lines.append("> " + render_source(stmt))
@@ -98,6 +100,14 @@ class _Log:
             else:
                 self.flush()
                 self.lines.append(f"= {result.action}: {', '.join(result.objects)}")
+                self.check_plans(layer)
+
+    def check_plans(self, layer: SirLayer):
+        """`assert_plans_match_kernel`, which a later open that reads no
+        kernel text relies on; what it sends is not logged."""
+        self.flush()
+        assert_plans_match_kernel(layer)
+        self.sent.clear()
 
     def text(self) -> str:
         self.flush()
@@ -137,6 +147,7 @@ def ddl_kernel_log(tmp_path: Path) -> str:
         replay_dump(location, fixture)
         log.heading(f"open {fixture}")
         layer = SirLayer(log.watch(KernelConnection(location)))
+        log.check_plans(layer)          # the open upgraded the dump
         log.run(layer, ON_A_DUMP)
         layer.conn.close()
 

@@ -19,6 +19,8 @@ from sirsql.layer import SirLayer
 from conftest import fixture_text, kernel_state, load_sp2
 
 PROBE = re.compile(r"SELECT \* FROM (\S+) LIMIT 0$")
+# the line the trace adds after `base_size_probe("D")` for the pragma it runs
+INDEX_LIST_D = "-- PRAGMA index_list='D'"
 
 
 @pytest.fixture(autouse=True)
@@ -90,10 +92,12 @@ def test_alter_add_recreates_only_changed_views_and_probes_each_chain_once(tmp_p
     assert set(_named(sent, "CREATE VIEW")) == changed
     assert [PROBE.match(s).group(1) for s in sent if PROBE.match(s)] == ["R0", "R1", "R2"]
     _assert_lean_meta_statements(sent)
-    # BEGIN, the schema version, the size probe; D, empty and without an
-    # index: DROP, CREATE and its UPDATE; each dependent: DROP, CREATE,
-    # probe, UPDATE; the schema version write, COMMIT
-    assert len(sent) == 3 + 3 + 3 * 4 + 2
+    # BEGIN, the DDL version and schema cookie (one statement, traced with
+    # the pragma each of its two functions runs), the size probe and its
+    # pragma line; D, empty and without an index: DROP, CREATE and its
+    # UPDATE; each dependent: DROP, CREATE, probe, UPDATE; the schema cookie
+    # read, the DDL version write, COMMIT
+    assert len(sent) == 6 + 3 + 3 * 4 + 3
     assert layer.query("Select * From R1;").columns[-1] == "E_NAME"
     assert "D_X" in layer.query("Select * From R1;").columns
 
@@ -103,7 +107,7 @@ def test_a_base_rebuild_copies_its_rows_through_a_scratch_table(tmp_path, kernel
     sent = kernel_log(layer.conn)
     layer.apply_source("Alter Table D Drop D_NAME;")
 
-    assert sent[4:9] == [
+    assert sent[6:11] == [
         "CREATE TABLE sir_rebuild AS SELECT D_K, D_N FROM D;",
         "DROP TABLE D;",
         "CREATE TABLE D (D_K Char, D_N Int, PRIMARY KEY (D_K)) WITHOUT ROWID;",
@@ -111,10 +115,11 @@ def test_a_base_rebuild_copies_its_rows_through_a_scratch_table(tmp_path, kernel
         "DROP TABLE sir_rebuild;"]
     assert _named(sent, "DROP VIEW") == _named(sent, "CREATE VIEW") == ["R0_1", "R1_1", "R2_1"]
     assert [PROBE.match(s).group(1) for s in sent if PROBE.match(s)] == ["R0", "R1", "R2"]
-    # BEGIN, the schema version, the index read and its pragma line; the
-    # five rebuild statements and D's UPDATE; each dependent: DROP, CREATE,
-    # probe, UPDATE; the schema version write, COMMIT
-    assert len(sent) == 4 + 6 + 3 * 4 + 2
+    # BEGIN, the DDL version and schema cookie with their two pragma lines,
+    # the index read and its pragma line; the five rebuild statements and
+    # D's UPDATE; each dependent: DROP, CREATE, probe, UPDATE; the schema
+    # cookie read, the DDL version write, COMMIT
+    assert len(sent) == 6 + 6 + 3 * 4 + 3
     assert layer.query("Select * From D;").rows == [("d", 1)]
     assert layer.conn.object_kind("sir_rebuild") is None
 
@@ -141,12 +146,12 @@ def test_an_add_rebuilds_a_base_under_the_size_bound_and_extends_one_over_it(tmp
 
     probe = base_size_probe("D")
     # the empty base is created again: no index read, no rows copied
-    assert sent[0][2:5] == [
-        probe, "DROP TABLE D;",
+    assert sent[0][4:8] == [
+        probe, INDEX_LIST_D, "DROP TABLE D;",
         "CREATE TABLE D (D_K Char, D_NAME Char, D_N Int, D_X Char, PRIMARY KEY (D_K))"
         " WITHOUT ROWID;"]
-    assert not [s for s in sent[0] if "sir_rebuild" in s or "pragma_index_list" in s]
-    assert sent[1][2:4] == [probe, "ALTER TABLE D ADD COLUMN D_X Char;"]
+    assert not [s for s in sent[0] if "sir_rebuild" in s or s.startswith("SELECT il.name")]
+    assert sent[1][4:7] == [probe, INDEX_LIST_D, "ALTER TABLE D ADD COLUMN D_X Char;"]
     assert [s for s in sent[1] if s.startswith(("CREATE TABLE", "DROP TABLE"))] == []
 
     assert kernel_state(empty.conn) == kernel_state(full.conn)
@@ -174,7 +179,7 @@ def test_each_index_of_a_base_lowers_its_size_bound(tmp_path, kernel_log):
     assert bound < REBUILD_ROWS_PER_OBJECT * objects
     sent = kernel_log(layer.conn)
     layer.apply_source("Alter Table D Add D_X Char;")
-    assert sent[2:4] == [base_size_probe("D"), "ALTER TABLE D ADD COLUMN D_X Char;"]
+    assert sent[4:7] == [base_size_probe("D"), INDEX_LIST_D, "ALTER TABLE D ADD COLUMN D_X Char;"]
     assert len(layer.query("Select * From R0;").rows) == 0
     assert layer.query("Select Count(*) From D Where D_X Is Null;").rows == [(bound,)]
 
@@ -186,7 +191,7 @@ def test_a_rebuilt_base_under_the_bound_gets_its_index_back(tmp_path, kernel_log
     sent = kernel_log(layer.conn)
     layer.apply_source("Alter Table D Add D_X Char;")
 
-    assert sent[2] == base_size_probe("D") and sent[3].startswith("SELECT il.name")
+    assert sent[4] == base_size_probe("D") and sent[6].startswith("SELECT il.name")
     copies = [s for s in sent if "sir_rebuild" in s]
     assert len(copies) == (0 if rows == 0 else 3)
     assert "CREATE INDEX D_I ON D (D_N);" in sent
@@ -215,9 +220,10 @@ def test_create_with_two_ies_probes_its_final_view_once(tmp_path, kernel_log):
     assert _named(sent, "CREATE VIEW") == ["R3_1", "R3"]
     assert [PROBE.match(s).group(1) for s in sent if PROBE.match(s)] == ["R3"]
     _assert_lean_meta_statements(sent)
-    # BEGIN, the schema version before and after, the base, two views, the
-    # probe, one INSERT, COMMIT; SQLite's CREATE checks the names
-    assert len(sent) == 1 + 2 + 3 + 1 + 1 + 1
+    # BEGIN, the DDL version and schema cookie with their two pragma lines,
+    # the base, two views, the probe, one INSERT, the schema cookie read, the
+    # DDL version write, COMMIT; SQLite's CREATE checks the names
+    assert len(sent) == 1 + 3 + 3 + 1 + 1 + 2 + 1
     assert not [s for s in sent if "sqlite_master" in s]
 
 
@@ -563,3 +569,36 @@ def test_a_star_over_a_base_that_the_alter_removes_is_refused_by_the_probe(kerne
     assert sent[-1] == "ROLLBACK"
     assert kernel_state(layer.conn) == kernel
     assert layer.catalog.snapshot() == snapshot
+
+
+def _scanning_size_probe(base: str) -> str:
+    """`base_size_probe` as first written: it counted the base's indexes
+    by decoding every `sqlite_master` row."""
+    name = base.replace("'", "''")
+    indexes = (f"sum(type = 'index' AND tbl_name = '{name}' COLLATE NOCASE"
+               " AND sql IS NOT NULL)")
+    return (f"WITH m (bound, indexes) AS (SELECT {REBUILD_ROWS_PER_OBJECT} * objects"
+            f" / (1 + indexes), indexes FROM (SELECT count(*) AS objects, {indexes} AS indexes"
+            f" FROM sqlite_master)) SELECT (SELECT count(*) FROM (SELECT 1 FROM \"{base}\""
+            " LIMIT (SELECT bound FROM m))), bound, indexes FROM m")
+
+
+def test_the_size_probe_counts_what_a_scan_of_sqlite_master_counts(tmp_path):
+    layer = _reopened(tmp_path, _dimension_schema() + """
+    Create Table R (K Char, V Char, W Int, Primary Key (K), Unique (V),
+      I_D (Select D_NAME From D Where R.K = D_K));
+    Create Index r_w On R (W);
+    Create Index r_vw On R (V, W);
+    Create Table N (K Integer, U Int, Primary Key (K), Unique (U));
+    Create Index n_u2 On N (U, K);
+    Insert Into R Values ('a', 'v', 1), ('b', 'w', 2);
+    Insert Into N Values (1, 1);""")
+    probed = {}
+    for base in ("R_B", "r_B", "D", "E", "N"):
+        probed[base], = layer.conn.query(base_size_probe(base)).rows
+        assert layer.conn.query(_scanning_size_probe(base)).rows == [probed[base]], base
+    (objects,), = layer.conn.query("SELECT count(*) FROM sqlite_master").rows
+    bound = REBUILD_ROWS_PER_OBJECT * objects
+    assert probed["R_B"] == probed["r_B"] == (2, bound // 3, 2)
+    assert probed["D"] == (0, bound, 0)
+    assert probed["N"] == (1, bound // 2, 1)

@@ -181,12 +181,12 @@ def test_a_file_that_cannot_be_opened_raises_kernel_error(tmp_path):
     lambda c: c.execute("SELECT 1"),
     lambda c: c.query("SELECT 1"),
     lambda c: c.within_transaction(lambda inner: None),
-    lambda c: c.ddl_version(),
+    lambda c: c.versions(),
     lambda c: c.indexes("t"),
     lambda c: c.object_kind("t"),
     lambda c: c.object_names(),
     lambda c: c.introspect("t"),
-], ids=["execute", "query", "within_transaction", "ddl_version", "indexes", "object_kind",
+], ids=["execute", "query", "within_transaction", "versions", "indexes", "object_kind",
         "object_names", "introspect"])
 def test_every_call_on_a_closed_connection_raises_kernel_error(call):
     conn = KernelConnection(":memory:")

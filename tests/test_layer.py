@@ -368,6 +368,22 @@ def test_literals_that_stay_inline_keep_their_meaning(sp2, text, other):
         assert sp2.query(sql) == expected
 
 
+# more digits than Python converts to an int by default (4,300)
+HUGE = "9" * 5000
+
+
+def test_an_integer_too_long_for_python_stays_inline(sp2, parses):
+    assert sp2.query(f"Select {HUGE};").rows == [(float("inf"),)]
+    [result] = sp2.apply_source(f"Insert Into SP (S#, P#, QTY) Values ('S9', 'P1', {HUGE});")
+    assert result.rowcount == 1
+    assert sp2.query("Select QTY From SP Where S# = 'S9';").rows == [(float("inf"),)]
+    # a cached shape whose gap meets the number misses, and the text is parsed
+    text = "Select S# From SP Where QTY > {} Order By S#;"
+    assert sp2.query(text.format(300)).rows == [("S1",), ("S2",), ("S4",), ("S9",)]
+    assert sp2.query(text.format(HUGE)).rows == []
+    assert parses.count(text.format(HUGE)) == 1
+
+
 def test_double_minus_runs(sp2):
     text = "Select - -1 From S Where S# = 'S1';"
     assert sp2.query(text).rows == [(1,)]

@@ -400,6 +400,11 @@ def test_literal_value_keeps_unsafe_numbers_inline():
     assert literal_value(str(2**63)) is None
     assert literal_value("0.12345678901234") == 0.12345678901234
     assert literal_value("0.123456789012345") is None      # 16 digits
+    # more digits than int64's are never converted, also past the 4,300 that
+    # Python converts by default; leading zeros do not count
+    assert literal_value("9" * 5000) is None
+    assert literal_value("1" + "0" * 19) is None
+    assert literal_value("0" * 5000 + str(2**63 - 1)) == 2**63 - 1
     text = "Select 1.1234567890123456, 'it''s', 2 From S;"
     assert literal_runs(text, tokenize(text)) == (
         ["Select 1.1234567890123456, ", ", ", " From S;"], ["it's", 2])

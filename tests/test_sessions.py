@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import argparse
 import gc
+import shutil
 import sqlite3
 import threading
 import weakref
 
 import pytest
 
+from sirsql import catalog as catalog_module
 from sirsql.catalog import Catalog
 from sirsql.cli import EXIT_RUNTIME, cmd_apply
 from sirsql.errors import CorruptCatalog, StaleCatalog
@@ -20,7 +22,8 @@ from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 from sirsql.parser import parse_one
 
-from conftest import SP2_QUERIES, kernel_state, load_sp2
+from conftest import (COLD_READS, SP2_QUERIES, WARM_READS, assert_plans_match_kernel,
+                      kernel_state, load_sp2)
 
 
 def _two_sessions(tmp_path, extra: str = ""):
@@ -239,6 +242,113 @@ def test_a_base_changed_after_the_writers_commit_is_read_again(tmp_path):
     assert reader.catalog.get("SP") is not writer.catalog.get("SP")
     assert reader.catalog.get("S") is writer.catalog.get("S")
     assert "ZNOTE" in reader.explain("SP")[0] and "ZNOTE" not in writer.explain("SP")[0]
+
+
+def _recreate_sp_1(location, where: str) -> str:
+    """Create S-P2's stage SP_1 again behind every session's back: the same
+    columns from another text, which moves the schema cookie and no DDL
+    version.  Returns that text."""
+    text = ('CREATE VIEW SP_1 AS SELECT SP_B.*, S.SNAME, S.STATUS, S.CITY AS SCITY'
+            f' FROM SP_B LEFT JOIN S ON SP_B."S#" = S."S#" WHERE {where}')
+    raw = sqlite3.connect(location)
+    raw.executescript(f"DROP VIEW SP_1; {text};")
+    raw.close()
+    return text
+
+
+def _open_logged(location: str, kernel_log) -> tuple[SirLayer, list[str]]:
+    """A session opened over `location`, and what its open sent."""
+    conn = KernelConnection(location)
+    sent = kernel_log(conn)
+    return SirLayer(conn), sent
+
+
+def test_a_reopen_after_the_sessions_own_ddl_reads_no_kernel_text(tmp_path, kernel_log):
+    location = str(tmp_path / "db.sqlite")
+    writer = load_sp2(SirLayer(KernelConnection(location)))
+    writer.apply_source("Alter Table SP Add NOTE Char; Create View V As Select * From SP;")
+    reader, sent = _open_logged(location, kernel_log)
+    # the DDL version with the schema cookie, then the meta rows
+    assert sent == WARM_READS
+    assert all(reader.catalog.get(e.name) is e for e in writer.catalog.entries())
+    assert reader.catalog.cookie == writer.catalog.cookie is not None
+    assert_plans_match_kernel(reader)
+    assert [reader.query(sql) for sql in SP2_QUERIES] == [writer.query(sql) for sql in SP2_QUERIES]
+
+
+def test_a_stage_created_again_behind_the_sessions_back_is_read_again(tmp_path, kernel_log):
+    location = str(tmp_path / "db.sqlite")
+    writer = load_sp2(SirLayer(KernelConnection(location)))
+    first, sent = _open_logged(location, kernel_log)
+    assert sent == WARM_READS
+    text = _recreate_sp_1(location, "1")
+    later, sent = _open_logged(location, kernel_log)
+    assert sent == COLD_READS
+    assert later.explain("SP")[1] == text + ";" != first.explain("SP")[1]
+    assert later.catalog.get("S") is writer.catalog.get("S")
+    assert_plans_match_kernel(later)
+    assert [later.query(sql) for sql in SP2_QUERIES] == [writer.query(sql) for sql in SP2_QUERIES]
+
+
+def test_a_copy_of_the_file_at_another_path_reads_every_text(tmp_path, kernel_log):
+    location, copy = str(tmp_path / "db.sqlite"), str(tmp_path / "copy.sqlite")
+    writer = load_sp2(SirLayer(KernelConnection(location)))
+    shutil.copyfile(location, copy)
+    assert catalog_module._latest_load() is writer.catalog
+    reader, sent = _open_logged(copy, kernel_log)
+    assert sent == COLD_READS
+    assert reader.catalog.snapshot() == writer.catalog.snapshot()
+
+
+def test_one_relative_path_in_two_directories_names_two_files(tmp_path, kernel_log,
+                                                                monkeypatch):
+    """Two copies of a file, each with a stage created again in its own
+    text: the same DDL version, schema cookie and meta rows in both."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    load_sp2(SirLayer(KernelConnection("db.sqlite"))).conn.close()
+    shutil.copyfile("db.sqlite", tmp_path / "b" / "db.sqlite")
+    _recreate_sp_1(tmp_path / "a" / "db.sqlite", "1")
+    text = _recreate_sp_1(tmp_path / "b" / "db.sqlite", "2")
+    first = SirLayer(KernelConnection("db.sqlite"))
+    monkeypatch.chdir(tmp_path / "b")
+    second, sent = _open_logged("db.sqlite", kernel_log)
+    assert sent == COLD_READS
+    assert first.conn.versions() == second.conn.versions()
+    assert second.explain("SP")[1] == text + ";"
+    assert_plans_match_kernel(second)
+
+
+@pytest.mark.parametrize("location", [":memory:", ""], ids=["memory", "temporary"])
+def test_a_database_without_a_file_reads_every_text(kernel_log, location):
+    writer = load_sp2(SirLayer(KernelConnection(location)))
+    assert writer.catalog.cookie is None
+    conn = KernelConnection(location)
+    writer.conn._db.backup(conn._db)        # the same rows and DDL version
+    # a backup moves the copy's schema cookie; set it back to the writer's
+    conn._db.execute(f"PRAGMA schema_version = {writer.conn.versions()[1]}")
+    assert conn.versions() == writer.conn.versions()
+    sent = kernel_log(conn)
+    reader = SirLayer(conn)
+    assert sent == COLD_READS
+    assert reader.catalog.cookie is None
+    assert reader.catalog.snapshot() == writer.catalog.snapshot()
+
+
+def test_ddl_after_a_schema_change_outside_sirsql_records_no_cookie(tmp_path, kernel_log):
+    location = str(tmp_path / "db.sqlite")
+    writer = load_sp2(SirLayer(KernelConnection(location)))
+    _raw(location, "CREATE TABLE raw (a)")
+    sent = kernel_log(writer.conn)
+    writer.apply_source("Alter Table SP Add NOTE Char;")
+    # the cookie it started at is not the catalog's, so none is read at the end
+    assert writer.catalog.cookie is None and "PRAGMA schema_version" not in sent
+    reader, sent = _open_logged(location, kernel_log)
+    assert sent == COLD_READS
+    assert reader.catalog.snapshot() == writer.catalog.snapshot()
+    # that open read every text at its cookie, so the next one needs none
+    assert _open_logged(location, kernel_log)[1] == WARM_READS
 
 
 @pytest.mark.parametrize("sabotage, message", [

@@ -17,7 +17,7 @@ from sirsql.errors import (DependentAttributeDrop, ForeignKeyAttributeDrop,
 from sirsql.kernel import KernelConnection
 from sirsql.layer import SirLayer
 
-from conftest import (assert_plans_match_kernel, kernel_state, load_sp2, make_layer,
+from conftest import (VERSIONS, assert_plans_match_kernel, kernel_state, load_sp2, make_layer,
                       write_four_table_sp2)
 
 
@@ -294,9 +294,9 @@ _READ_BY_AN_IE = "Create Table X (K Int, V0 Char, Primary Key (K));" \
     (_WITH_ROWS, "Alter Table R Drop FK;", ForeignKeyAttributeDrop,
      "R.FK is named by its foreign key", []),
     (_WITH_ROWS, "Alter Table R Add N Int Not Null;", NotNullAttributeAdd, "R has rows",
-     [compiler.base_size_probe("R")]),
+     [VERSIONS, compiler.base_size_probe("R")]),
     (_WITH_ROWS, "Alter Table R Add Before B N Int Not Null;", NotNullAttributeAdd,
-     "R has rows", [compiler.base_size_probe("R")]),
+     "R has rows", [VERSIONS, compiler.base_size_probe("R")]),
     (_READ_BY_AN_IE, "Alter Table X Drop V0;", DependentAttributeDrop,
      r"X: this ALTER removes an attribute R reads through IE I_X \(no such column: X.V0\)", []),
 ], ids=["foreign-key-drop", "not-null-add-column", "not-null-rebuild", "ie-reads-the-attribute"])
@@ -388,10 +388,10 @@ def test_a_dropped_index_lets_its_column_go(tmp_path):
     location = str(tmp_path / "db.sqlite")
     layer = load_sp2(SirLayer(KernelConnection(location)))
     layer.apply_source("Create Index sp_qty On SP (QTY);")
-    version = layer.conn.ddl_version()
+    version = layer.conn.versions()[0]
     result, = layer.apply_source("Drop Index SP_QTY;")
     assert (result.action, result.objects) == ("drop index", ["sp_qty"])
-    assert layer.conn.ddl_version() == version + 1
+    assert layer.conn.versions()[0] == version + 1
     assert _indexes(layer.conn) == []
     layer.apply_source("Alter Table SP Drop QTY;")
     snapshot = layer.catalog.snapshot()
@@ -427,8 +427,8 @@ def test_drop_index_refuses_an_index_it_does_not_own(setup, name):
             layer.conn.execute(sql)                 # behind the catalog's back
     else:
         layer.apply_source(setup)
-    kernel, version = kernel_state(layer.conn), layer.conn.ddl_version()
+    kernel, version = kernel_state(layer.conn), layer.conn.versions()[0]
     with pytest.raises(UnknownObject, match=name):
         layer.apply_source(f"Drop Index {name};")
     assert kernel_state(layer.conn) == kernel
-    assert layer.conn.ddl_version() == version
+    assert layer.conn.versions()[0] == version
